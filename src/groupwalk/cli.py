@@ -169,24 +169,37 @@ def resolve_config(subcommand: str, args: argparse.Namespace) -> Dict[str, objec
     return resolved
 
 
-def _parse_threshold(text: str):
+def _parse_threshold(text: str, mode: str):
+    """--truncation as a Fraction (p/q or integer) or a float; a nonzero
+    float is rejected in exact mode."""
     text = text.strip()
-    if "/" in text:
-        num, _, den = text.partition("/")
-        return Fraction(int(num), int(den))
-    if "." in text or "e" in text or "E" in text:
-        return float(text)
-    return Fraction(int(text))
+    try:
+        if "/" in text:
+            num, _, den = text.partition("/")
+            threshold = Fraction(int(num), int(den))
+        elif "." in text or "e" in text or "E" in text:
+            threshold = float(text)
+        else:
+            threshold = Fraction(int(text))
+    except (ValueError, ZeroDivisionError):
+        raise DomainError(f"bad truncation threshold {text!r}")
+    if mode == MODE_EXACT and isinstance(threshold, float) and threshold:
+        raise DomainError("float truncation threshold in exact mode")
+    return threshold
 
 
 def _parse_space(arg: str) -> gspaces.FiniteGSpace:
     if arg.startswith("preset:"):
         name = arg[len("preset:"):]
         kind, _, param = name.partition(":")
-        if kind == "cycle":
-            return gspaces.cycle_space(int(param))
-        if kind == "trivial":
-            return gspaces.trivial_space(int(param))
+        if kind in ("cycle", "trivial"):
+            try:
+                size = int(param)
+            except ValueError:
+                raise DomainError(f"bad size {param!r} in preset {name!r}")
+            if kind == "cycle":
+                return gspaces.cycle_space(size)
+            return gspaces.trivial_space(size)
         if kind == "two-orbits":
             return gspaces.two_orbit_space()
         raise DomainError(f"unknown g-space preset {name!r}")
@@ -211,9 +224,7 @@ def _run_drift(cfg: Dict[str, object]) -> dict:
     group = group_from_id(cfg["group"])
     mode = cfg["mode"]
     mu = parse_measure_spec(group, cfg["measure"], mode=mode)
-    threshold = _parse_threshold(str(cfg["truncation"]))
-    if mode == MODE_EXACT and isinstance(threshold, float) and threshold:
-        raise DomainError("float truncation threshold in exact mode")
+    threshold = _parse_threshold(str(cfg["truncation"]), mode)
     ball = None
     ball_radius = int(cfg["ball-radius"]) or None
     if group.id_string == "heisenberg":
@@ -262,7 +273,7 @@ def _run_drift(cfg: Dict[str, object]) -> dict:
 def _run_entropy(cfg: Dict[str, object]) -> dict:
     group = group_from_id(cfg["group"])
     mu = parse_measure_spec(group, cfg["measure"], mode=cfg["mode"])
-    threshold = _parse_threshold(str(cfg["truncation"]))
+    threshold = _parse_threshold(str(cfg["truncation"]), cfg["mode"])
     rep = drift.entropy_partial(mu, int(cfg["n-max"]), threshold=threshold)
     return {"schema": SCHEMA, "subcommand": "entropy", "config": cfg,
             "ns": rep.ns, "h_values": rep.h_values,
@@ -274,7 +285,7 @@ def _run_phi(cfg: Dict[str, object]) -> dict:
     group = group_from_id(cfg["group"])
     mode = cfg["mode"]
     mu = parse_measure_spec(group, cfg["measure"], mode=mode)
-    threshold = _parse_threshold(str(cfg["truncation"]))
+    threshold = _parse_threshold(str(cfg["truncation"]), mode)
     n = int(cfg["n"])
     r_eval = int(cfg["r-eval"])
     method = cfg["method"]

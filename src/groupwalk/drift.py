@@ -22,8 +22,8 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
 
 from .errors import DomainError, OutOfRangeError
-from .measures import (FiniteMeasure, adjoint, power_sequence,
-                       shannon_entropy)
+from .measures import (FiniteMeasure, adjoint, from_numerator, numerators,
+                       power_sequence, shannon_entropy)
 from .sampler import SamplerConfig, norm_statistics
 
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
@@ -65,9 +65,9 @@ def drift_exact_partial(mu: FiniteMeasure, norm_fn: Callable, n_max: int,
                         threshold=0) -> ExactDriftReport:
     """Exact a_n for n = 1..n_max and the Fekete-certified upper bound.
 
-    Each a_n is the norm average over the retained atoms of mu^{*n}; the
-    truncated mass can sit at norm up to n * max-generator-norm, giving the
-    error bar deficit * n * g_max.
+    Each a_n is the norm average over the retained atoms of mu^{*n}, summed
+    on integer numerators in exact mode; the truncated mass can sit at norm
+    up to n * max-generator-norm, giving the error bar deficit * n * g_max.
     """
     if n_max < 1:
         raise DomainError("n_max must be >= 1")
@@ -75,8 +75,10 @@ def drift_exact_partial(mu: FiniteMeasure, norm_fn: Callable, n_max: int,
     ns, a_values, errors = [], [], []
     bound = math.inf
     for n, mun in power_sequence(mu, n_max, threshold=threshold):
+        atoms, den = numerators(mun)
         try:
-            a = sum(norm_fn(s) * w for s, w in mun.atoms.items())
+            a = from_numerator(sum(norm_fn(s) * c for s, c in atoms), den,
+                               mun.mode)
         except OutOfRangeError as exc:
             raise OutOfRangeError(
                 f"support of the {n}-step law escapes the norm table: {exc}",

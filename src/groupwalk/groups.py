@@ -15,10 +15,13 @@ Four groups are supported, each with a fixed symmetric generating set:
                   (x1,y1,z1)(x2,y2,z2) = (x1+x2, y1+y2, z1+z2+x1*y2).
 
 Elements are plain immutable tuples, so equality and hashing are structural.
-All operations go through the owning Group object, which validates element
-shape and raises DomainError on mismatch (this is what catches elements of a
-different group being mixed in). Operations are pure functions; elements are
-safe to share across threads and processes.
+All operations go through the owning Group object. Validation happens once,
+at the edge: ``parse_element``, ``canonical`` and ``check_element`` raise
+DomainError on a malformed element or one of a different group, and the
+public ``mul``/``inv`` check their operands before computing. ``_mul`` is
+the unchecked product for inner loops whose operands were validated already
+(atoms of a FiniteMeasure, ball elements, generators). Operations are pure
+functions; elements are safe to share across threads and processes.
 
 Integer coordinates are Python ints (arbitrary width): overflow cannot occur,
 let alone wrap silently.
@@ -27,6 +30,7 @@ let alone wrap silently.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 
 from .errors import DomainError
 
@@ -50,6 +54,11 @@ class Group:
         raise NotImplementedError
 
     def mul(self, g, h):
+        """Product g h after checking both operands."""
+        raise NotImplementedError
+
+    def _mul(self, g, h):
+        """Product g h of two elements known to be canonical (no checks)."""
         raise NotImplementedError
 
     def inv(self, g):
@@ -105,7 +114,10 @@ class FreeAbelian(Group):
     def mul(self, g, h):
         self.check_element(g)
         self.check_element(h)
-        return tuple(a + b for a, b in zip(g, h))
+        return self._mul(g, h)
+
+    def _mul(self, g, h):
+        return tuple(map(add, g, h))
 
     def inv(self, g):
         self.check_element(g)
@@ -181,6 +193,9 @@ class FreeGroup(Group):
     def mul(self, g, h):
         self.check_element(g)
         self.check_element(h)
+        return self._mul(g, h)
+
+    def _mul(self, g, h):
         i = len(g)
         j = 0
         while i > 0 and j < len(h) and g[i - 1] == -h[j]:
@@ -211,9 +226,9 @@ class FreeGroup(Group):
             return ()
         word = []
         for ch in text:
-            if ch.islower():
+            if ch in _LETTERS:
                 x = _LETTERS.index(ch) + 1
-            elif ch.isupper():
+            elif ch.lower() in _LETTERS:
                 x = -(_LETTERS.index(ch.lower()) + 1)
             else:
                 raise DomainError(f"bad letter {ch!r} in free word {text!r}")
@@ -251,6 +266,9 @@ class Lamplighter(Group):
     def mul(self, g, h):
         self.check_element(g)
         self.check_element(h)
+        return self._mul(g, h)
+
+    def _mul(self, g, h):
         (lamps_g, p), (lamps_h, q) = g, h
         lamps = set(lamps_g)
         for u in lamps_h:
@@ -280,6 +298,8 @@ class Lamplighter(Group):
             g = (tuple(sorted(set(lamps))), int(pos_part))
         except (ValueError, AssertionError):
             raise DomainError(f"cannot parse lamplighter element {text!r}")
+        _require(len(g[0]) == len(lamps),
+                 f"repeated lamp in lamplighter element {text!r}")
         return g
 
 
@@ -312,6 +332,9 @@ class Heisenberg(Group):
     def mul(self, g, h):
         self.check_element(g)
         self.check_element(h)
+        return self._mul(g, h)
+
+    def _mul(self, g, h):
         (x1, y1, z1), (x2, y2, z2) = g, h
         return (x1 + x2, y1 + y2, z1 + z2 + x1 * y2)
 
@@ -337,17 +360,24 @@ class Heisenberg(Group):
         return g
 
 
+def _parse_rank(arg: str, id_string: str) -> int:
+    try:
+        return int(arg)
+    except ValueError:
+        raise DomainError(f"bad rank {arg!r} in group id {id_string!r}")
+
+
 def group_from_id(id_string: str) -> Group:
     """Build a group from its string id: "zd:3", "free:2", "lamplighter",
     "heisenberg". "z" and "zd" alone mean zd:1."""
     name, _, arg = id_string.partition(":")
     name = name.strip().lower()
     if name in ("zd", "z"):
-        return FreeAbelian(int(arg) if arg else 1)
+        return FreeAbelian(_parse_rank(arg, id_string) if arg else 1)
     if name == "free":
         if not arg:
             raise DomainError("free group needs a rank, e.g. free:2")
-        return FreeGroup(int(arg))
+        return FreeGroup(_parse_rank(arg, id_string))
     if name == "lamplighter":
         return Lamplighter()
     if name == "heisenberg":

@@ -7,9 +7,18 @@ and "float64". Truncation drops atoms below a weight threshold and adds the
 exact lost mass to the deficit, so every downstream quantity can report an
 error interval instead of silently drifting.
 
+Validation happens once, at the edge: ``finite_measure`` (and the parsers
+built on it) checks every atom, and convolution then multiplies atoms with
+the unchecked ``Group._mul``. Exact weights are computed on integer
+numerators over one common denominator (``numerators``), and one Fraction
+is built per resulting weight (``from_numerator``). Float weights go
+through the same loops over the denominator 1.
+
 Measures are immutable values. Convolution runs single-threaded with a
 fixed accumulation order, so float-mode results are bit-identical from run
-to run (exact mode is order-independent anyway).
+to run (exact mode is order-independent anyway). Convolution powers have an
+atom budget (``DEFAULT_MAX_ATOMS``): exceeding it raises ResourceLimitError
+naming the last completed power.
 """
 
 from __future__ import annotations
@@ -17,14 +26,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, Mapping, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
-from .errors import DomainError
+from .errors import DomainError, ResourceLimitError
 from .groups import Group, group_from_id
 
 MODE_EXACT = "exact"
 MODE_FLOAT = "float64"
 MEASURE_FORMAT_VERSION = 1
+DEFAULT_MAX_ATOMS = 2_000_000
 
 _MASS_TOL = 1e-12
 
@@ -102,52 +112,97 @@ def _check_compatible(mu: FiniteMeasure, nu: FiniteMeasure) -> None:
         raise DomainError(f"mixed arithmetic modes: {mu.mode} vs {nu.mode}")
 
 
-def convolve(mu: FiniteMeasure, nu: FiniteMeasure,
-             threshold=0) -> FiniteMeasure:
+def numerators(mu: FiniteMeasure) -> Tuple[List[tuple], int]:
+    """((element, numerator) pairs, common denominator D) of mu's atoms.
+
+    In exact mode the numerators are ints over D = lcm of the weight
+    denominators; in float mode they are the float weights over D = 1.
+    """
+    if mu.mode != MODE_EXACT:
+        return list(mu.atoms.items()), 1
+    den = math.lcm(*(w.denominator for w in mu.atoms.values()))
+    return [(g, w.numerator * (den // w.denominator))
+            for g, w in mu.atoms.items()], den
+
+
+def from_numerator(c, den: int, mode: str):
+    """The weight c / den: a reduced Fraction in exact mode, c in float."""
+    return Fraction(c, den) if mode == MODE_EXACT else c
+
+
+def convolve(mu: FiniteMeasure, nu: FiniteMeasure, threshold=0,
+             max_atoms: Optional[int] = None) -> FiniteMeasure:
     """(mu * nu)(s) = sum over g h = s of mu(g) nu(h), truncated.
 
     Atoms of the product with weight < threshold are dropped and their total
     mass added to the deficit. The deficit composes super-additively: the
     output deficit is 1 - (1-d_mu)(1-d_nu) plus the newly dropped mass.
+    More than max_atoms product atoms (before truncation) raise
+    ResourceLimitError while the product is being accumulated.
     """
     _check_compatible(mu, nu)
-    group = mu.group
+    mode = mu.mode
+    mul = mu.group._mul
+    left, den_mu = numerators(mu)
+    right, den_nu = numerators(nu)
+    den = den_mu * den_nu
     out: Dict = {}
-    for g, wg in mu.atoms.items():
-        for h, wh in nu.atoms.items():
-            s = group.mul(g, h)
-            prev = out.get(s)
-            out[s] = wg * wh if prev is None else prev + wg * wh
-    dropped = Fraction(0) if mu.mode == MODE_EXACT else 0.0
+    get = out.get
+    for g, a in left:
+        for h, b in right:
+            s = mul(g, h)
+            out[s] = get(s, 0) + a * b
+        if max_atoms is not None and len(out) > max_atoms:
+            raise ResourceLimitError(
+                f"convolution on {mu.group.id_string} exceeded {max_atoms} "
+                f"atoms")
+    dropped = 0 if mode == MODE_EXACT else 0.0
     if threshold:
+        # c / den < t  <=>  c < ceil(t den) for integer c
+        cut = (math.ceil(Fraction(threshold) * den) if mode == MODE_EXACT
+               else threshold)
         kept = {}
-        for s, w in out.items():
-            if w < threshold:
-                dropped += w
+        for s, c in out.items():
+            if c < cut:
+                dropped += c
             else:
-                kept[s] = w
+                kept[s] = c
         out = kept
+    if mode == MODE_EXACT:
+        out = {s: Fraction(c, den) for s, c in out.items()}
     base = mu.deficit + nu.deficit - mu.deficit * nu.deficit
-    return FiniteMeasure(group=group, atoms=out, deficit=base + dropped,
-                         mode=mu.mode)
+    return FiniteMeasure(group=mu.group, atoms=out,
+                         deficit=base + from_numerator(dropped, den, mode),
+                         mode=mode)
 
 
-def power(mu: FiniteMeasure, n: int, threshold=0) -> FiniteMeasure:
-    """n-fold convolution power; n = 0 gives the point mass at e."""
+def power(mu: FiniteMeasure, n: int, threshold=0,
+          max_atoms: int = DEFAULT_MAX_ATOMS) -> FiniteMeasure:
+    """n-fold convolution power (the last item of power_sequence); n = 0
+    gives the point mass at e."""
     if n < 0:
         raise DomainError("convolution power needs n >= 0")
     acc = dirac(mu.group, mode=mu.mode)
-    for _ in range(n):
-        acc = convolve(acc, mu, threshold=threshold)
+    for _, acc in power_sequence(mu, n, threshold=threshold,
+                                 max_atoms=max_atoms):
+        pass
     return acc
 
 
-def power_sequence(mu: FiniteMeasure, n_max: int,
-                   threshold=0) -> Iterable[Tuple[int, FiniteMeasure]]:
-    """Yield (n, mu^{*n}) for n = 1..n_max along the linear chain."""
+def power_sequence(mu: FiniteMeasure, n_max: int, threshold=0,
+                   max_atoms: int = DEFAULT_MAX_ATOMS
+                   ) -> Iterable[Tuple[int, FiniteMeasure]]:
+    """Yield (n, mu^{*n}) for n = 1..n_max along the linear chain.
+
+    A step whose product exceeds max_atoms atoms raises ResourceLimitError
+    naming the last completed n.
+    """
     acc = dirac(mu.group, mode=mu.mode)
     for n in range(1, n_max + 1):
-        acc = convolve(acc, mu, threshold=threshold)
+        try:
+            acc = convolve(acc, mu, threshold=threshold, max_atoms=max_atoms)
+        except ResourceLimitError as exc:
+            raise ResourceLimitError(f"{exc}; completed n = {n - 1}") from None
         yield n, acc
 
 
@@ -213,11 +268,14 @@ def _format_weight(w) -> str:
 
 
 def _parse_weight(text: str, mode: str):
-    if "/" in text:
-        num, _, den = text.partition("/")
-        w = Fraction(int(num), int(den))
-        return w if mode == MODE_EXACT else float(w)
-    return Fraction(text) if mode == MODE_EXACT else float(text)
+    try:
+        if "/" in text:
+            num, _, den = text.partition("/")
+            w = Fraction(int(num), int(den))
+            return w if mode == MODE_EXACT else float(w)
+        return Fraction(text) if mode == MODE_EXACT else float(text)
+    except (ValueError, ZeroDivisionError):
+        raise DomainError(f"bad weight {text!r}")
 
 
 def measure_to_text(mu: FiniteMeasure) -> str:

@@ -26,13 +26,13 @@ stored in the tables.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Dict, Iterable, List, Sequence
 
 from .errors import DomainError, OutOfRangeError
 from .groups import FreeGroup, Group
 from . import freewalk
-from .measures import FiniteMeasure, dirac, power_sequence
+from .measures import (FiniteMeasure, dirac, from_numerator, numerators,
+                       power_sequence)
 from .wordmetric import build_ball
 
 TOLERANCE_NOTE = ("distortion/defect trend tolerances are empirical; the "
@@ -67,21 +67,24 @@ def compute_fk_tables(mu: FiniteMeasure, norm_fn: Callable, k_max: int,
 
     norm_fn must cover the ball shifted by supp mu^{*k}; with the closed-form
     evaluators this is total, with a ball table it raises OutOfRangeError.
+    Exact entries are summed on integer numerators (one Fraction each).
     """
     group = mu.group
+    mul = group._mul
     points = _eval_points(group, r_eval)
     point_norms = {s: norm_fn(s) for s in points}
     tables = []
-    zero = Fraction(0) if mu.mode == "exact" else 0.0
+    zero = 0 if mu.mode == "exact" else 0.0
 
     def table_for(mun: FiniteMeasure, k: int) -> FkTable:
         values, errors = {}, {}
-        atom_norms = [(t, w, norm_fn(t)) for t, w in mun.atoms.items()]
+        atoms, den = numerators(mun)
+        atom_norms = [(t, c, norm_fn(t)) for t, c in atoms]
         for s in points:
             acc = zero
-            for t, w, nt in atom_norms:
-                acc += (norm_fn(group.mul(s, t)) - nt) * w
-            values[s] = acc
+            for t, c, nt in atom_norms:
+                acc += (norm_fn(mul(s, t)) - nt) * c
+            values[s] = from_numerator(acc, den, mu.mode)
             errors[s] = mun.deficit * point_norms[s]
         return FkTable(k=k, values=values, error_bars=errors,
                        r_eval=r_eval, mode=mu.mode)

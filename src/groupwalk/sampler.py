@@ -20,10 +20,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, ResourceLimitError
 from .groups import FreeAbelian, FreeGroup, Group, Heisenberg, Lamplighter
-from .measures import (FiniteMeasure, convolve, dirac, measure_from_text,
-                       measure_to_text, total_variation)
+from .measures import (FiniteMeasure, measure_from_text, measure_to_text,
+                       power, total_variation)
 from .wordmetric import build_ball, norm_evaluator
 
 
@@ -332,12 +332,10 @@ def try_power(mu: FiniteMeasure, n: int, atom_budget: int = 200_000,
     """Exact mu^{*n} when affordable, else None (support or step budget)."""
     if n > step_budget:
         return None
-    acc = dirac(mu.group, mode=mu.mode)
-    for _ in range(n):
-        acc = convolve(acc, mu)
-        if len(acc) > atom_budget:
-            return None
-    return acc
+    try:
+        return power(mu, n, max_atoms=atom_budget)
+    except ResourceLimitError:
+        return None
 
 
 def empirical_endpoint_distribution(

@@ -142,11 +142,38 @@ def test_error_exit_codes(capsys):
     # missing required option
     code, _, err = run_cli(capsys, "drift", "--measure", "srw")
     assert code == 1
+    # malformed group rank, letter, threshold, weight and preset size are
+    # domain errors
+    for argv in (("drift", "--group", "free:x"),
+                 ("drift", "--group", "free:2", "--measure=\u00e9=1"),
+                 ("drift", "--group", "free:2", "--truncation", "abc"),
+                 ("drift", "--group", "zd:1", "--measure", "1=x"),
+                 ("stationary", "--space", "preset:cycle:x")):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert json.loads(err)["error"]["type"] == "precondition"
     # resource error -> exit 2
     code, _, err = run_cli(capsys, "cocycle", "--k", "2", "--g", "a",
                            "--level", "15")
     assert code == 2
     assert json.loads(err)["error"]["type"] == "resource"
+
+
+@pytest.mark.parametrize("argv", [
+    ("drift", "--group", "free:2", "--n-max", "3"),
+    ("entropy", "--group", "free:2", "--n-max", "3"),
+    ("phi", "--group", "zd:1", "--n", "3", "--r-eval", "1"),
+], ids=lambda argv: argv[0])
+def test_float_truncation_rejected_in_exact_mode(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--truncation", "0.05")
+    assert code == 1
+    assert out == ""
+    assert "float truncation" in json.loads(err)["error"]["message"]
+    code, out, _ = run_cli(capsys, *argv, "--truncation", "0.05",
+                           "--mode", "float64")
+    assert code == 0
+    assert json.loads(out)["config"]["truncation"] == "0.05"
 
 
 def test_config_file_merging(capsys, tmp_path):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from groupwalk.errors import DomainError
 from groupwalk.groups import (FreeAbelian, FreeGroup, Heisenberg, Lamplighter,
                               group_from_id, reduce_word)
+from groupwalk.wordmetric import build_ball
 
 ALL_GROUPS = [FreeAbelian(1), FreeAbelian(3), FreeGroup(2), FreeGroup(3),
               Lamplighter(), Heisenberg()]
@@ -72,6 +73,17 @@ def test_lamplighter_switch_toggles_current_position():
     assert g == ((1,), 2)
 
 
+def test_parse_element_rejects_malformed_text():
+    lam = Lamplighter()
+    assert lam.parse_element("{2,1}|0") == ((1, 2), 0)
+    for bad in ("{1,1}|0", "{3,1,3}|2"):   # repeated lamps
+        with pytest.raises(DomainError):
+            lam.parse_element(bad)
+    for bad in ("\u00e9", "a\u00c9", "a1"):   # letters outside a..z/A..Z
+        with pytest.raises(DomainError):
+            FreeGroup(2).parse_element(bad)
+
+
 def test_mixed_group_elements_rejected():
     f2 = FreeGroup(2)
     z3 = FreeAbelian(3)
@@ -79,6 +91,10 @@ def test_mixed_group_elements_rejected():
         f2.mul(f2.identity(), (1, 2, 3))
     with pytest.raises(DomainError):
         z3.mul((1, 2), (0, 0, 0))   # wrong length
+    with pytest.raises(DomainError):
+        f2.inv((1, 2, 3))
+    with pytest.raises(DomainError):
+        Heisenberg().inv((0, 0))
     with pytest.raises(DomainError):
         FreeGroup(2).check_element((3,))   # letter outside alphabet
     with pytest.raises(DomainError):
@@ -99,6 +115,11 @@ def test_associativity_identity_inverse(group):
         assert group.mul(g, e) == g
         assert group.mul(e, g) == g
         assert group.mul(g, group.inv(g)) == e
+    # the unchecked product of the inner loops agrees with the checked one
+    ball = list(build_ball(group, 2).norms)
+    for a in ball:
+        for b in ball:
+            assert group._mul(a, b) == group.mul(a, b)
 
 
 @pytest.mark.parametrize("group", ALL_GROUPS, ids=lambda g: g.id_string)
@@ -131,6 +152,9 @@ def test_group_from_id():
     assert group_from_id("heisenberg") == Heisenberg()
     with pytest.raises(DomainError):
         group_from_id("so:3")
+    for bad in ("free:x", "zd:1.5"):
+        with pytest.raises(DomainError):
+            group_from_id(bad)
 
 
 # -- hypothesis: free reduction against a fixpoint-scan oracle ------------------

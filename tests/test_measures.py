@@ -11,13 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from groupwalk.errors import DomainError
+from groupwalk.errors import DomainError, ResourceLimitError
 from groupwalk.groups import FreeAbelian, FreeGroup, group_from_id
 from groupwalk.measures import (MODE_FLOAT, adjoint, check_support_generates,
                                 convolve, dirac, finite_measure,
                                 measure_from_text, measure_to_text,
                                 parse_measure_spec, power, power_sequence,
                                 shannon_entropy, srw, total_variation)
+from groupwalk.sampler import try_power
 
 
 def brute_force_power(mu, n):
@@ -120,6 +121,52 @@ def test_truncation_tracks_exact_deficit():
     again = convolve(m3, m3, threshold=Fraction(1, 32))
     combined = m3.deficit + m3.deficit - m3.deficit * m3.deficit
     assert again.deficit >= combined
+
+
+def test_exact_convolve_mixed_denominators_matches_fraction_loop():
+    # thirds and sixths against fifths, with deficits on both sides and a
+    # threshold that drops some product atoms
+    z2 = FreeAbelian(2)
+    mu = finite_measure(z2, {(1, 0): Fraction(1, 3), (0, 1): Fraction(1, 6),
+                             (-1, 0): Fraction(1, 3)},
+                        deficit=Fraction(1, 6))
+    nu = finite_measure(z2, {(1, 0): Fraction(2, 5), (0, -1): Fraction(1, 5),
+                             (0, 0): Fraction(1, 5)},
+                        deficit=Fraction(1, 5))
+    threshold = Fraction(1, 14)
+    expected = {}
+    for g, wg in mu.atoms.items():
+        for h, wh in nu.atoms.items():
+            s = (g[0] + h[0], g[1] + h[1])
+            expected[s] = expected.get(s, Fraction(0)) + wg * wh
+    dropped = sum((w for w in expected.values() if w < threshold),
+                  Fraction(0))
+    kept = {s: w for s, w in expected.items() if w >= threshold}
+    assert 0 < dropped and len(kept) < len(expected)
+    out = convolve(mu, nu, threshold=threshold)
+    assert dict(out.atoms) == kept
+    assert all(type(w) is Fraction for w in out.atoms.values())
+    assert out.deficit == (mu.deficit + nu.deficit - mu.deficit * nu.deficit
+                           + dropped)
+    assert sum(out.atoms.values()) + out.deficit == 1
+    # a weight equal to the threshold is kept
+    at = convolve(mu, nu, threshold=Fraction(2, 15))
+    assert at.atoms[(2, 0)] == Fraction(2, 15)
+
+
+def test_power_sequence_atom_budget():
+    f2 = FreeGroup(2)
+    mu = srw(f2)
+    sizes = [len(m) for _, m in power_sequence(mu, 3, max_atoms=40)]
+    assert sizes == [4, 13, 40]
+    with pytest.raises(ResourceLimitError, match="completed n = 3"):
+        for _ in power_sequence(mu, 5, max_atoms=40):
+            pass
+    with pytest.raises(ResourceLimitError, match="completed n = 3"):
+        power(mu, 4, max_atoms=40)
+    assert dict(power(mu, 3, max_atoms=40).atoms) == brute_force_power(mu, 3)
+    assert try_power(mu, 3, atom_budget=40) is not None
+    assert try_power(mu, 4, atom_budget=40) is None
 
 
 def test_mass_conservation_along_pipeline():
