@@ -25,6 +25,10 @@ into logs at the reporting layer.
 Everything in this module is exact-rational; only SRW is admitted (for any
 other nearest-neighbor measure the hitting measure is not this simple, and
 requests are rejected loudly).
+
+Validation happens once, at the public entry, which checks each
+caller-supplied word (DomainError); inner loops then use the unchecked
+``FreeGroup._mul`` on words valid by construction (cylinders, ball elements).
 """
 
 from __future__ import annotations
@@ -39,8 +43,10 @@ from .errors import DomainError, OutOfRangeError, PreconditionError, \
 from .groups import FreeGroup
 from .measures import (MODE_EXACT, FiniteMeasure, adjoint, power_sequence,
                        srw)
+from .wordmetric import build_ball
 
 MAX_ENUMERATION_LEVEL = 14  # 4*3^13 ~ 6.4M cylinders; beyond that, refuse
+MAX_SEMINORM_SCAN_LENGTH = 10
 
 
 def _check_rank(k: int) -> None:
@@ -57,12 +63,16 @@ def require_srw(mu: FiniteMeasure, k: int) -> None:
             "boundary computations are defined for the exact-mode SRW only")
 
 
+def _level_mass(k: int, level: int) -> Fraction:
+    return Fraction(1, 2 * k) * Fraction(1, 2 * k - 1) ** (level - 1)
+
+
 def cylinder_mass(k: int, word: Tuple[int, ...]) -> Fraction:
     """m(C_w) for a nonempty reduced word w."""
     _check_rank(k)
     if not word:
         raise DomainError("cylinders are indexed by nonempty reduced words")
-    return Fraction(1, 2 * k) * Fraction(1, 2 * k - 1) ** (len(word) - 1)
+    return _level_mass(k, len(word))
 
 
 def cylinders(k: int, level: int) -> Iterator[Tuple[int, ...]]:
@@ -94,13 +104,14 @@ def cylinder_count(k: int, level: int) -> int:
     return 2 * k * (2 * k - 1) ** (level - 1)
 
 
-def common_prefix_length(u: Tuple[int, ...], w: Tuple[int, ...]) -> int:
-    n = 0
-    for a, b in zip(u, w):
+def _exponent(g: Tuple[int, ...], w: Tuple[int, ...]) -> int:
+    """2 p(g, w) - |g|, p the common prefix length (unchecked)."""
+    p = 0
+    for a, b in zip(g, w):
         if a != b:
             break
-        n += 1
-    return n
+        p += 1
+    return 2 * p - len(g)
 
 
 def cocycle_exponent(k: int, g: Tuple[int, ...], w: Tuple[int, ...]) -> int:
@@ -110,7 +121,7 @@ def cocycle_exponent(k: int, g: Tuple[int, ...], w: Tuple[int, ...]) -> int:
         raise OutOfRangeError(
             f"sigma({len(g)}-letter element) needs cylinders of level >= "
             f"{len(g)}, got {len(w)}", required=len(g))
-    return 2 * common_prefix_length(g, w) - len(g)
+    return _exponent(g, w)
 
 
 def cocycle_value(k: int, g: Tuple[int, ...], w: Tuple[int, ...]) -> Fraction:
@@ -126,7 +137,8 @@ def cocycle_mass_ratio(k: int, g: Tuple[int, ...],
     the independent route against which the exponent formula is tested.
     """
     group = FreeGroup(k)
-    translated = group.mul(group.inv(g), w)
+    group.check_element(w)
+    translated = group._mul(group.inv(g), w)
     if not translated:
         raise OutOfRangeError("cylinder too shallow for the mass ratio",
                               required=len(g) + 1)
@@ -138,31 +150,13 @@ def translated_cylinder_mass(k: int, g: Tuple[int, ...],
     """m(g^-1 C_w), by deepening w until translation maps cylinders to
     cylinders (level > |g| suffices)."""
     group = FreeGroup(k)
+    group.check_element(w)
+    g_inv = group.inv(g)
     if len(w) > len(g):
-        return cylinder_mass(k, group.mul(group.inv(g), w))
-    total = Fraction(0)
-    for ext in _extensions(k, w, len(g) + 1):
-        total += cylinder_mass(k, group.mul(group.inv(g), ext))
-    return total
-
-
-def _extensions(k: int, w: Tuple[int, ...], level: int):
-    """All reduced extensions of w to the given level."""
-    letters = [i for i in range(1, k + 1)] + [-i for i in range(1, k + 1)]
-    word = list(w)
-
-    def rec():
-        if len(word) == level:
-            yield tuple(word)
-            return
-        for x in letters:
-            if word and word[-1] == -x:
-                continue
-            word.append(x)
-            yield from rec()
-            word.pop()
-
-    yield from rec()
+        return cylinder_mass(k, group._mul(g_inv, w))
+    return sum((cylinder_mass(k, group._mul(g_inv, ext))
+                for ext in cylinders(k, len(g) + 1)
+                if ext[:len(w)] == w), Fraction(0))
 
 
 # -- cocycle identities -------------------------------------------------------
@@ -191,7 +185,7 @@ def check_cocycle_identity(k: int, s: Tuple[int, ...], t: Tuple[int, ...],
         raise OutOfRangeError(
             f"identity check needs level >= max(1, |s|+|t|) = "
             f"{max(1, len(s) + len(t))}", required=max(1, len(s) + len(t)))
-    st = group.mul(s, t)
+    st = group.mul(s, t)          # validates s and t
     s_inv = group.inv(s)
     effective = max(1, min(level, len(s) + len(t)))
     multiplicity = (2 * k - 1) ** (level - effective)
@@ -200,10 +194,9 @@ def check_cocycle_identity(k: int, s: Tuple[int, ...], t: Tuple[int, ...],
     checked = 0
     q = 2 * k - 1
     for w in cylinders(k, effective):
-        e_st = 2 * common_prefix_length(st, w) - len(st)
-        e_s = 2 * common_prefix_length(s, w) - len(s)
-        translated = group.mul(s_inv, w)
-        e_t = 2 * common_prefix_length(t, translated) - len(t)
+        e_st = _exponent(st, w)
+        e_s = _exponent(s, w)
+        e_t = _exponent(t, group._mul(s_inv, w))
         checked += multiplicity
         if e_st != e_s + e_t:
             violations += multiplicity
@@ -217,8 +210,7 @@ def check_cocycle_identity(k: int, s: Tuple[int, ...], t: Tuple[int, ...],
 def check_cocycle_identity_ball(k: int, radius: int,
                                 level: int) -> IdentityCheck:
     """Aggregate identity check over every pair s, t in the radius ball."""
-    group = FreeGroup(k)
-    ball = ball_words(group, radius)
+    ball = build_ball(FreeGroup(k), radius).norms
     total = 0
     worst = Fraction(0)
     violations = 0
@@ -231,21 +223,6 @@ def check_cocycle_identity_ball(k: int, radius: int,
                 worst = rep.max_residual
     return IdentityCheck(cylinders_checked=total, max_residual=worst,
                          violations=violations)
-
-
-def ball_words(group: FreeGroup, radius: int) -> List[Tuple[int, ...]]:
-    out = [()]
-    frontier = [()]
-    for _ in range(radius):
-        nxt = []
-        for g in frontier:
-            for sgen in group.generators():
-                h = group.mul(g, sgen)
-                if len(h) > len(g):
-                    nxt.append(h)
-        frontier = nxt
-        out.extend(nxt)
-    return out
 
 
 def check_cocycle_normalization(k: int, k_power: int,
@@ -274,7 +251,7 @@ def check_cocycle_normalization(k: int, k_power: int,
     for w in cylinders(k, effective):
         acc = Fraction(0)
         for s, wgt in atoms:
-            acc += wgt * q ** (2 * common_prefix_length(s, w) - len(s))
+            acc += wgt * q ** _exponent(s, w)
         checked += multiplicity
         res = abs(acc - 1)
         if res != 0:
@@ -287,20 +264,19 @@ def check_cocycle_normalization(k: int, k_power: int,
 
 # -- Poisson semi-norm and the c sequence -------------------------------------
 
-def poisson_seminorm_exponent(k: int, g: Tuple[int, ...],
-                              enumeration_cap: int = 10) -> int:
+def poisson_seminorm_exponent(k: int, g: Tuple[int, ...]) -> int:
     """max over deep cylinders of the sigma(g, .) exponent.
 
-    Enumerates all level-|g| cylinders up to the cap; for longer elements
-    the maximizing cylinder is the one extending g itself (any other word
-    shares a shorter prefix), which is used directly.
+    Enumerates all level-|g| cylinders up to MAX_SEMINORM_SCAN_LENGTH
+    letters; for longer elements the maximizing cylinder is the one
+    extending g itself (any other word shares a shorter prefix), which is
+    used directly.
     """
     _check_rank(k)
     if not g:
         return 0
-    if len(g) <= enumeration_cap:
-        return max(2 * common_prefix_length(g, w) - len(g)
-                   for w in cylinders(k, len(g)))
+    if len(g) <= MAX_SEMINORM_SCAN_LENGTH:
+        return max(_exponent(g, w) for w in cylinders(k, len(g)))
     return len(g)
 
 
@@ -315,11 +291,8 @@ def integral_log_cocycle(k: int, g: Tuple[int, ...]) -> Fraction:
     _check_rank(k)
     if not g:
         return Fraction(0)
-    total = Fraction(0)
-    for w in cylinders(k, len(g)):
-        total += cylinder_mass(k, w) * (2 * common_prefix_length(g, w)
-                                        - len(g))
-    return total
+    return _level_mass(k, len(g)) * sum(_exponent(g, w)
+                                        for w in cylinders(k, len(g)))
 
 
 def c_sequence(k: int, n_max: int) -> List[Fraction]:
@@ -371,10 +344,6 @@ class CylinderFunction:
                    {w: Fraction(1 if w == word else 0)
                     for w in cylinders(k, len(word))})
 
-    def integral(self) -> Fraction:
-        return sum(cylinder_mass(self.k, w) * v
-                   for w, v in self.values.items())
-
 
 def poisson_integral(f: CylinderFunction, g: Tuple[int, ...]) -> Fraction:
     """P_m f(g) = int f(g z) dm(z), exact.
@@ -384,15 +353,14 @@ def poisson_integral(f: CylinderFunction, g: Tuple[int, ...]) -> Fraction:
     """
     k = f.k
     group = FreeGroup(k)
+    group.check_element(g)
     depth = len(g) + f.level
     if depth > MAX_ENUMERATION_LEVEL:
         raise ResourceLimitError(
             f"Poisson integral would enumerate level-{depth} cylinders")
-    total = Fraction(0)
-    for w in cylinders(k, depth):
-        gz = group.mul(g, w)
-        total += cylinder_mass(k, w) * f.values[gz[:f.level]]
-    return total
+    total = sum((f.values[group._mul(g, w)[:f.level]]
+                 for w in cylinders(k, depth)), Fraction(0))
+    return _level_mass(k, depth) * total
 
 
 def check_harmonicity(f: CylinderFunction, radius: int) -> Fraction:
@@ -402,8 +370,8 @@ def check_harmonicity(f: CylinderFunction, radius: int) -> Fraction:
     group = FreeGroup(k)
     mu = srw(group)
     worst = Fraction(0)
-    for g in ball_words(group, radius):
-        lhs = sum(poisson_integral(f, group.mul(g, s)) * w
+    for g in build_ball(group, radius).norms:
+        lhs = sum(poisson_integral(f, group._mul(g, s)) * w
                   for s, w in mu.atoms.items())
         res = abs(lhs - poisson_integral(f, g))
         if res > worst:
@@ -419,11 +387,12 @@ def check_boundary_stationarity(k: int, level: int) -> Fraction:
     """
     group = FreeGroup(k)
     mu = srw(group)
+    mass = _level_mass(k, level)
     worst = Fraction(0)
     for w in cylinders(k, level):
         acc = sum(wgt * translated_cylinder_mass(k, s, w)
                   for s, wgt in mu.atoms.items())
-        res = abs(acc - cylinder_mass(k, w))
+        res = abs(acc - mass)
         if res > worst:
             worst = res
     return worst
@@ -463,13 +432,10 @@ def span_rank(k: int, level: int, radius: int) -> int:
     _check_rank(k)
     if radius > level:
         raise PreconditionError("span_rank needs radius <= level")
-    group = FreeGroup(k)
     cyls = list(cylinders(k, level))
     q = Fraction(2 * k - 1)
-    rows = []
-    for s in ball_words(group, radius):
-        rows.append([q ** (2 * common_prefix_length(s, w) - len(s))
-                     for w in cyls])
+    rows = [[q ** _exponent(s, w) for w in cyls]
+            for s in build_ball(FreeGroup(k), radius).norms]
     return exact_rank(rows)
 
 
@@ -506,10 +472,10 @@ def validate_hitting_measure(k: int, level: int, config) -> HittingMeasureReport
     n = config.trajectories
     undefined = counts.pop("-", 0)
     freqs = {w_s: c / n for w_s, c in counts.items()}
+    mass = float(_level_mass(k, level))
     tv = 0.0
     for w in cylinders(k, level):
-        w_s = group.format_element(w)
-        tv += abs(freqs.get(w_s, 0.0) - float(cylinder_mass(k, w)))
+        tv += abs(freqs.get(group.format_element(w), 0.0) - mass)
     tv = 0.5 * (tv + undefined / n)
     return HittingMeasureReport(level=level, trajectories=n,
                                 steps=config.steps, seed=config.seed,

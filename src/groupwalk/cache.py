@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import hashlib
 import os
+import tempfile
 from typing import Optional
 
+from .errors import DomainError
 from .groups import Group
 from .wordmetric import (BALL_FORMAT_VERSION, BallTable, ball_from_text,
                          ball_to_text, build_ball)
@@ -35,19 +37,33 @@ def ball_path(cache_dir: str, group: Group, radius: int) -> str:
 
 
 def cached_ball(group: Group, radius: int,
-                cache_dir: Optional[str] = None, **build_kwargs) -> BallTable:
-    """Load the ball from cache or build it (and store it) fresh."""
+                cache_dir: Optional[str] = None) -> BallTable:
+    """Load the ball from cache or build it (and store it) fresh.
+
+    A file that is corrupt or truncated, or whose header names another
+    group or radius, counts as a miss: the ball is rebuilt and the file
+    rewritten. Each writer goes through its own temporary file, so
+    concurrent writers never interleave.
+    """
     cache_dir = cache_dir_from_env(cache_dir)
     if cache_dir is None:
-        return build_ball(group, radius, **build_kwargs)
+        return build_ball(group, radius)
     path = ball_path(cache_dir, group, radius)
-    if os.path.exists(path):
+    try:
         with open(path, "r", encoding="ascii") as fh:
-            return ball_from_text(fh.read())
-    table = build_ball(group, radius, **build_kwargs)
+            table = ball_from_text(fh.read())
+        if table.group == group and table.radius == radius:
+            return table
+    except (FileNotFoundError, UnicodeDecodeError, DomainError):
+        pass
+    table = build_ball(group, radius)
     os.makedirs(cache_dir, exist_ok=True)
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="ascii") as fh:
-        fh.write(ball_to_text(table))
-    os.replace(tmp, path)
+    fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="ascii") as fh:
+            fh.write(ball_to_text(table))
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
     return table

@@ -13,6 +13,7 @@ are rejected. Every report embeds its fully resolved config.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -22,12 +23,12 @@ import numpy as np
 
 from . import boundary, drift, freewalk, gspaces, quasiharmonic
 from .cache import cache_dir_from_env, cached_ball
-from .errors import (DomainError, GroupwalkError, PreconditionError,
-                     ResourceLimitError)
+from .errors import (DomainError, GroupwalkError, OutOfRangeError,
+                     PreconditionError, ResourceLimitError)
 from .groups import FreeGroup, group_from_id
 from .measures import MODE_EXACT, parse_measure_spec, srw
 from .sampler import SamplerConfig
-from .wordmetric import check_value_seminorm, norm_evaluator
+from .wordmetric import build_ball, check_value_seminorm, norm_evaluator
 
 SCHEMA = "groupwalk/1"
 
@@ -311,10 +312,18 @@ def _run_phi(cfg: Dict[str, object]) -> dict:
         tables = quasiharmonic.compute_fk_tables(mu, norm_fn, n - 1, r_eval,
                                                  threshold=threshold)
         phi = quasiharmonic.phi_from_fk(tables, n)
-        for m in range(1, n + 1):
-            pm = quasiharmonic.phi_from_fk(tables, m)
-            d_e = sum(pm.values[s] * w for s, w in mu.atoms.items())
-            series.append((m, float(d_e)))
+        if cfg["emit-series"]:
+            # running sums of f_k over supp mu, in phi_from_fk's order
+            sums = {s: 0 for s in mu.atoms}
+            if any(s not in phi.values for s in sums):
+                raise OutOfRangeError(
+                    "the distortion series needs supp mu inside the "
+                    "--r-eval ball")
+            for m, table in enumerate(tables[:n], start=1):
+                for s in sums:
+                    sums[s] += table.values[s]
+                d_e = sum(sums[s] / m * w for s, w in mu.atoms.items())
+                series.append((m, float(d_e)))
     entries = sorted(
         (group.format_element(s), v, phi.error_bars[s])
         for s, v in phi.values.items())
@@ -444,12 +453,11 @@ def _selftest_checks() -> List[dict]:
         all(coeffs[i] == (i + 1) * coeffs[0] for i in range(5))
         and coeffs[0] == Fraction(-1, 2), f"c1 coefficient {coeffs[0]}")
     group2 = FreeGroup(2)
-    ball5 = boundary.ball_words(group2, 5)
     add("poisson-seminorm = |g| log 3 on ball 5",
         all(boundary.poisson_seminorm_exponent(2, g) == len(g)
-            for g in ball5))
+            for g in build_ball(group2, 5).norms))
     exponents = {g: boundary.poisson_seminorm_exponent(2, g)
-                 for g in boundary.ball_words(group2, 3)}
+                 for g in build_ball(group2, 3).norms}
     semi = check_value_seminorm(group2, exponents)
     add("poisson-seminorm axioms", semi.ok,
         f"{semi.pairs_checked} pairs")
@@ -522,8 +530,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()         # built on the first run, then reused
+
+
 def run(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     sub = args.subcommand
     try:
         cfg = resolve_config(sub, args)

@@ -31,6 +31,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import DomainError, NonConvergenceError, PreconditionError
+from .measures import MODE_FLOAT, _parse_weight
 
 LINALG_TOL = 1e-12
 COMPOSED_TOL = 1e-10
@@ -45,6 +46,8 @@ class FiniteGSpace:
     relators: Tuple[Tuple[str, ...], ...] = ()
 
     def __post_init__(self):
+        if self.size < 1:
+            raise DomainError(f"g-space size must be >= 1, got {self.size}")
         for label, perm in self.gens.items():
             if sorted(perm) != list(range(self.size)):
                 raise DomainError(f"generator {label!r} is not a permutation "
@@ -92,7 +95,10 @@ def parse_cycles(text: str, size: int) -> Tuple[int, ...]:
     if not (body.startswith("(") and body.endswith(")")):
         raise DomainError(f"bad cycle notation {text!r}")
     for cycle_s in body[1:-1].split(")("):
-        points = [int(p) for p in cycle_s.replace(",", " ").split()]
+        try:
+            points = [int(p) for p in cycle_s.replace(",", " ").split()]
+        except ValueError:
+            raise DomainError(f"bad point in cycle {cycle_s!r}")
         if len(set(points)) != len(points):
             raise DomainError(f"repeated point in cycle {cycle_s!r}")
         for p in points:
@@ -140,7 +146,10 @@ def parse_gspace(text: str) -> FiniteGSpace:
             continue
         key, _, rest = line.partition(" ")
         if key == "size":
-            size = int(rest)
+            try:
+                size = int(rest)
+            except ValueError:
+                raise DomainError(f"bad g-space size {rest!r}")
         elif key == "gen":
             if size is None:
                 raise DomainError("size must precede gen lines")
@@ -219,12 +228,7 @@ def parse_word_measure(space: FiniteGSpace, spec) -> List[Tuple[Tuple[str, ...],
             word_s, sep, w_s = part.partition("=")
             if not sep:
                 raise DomainError(f"bad measure atom {part!r}")
-            if "/" in w_s:
-                num, _, den = w_s.partition("/")
-                weight = int(num) / int(den)
-            else:
-                weight = float(w_s)
-            parsed[word_s.strip()] = weight
+            parsed[word_s.strip()] = _parse_weight(w_s.strip(), MODE_FLOAT)
         spec = parsed
     atoms = []
     total = 0.0

@@ -6,6 +6,10 @@ of estimating: downstream certified bounds need exact norms. For zd, free
 groups and the lamplighter there are closed-form evaluators that agree with
 BFS everywhere both are defined (this agreement is itself under test);
 heisenberg norms are BFS-only.
+
+Validation happens once, at the edge: ``build_ball`` multiplies valid
+elements with the unchecked ``Group._mul``; ``check_value_seminorm`` checks
+every key through the checked ``Group.inv`` before its unchecked pair loop.
 """
 
 from __future__ import annotations
@@ -58,7 +62,7 @@ def build_ball(group: Group, radius: int,
         nxt = []
         for g in frontier:
             for s in gens:
-                h = group.mul(g, s)
+                h = group._mul(g, s)
                 if h not in norms:
                     norms[h] = r
                     nxt.append(h)
@@ -148,28 +152,7 @@ def check_seminorm(table: BallTable) -> SemiNormReport:
     Subadditivity is checked for every pair whose product stays inside the
     ball; violations are exact integers and must be zero for word norms.
     """
-    group = table.group
-    norms = table.norms
-    sym = 0
-    for g, n in norms.items():
-        sym = max(sym, abs(norms[group.inv(g)] - n))
-    tri = 0
-    pairs = 0
-    elems = list(norms.items())
-    for g, ng in elems:
-        for h, nh in elems:
-            prod = group.mul(g, h)
-            npr = norms.get(prod)
-            if npr is None:
-                continue
-            pairs += 1
-            tri = max(tri, npr - (ng + nh))
-    return SemiNormReport(
-        pairs_checked=pairs,
-        max_triangle_violation=max(tri, 0),
-        max_symmetry_violation=sym,
-        norm_of_identity=norms[group.identity()],
-    )
+    return check_value_seminorm(table.group, table.norms)
 
 
 def check_value_seminorm(group: Group, values: Dict[object, float],
@@ -178,7 +161,9 @@ def check_value_seminorm(group: Group, values: Dict[object, float],
 
     Used for pulled-back semi-norms (e.g. boundary log-norm exponents);
     values may be ints, Fractions or floats, and comparisons stay in the
-    given type. Violations at most `tolerance` count as zero.
+    given type. Violations at most `tolerance` count as zero. Every key is
+    validated by the checked inverse (DomainError on a foreign element);
+    the pair loop then multiplies unchecked.
     """
     e = group.identity()
     sym = 0
@@ -191,7 +176,7 @@ def check_value_seminorm(group: Group, values: Dict[object, float],
     items = list(values.items())
     for g, vg in items:
         for h, vh in items:
-            prod = group.mul(g, h)
+            prod = group._mul(g, h)
             vp = values.get(prod)
             if vp is None:
                 continue
@@ -226,28 +211,32 @@ def ball_to_text(table: BallTable) -> str:
 
 
 def ball_from_text(text: str) -> BallTable:
+    """Inverse of ball_to_text; DomainError on any malformed text."""
     from .groups import group_from_id
 
     lines = text.splitlines()
     if not lines or not lines[0].startswith("# groupwalk-ball v"):
         raise DomainError("not a ball table file")
-    version = int(lines[0].rsplit("v", 1)[1])
-    if version != BALL_FORMAT_VERSION:
-        raise DomainError(f"unsupported ball format version {version}")
     header = {}
     idx = 1
     while idx < len(lines) and " " in lines[idx] and "\t" not in lines[idx]:
         key, _, val = lines[idx].partition(" ")
         header[key] = val
         idx += 1
-    group = group_from_id(header["group"])
-    radius = int(header["radius"])
-    norms = {}
-    for line in lines[idx:]:
-        if not line.strip():
-            continue
-        elem_s, _, n_s = line.partition("\t")
-        norms[group.parse_element(elem_s)] = int(n_s)
-    if len(norms) != int(header["count"]):
-        raise DomainError("ball table count mismatch (corrupt file)")
+    try:
+        version = int(lines[0].rsplit("v", 1)[1])
+        group = group_from_id(header["group"])
+        radius, count = int(header["radius"]), int(header["count"])
+        norms = {}
+        for line in lines[idx:]:
+            if line.strip():
+                elem_s, _, n_s = line.partition("\t")
+                norms[group.parse_element(elem_s)] = int(n_s)
+    except (KeyError, ValueError) as exc:
+        raise DomainError(f"malformed ball table ({exc!r})")
+    if version != BALL_FORMAT_VERSION:
+        raise DomainError(f"unsupported ball format version {version}")
+    if len(norms) != count or not all(0 <= n <= radius
+                                      for n in norms.values()):
+        raise DomainError("ball table count or norms mismatch (corrupt file)")
     return BallTable(group=group, radius=radius, norms=norms)

@@ -31,7 +31,8 @@ from groupwalk.groups import FreeGroup, group_from_id
 from groupwalk.measures import (MODE_FLOAT, parse_measure_spec, power,
                                 shannon_entropy, srw)
 from groupwalk.sampler import SamplerConfig, prefix_counts
-from groupwalk.wordmetric import check_value_seminorm, norm_evaluator
+from groupwalk.wordmetric import (build_ball, check_value_seminorm,
+                                  norm_evaluator)
 
 F2 = FreeGroup(2)
 Z1 = group_from_id("zd:1")
@@ -76,12 +77,12 @@ def test_1c_c_sequence():
 
 
 def test_1d_poisson_seminorm():
-    ball5 = boundary.ball_words(F2, 5)
+    ball5 = build_ball(F2, 5).norms
     proportional = all(
         boundary.poisson_seminorm_exponent(2, g) == len(g) for g in ball5)
     axioms = check_value_seminorm(
         F2, {g: boundary.poisson_seminorm_exponent(2, g)
-             for g in boundary.ball_words(F2, 4)})
+             for g in build_ball(F2, 4).norms})
     report("1d poisson semi-norm = |g| log 3 + axioms",
            proportional and axioms.ok,
            f"{len(ball5)} elements, {axioms.pairs_checked} axiom pairs")

@@ -20,7 +20,7 @@ from groupwalk.errors import (DomainError, OutOfRangeError,
                               PreconditionError, ResourceLimitError)
 from groupwalk.groups import FreeGroup
 from groupwalk.measures import finite_measure, srw
-from groupwalk.wordmetric import check_value_seminorm
+from groupwalk.wordmetric import build_ball, check_value_seminorm
 
 
 F2 = FreeGroup(2)
@@ -84,7 +84,7 @@ def test_cocycle_requires_deep_cylinder():
 def test_cocycle_exponent_matches_mass_ratio_oracle(glen, widx):
     # deep cylinders: the derivative equals the mass ratio of the
     # translated cylinder (the limit is already exact at level |g|+1)
-    ball = boundary.ball_words(F2, 3)
+    ball = build_ball(F2, 3).norms
     gs = [g for g in ball if len(g) == glen]
     g = gs[widx % len(gs)] if gs else ()
     deep = list(boundary.cylinders(2, max(1, glen + 1)))
@@ -96,10 +96,9 @@ def test_cocycle_exponent_matches_mass_ratio_oracle(glen, widx):
 def test_cocycle_constant_on_deep_cylinders():
     # sigma(g, .) at level >= |g| only sees the level-|g| prefix
     g = words("ab")
-    for w in boundary.cylinders(2, 2):
-        expo = boundary.cocycle_exponent(2, g, w)
-        for ext in boundary._extensions(2, w, 4):
-            assert boundary.cocycle_exponent(2, g, ext) == expo
+    for ext in boundary.cylinders(2, 4):
+        assert (boundary.cocycle_exponent(2, g, ext)
+                == boundary.cocycle_exponent(2, g, ext[:2]))
 
 
 def test_identity_check_squared_generator():
@@ -134,6 +133,25 @@ def test_identity_check_level_guard():
         boundary.check_cocycle_identity(2, words("ab"), words("ab"), 3)
 
 
+@pytest.mark.parametrize("bad", [(1, -1), (3,)],
+                         ids=["unreduced", "outside-alphabet"])
+def test_entries_reject_malformed_elements(bad):
+    # each entry validates caller-supplied words once; its loop is unchecked
+    f = boundary.CylinderFunction.indicator(2, (1,))
+    calls = [
+        lambda: boundary.poisson_integral(f, bad),
+        lambda: boundary.check_cocycle_identity(2, bad, (1,), 4),
+        lambda: boundary.check_cocycle_identity(2, (1,), bad, 4),
+        lambda: boundary.translated_cylinder_mass(2, bad, (1,)),
+        lambda: boundary.translated_cylinder_mass(2, (1,), bad),
+        lambda: boundary.cocycle_mass_ratio(2, (1,), bad),
+        lambda: check_value_seminorm(F2, {(): 0, bad: 1}),
+    ]
+    for call in calls:
+        with pytest.raises(DomainError):
+            call()
+
+
 def test_identity_ball_radius2_level6():
     rep = boundary.check_cocycle_identity_ball(2, 2, 6)
     assert rep.violations == 0
@@ -164,13 +182,13 @@ def test_seminorm_values():
     assert boundary.poisson_seminorm_exponent(2, ()) == 0
     assert boundary.poisson_seminorm(2, ()) == 0
     assert boundary.poisson_seminorm(2, words("a")) == pytest.approx(math.log(3))
-    for g in boundary.ball_words(F2, 5):
+    for g in build_ball(F2, 5).norms:
         assert boundary.poisson_seminorm_exponent(2, g) == len(g)
 
 
 def test_seminorm_axioms_via_exponents():
     values = {g: boundary.poisson_seminorm_exponent(2, g)
-              for g in boundary.ball_words(F2, 4)}
+              for g in build_ball(F2, 4).norms}
     report = check_value_seminorm(F2, values)
     assert report.ok
 
@@ -178,7 +196,7 @@ def test_seminorm_axioms_via_exponents():
 def test_seminorm_is_log_multiple_of_word_norm():
     # the proportionality constant log(2k-1) realizes the comparison
     # rho_mu <= C rho with C = log 3 for k = 2
-    for g in boundary.ball_words(F2, 4):
+    for g in build_ball(F2, 4).norms:
         assert boundary.poisson_seminorm(2, g) == pytest.approx(
             len(g) * math.log(3))
 
@@ -229,7 +247,7 @@ def test_require_srw_guard():
 
 def test_poisson_integral_of_constant():
     f = boundary.CylinderFunction.constant(2, 2, 1)
-    for g in boundary.ball_words(F2, 2):
+    for g in build_ball(F2, 2).norms:
         assert boundary.poisson_integral(f, g) == 1
 
 
@@ -243,7 +261,7 @@ def test_poisson_integral_indicator_values():
 def test_poisson_integral_pushforward_route():
     # independent route: P_m f(g) = sum_C f(C) m(g^-1 C)
     f = boundary.CylinderFunction.indicator(2, (1, 2))
-    for g in boundary.ball_words(F2, 2):
+    for g in build_ball(F2, 2).norms:
         direct = boundary.poisson_integral(f, g)
         pushed = sum(v * boundary.translated_cylinder_mass(2, g, w)
                      for w, v in f.values.items())

@@ -7,7 +7,10 @@ import pytest
 
 from groupwalk.cache import CACHE_ENV_VAR, ball_path, cached_ball
 from groupwalk.cli import run
-from groupwalk.groups import FreeGroup
+from groupwalk.drift import drift_exact_partial
+from groupwalk.groups import FreeGroup, group_from_id
+from groupwalk.measures import srw
+from groupwalk.wordmetric import ball_to_text, build_ball, norm_evaluator
 
 
 def run_cli(capsys, *argv):
@@ -134,7 +137,7 @@ def test_factor_subcommand(capsys):
     assert json.loads(out)["found"] is False
 
 
-def test_error_exit_codes(capsys):
+def test_error_exit_codes(capsys, tmp_path):
     code, out, err = run_cli(capsys, "drift", "--group", "nope:7")
     assert code == 1
     assert out == ""
@@ -142,13 +145,25 @@ def test_error_exit_codes(capsys):
     # missing required option
     code, _, err = run_cli(capsys, "drift", "--measure", "srw")
     assert code == 1
-    # malformed group rank, letter, threshold, weight and preset size are
-    # domain errors
+    # malformed group rank, letter, threshold, weight, g-space size, cycle
+    # point and g-space measure weight are domain errors
+    bad_size = tmp_path / "bad_size.gspace"
+    bad_size.write_text("size x\ngen t (0 1)\n")
+    bad_point = tmp_path / "bad_point.gspace"
+    bad_point.write_text("size 2\ngen t (0 x)\n")
     for argv in (("drift", "--group", "free:x"),
                  ("drift", "--group", "free:2", "--measure=\u00e9=1"),
                  ("drift", "--group", "free:2", "--truncation", "abc"),
                  ("drift", "--group", "zd:1", "--measure", "1=x"),
-                 ("stationary", "--space", "preset:cycle:x")):
+                 ("stationary", "--space", "preset:cycle:x"),
+                 ("stationary", "--space", "preset:cycle:0"),
+                 ("stationary", "--space", "preset:trivial:-1"),
+                 ("stationary", "--space", str(bad_size)),
+                 ("stationary", "--space", str(bad_point)),
+                 ("stationary", "--space", "preset:cycle:3",
+                  "--measure", "t=1/0"),
+                 ("stationary", "--space", "preset:cycle:3",
+                  "--measure", "t=x")):
         code, out, err = run_cli(capsys, *argv)
         assert code == 1
         assert out == ""
@@ -226,6 +241,16 @@ def test_phi_emit_series_convolution(capsys, tmp_path):
     # the distortion-at-e series is a_n/n (telescoping)
     report = json.loads(out)
     assert report["n"] == 6
+    group = group_from_id("zd:1")
+    exact = drift_exact_partial(srw(group), norm_evaluator(group), 6)
+    for line, m, a_m in zip(lines[1:], exact.ns, exact.a_values):
+        assert line == f"{m},{float(a_m / m)}"
+    # the series reads f_k on supp mu, which must lie in the --r-eval ball
+    code, out, err = run_cli(capsys, "phi", "--group", "zd:1", "--measure",
+                             "3=1/2;-3=1/2", "--n", "3", "--r-eval", "1",
+                             "--emit-series", str(target))
+    assert (code, out) == (1, "")
+    assert "r-eval" in json.loads(err)["error"]["message"]
 
 
 def test_cocycle_level_too_shallow(capsys):
@@ -264,6 +289,26 @@ def test_ball_cache_roundtrip_and_stability(tmp_path, capsys):
     _, cold, _ = run_cli(capsys, *args)
     _, warm, _ = run_cli(capsys, *args)
     assert cold == warm
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda text: "garbage\n",
+    lambda text: text[:len(text) // 2],
+    lambda text: text.replace("free:2", "free:3"),
+    lambda text: text.replace("radius 3", "radius 4"),
+    lambda text: "\u00e9",
+], ids=["corrupt", "truncated", "other-group", "other-radius", "non-ascii"])
+def test_ball_cache_rebuilds_bad_file(tmp_path, corrupt):
+    group = FreeGroup(2)
+    path = ball_path(str(tmp_path), group, 3)
+    good = ball_to_text(build_ball(group, 3))
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(corrupt(good))
+    table = cached_ball(group, 3, cache_dir=str(tmp_path))
+    assert table.norms == build_ball(group, 3).norms
+    with open(path, encoding="ascii") as fh:
+        assert fh.read() == good
+    assert os.listdir(tmp_path) == [os.path.basename(path)]
 
 
 def test_cache_env_var(tmp_path, monkeypatch):

@@ -2,11 +2,12 @@
 
 import pytest
 
-from groupwalk.errors import OutOfRangeError, ResourceLimitError
+from groupwalk.errors import DomainError, OutOfRangeError, ResourceLimitError
 from groupwalk.groups import (FreeAbelian, FreeGroup, Heisenberg, Lamplighter,
                               group_from_id)
 from groupwalk.wordmetric import (ball_from_text, ball_to_text,
-                                  build_ball, check_seminorm, free_norm,
+                                  build_ball, check_seminorm,
+                                  check_value_seminorm, free_norm,
                                   l1_norm, lamplighter_norm, norm_evaluator,
                                   word_norm)
 
@@ -104,9 +105,11 @@ def test_hash_equality_coherence_on_balls():
     (Lamplighter(), 4),
 ])
 def test_seminorm_axioms_on_balls(group, radius):
-    report = check_seminorm(build_ball(group, radius))
+    table = build_ball(group, radius)
+    report = check_seminorm(table)
     assert report.ok
     assert report.pairs_checked > 0
+    assert report == check_value_seminorm(group, table.norms)
 
 
 def test_norm_evaluator_dispatch():
@@ -139,6 +142,22 @@ def test_ball_serialization_roundtrip():
         assert back.radius == table.radius
         assert back.norms == table.norms
         assert ball_to_text(back) == text
+
+
+@pytest.mark.parametrize("old,new", [
+    ("radius 2\n", ""),
+    ("radius 2\n", "radius two\n"),
+    ("\t1\n", "\tone\n"),
+    ("\t1\n", "\t9\n"),
+    ("aB\t", "aQ\t"),
+    ("# groupwalk-ball v1", "# groupwalk-ball vx"),
+], ids=["missing-key", "bad-radius", "bad-norm", "norm-range", "bad-element",
+        "bad-version"])
+def test_ball_from_text_rejects_malformed(old, new):
+    text = ball_to_text(build_ball(FreeGroup(2), 2))
+    assert old in text
+    with pytest.raises(DomainError):
+        ball_from_text(text.replace(old, new, 1))
 
 
 def test_ball_content_independent_of_build():
