@@ -268,14 +268,19 @@ def _format_weight(w) -> str:
 
 
 def _parse_weight(text: str, mode: str):
+    """Exact or float64 weight; DomainError on malformed or non-finite."""
     try:
         if "/" in text:
             num, _, den = text.partition("/")
             w = Fraction(int(num), int(den))
-            return w if mode == MODE_EXACT else float(w)
-        return Fraction(text) if mode == MODE_EXACT else float(text)
-    except (ValueError, ZeroDivisionError):
+            w = w if mode == MODE_EXACT else float(w)
+        else:
+            w = Fraction(text) if mode == MODE_EXACT else float(text)
+    except (ValueError, ZeroDivisionError, OverflowError):
         raise DomainError(f"bad weight {text!r}")
+    if isinstance(w, float) and not math.isfinite(w):
+        raise DomainError(f"non-finite weight {text!r}")
+    return w
 
 
 def measure_to_text(mu: FiniteMeasure) -> str:

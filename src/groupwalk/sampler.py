@@ -1,18 +1,29 @@
 """Seeded, reproducible Monte Carlo sampling of random-walk trajectories.
 
 Determinism contract: trajectory i draws from a substream derived from
-(seed, i) only (numpy SeedSequence with spawn_key=(i,)), so results do not
-depend on how trajectories are distributed over workers. Aggregates are kept
-as integer counters (norm sums, endpoint tallies), which makes the combined
-statistics exactly order-independent; floats appear only in the final
-reports.
+(seed, i) only (numpy SeedSequence with spawn_key=(i,) feeding PCG64), so
+results do not depend on how trajectories are distributed over workers.
+Aggregates are kept as integer counters (norm sums, endpoint tallies), which
+makes the combined statistics exactly order-independent; floats appear only
+in the final reports.
 
 Increments are drawn by inverse CDF over the measure's atoms sorted by their
 canonical string form, a fixed cross-platform order.
+
+Trajectories are stepped in blocks of up to BLOCK_ROWS rows by one batch
+kernel per group. Each row keeps its substream open and draws the next
+segment of its uniforms, at most SEGMENT_DRAWS per block at a time, with
+segments also ending at every checkpoint. PCG64 doubles come out in
+sequence, so drawing the segments in turn gives exactly the
+``substream(seed, i).random(steps)`` of trajectory i: every aggregate is the
+same for any block size, segment size and worker count.
+``sample_trajectory`` is the checked reference walk the kernels are tested
+against.
 """
 
 from __future__ import annotations
 
+import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -25,6 +36,11 @@ from .groups import FreeAbelian, FreeGroup, Group, Heisenberg, Lamplighter
 from .measures import (FiniteMeasure, measure_from_text, measure_to_text,
                        power, total_variation)
 from .wordmetric import build_ball, norm_evaluator
+
+BLOCK_ROWS = 256            # trajectories stepped together
+SEGMENT_DRAWS = 1 << 14     # uniforms drawn per block per segment
+MAX_WINDOW_CELLS = 1 << 25  # lamplighter lamp window budget per block
+_PAD_INVERSE = 127          # outside every free alphabet, and not 0
 
 
 @dataclass(frozen=True)
@@ -45,8 +61,8 @@ class SamplerConfig:
 
 def substream(seed: int, index: int) -> np.random.Generator:
     """Deterministic per-trajectory generator, independent of worker layout."""
-    return np.random.default_rng(
-        np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
+    return np.random.Generator(
+        np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(index,))))
 
 
 def atom_table(mu: FiniteMeasure):
@@ -77,106 +93,206 @@ def sample_trajectory(group: Group, mu: FiniteMeasure, steps: int,
     return out
 
 
-# -- fast walk states ---------------------------------------------------------
+# -- batch walk kernels -------------------------------------------------------
 #
-# The generic trajectory above materializes every position; the statistics
-# runners below keep a small mutable state per group instead, so a 2000-step
-# free-group walk costs O(n) instead of O(n^2) tuple copying.
+# One kernel per group steps a block of trajectories (rows) at once on numpy
+# arrays. ``advance(idx)`` applies a segment of atom indices of shape
+# (rows, length); ``positions()`` returns the rows' current positions as
+# ordinary group elements (tuples of Python ints). Every kernel's memory grows
+# with rows x the range the walk has visited (plus one segment), not with
+# steps x the largest move.
 
-class _WalkState:
-    def reset(self):
-        raise NotImplementedError
-
-    def step(self, payload):
-        raise NotImplementedError
-
-    def element(self):
-        raise NotImplementedError
+def _int_dtype(bound: int):
+    """int64 when every value stays below `bound` in magnitude, else Python
+    ints in an object array, so coordinates can never wrap."""
+    return np.int64 if bound < 2 ** 62 else object
 
 
-class _FreeState(_WalkState):
-    def __init__(self):
-        self.word = []
+class _ZdWalk:
+    """zd: a row is an integer vector; a segment adds its summed increments."""
 
-    def reset(self):
-        self.word.clear()
+    def __init__(self, elems, rows: int, steps: int):
+        reach = max(steps, 1) * max(abs(c) for g in elems for c in g)
+        # |coordinate| <= reach; the heisenberg z also <= reach * (reach + 1)
+        dtype = _int_dtype(reach * (reach + 1))
+        self.inc = np.array(elems, dtype=dtype)
+        self.pos = np.zeros((rows, self.inc.shape[1]), dtype=dtype)
 
-    def step(self, payload):
-        word = self.word
-        for x in payload:
-            if word and word[-1] == -x:
-                word.pop()
-            else:
-                word.append(x)
+    def advance(self, idx: np.ndarray) -> None:
+        self.pos += self.inc[idx].sum(axis=1)
 
-    def element(self):
-        return tuple(self.word)
+    def positions(self) -> list:
+        return list(map(tuple, self.pos.tolist()))
 
 
-class _AbelianState(_WalkState):
-    def __init__(self, d):
-        self.d = d
-        self.vec = [0] * d
+class _HeisenbergWalk(_ZdWalk):
+    """heisenberg: (x, y) as in zd, and z += z2 + x_prev * y2 per step."""
 
-    def reset(self):
-        self.vec = [0] * self.d
-
-    def step(self, payload):
-        vec = self.vec
-        for i, x in enumerate(payload):
-            vec[i] += x
-
-    def element(self):
-        return tuple(self.vec)
+    def advance(self, idx: np.ndarray) -> None:
+        inc = self.inc[idx]
+        dx, dy = inc[:, :, 0], inc[:, :, 1]
+        x_prev = np.cumsum(dx, axis=1) - dx + self.pos[:, :1]
+        self.pos[:, 2] += (x_prev * dy).sum(axis=1)
+        self.pos += inc.sum(axis=1)
 
 
-class _LamplighterState(_WalkState):
-    def __init__(self):
-        self.lamps = set()
-        self.pos = 0
+class _FreeWalk:
+    """free: reduced words as the rows of an int8 stack, with the flat index
+    of each row's top letter.
 
-    def reset(self):
-        self.lamps.clear()
-        self.pos = 0
+    The last column of every row is never written. An empty word's top index
+    is the one before its row, i.e. the last column of the previous row (of
+    the last row, for row 0), so it reads 0, which no letter cancels. Atoms
+    shorter than the longest are padded with letter 0, whose inverse
+    (_PAD_INVERSE) matches no top."""
 
-    def step(self, payload):
-        lamps_h, q = payload
-        p = self.pos
-        for u in lamps_h:
-            self.lamps.symmetric_difference_update((u + p,))
-        self.pos = p + q
+    def __init__(self, elems, rows: int, steps: int):
+        width = max(1, max(len(g) for g in elems))
+        letters = np.zeros((width, len(elems)), dtype=np.int8)
+        for i, g in enumerate(elems):
+            letters[:len(g), i] = g
+        self.letters = letters
+        self.inverse = np.where(letters != 0, -letters, _PAD_INVERSE
+                                ).astype(np.int8)
+        self.live = (letters != 0).astype(np.intp)
+        self.stack = np.zeros((rows, 1), dtype=np.int8)
+        self.top = self._row_starts() - 1
 
-    def element(self):
-        return (tuple(sorted(self.lamps)), self.pos)
+    def _row_starts(self) -> np.ndarray:
+        rows, columns = self.stack.shape
+        return np.arange(0, rows * columns, columns)
+
+    def _lengths(self) -> np.ndarray:
+        return self.top - self._row_starts() + 1
+
+    def _reserve(self, letters: int) -> None:
+        """Make room for `letters` more letters on every row."""
+        lengths = self._lengths()
+        need = int(lengths.max()) + letters
+        cap = self.stack.shape[1] - 1
+        if need > cap:
+            grown = np.zeros((len(lengths), max(2 * cap, need) + 1),
+                             dtype=np.int8)
+            grown[:, :cap] = self.stack[:, :-1]
+            self.stack = grown
+            self.top = self._row_starts() + lengths - 1
+
+    def advance(self, idx: np.ndarray) -> None:
+        """Push or cancel the segment's letters one at a time, every row at
+        once; a padding letter is written past the top and not counted."""
+        self._reserve(idx.shape[1] * len(self.letters))
+        flat, top = self.stack.reshape(-1), self.top
+        rows = len(idx)
+        cols = idx.T
+        for x, inverse, live in zip(
+                *(table[:, cols].transpose(1, 0, 2).reshape(-1, rows)
+                  for table in (self.letters, self.inverse, self.live))):
+            cancel = flat.take(top) == inverse
+            flat[top + 1] = x
+            top += live
+            top -= cancel
+            top -= cancel
+
+    def positions(self) -> list:
+        lengths = self._lengths().tolist()
+        words = self.stack[:, :max(lengths, default=0)].tolist()
+        return [tuple(w[:n]) for w, n in zip(words, lengths)]
 
 
-class _HeisenbergState(_WalkState):
-    def __init__(self):
-        self.x = self.y = self.z = 0
+class _LamplighterWalk:
+    """lamplighter: walker positions plus a uint8 lamp window over the lamp
+    positions toggled so far, widened as the walk reaches new ones."""
 
-    def reset(self):
-        self.x = self.y = self.z = 0
+    def __init__(self, elems, rows: int, steps: int):
+        slots = max(len(lamps) for lamps, _ in elems)
+        reach = max(steps, 1) * max(abs(q) for _, q in elems)
+        dtype = _int_dtype(reach + max((abs(u) for lamps, _ in elems
+                                        for u in lamps), default=0))
+        self.move = np.array([q for _, q in elems], dtype=dtype)
+        self.lamp = np.zeros((len(elems), slots), dtype=dtype)
+        self.has_lamp = np.zeros((len(elems), slots), dtype=bool)
+        for i, (lamps, _) in enumerate(elems):
+            self.lamp[i, :len(lamps)] = lamps
+            self.has_lamp[i, :len(lamps)] = True
+        self.rows = np.arange(rows)
+        self.pos = np.zeros(rows, dtype=dtype)
+        self.lo = 0
+        self.window = np.zeros((rows, 0), dtype=np.uint8)
 
-    def step(self, payload):
-        x2, y2, z2 = payload
-        self.z += z2 + self.x * y2
-        self.x += x2
-        self.y += y2
+    def _cover(self, lo: int, hi: int) -> None:
+        """Widen the window to hold lamp positions lo..hi, with half the old
+        width to spare on each side, so a drifting walk copies it only
+        O(log range) times."""
+        old_lo, old_width = self.lo, self.window.shape[1]
+        if old_width and lo >= old_lo and hi < old_lo + old_width:
+            return
+        if old_width:
+            slack = old_width // 2
+            lo = min(lo, old_lo - slack)
+            hi = max(hi, old_lo + old_width - 1 + slack)
+        width = hi - lo + 1
+        if len(self.rows) * width > MAX_WINDOW_CELLS:
+            raise ResourceLimitError(
+                f"lamplighter lamp window of {width} positions x "
+                f"{len(self.rows)} trajectories exceeds {MAX_WINDOW_CELLS} "
+                f"cells")
+        grown = np.zeros((len(self.rows), width), dtype=np.uint8)
+        grown[:, old_lo - lo:old_lo - lo + old_width] = self.window
+        self.lo, self.window = lo, grown
 
-    def element(self):
-        return (self.x, self.y, self.z)
+    def advance(self, idx: np.ndarray) -> None:
+        moves = self.move[idx]
+        after = np.cumsum(moves, axis=1) + self.pos[:, None]
+        has = self.has_lamp[idx]
+        lamps = ((after - moves)[:, :, None] + self.lamp[idx])[has]
+        if lamps.size:
+            self._cover(int(lamps.min()), int(lamps.max()))
+            rows = np.broadcast_to(self.rows[:, None, None], has.shape)[has]
+            cols = (lamps - self.lo).astype(np.intp)
+            np.bitwise_xor.at(self.window, (rows, cols), 1)
+        self.pos = after[:, -1]
+
+    def positions(self) -> list:
+        lo = self.lo
+        lamps = [c + lo for c in np.nonzero(self.window)[1].tolist()]
+        out, k = [], 0
+        for n, p in zip(np.count_nonzero(self.window, axis=1).tolist(),
+                        self.pos.tolist()):
+            out.append((tuple(lamps[k:k + n]), p))
+            k += n
+        return out
 
 
-def _make_state(group: Group) -> _WalkState:
-    if isinstance(group, FreeGroup):
-        return _FreeState()
-    if isinstance(group, FreeAbelian):
-        return _AbelianState(group.d)
-    if isinstance(group, Lamplighter):
-        return _LamplighterState()
-    if isinstance(group, Heisenberg):
-        return _HeisenbergState()
-    raise DomainError(f"no walk state for {group.id_string}")
+_KERNELS = {FreeAbelian: _ZdWalk, FreeGroup: _FreeWalk,
+            Lamplighter: _LamplighterWalk, Heisenberg: _HeisenbergWalk}
+
+
+def _walk_chunk(mu: FiniteMeasure, payload: dict, checkpoints: List[int]):
+    """Walk trajectories payload["start"] .. payload["stop"] - 1 and yield
+    (checkpoint, positions) for each block of rows at each checkpoint, in
+    trajectory order.
+
+    Each row keeps its substream open and draws one segment of uniforms at a
+    time; segments end at checkpoints and at the block's draw budget. PCG64
+    doubles are sequential, so the row draws exactly what
+    ``substream(seed, i).random(steps)`` draws."""
+    kernel = _KERNELS[type(mu.group)]
+    elems, cdf = atom_table(mu)
+    seed, stop = payload["seed"], payload["stop"]
+    for first in range(payload["start"], stop, BLOCK_ROWS):
+        rngs = [substream(seed, i)
+                for i in range(first, min(first + BLOCK_ROWS, stop))]
+        walk = kernel(elems, len(rngs), checkpoints[-1])
+        segment = max(1, SEGMENT_DRAWS // len(rngs))
+        done = 0
+        for cp in checkpoints:
+            while done < cp:
+                u = np.empty((len(rngs), min(segment, cp - done)))
+                for row, rng in zip(u, rngs):
+                    rng.random(out=row)
+                walk.advance(np.searchsorted(cdf, u, side="right"))
+                done += u.shape[1]
+            yield cp, walk.positions()
 
 
 # -- statistics runners -------------------------------------------------------
@@ -185,27 +301,16 @@ def _norm_chunk(payload: dict) -> Dict[int, List[int]]:
     """Worker body: integer norm statistics per checkpoint for a range of
     trajectory indices. Importable at top level so process pools can use it."""
     mu = measure_from_text(payload["measure"])
-    group = mu.group
-    checkpoints = payload["checkpoints"]
     ball = None
     if payload.get("ball_radius") is not None:
-        ball = build_ball(group, payload["ball_radius"])
-    norm = norm_evaluator(group, ball=ball)
-    elems, cdf = atom_table(mu)
-    state = _make_state(group)
-    cps = sorted(checkpoints)
+        ball = build_ball(mu.group, payload["ball_radius"])
+    norm = norm_evaluator(mu.group, ball=ball)
+    cps = sorted(payload["checkpoints"])
     stats = {cp: [0, 0, 0] for cp in cps}  # count, sum rho, sum rho^2
-    for index in range(payload["start"], payload["stop"]):
-        rng = substream(payload["seed"], index)
-        idx = draw_indices(rng, cdf, cps[-1])
-        state.reset()
-        done = 0
-        for cp in cps:
-            for i in idx[done:cp]:
-                state.step(elems[int(i)])
-            done = cp
-            r = norm(state.element())
-            acc = stats[cp]
+    for cp, positions in _walk_chunk(mu, payload, cps):
+        acc = stats[cp]
+        for g in positions:
+            r = norm(g)
             acc[0] += 1
             acc[1] += r
             acc[2] += r * r
@@ -214,16 +319,9 @@ def _norm_chunk(payload: dict) -> Dict[int, List[int]]:
 
 def _endpoint_chunk(payload: dict) -> Counter:
     mu = measure_from_text(payload["measure"])
-    group = mu.group
-    elems, cdf = atom_table(mu)
-    state = _make_state(group)
     counts: Counter = Counter()
-    for index in range(payload["start"], payload["stop"]):
-        rng = substream(payload["seed"], index)
-        state.reset()
-        for i in draw_indices(rng, cdf, payload["steps"]):
-            state.step(elems[int(i)])
-        counts[group.format_element(state.element())] += 1
+    for _, positions in _walk_chunk(mu, payload, [payload["steps"]]):
+        counts.update(map(mu.group.format_element, positions))
     return counts
 
 
@@ -231,21 +329,11 @@ def _prefix_chunk(payload: dict) -> Counter:
     """Tally the level-l prefix of the endpoint's reduced word ("-" if the
     endpoint is shorter than l)."""
     mu = measure_from_text(payload["measure"])
-    group = mu.group
-    level = payload["level"]
-    elems, cdf = atom_table(mu)
-    state = _FreeState()
+    fmt, level = mu.group.format_element, payload["level"]
     counts: Counter = Counter()
-    for index in range(payload["start"], payload["stop"]):
-        rng = substream(payload["seed"], index)
-        state.reset()
-        for i in draw_indices(rng, cdf, payload["steps"]):
-            state.step(elems[int(i)])
-        word = state.word
-        if len(word) < level:
-            counts["-"] += 1
-        else:
-            counts[group.format_element(tuple(word[:level]))] += 1
+    for _, positions in _walk_chunk(mu, payload, [payload["steps"]]):
+        counts.update("-" if len(w) < level else fmt(w[:level])
+                      for w in positions)
     return counts
 
 
@@ -265,16 +353,16 @@ def _chunks(total: int, workers: int):
 
 def _run_chunked(kind: str, base_payload: dict, config: SamplerConfig,
                  combine):
-    payloads = []
-    for start, stop in _chunks(config.trajectories, config.workers):
-        p = dict(base_payload)
-        p.update(start=start, stop=stop, seed=config.seed)
-        payloads.append(p)
+    """Split the trajectories over at most min(workers, trajectories, CPUs)
+    processes; one worker runs in this process."""
+    workers = min(config.workers, config.trajectories, os.cpu_count() or 1)
+    payloads = [dict(base_payload, start=start, stop=stop, seed=config.seed)
+                for start, stop in _chunks(config.trajectories, workers)]
     fn = _CHUNK_FNS[kind]
-    if config.workers == 1 or len(payloads) == 1:
+    if workers == 1:
         parts = [fn(p) for p in payloads]
     else:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(fn, payloads))
     return combine(parts)
 

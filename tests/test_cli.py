@@ -145,8 +145,9 @@ def test_error_exit_codes(capsys, tmp_path):
     # missing required option
     code, _, err = run_cli(capsys, "drift", "--measure", "srw")
     assert code == 1
-    # malformed group rank, letter, threshold, weight, g-space size, cycle
-    # point and g-space measure weight are domain errors
+    # malformed group rank, letter, threshold, weight (also a non-finite
+    # float64 one), g-space size, cycle point and g-space measure weight
+    # are domain errors
     bad_size = tmp_path / "bad_size.gspace"
     bad_size.write_text("size x\ngen t (0 1)\n")
     bad_point = tmp_path / "bad_point.gspace"
@@ -155,6 +156,10 @@ def test_error_exit_codes(capsys, tmp_path):
                  ("drift", "--group", "free:2", "--measure=\u00e9=1"),
                  ("drift", "--group", "free:2", "--truncation", "abc"),
                  ("drift", "--group", "zd:1", "--measure", "1=x"),
+                 ("drift", "--group", "zd:1", "--mode", "float64",
+                  "--measure=1=nan;-1=0.5", "--n-max", "3"),
+                 ("drift", "--group", "zd:1", "--mode", "float64",
+                  "--measure=1=inf;-1=0.5", "--n-max", "3"),
                  ("stationary", "--space", "preset:cycle:x"),
                  ("stationary", "--space", "preset:cycle:0"),
                  ("stationary", "--space", "preset:trivial:-1"),
@@ -163,7 +168,9 @@ def test_error_exit_codes(capsys, tmp_path):
                  ("stationary", "--space", "preset:cycle:3",
                   "--measure", "t=1/0"),
                  ("stationary", "--space", "preset:cycle:3",
-                  "--measure", "t=x")):
+                  "--measure", "t=x"),
+                 ("stationary", "--space", "preset:cycle:3",
+                  "--measure", "t=nan")):
         code, out, err = run_cli(capsys, *argv)
         assert code == 1
         assert out == ""

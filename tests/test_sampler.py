@@ -1,14 +1,20 @@
 """Seed discipline, worker invariance, and endpoint laws of the sampler."""
 
+from collections import Counter
+
+import numpy as np
 import pytest
 
-from groupwalk.errors import DomainError
+from groupwalk import sampler
+from groupwalk.errors import DomainError, OutOfRangeError, ResourceLimitError
 from groupwalk.groups import FreeGroup, Heisenberg, group_from_id
-from groupwalk.measures import dirac, power, srw, total_variation
+from groupwalk.measures import (dirac, parse_measure_spec, power, srw,
+                                total_variation)
 from groupwalk.sampler import (SamplerConfig, atom_table,
                                empirical_endpoint_distribution,
                                endpoint_counts, norm_statistics,
                                prefix_counts, sample_trajectory, substream)
+from groupwalk.wordmetric import build_ball, norm_evaluator
 
 
 def test_zero_steps_gives_empty_trajectory():
@@ -134,3 +140,144 @@ def test_config_validation():
         norm_statistics(srw(FreeGroup(2)),
                         SamplerConfig(seed=0, trajectories=1, steps=4),
                         checkpoints=[9])
+
+
+def test_substream_is_default_rng_of_the_seed_sequence():
+    for seed, index in ((0, 0), (7, 12345), (2 ** 40 + 3, 2 ** 31)):
+        expected = np.random.default_rng(
+            np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
+        assert np.array_equal(substream(seed, index).random(50),
+                              expected.random(50))
+
+
+# -- batch kernels against the checked reference walk -------------------------
+
+KERNEL_CASES = {
+    "zd:1": ("zd:1", "1=1/2;-1=1/4;3=1/4"),
+    "zd:3": ("zd:3", "srw"),
+    # coordinates beyond int64 take the Python-int path
+    "zd:1-wide": ("zd:1", "10000000000000000000=1/2;-3=1/2"),
+    "free:2": ("free:2", "ab=1/4;Ba=1/4;a=1/8;A=1/8;e=1/8;bAB=1/8"),
+    "free:3": ("free:3", "srw"),
+    "lamplighter": ("lamplighter",
+                    "{-1,0,2}|1=1/4;{}|-2=1/4;{0}|0=1/4;{1}|2=1/4"),
+    "lamplighter-wide": ("lamplighter",
+                         "{10000000000000000000}|1=1/2;{}|-1=1/2"),
+    "heisenberg": ("heisenberg", "srw"),
+    # steps moving x and y at once; only srw norms fit the radius-n ball
+    "heisenberg-diagonal": ("heisenberg",
+                            "1,1,0=1/4;-1,-1,0=1/4;1,-1,2=1/4;-1,1,-1=1/4"),
+    "heisenberg-wide": ("heisenberg",
+                        "100000000000,100000000000,0=1/2;-3,1,0=1/2"),
+}
+
+
+def _reference(group, mu, config, checkpoints, level, ball_radius=None):
+    """norm_statistics, endpoint_counts and prefix_counts rebuilt from
+    sample_trajectory, which multiplies with the checked Group.mul."""
+    if checkpoints:
+        ball = None if ball_radius is None else build_ball(group, ball_radius)
+        norm = norm_evaluator(group, ball=ball)
+    stats = {cp: [0, 0, 0] for cp in checkpoints}
+    ends, prefixes = Counter(), Counter()
+    for i in range(config.trajectories):
+        walk = [group.identity()] + sample_trajectory(
+            group, mu, config.steps, substream(config.seed, i))
+        for cp in checkpoints:
+            r = norm(walk[cp])
+            stats[cp][0] += 1
+            stats[cp][1] += r
+            stats[cp][2] += r * r
+        ends[group.format_element(walk[-1])] += 1
+        if len(walk[-1]) < level:
+            prefixes["-"] += 1
+        else:
+            prefixes[group.format_element(walk[-1][:level])] += 1
+    return stats, ends, prefixes
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("steps", [0, 23])
+@pytest.mark.parametrize("case", sorted(KERNEL_CASES))
+def test_kernels_match_reference_walk(monkeypatch, case, steps, workers):
+    # small blocks and segments: 30 trajectories span four blocks, and
+    # 23 steps span five segments of a full block
+    monkeypatch.setattr(sampler, "BLOCK_ROWS", 8)
+    monkeypatch.setattr(sampler, "SEGMENT_DRAWS", 40)
+    gid, spec = KERNEL_CASES[case]
+    group = group_from_id(gid)
+    mu = parse_measure_spec(group, spec)
+    config = SamplerConfig(seed=31, trajectories=30, steps=steps,
+                           workers=workers)
+    norms = steps > 0 and (gid != "heisenberg" or spec == "srw")
+    checkpoints = [1, 4, 5, 12, 23] if norms else []
+    ball_radius = steps if gid == "heisenberg" else None
+    stats, ends, prefixes = _reference(group, mu, config, checkpoints, 2,
+                                       ball_radius)
+    if norms:
+        assert norm_statistics(mu, config, checkpoints=checkpoints,
+                               ball_radius=ball_radius) == stats
+    got = endpoint_counts(mu, config)
+    assert list(got.items()) == list(ends.items())
+    if isinstance(group, FreeGroup):
+        got = prefix_counts(mu, 2, config)
+        assert list(got.items()) == list(prefixes.items())
+
+
+def test_kernel_matches_reference_walk_at_default_sizes():
+    # more trajectories than one block, more steps than one segment
+    group = FreeGroup(2)
+    mu = parse_measure_spec(group, "ab=1/4;A=1/4;B=1/4;b=1/4")
+    steps = sampler.SEGMENT_DRAWS // sampler.BLOCK_ROWS + 3
+    config = SamplerConfig(seed=4, trajectories=sampler.BLOCK_ROWS + 20,
+                           steps=steps)
+    checkpoints = [1, steps // 2, steps]
+    stats, ends, prefixes = _reference(group, mu, config, checkpoints, 3)
+    assert norm_statistics(mu, config, checkpoints=checkpoints) == stats
+    assert list(endpoint_counts(mu, config).items()) == list(ends.items())
+    assert list(prefix_counts(mu, 3, config).items()) == \
+        list(prefixes.items())
+
+
+def test_heisenberg_walk_leaving_its_ball_is_out_of_range():
+    cfg = SamplerConfig(seed=1, trajectories=20, steps=10)
+    with pytest.raises(OutOfRangeError):
+        norm_statistics(srw(Heisenberg()), cfg, ball_radius=2)
+
+
+class _InlinePool:
+    """Stands in for ProcessPoolExecutor: records max_workers, runs inline."""
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, payloads):
+        return map(fn, payloads)
+
+
+@pytest.mark.parametrize("cpus, trajectories, expected", [
+    (3, 100, [3]), (3, 2, [2]), (None, 100, []), (1, 100, [])])
+def test_worker_count_is_clamped(monkeypatch, cpus, trajectories, expected):
+    monkeypatch.setattr(sampler, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(sampler.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(_InlinePool, "sizes", [])
+    mu = srw(FreeGroup(2))
+    one = SamplerConfig(seed=6, trajectories=trajectories, steps=9)
+    many = SamplerConfig(seed=6, trajectories=trajectories, steps=9,
+                         workers=64)
+    assert norm_statistics(mu, many) == norm_statistics(mu, one)
+    assert _InlinePool.sizes == expected
+
+
+def test_lamp_window_over_budget_is_a_resource_error():
+    lam = group_from_id("lamplighter")
+    mu = parse_measure_spec(lam, "{0,100000000}|1=1")
+    with pytest.raises(ResourceLimitError):
+        endpoint_counts(mu, SamplerConfig(seed=0, trajectories=1, steps=1))
