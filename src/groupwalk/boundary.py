@@ -22,13 +22,24 @@ conull set on which the cocycle is classically defined. Values are carried
 as integer exponents of (2k-1) wherever additivity matters and only turned
 into logs at the reporting layer.
 
+Representation: one enumerator, ``_cylinder_array``, lists the reduced
+words of a level as the rows of an int8 array in lexicographic order (the
+public ``cylinders`` iterates over its rows). Exponents, translates s^-1 w
+and Poisson-integral heads are whole-array operations on it. Every exact
+check is an integer sum over one common denominator: rows are tallied by
+exponent or translated length with numpy, the few distinct tallies are
+weighed in Python ints, and a ``Fraction`` is only built for a reported
+value or residual. Ranks use fraction-free (Bareiss) elimination on Python
+ints.
+
 Everything in this module is exact-rational; only SRW is admitted (for any
 other nearest-neighbor measure the hitting measure is not this simple, and
 requests are rejected loudly).
 
 Validation happens once, at the public entry, which checks each
 caller-supplied word (DomainError); inner loops then use the unchecked
-``FreeGroup._mul`` on words valid by construction (cylinders, ball elements).
+``FreeGroup._mul`` and array kernels on words valid by construction
+(cylinders, ball elements).
 """
 
 from __future__ import annotations
@@ -36,7 +47,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
+
+import numpy as np
 
 from .errors import DomainError, OutOfRangeError, PreconditionError, \
     ResourceLimitError
@@ -75,43 +88,106 @@ def cylinder_mass(k: int, word: Tuple[int, ...]) -> Fraction:
     return _level_mass(k, len(word))
 
 
-def cylinders(k: int, level: int) -> Iterator[Tuple[int, ...]]:
-    """All level-`level` cylinders, i.e. reduced words of that length."""
-    _check_rank(k)
-    if level < 1:
-        raise DomainError("cylinder level must be >= 1")
-    if level > MAX_ENUMERATION_LEVEL:
-        raise ResourceLimitError(
-            f"refusing to enumerate 2k(2k-1)^{level - 1} cylinders")
-    letters = [i for i in range(1, k + 1)] + [-i for i in range(1, k + 1)]
-    word: List[int] = []
-
-    def rec():
-        if len(word) == level:
-            yield tuple(word)
-            return
-        for x in letters:
-            if word and word[-1] == -x:
-                continue
-            word.append(x)
-            yield from rec()
-            word.pop()
-
-    yield from rec()
-
-
 def cylinder_count(k: int, level: int) -> int:
     return 2 * k * (2 * k - 1) ** (level - 1)
 
 
-def _exponent(g: Tuple[int, ...], w: Tuple[int, ...]) -> int:
-    """2 p(g, w) - |g|, p the common prefix length (unchecked)."""
-    p = 0
-    for a, b in zip(g, w):
-        if a != b:
-            break
-        p += 1
-    return 2 * p - len(g)
+# at most as many rows as the deepest level F_2 may enumerate
+MAX_CYLINDERS = cylinder_count(2, MAX_ENUMERATION_LEVEL)
+
+
+def _check_level(k: int, level: int) -> None:
+    _check_rank(k)
+    if level < 1:
+        raise DomainError("cylinder level must be >= 1")
+    if level > MAX_ENUMERATION_LEVEL or cylinder_count(k, level) > MAX_CYLINDERS:
+        raise ResourceLimitError(
+            f"refusing to enumerate 2k(2k-1)^{level - 1} cylinders")
+
+
+def _cylinder_array(k: int, level: int) -> np.ndarray:
+    """All level-`level` reduced words as rows of an (N, level) int8 array,
+    in lexicographic order over the letters 1..k, -1..-k.
+
+    Built one letter at a time: every row is repeated once per letter, and
+    the rows whose new letter cancels their last one are dropped, so the
+    children of a row stay contiguous and in letter order.
+    """
+    _check_level(k, level)
+    letters = np.array([*range(1, k + 1), *range(-1, -k - 1, -1)],
+                       dtype=np.int8)
+    words = letters[:, None]
+    for _ in range(level - 1):
+        rows = np.repeat(words, 2 * k, axis=0)
+        new = np.tile(letters, len(words))
+        keep = new != -rows[:, -1]
+        words = np.column_stack((rows[keep], new[keep]))
+    return words
+
+
+def cylinders(k: int, level: int) -> Iterator[Tuple[int, ...]]:
+    """All level-`level` cylinders, i.e. reduced words of that length, in
+    lexicographic order."""
+    yield from map(tuple, _cylinder_array(k, level).tolist())
+
+
+def _exponents(gs: Sequence[Sequence[int]], words: np.ndarray) -> np.ndarray:
+    """E[i, j] = 2 p(gs[j], w_i) - |gs[j]| for each row w_i, p the common
+    prefix length (unchecked; rows need at least max |g| letters).
+
+    p is the sum over letter positions of the running AND of the matches
+    (the cumprod of the match matrix), taken one position at a time. The
+    words are padded with 0, which matches no letter, so a prefix never
+    runs past the end of its word.
+    """
+    width = max(map(len, gs), default=0)
+    padded = np.zeros((len(gs), width), dtype=words.dtype)
+    for j, g in enumerate(gs):
+        padded[j, :len(g)] = g
+    alive = np.ones((len(words), len(gs)), dtype=bool)
+    p = np.zeros((len(words), len(gs)), dtype=np.int64)
+    for j in range(width):
+        alive &= words[:, j, None] == padded[:, j]
+        p += alive
+    return 2 * p - np.array([len(g) for g in gs], dtype=np.int64)
+
+
+def _exponent(g: Sequence[int], words: np.ndarray) -> np.ndarray:
+    """2 p(g, w) - |g| for each row w."""
+    return _exponents([g], words)[:, 0]
+
+
+def _translate(s: Sequence[int], words: np.ndarray, width: int) -> np.ndarray:
+    """First `width` letters of s^-1 w for each row w (unchecked; rows need
+    at least |s| + width letters).
+
+    The common prefix of s and w cancels: with p its length, s^-1 w is the
+    reduced word inv(s[p:]) + w[p:].
+    """
+    n = len(s)
+    p = (_exponent(s, words) + n) // 2
+    out = np.empty((len(words), width), dtype=words.dtype)
+    for j in range(n + 1):
+        rows = p == j
+        head = [-x for x in reversed(s[j:])][:width]
+        out[rows, :len(head)] = head
+        out[rows, len(head):] = words[rows, j:j + width - len(head)]
+    return out
+
+
+def _distinct_totals(tallies: np.ndarray, scale: Sequence[int]):
+    """sum_j tallies[row, j] * scale[j] in Python ints, once per distinct
+    row of the integer tally matrix; returns (totals, rows having each)."""
+    patterns, counts = np.unique(tallies, axis=0, return_counts=True)
+    totals = [sum(c * v for c, v in zip(row, scale))
+              for row in patterns.tolist()]
+    return totals, counts.tolist()
+
+
+def _numerators(weights: Sequence[Fraction]) -> Tuple[List[int], int]:
+    """Integer numerators of `weights` over their least common denominator."""
+    den = math.lcm(*(w.denominator for w in weights))
+    return [w.numerator * (den // w.denominator) for w in weights], den
 
 
 def cocycle_exponent(k: int, g: Tuple[int, ...], w: Tuple[int, ...]) -> int:
@@ -121,11 +197,24 @@ def cocycle_exponent(k: int, g: Tuple[int, ...], w: Tuple[int, ...]) -> int:
         raise OutOfRangeError(
             f"sigma({len(g)}-letter element) needs cylinders of level >= "
             f"{len(g)}, got {len(w)}", required=len(g))
-    return _exponent(g, w)
+    return int(_exponent(g, np.array([w[:len(g)]], dtype=np.int64))[0])
 
 
 def cocycle_value(k: int, g: Tuple[int, ...], w: Tuple[int, ...]) -> Fraction:
     return Fraction(2 * k - 1) ** cocycle_exponent(k, g, w)
+
+
+def cocycle_histogram(k: int, g: Tuple[int, ...],
+                      level: int) -> List[Tuple[int, int]]:
+    """(exponent, number of level cylinders) pairs of sigma(g, .), sorted by
+    exponent; needs level >= |g|."""
+    words = _cylinder_array(k, level)
+    if level < len(g):
+        raise OutOfRangeError(
+            f"sigma({len(g)}-letter element) needs cylinders of level >= "
+            f"{len(g)}, got {level}", required=len(g))
+    exponents, counts = np.unique(_exponent(g, words), return_counts=True)
+    return list(zip(exponents.tolist(), counts.tolist()))
 
 
 def cocycle_mass_ratio(k: int, g: Tuple[int, ...],
@@ -168,13 +257,45 @@ class IdentityCheck:
     violations: int
 
 
+def _identity_check(k: int, level: int, ss: Sequence[Tuple[int, ...]],
+                    ts: Sequence[Tuple[int, ...]]) -> IdentityCheck:
+    """sigma(st, C) = sigma(s, C) sigma(t, s^-1 C) for every pair of valid
+    words s in ss, t in ts over all level-`level` cylinders C.
+
+    sigma(g, C_w) with |g| <= L only depends on the first L letters of w, so
+    every pair is checked on the cylinders of one effective level
+    max|s| + max|t| <= level, each standing for its (2k-1)^(level -
+    effective) extensions. Exponents are compared as integer arrays.
+    """
+    group = FreeGroup(k)
+    q = 2 * k - 1
+    width = max(map(len, ts))
+    effective = max(1, max(map(len, ss)) + width)
+    words = _cylinder_array(k, effective)
+    multiplicity = q ** (level - effective)
+    worst = Fraction(0)
+    violations = 0
+    for s in ss:
+        lhs = _exponents([group._mul(s, t) for t in ts], words)
+        rhs = (_exponent(s, words)[:, None]
+               + _exponents(ts, _translate(s, words, width)))
+        bad = lhs != rhs
+        if not bad.any():
+            continue
+        violations += int(bad.sum()) * multiplicity
+        for a, b in set(zip(lhs[bad].tolist(), rhs[bad].tolist())):
+            worst = max(worst, abs(Fraction(q) ** a - Fraction(q) ** b))
+    return IdentityCheck(
+        cylinders_checked=len(ss) * len(ts) * cylinder_count(k, level),
+        max_residual=worst, violations=violations)
+
+
 def check_cocycle_identity(k: int, s: Tuple[int, ...], t: Tuple[int, ...],
                            level: int) -> IdentityCheck:
     """Residual of sigma(st, C) = sigma(s, C) sigma(t, s^-1 C) over all
     level-`level` cylinders C.
 
-    sigma(g, C_w) with |g| <= L only depends on the first L letters of w, so
-    the check enumerates cylinders at the effective level |s| + |t| and
+    The check runs on the cylinders of the effective level |s| + |t| and
     accounts each for its (2k-1)^(level - effective) extensions; this is an
     exact evaluation of the full level-`level` check (the constancy it rests
     on is unit-tested separately by full enumeration at small levels).
@@ -185,51 +306,34 @@ def check_cocycle_identity(k: int, s: Tuple[int, ...], t: Tuple[int, ...],
         raise OutOfRangeError(
             f"identity check needs level >= max(1, |s|+|t|) = "
             f"{max(1, len(s) + len(t))}", required=max(1, len(s) + len(t)))
-    st = group.mul(s, t)          # validates s and t
-    s_inv = group.inv(s)
-    effective = max(1, min(level, len(s) + len(t)))
-    multiplicity = (2 * k - 1) ** (level - effective)
-    worst = Fraction(0)
-    violations = 0
-    checked = 0
-    q = 2 * k - 1
-    for w in cylinders(k, effective):
-        e_st = _exponent(st, w)
-        e_s = _exponent(s, w)
-        e_t = _exponent(t, group._mul(s_inv, w))
-        checked += multiplicity
-        if e_st != e_s + e_t:
-            violations += multiplicity
-            res = abs(Fraction(q) ** e_st - Fraction(q) ** (e_s + e_t))
-            if res > worst:
-                worst = res
-    return IdentityCheck(cylinders_checked=checked, max_residual=worst,
-                         violations=violations)
+    group.mul(s, t)               # validates s and t
+    return _identity_check(k, level, [s], [t])
 
 
 def check_cocycle_identity_ball(k: int, radius: int,
                                 level: int) -> IdentityCheck:
     """Aggregate identity check over every pair s, t in the radius ball."""
-    ball = build_ball(FreeGroup(k), radius).norms
-    total = 0
-    worst = Fraction(0)
-    violations = 0
-    for s in ball:
-        for t in ball:
-            rep = check_cocycle_identity(k, s, t, level)
-            total += rep.cylinders_checked
-            violations += rep.violations
-            if rep.max_residual > worst:
-                worst = rep.max_residual
-    return IdentityCheck(cylinders_checked=total, max_residual=worst,
-                         violations=violations)
+    ball = list(build_ball(FreeGroup(k), radius).norms)
+    _check_rank(k)
+    if level < max(1, 2 * radius):
+        # the first pair in ball order that is too deep needs level + 1
+        need = max(1, level + 1)
+        raise OutOfRangeError(
+            f"identity check needs level >= max(1, |s|+|t|) = {need}",
+            required=need)
+    return _identity_check(k, level, ball, ball)
 
 
 def check_cocycle_normalization(k: int, k_power: int,
                                 level: int) -> IdentityCheck:
     """Residual of sum_s sigma(s, C) mu^{*k_power}(s) = 1 over level
-    cylinders (mu = SRW; exact rationals; same effective-level accounting
-    as the identity check)."""
+    cylinders (mu = SRW; same effective-level accounting as the identity
+    check).
+
+    With mu^{*k_power}(s) = a_s / D over one common denominator, the check
+    is sum_s a_s (2k-1)^(e(s, C) + k_power) = D (2k-1)^k_power in integers;
+    each cylinder is tallied by how much numerator lands on each exponent.
+    """
     _check_rank(k)
     if k_power < 1:
         raise DomainError("k_power must be >= 1")
@@ -241,25 +345,28 @@ def check_cocycle_normalization(k: int, k_power: int,
     mu_k = None
     for _, mun in power_sequence(srw(group), k_power):
         mu_k = mun
-    atoms = list(mu_k.atoms.items())
-    effective = max(1, min(level, k_power))
-    multiplicity = (2 * k - 1) ** (level - effective)
-    q = Fraction(2 * k - 1)
+    atoms = list(mu_k.atoms)
+    numerators, den = _numerators(list(mu_k.atoms.values()))
+    words = _cylinder_array(k, k_power)
+    multiplicity = (2 * k - 1) ** (level - k_power)
+    # a row's tallies sum to D = (2k)^k_power, which the atom budget of
+    # power_sequence keeps far below 2^63
+    tallies = np.zeros((len(words), 2 * k_power + 1), dtype=np.int64)
+    rows = np.arange(len(words))
+    for s, a in zip(atoms, numerators):
+        tallies[rows, _exponent(s, words) + k_power] += a
+    q = 2 * k - 1
+    target = den * q ** k_power
+    totals, counts = _distinct_totals(
+        tallies, [q ** j for j in range(2 * k_power + 1)])
     worst = Fraction(0)
     violations = 0
-    checked = 0
-    for w in cylinders(k, effective):
-        acc = Fraction(0)
-        for s, wgt in atoms:
-            acc += wgt * q ** _exponent(s, w)
-        checked += multiplicity
-        res = abs(acc - 1)
-        if res != 0:
-            violations += multiplicity
-            if res > worst:
-                worst = res
-    return IdentityCheck(cylinders_checked=checked, max_residual=worst,
-                         violations=violations)
+    for total, count in zip(totals, counts):
+        if total != target:
+            violations += count * multiplicity
+            worst = max(worst, abs(Fraction(total, target) - 1))
+    return IdentityCheck(cylinders_checked=cylinder_count(k, level),
+                         max_residual=worst, violations=violations)
 
 
 # -- Poisson semi-norm and the c sequence -------------------------------------
@@ -267,16 +374,17 @@ def check_cocycle_normalization(k: int, k_power: int,
 def poisson_seminorm_exponent(k: int, g: Tuple[int, ...]) -> int:
     """max over deep cylinders of the sigma(g, .) exponent.
 
-    Enumerates all level-|g| cylinders up to MAX_SEMINORM_SCAN_LENGTH
-    letters; for longer elements the maximizing cylinder is the one
-    extending g itself (any other word shares a shorter prefix), which is
-    used directly.
+    Scans all level-|g| cylinders up to MAX_SEMINORM_SCAN_LENGTH letters
+    (within the cylinder budget); for longer elements the maximizing
+    cylinder is the one extending g itself (any other word shares a shorter
+    prefix), which is used directly.
     """
     _check_rank(k)
     if not g:
         return 0
-    if len(g) <= MAX_SEMINORM_SCAN_LENGTH:
-        return max(_exponent(g, w) for w in cylinders(k, len(g)))
+    if (len(g) <= MAX_SEMINORM_SCAN_LENGTH
+            and cylinder_count(k, len(g)) <= MAX_CYLINDERS):
+        return int(_exponent(g, _cylinder_array(k, len(g))).max())
     return len(g)
 
 
@@ -291,8 +399,8 @@ def integral_log_cocycle(k: int, g: Tuple[int, ...]) -> Fraction:
     _check_rank(k)
     if not g:
         return Fraction(0)
-    return _level_mass(k, len(g)) * sum(_exponent(g, w)
-                                        for w in cylinders(k, len(g)))
+    words = _cylinder_array(k, len(g))
+    return _level_mass(k, len(g)) * int(_exponent(g, words).sum())
 
 
 def c_sequence(k: int, n_max: int) -> List[Fraction]:
@@ -301,19 +409,31 @@ def c_sequence(k: int, n_max: int) -> List[Fraction]:
     c_n integrates log sigma(s, .) against the n-step law of the adjoint
     walk; additivity c_n = n c_1 holds exactly at the coefficient level and
     is what tests assert.
+
+    With mu^{*n}(s) = a_s / D and m(C) = 1 / (2k (2k-1)^(|s|-1)) on the
+    level-|s| cylinders, c_n is sum_s a_s (2k-1)^(L - |s|) E(s) over the
+    common denominator D 2k (2k-1)^(L-1), where E(s) sums the exponents of
+    s over those cylinders and L is the longest atom.
     """
     _check_rank(k)
     group = FreeGroup(k)
+    q = 2 * k - 1
     mu_adj = adjoint(srw(group))
     coeffs = []
-    cache: Dict[Tuple[int, ...], Fraction] = {}
+    tables: Dict[int, np.ndarray] = {}
+    sums: Dict[Tuple[int, ...], int] = {}
     for _, mun in power_sequence(mu_adj, n_max):
-        acc = Fraction(0)
-        for s, w in mun.atoms.items():
-            if s not in cache:
-                cache[s] = integral_log_cocycle(k, s)
-            acc += cache[s] * w
-        coeffs.append(acc)
+        atoms = [s for s in mun.atoms if s]
+        numerators, den = _numerators([mun.atoms[s] for s in atoms])
+        top = max(map(len, atoms), default=1)
+        acc = 0
+        for s, a in zip(atoms, numerators):
+            if s not in sums:
+                if len(s) not in tables:
+                    tables[len(s)] = _cylinder_array(k, len(s))
+                sums[s] = int(_exponent(s, tables[len(s)]).sum())
+            acc += a * q ** (top - len(s)) * sums[s]
+        coeffs.append(Fraction(acc, den * 2 * k * q ** (top - 1)))
     return coeffs
 
 
@@ -349,7 +469,8 @@ def poisson_integral(f: CylinderFunction, g: Tuple[int, ...]) -> Fraction:
     """P_m f(g) = int f(g z) dm(z), exact.
 
     Decomposes the boundary into cylinders of level |g| + level(f); on each,
-    g z lies in a single level(f) cylinder read off from the reduced product.
+    g z lies in a single level(f) cylinder, the head of the reduced product
+    g w. The cylinders are tallied by head and f is weighed once per head.
     """
     k = f.k
     group = FreeGroup(k)
@@ -358,8 +479,12 @@ def poisson_integral(f: CylinderFunction, g: Tuple[int, ...]) -> Fraction:
     if depth > MAX_ENUMERATION_LEVEL:
         raise ResourceLimitError(
             f"Poisson integral would enumerate level-{depth} cylinders")
-    total = sum((f.values[group._mul(g, w)[:f.level]]
-                 for w in cylinders(k, depth)), Fraction(0))
+    g_inv = [-x for x in reversed(g)]
+    heads = _translate(g_inv, _cylinder_array(k, depth), f.level)
+    patterns, counts = np.unique(heads, axis=0, return_counts=True)
+    total = sum((c * f.values[tuple(head)]
+                 for head, c in zip(patterns.tolist(), counts.tolist())),
+                Fraction(0))
     return _level_mass(k, depth) * total
 
 
@@ -384,43 +509,69 @@ def check_boundary_stationarity(k: int, level: int) -> Fraction:
 
     Exact internal validation that the cylinder-mass formula really is the
     hitting measure of SRW (it must be the stationary measure of the walk).
+    Translates of cylinders of level >= 2 by a generator are cylinders, of
+    length depth - e(s, w); a level-1 cylinder is split into its level-2
+    extensions. Each cylinder is tallied by how much mu lands on each
+    translated length, and the tallies are weighed with the mass formula
+    over one common denominator.
     """
     group = FreeGroup(k)
     mu = srw(group)
-    mass = _level_mass(k, level)
-    worst = Fraction(0)
-    for w in cylinders(k, level):
-        acc = sum(wgt * translated_cylinder_mass(k, s, w)
-                  for s, wgt in mu.atoms.items())
-        res = abs(acc - mass)
-        if res > worst:
-            worst = res
-    return worst
+    _check_level(k, level)
+    depth = max(level, 2)
+    words = _cylinder_array(k, depth)
+    numerators, den_mu = _numerators(list(mu.atoms.values()))
+    # generators: translated lengths depth - e with e in {-1, 0, 1}
+    tallies = np.zeros((len(words), 3), dtype=np.int64)
+    rows = np.arange(len(words))
+    for s, a in zip(mu.atoms, numerators):
+        tallies[rows, 1 - _exponent(s, words)] += a
+    tallies = tallies.reshape(cylinder_count(k, level), -1, 3).sum(axis=1)
+    target = _level_mass(k, level)
+    masses = [_level_mass(k, length) for length in (depth - 1, depth,
+                                                    depth + 1)]
+    scale, den = _numerators(masses + [target])
+    totals, _ = _distinct_totals(tallies, scale[:3])
+    return max((abs(Fraction(total, den * den_mu) - target)
+                for total in totals), default=Fraction(0))
 
 
 # -- span of the derivatives ---------------------------------------------------
 
 def exact_rank(rows: List[List[Fraction]]) -> int:
-    """Rank over the rationals by fraction-free-ish Gaussian elimination."""
-    rows = [list(r) for r in rows]
-    if not rows:
+    """Rank over the rationals by fraction-free (Bareiss) elimination.
+
+    Each row (ints or Fractions) is scaled to integers by the lcm of its
+    denominators. Bareiss keeps every entry an integer minor of the matrix,
+    so the division by the previous pivot is exact and numbers stay the
+    size of determinants.
+    """
+    matrix = []
+    for row in rows:
+        den = math.lcm(*(x.denominator for x in row))
+        matrix.append([x.numerator * (den // x.denominator) for x in row])
+    if not matrix:
         return 0
-    ncols = len(rows[0])
+    ncols = len(matrix[0])
     rank = 0
+    previous = 1
     for col in range(ncols):
-        pivot = next((i for i in range(rank, len(rows))
-                      if rows[i][col] != 0), None)
+        pivot = next((i for i in range(rank, len(matrix))
+                      if matrix[i][col] != 0), None)
         if pivot is None:
             continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        pv = rows[rank][col]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col] != 0:
-                factor = rows[i][col] / pv
-                rows[i] = [x - factor * y
-                           for x, y in zip(rows[i], rows[rank])]
+        matrix[rank], matrix[pivot] = matrix[pivot], matrix[rank]
+        top = matrix[rank]
+        p = top[col]
+        tail = top[col + 1:]
+        for i in range(rank + 1, len(matrix)):
+            row = matrix[i]
+            a = row[col]
+            row[col:] = [0] + [(p * x - a * y) // previous
+                               for x, y in zip(row[col + 1:], tail)]
+        previous = p
         rank += 1
-        if rank == len(rows):
+        if rank == len(matrix):
             break
     return rank
 
@@ -428,13 +579,17 @@ def exact_rank(rows: List[List[Fraction]]) -> int:
 def span_rank(k: int, level: int, radius: int) -> int:
     """Rank of the matrix of sigma(s, .) over level cylinders, s in the
     radius ball. Full rank 2k(2k-1)^(level-1) certifies finite-scale density
-    of the translated-measure derivatives."""
+    of the translated-measure derivatives.
+
+    Row s is scaled by (2k-1)^radius, so its entries (2k-1)^(e + radius) are
+    integers (|e| <= |s| <= radius); scaling rows keeps the rank.
+    """
     _check_rank(k)
     if radius > level:
         raise PreconditionError("span_rank needs radius <= level")
-    cyls = list(cylinders(k, level))
-    q = Fraction(2 * k - 1)
-    rows = [[q ** _exponent(s, w) for w in cyls]
+    words = _cylinder_array(k, level)
+    powers = [(2 * k - 1) ** j for j in range(2 * radius + 1)]
+    rows = [[powers[e] for e in (_exponent(s, words) + radius).tolist()]
             for s in build_ball(FreeGroup(k), radius).norms]
     return exact_rank(rows)
 

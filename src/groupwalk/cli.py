@@ -300,8 +300,9 @@ def _run_phi(cfg: Dict[str, object]) -> dict:
         if not isinstance(group, FreeGroup):
             raise PreconditionError("radial phi needs a free group")
         phi = quasiharmonic.phi_table_free_srw(group.k, n, r_eval)
-        a_vals = freewalk.expected_norms(group.k, n)
-        series = [(m, float(a_vals[m]) / m) for m in range(1, n + 1)]
+        if cfg["emit-series"]:
+            a_vals = freewalk.expected_norms(group.k, n)
+            series = [(m, float(a_vals[m]) / m) for m in range(1, n + 1)]
     else:
         ball = None
         if group.id_string == "heisenberg":
@@ -348,13 +349,9 @@ def _run_cocycle(cfg: Dict[str, object]) -> dict:
         report["exponent"] = expo
         report["value"] = Fraction(2 * k - 1) ** expo
     else:
-        histogram: Dict[int, int] = {}
-        for w in boundary.cylinders(k, level):
-            expo = boundary.cocycle_exponent(k, g, w)
-            histogram[expo] = histogram.get(expo, 0) + 1
         report["exponent_histogram"] = [
             {"exponent": e, "value": Fraction(2 * k - 1) ** e, "cylinders": c}
-            for e, c in sorted(histogram.items())]
+            for e, c in boundary.cocycle_histogram(k, g, level)]
     return report
 
 

@@ -16,6 +16,12 @@ formulas:
   P(|X_j| >= i) * (2k-1)^{1-i} / (2k)  (uniformity on spheres),
 * Shannon entropies H(mu^{*n}).
 
+The law is carried as integer path counts: c_n[m] is the number of the
+(2k)^n generator paths of length n that end at norm m, and one step sends
+c (2k-1) up and c down from m >= 1 and c 2k out of 0. Every exact value is
+an integer sum over one common denominator, a power of 2k times a power of
+2k-1; a ``Fraction`` is only built for a returned value.
+
 These routines are an alternative route to the same numbers the convolution
 pipeline produces; the two are cross-checked against each other (and against
 brute-force path enumeration) in the test suite.
@@ -25,85 +31,101 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import List
+from typing import Iterator, List
+
+
+def _check_rank(k: int) -> None:
+    if k < 1:
+        raise ValueError("free rank must be >= 1")
+
+
+def _path_counts(k: int, n_max: int) -> Iterator[List[int]]:
+    """c_n for n = 0..n_max: c_n[m] counts the (2k)^n paths of length n
+    ending at norm m (unchecked k)."""
+    q = 2 * k - 1
+    row = [1]
+    yield row
+    for _ in range(n_max):
+        pad = row + [0, 0]
+        row = [pad[1], 2 * k * pad[0] + pad[2]]
+        row += [q * a + b for a, b in zip(pad[1:-2], pad[3:])]
+        yield row
 
 
 def norm_distributions(k: int, n_max: int) -> List[List[Fraction]]:
     """dist[n][m] = P(|X_n| = m) for SRW on F_k, exact, n = 0..n_max."""
-    if k < 1:
-        raise ValueError("free rank must be >= 1")
-    up = Fraction(2 * k - 1, 2 * k)
-    down = Fraction(1, 2 * k)
-    dist = [[Fraction(1)]]
-    for n in range(n_max):
-        cur = dist[-1]
-        nxt = [Fraction(0)] * (len(cur) + 1)
-        for m, w in enumerate(cur):
-            if w == 0:
-                continue
-            if m == 0:
-                nxt[1] += w
-            else:
-                nxt[m + 1] += w * up
-                nxt[m - 1] += w * down
-        dist.append(nxt)
-    return dist
+    _check_rank(k)
+    return [[Fraction(c, (2 * k) ** n) for c in row]
+            for n, row in enumerate(_path_counts(k, n_max))]
 
 
 def expected_norms(k: int, n_max: int) -> List[Fraction]:
     """a_n = E|X_n| for n = 0..n_max (exact)."""
-    dist = norm_distributions(k, n_max)
-    return [sum(Fraction(m) * w for m, w in enumerate(row)) for row in dist]
+    _check_rank(k)
+    return [Fraction(sum(m * c for m, c in enumerate(row)), (2 * k) ** n)
+            for n, row in enumerate(_path_counts(k, n_max))]
 
 
-def _tails(row: List[Fraction]) -> List[Fraction]:
-    """tails[i] = P(|X| >= i)."""
-    tails = [Fraction(0)] * (len(row) + 1)
-    acc = Fraction(0)
-    for m in range(len(row) - 1, -1, -1):
-        acc += row[m]
-        tails[m] = acc
-    return tails
+def _radial_values(counts: List[int], den: int, q: int,
+                   r_max: int) -> List[Fraction]:
+    """r - 2 sum_{i=1}^{r} T_i q^(r-i) / (den q^(r-1)) for r = 0..r_max,
+    with T_i = sum_{m >= i} counts[m]; r = 0 gives 0."""
+    tail = sum(counts[1:])
+    acc = 0
+    out = [Fraction(0)]
+    for r in range(1, r_max + 1):
+        acc = q * acc + tail
+        scale = den * q ** (r - 1)
+        out.append(Fraction(r * scale - 2 * acc, scale))
+        if r < len(counts):
+            tail -= counts[r]
+    return out
 
 
 def radial_fk(k: int, steps: int, r_max: int) -> List[List[Fraction]]:
     """table[j][r] = f_j on the sphere of radius r, for j = 0..steps-1.
 
-    f_j(e) = 0 is included at r = 0.
+    f_j(e) = 0 is included at r = 0. With P(|X_j| >= i) = T_i / (2k)^j,
+    f_j(r) has the common denominator (2k)^(j+1) (2k-1)^(r-1).
     """
-    dist = norm_distributions(k, max(steps - 1, 0))
+    _check_rank(k)
     q = 2 * k - 1
-    table = []
-    for j in range(steps):
-        tails = _tails(dist[j])
-        row = [Fraction(0)]
-        acc = Fraction(0)
-        for r in range(1, r_max + 1):
-            tail = tails[r] if r < len(tails) else Fraction(0)
-            acc += tail * Fraction(1, 2 * k) * Fraction(1, q) ** (r - 1)
-            row.append(Fraction(r) - 2 * acc)
-        table.append(row)
-    return table
+    rows = _path_counts(k, max(steps - 1, 0))
+    return [_radial_values(row, (2 * k) ** (j + 1), q, r_max)
+            for j, row in zip(range(steps), rows)]
 
 
 def radial_phi(k: int, n: int, r_max: int) -> List[Fraction]:
-    """phi_n on spheres 0..r_max: the Cesaro average of f_0..f_{n-1}."""
+    """phi_n on spheres 0..r_max: the Cesaro average of f_0..f_{n-1}.
+
+    Over the common denominator n (2k)^n (2k-1)^(r-1), the sum of the f_j
+    numerators is the f formula applied to the weighted counts
+    sum_j (2k)^(n-1-j) c_j, accumulated by Horner's rule along the path
+    counts.
+    """
     if n < 1:
         raise ValueError("Cesaro length must be >= 1")
-    fk = radial_fk(k, n, r_max)
-    return [sum(fk[j][r] for j in range(n)) / n for r in range(r_max + 1)]
+    _check_rank(k)
+    weighted: List[int] = []
+    for row in _path_counts(k, n - 1):
+        weighted = [2 * k * b + c for b, c in zip(weighted + [0], row)]
+    return _radial_values(weighted, n * (2 * k) ** n, 2 * k - 1, r_max)
 
 
 def shannon_entropy(k: int, n: int) -> float:
     """H(mu^{*n}) in nats, via the exact radial law (uniform on spheres)."""
-    row = norm_distributions(k, n)[n]
+    _check_rank(k)
+    for row in _path_counts(k, n):
+        pass                      # keep the last row, c_n
+    total = sum(row)              # (2k)^n paths
     h = 0.0
-    for m, w in enumerate(row):
-        if w == 0:
+    for m, c in enumerate(row):
+        if c == 0:
             continue
+        p = c / total
         if m == 0:
-            h -= float(w) * math.log(float(w))
+            h -= p * math.log(p)
         else:
             sphere = 2 * k * (2 * k - 1) ** (m - 1)
-            h -= float(w) * (math.log(float(w)) - math.log(sphere))
+            h -= p * (math.log(p) - math.log(sphere))
     return h

@@ -20,8 +20,10 @@ at the edge: ``parse_element``, ``canonical`` and ``check_element`` raise
 DomainError on a malformed element or one of a different group, and the
 public ``mul``/``inv`` check their operands before computing. ``_mul`` is
 the unchecked product for inner loops whose operands were validated already
-(atoms of a FiniteMeasure, ball elements, generators). Operations are pure
-functions; elements are safe to share across threads and processes.
+(atoms of a FiniteMeasure, ball elements, generators). A failure message
+is only formatted when a check fails, so checking an n-letter word costs
+O(n). Operations are pure functions; elements are safe to share across
+threads and processes.
 
 Integer coordinates are Python ints (arbitrary width): overflow cannot occur,
 let alone wrap silently.
@@ -101,11 +103,9 @@ class FreeAbelian(Group):
         return (0,) * self.d
 
     def check_element(self, g) -> None:
-        _require(
-            isinstance(g, tuple) and len(g) == self.d
-            and all(isinstance(x, int) for x in g),
-            f"not a zd:{self.d} element: {g!r}",
-        )
+        if not (isinstance(g, tuple) and len(g) == self.d
+                and all(isinstance(x, int) for x in g)):
+            raise DomainError(f"not a zd:{self.d} element: {g!r}")
 
     def canonical(self, g):
         self.check_element(g)
@@ -172,22 +172,22 @@ class FreeGroup(Group):
         return ()
 
     def check_element(self, g) -> None:
-        _require(isinstance(g, tuple), f"not a free:{self.k} element: {g!r}")
+        if not isinstance(g, tuple):
+            raise DomainError(f"not a free:{self.k} element: {g!r}")
         prev = 0
         for x in g:
-            _require(
-                isinstance(x, int) and x != 0 and abs(x) <= self.k,
-                f"letter {x!r} outside free:{self.k} alphabet",
-            )
-            _require(x != -prev, f"word {g!r} is not reduced")
+            if not (isinstance(x, int) and x != 0 and abs(x) <= self.k):
+                raise DomainError(
+                    f"letter {x!r} outside free:{self.k} alphabet")
+            if x == -prev:
+                raise DomainError(f"word {g!r} is not reduced")
             prev = x
 
     def canonical(self, g):
         for x in g:
-            _require(
-                isinstance(x, int) and x != 0 and abs(x) <= self.k,
-                f"letter {x!r} outside free:{self.k} alphabet",
-            )
+            if not (isinstance(x, int) and x != 0 and abs(x) <= self.k):
+                raise DomainError(
+                    f"letter {x!r} outside free:{self.k} alphabet")
         return reduce_word(g)
 
     def mul(self, g, h):
@@ -232,7 +232,8 @@ class FreeGroup(Group):
                 x = -(_LETTERS.index(ch.lower()) + 1)
             else:
                 raise DomainError(f"bad letter {ch!r} in free word {text!r}")
-            _require(abs(x) <= self.k, f"letter {ch!r} outside free:{self.k}")
+            if abs(x) > self.k:
+                raise DomainError(f"letter {ch!r} outside free:{self.k}")
             word.append(x)
         g = reduce_word(word)
         return g
@@ -250,17 +251,17 @@ class Lamplighter(Group):
         return ((), 0)
 
     def check_element(self, g) -> None:
-        ok = (
-            isinstance(g, tuple) and len(g) == 2
-            and isinstance(g[0], tuple) and isinstance(g[1], int)
-            and all(isinstance(x, int) for x in g[0])
-            and all(g[0][i] < g[0][i + 1] for i in range(len(g[0]) - 1))
-        )
-        _require(ok, f"not a lamplighter element: {g!r}")
+        if not (isinstance(g, tuple) and len(g) == 2
+                and isinstance(g[0], tuple) and isinstance(g[1], int)
+                and all(isinstance(x, int) for x in g[0])
+                and all(g[0][i] < g[0][i + 1]
+                        for i in range(len(g[0]) - 1))):
+            raise DomainError(f"not a lamplighter element: {g!r}")
 
     def canonical(self, g):
         lamps, pos = g
-        _require(isinstance(pos, int), f"bad walker position {pos!r}")
+        if not isinstance(pos, int):
+            raise DomainError(f"bad walker position {pos!r}")
         return (tuple(sorted(set(lamps))), pos)
 
     def mul(self, g, h):
@@ -298,8 +299,9 @@ class Lamplighter(Group):
             g = (tuple(sorted(set(lamps))), int(pos_part))
         except (ValueError, AssertionError):
             raise DomainError(f"cannot parse lamplighter element {text!r}")
-        _require(len(g[0]) == len(lamps),
-                 f"repeated lamp in lamplighter element {text!r}")
+        if len(g[0]) != len(lamps):
+            raise DomainError(
+                f"repeated lamp in lamplighter element {text!r}")
         return g
 
 
@@ -319,11 +321,9 @@ class Heisenberg(Group):
         return (0, 0, 0)
 
     def check_element(self, g) -> None:
-        _require(
-            isinstance(g, tuple) and len(g) == 3
-            and all(isinstance(x, int) for x in g),
-            f"not a heisenberg element: {g!r}",
-        )
+        if not (isinstance(g, tuple) and len(g) == 3
+                and all(isinstance(x, int) for x in g)):
+            raise DomainError(f"not a heisenberg element: {g!r}")
 
     def canonical(self, g):
         self.check_element(g)

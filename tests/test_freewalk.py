@@ -91,3 +91,30 @@ def test_entropy_rate_decreasing_toward_boundary_value():
     rates = [freewalk.shannon_entropy(2, n) / n for n in (1, 2, 4, 8, 16)]
     assert all(a > b for a, b in zip(rates, rates[1:]))
     assert all(r > limit for r in rates)
+
+
+def test_convolution_and_radial_routes_agree_on_f2_up_to_n10():
+    """Exact a_n, the n-step law behind H_n, and phi_n on F_2 by generic
+    convolution equal the radial route for n <= 10."""
+    from groupwalk.measures import shannon_entropy as measure_entropy
+    from groupwalk.quasiharmonic import phi_from_fk
+    group = FreeGroup(2)
+    mu = srw(group)
+    a = freewalk.expected_norms(2, 10)
+    dist = freewalk.norm_distributions(2, 10)
+    for n, mun in power_sequence(mu, 10):
+        assert sum(free_norm(s) * w for s, w in mun.atoms.items()) == a[n]
+        # uniform on spheres: every atom carries its sphere's mass / size
+        on_sphere = {}
+        for s, w in mun.atoms.items():
+            size = 4 * 3 ** (len(s) - 1) if s else 1
+            assert w * size == dist[n][len(s)]
+            on_sphere[len(s)] = on_sphere.get(len(s), 0) + 1
+        assert on_sphere == {m: 4 * 3 ** (m - 1) if m else 1
+                             for m, p in enumerate(dist[n]) if p}
+        assert measure_entropy(mun) == pytest.approx(
+            freewalk.shannon_entropy(2, n), rel=1e-12)
+    tables = compute_fk_tables(mu, norm_evaluator(group), 9, 2)
+    for n in range(1, 11):
+        assert (phi_from_fk(tables, n).values
+                == phi_table_free_srw(2, n, 2).values)

@@ -101,6 +101,38 @@ def test_mixed_group_elements_rejected():
         FreeGroup(2).check_element((1, -1))   # not reduced
 
 
+CHECK_FAILURES = [
+    (FreeAbelian(2), (1,), "not a zd:2 element: (1,)"),
+    (FreeAbelian(2), [1, 2], "not a zd:2 element: [1, 2]"),
+    (FreeAbelian(2), (1, "x"), "not a zd:2 element: (1, 'x')"),
+    (FreeGroup(2), [1], "not a free:2 element: [1]"),
+    (FreeGroup(2), (3,), "letter 3 outside free:2 alphabet"),
+    (FreeGroup(2), (0,), "letter 0 outside free:2 alphabet"),
+    (FreeGroup(2), (1, 1.5), "letter 1.5 outside free:2 alphabet"),
+    (FreeGroup(2), (1, 2, -2), "word (1, 2, -2) is not reduced"),
+    (Lamplighter(), ((), 0, 1), "not a lamplighter element: ((), 0, 1)"),
+    (Lamplighter(), ((2, 1), 0), "not a lamplighter element: ((2, 1), 0)"),
+    (Lamplighter(), ((1,), "0"), "not a lamplighter element: ((1,), '0')"),
+    (Heisenberg(), (1, 2), "not a heisenberg element: (1, 2)"),
+    (Heisenberg(), [1, 2, 3], "not a heisenberg element: [1, 2, 3]"),
+]
+
+
+@pytest.mark.parametrize("group,bad,message", CHECK_FAILURES,
+                         ids=lambda v: getattr(v, "id_string", None))
+def test_check_element_failure_messages(group, bad, message):
+    # messages are formatted only on failure; their text stays as it was
+    with pytest.raises(DomainError) as info:
+        group.check_element(bad)
+    assert str(info.value) == message
+
+
+def test_check_and_mul_are_each_classes_own_methods():
+    # the benchmark tracer counts calls by patching them on each class
+    for cls in (FreeAbelian, FreeGroup, Lamplighter, Heisenberg):
+        assert "mul" in cls.__dict__ and "check_element" in cls.__dict__
+
+
 # -- invariants ----------------------------------------------------------------
 
 @pytest.mark.parametrize("group", ALL_GROUPS, ids=lambda g: g.id_string)

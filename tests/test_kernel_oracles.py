@@ -1,0 +1,267 @@
+"""Integer and array kernels of the exact free-group routes, pinned to the
+per-word ``Fraction`` code they replaced.
+
+Each oracle below is a test-local copy of the earlier implementation: the
+recursive cylinder generator, the scalar exponent loop, Gaussian elimination
+over ``Fraction`` and the ``Fraction`` recursion of the radial norm law (with
+the f_j, phi_n, a_n and H_n built on it). The last tests break the mass
+formula or the step law on purpose and require the exact checks to see it.
+"""
+
+import math
+import random
+from fractions import Fraction
+
+import pytest
+
+from groupwalk import boundary, freewalk
+from groupwalk.groups import FreeGroup
+from groupwalk.measures import finite_measure
+from groupwalk.wordmetric import build_ball
+
+
+# -- oracles: the earlier per-word code ------------------------------------------
+
+def old_cylinders(k, level):
+    letters = [i for i in range(1, k + 1)] + [-i for i in range(1, k + 1)]
+    word = []
+
+    def rec():
+        if len(word) == level:
+            yield tuple(word)
+            return
+        for x in letters:
+            if word and word[-1] == -x:
+                continue
+            word.append(x)
+            yield from rec()
+            word.pop()
+
+    yield from rec()
+
+
+def old_exponent(g, w):
+    p = 0
+    for a, b in zip(g, w):
+        if a != b:
+            break
+        p += 1
+    return 2 * p - len(g)
+
+
+def old_exact_rank(rows):
+    rows = [list(r) for r in rows]
+    if not rows:
+        return 0
+    ncols = len(rows[0])
+    rank = 0
+    for col in range(ncols):
+        pivot = next((i for i in range(rank, len(rows))
+                      if rows[i][col] != 0), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        pv = rows[rank][col]
+        for i in range(len(rows)):
+            if i != rank and rows[i][col] != 0:
+                factor = rows[i][col] / pv
+                rows[i] = [x - factor * y
+                           for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+        if rank == len(rows):
+            break
+    return rank
+
+
+def old_norm_distributions(k, n_max):
+    up = Fraction(2 * k - 1, 2 * k)
+    down = Fraction(1, 2 * k)
+    dist = [[Fraction(1)]]
+    for n in range(n_max):
+        cur = dist[-1]
+        nxt = [Fraction(0)] * (len(cur) + 1)
+        for m, w in enumerate(cur):
+            if w == 0:
+                continue
+            if m == 0:
+                nxt[1] += w
+            else:
+                nxt[m + 1] += w * up
+                nxt[m - 1] += w * down
+        dist.append(nxt)
+    return dist
+
+
+def old_radial_fk(k, steps, r_max):
+    dist = old_norm_distributions(k, max(steps - 1, 0))
+    q = 2 * k - 1
+    table = []
+    for j in range(steps):
+        row_j = dist[j]
+        tails = [Fraction(0)] * (len(row_j) + 1)
+        acc = Fraction(0)
+        for m in range(len(row_j) - 1, -1, -1):
+            acc += row_j[m]
+            tails[m] = acc
+        row = [Fraction(0)]
+        acc = Fraction(0)
+        for r in range(1, r_max + 1):
+            tail = tails[r] if r < len(tails) else Fraction(0)
+            acc += tail * Fraction(1, 2 * k) * Fraction(1, q) ** (r - 1)
+            row.append(Fraction(r) - 2 * acc)
+        table.append(row)
+    return table
+
+
+def old_shannon_entropy(k, n):
+    row = old_norm_distributions(k, n)[n]
+    h = 0.0
+    for m, w in enumerate(row):
+        if w == 0:
+            continue
+        if m == 0:
+            h -= float(w) * math.log(float(w))
+        else:
+            sphere = 2 * k * (2 * k - 1) ** (m - 1)
+            h -= float(w) * (math.log(float(w)) - math.log(sphere))
+    return h
+
+
+# -- cylinders, exponents, translates ----------------------------------------------
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_cylinder_order_matches_recursive_enumerator(k):
+    for level in range(1, 7):
+        words = boundary._cylinder_array(k, level)
+        assert words.shape == (boundary.cylinder_count(k, level), level)
+        expected = list(old_cylinders(k, level))
+        assert [tuple(w) for w in words.tolist()] == expected
+        assert list(boundary.cylinders(k, level)) == expected
+
+
+@pytest.mark.parametrize("k,level", [(2, 3), (2, 5), (3, 3), (3, 4)])
+def test_exponent_array_matches_scalar_loop(k, level):
+    ball = [g for g in build_ball(FreeGroup(k), 3).norms if len(g) <= level]
+    words = boundary._cylinder_array(k, level)
+    rows = words.tolist()
+    matrix = boundary._exponents(ball, words)
+    for j, g in enumerate(ball):
+        expected = [old_exponent(g, w) for w in rows]
+        assert boundary._exponent(g, words).tolist() == expected
+        assert matrix[:, j].tolist() == expected
+
+
+@pytest.mark.parametrize("k,level", [(2, 5), (3, 4)])
+def test_translate_matches_group_product(k, level):
+    group = FreeGroup(k)
+    words = boundary._cylinder_array(k, level)
+    for s in build_ball(group, 2).norms:
+        for width in range(0, level - len(s) + 1):
+            expected = [group._mul(group.inv(s), tuple(w))[:width]
+                        for w in words.tolist()]
+            got = boundary._translate(s, words, width)
+            assert [tuple(u) for u in got.tolist()] == expected
+
+
+def test_cocycle_histogram_matches_scalar_tally():
+    g = (1, -2, 1)
+    tally = {}
+    for w in old_cylinders(2, 5):
+        e = old_exponent(g, w)
+        tally[e] = tally.get(e, 0) + 1
+    assert boundary.cocycle_histogram(2, g, 5) == sorted(tally.items())
+
+
+# -- Bareiss rank -----------------------------------------------------------------
+
+def _random_matrix(rng, nrows, ncols, rank):
+    """nrows x ncols rationals of rank <= rank (a product of two factors)."""
+    left = [[Fraction(rng.randint(-4, 4), rng.randint(1, 5))
+             for _ in range(rank)] for _ in range(nrows)]
+    right = [[Fraction(rng.randint(-4, 4), rng.randint(1, 5))
+              for _ in range(ncols)] for _ in range(rank)]
+    return [[sum((a * right[t][j] for t, a in enumerate(row)), Fraction(0))
+             for j in range(ncols)] for row in left]
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_bareiss_matches_fraction_elimination(seed):
+    rng = random.Random(seed)
+    nrows, ncols = rng.randint(1, 12), rng.randint(1, 12)
+    rows = _random_matrix(rng, nrows, ncols, rng.randint(0, min(nrows, ncols)))
+    if seed % 3 == 0:
+        rows.insert(rng.randint(0, nrows), [Fraction(0)] * ncols)
+    if seed % 4 == 1:
+        rows = [[int(x) if x.denominator == 1 else x for x in r] for r in rows]
+    assert boundary.exact_rank(rows) == old_exact_rank(rows)
+
+
+@pytest.mark.parametrize("rows", [
+    [],
+    [[]],
+    [[Fraction(0), Fraction(0), Fraction(0)]],
+    [[Fraction(0), Fraction(3, 7), Fraction(-2)]],
+    [[5], [0], [Fraction(-1, 3)]],
+    [[0, 0], [0, 0]],
+    [[1, 2, 3], [2, 4, 6], [1, 1, 1], [0, 1, 2]],
+    [[3 ** 40, 1], [3 ** 41, 3], [1, Fraction(1, 3 ** 40)]],
+], ids=["empty", "no-columns", "zero-row", "one-row", "one-column",
+        "all-zero", "deficient", "big-entries"])
+def test_bareiss_edge_matrices(rows):
+    assert boundary.exact_rank(rows) == old_exact_rank(rows)
+
+
+# -- radial path counts ----------------------------------------------------------
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_path_counts_match_fraction_recursion(k):
+    old = old_norm_distributions(k, 64)
+    counts = list(freewalk._path_counts(k, 64))
+    for n, row in enumerate(counts):
+        assert all(type(c) is int for c in row)
+        assert [Fraction(c, (2 * k) ** n) for c in row] == old[n]
+    assert freewalk.norm_distributions(k, 64) == old
+    assert freewalk.expected_norms(k, 64) == [
+        sum(Fraction(m) * w for m, w in enumerate(row)) for row in old]
+
+
+@pytest.mark.parametrize("k,n,r_max", [(1, 9, 4), (2, 1, 3), (2, 17, 6),
+                                       (3, 12, 5), (4, 8, 3)])
+def test_radial_tables_match_fraction_route(k, n, r_max):
+    old = old_radial_fk(k, n, r_max)
+    assert freewalk.radial_fk(k, n, r_max) == old
+    assert freewalk.radial_phi(k, n, r_max) == [
+        sum(old[j][r] for j in range(n)) / n for r in range(r_max + 1)]
+    assert freewalk.shannon_entropy(k, n) == old_shannon_entropy(k, n)
+
+
+# -- the exact checks see a wrong model ------------------------------------------
+
+def test_wrong_mass_formula_breaks_stationarity(monkeypatch):
+    # the uniform mass of all (not only reduced) words of a length
+    monkeypatch.setattr(boundary, "_level_mass",
+                        lambda k, level: Fraction(1, 2 * k) ** level)
+    for level in (1, 2, 4):
+        assert boundary.check_boundary_stationarity(2, level) > 0
+
+
+def test_wrong_step_law_breaks_normalization_and_stationarity(monkeypatch):
+    group = FreeGroup(2)
+    lopsided = finite_measure(group, {(1,): Fraction(1, 2), (-1,): Fraction(1, 6),
+                                      (2,): Fraction(1, 6), (-2,): Fraction(1, 6)})
+    monkeypatch.setattr(boundary, "srw", lambda g: lopsided)
+    for k_power, level in ((1, 1), (2, 3), (3, 3)):
+        rep = boundary.check_cocycle_normalization(2, k_power, level)
+        assert rep.violations > 0 and rep.max_residual > 0
+        assert rep.cylinders_checked == boundary.cylinder_count(2, level)
+    assert boundary.check_boundary_stationarity(2, 3) > 0
+
+
+def test_wrong_translate_breaks_the_identity_check(monkeypatch):
+    # s^-1 w replaced by w itself
+    monkeypatch.setattr(boundary, "_translate",
+                        lambda s, words, width: words[:, :width])
+    rep = boundary.check_cocycle_identity_ball(2, 1, 3)
+    assert rep.violations > 0 and rep.max_residual > 0
+    assert isinstance(rep.max_residual, Fraction)
+    assert type(rep.violations) is int
