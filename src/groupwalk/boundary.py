@@ -472,33 +472,55 @@ def poisson_integral(f: CylinderFunction, g: Tuple[int, ...]) -> Fraction:
     g z lies in a single level(f) cylinder, the head of the reduced product
     g w. The cylinders are tallied by head and f is weighed once per head.
     """
+    FreeGroup(f.k).check_element(g)
+    return _poisson_integral(f, g, {})
+
+
+def _poisson_integral(f: CylinderFunction, g: Tuple[int, ...],
+                      tables: Dict[int, np.ndarray]) -> Fraction:
+    """poisson_integral on a valid g; `tables` holds the cylinder arrays
+    built so far, by level, and gains the one this call needs."""
     k = f.k
-    group = FreeGroup(k)
-    group.check_element(g)
     depth = len(g) + f.level
     if depth > MAX_ENUMERATION_LEVEL:
         raise ResourceLimitError(
             f"Poisson integral would enumerate level-{depth} cylinders")
+    if depth not in tables:
+        tables[depth] = _cylinder_array(k, depth)
     g_inv = [-x for x in reversed(g)]
-    heads = _translate(g_inv, _cylinder_array(k, depth), f.level)
-    patterns, counts = np.unique(heads, axis=0, return_counts=True)
+    heads = _translate(g_inv, tables[depth], f.level)
+    # a head's letters as balanced base-(2k+1) digits: one int64 per head
+    codes = heads @ (2 * k + 1) ** np.arange(f.level - 1, -1, -1,
+                                           dtype=np.int64)
+    _, first, counts = np.unique(codes, return_index=True,
+                                 return_counts=True)
     total = sum((c * f.values[tuple(head)]
-                 for head, c in zip(patterns.tolist(), counts.tolist())),
+                 for head, c in zip(heads[first].tolist(), counts.tolist())),
                 Fraction(0))
     return _level_mass(k, depth) * total
 
 
 def check_harmonicity(f: CylinderFunction, radius: int) -> Fraction:
     """max over the radius ball of |sum_s P_m f(gs) mu(s) - P_m f(g)|
-    (mu = SRW; exactly 0: the hitting measure is stationary)."""
+    (mu = SRW; exactly 0: the hitting measure is stationary).
+
+    P_m f is computed once per distinct element of the radius + 1 ball, and
+    each cylinder array once per level."""
     k = f.k
     group = FreeGroup(k)
     mu = srw(group)
+    tables: Dict[int, np.ndarray] = {}
+    integrals: Dict[Tuple[int, ...], Fraction] = {}
+
+    def integral(h):
+        if h not in integrals:
+            integrals[h] = _poisson_integral(f, h, tables)
+        return integrals[h]
+
     worst = Fraction(0)
     for g in build_ball(group, radius).norms:
-        lhs = sum(poisson_integral(f, group._mul(g, s)) * w
-                  for s, w in mu.atoms.items())
-        res = abs(lhs - poisson_integral(f, g))
+        lhs = sum(integral(group._mul(g, s)) * w for s, w in mu.atoms.items())
+        res = abs(lhs - integral(g))
         if res > worst:
             worst = res
     return worst

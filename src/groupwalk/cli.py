@@ -251,7 +251,13 @@ def _run_drift(cfg: Dict[str, object]) -> dict:
     if int(cfg["trajectories"]) >= 1:
         checkpoints = None
         if cfg["checkpoints"]:
-            checkpoints = [int(x) for x in str(cfg["checkpoints"]).split(",")]
+            try:
+                checkpoints = [int(x)
+                               for x in str(cfg["checkpoints"]).split(",")]
+            except ValueError:
+                raise DomainError(
+                    f"bad --checkpoints {cfg['checkpoints']!r} (want a comma "
+                    f"list of steps)") from None
         config = SamplerConfig(seed=int(cfg["seed"]),
                                trajectories=int(cfg["trajectories"]),
                                steps=int(cfg["steps"]),

@@ -19,10 +19,17 @@ sequence, so drawing the segments in turn gives exactly the
 same for any block size, segment size and worker count.
 ``sample_trajectory`` is the checked reference walk the kernels are tested
 against.
+
+``substream`` is the reference definition of a trajectory's generator. The
+walk opens a block's generators in one pass instead (``_block_generators``):
+it runs SeedSequence's uint32 hashing vectorized over the block's spawn keys
+and hands each row's four state words to PCG64, so every row gets exactly
+the bits ``substream(seed, i)`` would give it.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
@@ -51,6 +58,8 @@ class SamplerConfig:
     workers: int = 1
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise DomainError("seed must be >= 0")
         if self.trajectories < 1:
             raise DomainError("trajectories must be >= 1")
         if self.steps < 0:
@@ -60,9 +69,120 @@ class SamplerConfig:
 
 
 def substream(seed: int, index: int) -> np.random.Generator:
-    """Deterministic per-trajectory generator, independent of worker layout."""
+    """Deterministic per-trajectory generator, independent of worker layout.
+
+    This is the reference definition of trajectory `index`'s random stream.
+    The walk kernels open a whole block of these in one pass with
+    ``_block_generators``, which gives the same bits."""
     return np.random.Generator(
         np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(index,))))
+
+
+# SeedSequence's constants (numpy.random.bit_generator): the pool size and
+# the multipliers of its hashmix, mix and generate_state steps.
+_POOL = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_M32 = 0xFFFFFFFF
+
+
+def _uint32_words(n: int) -> List[int]:
+    """SeedSequence's split of a non-negative int, least significant first."""
+    return [(n >> s) & _M32 for s in range(0, max(n.bit_length(), 1), 32)]
+
+
+def _hashmix(value, const: int, mult: int = _MULT_A):
+    """SeedSequence's hash of `value` (a Python int or a uint32 array) with
+    the running hash constant `const`; returns the hash and the next
+    constant."""
+    new = const * mult & _M32
+    value = (value ^ const) * new & _M32
+    return value ^ value >> 16, new
+
+
+def _mix(x, y):
+    r = (_MIX_L * x - _MIX_R * y) & _M32
+    return r ^ r >> 16
+
+
+def _absorb(pool: list, words, const: int):
+    """Mix entropy words beyond the first _POOL into every pool lane."""
+    for w in words:
+        for dst in range(_POOL):
+            h, const = _hashmix(w, const)
+            pool[dst] = _mix(pool[dst], h)
+    return pool, const
+
+
+@functools.cache
+def _state_words_type() -> type:
+    """A seed sequence that hands PCG64 the four uint64 words a SeedSequence
+    would generate. Built on first use: importing this module does not
+    import numpy.random."""
+
+    class StateWords(np.random.bit_generator.ISeedSequence):
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    return StateWords
+
+
+def _seed_words(seed: int, first: int, stop: int) -> np.ndarray:
+    """Row i - first is ``SeedSequence(seed, spawn_key=(i,))
+    .generate_state(4, np.uint64)``, for i in first..stop-1.
+
+    SeedSequence hashes the uint32 words of the seed (padded with zeros to
+    the pool size) followed by those of the spawn key i. Its hash constants
+    advance the same way whatever the words are, so the seed's part is
+    computed once in Python ints and only the spawn words are hashed per
+    row, as uint32 arrays. Rows are grouped by how many uint32 words their
+    index takes."""
+    run = _uint32_words(seed)
+    run += [0] * (_POOL - len(run))
+    const, pool = _INIT_A, []
+    for w in run[:_POOL]:
+        h, const = _hashmix(w, const)
+        pool.append(h)
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                h, const = _hashmix(pool[src], const)
+                pool[dst] = _mix(pool[dst], h)
+    pool, const = _absorb(pool, run[_POOL:], const)
+    blocks = []
+    for count in range(len(_uint32_words(first)),
+                       len(_uint32_words(stop - 1)) + 1):
+        lo = max(first, 1 << 32 * (count - 1) if count > 1 else 0)
+        hi = min(stop, 1 << 32 * count)
+        # the spawn words of lo..hi-1, by long addition of the row offset
+        carry, words = np.arange(hi - lo, dtype=np.uint64), []
+        for shift in range(0, 32 * count, 32):
+            column = carry + ((lo >> shift) & _M32)
+            words.append((column & _M32).astype(np.uint32))
+            carry = column >> 32
+        lanes, _ = _absorb([np.full(hi - lo, p, dtype=np.uint32)
+                            for p in pool], words, const)
+        # generate_state(4, uint64): eight hashed uint32s, low word first
+        out, c = [], _INIT_B
+        for k in range(2 * _POOL):
+            h, c = _hashmix(lanes[k % _POOL], c, _MULT_B)
+            out.append(h.astype(np.uint64))
+        blocks.append(np.stack([out[k] | out[k + 1] << 32
+                                for k in range(0, 2 * _POOL, 2)], axis=1))
+    return np.concatenate(blocks)
+
+
+def _block_generators(seed: int, first: int,
+                      stop: int) -> List[np.random.Generator]:
+    """``substream(seed, i)`` for i in first..stop-1, seeded in one pass:
+    PCG64's own seeding runs on each row of ``_seed_words``."""
+    state_words = _state_words_type()
+    return [np.random.Generator(np.random.PCG64(state_words(row)))
+            for row in _seed_words(seed, first, stop)]
 
 
 def atom_table(mu: FiniteMeasure):
@@ -280,8 +400,7 @@ def _walk_chunk(mu: FiniteMeasure, payload: dict, checkpoints: List[int]):
     elems, cdf = atom_table(mu)
     seed, stop = payload["seed"], payload["stop"]
     for first in range(payload["start"], stop, BLOCK_ROWS):
-        rngs = [substream(seed, i)
-                for i in range(first, min(first + BLOCK_ROWS, stop))]
+        rngs = _block_generators(seed, first, min(first + BLOCK_ROWS, stop))
         walk = kernel(elems, len(rngs), checkpoints[-1])
         segment = max(1, SEGMENT_DRAWS // len(rngs))
         done = 0

@@ -1,9 +1,13 @@
 """CLI: JSON schemas, exit codes, determinism, config merging, caching."""
 
+import contextlib
+import io
 import json
 import os
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from groupwalk.cache import CACHE_ENV_VAR, ball_path, cached_ball
 from groupwalk.cli import run
@@ -146,8 +150,8 @@ def test_error_exit_codes(capsys, tmp_path):
     code, _, err = run_cli(capsys, "drift", "--measure", "srw")
     assert code == 1
     # malformed group rank, letter, threshold, weight (also a non-finite
-    # float64 one), g-space size, cycle point and g-space measure weight
-    # are domain errors
+    # float64 one), negative seed, g-space size, cycle point and g-space
+    # measure weight are domain errors
     bad_size = tmp_path / "bad_size.gspace"
     bad_size.write_text("size x\ngen t (0 1)\n")
     bad_point = tmp_path / "bad_point.gspace"
@@ -160,6 +164,9 @@ def test_error_exit_codes(capsys, tmp_path):
                   "--measure=1=nan;-1=0.5", "--n-max", "3"),
                  ("drift", "--group", "zd:1", "--mode", "float64",
                   "--measure=1=inf;-1=0.5", "--n-max", "3"),
+                 ("drift", "--group", "zd:1", "--measure", "srw",
+                  "--n-max", "0", "--trajectories", "5", "--steps", "3",
+                  "--seed=-1"),
                  ("stationary", "--space", "preset:cycle:x"),
                  ("stationary", "--space", "preset:cycle:0"),
                  ("stationary", "--space", "preset:trivial:-1"),
@@ -323,3 +330,51 @@ def test_cache_env_var(tmp_path, monkeypatch):
     group = FreeGroup(2)
     cached_ball(group, 2)
     assert os.path.exists(ball_path(str(tmp_path), group, 2))
+
+
+# -- hypothesis: the sampler-facing drift flags ----------------------------------
+
+def _flag(values):
+    """A flag value: one of `values` as text, or one time in eight any
+    text."""
+    return st.integers(0, 7).flatmap(
+        lambda pick: st.text(max_size=8) if pick == 0 else values.map(str))
+
+
+_DRIFT_FLAGS = {
+    "--trajectories": _flag(st.integers(-1, 40)),
+    "--steps": _flag(st.integers(-1, 30)),
+}
+_OPTIONAL_DRIFT_FLAGS = {
+    "--seed": _flag(st.one_of(st.integers(-3, 9), st.integers(0, 2 ** 130))),
+    "--checkpoints": _flag(st.lists(st.integers(-1, 30), min_size=1,
+                                    max_size=3).map(
+        lambda cps: ",".join(map(str, cps)))),
+    "--workers": _flag(st.integers(-1, 2)),
+    "--measure": _flag(st.sampled_from(
+        ["srw", "a=1/2;A=1/2", "1=1/2;-1=1/2", "a=1", "b=1/3;B=2/3",
+         "e=1"])),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(["zd:1", "free:2"]),
+       st.fixed_dictionaries(_DRIFT_FLAGS, optional=_OPTIONAL_DRIFT_FLAGS))
+@example("zd:1", {"--trajectories": "1", "--steps": "0",
+                  "--checkpoints": ":"})
+def test_drift_sampler_flags_fuzz(group, flags):
+    argv = ["drift", "--group", group, "--n-max", "0"]
+    argv += [f"{flag}={value}" for flag, value in flags.items()]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = run(argv)
+        except SystemExit as exc:       # argparse rejects a malformed value
+            code = exc.code
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if out.getvalue():
+        assert code == 0
+        assert json.loads(out.getvalue())["schema"] == "groupwalk/1"
+    if code == 1:
+        assert "error" in json.loads(err.getvalue())

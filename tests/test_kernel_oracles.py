@@ -2,10 +2,12 @@
 per-word ``Fraction`` code they replaced.
 
 Each oracle below is a test-local copy of the earlier implementation: the
-recursive cylinder generator, the scalar exponent loop, Gaussian elimination
-over ``Fraction`` and the ``Fraction`` recursion of the radial norm law (with
-the f_j, phi_n, a_n and H_n built on it). The last tests break the mass
-formula or the step law on purpose and require the exact checks to see it.
+recursive cylinder generator, the scalar exponent loop, the cylinder-by-
+cylinder Poisson integral and the harmonicity check that calls it (2k+1)
+times per ball element, Gaussian elimination over ``Fraction`` and the
+``Fraction`` recursion of the radial norm law (with the f_j, phi_n, a_n and
+H_n built on it). The last tests break the mass formula or the step law on
+purpose and require the exact checks to see it.
 """
 
 import math
@@ -170,6 +172,59 @@ def test_cocycle_histogram_matches_scalar_tally():
         e = old_exponent(g, w)
         tally[e] = tally.get(e, 0) + 1
     assert boundary.cocycle_histogram(2, g, 5) == sorted(tally.items())
+
+
+# -- Poisson integrals ------------------------------------------------------------
+
+def old_poisson_integral(f, g):
+    """P_m f(g) summed cylinder by cylinder: m(C_w) f(head of g w)."""
+    group = FreeGroup(f.k)
+    return sum((boundary.cylinder_mass(f.k, w)
+                * f.values[group._mul(g, w)[:f.level]]
+                for w in old_cylinders(f.k, len(g) + f.level)), Fraction(0))
+
+
+def old_check_harmonicity(f, radius, mu):
+    """The per-call route: (2k+1) Poisson integrals per ball element."""
+    group = FreeGroup(f.k)
+    worst = Fraction(0)
+    for g in build_ball(group, radius).norms:
+        lhs = sum(old_poisson_integral(f, group._mul(g, s)) * w
+                  for s, w in mu.atoms.items())
+        worst = max(worst, abs(lhs - old_poisson_integral(f, g)))
+    return worst
+
+
+def _random_cylinder_function(rng, k, level):
+    return boundary.CylinderFunction(
+        k, level, {w: Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+                   for w in old_cylinders(k, level)})
+
+
+HARMONIC_CASES = [(2, 2, 2, 0), (2, 3, 1, 1), (3, 2, 1, 2), (3, 3, 0, 3)]
+
+
+@pytest.mark.parametrize("k,level,radius,seed", HARMONIC_CASES)
+def test_poisson_integrals_match_cylinder_sum(k, level, radius, seed):
+    f = _random_cylinder_function(random.Random(seed), k, level)
+    for g in build_ball(FreeGroup(k), radius + 1).norms:
+        assert boundary.poisson_integral(f, g) == old_poisson_integral(f, g)
+
+
+@pytest.mark.parametrize("k,level,radius,seed", HARMONIC_CASES)
+def test_harmonicity_matches_per_call_route(monkeypatch, k, level, radius,
+                                            seed):
+    f = _random_cylinder_function(random.Random(seed), k, level)
+    group = FreeGroup(k)
+    assert boundary.check_harmonicity(f, radius) == 0
+    # a lopsided step law: P_m f is no longer harmonic for it, and both
+    # routes must find the same largest residual
+    weights = [Fraction(2, 2 * k + 1)] + [Fraction(1, 2 * k + 1)] * (2 * k - 1)
+    lopsided = finite_measure(group, dict(zip(group.generators(), weights)))
+    monkeypatch.setattr(boundary, "srw", lambda g: lopsided)
+    worst = boundary.check_harmonicity(f, radius)
+    assert worst > 0
+    assert worst == old_check_harmonicity(f, radius, lopsided)
 
 
 # -- Bareiss rank -----------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Seed discipline, worker invariance, and endpoint laws of the sampler."""
 
+import random
 from collections import Counter
 
 import numpy as np
@@ -137,6 +138,8 @@ def test_config_validation():
     with pytest.raises(DomainError):
         SamplerConfig(seed=0, trajectories=1, steps=-1)
     with pytest.raises(DomainError):
+        SamplerConfig(seed=-1, trajectories=1, steps=1)
+    with pytest.raises(DomainError):
         norm_statistics(srw(FreeGroup(2)),
                         SamplerConfig(seed=0, trajectories=1, steps=4),
                         checkpoints=[9])
@@ -148,6 +151,46 @@ def test_substream_is_default_rng_of_the_seed_sequence():
             np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
         assert np.array_equal(substream(seed, index).random(50),
                               expected.random(50))
+
+
+# -- the block seeder against substream -------------------------------------------
+
+SEEDER_SEEDS = [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 1, 2 ** 128 - 1, 2 ** 128,
+                *(random.Random(2024).getrandbits(128) for _ in range(3))]
+
+
+@pytest.mark.parametrize("seed", SEEDER_SEEDS)
+# one-word spawn keys; keys straddling two words, a carry within two words
+# and three words
+@pytest.mark.parametrize("first, stop", [(0, 301),
+                                         (2 ** 32 - 3, 2 ** 32 + 4),
+                                         (2 ** 33 - 3, 2 ** 33 + 4),
+                                         (2 ** 64 - 2, 2 ** 64 + 2)])
+def test_block_seeder_matches_substream(seed, first, stop):
+    words = sampler._seed_words(seed, first, stop)
+    rngs = sampler._block_generators(seed, first, stop)
+    assert words.dtype == np.uint64 and words.shape == (stop - first, 4)
+    assert len(rngs) == stop - first
+    for i, row, rng in zip(range(first, stop), words, rngs):
+        expected = np.random.SeedSequence(seed, spawn_key=(i,))
+        assert np.array_equal(row, expected.generate_state(4, np.uint64))
+        assert np.array_equal(rng.random(1000),
+                              substream(seed, i).random(1000))
+
+
+def test_walks_with_small_blocks_match_default_blocks(monkeypatch):
+    mu = srw(FreeGroup(2))
+    runs = {}
+    for seed in (0, 2 ** 128 + 5):
+        config = SamplerConfig(seed=seed, trajectories=30, steps=40)
+        runs[seed] = norm_statistics(mu, config, checkpoints=[7, 40])
+    monkeypatch.setattr(sampler, "BLOCK_ROWS", 8)
+    for seed, expected in runs.items():
+        for workers in (1, 2):
+            config = SamplerConfig(seed=seed, trajectories=30, steps=40,
+                                   workers=workers)
+            assert norm_statistics(mu, config,
+                                   checkpoints=[7, 40]) == expected
 
 
 # -- batch kernels against the checked reference walk -------------------------
