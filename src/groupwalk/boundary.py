@@ -70,8 +70,8 @@ def _check_rank(k: int) -> None:
 def require_srw(mu: FiniteMeasure, k: int) -> None:
     """Reject measures other than uniform-on-generators (see module doc)."""
     group = FreeGroup(k)
-    expected = srw(group).atoms
-    if mu.group != group or mu.mode != MODE_EXACT or dict(mu.atoms) != dict(expected):
+    if (mu.group != group or mu.mode != MODE_EXACT
+            or mu.atoms != srw(group).atoms):
         raise PreconditionError(
             "boundary computations are defined for the exact-mode SRW only")
 
@@ -345,15 +345,14 @@ def check_cocycle_normalization(k: int, k_power: int,
     mu_k = None
     for _, mun in power_sequence(srw(group), k_power):
         mu_k = mun
-    atoms = list(mu_k.atoms)
-    numerators, den = _numerators(list(mu_k.atoms.values()))
+    den = mu_k.den
     words = _cylinder_array(k, k_power)
     multiplicity = (2 * k - 1) ** (level - k_power)
     # a row's tallies sum to D = (2k)^k_power, which the atom budget of
     # power_sequence keeps far below 2^63
     tallies = np.zeros((len(words), 2 * k_power + 1), dtype=np.int64)
     rows = np.arange(len(words))
-    for s, a in zip(atoms, numerators):
+    for s, a in mu_k.weights.items():
         tallies[rows, _exponent(s, words) + k_power] += a
     q = 2 * k - 1
     target = den * q ** k_power
@@ -423,17 +422,16 @@ def c_sequence(k: int, n_max: int) -> List[Fraction]:
     tables: Dict[int, np.ndarray] = {}
     sums: Dict[Tuple[int, ...], int] = {}
     for _, mun in power_sequence(mu_adj, n_max):
-        atoms = [s for s in mun.atoms if s]
-        numerators, den = _numerators([mun.atoms[s] for s in atoms])
-        top = max(map(len, atoms), default=1)
+        atoms = [(s, a) for s, a in mun.weights.items() if s]
+        top = max((len(s) for s, _ in atoms), default=1)
         acc = 0
-        for s, a in zip(atoms, numerators):
+        for s, a in atoms:
             if s not in sums:
                 if len(s) not in tables:
                     tables[len(s)] = _cylinder_array(k, len(s))
                 sums[s] = int(_exponent(s, tables[len(s)]).sum())
             acc += a * q ** (top - len(s)) * sums[s]
-        coeffs.append(Fraction(acc, den * 2 * k * q ** (top - 1)))
+        coeffs.append(Fraction(acc, mun.den * 2 * k * q ** (top - 1)))
     return coeffs
 
 
@@ -517,9 +515,10 @@ def check_harmonicity(f: CylinderFunction, radius: int) -> Fraction:
             integrals[h] = _poisson_integral(f, h, tables)
         return integrals[h]
 
+    steps = mu.atoms.items()
     worst = Fraction(0)
     for g in build_ball(group, radius).norms:
-        lhs = sum(integral(group._mul(g, s)) * w for s, w in mu.atoms.items())
+        lhs = sum(integral(group._mul(g, s)) * w for s, w in steps)
         res = abs(lhs - integral(g))
         if res > worst:
             worst = res
@@ -542,11 +541,10 @@ def check_boundary_stationarity(k: int, level: int) -> Fraction:
     _check_level(k, level)
     depth = max(level, 2)
     words = _cylinder_array(k, depth)
-    numerators, den_mu = _numerators(list(mu.atoms.values()))
     # generators: translated lengths depth - e with e in {-1, 0, 1}
     tallies = np.zeros((len(words), 3), dtype=np.int64)
     rows = np.arange(len(words))
-    for s, a in zip(mu.atoms, numerators):
+    for s, a in mu.weights.items():
         tallies[rows, 1 - _exponent(s, words)] += a
     tallies = tallies.reshape(cylinder_count(k, level), -1, 3).sum(axis=1)
     target = _level_mass(k, level)
@@ -554,7 +552,7 @@ def check_boundary_stationarity(k: int, level: int) -> Fraction:
                                                     depth + 1)]
     scale, den = _numerators(masses + [target])
     totals, _ = _distinct_totals(tallies, scale[:3])
-    return max((abs(Fraction(total, den * den_mu) - target)
+    return max((abs(Fraction(total, den * mu.den) - target)
                 for total in totals), default=Fraction(0))
 
 

@@ -132,17 +132,26 @@ _OPTIONS: Dict[str, Dict[str, tuple]] = {
 }
 
 
+def _read_text(path: str, what: str) -> str:
+    """The file's text; a file that is not UTF-8 is a DomainError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise DomainError(
+            f"{what} {path!r} is not UTF-8 text: {exc}") from None
+
+
 def _parse_config_file(path: str) -> Dict[str, str]:
     out = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, sep, value = line.partition("=")
-            if not sep:
-                raise DomainError(f"bad config line {line!r} (want key=value)")
-            out[key.strip()] = value.strip()
+    for raw in _read_text(path, "config file").split("\n"):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, sep, value = line.partition("=")
+        if not sep:
+            raise DomainError(f"bad config line {line!r} (want key=value)")
+        out[key.strip()] = value.strip()
     return out
 
 
@@ -162,7 +171,12 @@ def resolve_config(subcommand: str, args: argparse.Namespace) -> Dict[str, objec
         if flag_value is not None:
             resolved[name] = flag_value
         elif name in file_values:
-            resolved[name] = typ(file_values[name])
+            try:
+                resolved[name] = typ(file_values[name])
+            except ValueError:
+                raise DomainError(
+                    f"bad value {file_values[name]!r} for config key "
+                    f"{name!r} (want {typ.__name__})") from None
         else:
             resolved[name] = default
         if resolved[name] is None:
@@ -204,8 +218,7 @@ def _parse_space(arg: str) -> gspaces.FiniteGSpace:
         if kind == "two-orbits":
             return gspaces.two_orbit_space()
         raise DomainError(f"unknown g-space preset {name!r}")
-    with open(arg, "r", encoding="utf-8") as fh:
-        return gspaces.parse_gspace(fh.read())
+    return gspaces.parse_gspace(_read_text(arg, "g-space file"))
 
 
 def _write_series(target: str, rows: List[tuple], header: str) -> None:
@@ -299,7 +312,7 @@ def _run_phi(cfg: Dict[str, object]) -> dict:
     if method == "auto":
         is_free_srw = (isinstance(group, FreeGroup)
                        and mode == MODE_EXACT
-                       and dict(mu.atoms) == dict(srw(group).atoms))
+                       and mu.atoms == srw(group).atoms)
         method = "radial" if is_free_srw else "convolution"
     series: List[tuple] = []
     if method == "radial":
@@ -321,7 +334,8 @@ def _run_phi(cfg: Dict[str, object]) -> dict:
         phi = quasiharmonic.phi_from_fk(tables, n)
         if cfg["emit-series"]:
             # running sums of f_k over supp mu, in phi_from_fk's order
-            sums = {s: 0 for s in mu.atoms}
+            atoms = mu.atoms
+            sums = {s: 0 for s in atoms}
             if any(s not in phi.values for s in sums):
                 raise OutOfRangeError(
                     "the distortion series needs supp mu inside the "
@@ -329,7 +343,7 @@ def _run_phi(cfg: Dict[str, object]) -> dict:
             for m, table in enumerate(tables[:n], start=1):
                 for s in sums:
                     sums[s] += table.values[s]
-                d_e = sum(sums[s] / m * w for s, w in mu.atoms.items())
+                d_e = sum(sums[s] / m * w for s, w in atoms.items())
                 series.append((m, float(d_e)))
     entries = sorted(
         (group.format_element(s), v, phi.error_bars[s])

@@ -2,17 +2,25 @@
 
 A FiniteMeasure is a finitely supported measure together with the mass lost
 to truncation (the "deficit"). Two arithmetic modes exist and never mix
-inside a pipeline: "exact" (Fraction weights, identities hold on the nose)
+inside a pipeline: "exact" (rational weights, identities hold on the nose)
 and "float64". Truncation drops atoms below a weight threshold and adds the
 exact lost mass to the deficit, so every downstream quantity can report an
 error interval instead of silently drifting.
 
+The stored form is integer numerators over one common denominator: in
+exact mode ``weights`` maps each element to an int c and the weight is
+c / ``den``; in float64 mode ``weights`` holds the float weights and
+``den`` is 1. ``atoms`` is a view built on each access (reduced Fractions
+in exact mode), never a stored cache, so loops read ``weights`` or bind
+the view once.
+
 Validation happens once, at the edge: ``finite_measure`` (and the parsers
-built on it) checks every atom, and convolution then multiplies atoms with
-the unchecked ``Group._mul``. Exact weights are computed on integer
-numerators over one common denominator (``numerators``), and one Fraction
-is built per resulting weight (``from_numerator``). Float weights go
-through the same loops over the denominator 1.
+built on it) checks every atom and puts the weights over their lcm, and
+convolution then multiplies atoms with the unchecked ``Group._mul`` and
+the stored numerators; the product's denominator is ``mu.den * nu.den``,
+left unreduced. A Fraction is built only where a caller asks for a weight
+(``atoms``, ``from_numerator``). Float weights go through the same loops
+over the denominator 1.
 
 Measures are immutable values. Convolution runs single-threaded with a
 fixed accumulation order, so float-mode results are bit-identical from run
@@ -26,7 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, ItemsView, Iterable, Mapping, Optional, Tuple
 
 from .errors import DomainError, ResourceLimitError
 from .groups import Group, group_from_id
@@ -42,18 +50,29 @@ _MASS_TOL = 1e-12
 @dataclass(frozen=True)
 class FiniteMeasure:
     group: Group
-    atoms: Mapping
-    deficit: object  # Fraction in exact mode, float in float mode
+    weights: Mapping  # element -> int numerator (exact) or float weight
+    den: int          # common denominator; 1 in float mode
+    deficit: object   # Fraction in exact mode, float in float mode
     mode: str
 
+    @property
+    def atoms(self) -> Dict:
+        """element -> weight as a fresh dict: reduced Fractions in exact
+        mode, the float weights in float mode."""
+        if self.mode == MODE_EXACT:
+            den = self.den
+            return {g: Fraction(c, den) for g, c in self.weights.items()}
+        return dict(self.weights)
+
     def mass(self):
-        return sum(self.atoms.values())
+        total = sum(self.weights.values())
+        return from_numerator(total, self.den, self.mode)
 
     def support(self):
-        return self.atoms.keys()
+        return self.weights.keys()
 
     def __len__(self) -> int:
-        return len(self.atoms)
+        return len(self.weights)
 
 
 def _coerce_weight(w, mode: str):
@@ -85,7 +104,13 @@ def finite_measure(group: Group, atoms: Mapping, deficit=0,
             raise DomainError(f"mass {total} != 1 in exact mode")
     elif abs(total - 1.0) > _MASS_TOL:
         raise DomainError(f"mass {total} deviates from 1 beyond {_MASS_TOL}")
-    return FiniteMeasure(group=group, atoms=clean, deficit=deficit, mode=mode)
+    den = 1
+    if mode == MODE_EXACT:
+        den = math.lcm(*(w.denominator for w in clean.values()))
+        clean = {g: w.numerator * (den // w.denominator)
+                 for g, w in clean.items()}
+    return FiniteMeasure(group=group, weights=clean, den=den, deficit=deficit,
+                         mode=mode)
 
 
 def dirac(group: Group, g=None, mode: str = MODE_EXACT) -> FiniteMeasure:
@@ -112,17 +137,15 @@ def _check_compatible(mu: FiniteMeasure, nu: FiniteMeasure) -> None:
         raise DomainError(f"mixed arithmetic modes: {mu.mode} vs {nu.mode}")
 
 
-def numerators(mu: FiniteMeasure) -> Tuple[List[tuple], int]:
-    """((element, numerator) pairs, common denominator D) of mu's atoms.
+def numerators(mu: FiniteMeasure) -> Tuple[ItemsView, int]:
+    """((element, numerator) pairs, common denominator D) of mu's atoms:
+    the stored form, read in O(1).
 
-    In exact mode the numerators are ints over D = lcm of the weight
-    denominators; in float mode they are the float weights over D = 1.
+    In exact mode the numerators are ints over D (a common denominator,
+    not necessarily the least one); in float mode they are the float
+    weights over D = 1.
     """
-    if mu.mode != MODE_EXACT:
-        return list(mu.atoms.items()), 1
-    den = math.lcm(*(w.denominator for w in mu.atoms.values()))
-    return [(g, w.numerator * (den // w.denominator))
-            for g, w in mu.atoms.items()], den
+    return mu.weights.items(), mu.den
 
 
 def from_numerator(c, den: int, mode: str):
@@ -143,12 +166,11 @@ def convolve(mu: FiniteMeasure, nu: FiniteMeasure, threshold=0,
     _check_compatible(mu, nu)
     mode = mu.mode
     mul = mu.group._mul
-    left, den_mu = numerators(mu)
-    right, den_nu = numerators(nu)
-    den = den_mu * den_nu
+    right = list(nu.weights.items())
+    den = mu.den * nu.den
     out: Dict = {}
     get = out.get
-    for g, a in left:
+    for g, a in mu.weights.items():
         for h, b in right:
             s = mul(g, h)
             out[s] = get(s, 0) + a * b
@@ -168,10 +190,8 @@ def convolve(mu: FiniteMeasure, nu: FiniteMeasure, threshold=0,
             else:
                 kept[s] = c
         out = kept
-    if mode == MODE_EXACT:
-        out = {s: Fraction(c, den) for s, c in out.items()}
     base = mu.deficit + nu.deficit - mu.deficit * nu.deficit
-    return FiniteMeasure(group=mu.group, atoms=out,
+    return FiniteMeasure(group=mu.group, weights=out, den=den,
                          deficit=base + from_numerator(dropped, den, mode),
                          mode=mode)
 
@@ -209,13 +229,13 @@ def power_sequence(mu: FiniteMeasure, n_max: int, threshold=0,
 def adjoint(mu: FiniteMeasure) -> FiniteMeasure:
     """Weights transported by inversion; an involution."""
     group = mu.group
-    atoms = {group.inv(g): w for g, w in mu.atoms.items()}
-    return FiniteMeasure(group=group, atoms=atoms, deficit=mu.deficit,
-                         mode=mu.mode)
+    weights = {group.inv(g): c for g, c in mu.weights.items()}
+    return FiniteMeasure(group=group, weights=weights, den=mu.den,
+                         deficit=mu.deficit, mode=mu.mode)
 
 
 def is_symmetric(mu: FiniteMeasure) -> bool:
-    return adjoint(mu).atoms == dict(mu.atoms)
+    return adjoint(mu).weights == mu.weights
 
 
 def check_support_generates(mu: FiniteMeasure, targets, depth: int) -> bool:
@@ -228,13 +248,14 @@ def check_support_generates(mu: FiniteMeasure, targets, depth: int) -> bool:
         raise DomainError("depth must be >= 1")
     group = mu.group
     want = {group.canonical(t) for t in targets}
-    layer = set(mu.atoms.keys())
+    support = list(mu.weights)
+    layer = set(support)
     reached = set(layer)
     want -= reached
     for _ in range(depth - 1):
         if not want:
             break
-        layer = {group.mul(g, s) for g in layer for s in mu.atoms}
+        layer = {group.mul(g, s) for g in layer for s in support}
         reached |= layer
         want -= layer
     return not want
@@ -244,18 +265,22 @@ def total_variation(mu: FiniteMeasure, nu: FiniteMeasure) -> float:
     """TV distance between the retained parts (evaluated in float)."""
     if mu.group != nu.group:
         raise DomainError("TV distance needs measures on one group")
-    keys = set(mu.atoms) | set(nu.atoms)
+    # c / den is one correctly rounded division, the same double as
+    # float(Fraction(c, den)); a float weight over den = 1 is unchanged
+    left = {g: c / mu.den for g, c in mu.weights.items()}
+    right = {g: c / nu.den for g, c in nu.weights.items()}
     acc = 0.0
-    for g in keys:
-        acc += abs(float(mu.atoms.get(g, 0)) - float(nu.atoms.get(g, 0)))
+    for g in set(left) | set(right):
+        acc += abs(left.get(g, 0.0) - right.get(g, 0.0))
     return 0.5 * acc
 
 
 def shannon_entropy(mu: FiniteMeasure) -> float:
     """Shannon entropy (natural log) of the retained atoms."""
     h = 0.0
-    for w in mu.atoms.values():
-        x = float(w)
+    den = mu.den
+    for c in mu.weights.values():
+        x = c / den
         if x > 0.0:
             h -= x * math.log(x)
     return h

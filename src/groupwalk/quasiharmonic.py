@@ -153,19 +153,19 @@ def check_diag_recursion(mu: FiniteMeasure, fk: FkTable, fk1: FkTable,
     if fk1.k != fk.k + 1:
         raise DomainError("need consecutive f_k tables")
     group = mu.group
-    mean_fk = sum(fk.values[s] * w for s, w in mu.atoms.items())
+    steps = mu.atoms.items()
+    mean_fk = sum(fk.values[s] * w for s, w in steps)
     worst = 0
     allowance = 0
     count = 0
     for g in test_set:
         try:
-            lhs = sum(fk.values[group.mul(g, s)] * w
-                      for s, w in mu.atoms.items())
+            lhs = sum(fk.values[group.mul(g, s)] * w for s, w in steps)
             rhs = fk1.values[g] + mean_fk
             allow = (fk1.error_bars[g]
                      + sum(fk.error_bars[group.mul(g, s)] * w
-                           for s, w in mu.atoms.items())
-                     + sum(fk.error_bars[s] * w for s, w in mu.atoms.items()))
+                           for s, w in steps)
+                     + sum(fk.error_bars[s] * w for s, w in steps))
         except KeyError as exc:
             raise OutOfRangeError(
                 f"f_k tables do not cover {exc} (grow r_eval)")
@@ -198,15 +198,16 @@ def check_quasi_harmonicity(mu: FiniteMeasure, phi: PhiTable, a_n,
     residual is exactly 0.
     """
     group = mu.group
+    steps = mu.atoms.items()
     dist = {}
     for g in test_set:
         try:
             d = sum(phi.values[group.mul(g, s)] * w
-                    for s, w in mu.atoms.items()) - phi.values[g]
+                    for s, w in steps) - phi.values[g]
         except KeyError as exc:
             raise OutOfRangeError(f"phi table does not cover {exc}")
         dist[g] = d
-    mean_phi = sum(phi.values[s] * w for s, w in mu.atoms.items())
+    mean_phi = sum(phi.values[s] * w for s, w in steps)
     residual = abs(mean_phi - a_n / phi.n)
     sup = max((abs(d) for d in dist.values()), default=0)
     return QuasiHarmonicReport(n=phi.n, distortions=dist, sup_distortion=sup,

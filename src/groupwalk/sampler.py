@@ -188,8 +188,9 @@ def _block_generators(seed: int, first: int,
 def atom_table(mu: FiniteMeasure):
     """Atoms in canonical string order with their cumulative distribution."""
     fmt = mu.group.format_element
-    elems = sorted(mu.atoms.keys(), key=fmt)
-    weights = np.array([float(mu.atoms[g]) for g in elems])
+    atoms = mu.atoms
+    elems = sorted(atoms, key=fmt)
+    weights = np.array([float(atoms[g]) for g in elems])
     cdf = np.cumsum(weights)
     cdf[-1] = 1.0  # guard the float edge; deficit mass never samples
     return elems, cdf
@@ -553,9 +554,9 @@ def empirical_endpoint_distribution(
     counts = endpoint_counts(mu, config)
     group = mu.group
     n = config.trajectories
-    atoms = {group.parse_element(s): c / n for s, c in counts.items()}
-    empirical = FiniteMeasure(group=group, atoms=atoms, deficit=0.0,
-                              mode="float64")
+    weights = {group.parse_element(s): c / n for s, c in counts.items()}
+    empirical = FiniteMeasure(group=group, weights=weights, den=1,
+                              deficit=0.0, mode="float64")
     exact = try_power(mu, config.steps, exact_atom_budget)
     tv = total_variation(empirical, exact) if exact is not None else None
     return empirical, tv

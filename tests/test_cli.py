@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import tempfile
 
 import pytest
 from hypothesis import example, given, settings
@@ -150,12 +151,21 @@ def test_error_exit_codes(capsys, tmp_path):
     code, _, err = run_cli(capsys, "drift", "--measure", "srw")
     assert code == 1
     # malformed group rank, letter, threshold, weight (also a non-finite
-    # float64 one), negative seed, g-space size, cycle point and g-space
-    # measure weight are domain errors
+    # float64 one), negative seed, config value, g-space size, cycle point
+    # and g-space measure weight are domain errors, and so is an input file
+    # that is not UTF-8
     bad_size = tmp_path / "bad_size.gspace"
     bad_size.write_text("size x\ngen t (0 1)\n")
     bad_point = tmp_path / "bad_point.gspace"
     bad_point.write_text("size 2\ngen t (0 x)\n")
+    bad_seed = tmp_path / "bad_seed.cfg"
+    bad_seed.write_text("seed=abc\n")
+    bad_trajectories = tmp_path / "bad_trajectories.cfg"
+    bad_trajectories.write_text("trajectories=x\n")
+    binary_config = tmp_path / "binary.cfg"
+    binary_config.write_bytes(b"\xffseed=1\n")
+    binary_space = tmp_path / "binary.gspace"
+    binary_space.write_bytes(b"\xffsize 2\ngen t (0 1)\n")
     for argv in (("drift", "--group", "free:x"),
                  ("drift", "--group", "free:2", "--measure=\u00e9=1"),
                  ("drift", "--group", "free:2", "--truncation", "abc"),
@@ -167,6 +177,13 @@ def test_error_exit_codes(capsys, tmp_path):
                  ("drift", "--group", "zd:1", "--measure", "srw",
                   "--n-max", "0", "--trajectories", "5", "--steps", "3",
                   "--seed=-1"),
+                 ("drift", "--group", "zd:1", "--config", str(bad_seed)),
+                 ("drift", "--group", "zd:1", "--config",
+                  str(bad_trajectories)),
+                 ("drift", "--group", "zd:1", "--config", str(binary_config)),
+                 ("stationary", "--space", str(binary_space)),
+                 ("factor", "--space", "preset:cycle:2", "--space2",
+                  str(binary_space)),
                  ("stationary", "--space", "preset:cycle:x"),
                  ("stationary", "--space", "preset:cycle:0"),
                  ("stationary", "--space", "preset:trivial:-1"),
@@ -365,6 +382,12 @@ _OPTIONAL_DRIFT_FLAGS = {
 def test_drift_sampler_flags_fuzz(group, flags):
     argv = ["drift", "--group", group, "--n-max", "0"]
     argv += [f"{flag}={value}" for flag, value in flags.items()]
+    _assert_clean_exit(argv)
+
+
+def _assert_clean_exit(argv):
+    """Run the CLI: exit code 0, 1 or 2, no traceback, stdout empty or one
+    groupwalk/1 report, and a JSON error with exit code 1."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
@@ -378,3 +401,112 @@ def test_drift_sampler_flags_fuzz(group, flags):
         assert json.loads(out.getvalue())["schema"] == "groupwalk/1"
     if code == 1:
         assert "error" in json.loads(err.getvalue())
+
+
+# -- hypothesis: config files and G-space files ------------------------------
+
+# text without decimal digits never parses as an int, so no fuzzed size
+# grows past the small ranges drawn below
+_WORDS = st.text(st.characters(exclude_categories=("Nd", "Cs")), max_size=8)
+
+
+def _text_or(values):
+    """One of `values` as text, or one time in four digit-free text."""
+    return st.integers(0, 3).flatmap(
+        lambda pick: _WORDS if pick == 0 else values.map(str))
+
+
+_CONFIG_VALUES = {
+    "group": _text_or(st.sampled_from(
+        ["zd:1", "zd:2", "free:2", "lamplighter", "heisenberg", "free:x"])),
+    "measure": _text_or(st.sampled_from(
+        ["srw", "a=1/2;A=1/2", "1=1/2;-1=1/2", "a=1", "1=x", ""])),
+    "mode": _text_or(st.sampled_from(["exact", "float64"])),
+    "truncation": _text_or(st.sampled_from(["0", "1/10", "0.1", "1/0"])),
+    "n-max": _text_or(st.integers(-1, 3)),
+    "trajectories": _text_or(st.integers(-1, 4)),
+    "steps": _text_or(st.integers(-1, 4)),
+    "checkpoints": _text_or(st.sampled_from(["", "1", "1,2", ":", "0,-1"])),
+    "seed": _text_or(st.integers(-2, 9)),
+    "workers": _text_or(st.integers(-1, 1)),
+    "ball-radius": _text_or(st.integers(-1, 3)),
+    # a fuzzed path would write files into the working directory
+    "emit-series": st.sampled_from(["", "-"]),
+    "cache-dir": st.just(""),
+}
+_REQUIRED_KEYS = ("group", "n-max")    # n-max defaults to 8: always set
+_NOISE_LINE = st.one_of(
+    st.tuples(st.sampled_from(["n_max", "k", "space", "config", ""]),
+              _WORDS).map("=".join),
+    _WORDS,
+    st.just("# comment"),
+)
+_CONFIG_FILES = st.one_of(
+    st.tuples(
+        st.fixed_dictionaries(
+            {key: _CONFIG_VALUES[key] for key in _REQUIRED_KEYS},
+            optional={key: values for key, values in _CONFIG_VALUES.items()
+                      if key not in _REQUIRED_KEYS}),
+        st.lists(_NOISE_LINE, max_size=2),
+    ).map(lambda parts: "\n".join(
+        [f"{key}={value}" for key, value in parts[0].items()]
+        + parts[1]).encode()),
+    st.binary(max_size=64),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_CONFIG_FILES)
+@example(b"seed=abc\nn-max=0\ngroup=zd:1\n")
+@example(b"\xffn-max=0\n")
+def test_drift_config_file_fuzz(content):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "fuzz.cfg")
+        with open(path, "wb") as fh:
+            fh.write(content)
+        _assert_clean_exit(["drift", "--config", path])
+
+
+_LABELS = st.one_of(st.sampled_from(["t", "s", "u", "t^-1"]), _WORDS)
+
+
+def _gspace_text(size):
+    """A G-space file of `size` points: gen lines whose cycles mostly stay
+    in range, then relator or noise lines."""
+    cycle = st.lists(st.integers(0, max(size, 1)), unique=True,
+                     max_size=6).map(
+        lambda points: "(" + " ".join(map(str, points)) + ")")
+    cycles = st.one_of(st.lists(cycle, max_size=3).map("".join),
+                       st.sampled_from(["()", "id", "(0 1", "(0,1)"]),
+                       _WORDS)
+    gen = st.tuples(_LABELS, cycles).map(lambda g: f"gen {g[0]} {g[1]}")
+    extra = st.one_of(
+        st.lists(_LABELS, max_size=5).map(
+            lambda word: "relator " + " ".join(word)),
+        st.sampled_from(["", "# comment", "gen", "size"]),
+        _WORDS)
+    return st.tuples(_text_or(st.just(size)), st.lists(gen, max_size=3),
+                     st.lists(extra, max_size=2)).map(
+        lambda parts: "\n".join([f"size {parts[0]}"] + parts[1]
+                                + parts[2]).encode())
+
+
+_GSPACE_FILES = st.one_of(
+    # at most 50 points: no fuzzed file allocates at scale
+    st.integers(-1, 50).flatmap(_gspace_text),
+    st.binary(max_size=64),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_GSPACE_FILES, st.sampled_from(
+    ["uniform", "t=1", "t=1/2;t^-1=1/2", "t=1/2; s t=1/2", "t=x"]))
+@example(b"size 3\ngen t (0 1 2)\n", "uniform")
+@example(b"\xffsize 2\ngen t (0 1)\n", "uniform")
+def test_stationary_gspace_file_fuzz(content, measure):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "fuzz.gspace")
+        with open(path, "wb") as fh:
+            fh.write(content)
+        _assert_clean_exit(["stationary", "--space", path,
+                            "--measure", measure])

@@ -4,6 +4,7 @@ Brute-force oracle: mu^{*n}(s) is accumulated over all |supp|^n increment
 tuples, independently of the convolve implementation.
 """
 
+import math
 from fractions import Fraction
 from itertools import product as iproduct
 
@@ -246,3 +247,111 @@ def test_power_additivity_property(m, n):
     left = power(mu, m + n)
     right = convolve(power(mu, m), power(mu, n))
     assert dict(left.atoms) == dict(right.atoms)
+
+
+# -- the integer chain: numerators over one denominator ----------------------
+
+def _small_elements(gid):
+    from groupwalk.wordmetric import build_ball
+    return sorted(build_ball(group_from_id(gid), 2).norms, key=repr)
+
+
+@st.composite
+def small_exact_measures(draw):
+    """An exact measure of 1-4 atoms within radius 2 on zd:1, free:2 or
+    lamplighter; weights c_i / T with T = sum c_i + d, deficit d / T."""
+    gid = draw(st.sampled_from(["zd:1", "free:2", "lamplighter"]))
+    elems = draw(st.lists(st.sampled_from(_small_elements(gid)), min_size=1,
+                          max_size=4, unique=True))
+    counts = draw(st.lists(st.integers(1, 12), min_size=len(elems),
+                           max_size=len(elems)))
+    lost = draw(st.sampled_from([0, 0, 1, 3]))
+    total = sum(counts) + lost
+    return finite_measure(group_from_id(gid),
+                          {g: Fraction(c, total)
+                           for g, c in zip(elems, counts)},
+                          deficit=Fraction(lost, total))
+
+
+def fraction_chain(mu, n_max, threshold):
+    """Reference: (atoms, deficit) of mu^{*n}, n = 1..n_max, convolved on
+    Fraction weights in convolve's accumulation order."""
+    group = mu.group
+    step = list(mu.atoms.items())
+    atoms, deficit = {group.identity(): Fraction(1)}, Fraction(0)
+    chain = []
+    for _ in range(n_max):
+        out = {}
+        for g, a in atoms.items():
+            for h, b in step:
+                s = group.mul(g, h)
+                out[s] = out.get(s, 0) + a * b
+        dropped = sum((w for w in out.values() if w < threshold),
+                      Fraction(0)) if threshold else Fraction(0)
+        if threshold:
+            out = {s: w for s, w in out.items() if w >= threshold}
+        deficit = deficit + mu.deficit - deficit * mu.deficit + dropped
+        atoms = out
+        chain.append((atoms, deficit))
+    return chain
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_exact_measures(), st.integers(1, 5),
+       st.sampled_from([0, Fraction(1, 50), Fraction(1, 9), Fraction(2, 7)]))
+def test_integer_chain_matches_fraction_chain(mu, n_max, threshold):
+    from groupwalk.drift import drift_exact_partial
+    from groupwalk.wordmetric import norm_evaluator
+    norm_fn = norm_evaluator(mu.group)
+    reference = fraction_chain(mu, n_max, threshold)
+    for (n, mun), (atoms, deficit) in zip(
+            power_sequence(mu, n_max, threshold=threshold), reference):
+        assert mun.atoms == atoms
+        assert list(mun.atoms) == list(atoms)      # same order
+        assert mun.deficit == deficit
+        assert sum(mun.weights.values()) + mun.deficit * mun.den == mun.den
+        assert mun.den == mu.den ** n
+        assert all(type(c) is int for c in mun.weights.values())
+        # the old route: float(Fraction) per atom inside the log
+        old_h = 0.0
+        for w in atoms.values():
+            x = float(w)
+            if x > 0.0:
+                old_h -= x * math.log(x)
+        assert shannon_entropy(mun) == old_h
+    assert power(mu, n_max, threshold=threshold).den == mu.den ** n_max
+    report = drift_exact_partial(mu, norm_fn, n_max, threshold=threshold)
+    expected = [sum((norm_fn(s) * w for s, w in atoms.items()), Fraction(0))
+                for atoms, _ in reference]
+    assert report.a_values == expected
+    assert all(type(a) is Fraction for a in report.a_values)
+
+
+def test_atoms_is_a_fresh_view():
+    mu = power(srw(FreeGroup(2)), 2)
+    view = mu.atoms
+    assert view is not mu.atoms
+    view[FreeGroup(2).identity()] = Fraction(1)
+    view[(1, 1, 1)] = Fraction(1, 2)
+    assert mu.atoms[FreeGroup(2).identity()] == Fraction(1, 4)
+    assert (1, 1, 1) not in mu.atoms
+    assert len(mu) == 13 and mu.mass() == 1
+    float_mu = srw(FreeGroup(2), mode=MODE_FLOAT)
+    float_view = float_mu.atoms
+    float_view.clear()
+    assert len(float_mu.atoms) == 4 and float_mu.den == 1
+
+
+def test_entropy_on_wide_numerators_matches_fraction_route():
+    # numerators and den = 5^50 past 2^53: each weight must be one
+    # correctly rounded division, not a quotient of two rounded floats
+    # (which moves this entropy in its last bit)
+    z = FreeAbelian(1)
+    mu50 = power(finite_measure(z, {(1,): Fraction(2, 5),
+                                    (-1,): Fraction(3, 5)}), 50)
+    assert mu50.den == 5 ** 50
+    old_h = 0.0
+    for w in mu50.atoms.values():
+        x = float(w)
+        old_h -= x * math.log(x)
+    assert shannon_entropy(mu50) == old_h
