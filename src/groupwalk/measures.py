@@ -248,14 +248,13 @@ def check_support_generates(mu: FiniteMeasure, targets, depth: int) -> bool:
         raise DomainError("depth must be >= 1")
     group = mu.group
     want = {group.canonical(t) for t in targets}
-    support = list(mu.weights)
-    layer = set(support)
+    layer = set(mu.weights)
     reached = set(layer)
     want -= reached
     for _ in range(depth - 1):
         if not want:
             break
-        layer = {group.mul(g, s) for g in layer for s in support}
+        layer = {group.mul(g, s) for g in layer for s in mu.weights}
         reached |= layer
         want -= layer
     return not want
