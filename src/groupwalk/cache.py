@@ -4,6 +4,10 @@ Keys are the sha256 of (group id, generator serialization, radius, format
 version); the payload is the versioned line-delimited text from wordmetric.
 A cache hit therefore can never change numerical output: anything that
 would change the table changes the key.
+
+The CLI does not use this module: rebuilding a ball by BFS was faster than
+reading its file at every size measured. It stays as library code while
+the benchmark tracer still wraps ``cached_ball``.
 """
 
 from __future__ import annotations

@@ -22,7 +22,6 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from . import boundary, drift, freewalk, gspaces, quasiharmonic
-from .cache import cache_dir_from_env, cached_ball
 from .errors import (DomainError, GroupwalkError, OutOfRangeError,
                      PreconditionError, ResourceLimitError)
 from .groups import FreeGroup, group_from_id
@@ -36,7 +35,12 @@ SCHEMA = "groupwalk/1"
 def jsonable(value):
     """Recursively convert report values to JSON-safe types (p/q strings)."""
     if isinstance(value, Fraction):
-        return f"{value.numerator}/{value.denominator}"
+        try:
+            return f"{value.numerator}/{value.denominator}"
+        except ValueError:          # past int's digit limit for text
+            raise ResourceLimitError(
+                f"an exact value has more than "
+                f"{sys.get_int_max_str_digits()} digits") from None
     if isinstance(value, (np.floating, np.integer)):
         return value.item()
     if isinstance(value, np.ndarray):
@@ -75,7 +79,7 @@ _OPTIONS: Dict[str, Dict[str, tuple]] = {
         "workers": (int, 1, "Monte Carlo worker processes"),
         "ball-radius": (int, 0, "norm ball radius (heisenberg only)"),
         "emit-series": (str, "", "write (n, a_n/n) CSV here ('-' = stderr)"),
-        "cache-dir": (str, "", "ball cache directory"),
+        "cache-dir": (str, "", "accepted and ignored (balls are rebuilt)"),
     },
     "entropy": {
         "group": (str, None, "group id"),
@@ -93,7 +97,7 @@ _OPTIONS: Dict[str, Dict[str, tuple]] = {
         "r-eval": (int, 6, "evaluation ball radius"),
         "method": (str, "auto", "auto, convolution, or radial"),
         "emit-series": (str, "", "write (m, distortion at e) CSV here"),
-        "cache-dir": (str, "", "ball cache directory"),
+        "cache-dir": (str, "", "accepted and ignored (balls are rebuilt)"),
     },
     "cocycle": {
         "k": (int, 2, "free rank"),
@@ -239,17 +243,17 @@ def _run_drift(cfg: Dict[str, object]) -> dict:
     mode = cfg["mode"]
     mu = parse_measure_spec(group, cfg["measure"], mode=mode)
     threshold = _parse_threshold(str(cfg["truncation"]), mode)
-    ball = None
     ball_radius = int(cfg["ball-radius"]) or None
-    if group.id_string == "heisenberg":
-        if ball_radius is None:
-            raise PreconditionError("heisenberg drift needs --ball-radius")
-        ball = cached_ball(group, ball_radius,
-                           cache_dir=cache_dir_from_env(cfg["cache-dir"] or None))
-    norm_fn = norm_evaluator(group, ball=ball)
+    heisenberg = group.id_string == "heisenberg"
+    if heisenberg and ball_radius is None:
+        raise PreconditionError("heisenberg drift needs --ball-radius")
     report: dict = {"schema": SCHEMA, "subcommand": "drift", "config": cfg}
     series = []
     if int(cfg["n-max"]) >= 1:
+        # the Monte Carlo chunks build their own ball, so only this route
+        # needs one here
+        ball = build_ball(group, ball_radius) if heisenberg else None
+        norm_fn = norm_evaluator(group, ball=ball)
         exact = drift.drift_exact_partial(mu, norm_fn, int(cfg["n-max"]),
                                           threshold=threshold)
         report["exact"] = {
@@ -325,9 +329,7 @@ def _run_phi(cfg: Dict[str, object]) -> dict:
     else:
         ball = None
         if group.id_string == "heisenberg":
-            ball = cached_ball(
-                group, r_eval + n,
-                cache_dir=cache_dir_from_env(cfg["cache-dir"] or None))
+            ball = build_ball(group, r_eval + n)
         norm_fn = norm_evaluator(group, ball=ball)
         tables = quasiharmonic.compute_fk_tables(mu, norm_fn, n - 1, r_eval,
                                                  threshold=threshold)

@@ -19,22 +19,34 @@ balls of infinite-dimensional spaces in the weak topology; this module is a
 finite-dimensional model of it, by design.)
 
 Tolerances are fixed, not configurable: 1e-12 for plain linear-algebra
-residuals, 1e-10 for composed checks.
+residuals, 1e-10 for composed checks. A parsed space, a preset and a
+diagonal product hold at most MAX_POINTS points; the size is checked before
+any per-point list is built, and a larger one raises ResourceLimitError.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from itertools import groupby
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import DomainError, NonConvergenceError, PreconditionError
+from .errors import (DomainError, NonConvergenceError, PreconditionError,
+                     ResourceLimitError)
 from .measures import MODE_FLOAT, _parse_weight
 
 LINALG_TOL = 1e-12
 COMPOSED_TOL = 1e-10
+MAX_POINTS = 100_000
+
+
+def _check_points(size: int, what: str = "g-space") -> None:
+    """ResourceLimitError when a space of `size` points is over MAX_POINTS."""
+    if size > MAX_POINTS:
+        raise ResourceLimitError(f"{what} of {size} points exceeds the limit "
+                                 f"of {MAX_POINTS} points")
 
 
 # -- spaces and the text format ------------------------------------------------
@@ -77,12 +89,41 @@ class FiniteGSpace:
         return perm
 
     def word_permutation(self, tokens: Sequence[str]) -> Tuple[int, ...]:
-        """Left action of a word: (s1 s2).x = s1.(s2.x)."""
+        """Left action of a word: (s1 s2).x = s1.(s2.x). A run of one
+        token is applied as a single power, so the order-n relator of a
+        cycle preset costs O(n), not O(n^2)."""
         perm = tuple(range(self.size))
-        for token in reversed(tokens):
-            step = self.permutation(token)
+        for token, run in groupby(reversed(tokens)):
+            step = _power(self.permutation(token), sum(1 for _ in run))
             perm = tuple(step[p] for p in perm)
         return perm
+
+
+def _cycles(perm: Sequence[int]) -> Iterator[List[int]]:
+    """The cycles of a permutation, fixed points included, each starting
+    at its smallest point, in order of those points."""
+    seen = [False] * len(perm)
+    for start in range(len(perm)):
+        if seen[start]:
+            continue
+        cycle = [start]
+        seen[start] = True
+        nxt = perm[start]
+        while nxt != start:
+            cycle.append(nxt)
+            seen[nxt] = True
+            nxt = perm[nxt]
+        yield cycle
+
+
+def _power(perm: Sequence[int], exponent: int) -> Tuple[int, ...]:
+    """perm composed with itself `exponent` times, cycle by cycle."""
+    out = list(perm)
+    for cycle in _cycles(perm):
+        length = len(cycle)
+        for i, p in enumerate(cycle):
+            out[p] = cycle[(i + exponent) % length]
+    return tuple(out)
 
 
 def parse_cycles(text: str, size: int) -> Tuple[int, ...]:
@@ -110,20 +151,8 @@ def parse_cycles(text: str, size: int) -> Tuple[int, ...]:
 
 
 def format_cycles(perm: Sequence[int]) -> str:
-    seen = [False] * len(perm)
-    parts = []
-    for start in range(len(perm)):
-        if seen[start] or perm[start] == start:
-            seen[start] = True
-            continue
-        cycle = [start]
-        seen[start] = True
-        nxt = perm[start]
-        while nxt != start:
-            cycle.append(nxt)
-            seen[nxt] = True
-            nxt = perm[nxt]
-        parts.append("(" + " ".join(str(p) for p in cycle) + ")")
+    parts = ["(" + " ".join(map(str, cycle)) + ")"
+             for cycle in _cycles(perm) if len(cycle) > 1]
     return "".join(parts) or "()"
 
 
@@ -150,6 +179,7 @@ def parse_gspace(text: str) -> FiniteGSpace:
                 size = int(rest)
             except ValueError:
                 raise DomainError(f"bad g-space size {rest!r}")
+            _check_points(size)
         elif key == "gen":
             if size is None:
                 raise DomainError("size must precede gen lines")
@@ -179,12 +209,14 @@ def format_gspace(space: FiniteGSpace) -> str:
 
 def cycle_space(n: int, label: str = "t") -> FiniteGSpace:
     """Z acting on Z/n by rotation (the order-n relator is validated)."""
+    _check_points(n)
     return FiniteGSpace(size=n, gens={label: tuple((i + 1) % n
                                                    for i in range(n))},
                         relators=((label,) * n,))
 
 
 def trivial_space(n: int, label: str = "t") -> FiniteGSpace:
+    _check_points(n)
     return FiniteGSpace(size=n, gens={label: tuple(range(n))})
 
 
@@ -200,6 +232,7 @@ def product_space(x: FiniteGSpace, y: FiniteGSpace) -> FiniteGSpace:
     if set(x.gens) != set(y.gens):
         raise DomainError("product needs matching generator labels")
     size = x.size * y.size
+    _check_points(size, "product space")
     gens = {}
     for label in x.gens:
         px, py = x.gens[label], y.gens[label]

@@ -45,6 +45,8 @@ MEASURE_FORMAT_VERSION = 1
 DEFAULT_MAX_ATOMS = 2_000_000
 
 _MASS_TOL = 1e-12
+_MAX_EXPONENT = 4300        # |decimal exponent| of an exact weight: int()'s
+                            # default limit on the digits it parses
 
 
 @dataclass(frozen=True)
@@ -298,8 +300,14 @@ def _parse_weight(text: str, mode: str):
             num, _, den = text.partition("/")
             w = Fraction(int(num), int(den))
             w = w if mode == MODE_EXACT else float(w)
+        elif mode == MODE_EXACT:
+            # Fraction("1e-99999999") would build 10**99999999
+            exponent = text.lower().partition("e")[2]
+            if exponent and abs(int(exponent)) > _MAX_EXPONENT:
+                raise ValueError(text)
+            w = Fraction(text)
         else:
-            w = Fraction(text) if mode == MODE_EXACT else float(text)
+            w = float(text)
     except (ValueError, ZeroDivisionError, OverflowError):
         raise DomainError(f"bad weight {text!r}")
     if isinstance(w, float) and not math.isfinite(w):

@@ -480,11 +480,10 @@ def _run_chunked(kind: str, base_payload: dict, config: SamplerConfig,
                 for start, stop in _chunks(config.trajectories, workers)]
     fn = _CHUNK_FNS[kind]
     if workers == 1:
-        parts = [fn(p) for p in payloads]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(fn, payloads))
-    return combine(parts)
+        return combine([fn(payloads[0])])
+    with ProcessPoolExecutor(max_workers=workers - 1) as pool:
+        rest = pool.map(fn, payloads[1:])     # submitted before the first runs
+        return combine([fn(payloads[0]), *rest])
 
 
 def _combine_norm_stats(parts):
@@ -511,11 +510,14 @@ def norm_statistics(mu: FiniteMeasure, config: SamplerConfig,
     """Integer (count, sum, sum of squares) of endpoint norms per checkpoint.
 
     Checkpoints default to [config.steps]; each trajectory is sampled once
-    and measured at every checkpoint along the way.
+    and measured at every checkpoint along the way. Only heisenberg norms
+    read a ball of `ball_radius`; the other groups ignore it.
     """
     cps = sorted(set(checkpoints or [config.steps]))
     if not cps or cps[-1] > config.steps or cps[0] < 1:
         raise DomainError("checkpoints must lie in 1..steps")
+    if not isinstance(mu.group, Heisenberg):
+        ball_radius = None
     payload = {"measure": measure_to_text(mu), "checkpoints": cps,
                "ball_radius": ball_radius}
     return _run_chunked("norm", payload, config, _combine_norm_stats)

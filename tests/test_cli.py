@@ -4,18 +4,23 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import groupwalk
+from groupwalk import gspaces
 from groupwalk.cache import CACHE_ENV_VAR, ball_path, cached_ball
 from groupwalk.cli import run
 from groupwalk.drift import drift_exact_partial
 from groupwalk.groups import FreeGroup, group_from_id
 from groupwalk.measures import srw
-from groupwalk.wordmetric import ball_to_text, build_ball, norm_evaluator
+from groupwalk.wordmetric import (BallTable, ball_to_text, build_ball,
+                                  norm_evaluator)
 
 
 def run_cli(capsys, *argv):
@@ -170,6 +175,8 @@ def test_error_exit_codes(capsys, tmp_path):
                  ("drift", "--group", "free:2", "--measure=\u00e9=1"),
                  ("drift", "--group", "free:2", "--truncation", "abc"),
                  ("drift", "--group", "zd:1", "--measure", "1=x"),
+                 ("drift", "--group", "zd:1",
+                  "--measure=1=1e-99999999;-1=1"),
                  ("drift", "--group", "zd:1", "--mode", "float64",
                   "--measure=1=nan;-1=0.5", "--n-max", "3"),
                  ("drift", "--group", "zd:1", "--mode", "float64",
@@ -199,11 +206,46 @@ def test_error_exit_codes(capsys, tmp_path):
         assert code == 1
         assert out == ""
         assert json.loads(err)["error"]["type"] == "precondition"
-    # resource error -> exit 2
-    code, _, err = run_cli(capsys, "cocycle", "--k", "2", "--g", "a",
-                           "--level", "15")
-    assert code == 2
-    assert json.loads(err)["error"]["type"] == "resource"
+    # resource errors -> exit 2, also for an exact value too long to print
+    zeros = "0" * 600
+    for argv in (("cocycle", "--k", "2", "--g", "a", "--level", "15"),
+                 ("drift", "--group", "zd:1", "--n-max", "8",
+                  f"--measure=1=1/1{zeros};-1={'9' * 600}/1{zeros}")):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"]["type"] == "resource"
+
+
+def test_gspace_point_budget_exit_code(capsys, tmp_path, monkeypatch):
+    """A G-space over the point budget fails with exit code 2, names the
+    limit and prints no report: a 25-byte file, the presets and the
+    diagonal products of ergodicity and factor."""
+    big = tmp_path / "big.gspace"
+    big.write_bytes(b"size 2000000\ngen t (0 1)\n")
+    assert big.stat().st_size == 25
+    limit = str(gspaces.MAX_POINTS)
+    over = f"{gspaces.MAX_POINTS + 1}"
+    cases = [("stationary", "--space", str(big)),
+             ("stationary", "--space", f"preset:cycle:{over}"),
+             ("stationary", "--space", f"preset:trivial:{over}"),
+             ("ergodicity", "--space", str(big), "--space2",
+              "preset:cycle:2")]
+    for argv in cases:
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        error = json.loads(err)["error"]
+        assert error["type"] == "resource"
+        assert limit in error["message"]
+    monkeypatch.setattr(gspaces, "MAX_POINTS", 8)
+    for sub in ("ergodicity", "factor"):
+        code, out, err = run_cli(capsys, sub, "--space", "preset:cycle:3",
+                                 "--space2", "preset:cycle:3")
+        assert (code, out) == (2, "")
+        assert "limit of 8 points" in json.loads(err)["error"]["message"]
+        code, out, _ = run_cli(capsys, sub, "--space", "preset:cycle:2",
+                               "--space2", "preset:cycle:4")
+        assert code == 0
+        assert json.loads(out)["schema"] == "groupwalk/1"
 
 
 @pytest.mark.parametrize("argv", [
@@ -307,19 +349,87 @@ def test_selftest_passes(capsys):
     assert "[PASS]" in err
 
 
-def test_ball_cache_roundtrip_and_stability(tmp_path, capsys):
+def test_ball_cache_roundtrip_and_stability(tmp_path):
     group = FreeGroup(2)
     first = cached_ball(group, 3, cache_dir=str(tmp_path))
     path = ball_path(str(tmp_path), group, 3)
     assert os.path.exists(path)
     again = cached_ball(group, 3, cache_dir=str(tmp_path))
     assert again.norms == first.norms
-    # cache hits leave CLI output unchanged (heisenberg drift uses the ball)
-    args = ("drift", "--group", "heisenberg", "--n-max", "3",
-            "--ball-radius", "4", "--cache-dir", str(tmp_path))
-    _, cold, _ = run_cli(capsys, *args)
-    _, warm, _ = run_cli(capsys, *args)
-    assert cold == warm
+
+
+@pytest.mark.parametrize("argv, radius", [
+    pytest.param(("drift", "--group", "heisenberg", "--n-max", "3",
+                  "--ball-radius", "4"), 4, id="drift"),
+    pytest.param(("phi", "--group", "heisenberg", "--n", "3",
+                  "--r-eval", "1"), 4, id="phi"),     # ball radius n + r-eval
+])
+def test_heisenberg_cli_ignores_cache_dir(tmp_path, capsys, monkeypatch,
+                                          argv, radius):
+    """--cache-dir is echoed in the config and otherwise ignored, and
+    $GROUPWALK_CACHE_DIR is not read: the CLI neither writes a ball file
+    nor reads one, even a well-formed file with wrong norms."""
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    poisoned = tmp_path / "poisoned"
+    poisoned.mkdir()
+    group = group_from_id("heisenberg")
+    table = build_ball(group, radius)
+    fake = BallTable(group=group, radius=radius,
+                     norms={g: min(n + 1, radius)
+                            for g, n in table.norms.items()})
+    (poisoned / os.path.basename(ball_path(str(poisoned), group, radius))
+     ).write_text(ball_to_text(fake), encoding="ascii")
+    code, plain, _ = run_cli(capsys, *argv)
+    assert code == 0
+    for where in (empty, poisoned):
+        code, out, _ = run_cli(capsys, *argv, "--cache-dir", str(where))
+        assert code == 0
+        assert json.loads(out)["config"]["cache-dir"] == str(where)
+        assert out.replace(json.dumps(str(where)), '""') == plain
+        monkeypatch.setenv(CACHE_ENV_VAR, str(where))
+        assert run_cli(capsys, *argv)[1] == plain
+        monkeypatch.delenv(CACHE_ENV_VAR)
+    assert os.listdir(empty) == []
+    assert len(os.listdir(poisoned)) == 1
+
+
+def test_heisenberg_monte_carlo_drift_builds_no_cli_ball(capsys, monkeypatch):
+    import groupwalk.cli as cli
+    radii = []
+
+    def counting_build_ball(group, radius, *args, **kwargs):
+        radii.append(radius)
+        return build_ball(group, radius, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "build_ball", counting_build_ball)
+    mc = ("drift", "--group", "heisenberg", "--ball-radius", "6",
+          "--trajectories", "20", "--steps", "6", "--seed", "3")
+    code, out, _ = run_cli(capsys, *mc, "--n-max", "0")
+    assert code == 0
+    assert "monte_carlo" in json.loads(out)
+    assert radii == []
+    # the exact route builds the ball it reads, once
+    code, out, _ = run_cli(capsys, *mc, "--n-max", "2")
+    assert code == 0
+    assert "exact" in json.loads(out)
+    assert radii == [6]
+    # the precondition holds on either route
+    code, _, err = run_cli(capsys, "drift", "--group", "heisenberg",
+                           "--n-max", "0", "--trajectories", "2",
+                           "--steps", "2")
+    assert code == 1
+    assert "--ball-radius" in json.loads(err)["error"]["message"]
+
+
+def test_cli_import_leaves_ball_cache_module_unloaded():
+    package_root = os.path.dirname(os.path.dirname(groupwalk.__file__))
+    env = dict(os.environ, PYTHONPATH=package_root)
+    probe = ("import sys, groupwalk.cli; "
+             "print('groupwalk.cache' in sys.modules)")
+    result = subprocess.run([sys.executable, "-c", probe], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "False"
 
 
 @pytest.mark.parametrize("corrupt", [
@@ -510,3 +620,45 @@ def test_stationary_gspace_file_fuzz(content, measure):
             fh.write(content)
         _assert_clean_exit(["stationary", "--space", path,
                             "--measure", measure])
+
+
+# -- hypothesis: measure specs in lamplighter and heisenberg syntax ----------
+
+_COORD = st.one_of(st.integers(-3, 3), st.integers(-10 ** 6, 10 ** 6))
+_LAMP_ELEMENTS = st.tuples(st.lists(_COORD, max_size=3), _COORD).map(
+    lambda g: "{" + ",".join(map(str, g[0])) + "}|" + str(g[1]))
+_HEIS_ELEMENTS = st.lists(_COORD, min_size=2, max_size=4).map(
+    lambda xs: ",".join(map(str, xs)))
+_WEIGHT_TEXT = st.sampled_from(
+    ["1", "1/2", "1/3", "2/3", "0", "-1/2", "1/0", "x", "", "0.5", "1e-3",
+     "nan", "inf", "1e-99999999"])
+
+
+def _measure_specs(elements):
+    """'elem=w;...' over 1-3 atoms: weights 1/k (often summing to 1) or
+    drawn text; one time in eight, element-free text."""
+    def spec(atoms):
+        k = len(atoms)
+        return ";".join(f"{elem}={f'1/{k}' if w is None else w}"
+                        for elem, w in atoms)
+    atoms = st.lists(st.tuples(st.one_of(elements, _WORDS, st.just("e")),
+                               st.one_of(st.none(), _WEIGHT_TEXT)),
+                     min_size=1, max_size=3)
+    return st.integers(0, 7).flatmap(
+        lambda pick: st.text(max_size=12) if pick == 0 else atoms.map(spec))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(
+    st.tuples(st.just("lamplighter"), _measure_specs(_LAMP_ELEMENTS)),
+    st.tuples(st.just("heisenberg"), _measure_specs(_HEIS_ELEMENTS))),
+    st.integers(0, 3), st.sampled_from(["exact", "float64"]))
+@example(("lamplighter", "{0,1000000}|1=1/2;{}|-1=1/2"), 3, "exact")
+@example(("heisenberg", "1,0,0=1/2;0,0,1=1/2"), 3, "exact")
+@example(("lamplighter", "{1,1}|0=1"), 1, "exact")
+@example(("heisenberg", "e=1e-99999999"), 1, "exact")
+def test_drift_measure_spec_fuzz(group_spec, n_max, mode):
+    group, spec = group_spec
+    _assert_clean_exit(["drift", "--group", group, f"--measure={spec}",
+                        "--n-max", str(n_max), "--mode", mode,
+                        "--ball-radius", "3"])

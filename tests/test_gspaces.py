@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from groupwalk import gspaces
-from groupwalk.errors import DomainError, PreconditionError
+from groupwalk.errors import (DomainError, PreconditionError,
+                              ResourceLimitError)
 
 
 def stationary_uniform(space):
@@ -59,6 +60,41 @@ def test_word_permutation_composition_order():
     assert ab == manual
     inv = space.word_permutation(["a", "a^-1"])
     assert inv == (0, 1, 2)
+
+
+def test_word_permutation_runs_match_token_by_token():
+    """Runs of one token are applied as powers; the result must equal the
+    composition one token at a time."""
+    space = gspaces.parse_gspace(
+        "size 7\ngen a (0 1 2)(3 4)\ngen b (0 6 5)\n")
+    rng = np.random.default_rng(5)
+    tokens = ("a", "b", "a^-1", "b^-1")
+    for _ in range(200):
+        word = [tokens[i] for i in rng.integers(0, 4, rng.integers(0, 12))]
+        word += ["a"] * int(rng.integers(0, 9))
+        perm = tuple(range(7))
+        for token in reversed(word):
+            step = space.permutation(token)
+            perm = tuple(step[p] for p in perm)
+        assert space.word_permutation(word) == perm
+    # the order-n relator of the largest cycle preset validates in O(n)
+    assert gspaces.cycle_space(gspaces.MAX_POINTS).size == gspaces.MAX_POINTS
+
+
+def test_point_budget(monkeypatch):
+    over = gspaces.MAX_POINTS + 1
+    with pytest.raises(ResourceLimitError, match=str(gspaces.MAX_POINTS)):
+        gspaces.parse_gspace(f"size {over}\ngen t (0 1)\n")
+    with pytest.raises(ResourceLimitError):
+        gspaces.parse_gspace(f"size {10 ** 100}\n")   # before any gen line
+    for preset in (gspaces.cycle_space, gspaces.trivial_space):
+        with pytest.raises(ResourceLimitError):
+            preset(over)
+    monkeypatch.setattr(gspaces, "MAX_POINTS", 6)
+    assert gspaces.product_space(gspaces.cycle_space(2),
+                                 gspaces.cycle_space(3)).size == 6
+    with pytest.raises(ResourceLimitError, match="product space of 9"):
+        gspaces.product_space(gspaces.cycle_space(3), gspaces.cycle_space(3))
 
 
 # -- stationary measures --------------------------------------------------------

@@ -132,6 +132,18 @@ def test_heisenberg_norm_stats_with_ball():
     assert stats[4][0] == 50
 
 
+def test_ball_radius_builds_no_ball_off_heisenberg(monkeypatch):
+    """Closed-form norms read no ball: a free:2 ball of radius 40 would go
+    over the element budget after seconds of BFS."""
+    built = []
+    monkeypatch.setattr(sampler, "build_ball",
+                        lambda group, radius: built.append(radius))
+    mu = srw(FreeGroup(2))
+    cfg = SamplerConfig(seed=4, trajectories=30, steps=7)
+    assert norm_statistics(mu, cfg, ball_radius=40) == norm_statistics(mu, cfg)
+    assert built == []
+
+
 def test_config_validation():
     with pytest.raises(DomainError):
         SamplerConfig(seed=0, trajectories=0, steps=1)
@@ -306,7 +318,7 @@ class _InlinePool:
 
 
 @pytest.mark.parametrize("cpus, trajectories, expected", [
-    (3, 100, [3]), (3, 2, [2]), (None, 100, []), (1, 100, [])])
+    (3, 100, [2]), (3, 2, [1]), (None, 100, []), (1, 100, [])])
 def test_worker_count_is_clamped(monkeypatch, cpus, trajectories, expected):
     monkeypatch.setattr(sampler, "ProcessPoolExecutor", _InlinePool)
     monkeypatch.setattr(sampler.os, "cpu_count", lambda: cpus)
