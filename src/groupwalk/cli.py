@@ -306,22 +306,30 @@ def _run_entropy(cfg: Dict[str, object]) -> dict:
 
 
 def _run_phi(cfg: Dict[str, object]) -> dict:
+    method = cfg["method"]
+    if method not in ("auto", "convolution", "radial"):
+        raise DomainError(f"unknown phi method {method!r}: use auto, "
+                          f"convolution or radial")
     group = group_from_id(cfg["group"])
     mode = cfg["mode"]
     mu = parse_measure_spec(group, cfg["measure"], mode=mode)
     threshold = _parse_threshold(str(cfg["truncation"]), mode)
     n = int(cfg["n"])
     r_eval = int(cfg["r-eval"])
-    method = cfg["method"]
-    if method == "auto":
+    if method != "convolution":
+        # the radial route computes the exact simple random walk's phi
         is_free_srw = (isinstance(group, FreeGroup)
                        and mode == MODE_EXACT
                        and mu.atoms == srw(group).atoms)
-        method = "radial" if is_free_srw else "convolution"
+        if method == "auto":
+            method = "radial" if is_free_srw else "convolution"
+        elif not is_free_srw:
+            raise PreconditionError(
+                "radial phi needs the exact simple random walk on a free "
+                "group (--mode exact, --measure srw); use --method "
+                "convolution")
     series: List[tuple] = []
     if method == "radial":
-        if not isinstance(group, FreeGroup):
-            raise PreconditionError("radial phi needs a free group")
         phi = quasiharmonic.phi_table_free_srw(group.k, n, r_eval)
         if cfg["emit-series"]:
             a_vals = freewalk.expected_norms(group.k, n)

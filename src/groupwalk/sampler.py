@@ -11,20 +11,21 @@ Increments are drawn by inverse CDF over the measure's atoms sorted by their
 canonical string form, a fixed cross-platform order.
 
 Trajectories are stepped in blocks of up to BLOCK_ROWS rows by one batch
-kernel per group. Each row keeps its substream open and draws the next
-segment of its uniforms, at most SEGMENT_DRAWS per block at a time, with
-segments also ending at every checkpoint. PCG64 doubles come out in
-sequence, so drawing the segments in turn gives exactly the
-``substream(seed, i).random(steps)`` of trajectory i: every aggregate is the
-same for any block size, segment size and worker count.
-``sample_trajectory`` is the checked reference walk the kernels are tested
-against.
+kernel per group. A block draws the next segment of its rows' uniforms, at
+most SEGMENT_DRAWS per block at a time, with segments also ending at every
+checkpoint. PCG64 doubles come out in sequence, so drawing the segments in
+turn gives exactly the ``substream(seed, i).random(steps)`` of trajectory i:
+every aggregate is the same for any block size, segment size and worker
+count. ``sample_trajectory`` is the checked reference walk the kernels are
+tested against. Norm statistics read the kernels' array norms; endpoint and
+prefix tallies read their positions.
 
 ``substream`` is the reference definition of a trajectory's generator. The
-walk opens a block's generators in one pass instead (``_block_generators``):
-it runs SeedSequence's uint32 hashing vectorized over the block's spawn keys
-and hands each row's four state words to PCG64, so every row gets exactly
-the bits ``substream(seed, i)`` would give it.
+walk runs a block's streams as arrays instead (``_BlockStream``): it runs
+SeedSequence's uint32 hashing vectorized over the block's spawn keys, seeds
+each row's PCG64 state and increment from the four state words as PCG64
+does, and steps all rows' 128-bit states as pairs of uint64 arrays, so every
+row gets exactly the doubles ``substream(seed, i)`` would give it.
 """
 
 from __future__ import annotations
@@ -72,8 +73,8 @@ def substream(seed: int, index: int) -> np.random.Generator:
     """Deterministic per-trajectory generator, independent of worker layout.
 
     This is the reference definition of trajectory `index`'s random stream.
-    The walk kernels open a whole block of these in one pass with
-    ``_block_generators``, which gives the same bits."""
+    The walk steps a whole block of these as arrays with ``_BlockStream``,
+    which gives the same doubles."""
     return np.random.Generator(
         np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(index,))))
 
@@ -85,6 +86,7 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _M32 = 0xFFFFFFFF
+_U32, _ULOW = np.uint64(32), np.uint64(_M32)
 
 
 def _uint32_words(n: int) -> List[int]:
@@ -93,9 +95,8 @@ def _uint32_words(n: int) -> List[int]:
 
 
 def _hashmix(value, const: int, mult: int = _MULT_A):
-    """SeedSequence's hash of `value` (a Python int or a uint32 array) with
-    the running hash constant `const`; returns the hash and the next
-    constant."""
+    """SeedSequence's hash of the Python int `value` with the running hash
+    constant `const`; returns the hash and the next constant."""
     new = const * mult & _M32
     value = (value ^ const) * new & _M32
     return value ^ value >> 16, new
@@ -115,20 +116,18 @@ def _absorb(pool: list, words, const: int):
     return pool, const
 
 
-@functools.cache
-def _state_words_type() -> type:
-    """A seed sequence that hands PCG64 the four uint64 words a SeedSequence
-    would generate. Built on first use: importing this module does not
-    import numpy.random."""
-
-    class StateWords(np.random.bit_generator.ISeedSequence):
-        def __init__(self, words: np.ndarray):
-            self.words = words
-
-        def generate_state(self, n_words, dtype=np.uint32):
-            return self.words
-
-    return StateWords
+def _hash_lanes(values: np.ndarray, lanes: int, const: int, mult: int):
+    """`lanes` successive ``_hashmix`` calls at once: lane k hashes `values`
+    (uint32, broadcast to (lanes, rows)) or its row k with the k-th running
+    constant. Returns the hashes and the next constant."""
+    xors, mults = [], []
+    for _ in range(lanes):
+        xors.append(const)
+        const = const * mult & _M32
+        mults.append(const)
+    h = values ^ np.array(xors, dtype=np.uint32)[:, None]
+    h *= np.array(mults, dtype=np.uint32)[:, None]
+    return h ^ h >> np.uint32(16), const
 
 
 def _seed_words(seed: int, first: int, stop: int) -> np.ndarray:
@@ -139,8 +138,8 @@ def _seed_words(seed: int, first: int, stop: int) -> np.ndarray:
     the pool size) followed by those of the spawn key i. Its hash constants
     advance the same way whatever the words are, so the seed's part is
     computed once in Python ints and only the spawn words are hashed per
-    row, as uint32 arrays. Rows are grouped by how many uint32 words their
-    index takes."""
+    row, as (pool lane, row) uint32 arrays. Rows are grouped by how many
+    uint32 words their index takes."""
     run = _uint32_words(seed)
     run += [0] * (_POOL - len(run))
     const, pool = _INIT_A, []
@@ -158,31 +157,142 @@ def _seed_words(seed: int, first: int, stop: int) -> np.ndarray:
                        len(_uint32_words(stop - 1)) + 1):
         lo = max(first, 1 << 32 * (count - 1) if count > 1 else 0)
         hi = min(stop, 1 << 32 * count)
+        lanes = np.repeat(np.array(pool, dtype=np.uint32)[:, None], hi - lo,
+                          axis=1)
         # the spawn words of lo..hi-1, by long addition of the row offset
-        carry, words = np.arange(hi - lo, dtype=np.uint64), []
+        carry, c = np.arange(hi - lo, dtype=np.uint64), const
         for shift in range(0, 32 * count, 32):
-            column = carry + ((lo >> shift) & _M32)
-            words.append((column & _M32).astype(np.uint32))
-            carry = column >> 32
-        lanes, _ = _absorb([np.full(hi - lo, p, dtype=np.uint32)
-                            for p in pool], words, const)
+            column = carry + np.uint64((lo >> shift) & _M32)
+            h, c = _hash_lanes((column & _ULOW).astype(np.uint32), _POOL, c,
+                               _MULT_A)
+            lanes = _mix(lanes, h)
+            carry = column >> _U32
         # generate_state(4, uint64): eight hashed uint32s, low word first
-        out, c = [], _INIT_B
-        for k in range(2 * _POOL):
-            h, c = _hashmix(lanes[k % _POOL], c, _MULT_B)
-            out.append(h.astype(np.uint64))
-        blocks.append(np.stack([out[k] | out[k + 1] << 32
-                                for k in range(0, 2 * _POOL, 2)], axis=1))
+        h, _ = _hash_lanes(np.concatenate([lanes, lanes]), 2 * _POOL,
+                           _INIT_B, _MULT_B)
+        h = h.astype(np.uint64)
+        blocks.append((h[0::2] | h[1::2] << _U32).T)
     return np.concatenate(blocks)
 
 
-def _block_generators(seed: int, first: int,
-                      stop: int) -> List[np.random.Generator]:
-    """``substream(seed, i)`` for i in first..stop-1, seeded in one pass:
-    PCG64's own seeding runs on each row of ``_seed_words``."""
-    state_words = _state_words_type()
-    return [np.random.Generator(np.random.PCG64(state_words(row)))
-            for row in _seed_words(seed, first, stop)]
+# PCG64 as numpy.random runs it: a 128-bit LCG stepped by _PCG_MULT, whose
+# output is the XSL-RR of the state after each step. All the arithmetic below
+# is on uint64 arrays with np.uint64 operands (a state is a hi and a lo
+# word), so no numpy version's casting rules can turn it into floats.
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_M128 = (1 << 128) - 1
+SLAB_COLUMNS = 32           # draws per row stepped in one array pass
+_U1, _U11 = np.uint64(1), np.uint64(11)
+_U58, _U63, _U64 = np.uint64(58), np.uint64(63), np.uint64(64)
+_TO_UNIT = np.float64(1.0 / (1 << 53))
+
+
+def _limbs(values) -> Tuple[np.ndarray, ...]:
+    """128-bit ints as uint64 arrays: the low word's two 32-bit halves, the
+    low word and the high word."""
+    lo = [v & (1 << 64) - 1 for v in values]
+    return tuple(np.array(words, dtype=np.uint64) for words in (
+        [w & _M32 for w in lo], [w >> 32 for w in lo], lo,
+        [v >> 64 for v in values]))
+
+
+@functools.cache
+def _jumps(width: int):
+    """Limbs of A_j = M^j and C_j = M^(j-1) + ... + M + 1 for j = 1..width:
+    j PCG64 steps take a state s with increment inc to A_j s + C_j inc."""
+    a, c, powers, sums = 1, 0, [], []
+    for _ in range(width):
+        a, c = a * _PCG_MULT & _M128, (c + a) & _M128
+        powers.append(a)
+        sums.append(c)
+    return _limbs(powers), _limbs(sums)
+
+
+def _split(hi: np.ndarray, lo: np.ndarray) -> Tuple[np.ndarray, ...]:
+    """A 128-bit value as the limbs ``_muladd`` adds: the low word's two
+    32-bit halves and the high word."""
+    return lo & _ULOW, lo >> _U32, hi
+
+
+def _muladd(hi: np.ndarray, lo: np.ndarray, const, width: int, add=None):
+    """(hi, lo) times the first `width` constants of `const`, plus `add`
+    (limbs from ``_split``), mod 2^128: a column of rows times a row of
+    constants, as a (rows, width) hi and lo. The product's middle words
+    are summed from 32-bit halves, so no sum can wrap before its carry is
+    taken."""
+    c0, c1, clo, chi = (limb[:width] for limb in const)
+    s0, s1 = lo & _ULOW, lo >> _U32
+    low = s0 * c0
+    mid = s1 * c0
+    top = s1 * c1
+    if add is not None:
+        low += add[0]
+        mid += add[1]
+        top += add[2]
+    mid += low >> _U32
+    cross = s0 * c1
+    cross += mid & _ULOW
+    top += mid >> _U32
+    top += cross >> _U32
+    top += lo * chi
+    top += hi * clo
+    cross <<= _U32
+    low &= _ULOW
+    cross |= low
+    return top, cross
+
+
+class _BlockStream:
+    """The PCG64 streams of trajectories first..stop-1, stepped together.
+
+    Row i - first holds the state and increment that PCG64 seeds from
+    ``SeedSequence(seed, spawn_key=(i,))``: with the four ``_seed_words``
+    w0..w3, ``inc = (w2 w3) << 1 | 1`` and ``state = ((inc + (w0 w1)) M +
+    inc) mod 2^128``. ``random(n)`` returns each row's next n doubles, the
+    ones ``substream(seed, i).random(n)`` would return. A slab of up to
+    SLAB_COLUMNS draws jumps every column from the row's state at once,
+    ``state_j = A_j state + C_j inc``; the ``C_j inc`` are computed once
+    per stream."""
+
+    def __init__(self, seed: int, first: int, stop: int):
+        words = _seed_words(seed, first, stop)
+        w0, w1, w2, w3 = (words[:, k:k + 1] for k in range(4))
+        inc_hi, inc_lo = (w2 << _U1) | (w3 >> _U63), (w3 << _U1) | _U1
+        self.inc = inc_hi, inc_lo
+        start = inc_lo + w1
+        # one step from inc + (w0 w1): A_1 = M, C_1 = 1
+        self.state = _muladd(inc_hi + w0 + (start < inc_lo), start,
+                             _jumps(SLAB_COLUMNS)[0], 1, _split(*self.inc))
+        self.rows = len(words)
+        self._offsets = None
+
+    def _increments(self, width: int):
+        """Limbs of C_j inc for j = 1..width, widened when a slab needs
+        more."""
+        if self._offsets is None or self._offsets[0].shape[1] < width:
+            self._offsets = _split(*_muladd(*self.inc, _jumps(SLAB_COLUMNS)[1],
+                                            width))
+        return tuple(limb[:, :width] for limb in self._offsets)
+
+    def random(self, n: int) -> np.ndarray:
+        out = np.empty((self.rows, n))
+        powers = _jumps(SLAB_COLUMNS)[0]
+        for done in range(0, n, SLAB_COLUMNS):
+            width = min(SLAB_COLUMNS, n - done)
+            hi, lo = _muladd(*self.state, powers, width,
+                             self._increments(width))
+            self.state = hi[:, -1:].copy(), lo[:, -1:].copy()
+            # XSL-RR: rotate hi ^ lo right by the top six bits of the state
+            turn = hi >> _U58
+            lo ^= hi
+            hi = lo >> turn
+            turn = (_U64 - turn) & _U63
+            hi |= lo << turn
+            hi >>= _U11
+            unit = out[:, done:done + width]
+            unit[...] = hi
+            unit *= _TO_UNIT
+        return out
 
 
 def atom_table(mu: FiniteMeasure):
@@ -219,7 +329,10 @@ def sample_trajectory(group: Group, mu: FiniteMeasure, steps: int,
 # One kernel per group steps a block of trajectories (rows) at once on numpy
 # arrays. ``advance(idx)`` applies a segment of atom indices of shape
 # (rows, length); ``positions()`` returns the rows' current positions as
-# ordinary group elements (tuples of Python ints). Every kernel's memory grows
+# ordinary group elements (tuples of Python ints), and ``norms(norm)`` their
+# word norms as an integer array (int64, or Python ints where int64 could
+# wrap). Only heisenberg, which has no closed form, calls the scalar
+# evaluator `norm`. Every kernel's memory grows
 # with rows x the range the walk has visited (plus one segment), not with
 # steps x the largest move.
 
@@ -245,6 +358,9 @@ class _ZdWalk:
     def positions(self) -> list:
         return list(map(tuple, self.pos.tolist()))
 
+    def norms(self, norm) -> np.ndarray:
+        return np.abs(self.pos).sum(axis=1)
+
 
 class _HeisenbergWalk(_ZdWalk):
     """heisenberg: (x, y) as in zd, and z += z2 + x_prev * y2 per step."""
@@ -255,6 +371,11 @@ class _HeisenbergWalk(_ZdWalk):
         x_prev = np.cumsum(dx, axis=1) - dx + self.pos[:, :1]
         self.pos[:, 2] += (x_prev * dy).sum(axis=1)
         self.pos += inc.sum(axis=1)
+
+    def norms(self, norm) -> np.ndarray:
+        """No closed form: `norm` looks each position up in its ball and
+        raises OutOfRangeError outside it."""
+        return np.array(list(map(norm, self.positions())), dtype=np.int64)
 
 
 class _FreeWalk:
@@ -319,6 +440,9 @@ class _FreeWalk:
         words = self.stack[:, :max(lengths, default=0)].tolist()
         return [tuple(w[:n]) for w, n in zip(words, lengths)]
 
+    def norms(self, norm) -> np.ndarray:
+        return self._lengths()
+
 
 class _LamplighterWalk:
     """lamplighter: walker positions plus a uint8 lamp window over the lamp
@@ -327,8 +451,11 @@ class _LamplighterWalk:
     def __init__(self, elems, rows: int, steps: int):
         slots = max(len(lamps) for lamps, _ in elems)
         reach = max(steps, 1) * max(abs(q) for _, q in elems)
-        dtype = _int_dtype(reach + max((abs(u) for lamps, _ in elems
-                                        for u in lamps), default=0))
+        # |walker| and |lit lamp| <= bound; a norm <= 5 * bound + lit lamps
+        bound = reach + max((abs(u) for lamps, _ in elems for u in lamps),
+                            default=0)
+        dtype = _int_dtype(bound)
+        self.norm_dtype = _int_dtype(8 * bound)
         self.move = np.array([q for _, q in elems], dtype=dtype)
         self.lamp = np.zeros((len(elems), slots), dtype=dtype)
         self.has_lamp = np.zeros((len(elems), slots), dtype=bool)
@@ -383,6 +510,27 @@ class _LamplighterWalk:
             k += n
         return out
 
+    def norms(self, norm) -> np.ndarray:
+        """``lamplighter_norm`` per row from its first and last lit lamp,
+        its lit count and its walker position. A row with no lit lamp takes
+        both ends at 0, where the sweep starts anyway."""
+        lit = self.window != 0
+        count = np.count_nonzero(lit, axis=1)
+        dtype, pos = self.norm_dtype, self.pos.astype(self.norm_dtype)
+        first = np.zeros(len(pos), dtype=dtype)
+        last = first.copy()
+        if lit.shape[1]:
+            some = count > 0
+            ends = (lit.argmax(axis=1),
+                    lit.shape[1] - 1 - lit[:, ::-1].argmax(axis=1))
+            for end, column in zip((first, last), ends):
+                end[some] = column.astype(dtype)[some] + self.lo
+        lo = np.minimum(np.minimum(pos, first), 0)
+        hi = np.maximum(np.maximum(pos, last), 0)
+        left_first = (hi - lo) - lo + (hi - pos)
+        right_first = (hi - lo) + hi + (pos - lo)
+        return count + np.minimum(left_first, right_first)
+
 
 _KERNELS = {FreeAbelian: _ZdWalk, FreeGroup: _FreeWalk,
             Lamplighter: _LamplighterWalk, Heisenberg: _HeisenbergWalk}
@@ -390,29 +538,27 @@ _KERNELS = {FreeAbelian: _ZdWalk, FreeGroup: _FreeWalk,
 
 def _walk_chunk(mu: FiniteMeasure, payload: dict, checkpoints: List[int]):
     """Walk trajectories payload["start"] .. payload["stop"] - 1 and yield
-    (checkpoint, positions) for each block of rows at each checkpoint, in
+    (checkpoint, kernel) for each block of rows at each checkpoint, in
     trajectory order.
 
-    Each row keeps its substream open and draws one segment of uniforms at a
-    time; segments end at checkpoints and at the block's draw budget. PCG64
-    doubles are sequential, so the row draws exactly what
+    A block's stream draws one segment of uniforms for all its rows at a
+    time; segments end at checkpoints and at the block's draw budget. Each
+    row's doubles come out in sequence, so the row draws exactly what
     ``substream(seed, i).random(steps)`` draws."""
     kernel = _KERNELS[type(mu.group)]
     elems, cdf = atom_table(mu)
     seed, stop = payload["seed"], payload["stop"]
     for first in range(payload["start"], stop, BLOCK_ROWS):
-        rngs = _block_generators(seed, first, min(first + BLOCK_ROWS, stop))
-        walk = kernel(elems, len(rngs), checkpoints[-1])
-        segment = max(1, SEGMENT_DRAWS // len(rngs))
+        stream = _BlockStream(seed, first, min(first + BLOCK_ROWS, stop))
+        walk = kernel(elems, stream.rows, checkpoints[-1])
+        segment = max(1, SEGMENT_DRAWS // stream.rows)
         done = 0
         for cp in checkpoints:
             while done < cp:
-                u = np.empty((len(rngs), min(segment, cp - done)))
-                for row, rng in zip(u, rngs):
-                    rng.random(out=row)
+                u = stream.random(min(segment, cp - done))
                 walk.advance(np.searchsorted(cdf, u, side="right"))
                 done += u.shape[1]
-            yield cp, walk.positions()
+            yield cp, walk
 
 
 # -- statistics runners -------------------------------------------------------
@@ -427,21 +573,23 @@ def _norm_chunk(payload: dict) -> Dict[int, List[int]]:
     norm = norm_evaluator(mu.group, ball=ball)
     cps = sorted(payload["checkpoints"])
     stats = {cp: [0, 0, 0] for cp in cps}  # count, sum rho, sum rho^2
-    for cp, positions in _walk_chunk(mu, payload, cps):
+    for cp, walk in _walk_chunk(mu, payload, cps):
+        r = walk.norms(norm)
+        # sum in Python ints where an int64 sum of squares could wrap
+        if r.dtype != object and int(r.max()) ** 2 * len(r) >= 1 << 63:
+            r = r.astype(object)
         acc = stats[cp]
-        for g in positions:
-            r = norm(g)
-            acc[0] += 1
-            acc[1] += r
-            acc[2] += r * r
+        acc[0] += len(r)
+        acc[1] += int(r.sum())
+        acc[2] += int((r * r).sum())
     return stats
 
 
 def _endpoint_chunk(payload: dict) -> Counter:
     mu = measure_from_text(payload["measure"])
     counts: Counter = Counter()
-    for _, positions in _walk_chunk(mu, payload, [payload["steps"]]):
-        counts.update(map(mu.group.format_element, positions))
+    for _, walk in _walk_chunk(mu, payload, [payload["steps"]]):
+        counts.update(map(mu.group.format_element, walk.positions()))
     return counts
 
 
@@ -451,9 +599,9 @@ def _prefix_chunk(payload: dict) -> Counter:
     mu = measure_from_text(payload["measure"])
     fmt, level = mu.group.format_element, payload["level"]
     counts: Counter = Counter()
-    for _, positions in _walk_chunk(mu, payload, [payload["steps"]]):
+    for _, walk in _walk_chunk(mu, payload, [payload["steps"]]):
         counts.update("-" if len(w) < level else fmt(w[:level])
-                      for w in positions)
+                      for w in walk.positions())
     return counts
 
 

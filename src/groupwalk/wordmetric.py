@@ -91,7 +91,7 @@ def free_norm(g) -> int:
 
 
 def l1_norm(g) -> int:
-    return sum(abs(x) for x in g)
+    return sum(map(abs, g))
 
 
 def lamplighter_norm(g) -> int:

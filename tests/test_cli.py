@@ -201,11 +201,24 @@ def test_error_exit_codes(capsys, tmp_path):
                  ("stationary", "--space", "preset:cycle:3",
                   "--measure", "t=x"),
                  ("stationary", "--space", "preset:cycle:3",
-                  "--measure", "t=nan")):
+                  "--measure", "t=nan"),
+                 # the radial route is for the exact free-group SRW only
+                 ("phi", "--group", "free:2", "--measure=a=1/2;A=1/2",
+                  "--method", "radial", "--n", "3"),
+                 ("phi", "--group", "free:2", "--mode", "float64",
+                  "--method", "radial", "--n", "3"),
+                 ("phi", "--group", "zd:1", "--method", "radial",
+                  "--n", "3")):
         code, out, err = run_cli(capsys, *argv)
         assert code == 1
         assert out == ""
         assert json.loads(err)["error"]["type"] == "precondition"
+    # an unknown phi method is a domain error naming the three methods
+    code, out, err = run_cli(capsys, "phi", "--group", "free:2", "--method",
+                             "foo", "--n", "3")
+    assert (code, out) == (1, "")
+    message = json.loads(err)["error"]["message"]
+    assert all(m in message for m in ("auto", "convolution", "radial"))
     # resource errors -> exit 2, also for an exact value too long to print
     zeros = "0" * 600
     for argv in (("cocycle", "--k", "2", "--g", "a", "--level", "15"),

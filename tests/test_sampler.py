@@ -15,7 +15,8 @@ from groupwalk.sampler import (SamplerConfig, atom_table,
                                empirical_endpoint_distribution,
                                endpoint_counts, norm_statistics,
                                prefix_counts, sample_trajectory, substream)
-from groupwalk.wordmetric import build_ball, norm_evaluator
+from groupwalk.wordmetric import (build_ball, lamplighter_norm,
+                                  norm_evaluator)
 
 
 def test_zero_steps_gives_empty_trajectory():
@@ -165,10 +166,13 @@ def test_substream_is_default_rng_of_the_seed_sequence():
                               expected.random(50))
 
 
-# -- the block seeder against substream -------------------------------------------
+# -- the block stream against substream -------------------------------------------
 
 SEEDER_SEEDS = [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 1, 2 ** 128 - 1, 2 ** 128,
                 *(random.Random(2024).getrandbits(128) for _ in range(3))]
+# uneven segments of 1,000 draws, crossing slab boundaries (and the slab
+# width itself, as one segment and as a sum of two)
+SEGMENTS = [1, 13, 64, 17, 128, 63, 65, 200, 449]
 
 
 @pytest.mark.parametrize("seed", SEEDER_SEEDS)
@@ -180,14 +184,18 @@ SEEDER_SEEDS = [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 1, 2 ** 128 - 1, 2 ** 128,
                                          (2 ** 64 - 2, 2 ** 64 + 2)])
 def test_block_seeder_matches_substream(seed, first, stop):
     words = sampler._seed_words(seed, first, stop)
-    rngs = sampler._block_generators(seed, first, stop)
     assert words.dtype == np.uint64 and words.shape == (stop - first, 4)
-    assert len(rngs) == stop - first
-    for i, row, rng in zip(range(first, stop), words, rngs):
+    whole = sampler._BlockStream(seed, first, stop).random(1000)
+    stream = sampler._BlockStream(seed, first, stop)
+    pieces = np.concatenate([stream.random(n) for n in SEGMENTS], axis=1)
+    assert stream.rows == stop - first
+    assert whole.shape == pieces.shape == (stop - first, 1000)
+    for i, row, one, split in zip(range(first, stop), words, whole, pieces):
         expected = np.random.SeedSequence(seed, spawn_key=(i,))
         assert np.array_equal(row, expected.generate_state(4, np.uint64))
-        assert np.array_equal(rng.random(1000),
-                              substream(seed, i).random(1000))
+        draws = substream(seed, i).random(1000)
+        assert np.array_equal(one, draws)
+        assert np.array_equal(split, draws)
 
 
 def test_walks_with_small_blocks_match_default_blocks(monkeypatch):
@@ -212,6 +220,9 @@ KERNEL_CASES = {
     "zd:3": ("zd:3", "srw"),
     # coordinates beyond int64 take the Python-int path
     "zd:1-wide": ("zd:1", "10000000000000000000=1/2;-3=1/2"),
+    # int64 coordinates and norms whose squares pass 2^63
+    "zd:3-squares": ("zd:3", "90000000,90000000,90000000=1/2;"
+                             "-90000000,90000000,-90000000=1/2"),
     "free:2": ("free:2", "ab=1/4;Ba=1/4;a=1/8;A=1/8;e=1/8;bAB=1/8"),
     "free:3": ("free:3", "srw"),
     "lamplighter": ("lamplighter",
@@ -292,6 +303,60 @@ def test_kernel_matches_reference_walk_at_default_sizes():
     assert list(endpoint_counts(mu, config).items()) == list(ends.items())
     assert list(prefix_counts(mu, 3, config).items()) == \
         list(prefixes.items())
+
+
+@pytest.mark.parametrize("case", sorted(KERNEL_CASES))
+def test_kernel_norms_match_norm_evaluator(case):
+    gid, spec = KERNEL_CASES[case]
+    group = group_from_id(gid)
+    mu = parse_measure_spec(group, spec)
+    ball = build_ball(group, 12) if gid == "heisenberg" else None
+    norm = norm_evaluator(group, ball=ball)
+    payload = {"seed": 31, "start": 0, "stop": 30}
+    for _, walk in sampler._walk_chunk(mu, payload, [1, 4, 12, 23]):
+        try:
+            expected = [norm(g) for g in walk.positions()]
+        except OutOfRangeError:     # a heisenberg walk left its ball
+            with pytest.raises(OutOfRangeError):
+                walk.norms(norm)
+            continue
+        got = walk.norms(norm)
+        assert got.tolist() == expected
+        assert got.dtype == (object if case.endswith("-wide")
+                             and gid != "heisenberg" else np.int64)
+
+
+@pytest.mark.parametrize("far", [0, 10 ** 19])
+def test_lamplighter_norms_on_chosen_rows(far):
+    """Rows with no lit lamp (never toggled, or toggled twice), lamps on
+    both sides of 0, and a walker beyond its lamps on either side. A
+    nonzero `far` moves every lamp by `far`, out of int64 range."""
+    elems = [((), 1), ((), -1), ((far,), 0)]
+    rows = [[0, 0, 0, 0, 0, 0],
+            [2, 0, 0, 2, 1, 1],
+            [1, 1, 2, 0, 0, 0],
+            [1, 2, 0, 0, 2, 0],
+            [2, 2, 0, 0, 0, 0],
+            [1, 1, 1, 2, 0, 0],
+            [0, 0, 2, 1, 1, 1],
+            [2, 1, 1, 1, 1, 1]]
+    walk = sampler._LamplighterWalk(elems, len(rows), 6)
+    assert walk.norms(None).tolist() == [0] * len(rows)
+    for cut in (1, 4):
+        walk = sampler._LamplighterWalk(elems, len(rows), 6)
+        walk.advance(np.array([r[:cut] for r in rows]))
+        walk.advance(np.array([r[cut:] for r in rows]))
+        positions = walk.positions()
+        assert positions[0] == ((), 6) and positions[4] == ((), 4)
+        assert positions[3] == ((far - 1, far + 1), 2)
+        norms = walk.norms(None)
+        assert norms.tolist() == list(map(lamplighter_norm, positions))
+        assert norms.dtype == (object if far else np.int64)
+    # no row has ever toggled a lamp: an empty lamp window
+    walk = sampler._LamplighterWalk(elems[:2], 3, 4)
+    walk.advance(np.array([[0, 0, 1, 0], [1, 1, 1, 1], [0, 1, 1, 0]]))
+    assert walk.window.shape[1] == 0
+    assert walk.norms(None).tolist() == [2, 4, 0]
 
 
 def test_heisenberg_walk_leaving_its_ball_is_out_of_range():
