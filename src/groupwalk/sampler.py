@@ -451,7 +451,7 @@ class _LamplighterWalk:
     def __init__(self, elems, rows: int, steps: int):
         slots = max(len(lamps) for lamps, _ in elems)
         reach = max(steps, 1) * max(abs(q) for _, q in elems)
-        # |walker| and |lit lamp| <= bound; a norm <= 5 * bound + lit lamps
+        # |walker| and |lit lamp| <= bound; a norm <= 4 * bound + lit lamps
         bound = reach + max((abs(u) for lamps, _ in elems for u in lamps),
                             default=0)
         dtype = _int_dtype(bound)
@@ -512,8 +512,10 @@ class _LamplighterWalk:
 
     def norms(self, norm) -> np.ndarray:
         """``lamplighter_norm`` per row from its first and last lit lamp,
-        its lit count and its walker position. A row with no lit lamp takes
-        both ends at 0, where the sweep starts anyway."""
+        its lit count and its walker position: with lo and hi the extremes
+        of 0, the walker and the lit lamps, the cheaper of its two sweeps
+        is 2 (hi - lo) - |pos|. A row with no lit lamp takes both ends at
+        0, where the sweep starts anyway."""
         lit = self.window != 0
         count = np.count_nonzero(lit, axis=1)
         dtype, pos = self.norm_dtype, self.pos.astype(self.norm_dtype)
@@ -527,9 +529,7 @@ class _LamplighterWalk:
                 end[some] = column.astype(dtype)[some] + self.lo
         lo = np.minimum(np.minimum(pos, first), 0)
         hi = np.maximum(np.maximum(pos, last), 0)
-        left_first = (hi - lo) - lo + (hi - pos)
-        right_first = (hi - lo) + hi + (pos - lo)
-        return count + np.minimum(left_first, right_first)
+        return count + 2 * (hi - lo) - np.abs(pos)
 
 
 _KERNELS = {FreeAbelian: _ZdWalk, FreeGroup: _FreeWalk,
