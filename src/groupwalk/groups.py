@@ -37,6 +37,9 @@ from operator import add
 from .errors import DomainError
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
+# letter x >= 1 is _SYMBOLS[x]; its inverse -x indexes from the end to the
+# capital
+_SYMBOLS = ("", *_LETTERS, *_LETTERS.upper()[::-1])
 
 
 def _require(cond: bool, message: str) -> None:
@@ -217,9 +220,7 @@ class FreeGroup(Group):
     def format_element(self, g) -> str:
         if not g:
             return "e"
-        return "".join(
-            _LETTERS[x - 1] if x > 0 else _LETTERS[-x - 1].upper() for x in g
-        )
+        return "".join([_SYMBOLS[x] for x in g])
 
     def parse_element(self, text: str):
         if text == "e":

@@ -12,13 +12,22 @@ canonical string form, a fixed cross-platform order.
 
 Trajectories are stepped in blocks of up to BLOCK_ROWS rows by one batch
 kernel per group. A block draws the next segment of its rows' uniforms, at
-most SEGMENT_DRAWS per block at a time, with segments also ending at every
-checkpoint. PCG64 doubles come out in sequence, so drawing the segments in
-turn gives exactly the ``substream(seed, i).random(steps)`` of trajectory i:
-every aggregate is the same for any block size, segment size and worker
-count. ``sample_trajectory`` is the checked reference walk the kernels are
-tested against. Norm statistics read the kernels' array norms; endpoint and
-prefix tallies read their positions.
+most SEGMENT_DRAWS per block at a time (16 columns of a full block), with
+segments also ending at every checkpoint. PCG64 doubles come out in
+sequence, so drawing the segments in turn gives exactly the
+``substream(seed, i).random(steps)`` of trajectory i: every aggregate is the
+same for any block size, segment size and worker count.
+``sample_trajectory`` is the checked reference walk the kernels are tested
+against. Norm statistics read the kernels' array norms (heisenberg rows by
+one ``searchsorted`` in the ball's sorted codes, ``_BallCodes``); endpoint
+and prefix tallies count each block's positions and format each distinct
+element once.
+
+With several workers the trajectories are split into chunks: chunk 0 runs
+in the calling process and every other chunk in one child forked for it,
+which pickles its result, or its exception, into a pipe. The caller reaps
+every child on every exit path. Without ``os.fork`` all chunks run in the
+caller, with the same output.
 
 ``substream`` is the reference definition of a trajectory's generator. The
 walk runs a block's streams as arrays instead (``_BlockStream``): it runs
@@ -32,8 +41,8 @@ from __future__ import annotations
 
 import functools
 import os
+import pickle
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -43,12 +52,13 @@ from .errors import DomainError, ResourceLimitError
 from .groups import FreeAbelian, FreeGroup, Group, Heisenberg, Lamplighter
 from .measures import (FiniteMeasure, measure_from_text, measure_to_text,
                        power, total_variation)
-from .wordmetric import build_ball, norm_evaluator
+from .wordmetric import BallTable, ball_miss, build_ball
 
-BLOCK_ROWS = 256            # trajectories stepped together
+BLOCK_ROWS = 1024           # trajectories stepped together
 SEGMENT_DRAWS = 1 << 14     # uniforms drawn per block per segment
-MAX_WINDOW_CELLS = 1 << 25  # lamplighter lamp window budget per block
+MAX_WINDOW_WIDTH = 1 << 17  # lamplighter lamp window budget per trajectory
 _PAD_INVERSE = 127          # outside every free alphabet, and not 0
+_TOGGLE = np.uint8(1)
 
 
 @dataclass(frozen=True)
@@ -329,10 +339,10 @@ def sample_trajectory(group: Group, mu: FiniteMeasure, steps: int,
 # One kernel per group steps a block of trajectories (rows) at once on numpy
 # arrays. ``advance(idx)`` applies a segment of atom indices of shape
 # (rows, length); ``positions()`` returns the rows' current positions as
-# ordinary group elements (tuples of Python ints), and ``norms(norm)`` their
+# ordinary group elements (tuples of Python ints), and ``norms(ball)`` their
 # word norms as an integer array (int64, or Python ints where int64 could
-# wrap). Only heisenberg, which has no closed form, calls the scalar
-# evaluator `norm`. Every kernel's memory grows
+# wrap). Only heisenberg, which has no closed form, reads `ball`, a
+# ``_BallCodes``. Every kernel's memory grows
 # with rows x the range the walk has visited (plus one segment), not with
 # steps x the largest move.
 
@@ -349,16 +359,18 @@ class _ZdWalk:
         reach = max(steps, 1) * max(abs(c) for g in elems for c in g)
         # |coordinate| <= reach; the heisenberg z also <= reach * (reach + 1)
         dtype = _int_dtype(reach * (reach + 1))
-        self.inc = np.array(elems, dtype=dtype)
-        self.pos = np.zeros((rows, self.inc.shape[1]), dtype=dtype)
+        # (coordinate, atom): ``take`` then gathers and sums each coordinate
+        # along contiguous rows
+        self.inc = np.array(elems, dtype=dtype).T.copy()
+        self.pos = np.zeros((rows, len(self.inc)), dtype=dtype)
 
     def advance(self, idx: np.ndarray) -> None:
-        self.pos += self.inc[idx].sum(axis=1)
+        self.pos += self.inc.take(idx, axis=1).sum(axis=2).T
 
     def positions(self) -> list:
         return list(map(tuple, self.pos.tolist()))
 
-    def norms(self, norm) -> np.ndarray:
+    def norms(self, ball) -> np.ndarray:
         return np.abs(self.pos).sum(axis=1)
 
 
@@ -366,16 +378,50 @@ class _HeisenbergWalk(_ZdWalk):
     """heisenberg: (x, y) as in zd, and z += z2 + x_prev * y2 per step."""
 
     def advance(self, idx: np.ndarray) -> None:
-        inc = self.inc[idx]
-        dx, dy = inc[:, :, 0], inc[:, :, 1]
+        inc = self.inc.take(idx, axis=1)
+        dx, dy = inc[0], inc[1]
         x_prev = np.cumsum(dx, axis=1) - dx + self.pos[:, :1]
         self.pos[:, 2] += (x_prev * dy).sum(axis=1)
-        self.pos += inc.sum(axis=1)
+        self.pos += inc.sum(axis=2).T
 
-    def norms(self, norm) -> np.ndarray:
-        """No closed form: `norm` looks each position up in its ball and
-        raises OutOfRangeError outside it."""
-        return np.array(list(map(norm, self.positions())), dtype=np.int64)
+    def norms(self, ball) -> np.ndarray:
+        """No closed form: the rows are looked up in `ball`."""
+        return ball.norms(self.pos)
+
+
+class _BallCodes:
+    """A heisenberg ball as the sorted int64 codes of its (x, y, z) rows,
+    each coordinate offset by the ball's bound (its largest |coordinate|),
+    and the rows' norms in the same order. A ball within ``build_ball``'s
+    element budget has a bound below 2^12, so the codes cannot wrap."""
+
+    def __init__(self, ball: BallTable):
+        self.ball = ball
+        rows = np.array(list(ball.norms), dtype=np.int64).reshape(-1, 3)
+        self.bound = int(np.abs(rows).max())
+        codes = self._encode(rows)
+        order = np.argsort(codes)
+        self.codes = codes[order]
+        self.values = np.fromiter(ball.norms.values(), dtype=np.int64,
+                                  count=len(rows))[order]
+
+    def _encode(self, rows: np.ndarray) -> np.ndarray:
+        side = 2 * self.bound + 1
+        rows = rows + self.bound
+        return (rows[:, 0] * side + rows[:, 1]) * side + rows[:, 2]
+
+    def norms(self, pos: np.ndarray) -> np.ndarray:
+        """The norms of the rows of `pos` by one ``searchsorted``; a row
+        beyond the bound or missing from the ball raises the OutOfRangeError
+        of ``word_norm``. Python-int rows are bound-checked before the cast
+        to int64."""
+        if (np.abs(pos) <= self.bound).all():
+            codes = self._encode(pos.astype(np.int64))
+            at = np.searchsorted(self.codes, codes)
+            np.minimum(at, len(self.codes) - 1, out=at)
+            if (self.codes[at] == codes).all():
+                return self.values[at]
+        raise ball_miss(self.ball)
 
 
 class _FreeWalk:
@@ -440,7 +486,7 @@ class _FreeWalk:
         words = self.stack[:, :max(lengths, default=0)].tolist()
         return [tuple(w[:n]) for w, n in zip(words, lengths)]
 
-    def norms(self, norm) -> np.ndarray:
+    def norms(self, ball) -> np.ndarray:
         return self._lengths()
 
 
@@ -479,11 +525,10 @@ class _LamplighterWalk:
             lo = min(lo, old_lo - slack)
             hi = max(hi, old_lo + old_width - 1 + slack)
         width = hi - lo + 1
-        if len(self.rows) * width > MAX_WINDOW_CELLS:
+        if width > MAX_WINDOW_WIDTH:
             raise ResourceLimitError(
-                f"lamplighter lamp window of {width} positions x "
-                f"{len(self.rows)} trajectories exceeds {MAX_WINDOW_CELLS} "
-                f"cells")
+                f"lamplighter lamp window of {width} positions exceeds "
+                f"{MAX_WINDOW_WIDTH} positions per trajectory")
         grown = np.zeros((len(self.rows), width), dtype=np.uint8)
         grown[:, old_lo - lo:old_lo - lo + old_width] = self.window
         self.lo, self.window = lo, grown
@@ -497,7 +542,8 @@ class _LamplighterWalk:
             self._cover(int(lamps.min()), int(lamps.max()))
             rows = np.broadcast_to(self.rows[:, None, None], has.shape)[has]
             cols = (lamps - self.lo).astype(np.intp)
-            np.bitwise_xor.at(self.window, (rows, cols), 1)
+            # a uint8 operand keeps ufunc.at on its fast typed loop
+            np.bitwise_xor.at(self.window, (rows, cols), _TOGGLE)
         self.pos = after[:, -1]
 
     def positions(self) -> list:
@@ -510,7 +556,7 @@ class _LamplighterWalk:
             k += n
         return out
 
-    def norms(self, norm) -> np.ndarray:
+    def norms(self, ball) -> np.ndarray:
         """``lamplighter_norm`` per row from its first and last lit lamp,
         its lit count and its walker position: with lo and hi the extremes
         of 0, the walker and the lit lamps, the cheaper of its two sweeps
@@ -564,17 +610,16 @@ def _walk_chunk(mu: FiniteMeasure, payload: dict, checkpoints: List[int]):
 # -- statistics runners -------------------------------------------------------
 
 def _norm_chunk(payload: dict) -> Dict[int, List[int]]:
-    """Worker body: integer norm statistics per checkpoint for a range of
-    trajectory indices. Importable at top level so process pools can use it."""
+    """Integer norm statistics per checkpoint for a range of trajectory
+    indices."""
     mu = measure_from_text(payload["measure"])
     ball = None
-    if payload.get("ball_radius") is not None:
-        ball = build_ball(mu.group, payload["ball_radius"])
-    norm = norm_evaluator(mu.group, ball=ball)
+    if payload["ball_radius"] is not None:
+        ball = _BallCodes(build_ball(mu.group, payload["ball_radius"]))
     cps = sorted(payload["checkpoints"])
     stats = {cp: [0, 0, 0] for cp in cps}  # count, sum rho, sum rho^2
     for cp, walk in _walk_chunk(mu, payload, cps):
-        r = walk.norms(norm)
+        r = walk.norms(ball)
         # sum in Python ints where an int64 sum of squares could wrap
         if r.dtype != object and int(r.max()) ** 2 * len(r) >= 1 << 63:
             r = r.astype(object)
@@ -585,11 +630,18 @@ def _norm_chunk(payload: dict) -> Dict[int, List[int]]:
     return stats
 
 
+def _tally(counts: Counter, elements, fmt) -> None:
+    """Count a block's elements by their text, formatting each distinct
+    element once; new keys enter `counts` in first-occurrence order."""
+    for g, n in Counter(elements).items():
+        counts[fmt(g)] += n
+
+
 def _endpoint_chunk(payload: dict) -> Counter:
     mu = measure_from_text(payload["measure"])
     counts: Counter = Counter()
     for _, walk in _walk_chunk(mu, payload, [payload["steps"]]):
-        counts.update(map(mu.group.format_element, walk.positions()))
+        _tally(counts, walk.positions(), mu.group.format_element)
     return counts
 
 
@@ -600,8 +652,9 @@ def _prefix_chunk(payload: dict) -> Counter:
     fmt, level = mu.group.format_element, payload["level"]
     counts: Counter = Counter()
     for _, walk in _walk_chunk(mu, payload, [payload["steps"]]):
-        counts.update("-" if len(w) < level else fmt(w[:level])
-                      for w in walk.positions())
+        _tally(counts, (w[:level] if len(w) >= level else None
+                        for w in walk.positions()),
+               lambda w: "-" if w is None else fmt(w))
     return counts
 
 
@@ -621,17 +674,77 @@ def _chunks(total: int, workers: int):
 
 def _run_chunked(kind: str, base_payload: dict, config: SamplerConfig,
                  combine):
-    """Split the trajectories over at most min(workers, trajectories, CPUs)
-    processes; one worker runs in this process."""
+    """Split the trajectories into min(workers, trajectories, CPUs) chunks.
+    Chunk 0 runs in this process, each other chunk in a forked child;
+    without ``os.fork`` every chunk runs here, which gives the same output
+    by design."""
     workers = min(config.workers, config.trajectories, os.cpu_count() or 1)
     payloads = [dict(base_payload, start=start, stop=stop, seed=config.seed)
                 for start, stop in _chunks(config.trajectories, workers)]
     fn = _CHUNK_FNS[kind]
-    if workers == 1:
-        return combine([fn(payloads[0])])
-    with ProcessPoolExecutor(max_workers=workers - 1) as pool:
-        rest = pool.map(fn, payloads[1:])     # submitted before the first runs
-        return combine([fn(payloads[0]), *rest])
+    if len(payloads) == 1 or not hasattr(os, "fork"):
+        return combine([fn(payload) for payload in payloads])
+    return combine(_fork_chunks(fn, payloads))
+
+
+def _fork_chunks(fn, payloads: List[dict]) -> list:
+    """``fn`` of every payload: payloads[1:] in one forked child each,
+    payloads[0] here meanwhile. A child's exception is re-raised here, and
+    every child is reaped on every exit path."""
+    children = []                       # (pid, read end of its pipe)
+    try:
+        for payload in payloads[1:]:
+            children.append(_fork_chunk(fn, payload, children))
+        results = [fn(payloads[0])]
+        for _, reader in children:
+            try:
+                ok, value = pickle.loads(reader.read())
+            except (EOFError, pickle.UnpicklingError):  # none, or cut short
+                raise ResourceLimitError(
+                    "a sampler worker process exited without a result"
+                ) from None
+            if not ok:
+                raise value
+            results.append(value)
+        return results
+    finally:
+        # closed read ends let a child still writing fail and exit
+        for _, reader in children:
+            reader.close()
+        for pid, _ in children:
+            os.waitpid(pid, 0)
+
+
+def _fork_chunk(fn, payload: dict, siblings: list):
+    """Fork a child that pickles ``(True, fn(payload))``, or ``(False,
+    exception)``, into a pipe and leaves through ``os._exit``; returns its
+    pid and the pipe's read end."""
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError as exc:
+        os.close(read)
+        os.close(write)
+        raise ResourceLimitError(
+            f"cannot start a sampler worker process ({exc})") from None
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read)
+            for _, reader in siblings:
+                reader.close()
+            try:
+                message = (True, fn(payload))
+            except BaseException as exc:
+                message = (False, exc)
+            data = pickle.dumps(message, pickle.HIGHEST_PROTOCOL)
+            with open(write, "wb") as pipe:
+                pipe.write(data)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write)
+    return pid, open(read, "rb")
 
 
 def _combine_norm_stats(parts):
@@ -666,6 +779,9 @@ def norm_statistics(mu: FiniteMeasure, config: SamplerConfig,
         raise DomainError("checkpoints must lie in 1..steps")
     if not isinstance(mu.group, Heisenberg):
         ball_radius = None
+    elif ball_radius is None:
+        raise DomainError(
+            "heisenberg norms need a ball table (no closed form)")
     payload = {"measure": measure_to_text(mu), "checkpoints": cps,
                "ball_radius": ball_radius}
     return _run_chunked("norm", payload, config, _combine_norm_stats)

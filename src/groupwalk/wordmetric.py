@@ -80,10 +80,15 @@ def word_norm(table: BallTable, g) -> int:
     try:
         return table.norms[g]
     except KeyError:
-        raise OutOfRangeError(
-            f"element outside ball of radius {table.radius}; rebuild with a "
-            f"larger radius", required=table.radius + 1,
-        )
+        raise ball_miss(table)
+
+
+def ball_miss(table: BallTable) -> OutOfRangeError:
+    """The error of a norm query outside `table`."""
+    return OutOfRangeError(
+        f"element outside ball of radius {table.radius}; rebuild with a "
+        f"larger radius", required=table.radius + 1,
+    )
 
 
 def free_norm(g) -> int:

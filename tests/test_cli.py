@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import pickle
 import subprocess
 import sys
 import tempfile
@@ -13,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import groupwalk
-from groupwalk import gspaces
+from groupwalk import gspaces, sampler
 from groupwalk.cache import CACHE_ENV_VAR, ball_path, cached_ball
 from groupwalk.cli import run
 from groupwalk.drift import drift_exact_partial
@@ -147,7 +148,7 @@ def test_factor_subcommand(capsys):
     assert json.loads(out)["found"] is False
 
 
-def test_error_exit_codes(capsys, tmp_path):
+def test_error_exit_codes(capsys, tmp_path, monkeypatch):
     code, out, err = run_cli(capsys, "drift", "--group", "nope:7")
     assert code == 1
     assert out == ""
@@ -227,6 +228,69 @@ def test_error_exit_codes(capsys, tmp_path):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, "")
         assert json.loads(err)["error"]["type"] == "resource"
+    # the lamplighter lamp window budget is per trajectory, so it fails
+    # alike at any worker count
+    monkeypatch.setattr(sampler.os, "cpu_count", lambda: 2)
+    lamp = ("drift", "--group", "lamplighter", "--measure={0,20000000}|1=1",
+            "--n-max", "0", "--trajectories", "2", "--steps", "1")
+    runs = [run_cli(capsys, *lamp, "--workers", w) for w in ("1", "2")]
+    assert runs[0] == runs[1]
+    code, out, err = runs[0]
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"]["type"] == "resource"
+
+
+def _heisenberg_drift(trajectories: int) -> tuple:
+    """Trajectory 0 of seed 3 stays in the heisenberg ball of radius 3 for
+    four steps and trajectory 1 leaves it."""
+    return ("drift", "--group", "heisenberg", "--ball-radius", "3",
+            "--n-max", "0", "--steps", "4", "--seed", "3",
+            "--trajectories", str(trajectories))
+
+
+def test_error_in_a_forked_chunk_matches_one_worker(capsys, monkeypatch):
+    monkeypatch.setattr(sampler.os, "cpu_count", lambda: 2)
+    code, out, _ = run_cli(capsys, *_heisenberg_drift(1))
+    assert code == 0 and json.loads(out)["monte_carlo"]["trajectories"] == 1
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    # at two workers the inline chunk succeeds and the forked one raises
+    runs = [run_cli(capsys, *_heisenberg_drift(2), "--workers", w)
+            for w in ("1", "2")]
+    assert len(forks) == 1
+    assert runs[0] == runs[1]
+    code, out, err = runs[0]
+    assert (code, out) == (1, "")
+    assert json.loads(err)["error"]["message"] == (
+        "element outside ball of radius 3; rebuild with a larger radius")
+
+
+@pytest.mark.parametrize("failure", ["silent", "cut short"])
+def test_forked_chunk_without_a_result_is_a_resource_error(capsys,
+                                                          monkeypatch,
+                                                          failure):
+    monkeypatch.setattr(sampler.os, "cpu_count", lambda: 2)
+    if failure == "silent":
+        norm_chunk = sampler._CHUNK_FNS["norm"]
+
+        def chunk(payload):
+            if payload["start"] > 0:    # the forked chunk writes nothing
+                os._exit(0)
+            return norm_chunk(payload)
+
+        monkeypatch.setitem(sampler._CHUNK_FNS, "norm", chunk)
+    else:                               # the child's pickle loses its end
+        dumps = pickle.dumps
+        monkeypatch.setattr(pickle, "dumps", lambda *a: dumps(*a)[:-3])
+    code, out, err = run_cli(capsys, "drift", "--group", "zd:2", "--n-max",
+                             "0", "--trajectories", "10", "--steps", "3",
+                             "--workers", "2")
+    assert (code, out) == (2, "")
+    error = json.loads(err)["error"]
+    assert error["type"] == "resource"
+    assert "without a result" in error["message"]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_gspace_point_budget_exit_code(capsys, tmp_path, monkeypatch):

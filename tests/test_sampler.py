@@ -1,5 +1,6 @@
 """Seed discipline, worker invariance, and endpoint laws of the sampler."""
 
+import os
 import random
 from collections import Counter
 
@@ -131,6 +132,8 @@ def test_heisenberg_norm_stats_with_ball():
     cfg = SamplerConfig(seed=1, trajectories=50, steps=4)
     stats = norm_statistics(srw(h), cfg, ball_radius=6)
     assert stats[4][0] == 50
+    with pytest.raises(DomainError, match="need a ball table"):
+        norm_statistics(srw(h), cfg)
 
 
 def test_ball_radius_builds_no_ball_off_heisenberg(monkeypatch):
@@ -307,20 +310,25 @@ def test_kernel_matches_reference_walk_at_default_sizes():
 
 @pytest.mark.parametrize("case", sorted(KERNEL_CASES))
 def test_kernel_norms_match_norm_evaluator(case):
+    """Array norms against the scalar evaluator; heisenberg rows are looked
+    up by code in the ball and fail as ``word_norm`` does outside it."""
     gid, spec = KERNEL_CASES[case]
     group = group_from_id(gid)
     mu = parse_measure_spec(group, spec)
     ball = build_ball(group, 12) if gid == "heisenberg" else None
     norm = norm_evaluator(group, ball=ball)
+    codes = None if ball is None else sampler._BallCodes(ball)
     payload = {"seed": 31, "start": 0, "stop": 30}
     for _, walk in sampler._walk_chunk(mu, payload, [1, 4, 12, 23]):
         try:
             expected = [norm(g) for g in walk.positions()]
-        except OutOfRangeError:     # a heisenberg walk left its ball
-            with pytest.raises(OutOfRangeError):
-                walk.norms(norm)
+        except OutOfRangeError as miss:     # a heisenberg walk left its ball
+            with pytest.raises(OutOfRangeError) as raised:
+                walk.norms(codes)
+            assert str(raised.value) == str(miss)
+            assert raised.value.required == miss.required == 13
             continue
-        got = walk.norms(norm)
+        got = walk.norms(codes)
         assert got.tolist() == expected
         assert got.dtype == (object if case.endswith("-wide")
                              and gid != "heisenberg" else np.int64)
@@ -359,41 +367,104 @@ def test_lamplighter_norms_on_chosen_rows(far):
     assert walk.norms(None).tolist() == [2, 4, 0]
 
 
+def test_ball_codes_find_every_ball_element_and_nothing_else():
+    ball = build_ball(Heisenberg(), 5)
+    codes = sampler._BallCodes(ball)
+    rows = np.array(list(ball.norms), dtype=np.int64)
+    assert codes.norms(rows).tolist() == list(ball.norms.values())
+    assert codes.norms(rows.astype(object)).tolist() == \
+        list(ball.norms.values())
+    b = codes.bound
+    assert b == max(abs(c) for g in ball.norms for c in g)
+    x, y, z = max(ball.norms, key=lambda g: g[2])
+    assert z == b
+    misses = [(5, 1, 0),            # inside the bound, norm 6
+              (b, b, b),            # past the largest code
+              (-b, -b, -b),         # before the smallest code
+              (b + 1, 0, 0),        # beyond the bound
+              (0, 0, -(b + 1)),
+              # beyond the bound, with the code of the ball's (x, y, b)
+              (x, y + 1, -(b + 1))]
+    for row in misses:
+        assert row not in ball
+        for dtype in (np.int64, object):
+            pos = np.array([(0, 0, 0), row], dtype=dtype)
+            with pytest.raises(OutOfRangeError) as raised:
+                codes.norms(pos)
+            assert str(raised.value) == ("element outside ball of radius "
+                                         "5; rebuild with a larger radius")
+            assert raised.value.required == 6
+    # beyond int64: bound-checked as Python ints before any cast
+    with pytest.raises(OutOfRangeError):
+        codes.norms(np.array([(2 ** 70, 0, 0)], dtype=object))
+
+
 def test_heisenberg_walk_leaving_its_ball_is_out_of_range():
     cfg = SamplerConfig(seed=1, trajectories=20, steps=10)
     with pytest.raises(OutOfRangeError):
         norm_statistics(srw(Heisenberg()), cfg, ball_radius=2)
 
 
-class _InlinePool:
-    """Stands in for ProcessPoolExecutor: records max_workers, runs inline."""
-    sizes = []
-
-    def __init__(self, max_workers):
-        self.sizes.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, payloads):
-        return map(fn, payloads)
+def _count_forks(monkeypatch) -> list:
+    """Count the os.fork calls made from this process from now on."""
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    return forks
 
 
 @pytest.mark.parametrize("cpus, trajectories, expected", [
     (3, 100, [2]), (3, 2, [1]), (None, 100, []), (1, 100, [])])
 def test_worker_count_is_clamped(monkeypatch, cpus, trajectories, expected):
-    monkeypatch.setattr(sampler, "ProcessPoolExecutor", _InlinePool)
+    """Forked chunks per call: one chunk per worker, less the inline one."""
     monkeypatch.setattr(sampler.os, "cpu_count", lambda: cpus)
-    monkeypatch.setattr(_InlinePool, "sizes", [])
+    forks = _count_forks(monkeypatch)
     mu = srw(FreeGroup(2))
     one = SamplerConfig(seed=6, trajectories=trajectories, steps=9)
     many = SamplerConfig(seed=6, trajectories=trajectories, steps=9,
                          workers=64)
-    assert norm_statistics(mu, many) == norm_statistics(mu, one)
-    assert _InlinePool.sizes == expected
+    sizes, results = [], []
+    for config in (many, one):
+        forks.clear()
+        results.append(norm_statistics(mu, config))
+        if forks:
+            sizes.append(len(forks))
+    assert results[0] == results[1]
+    assert sizes == expected
+
+
+def test_chunks_run_inline_without_fork(monkeypatch):
+    mu = srw(FreeGroup(2))
+    monkeypatch.setattr(sampler.os, "cpu_count", lambda: 3)
+    configs = [SamplerConfig(seed=6, trajectories=50, steps=9, workers=w)
+               for w in (1, 3)]
+    expected = [endpoint_counts(mu, c) for c in configs]
+    assert list(expected[0].items()) == list(expected[1].items())
+    monkeypatch.delattr(os, "fork")
+    for config in configs:
+        got = endpoint_counts(mu, config)
+        assert list(got.items()) == list(expected[0].items())
+
+
+def test_forked_chunks_leave_no_child_unreaped(monkeypatch):
+    """After a fan-out that succeeds and one whose forked chunk raises,
+    this process has no child left to wait for."""
+    monkeypatch.setattr(sampler.os, "cpu_count", lambda: 2)
+    forks = _count_forks(monkeypatch)
+    mu = srw(Heisenberg())
+    # trajectory 0 stays in the radius-3 ball for 4 steps, trajectory 1
+    # leaves it: the inline chunk succeeds and the forked one raises
+    inside = SamplerConfig(seed=3, trajectories=1, steps=4)
+    assert norm_statistics(mu, inside, ball_radius=3)[4][0] == 1
+    config = SamplerConfig(seed=3, trajectories=2, steps=4, workers=2)
+    assert norm_statistics(mu, config, ball_radius=4)[4][0] == 2
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    with pytest.raises(OutOfRangeError) as raised:
+        norm_statistics(mu, config, ball_radius=3)
+    assert raised.value.required == 4
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert len(forks) == 2
 
 
 def test_lamp_window_over_budget_is_a_resource_error():
@@ -401,3 +472,21 @@ def test_lamp_window_over_budget_is_a_resource_error():
     mu = parse_measure_spec(lam, "{0,100000000}|1=1")
     with pytest.raises(ResourceLimitError):
         endpoint_counts(mu, SamplerConfig(seed=0, trajectories=1, steps=1))
+
+
+def test_lamp_window_budget_is_per_trajectory():
+    """The widest window fits at any row count, and one position more
+    fails at any row count."""
+    lam = group_from_id("lamplighter")
+    widest = sampler.MAX_WINDOW_WIDTH - 1
+    fits = parse_measure_spec(lam, f"{{0,{widest}}}|1=1")
+    over = parse_measure_spec(lam, f"{{0,{widest + 1}}}|1=1")
+    for trajectories in (1, 3):
+        config = SamplerConfig(seed=0, trajectories=trajectories, steps=1)
+        assert endpoint_counts(fits, config) == Counter(
+            {f"{{0,{widest}}}|1": trajectories})
+        with pytest.raises(ResourceLimitError) as raised:
+            endpoint_counts(over, config)
+        assert str(raised.value) == (
+            f"lamplighter lamp window of {widest + 2} positions exceeds "
+            f"{sampler.MAX_WINDOW_WIDTH} positions per trajectory")
