@@ -1,0 +1,137 @@
+#!/usr/bin/env python3
+"""Compare the CLI outputs of a parent commit and the working tree.
+
+Run from the root of a checkout::
+
+    python3 scripts/compare_outputs.py --parent HEAD~1 exact:0 identities:7
+
+Each ``WORKLOAD:SEED`` stands for the CLI jobs of one pass of
+``perfbench/workloads.generate(WORKLOAD, SEED, passes=1)``; library jobs
+are left out. One subprocess per tree (the parent's a ``git archive``
+export in a temporary directory) imports ``groupwalk`` from that tree's
+``src`` and runs every job through ``groupwalk.cli.run``, with the jobs'
+input files in a temporary work directory. The work and cache directory
+paths are replaced by ``{work}`` and ``{cache}`` in the outputs; then each
+job's exit code, stdout and stderr are compared. Prints the number of
+differing jobs per workload and seed, and exits 1 on any difference.
+Reads ``perfbench/`` and writes nothing under it.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import json
+import os
+import subprocess
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def parse_args(argv):
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--parent",
+                   help="commit to compare the working tree against")
+    p.add_argument("--collect", nargs=2, metavar=("TREE", "OUT"),
+                   help=argparse.SUPPRESS)
+    p.add_argument("specs", nargs="+", metavar="WORKLOAD:SEED")
+    args = p.parse_args(argv)
+    try:
+        args.specs = [(w, int(s)) for w, s in
+                      (spec.split(":") for spec in args.specs)]
+    except ValueError:
+        p.error("each run is WORKLOAD:SEED")
+    if not (args.parent or args.collect):
+        p.error("--parent is required")
+    return args
+
+
+def run_job(cli, job, work: str, cache: str) -> list:
+    """[exit code, stdout, stderr] of one CLI job, paths normalised."""
+    argv = [a.replace("{cache}", cache).replace("{work}", work)
+            for a in job.args]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.run(argv)
+        except SystemExit as exc:           # argparse rejected the argv
+            code = exc.code
+        except Exception as exc:            # a crash is a result too
+            code = -1
+            print(f"{type(exc).__name__}: {exc}", file=err)
+    return [code] + [text.getvalue().replace(work, "{work}")
+                     .replace(cache, "{cache}") for text in (out, err)]
+
+
+def collect(tree: str, specs, out_path: str) -> None:
+    """Child process: run the specs' CLI jobs with `tree`'s groupwalk and
+    write {"WORKLOAD:SEED": [[job key, code, stdout, stderr], ...]}."""
+    src = os.path.join(tree, "src")
+    sys.dont_write_bytecode = True      # nothing written under perfbench/
+    sys.path[:0] = [src, os.path.join(ROOT, "perfbench")]
+    import groupwalk
+    from groupwalk import cli
+    import workloads
+    if not os.path.abspath(groupwalk.__file__).startswith(src + os.sep):
+        raise SystemExit(f"groupwalk imported from {groupwalk.__file__}")
+    results = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for workload, seed in specs:
+            work = os.path.join(tmp, f"{workload}-{seed}")
+            cache = os.path.join(tmp, f"cache-{workload}-{seed}")
+            os.makedirs(work)
+            os.makedirs(cache)
+            jobs = [job for job in workloads.generate(workload, seed, 1)
+                    if job.kind == "cli"]
+            for job in jobs:
+                for name, text in job.files:
+                    with open(os.path.join(work, name), "w",
+                              encoding="utf-8") as fh:
+                        fh.write(text)
+            results[f"{workload}:{seed}"] = [
+                [job.key] + run_job(cli, job, work, cache) for job in jobs]
+    with open(out_path, "w", encoding="utf-8") as fh:
+        json.dump(results, fh)
+
+
+def run_tree(tree: str, argv_specs, out_path: str) -> dict:
+    subprocess.run([sys.executable, os.path.abspath(__file__), "--collect",
+                    tree, out_path] + argv_specs,
+                   cwd=tree, check=True)
+    with open(out_path, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def main(argv=None) -> int:
+    args = parse_args(argv)
+    argv_specs = [f"{w}:{s}" for w, s in args.specs]
+    if args.collect:
+        collect(args.collect[0], args.specs, args.collect[1])
+        return 0
+    sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+    from bench_pairs import export
+    with tempfile.TemporaryDirectory() as tmp:
+        parent_tree = os.path.join(tmp, "parent")
+        commit = export(args.parent, parent_tree)
+        parent = run_tree(parent_tree, argv_specs,
+                          os.path.join(tmp, "parent.json"))
+        change = run_tree(ROOT, argv_specs, os.path.join(tmp, "change.json"))
+    print(f"parent {commit} against the working tree")
+    differing = 0
+    for spec in argv_specs:
+        pairs = list(zip(parent[spec], change[spec]))
+        bad = [(p, c) for p, c in pairs if p != c]
+        differing += len(bad)
+        print(f"{spec}: {len(pairs)} CLI jobs, {len(bad)} differ")
+        for p, c in bad[:3]:            # the first few, by part
+            parts = [name for name, a, b in
+                     zip(("exit", "stdout", "stderr"), p[1:], c[1:]) if a != b]
+            print(f"  job {p[0]}: {', '.join(parts)} differ")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -429,12 +429,16 @@ def _run_stationary(cfg: Dict[str, object]) -> dict:
             "orbits": result.orbit_decomposition}
 
 
-def _run_ergodicity(cfg: Dict[str, object]) -> dict:
+def _solved_pair(cfg: Dict[str, object]) -> tuple:
+    """(X, nu_X, Y, nu_Y): both spaces, each with its stationary measure."""
     space_x = _parse_space(str(cfg["space"]))
     space_y = _parse_space(str(cfg["space2"]))
-    nu_x = gspaces.solve_stationary(space_x, cfg["measure"]).nu
-    nu_y = gspaces.solve_stationary(space_y, cfg["measure"]).nu
-    result = gspaces.diagonal_ergodicity(space_x, nu_x, space_y, nu_y)
+    return (space_x, gspaces.solve_stationary(space_x, cfg["measure"]).nu,
+            space_y, gspaces.solve_stationary(space_y, cfg["measure"]).nu)
+
+
+def _run_ergodicity(cfg: Dict[str, object]) -> dict:
+    result = gspaces.diagonal_ergodicity(*_solved_pair(cfg))
     report = {"schema": SCHEMA, "subcommand": "ergodicity", "config": cfg,
               "ergodic": result.ergodic, "orbit_count": result.orbit_count}
     if result.witness is not None:
@@ -443,11 +447,7 @@ def _run_ergodicity(cfg: Dict[str, object]) -> dict:
 
 
 def _run_factor(cfg: Dict[str, object]) -> dict:
-    space_x = _parse_space(str(cfg["space"]))
-    space_y = _parse_space(str(cfg["space2"]))
-    nu_x = gspaces.solve_stationary(space_x, cfg["measure"]).nu
-    nu_y = gspaces.solve_stationary(space_y, cfg["measure"]).nu
-    witness = gspaces.isometric_factor_witness(space_x, nu_x, space_y, nu_y)
+    witness = gspaces.isometric_factor_witness(*_solved_pair(cfg))
     report = {"schema": SCHEMA, "subcommand": "factor", "config": cfg,
               "found": witness is not None}
     if witness is not None:

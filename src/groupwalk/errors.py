@@ -34,7 +34,8 @@ class ResourceLimitError(GroupwalkError):
 
 
 class NonConvergenceError(PreconditionError):
-    """Iterative solver did not reach the requested residual."""
+    """Iterative solver did not reach the requested residual. Unused since
+    stationary measures are in closed form; kept until a version bump."""
 
     def __init__(self, message, residual=None):
         super().__init__(message)

@@ -4,11 +4,12 @@ factor maps from invariant functions, and moment-tensor invariance.
 A FiniteGSpace is a finite set acted on by named generators through
 permutations, validated against a supplied relator list (a silent non-action
 would corrupt every downstream claim, so mismatches are construction
-errors). On a finite set with bijective actions a stationary measure is
-automatically uniform on each reachable orbit, hence invariant: the
-genuinely non-invariant stationary phenomena live in the boundary module.
-"Essentially constant" here always means constant on atoms of positive
-mass.
+errors). On a finite set with bijective actions the walk's law converges
+to its start's mass spread evenly over each orbit of the group generated by
+supp mu, so stationary measures are given in closed form and are invariant
+under that group: the genuinely non-invariant stationary phenomena live in
+the boundary module. "Essentially constant" here always means constant on
+atoms of positive mass.
 
 The moment-tensor check models measures on the unit ball of a
 finite-dimensional real representation: sigma_k = sum_i w_i v_i^{(x) k}
@@ -28,13 +29,12 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import groupby
+from itertools import chain, groupby
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import (DomainError, NonConvergenceError, PreconditionError,
-                     ResourceLimitError)
+from .errors import DomainError, PreconditionError, ResourceLimitError
 from .measures import MODE_FLOAT, _parse_weight
 
 LINALG_TOL = 1e-12
@@ -300,9 +300,10 @@ def _markov_operator(atoms, f: np.ndarray) -> np.ndarray:
     return out
 
 
-def orbits(space: FiniteGSpace) -> List[List[int]]:
-    """Orbits of the generated group (connected components of the moves)."""
-    parent = list(range(space.size))
+def _orbits(size: int, perms: Iterable[Sequence[int]]) -> List[List[int]]:
+    """Orbits on 0..size-1 of the group the permutations generate: the
+    components of their moves, each sorted, in order of first points."""
+    parent = list(range(size))
 
     def find(i):
         while parent[i] != i:
@@ -310,50 +311,58 @@ def orbits(space: FiniteGSpace) -> List[List[int]]:
             i = parent[i]
         return i
 
-    for perm in space.gens.values():
+    for perm in perms:
         for i, j in enumerate(perm):
             ri, rj = find(i), find(j)
             if ri != rj:
                 parent[ri] = rj
     groups: Dict[int, List[int]] = {}
-    for i in range(space.size):
+    for i in range(size):
         groups.setdefault(find(i), []).append(i)
     return sorted(groups.values())
+
+
+def orbits(space: FiniteGSpace) -> List[List[int]]:
+    """Orbits of the generated group (connected components of the moves)."""
+    return _orbits(space.size, space.gens.values())
+
+
+def _live_orbits(space: FiniteGSpace, mass: np.ndarray) -> List[List[int]]:
+    """The orbits of `space` holding positive mass."""
+    return [orb for orb in orbits(space) if (mass[orb] > 0).any()]
 
 
 @dataclass(frozen=True)
 class StationaryResult:
     nu: np.ndarray
     residual: float
-    iterations: int
-    orbit_decomposition: List[List[int]]
+    iterations: int                       # always 0: nu is in closed form
+    orbit_decomposition: List[List[int]]  # orbits of <supp mu>
 
 
 def solve_stationary(space: FiniteGSpace, mu_spec="uniform",
-                     start: Optional[np.ndarray] = None,
-                     max_iterations: int = 100_000) -> StationaryResult:
-    """Power iteration from the uniform start (lazy kernel for periodic
-    chains); verifies the result is stationary to 1e-12 and reports the
-    orbit decomposition."""
+                     start: Optional[np.ndarray] = None) -> StationaryResult:
+    """Limit of the lazy walk's law from `start` (default uniform): the
+    start's mass on each orbit of <supp mu> spread evenly over it, or kept
+    as is where already constant there (the uniform start keeps its bytes).
+    Reports the residual |mu * nu - nu|_1 and those orbits."""
     atoms = parse_word_measure(space, mu_spec)
     nu = (np.full(space.size, 1.0 / space.size) if start is None
-          else np.asarray(start, dtype=float))
+          else np.array(start, dtype=float))
     if abs(nu.sum() - 1.0) > LINALG_TOL or (nu < 0).any():
         raise DomainError("start vector must be a probability vector")
-    iterations = 0
-    while True:
-        pushed = _transfer(atoms, nu)
-        residual = float(np.abs(pushed - nu).sum())
-        if residual <= LINALG_TOL:
-            break
-        if iterations >= max_iterations:
-            raise NonConvergenceError(
-                f"stationary iteration residual {residual} after "
-                f"{iterations} steps", residual=residual)
-        nu = 0.5 * (nu + pushed)   # lazy kernel: same fixed points
-        iterations += 1
-    return StationaryResult(nu=nu, residual=residual, iterations=iterations,
-                            orbit_decomposition=orbits(space))
+    orbit_list = _orbits(space.size, [perm for _, perm, _ in atoms])
+    sizes = np.array([len(orbit) for orbit in orbit_list])
+    points = np.fromiter(chain.from_iterable(orbit_list), np.intp, space.size)
+    values, firsts = nu[points], np.cumsum(sizes) - sizes
+    constant = (np.minimum.reduceat(values, firsts)
+                == np.maximum.reduceat(values, firsts))
+    even = np.add.reduceat(values, firsts) / sizes
+    nu[points] = np.where(np.repeat(constant, sizes), values,
+                          np.repeat(even, sizes))
+    residual = float(np.abs(_transfer(atoms, nu) - nu).sum())
+    return StationaryResult(nu=nu, residual=residual, iterations=0,
+                            orbit_decomposition=orbit_list)
 
 
 def is_invariant_measure(space: FiniteGSpace, nu: np.ndarray,
@@ -388,6 +397,16 @@ def _word_power_measures(atoms, k_max: int) -> List[Dict[Tuple[int, ...], float]
     return out
 
 
+def _invariance_defect(space: FiniteGSpace, f: np.ndarray,
+                       support: np.ndarray) -> float:
+    """max over generators s of |f(s x) - f(x)| on the support."""
+    defect = 0.0
+    for perm in space.gens.values():
+        moved = f[np.array(perm)]
+        defect = max(defect, float(np.abs((moved - f)[support]).max()))
+    return defect
+
+
 def check_statinv(space: FiniteGSpace, nu: np.ndarray, mu_spec, f: np.ndarray,
                   k_max: int = 4) -> StatInvReport:
     """Harmonic functions on a stationary space are invariant; checked via
@@ -419,11 +438,7 @@ def check_statinv(space: FiniteGSpace, nu: np.ndarray, mu_spec, f: np.ndarray,
         rhs = 2.0 * float(nu @ (f * f) - nu @ (f * pkf))
         identity_residuals.append(abs(lhs - rhs))
         vanishing.append(abs(lhs))
-    support = nu > 0
-    defect = 0.0
-    for perm in space.gens.values():
-        moved = f[np.array(perm)]
-        defect = max(defect, float(np.abs((moved - f)[support]).max()))
+    defect = _invariance_defect(space, f, nu > 0)
     return StatInvReport(harmonic_residual=harmonic_residual,
                          identity_residuals=identity_residuals,
                          vanishing=vanishing,
@@ -456,8 +471,7 @@ def diagonal_ergodicity(space_x: FiniteGSpace, nu_x: np.ndarray,
             raise PreconditionError("factor measures must be invariant")
     prod = product_space(space_x, space_y)
     mass = np.kron(np.asarray(nu_x, float), np.asarray(nu_y, float))
-    support = mass > 0
-    live_orbits = [orb for orb in orbits(prod) if support[orb].any()]
+    live_orbits = _live_orbits(prod, mass)
     if len(live_orbits) <= 1:
         return ErgodicityResult(ergodic=True, orbit_count=len(live_orbits),
                                 witness=None, product=prod)
@@ -480,15 +494,6 @@ class FactorMapResult:
     dichotomy_holds: bool            # f nonzero => f2 non-constant
     mean_zero_residual: float        # max_x |int f(x, y) deta(y)|
     lambda_residual: float           # max_y |int f(x, y) dnu(x)|
-
-
-def _invariance_defect(prod: FiniteGSpace, f_flat: np.ndarray,
-                       support: np.ndarray) -> float:
-    defect = 0.0
-    for perm in prod.gens.values():
-        moved = f_flat[np.array(perm)]
-        defect = max(defect, float(np.abs((moved - f_flat)[support]).max()))
-    return defect
 
 
 def factor_map(f: np.ndarray, space_x: FiniteGSpace, nu_x: np.ndarray,
@@ -519,8 +524,7 @@ def factor_map(f: np.ndarray, space_x: FiniteGSpace, nu_x: np.ndarray,
     if abs(mean) > COMPOSED_TOL:
         raise PreconditionError(f"f must have zero mean, got {mean}")
     for space, nu in ((space_x, nu_x), (space_y, eta)):
-        live = [orb for orb in orbits(space) if (nu[orb] > 0).any()]
-        if len(live) != 1:
+        if len(_live_orbits(space, nu)) != 1:
             raise PreconditionError("factors must be ergodic")
 
     mean_zero_residual = float(np.abs(f @ eta)[nu_x > 0].max())

@@ -25,9 +25,9 @@ element once.
 
 With several workers the trajectories are split into chunks: chunk 0 runs
 in the calling process and every other chunk in one child forked for it,
-which pickles its result, or its exception, into a pipe. The caller reaps
-every child on every exit path. Without ``os.fork`` all chunks run in the
-caller, with the same output.
+which inherits the measure and pickles its result, or its exception, into
+a pipe. The caller reaps every child on every exit path. Without
+``os.fork`` all chunks run in the caller, with the same output.
 
 ``substream`` is the reference definition of a trajectory's generator. The
 walk runs a block's streams as arrays instead (``_BlockStream``): it runs
@@ -50,8 +50,7 @@ import numpy as np
 
 from .errors import DomainError, ResourceLimitError
 from .groups import FreeAbelian, FreeGroup, Group, Heisenberg, Lamplighter
-from .measures import (FiniteMeasure, measure_from_text, measure_to_text,
-                       power, total_variation)
+from .measures import FiniteMeasure, power, total_variation
 from .wordmetric import BallTable, ball_miss, build_ball
 
 BLOCK_ROWS = 1024           # trajectories stepped together
@@ -473,7 +472,7 @@ class _FreeWalk:
         rows = len(idx)
         cols = idx.T
         for x, inverse, live in zip(
-                *(table[:, cols].transpose(1, 0, 2).reshape(-1, rows)
+                *(table.take(cols, axis=1).transpose(1, 0, 2).reshape(-1, rows)
                   for table in (self.letters, self.inverse, self.live))):
             cancel = flat.take(top) == inverse
             flat[top + 1] = x
@@ -582,10 +581,10 @@ _KERNELS = {FreeAbelian: _ZdWalk, FreeGroup: _FreeWalk,
             Lamplighter: _LamplighterWalk, Heisenberg: _HeisenbergWalk}
 
 
-def _walk_chunk(mu: FiniteMeasure, payload: dict, checkpoints: List[int]):
-    """Walk trajectories payload["start"] .. payload["stop"] - 1 and yield
-    (checkpoint, kernel) for each block of rows at each checkpoint, in
-    trajectory order.
+def _walk_chunk(mu: FiniteMeasure, seed: int, span: Tuple[int, int],
+                checkpoints: List[int]):
+    """Walk trajectories span[0] .. span[1] - 1 and yield (checkpoint,
+    kernel) for each block of rows at each checkpoint, in trajectory order.
 
     A block's stream draws one segment of uniforms for all its rows at a
     time; segments end at checkpoints and at the block's draw budget. Each
@@ -593,8 +592,8 @@ def _walk_chunk(mu: FiniteMeasure, payload: dict, checkpoints: List[int]):
     ``substream(seed, i).random(steps)`` draws."""
     kernel = _KERNELS[type(mu.group)]
     elems, cdf = atom_table(mu)
-    seed, stop = payload["seed"], payload["stop"]
-    for first in range(payload["start"], stop, BLOCK_ROWS):
+    start, stop = span
+    for first in range(start, stop, BLOCK_ROWS):
         stream = _BlockStream(seed, first, min(first + BLOCK_ROWS, stop))
         walk = kernel(elems, stream.rows, checkpoints[-1])
         segment = max(1, SEGMENT_DRAWS // stream.rows)
@@ -609,16 +608,16 @@ def _walk_chunk(mu: FiniteMeasure, payload: dict, checkpoints: List[int]):
 
 # -- statistics runners -------------------------------------------------------
 
-def _norm_chunk(payload: dict) -> Dict[int, List[int]]:
-    """Integer norm statistics per checkpoint for a range of trajectory
-    indices."""
-    mu = measure_from_text(payload["measure"])
+def _norm_chunk(mu: FiniteMeasure, seed: int, cps: List[int],
+                ball_radius: Optional[int],
+                span: Tuple[int, int]) -> Dict[int, List[int]]:
+    """Integer norm statistics per checkpoint (sorted `cps`) for the
+    trajectory indices of `span`."""
     ball = None
-    if payload["ball_radius"] is not None:
-        ball = _BallCodes(build_ball(mu.group, payload["ball_radius"]))
-    cps = sorted(payload["checkpoints"])
+    if ball_radius is not None:
+        ball = _BallCodes(build_ball(mu.group, ball_radius))
     stats = {cp: [0, 0, 0] for cp in cps}  # count, sum rho, sum rho^2
-    for cp, walk in _walk_chunk(mu, payload, cps):
+    for cp, walk in _walk_chunk(mu, seed, span, cps):
         r = walk.norms(ball)
         # sum in Python ints where an int64 sum of squares could wrap
         if r.dtype != object and int(r.max()) ** 2 * len(r) >= 1 << 63:
@@ -637,29 +636,25 @@ def _tally(counts: Counter, elements, fmt) -> None:
         counts[fmt(g)] += n
 
 
-def _endpoint_chunk(payload: dict) -> Counter:
-    mu = measure_from_text(payload["measure"])
+def _endpoint_chunk(mu: FiniteMeasure, seed: int, steps: int,
+                    span: Tuple[int, int]) -> Counter:
     counts: Counter = Counter()
-    for _, walk in _walk_chunk(mu, payload, [payload["steps"]]):
+    for _, walk in _walk_chunk(mu, seed, span, [steps]):
         _tally(counts, walk.positions(), mu.group.format_element)
     return counts
 
 
-def _prefix_chunk(payload: dict) -> Counter:
+def _prefix_chunk(mu: FiniteMeasure, seed: int, steps: int, level: int,
+                  span: Tuple[int, int]) -> Counter:
     """Tally the level-l prefix of the endpoint's reduced word ("-" if the
     endpoint is shorter than l)."""
-    mu = measure_from_text(payload["measure"])
-    fmt, level = mu.group.format_element, payload["level"]
+    fmt = mu.group.format_element
     counts: Counter = Counter()
-    for _, walk in _walk_chunk(mu, payload, [payload["steps"]]):
+    for _, walk in _walk_chunk(mu, seed, span, [steps]):
         _tally(counts, (w[:level] if len(w) >= level else None
                         for w in walk.positions()),
                lambda w: "-" if w is None else fmt(w))
     return counts
-
-
-_CHUNK_FNS = {"norm": _norm_chunk, "endpoint": _endpoint_chunk,
-              "prefix": _prefix_chunk}
 
 
 def _chunks(total: int, workers: int):
@@ -672,30 +667,28 @@ def _chunks(total: int, workers: int):
         start = stop
 
 
-def _run_chunked(kind: str, base_payload: dict, config: SamplerConfig,
-                 combine):
-    """Split the trajectories into min(workers, trajectories, CPUs) chunks.
-    Chunk 0 runs in this process, each other chunk in a forked child;
-    without ``os.fork`` every chunk runs here, which gives the same output
+def _run_chunked(chunk, config: SamplerConfig, combine):
+    """Split the trajectories into min(workers, trajectories, CPUs) spans
+    and run ``chunk(span)`` on each. Span 0 runs in this process, each
+    other span in a forked child, which inherits the chunk's arguments;
+    without ``os.fork`` every span runs here, which gives the same output
     by design."""
     workers = min(config.workers, config.trajectories, os.cpu_count() or 1)
-    payloads = [dict(base_payload, start=start, stop=stop, seed=config.seed)
-                for start, stop in _chunks(config.trajectories, workers)]
-    fn = _CHUNK_FNS[kind]
-    if len(payloads) == 1 or not hasattr(os, "fork"):
-        return combine([fn(payload) for payload in payloads])
-    return combine(_fork_chunks(fn, payloads))
+    spans = list(_chunks(config.trajectories, workers))
+    if len(spans) == 1 or not hasattr(os, "fork"):
+        return combine([chunk(span) for span in spans])
+    return combine(_fork_chunks(chunk, spans))
 
 
-def _fork_chunks(fn, payloads: List[dict]) -> list:
-    """``fn`` of every payload: payloads[1:] in one forked child each,
-    payloads[0] here meanwhile. A child's exception is re-raised here, and
-    every child is reaped on every exit path."""
+def _fork_chunks(fn, spans: List[Tuple[int, int]]) -> list:
+    """``fn`` of every span: spans[1:] in one forked child each, spans[0]
+    here meanwhile. A child's exception is re-raised here, and every child
+    is reaped on every exit path."""
     children = []                       # (pid, read end of its pipe)
     try:
-        for payload in payloads[1:]:
-            children.append(_fork_chunk(fn, payload, children))
-        results = [fn(payloads[0])]
+        for span in spans[1:]:
+            children.append(_fork_chunk(fn, span, children))
+        results = [fn(spans[0])]
         for _, reader in children:
             try:
                 ok, value = pickle.loads(reader.read())
@@ -715,8 +708,8 @@ def _fork_chunks(fn, payloads: List[dict]) -> list:
             os.waitpid(pid, 0)
 
 
-def _fork_chunk(fn, payload: dict, siblings: list):
-    """Fork a child that pickles ``(True, fn(payload))``, or ``(False,
+def _fork_chunk(fn, span: Tuple[int, int], siblings: list):
+    """Fork a child that pickles ``(True, fn(span))``, or ``(False,
     exception)``, into a pipe and leaves through ``os._exit``; returns its
     pid and the pipe's read end."""
     read, write = os.pipe()
@@ -734,7 +727,7 @@ def _fork_chunk(fn, payload: dict, siblings: list):
             for _, reader in siblings:
                 reader.close()
             try:
-                message = (True, fn(payload))
+                message = (True, fn(span))
             except BaseException as exc:
                 message = (False, exc)
             data = pickle.dumps(message, pickle.HIGHEST_PROTOCOL)
@@ -782,23 +775,22 @@ def norm_statistics(mu: FiniteMeasure, config: SamplerConfig,
     elif ball_radius is None:
         raise DomainError(
             "heisenberg norms need a ball table (no closed form)")
-    payload = {"measure": measure_to_text(mu), "checkpoints": cps,
-               "ball_radius": ball_radius}
-    return _run_chunked("norm", payload, config, _combine_norm_stats)
+    chunk = functools.partial(_norm_chunk, mu, config.seed, cps, ball_radius)
+    return _run_chunked(chunk, config, _combine_norm_stats)
 
 
 def endpoint_counts(mu: FiniteMeasure, config: SamplerConfig) -> Counter:
-    payload = {"measure": measure_to_text(mu), "steps": config.steps}
-    return _run_chunked("endpoint", payload, config, _combine_counters)
+    chunk = functools.partial(_endpoint_chunk, mu, config.seed, config.steps)
+    return _run_chunked(chunk, config, _combine_counters)
 
 
 def prefix_counts(mu: FiniteMeasure, level: int,
                   config: SamplerConfig) -> Counter:
     if not isinstance(mu.group, FreeGroup):
         raise DomainError("prefix statistics are for free groups only")
-    payload = {"measure": measure_to_text(mu), "steps": config.steps,
-               "level": level}
-    return _run_chunked("prefix", payload, config, _combine_counters)
+    chunk = functools.partial(_prefix_chunk, mu, config.seed, config.steps,
+                              level)
+    return _run_chunked(chunk, config, _combine_counters)
 
 
 def try_power(mu: FiniteMeasure, n: int, atom_budget: int = 200_000,

@@ -126,6 +126,13 @@ def test_stationary_and_ergodicity(capsys, tmp_path):
     report = json.loads(out)
     assert report["orbits"] == [[0, 1], [2, 3, 4]]
     assert report["nu"] == [0.2, 0.2, 0.2, 0.2, 0.2]
+    # a measure on t alone moves only within the orbits of <t>
+    space.write_text("size 4\ngen t (0 1)(2 3)\ngen s (1 2)\n")
+    _, out, _ = run_cli(capsys, "stationary", "--space", str(space),
+                        "--measure", "t=1")
+    report = json.loads(out)
+    assert report["orbits"] == [[0, 1], [2, 3]]
+    assert report["nu"] == [0.25, 0.25, 0.25, 0.25]
     _, out, _ = run_cli(capsys, "ergodicity", "--space", "preset:cycle:2",
                         "--space2", "preset:cycle:3")
     assert json.loads(out)["ergodic"] is True
@@ -271,14 +278,15 @@ def test_forked_chunk_without_a_result_is_a_resource_error(capsys,
                                                           failure):
     monkeypatch.setattr(sampler.os, "cpu_count", lambda: 2)
     if failure == "silent":
-        norm_chunk = sampler._CHUNK_FNS["norm"]
+        norm_chunk = sampler._norm_chunk
 
-        def chunk(payload):
-            if payload["start"] > 0:    # the forked chunk writes nothing
+        def chunk(*args):
+            start, _ = args[-1]
+            if start > 0:               # the forked chunk writes nothing
                 os._exit(0)
-            return norm_chunk(payload)
+            return norm_chunk(*args)
 
-        monkeypatch.setitem(sampler._CHUNK_FNS, "norm", chunk)
+        monkeypatch.setattr(sampler, "_norm_chunk", chunk)
     else:                               # the child's pickle loses its end
         dumps = pickle.dumps
         monkeypatch.setattr(pickle, "dumps", lambda *a: dumps(*a)[:-3])

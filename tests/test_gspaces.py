@@ -1,8 +1,10 @@
 """Finite G-spaces: parsing, stationarity, the invariance identity, diagonal
 products, factor maps, moment tensors.
 
-Oracle for stationarity-implies-constancy on transitive spaces: direct
-eigenvector computation of the transfer matrix at eigenvalue 1.
+Oracles: for stationarity-implies-constancy on transitive spaces, direct
+eigenvector computation of the transfer matrix at eigenvalue 1; for the
+closed-form stationary measure, the lazy power iteration it replaced
+(`old_solve_stationary`) and a breadth-first orbit search.
 """
 
 import numpy as np
@@ -15,6 +17,43 @@ from groupwalk.errors import (DomainError, PreconditionError,
 
 def stationary_uniform(space):
     return gspaces.solve_stationary(space).nu
+
+
+def old_solve_stationary(space, mu_spec, start, max_iterations=100_000):
+    """The lazy power iteration nu <- (nu + mu * nu) / 2 from `start`,
+    stopped at an l1 residual of 1e-12."""
+    atoms = gspaces.parse_word_measure(space, mu_spec)
+    nu = np.array(start, dtype=float)
+    for _ in range(max_iterations):
+        pushed = np.zeros_like(nu)
+        for _, perm, w in atoms:
+            moved = np.empty_like(nu)
+            moved[list(perm)] = nu
+            pushed += w * moved
+        if np.abs(pushed - nu).sum() <= 1e-12:
+            return nu
+        nu = 0.5 * (nu + pushed)
+    raise AssertionError("reference iteration did not converge")
+
+
+def bfs_orbits(size, perms):
+    """Orbits of the group the permutations generate, by search."""
+    seen, out = set(), []
+    for first in range(size):
+        if first in seen:
+            continue
+        orbit, frontier = {first}, [first]
+        while frontier:
+            x = frontier.pop()
+            for perm in perms:
+                inverse = perm.index(x)
+                for y in (perm[x], inverse):
+                    if y not in orbit:
+                        orbit.add(y)
+                        frontier.append(y)
+        seen |= orbit
+        out.append(sorted(orbit))
+    return out
 
 
 # -- parsing -------------------------------------------------------------------
@@ -129,12 +168,53 @@ def test_two_orbit_space_weights():
     assert result.orbit_decomposition == [[0, 1], [2, 3, 4]]
 
 
-def test_periodic_chain_converges_via_lazy_iteration():
-    space = gspaces.cycle_space(2)
-    start = np.array([0.9, 0.1])
-    result = gspaces.solve_stationary(space, start=start)
-    assert np.allclose(result.nu, 0.5, atol=1e-10)
+@pytest.mark.parametrize("size, mass", [(2, [0.9, 0.1]), (200, [1.0])])
+def test_start_spreads_evenly_over_its_orbit(size, mass):
+    """A periodic chain, and a point mass on a long cycle, whose lazy walk
+    needs more than 100,000 steps to a residual of 1e-12."""
+    start = np.zeros(size)
+    start[:len(mass)] = mass
+    result = gspaces.solve_stationary(gspaces.cycle_space(size), start=start)
+    assert np.allclose(result.nu, 1 / size, rtol=0, atol=1e-15)
     assert result.residual <= 1e-12
+    assert result.iterations == 0
+
+
+def test_closed_form_matches_lazy_iteration():
+    """Random small spaces, word measures (some supported on the words of
+    one generator, so not generating) and starts."""
+    rng = np.random.default_rng(13)
+    for _ in range(60):
+        n = int(rng.integers(1, 9))
+        gens = {label: tuple(int(x) for x in rng.permutation(n))
+                for label in ("a", "b")}
+        space = gspaces.FiniteGSpace(size=n, gens=gens)
+        tokens = ["a", "a^-1"] if rng.random() < 0.4 else \
+            ["a", "a^-1", "b", "b^-1"]
+        spec = {}
+        for _ in range(int(rng.integers(1, 4))):
+            word = " ".join(rng.choice(tokens, int(rng.integers(0, 4))))
+            spec[word] = spec.get(word, 0.0) + float(rng.uniform(0.1, 1))
+        total = sum(spec.values())
+        spec = {word: w / total for word, w in spec.items()}
+        start = rng.random(n) * (rng.random(n) < 0.7) + 1e-3
+        start /= start.sum()
+        result = gspaces.solve_stationary(space, spec, start=start)
+        expected = old_solve_stationary(space, spec, start)
+        assert np.abs(result.nu - expected).max() <= 1e-10
+        assert result.residual <= 1e-12
+        perms = [perm for _, perm, _ in
+                 gspaces.parse_word_measure(space, spec)]
+        assert result.orbit_decomposition == bfs_orbits(n, perms)
+
+
+def test_start_vector_is_copied():
+    space = gspaces.cycle_space(3)
+    for values in ([0.5, 0.3, 0.2], [1 / 3] * 3):
+        start = np.array(values)
+        result = gspaces.solve_stationary(space, start=start)
+        assert start.tolist() == values
+        assert not np.shares_memory(result.nu, start)
 
 
 def test_stationary_measures_are_invariant():

@@ -318,8 +318,7 @@ def test_kernel_norms_match_norm_evaluator(case):
     ball = build_ball(group, 12) if gid == "heisenberg" else None
     norm = norm_evaluator(group, ball=ball)
     codes = None if ball is None else sampler._BallCodes(ball)
-    payload = {"seed": 31, "start": 0, "stop": 30}
-    for _, walk in sampler._walk_chunk(mu, payload, [1, 4, 12, 23]):
+    for _, walk in sampler._walk_chunk(mu, 31, (0, 30), [1, 4, 12, 23]):
         try:
             expected = [norm(g) for g in walk.positions()]
         except OutOfRangeError as miss:     # a heisenberg walk left its ball
