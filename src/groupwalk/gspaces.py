@@ -397,6 +397,15 @@ def _word_power_measures(atoms, k_max: int) -> List[Dict[Tuple[int, ...], float]
     return out
 
 
+def _finite(name: str, values) -> np.ndarray:
+    """`values` as a float array; NaN or infinite entries are a DomainError,
+    since every comparison with a tolerance would pass them."""
+    values = np.asarray(values, dtype=float)
+    if not np.isfinite(values).all():
+        raise DomainError(f"{name} must have finite entries")
+    return values
+
+
 def _invariance_defect(space: FiniteGSpace, f: np.ndarray,
                        support: np.ndarray) -> float:
     """max over generators s of |f(s x) - f(x)| on the support."""
@@ -418,9 +427,8 @@ def check_statinv(space: FiniteGSpace, nu: np.ndarray, mu_spec, f: np.ndarray,
     for k <= k_max, followed by the vanishing of the left side and direct
     per-generator invariance on positive-mass atoms.
     """
+    f, nu = _finite("f", f), _finite("nu", nu)
     atoms = parse_word_measure(space, mu_spec)
-    f = np.asarray(f, dtype=float)
-    nu = np.asarray(nu, dtype=float)
     pf = _markov_operator(atoms, f)
     harmonic_residual = float(np.abs(pf - f).max())
     if harmonic_residual > COMPOSED_TOL:
@@ -505,9 +513,8 @@ def factor_map(f: np.ndarray, space_x: FiniteGSpace, nu_x: np.ndarray,
     orbit). The pushforward groups equal rows; f2 is the eta-inner-product
     matrix. If f does not vanish on the support, f2 must be non-constant.
     """
-    f = np.asarray(f, dtype=float)
-    nu_x = np.asarray(nu_x, dtype=float)
-    eta = np.asarray(eta, dtype=float)
+    f, nu_x = _finite("f", f), _finite("nu_x", nu_x)
+    eta = _finite("eta", eta)
     if f.shape != (space_x.size, space_y.size):
         raise DomainError("f must be an |X| x |Y| array")
     if np.abs(f).max() > 1 + LINALG_TOL:

@@ -8,20 +8,24 @@ makes the combined statistics exactly order-independent; floats appear only
 in the final reports.
 
 Increments are drawn by inverse CDF over the measure's atoms sorted by their
-canonical string form, a fixed cross-platform order.
+canonical string form, a fixed cross-platform order. ``sample_trajectory``
+is the checked reference walk: it draws ``substream(seed, i).random(steps)``
+and maps each double to an atom with ``searchsorted`` (``draw_indices``).
 
 Trajectories are stepped in blocks of up to BLOCK_ROWS rows by one batch
-kernel per group. A block draws the next segment of its rows' uniforms, at
-most SEGMENT_DRAWS per block at a time (16 columns of a full block), with
-segments also ending at every checkpoint. PCG64 doubles come out in
-sequence, so drawing the segments in turn gives exactly the
-``substream(seed, i).random(steps)`` of trajectory i: every aggregate is the
-same for any block size, segment size and worker count.
-``sample_trajectory`` is the checked reference walk the kernels are tested
-against. Norm statistics read the kernels' array norms (heisenberg rows by
-one ``searchsorted`` in the ball's sorted codes, ``_BallCodes``); endpoint
-and prefix tallies count each block's positions and format each distinct
-element once.
+kernel per group. A block draws the next (steps, rows) segment of its rows'
+raw 64-bit PCG64 words, at most SEGMENT_DRAWS per block at a time (16 steps
+of a full block), with segments also ending at every checkpoint. PCG64 words
+come out in sequence, so drawing the segments in turn gives exactly the
+words x behind ``substream(seed, i).random(steps)``, whose doubles are
+``(x >> 11) * 2^-53``. A guide table (``_GuideTable``) maps each word to
+the atom index ``searchsorted`` gives its double, on integer thresholds
+only, so every aggregate is the same for any block size, segment size and
+worker count. Each numpy pass of the stream and the kernels runs along the
+rows of one step. Norm statistics read the kernels' array norms
+(heisenberg rows by one ``searchsorted`` in the ball's sorted codes,
+``_BallCodes``); endpoint and prefix tallies count each block's positions
+and format each distinct element once.
 
 With several workers the trajectories are split into chunks: chunk 0 runs
 in the calling process and every other chunk in one child forked for it,
@@ -34,7 +38,7 @@ walk runs a block's streams as arrays instead (``_BlockStream``): it runs
 SeedSequence's uint32 hashing vectorized over the block's spawn keys, seeds
 each row's PCG64 state and increment from the four state words as PCG64
 does, and steps all rows' 128-bit states as pairs of uint64 arrays, so every
-row gets exactly the doubles ``substream(seed, i)`` would give it.
+row gets exactly the words ``PCG64.random_raw`` would give it.
 """
 
 from __future__ import annotations
@@ -54,7 +58,7 @@ from .measures import FiniteMeasure, power, total_variation
 from .wordmetric import BallTable, ball_miss, build_ball
 
 BLOCK_ROWS = 1024           # trajectories stepped together
-SEGMENT_DRAWS = 1 << 14     # uniforms drawn per block per segment
+SEGMENT_DRAWS = 1 << 14     # words drawn per block per segment
 MAX_WINDOW_WIDTH = 1 << 17  # lamplighter lamp window budget per trajectory
 _PAD_INVERSE = 127          # outside every free alphabet, and not 0
 _TOGGLE = np.uint8(1)
@@ -83,7 +87,7 @@ def substream(seed: int, index: int) -> np.random.Generator:
 
     This is the reference definition of trajectory `index`'s random stream.
     The walk steps a whole block of these as arrays with ``_BlockStream``,
-    which gives the same doubles."""
+    which gives the same raw words."""
     return np.random.Generator(
         np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(index,))))
 
@@ -190,17 +194,15 @@ def _seed_words(seed: int, first: int, stop: int) -> np.ndarray:
 # word), so no numpy version's casting rules can turn it into floats.
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _M128 = (1 << 128) - 1
-SLAB_COLUMNS = 32           # draws per row stepped in one array pass
-_U1, _U11 = np.uint64(1), np.uint64(11)
-_U58, _U63, _U64 = np.uint64(58), np.uint64(63), np.uint64(64)
-_TO_UNIT = np.float64(1.0 / (1 << 53))
+SLAB_COLUMNS = 32           # steps per row jumped in one array pass
+_U1, _U58, _U63, _U64 = (np.uint64(k) for k in (1, 58, 63, 64))
 
 
 def _limbs(values) -> Tuple[np.ndarray, ...]:
-    """128-bit ints as uint64 arrays: the low word's two 32-bit halves, the
-    low word and the high word."""
+    """128-bit ints as (len(values), 1) uint64 columns: the low word's two
+    32-bit halves, the low word and the high word."""
     lo = [v & (1 << 64) - 1 for v in values]
-    return tuple(np.array(words, dtype=np.uint64) for words in (
+    return tuple(np.array(words, dtype=np.uint64)[:, None] for words in (
         [w & _M32 for w in lo], [w >> 32 for w in lo], lo,
         [v >> 64 for v in values]))
 
@@ -225,10 +227,10 @@ def _split(hi: np.ndarray, lo: np.ndarray) -> Tuple[np.ndarray, ...]:
 
 def _muladd(hi: np.ndarray, lo: np.ndarray, const, width: int, add=None):
     """(hi, lo) times the first `width` constants of `const`, plus `add`
-    (limbs from ``_split``), mod 2^128: a column of rows times a row of
-    constants, as a (rows, width) hi and lo. The product's middle words
-    are summed from 32-bit halves, so no sum can wrap before its carry is
-    taken."""
+    (limbs from ``_split``), mod 2^128: a (1, rows) row of states times a
+    (width, 1) column of constants, as a (width, rows) hi and lo. The
+    product's middle words are summed from 32-bit halves, so no sum can
+    wrap before its carry is taken."""
     c0, c1, clo, chi = (limb[:width] for limb in const)
     s0, s1 = lo & _ULOW, lo >> _U32
     low = s0 * c0
@@ -254,53 +256,53 @@ def _muladd(hi: np.ndarray, lo: np.ndarray, const, width: int, add=None):
 class _BlockStream:
     """The PCG64 streams of trajectories first..stop-1, stepped together.
 
-    Row i - first holds the state and increment that PCG64 seeds from
-    ``SeedSequence(seed, spawn_key=(i,))``: with the four ``_seed_words``
-    w0..w3, ``inc = (w2 w3) << 1 | 1`` and ``state = ((inc + (w0 w1)) M +
-    inc) mod 2^128``. ``random(n)`` returns each row's next n doubles, the
-    ones ``substream(seed, i).random(n)`` would return. A slab of up to
-    SLAB_COLUMNS draws jumps every column from the row's state at once,
-    ``state_j = A_j state + C_j inc``; the ``C_j inc`` are computed once
-    per stream."""
+    Column i - first of the (1, rows) hi and lo state words holds the state
+    that PCG64 seeds from ``SeedSequence(seed, spawn_key=(i,))``, and of
+    ``inc`` its increment: with the four ``_seed_words`` w0..w3, ``inc =
+    (w2 w3) << 1 | 1`` and ``state = ((inc + (w0 w1)) M + inc) mod 2^128``.
+    ``raw(n)`` returns the rows' next n raw 64-bit words as an (n, rows)
+    array whose column i - first is ``PCG64(SeedSequence(seed,
+    spawn_key=(i,))).random_raw(n)``; ``substream(seed, i).random(n)`` is
+    that column's ``(x >> 11) * 2^-53``. A slab of up to SLAB_COLUMNS steps
+    jumps every step from the rows' states at once, ``state_j = A_j state +
+    C_j inc``; the ``C_j inc`` are computed once per stream."""
 
     def __init__(self, seed: int, first: int, stop: int):
-        words = _seed_words(seed, first, stop)
-        w0, w1, w2, w3 = (words[:, k:k + 1] for k in range(4))
+        w0, w1, w2, w3 = _seed_words(seed, first, stop).T[:, None]
         inc_hi, inc_lo = (w2 << _U1) | (w3 >> _U63), (w3 << _U1) | _U1
         self.inc = inc_hi, inc_lo
         start = inc_lo + w1
         # one step from inc + (w0 w1): A_1 = M, C_1 = 1
         self.state = _muladd(inc_hi + w0 + (start < inc_lo), start,
                              _jumps(SLAB_COLUMNS)[0], 1, _split(*self.inc))
-        self.rows = len(words)
+        self.rows = w0.shape[1]
         self._offsets = None
 
     def _increments(self, width: int):
         """Limbs of C_j inc for j = 1..width, widened when a slab needs
         more."""
-        if self._offsets is None or self._offsets[0].shape[1] < width:
+        if self._offsets is None or len(self._offsets[0]) < width:
             self._offsets = _split(*_muladd(*self.inc, _jumps(SLAB_COLUMNS)[1],
                                             width))
-        return tuple(limb[:, :width] for limb in self._offsets)
+        return tuple(limb[:width] for limb in self._offsets)
 
-    def random(self, n: int) -> np.ndarray:
-        out = np.empty((self.rows, n))
+    def raw(self, n: int) -> np.ndarray:
+        out = np.empty((n, self.rows), dtype=np.uint64)
         powers = _jumps(SLAB_COLUMNS)[0]
         for done in range(0, n, SLAB_COLUMNS):
             width = min(SLAB_COLUMNS, n - done)
             hi, lo = _muladd(*self.state, powers, width,
                              self._increments(width))
-            self.state = hi[:, -1:].copy(), lo[:, -1:].copy()
+            self.state = hi[-1:].copy(), lo[-1:].copy()
             # XSL-RR: rotate hi ^ lo right by the top six bits of the state
             turn = hi >> _U58
             lo ^= hi
-            hi = lo >> turn
-            turn = (_U64 - turn) & _U63
-            hi |= lo << turn
-            hi >>= _U11
-            unit = out[:, done:done + width]
-            unit[...] = hi
-            unit *= _TO_UNIT
+            word = out[done:done + width]
+            np.right_shift(lo, turn, out=word)
+            np.subtract(_U64, turn, out=turn)
+            turn &= _U63
+            lo <<= turn
+            word |= lo
         return out
 
 
@@ -321,6 +323,39 @@ def draw_indices(rng: np.random.Generator, cdf: np.ndarray,
     return np.searchsorted(cdf, u, side="right")
 
 
+class _GuideTable:
+    """``searchsorted(cdf, u, side="right")`` for the raw PCG64 words x
+    whose doubles are ``u = (x >> 11) * 2^-53``, on integers only: the
+    guide-table inverse CDF of Chen and Asau (1974).
+
+    With ``T_i = ceil(cdf_i 2^53)``, cdf_i <= u exactly when T_i <= x >> 11,
+    i.e. when x > ``limits[i] = T_i 2^11 - 1`` (clamped to 2^64 - 1, which
+    no x passes; a pad of that value follows the last atom). The top
+    `bits` of x pick one of 2^bits buckets; ``base`` holds the count of
+    thresholds every x of a bucket reaches, and ``depth`` the most
+    thresholds inside one bucket, so `depth` rounds of ``idx += x >
+    limits[idx]`` finish every lookup. An atom with T_i = 0 is in every
+    bucket's base, so its limit is never read."""
+
+    def __init__(self, cdf: np.ndarray):
+        reach = np.minimum(np.ceil(np.ldexp(cdf, 53)), 2.0 ** 53)
+        limits = [max(int(t) << 11, 1) - 1 for t in reach.tolist()]
+        self.limits = np.array(limits + [(1 << 64) - 1], dtype=np.uint64)
+        bits = min(max((len(cdf) - 1).bit_length() + 2, 4), 16)
+        self.shift = np.uint64(64 - bits)
+        edges = np.ldexp(np.arange((1 << bits) + 1, dtype=np.float64),
+                         53 - bits)
+        self.base = np.searchsorted(reach, edges[:-1], side="right")
+        self.depth = int((np.searchsorted(reach, edges[1:], side="left")
+                          - self.base).max())
+
+    def indices(self, x: np.ndarray) -> np.ndarray:
+        idx = self.base.take(x >> self.shift)
+        for _ in range(self.depth):
+            idx += x > self.limits.take(idx)
+        return idx
+
+
 def sample_trajectory(group: Group, mu: FiniteMeasure, steps: int,
                       rng: np.random.Generator) -> List:
     """Positions X_1..X_n of the walk with i.i.d. mu increments (X_0 = e)."""
@@ -337,7 +372,7 @@ def sample_trajectory(group: Group, mu: FiniteMeasure, steps: int,
 #
 # One kernel per group steps a block of trajectories (rows) at once on numpy
 # arrays. ``advance(idx)`` applies a segment of atom indices of shape
-# (rows, length); ``positions()`` returns the rows' current positions as
+# (steps, rows); ``positions()`` returns the rows' current positions as
 # ordinary group elements (tuples of Python ints), and ``norms(ball)`` their
 # word norms as an integer array (int64, or Python ints where int64 could
 # wrap). Only heisenberg, which has no closed form, reads `ball`, a
@@ -358,13 +393,13 @@ class _ZdWalk:
         reach = max(steps, 1) * max(abs(c) for g in elems for c in g)
         # |coordinate| <= reach; the heisenberg z also <= reach * (reach + 1)
         dtype = _int_dtype(reach * (reach + 1))
-        # (coordinate, atom): ``take`` then gathers and sums each coordinate
-        # along contiguous rows
+        # (coordinate, atom): ``take`` then gathers a (coordinate, steps,
+        # rows) slab, summed over steps along contiguous rows
         self.inc = np.array(elems, dtype=dtype).T.copy()
         self.pos = np.zeros((rows, len(self.inc)), dtype=dtype)
 
     def advance(self, idx: np.ndarray) -> None:
-        self.pos += self.inc.take(idx, axis=1).sum(axis=2).T
+        self.pos += self.inc.take(idx, axis=1).sum(axis=1).T
 
     def positions(self) -> list:
         return list(map(tuple, self.pos.tolist()))
@@ -379,9 +414,9 @@ class _HeisenbergWalk(_ZdWalk):
     def advance(self, idx: np.ndarray) -> None:
         inc = self.inc.take(idx, axis=1)
         dx, dy = inc[0], inc[1]
-        x_prev = np.cumsum(dx, axis=1) - dx + self.pos[:, :1]
-        self.pos[:, 2] += (x_prev * dy).sum(axis=1)
-        self.pos += inc.sum(axis=2).T
+        x_prev = np.cumsum(dx, axis=0) - dx + self.pos[:, 0]
+        self.pos[:, 2] += (x_prev * dy).sum(axis=0)
+        self.pos += inc.sum(axis=1).T
 
     def norms(self, ball) -> np.ndarray:
         """No closed form: the rows are looked up in `ball`."""
@@ -467,12 +502,11 @@ class _FreeWalk:
     def advance(self, idx: np.ndarray) -> None:
         """Push or cancel the segment's letters one at a time, every row at
         once; a padding letter is written past the top and not counted."""
-        self._reserve(idx.shape[1] * len(self.letters))
+        steps, rows = idx.shape
+        self._reserve(steps * len(self.letters))
         flat, top = self.stack.reshape(-1), self.top
-        rows = len(idx)
-        cols = idx.T
         for x, inverse, live in zip(
-                *(table.take(cols, axis=1).transpose(1, 0, 2).reshape(-1, rows)
+                *(table.take(idx, axis=1).transpose(1, 0, 2).reshape(-1, rows)
                   for table in (self.letters, self.inverse, self.live))):
             cancel = flat.take(top) == inverse
             flat[top + 1] = x
@@ -534,16 +568,16 @@ class _LamplighterWalk:
 
     def advance(self, idx: np.ndarray) -> None:
         moves = self.move[idx]
-        after = np.cumsum(moves, axis=1) + self.pos[:, None]
+        after = np.cumsum(moves, axis=0) + self.pos
         has = self.has_lamp[idx]
         lamps = ((after - moves)[:, :, None] + self.lamp[idx])[has]
         if lamps.size:
             self._cover(int(lamps.min()), int(lamps.max()))
-            rows = np.broadcast_to(self.rows[:, None, None], has.shape)[has]
+            rows = np.broadcast_to(self.rows[:, None], has.shape)[has]
             cols = (lamps - self.lo).astype(np.intp)
             # a uint8 operand keeps ufunc.at on its fast typed loop
             np.bitwise_xor.at(self.window, (rows, cols), _TOGGLE)
-        self.pos = after[:, -1]
+        self.pos = after[-1]
 
     def positions(self) -> list:
         lo = self.lo
@@ -586,12 +620,14 @@ def _walk_chunk(mu: FiniteMeasure, seed: int, span: Tuple[int, int],
     """Walk trajectories span[0] .. span[1] - 1 and yield (checkpoint,
     kernel) for each block of rows at each checkpoint, in trajectory order.
 
-    A block's stream draws one segment of uniforms for all its rows at a
+    A block's stream draws one (steps, rows) segment of raw words at a
     time; segments end at checkpoints and at the block's draw budget. Each
-    row's doubles come out in sequence, so the row draws exactly what
-    ``substream(seed, i).random(steps)`` draws."""
+    row's words come out in sequence, and the guide table maps them to the
+    indices ``searchsorted`` gives their doubles, so the row steps exactly
+    as ``sample_trajectory`` does on ``substream(seed, i)``."""
     kernel = _KERNELS[type(mu.group)]
     elems, cdf = atom_table(mu)
+    table = _GuideTable(cdf)
     start, stop = span
     for first in range(start, stop, BLOCK_ROWS):
         stream = _BlockStream(seed, first, min(first + BLOCK_ROWS, stop))
@@ -600,9 +636,9 @@ def _walk_chunk(mu: FiniteMeasure, seed: int, span: Tuple[int, int],
         done = 0
         for cp in checkpoints:
             while done < cp:
-                u = stream.random(min(segment, cp - done))
-                walk.advance(np.searchsorted(cdf, u, side="right"))
-                done += u.shape[1]
+                x = stream.raw(min(segment, cp - done))
+                walk.advance(table.indices(x))
+                done += len(x)
             yield cp, walk
 
 

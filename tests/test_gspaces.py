@@ -258,6 +258,21 @@ def test_statinv_orbit_indicator():
     assert report.is_invariant      # invariant yet non-constant: two orbits
 
 
+NON_FINITE = [np.nan, np.inf, -np.inf]
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_statinv_rejects_non_finite_inputs(bad):
+    """A NaN f once passed every tolerance check as invariant."""
+    space = gspaces.cycle_space(3)
+    nu = stationary_uniform(space)
+    for f in ([bad] * 3, [1.0, bad, 1.0]):
+        with pytest.raises(DomainError, match="f must have finite entries"):
+            gspaces.check_statinv(space, nu, "uniform", f)
+    with pytest.raises(DomainError, match="nu must have finite entries"):
+        gspaces.check_statinv(space, [bad, 0.5, 0.5], "uniform", [1.0] * 3)
+
+
 def test_statinv_randomized_spaces():
     rng = np.random.default_rng(2024)
     for seed in range(20):
@@ -350,6 +365,21 @@ def test_factor_map_preconditions():
     with pytest.raises(PreconditionError):
         gspaces.factor_map(np.array([[1.0, 1.0], [1.0, 1.0]]),
                            flip, nu, flip, nu)    # mean not zero
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_factor_map_rejects_non_finite_inputs(bad):
+    """A NaN entry in f once gave a dichotomy that holds."""
+    flip = gspaces.cycle_space(2)
+    nu = stationary_uniform(flip)
+    parity = np.array([[1.0, -1.0], [-1.0, 1.0]])
+    with pytest.raises(DomainError, match="f must have finite entries"):
+        gspaces.factor_map(np.array([[1.0, -1.0], [-1.0, bad]]),
+                           flip, nu, flip, nu)
+    with pytest.raises(DomainError, match="nu_x must have finite entries"):
+        gspaces.factor_map(parity, flip, [0.5, bad], flip, nu)
+    with pytest.raises(DomainError, match="eta must have finite entries"):
+        gspaces.factor_map(parity, flip, nu, flip, [bad, 0.5])
 
 
 def test_factor_map_dichotomy_randomized():

@@ -1,5 +1,6 @@
 """Seed discipline, worker invariance, and endpoint laws of the sampler."""
 
+import math
 import os
 import random
 from collections import Counter
@@ -186,19 +187,73 @@ SEGMENTS = [1, 13, 64, 17, 128, 63, 65, 200, 449]
                                          (2 ** 33 - 3, 2 ** 33 + 4),
                                          (2 ** 64 - 2, 2 ** 64 + 2)])
 def test_block_seeder_matches_substream(seed, first, stop):
+    """Each column of ``raw`` is the row's PCG64 ``random_raw``, and its
+    top 53 bits scaled by 2^-53 are the row's ``substream`` doubles: the
+    guide table's thresholds rest on that convention."""
     words = sampler._seed_words(seed, first, stop)
     assert words.dtype == np.uint64 and words.shape == (stop - first, 4)
-    whole = sampler._BlockStream(seed, first, stop).random(1000)
+    whole = sampler._BlockStream(seed, first, stop).raw(1000)
     stream = sampler._BlockStream(seed, first, stop)
-    pieces = np.concatenate([stream.random(n) for n in SEGMENTS], axis=1)
+    pieces = np.concatenate([stream.raw(n) for n in SEGMENTS])
     assert stream.rows == stop - first
-    assert whole.shape == pieces.shape == (stop - first, 1000)
-    for i, row, one, split in zip(range(first, stop), words, whole, pieces):
+    assert whole.dtype == pieces.dtype == np.uint64
+    assert whole.shape == pieces.shape == (1000, stop - first)
+    for i, row, one, split in zip(range(first, stop), words, whole.T,
+                                  pieces.T):
         expected = np.random.SeedSequence(seed, spawn_key=(i,))
         assert np.array_equal(row, expected.generate_state(4, np.uint64))
-        draws = substream(seed, i).random(1000)
-        assert np.array_equal(one, draws)
-        assert np.array_equal(split, draws)
+        raw = np.random.PCG64(expected).random_raw(1000)
+        assert np.array_equal(one, raw)
+        assert np.array_equal(split, raw)
+        assert np.array_equal((one >> np.uint64(11)) * 2.0 ** -53,
+                              substream(seed, i).random(1000))
+
+
+# -- atom indices from raw words against searchsorted on their doubles -------
+
+def _cdf(weights) -> np.ndarray:
+    """The cumulative distribution ``atom_table`` builds from `weights`
+    scaled to mass 1."""
+    weights = np.asarray(weights, dtype=float)
+    cdf = np.cumsum(weights / weights.sum())
+    cdf[-1] = 1.0
+    return cdf
+
+
+GUIDE_CDFS = {
+    "one atom": _cdf([1.0]),
+    # weights from 1 down to 1e-300: many thresholds share a bucket
+    "tiny weights": _cdf(np.logspace(0, -300, 40)),
+    # the last atom's weight is lost to rounding: two thresholds at 1.0
+    "early one": _cdf([0.5, 0.5, 1e-17]),
+    # an exact weight below 2^-1074 is 0.0 as a double: a threshold of 0,
+    # which every word reaches
+    "zero first": _cdf([0.0, 0.5, 0.5]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GUIDE_CDFS))
+def test_guide_table_matches_searchsorted(case):
+    """Words at and around every threshold T * 2^11, and at both ends of
+    the word range, index as ``searchsorted`` indexes their doubles."""
+    cdf = GUIDE_CDFS[case]
+    table = sampler._GuideTable(cdf)
+    words = {0, 2 ** 64 - 1}
+    for c in cdf.tolist():
+        threshold = math.ceil(c * 2 ** 53)
+        words.update(w for w in (threshold * 2 ** 11 + d
+                                 for d in (-1, 0, 1, 2047))
+                     if 0 <= w < 2 ** 64)
+    words.update(random.Random(case).getrandbits(64) for _ in range(500))
+    x = np.array(sorted(words), dtype=np.uint64)
+    expected = np.searchsorted(cdf, (x >> np.uint64(11)) * 2.0 ** -53,
+                               side="right")
+    assert table.indices(x).tolist() == expected.tolist()
+    assert table.indices(x.reshape(-1, 1)).shape == (len(x), 1)
+    if case == "tiny weights":
+        assert table.depth >= 2
+    if case == "early one":
+        assert cdf[-2] == 1.0
 
 
 def test_walks_with_small_blocks_match_default_blocks(monkeypatch):
@@ -221,6 +276,9 @@ def test_walks_with_small_blocks_match_default_blocks(monkeypatch):
 KERNEL_CASES = {
     "zd:1": ("zd:1", "1=1/2;-1=1/4;3=1/4"),
     "zd:3": ("zd:3", "srw"),
+    # seven thresholds inside one guide-table bucket: deep index lookups
+    "zd:1-clustered": ("zd:1", "-1=1/2;" + "".join(
+        f"{k}=1/512;" for k in range(1, 9)) + "9=31/64"),
     # coordinates beyond int64 take the Python-int path
     "zd:1-wide": ("zd:1", "10000000000000000000=1/2;-3=1/2"),
     # int64 coordinates and norms whose squares pass 2^63
@@ -308,6 +366,12 @@ def test_kernel_matches_reference_walk_at_default_sizes():
         list(prefixes.items())
 
 
+def test_clustered_kernel_case_runs_deep_lookups():
+    gid, spec = KERNEL_CASES["zd:1-clustered"]
+    _, cdf = atom_table(parse_measure_spec(group_from_id(gid), spec))
+    assert sampler._GuideTable(cdf).depth >= 2
+
+
 @pytest.mark.parametrize("case", sorted(KERNEL_CASES))
 def test_kernel_norms_match_norm_evaluator(case):
     """Array norms against the scalar evaluator; heisenberg rows are looked
@@ -351,8 +415,9 @@ def test_lamplighter_norms_on_chosen_rows(far):
     assert walk.norms(None).tolist() == [0] * len(rows)
     for cut in (1, 4):
         walk = sampler._LamplighterWalk(elems, len(rows), 6)
-        walk.advance(np.array([r[:cut] for r in rows]))
-        walk.advance(np.array([r[cut:] for r in rows]))
+        # indices are (steps, rows)
+        walk.advance(np.array([r[:cut] for r in rows]).T)
+        walk.advance(np.array([r[cut:] for r in rows]).T)
         positions = walk.positions()
         assert positions[0] == ((), 6) and positions[4] == ((), 4)
         assert positions[3] == ((far - 1, far + 1), 2)
@@ -361,7 +426,7 @@ def test_lamplighter_norms_on_chosen_rows(far):
         assert norms.dtype == (object if far else np.int64)
     # no row has ever toggled a lamp: an empty lamp window
     walk = sampler._LamplighterWalk(elems[:2], 3, 4)
-    walk.advance(np.array([[0, 0, 1, 0], [1, 1, 1, 1], [0, 1, 1, 0]]))
+    walk.advance(np.array([[0, 0, 1, 0], [1, 1, 1, 1], [0, 1, 1, 0]]).T)
     assert walk.window.shape[1] == 0
     assert walk.norms(None).tolist() == [2, 4, 0]
 
