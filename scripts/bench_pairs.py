@@ -7,14 +7,17 @@ Run from the root of a checkout::
         approx:7:10 exact:0:3
 
 Each ``WORKLOAD:SEED:PAIRS`` runs ``perfbench/run.py --workload WORKLOAD
---seed SEED --seconds S --trace 0`` PAIRS times in the parent's tree (a
-``git archive`` export in a temporary directory) and PAIRS times in the
-working tree, alternating: even-numbered pairs, counting from 0, run the
-parent first. Every run's correctness and end-to-end metrics go to the
-output file with, per workload and seed, each metric's median and
-quartiles on both sides and the number of pairs the change won. An
-existing output file keeps its other keys and the results of other
-workloads and seeds, so notes and earlier rounds survive a rerun.
+--seed SEED --seconds S --trace 0`` PAIRS times in the parent's tree and
+PAIRS times in the working tree's, alternating: even-numbered pairs,
+counting from 0, run the parent first. Both sides run from fresh
+temporary directories, so that neither carries leftovers such as
+byte-code caches or test outputs: the parent's is a ``git archive``
+export, the working tree's a copy of the files that ``git ls-files
+--cached --others --exclude-standard`` lists. Every run's correctness and
+end-to-end metrics go to the output file with, per workload and seed, each
+metric's median and quartiles on both sides and the number of pairs the
+change won. An existing output file keeps its other keys and the results
+of other workloads and seeds, so notes and earlier rounds survive a rerun.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ import io
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -59,6 +63,21 @@ def export(commit: str, where: str) -> str:
     with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
         tar.extractall(where, filter="data")
     return full.stdout.strip()
+
+
+def copy_working_tree(where: str) -> None:
+    """Copy the working tree's tracked and untracked, not ignored, files
+    into `where`; a tracked file deleted from the working tree is left
+    out."""
+    listed = subprocess.run(["git", "-C", ROOT, "ls-files", "-z", "--cached",
+                             "--others", "--exclude-standard"],
+                            capture_output=True, check=True)
+    for name in sorted(set(os.fsdecode(listed.stdout).split("\0")) - {""}):
+        source = os.path.join(ROOT, name)
+        if os.path.isfile(source):
+            target = os.path.join(where, name)
+            os.makedirs(os.path.dirname(target), exist_ok=True)
+            shutil.copy2(source, target)
 
 
 def run_once(tree: str, workload: str, seed: int, seconds: float) -> dict:
@@ -121,16 +140,20 @@ def main(argv=None) -> int:
         with open(args.out, encoding="utf-8") as fh:
             record = json.load(fh)
     import numpy
-    with tempfile.TemporaryDirectory() as parent_tree:
+    with tempfile.TemporaryDirectory() as parent_tree, \
+            tempfile.TemporaryDirectory() as change_tree:
         commit = export(args.parent, parent_tree)
+        copy_working_tree(change_tree)
         record.update({
             "parent_commit": commit,
             "command": "python3 perfbench/run.py --workload W --seed S "
                        f"--seconds {args.seconds:g} --trace 0",
             "method": "alternating parent/change pairs (even-numbered "
-                      "pairs, counting from 0, run the parent first), the "
-                      "parent from a git archive export, the change from "
-                      "the working tree; times in reference seconds "
+                      "pairs, counting from 0, run the parent first), each "
+                      "side from a fresh temporary directory: the parent a "
+                      "git archive export, the change a copy of the working "
+                      "tree's files that git ls-files --cached --others "
+                      "--exclude-standard lists; times in reference seconds "
                       "(perfbench/speed.py); quartiles inclusive; "
                       "change_wins counts pairs where the change is better",
             "machine": {"nproc": os.cpu_count(),
@@ -139,7 +162,7 @@ def main(argv=None) -> int:
                         "platform": platform.platform()}})
         workloads = record.setdefault("workloads", {})
         all_runs = record.setdefault("runs", [])
-        trees = {"parent": parent_tree, "change": ROOT}
+        trees = {"parent": parent_tree, "change": change_tree}
         for workload, seed, pairs in args.specs:
             key = f"{workload}_seed{seed}"
             all_runs[:] = [r for r in all_runs if r["key"] != key]

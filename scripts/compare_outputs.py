@@ -1,26 +1,30 @@
 #!/usr/bin/env python3
-"""Compare the CLI outputs of a parent commit and the working tree.
+"""Compare the job outputs of a parent commit and the working tree.
 
 Run from the root of a checkout::
 
     python3 scripts/compare_outputs.py --parent HEAD~1 exact:0 identities:7
 
-Each ``WORKLOAD:SEED`` stands for the CLI jobs of one pass of
-``perfbench/workloads.generate(WORKLOAD, SEED, passes=1)``; library jobs
-are left out. One subprocess per tree (the parent's a ``git archive``
-export in a temporary directory) imports ``groupwalk`` from that tree's
-``src`` and runs every job through ``groupwalk.cli.run``, with the jobs'
-input files in a temporary work directory. The work and cache directory
-paths are replaced by ``{work}`` and ``{cache}`` in the outputs; then each
-job's exit code, stdout and stderr are compared. Prints the number of
-differing jobs per workload and seed, and exits 1 on any difference.
-Reads ``perfbench/`` and writes nothing under it.
+Each ``WORKLOAD:SEED`` stands for the jobs of one pass of
+``perfbench/workloads.generate(WORKLOAD, SEED, passes=1)``. One subprocess
+per tree (the parent's a ``git archive`` export in a temporary directory)
+imports ``groupwalk`` from that tree's ``src``. It runs every CLI job
+through ``groupwalk.cli.run``, with the jobs' input files in a temporary
+work directory, and every library job through ``perfbench/runner.execute``.
+The work and cache directory paths are replaced by ``{work}`` and
+``{cache}`` in the CLI outputs; then each CLI job's exit code, stdout and
+stderr are compared. A library job's result is compared at full
+precision, as ``json.dumps(cli.jsonable(...), sort_keys=True)`` of its
+dataclass fields or its counter. Prints the number of differing CLI and
+library jobs per workload and seed, and exits 1 on any difference. Reads
+``perfbench/`` and writes nothing under it.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -66,14 +70,27 @@ def run_job(cli, job, work: str, cache: str) -> list:
                      .replace(cache, "{cache}") for text in (out, err)]
 
 
+def run_library_job(cli, runner, job, ctx) -> list:
+    """[exit code, the result as sorted JSON, error] of one library job."""
+    try:
+        result = runner.execute(job, ctx)[1]
+    except Exception as exc:            # a crash is a result too
+        return [-1, "", f"{type(exc).__name__}: {exc}"]
+    if dataclasses.is_dataclass(result):
+        result = dataclasses.asdict(result)
+    return [0, json.dumps(cli.jsonable(result), sort_keys=True), ""]
+
+
 def collect(tree: str, specs, out_path: str) -> None:
-    """Child process: run the specs' CLI jobs with `tree`'s groupwalk and
-    write {"WORKLOAD:SEED": [[job key, code, stdout, stderr], ...]}."""
+    """Child process: run the specs' jobs with `tree`'s groupwalk and write
+    {"WORKLOAD:SEED": {"cli": [[job key, code, stdout, stderr], ...],
+    "library": [[job key, code, result, error], ...]}}."""
     src = os.path.join(tree, "src")
     sys.dont_write_bytecode = True      # nothing written under perfbench/
     sys.path[:0] = [src, os.path.join(ROOT, "perfbench")]
     import groupwalk
     from groupwalk import cli
+    import runner
     import workloads
     if not os.path.abspath(groupwalk.__file__).startswith(src + os.sep):
         raise SystemExit(f"groupwalk imported from {groupwalk.__file__}")
@@ -82,17 +99,14 @@ def collect(tree: str, specs, out_path: str) -> None:
         for workload, seed in specs:
             work = os.path.join(tmp, f"{workload}-{seed}")
             cache = os.path.join(tmp, f"cache-{workload}-{seed}")
-            os.makedirs(work)
-            os.makedirs(cache)
-            jobs = [job for job in workloads.generate(workload, seed, 1)
-                    if job.kind == "cli"]
-            for job in jobs:
-                for name, text in job.files:
-                    with open(os.path.join(work, name), "w",
-                              encoding="utf-8") as fh:
-                        fh.write(text)
-            results[f"{workload}:{seed}"] = [
-                [job.key] + run_job(cli, job, work, cache) for job in jobs]
+            jobs = workloads.generate(workload, seed, 1)
+            ctx = runner.Context(cache=cache, work=work)
+            ctx.prepare(jobs)
+            results[f"{workload}:{seed}"] = {
+                "cli": [[job.key] + run_job(cli, job, work, cache)
+                        for job in jobs if job.kind == "cli"],
+                "library": [[job.key] + run_library_job(cli, runner, job, ctx)
+                            for job in jobs if job.kind != "cli"]}
     with open(out_path, "w", encoding="utf-8") as fh:
         json.dump(results, fh)
 
@@ -122,14 +136,17 @@ def main(argv=None) -> int:
     print(f"parent {commit} against the working tree")
     differing = 0
     for spec in argv_specs:
-        pairs = list(zip(parent[spec], change[spec]))
-        bad = [(p, c) for p, c in pairs if p != c]
-        differing += len(bad)
-        print(f"{spec}: {len(pairs)} CLI jobs, {len(bad)} differ")
-        for p, c in bad[:3]:            # the first few, by part
-            parts = [name for name, a, b in
-                     zip(("exit", "stdout", "stderr"), p[1:], c[1:]) if a != b]
-            print(f"  job {p[0]}: {', '.join(parts)} differ")
+        for kind, label, names in (
+                ("cli", "CLI", ("exit", "stdout", "stderr")),
+                ("library", "library", ("exit", "result", "error"))):
+            pairs = list(zip(parent[spec][kind], change[spec][kind]))
+            bad = [(p, c) for p, c in pairs if p != c]
+            differing += len(bad)
+            print(f"{spec}: {len(pairs)} {label} jobs, {len(bad)} differ")
+            for p, c in bad[:3]:        # the first few, by part
+                parts = [name for name, a, b in zip(names, p[1:], c[1:])
+                         if a != b]
+                print(f"  job {p[0]}: {', '.join(parts)} differ")
     return 1 if differing else 0
 
 

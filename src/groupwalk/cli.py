@@ -322,12 +322,18 @@ def _run_phi(cfg: Dict[str, object]) -> dict:
                        and mode == MODE_EXACT
                        and mu.atoms == srw(group).atoms)
         if method == "auto":
-            method = "radial" if is_free_srw else "convolution"
+            # the radial formulas are untruncated
+            method = ("radial" if is_free_srw and not threshold
+                      else "convolution")
         elif not is_free_srw:
             raise PreconditionError(
                 "radial phi needs the exact simple random walk on a free "
                 "group (--mode exact, --measure srw); use --method "
                 "convolution")
+        elif threshold:
+            raise PreconditionError(
+                "radial phi does not truncate; use --method convolution "
+                "with --truncation")
     series: List[tuple] = []
     if method == "radial":
         phi = quasiharmonic.phi_table_free_srw(group.k, n, r_eval)

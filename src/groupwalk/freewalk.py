@@ -33,10 +33,12 @@ import math
 from fractions import Fraction
 from typing import Iterator, List
 
+from .errors import DomainError
+
 
 def _check_rank(k: int) -> None:
     if k < 1:
-        raise ValueError("free rank must be >= 1")
+        raise DomainError("free rank must be >= 1")
 
 
 def _path_counts(k: int, n_max: int) -> Iterator[List[int]]:
@@ -104,7 +106,7 @@ def radial_phi(k: int, n: int, r_max: int) -> List[Fraction]:
     counts.
     """
     if n < 1:
-        raise ValueError("Cesaro length must be >= 1")
+        raise DomainError("Cesaro length must be >= 1")
     _check_rank(k)
     weighted: List[int] = []
     for row in _path_counts(k, n - 1):

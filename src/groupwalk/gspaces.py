@@ -19,6 +19,9 @@ confirmed by direct atom matching. (The classical statement concerns unit
 balls of infinite-dimensional spaces in the weak topology; this module is a
 finite-dimensional model of it, by design.)
 
+Factor maps work on the distinct rows of f, so their memory stays linear
+in |X| |Y|; FactorMapResult.f2, the |X| x |X| eta-gram, is computed on access.
+
 Tolerances are fixed, not configurable: 1e-12 for plain linear-algebra
 residuals, 1e-10 for composed checks. A parsed space, a preset and a
 diagonal product hold at most MAX_POINTS points; the size is checked before
@@ -49,6 +52,14 @@ def _check_points(size: int, what: str = "g-space") -> None:
                                  f"of {MAX_POINTS} points")
 
 
+def _generator(gens: Dict[str, object], token: str) -> Tuple[object, bool]:
+    """(generator, inverted) for a token `label` or `label^-1`."""
+    label = token[:-3] if token.endswith("^-1") else token
+    if label not in gens:
+        raise DomainError(f"unknown generator {label!r}")
+    return gens[label], label != token
+
+
 # -- spaces and the text format ------------------------------------------------
 
 @dataclass(frozen=True)
@@ -75,18 +86,8 @@ class FiniteGSpace:
 
     def permutation(self, token: str) -> Tuple[int, ...]:
         """Permutation of a generator token, allowing label^-1."""
-        if token.endswith("^-1"):
-            perm = self.gens.get(token[:-3])
-            if perm is None:
-                raise DomainError(f"unknown generator {token[:-3]!r}")
-            inv = [0] * self.size
-            for i, j in enumerate(perm):
-                inv[j] = i
-            return tuple(inv)
-        perm = self.gens.get(token)
-        if perm is None:
-            raise DomainError(f"unknown generator {token!r}")
-        return perm
+        perm, inverted = _generator(self.gens, token)
+        return _power(perm, -1) if inverted else perm
 
     def word_permutation(self, tokens: Sequence[str]) -> Tuple[int, ...]:
         """Left action of a word: (s1 s2).x = s1.(s2.x). A run of one
@@ -277,18 +278,11 @@ def parse_word_measure(space: FiniteGSpace, spec) -> List[Tuple[Tuple[str, ...],
     return atoms
 
 
-def _push_measure(nu: np.ndarray, perm: Tuple[int, ...]) -> np.ndarray:
-    """(s_* nu)(x) = nu(s^-1 x)."""
-    out = np.empty_like(nu)
-    out[np.array(perm)] = nu
-    return out
-
-
 def _transfer(atoms, nu: np.ndarray) -> np.ndarray:
-    """sum_s mu(s) s_* nu."""
+    """sum_s mu(s) s_* nu, where (s_* nu)(x) = nu(s^-1 x)."""
     out = np.zeros_like(nu)
     for _, perm, w in atoms:
-        out += w * _push_measure(nu, perm)
+        out[np.array(perm)] += w * nu
     return out
 
 
@@ -367,8 +361,9 @@ def solve_stationary(space: FiniteGSpace, mu_spec="uniform",
 
 def is_invariant_measure(space: FiniteGSpace, nu: np.ndarray,
                          tol: float = LINALG_TOL) -> bool:
-    return all(np.abs(_push_measure(nu, perm) - nu).max() <= tol
-               for perm in space.gens.values())
+    """max_s |nu(s x) - nu(x)| <= tol: the same values as |s_* nu - nu|."""
+    return _invariance_defect(nu, slice(None),
+                              map(np.array, space.gens.values())) <= tol
 
 
 # -- stationarity => invariance (finite-scale) ---------------------------------
@@ -406,13 +401,12 @@ def _finite(name: str, values) -> np.ndarray:
     return values
 
 
-def _invariance_defect(space: FiniteGSpace, f: np.ndarray,
-                       support: np.ndarray) -> float:
-    """max over generators s of |f(s x) - f(x)| on the support."""
+def _invariance_defect(f: np.ndarray, support, moves) -> float:
+    """max over the moves s of |f(s x) - f(x)| on the support (a mask, or
+    slice(None) for every point); f[s] is f(s x) at x."""
     defect = 0.0
-    for perm in space.gens.values():
-        moved = f[np.array(perm)]
-        defect = max(defect, float(np.abs((moved - f)[support]).max()))
+    for move in moves:
+        defect = max(defect, float(np.abs((f[move] - f)[support]).max()))
     return defect
 
 
@@ -446,7 +440,8 @@ def check_statinv(space: FiniteGSpace, nu: np.ndarray, mu_spec, f: np.ndarray,
         rhs = 2.0 * float(nu @ (f * f) - nu @ (f * pkf))
         identity_residuals.append(abs(lhs - rhs))
         vanishing.append(abs(lhs))
-    defect = _invariance_defect(space, f, nu > 0)
+    defect = _invariance_defect(f, nu > 0,
+                                map(np.array, space.gens.values()))
     return StatInvReport(harmonic_residual=harmonic_residual,
                          identity_residuals=identity_residuals,
                          vanishing=vanishing,
@@ -492,16 +487,26 @@ def diagonal_ergodicity(space_x: FiniteGSpace, nu_x: np.ndarray,
 
 # -- factor maps from invariant functions --------------------------------------
 
+def _row_keys(f: np.ndarray) -> List[Tuple[float, ...]]:
+    """Rows of f rounded to 12 decimals, as tuples of np.float64."""
+    return [tuple(row) for row in np.round(f, 12)]
+
+
 @dataclass(frozen=True)
 class FactorMapResult:
     p_f: np.ndarray                  # row x -> the vector f(x, .)
     pushforward: List[Tuple[Tuple[float, ...], float]]  # distinct vectors
-    f2: np.ndarray                   # f2(x, z) = <p_f(x), p_f(z)>_eta
+    eta: np.ndarray                  # the invariant measure on Y
     f2_essentially_constant: bool
     f2_constant_value: Optional[float]
     dichotomy_holds: bool            # f nonzero => f2 non-constant
     mean_zero_residual: float        # max_x |int f(x, y) deta(y)|
     lambda_residual: float           # max_y |int f(x, y) dnu(x)|
+
+    @property
+    def f2(self) -> np.ndarray:
+        """f2(x, z) = <p_f(x), p_f(z)>_eta, |X| x |X|, computed on access."""
+        return (self.p_f * self.eta) @ self.p_f.T
 
 
 def factor_map(f: np.ndarray, space_x: FiniteGSpace, nu_x: np.ndarray,
@@ -511,7 +516,8 @@ def factor_map(f: np.ndarray, space_x: FiniteGSpace, nu_x: np.ndarray,
     Preconditions: f is G-invariant (<= 1e-10 on the support), has zero mean,
     |f| <= 1; eta is invariant; both factors are ergodic (single live
     orbit). The pushforward groups equal rows; f2 is the eta-inner-product
-    matrix. If f does not vanish on the support, f2 must be non-constant.
+    matrix, tested for constancy on the distinct rows of the support. If f
+    does not vanish on the support, f2 must be non-constant.
     """
     f, nu_x = _finite("f", f), _finite("nu_x", nu_x)
     eta = _finite("eta", eta)
@@ -521,10 +527,12 @@ def factor_map(f: np.ndarray, space_x: FiniteGSpace, nu_x: np.ndarray,
         raise PreconditionError("need sup |f| <= 1")
     if not is_invariant_measure(space_y, eta, tol=COMPOSED_TOL):
         raise PreconditionError("eta must be invariant")
-    prod = product_space(space_x, space_y)
+    if set(space_x.gens) != set(space_y.gens):
+        raise DomainError("product needs matching generator labels")
+    _check_points(f.size, "product space")
     mass = np.kron(nu_x, eta)
-    support = mass > 0
-    defect = _invariance_defect(prod, f.reshape(-1), support)
+    moves = (np.ix_(space_x.gens[s], space_y.gens[s]) for s in space_x.gens)
+    defect = _invariance_defect(f, (mass > 0).reshape(f.shape), moves)
     if defect > COMPOSED_TOL:
         raise PreconditionError(f"f is not invariant: defect {defect}")
     mean = float(mass @ f.reshape(-1))
@@ -536,19 +544,19 @@ def factor_map(f: np.ndarray, space_x: FiniteGSpace, nu_x: np.ndarray,
 
     mean_zero_residual = float(np.abs(f @ eta)[nu_x > 0].max())
     lambda_residual = float(np.abs(nu_x @ f)[eta > 0].max())
-    f2 = f @ np.diag(eta) @ f.T
     support_x = nu_x > 0
-    vals = f2[np.ix_(support_x, support_x)]
-    constant = float(vals.max() - vals.min()) <= COMPOSED_TOL
-    constant_value = float(vals.mean()) if constant else None
+    rows, counts = np.unique(f[support_x], axis=0, return_counts=True)
+    gram = (rows * eta) @ rows.T        # f2 on the distinct support rows
+    constant = float(gram.max() - gram.min()) <= COMPOSED_TOL
+    constant_value = (float(counts @ gram @ counts) / counts.sum() ** 2
+                      if constant else None)
     f_vanishes = float(np.abs(f[support_x][:, eta > 0]).max()) <= COMPOSED_TOL
     dichotomy = f_vanishes or not constant
-    rounded = [tuple(np.round(row, 12)) for row in f]
     weights: Counter = Counter()
-    for x, key in enumerate(rounded):
+    for x, key in enumerate(_row_keys(f)):
         weights[key] += nu_x[x]
     pushforward = sorted((key, w) for key, w in weights.items() if w > 0)
-    return FactorMapResult(p_f=f, pushforward=pushforward, f2=f2,
+    return FactorMapResult(p_f=f, pushforward=pushforward, eta=eta,
                            f2_essentially_constant=constant,
                            f2_constant_value=constant_value,
                            dichotomy_holds=dichotomy,
@@ -588,6 +596,7 @@ def isometric_factor_witness(space_x: FiniteGSpace, nu_x: np.ndarray,
     vectors = [key for key, _ in fm.pushforward]
     weights = [w for _, w in fm.pushforward]
     index = {v: i for i, v in enumerate(vectors)}
+    keys = _row_keys(f)
     actions = {}
     for label in space_x.labels():
         perm_x = space_x.gens[label]
@@ -595,18 +604,13 @@ def isometric_factor_witness(space_x: FiniteGSpace, nu_x: np.ndarray,
         for x in range(space_x.size):
             if nu_x[x] <= 0:
                 continue
-            src = index[tuple(np.round(f[x], 12))]
             # p_f(s x) = Koopman image of p_f(x): reindex by s^-1 on Y
-            moved = tuple(np.round(f[perm_x[x]], 12))
-            mapping[src] = index[moved]
+            mapping[index[keys[x]]] = index[keys[perm_x[x]]]
         actions[label] = tuple(mapping)
     arr = np.array(vectors)
-    gram = arr @ np.diag(nu_y) @ arr.T
-    preserved = True
-    for label, mapping in actions.items():
-        perm = np.array(mapping)
-        if np.abs(gram[np.ix_(perm, perm)] - gram).max() > COMPOSED_TOL:
-            preserved = False
+    gram = (arr * nu_y) @ arr.T
+    moves = (np.ix_(perm, perm) for perm in actions.values())
+    preserved = _invariance_defect(gram, slice(None), moves) <= COMPOSED_TOL
     return IsometricWitness(vectors=vectors, weights=weights, actions=actions,
                             gram=gram, gram_preserved=preserved)
 
@@ -632,15 +636,9 @@ class OrthogonalRep:
                 raise DomainError(f"relator {' '.join(rel)} does not hold")
 
     def matrix(self, token: str) -> np.ndarray:
-        if token.endswith("^-1"):
-            base = self.gens.get(token[:-3])
-            if base is None:
-                raise DomainError(f"unknown generator {token[:-3]!r}")
-            return np.asarray(base, dtype=float).T
-        mat = self.gens.get(token)
-        if mat is None:
-            raise DomainError(f"unknown generator {token!r}")
-        return np.asarray(mat, dtype=float)
+        mat, inverted = _generator(self.gens, token)
+        mat = np.asarray(mat, dtype=float)
+        return mat.T if inverted else mat
 
     def word_matrix(self, tokens: Sequence[str]) -> np.ndarray:
         out = np.eye(self.dim)

@@ -93,6 +93,20 @@ def test_phi_convolution_report(capsys):
     assert report["method"] == "convolution"
 
 
+def test_phi_auto_with_truncation_takes_convolution(capsys):
+    """The radial formulas are untruncated, so auto truncates by
+    convolution: 75/128 on the generators, where the radial route's
+    untruncated value is 21/32."""
+    argv = ("phi", "--group", "free:2", "--truncation", "1/20", "--n", "4",
+            "--r-eval", "1")
+    reports = [json.loads(run_cli(capsys, *argv, "--method", method)[1])
+               for method in ("auto", "convolution")]
+    assert [r["method"] for r in reports] == ["convolution"] * 2
+    assert reports[0]["values"] == reports[1]["values"]
+    values = {row["element"]: row["value"] for row in reports[0]["values"]}
+    assert values["a"] == "75/128"
+
+
 def test_cocycle_report(capsys):
     code, out, _ = run_cli(capsys, "cocycle", "--k", "2", "--g", "a",
                            "--cylinder", "ab")
@@ -216,7 +230,12 @@ def test_error_exit_codes(capsys, tmp_path, monkeypatch):
                  ("phi", "--group", "free:2", "--mode", "float64",
                   "--method", "radial", "--n", "3"),
                  ("phi", "--group", "zd:1", "--method", "radial",
-                  "--n", "3")):
+                  "--n", "3"),
+                 # ... and does not truncate
+                 ("phi", "--group", "free:2", "--truncation", "1/20",
+                  "--n", "4", "--r-eval", "1", "--method", "radial"),
+                 # a Cesaro length of 0 on the radial route
+                 ("phi", "--group", "free:2", "--n", "0")):
         code, out, err = run_cli(capsys, *argv)
         assert code == 1
         assert out == ""

@@ -7,6 +7,7 @@ from itertools import product as iproduct
 import pytest
 
 from groupwalk import freewalk
+from groupwalk.errors import DomainError
 from groupwalk.groups import FreeGroup
 from groupwalk.measures import power_sequence, srw
 from groupwalk.quasiharmonic import compute_fk_tables, phi_table_free_srw
@@ -64,6 +65,19 @@ def test_radial_phi_matches_convolution_route():
     from groupwalk.quasiharmonic import compute_phi
     phi_conv = compute_phi(srw(group), norm_evaluator(group), 5, 3)
     assert phi_radial.values == phi_conv.values
+
+
+@pytest.mark.parametrize("call", [
+    lambda: freewalk.radial_phi(2, 0, 1),           # Cesaro length 0
+    lambda: freewalk.radial_phi(0, 3, 1),           # rank 0
+    lambda: freewalk.norm_distributions(0, 3),
+    lambda: freewalk.expected_norms(-1, 3),
+    lambda: freewalk.radial_fk(0, 2, 1),
+    lambda: freewalk.shannon_entropy(0, 2),
+])
+def test_bad_rank_or_length_is_a_domain_error(call):
+    with pytest.raises(DomainError):
+        call()
 
 
 def test_radial_f1_value():

@@ -4,8 +4,12 @@ products, factor maps, moment tensors.
 Oracles: for stationarity-implies-constancy on transitive spaces, direct
 eigenvector computation of the transfer matrix at eigenvalue 1; for the
 closed-form stationary measure, the lazy power iteration it replaced
-(`old_solve_stationary`) and a breadth-first orbit search.
+(`old_solve_stationary`) and a breadth-first orbit search; for factor maps
+and isometric witnesses on distinct rows, the full-matrix formulas they
+replaced (`old_factor_map`, `old_isometric_factor_witness`).
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -56,6 +60,101 @@ def bfs_orbits(size, perms):
     return out
 
 
+def old_factor_map(f, space_x, nu_x, space_y, eta):
+    """factor_map's outputs by the formulas it used before it worked on
+    distinct rows: the invariance defect on the flattened diagonal product,
+    the full |X| x |X| eta-gram through np.diag, and each row rounded on its
+    own. Returns the fields as a dict."""
+    prod = gspaces.product_space(space_x, space_y)
+    mass = np.kron(nu_x, eta)
+    flat = f.reshape(-1)
+    defect = max(float(np.abs((flat[np.array(perm)] - flat)[mass > 0]).max())
+                 for perm in prod.gens.values())
+    assert defect <= gspaces.COMPOSED_TOL
+    f2 = f @ np.diag(eta) @ f.T
+    support_x = nu_x > 0
+    vals = f2[np.ix_(support_x, support_x)]
+    constant = float(vals.max() - vals.min()) <= gspaces.COMPOSED_TOL
+    f_vanishes = (float(np.abs(f[support_x][:, eta > 0]).max())
+                  <= gspaces.COMPOSED_TOL)
+    weights = {}
+    for x, row in enumerate(f):
+        key = tuple(np.round(row, 12))
+        weights[key] = weights.get(key, 0) + nu_x[x]
+    return {"pushforward": sorted((k, w) for k, w in weights.items() if w > 0),
+            "f2": f2, "f2_essentially_constant": constant,
+            "f2_constant_value": float(vals.mean()) if constant else None,
+            "dichotomy_holds": f_vanishes or not constant,
+            "mean_zero_residual": float(np.abs(f @ eta)[nu_x > 0].max()),
+            "lambda_residual": float(np.abs(nu_x @ f)[eta > 0].max())}
+
+
+def old_isometric_factor_witness(space_x, nu_x, space_y, nu_y):
+    """isometric_factor_witness by its former formulas: rows rounded again
+    for every generator and point, and the gram through np.diag. Returns
+    (vectors, weights, actions, gram, gram_preserved) or None."""
+    result = gspaces.diagonal_ergodicity(space_x, nu_x, space_y, nu_y)
+    if result.ergodic:
+        return None
+    raw = result.witness
+    f0 = raw - float((np.outer(nu_x, nu_y) * raw).sum())
+    peak = np.abs(f0).max()
+    if peak <= gspaces.COMPOSED_TOL:
+        return None
+    f = f0 / peak
+    pushforward = old_factor_map(f, space_x, nu_x, space_y, nu_y)["pushforward"]
+    vectors = [key for key, _ in pushforward]
+    index = {v: i for i, v in enumerate(vectors)}
+    actions = {}
+    for label in space_x.labels():
+        perm_x = space_x.gens[label]
+        mapping = [None] * len(vectors)
+        for x in range(space_x.size):
+            if nu_x[x] > 0:
+                src = index[tuple(np.round(f[x], 12))]
+                mapping[src] = index[tuple(np.round(f[perm_x[x]], 12))]
+        actions[label] = tuple(mapping)
+    arr = np.array(vectors)
+    gram = arr @ np.diag(nu_y) @ arr.T
+    preserved = all(
+        np.abs(gram[np.ix_(perm, perm)] - gram).max() <= gspaces.COMPOSED_TOL
+        for perm in map(np.array, actions.values()))
+    return vectors, [w for _, w in pushforward], actions, gram, preserved
+
+
+def random_transitive_space(rng, size):
+    """Two random generators "a" and "b" on `size` points, drawn again
+    until they act transitively."""
+    while True:
+        space = gspaces.FiniteGSpace(size=size, gens={
+            label: tuple(int(x) for x in rng.permutation(size))
+            for label in "ab"})
+        if len(gspaces.orbits(space)) == 1:
+            return space
+
+
+def rotations(size, step):
+    """Z acting on Z/size through "a" = +1 and "b" = +step: transitive, and
+    the diagonal product of two such spaces whose sizes share a factor is
+    not ergodic."""
+    return gspaces.FiniteGSpace(size=size, gens={
+        label: tuple((i + d) % size for i in range(size))
+        for label, d in (("a", 1), ("b", step))})
+
+
+def relabelled(space, rng):
+    """A copy of `space` with its points renamed by a random bijection, so
+    that its diagonal product with `space` is not ergodic."""
+    sigma = rng.permutation(space.size)
+    gens = {}
+    for label, perm in space.gens.items():
+        image = [0] * space.size
+        for i, j in enumerate(perm):
+            image[sigma[i]] = int(sigma[j])
+        gens[label] = tuple(image)
+    return gspaces.FiniteGSpace(size=space.size, gens=gens)
+
+
 # -- parsing -------------------------------------------------------------------
 
 def test_cycle_notation_roundtrip():
@@ -101,6 +200,21 @@ def test_word_permutation_composition_order():
     assert inv == (0, 1, 2)
 
 
+def test_generator_tokens_invert_and_reject_unknown_labels():
+    space = gspaces.parse_gspace("size 5\ngen a (0 1 2)(3 4)\n")
+    inverse = space.permutation("a^-1")
+    assert inverse == (2, 0, 1, 4, 3)
+    assert tuple(inverse[p] for p in space.permutation("a")) == tuple(range(5))
+    rep = gspaces.rotation_rep(6)
+    assert np.array_equal(rep.matrix("t^-1"), rep.matrix("t").T)
+    assert np.allclose(rep.matrix("t^-1") @ rep.matrix("t"), np.eye(2))
+    for token in ("b", "b^-1"):
+        with pytest.raises(DomainError, match="unknown generator 'b'"):
+            space.permutation(token)
+        with pytest.raises(DomainError, match="unknown generator 'b'"):
+            rep.matrix(token)
+
+
 def test_word_permutation_runs_match_token_by_token():
     """Runs of one token are applied as powers; the result must equal the
     composition one token at a time."""
@@ -134,6 +248,11 @@ def test_point_budget(monkeypatch):
                                  gspaces.cycle_space(3)).size == 6
     with pytest.raises(ResourceLimitError, match="product space of 9"):
         gspaces.product_space(gspaces.cycle_space(3), gspaces.cycle_space(3))
+    # factor_map checks the product's budget without building it
+    c3 = gspaces.cycle_space(3)
+    nu = np.full(3, 1 / 3)
+    with pytest.raises(ResourceLimitError, match="product space of 9"):
+        gspaces.factor_map(np.zeros((3, 3)), c3, nu, c3, nu)
 
 
 # -- stationary measures --------------------------------------------------------
@@ -345,6 +464,7 @@ def test_factor_map_parity_example():
     nu = stationary_uniform(flip)
     f = np.array([[1.0, -1.0], [-1.0, 1.0]])   # (-1)^(x+y)
     fm = gspaces.factor_map(f, flip, nu, flip, nu)
+    assert np.array_equal(fm.eta, nu)
     assert np.allclose(fm.f2, np.array([[1.0, -1.0], [-1.0, 1.0]]))
     assert not fm.f2_essentially_constant
     assert fm.dichotomy_holds
@@ -356,6 +476,9 @@ def test_factor_map_parity_example():
 def test_factor_map_preconditions():
     flip = gspaces.cycle_space(2)
     nu = stationary_uniform(flip)
+    with pytest.raises(DomainError, match="matching generator labels"):
+        gspaces.factor_map(np.zeros((2, 2)), flip, nu,
+                           gspaces.cycle_space(2, "u"), nu)
     with pytest.raises(PreconditionError):
         gspaces.factor_map(np.array([[2.0, -2.0], [-2.0, 2.0]]),
                            flip, nu, flip, nu)    # sup too big
@@ -412,6 +535,75 @@ def test_factor_map_dichotomy_randomized():
         assert not fm.f2_essentially_constant
         assert fm.lambda_residual <= 1e-10
         cases += 1
+
+
+def test_factor_map_and_witness_match_the_full_matrix_formulas():
+    """On random pairs of transitive spaces, none of them ergodic (a space
+    and a relabelled copy, or two rotation spaces whose sizes share a
+    factor, relabelled), with random invariant zero-mean f:
+    the distinct-row computations give the former results, the witness's
+    gram and actions bit for bit."""
+    rng = np.random.default_rng(15)
+    witnesses = 0
+    for case in range(50):
+        if case % 2 == 0:
+            x = random_transitive_space(rng, int(rng.integers(2, 9)))
+            y = relabelled(x, rng)
+        else:
+            g, step = int(rng.integers(2, 4)), int(rng.integers(0, 5))
+            x, y = (relabelled(rotations(g * int(rng.integers(1, 4)), step),
+                               rng) for _ in "xy")
+        nu_x, nu_y = stationary_uniform(x), stationary_uniform(y)
+        # constant on the product's orbits, with ties so rows repeat
+        flat = np.empty(x.size * y.size)
+        for orbit in gspaces.orbits(gspaces.product_space(x, y)):
+            flat[orbit] = rng.integers(-2, 3) / 2
+        f = flat.reshape(x.size, y.size)
+        f -= float((np.outer(nu_x, nu_y) * f).sum())
+        peak = np.abs(f).max()
+        f = f / peak if peak > 1e-12 else np.zeros_like(f)
+        fm = gspaces.factor_map(f, x, nu_x, y, nu_y)
+        old = old_factor_map(f, x, nu_x, y, nu_y)
+        assert fm.pushforward == old["pushforward"]
+        assert np.array_equal(fm.f2, old["f2"])
+        for name in ("f2_essentially_constant", "dichotomy_holds",
+                     "mean_zero_residual", "lambda_residual"):
+            assert getattr(fm, name) == old[name], name
+        if old["f2_constant_value"] is None:
+            assert fm.f2_constant_value is None
+        else:
+            assert fm.f2_constant_value == pytest.approx(
+                old["f2_constant_value"], abs=1e-12)
+        new_w = gspaces.isometric_factor_witness(x, nu_x, y, nu_y)
+        old_w = old_isometric_factor_witness(x, nu_x, y, nu_y)
+        assert (new_w is None) == (old_w is None)
+        if new_w is None:
+            continue
+        witnesses += 1
+        vectors, weights, actions, gram, preserved = old_w
+        assert new_w.vectors == vectors
+        assert new_w.weights == weights
+        assert new_w.actions == actions
+        assert new_w.gram.tobytes() == gram.tobytes()
+        assert new_w.gram_preserved == preserved
+    assert witnesses == 50
+
+
+@pytest.mark.parametrize("sizes", [(4000, 2), (2, 4000)])
+def test_witness_memory_is_linear_in_the_product(sizes):
+    """No |X| x |X| or |Y| x |Y| array: an 8000-point product peaks far
+    below the 128 MB of one 4000 x 4000 float64 array."""
+    x, y = (gspaces.cycle_space(n) for n in sizes)
+    nu_x, nu_y = stationary_uniform(x), stationary_uniform(y)
+    tracemalloc.start()
+    try:
+        witness = gspaces.isometric_factor_witness(x, nu_x, y, nu_y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert witness is not None and witness.gram_preserved
+    assert len(witness.vectors) == 2
+    assert peak < 16 * 2 ** 20
 
 
 # -- isometric witnesses ----------------------------------------------------------
