@@ -60,6 +60,10 @@ from .wordmetric import build_ball
 
 MAX_ENUMERATION_LEVEL = 14  # 4*3^13 ~ 6.4M cylinders; beyond that, refuse
 MAX_SEMINORM_SCAN_LENGTH = 10
+# rows * columns^2 of a span_rank matrix: on a 2-core x86-64 box Bareiss
+# took 1.6 s at 187 x 150 (k = 3, radius 3) and 4.8 s at 257 x 240
+# (k = 8, radius 2)
+MAX_SPAN_WORK = 5_000_000
 
 
 def _check_rank(k: int) -> None:
@@ -601,16 +605,36 @@ def span_rank(k: int, level: int, radius: int) -> int:
     radius ball. Full rank 2k(2k-1)^(level-1) certifies finite-scale density
     of the translated-measure derivatives.
 
-    Row s is scaled by (2k-1)^radius, so its entries (2k-1)^(e + radius) are
-    integers (|e| <= |s| <= radius); scaling rows keeps the rank.
+    sigma(s, C_w) for |s| <= radius depends only on w's first radius
+    letters, so each level column repeats a column over the level-radius
+    cylinders (level 1 for radius 0); the matrix is built on those distinct
+    columns, which keeps the rank. Row s is scaled by (2k-1)^radius, so its
+    entries (2k-1)^(e + radius) are integers (|e| <= |s| <= radius); scaling
+    rows keeps the rank.
+
+    Elimination costs about rows * columns^2 big-integer steps; a matrix
+    past MAX_SPAN_WORK is refused (ResourceLimitError) before it is built.
     """
     _check_rank(k)
     if radius > level:
         raise PreconditionError("span_rank needs radius <= level")
-    words = _cylinder_array(k, level)
+    if level < 1:
+        raise DomainError("cylinder level must be >= 1")
+    group = FreeGroup(k)
+    width = max(radius, 1)
+    _check_level(k, width)      # bounds the radius before sizes are summed
+    n_rows = 1 + sum(cylinder_count(k, j) for j in range(1, radius + 1))
+    n_cols = cylinder_count(k, width)
+    if n_rows * n_cols ** 2 > MAX_SPAN_WORK:
+        raise ResourceLimitError(
+            f"refusing a span-rank matrix of {n_rows} x {n_cols} (ball "
+            f"elements x cylinders): rows * columns^2 exceeds "
+            f"{MAX_SPAN_WORK}")
+    ball = build_ball(group, radius).norms
+    words = _cylinder_array(k, width)
     powers = [(2 * k - 1) ** j for j in range(2 * radius + 1)]
     rows = [[powers[e] for e in (_exponent(s, words) + radius).tolist()]
-            for s in build_ball(FreeGroup(k), radius).norms]
+            for s in ball]
     return exact_rank(rows)
 
 

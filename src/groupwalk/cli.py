@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from fractions import Fraction
 from typing import Dict, List, Optional
@@ -32,24 +33,47 @@ from .wordmetric import build_ball, check_value_seminorm, norm_evaluator
 SCHEMA = "groupwalk/1"
 
 
+def _fraction_text(value: Fraction) -> str:
+    try:
+        return f"{value.numerator}/{value.denominator}"
+    except ValueError:              # past int's digit limit for text
+        raise ResourceLimitError(
+            f"an exact value has more than "
+            f"{sys.get_int_max_str_digits()} digits") from None
+
+
 def jsonable(value):
-    """Recursively convert report values to JSON-safe types (p/q strings)."""
-    if isinstance(value, Fraction):
-        try:
-            return f"{value.numerator}/{value.denominator}"
-        except ValueError:          # past int's digit limit for text
-            raise ResourceLimitError(
-                f"an exact value has more than "
-                f"{sys.get_int_max_str_digits()} digits") from None
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    if isinstance(value, np.ndarray):
-        return [jsonable(v) for v in value.tolist()]
-    if isinstance(value, dict):
-        return {str(k): jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [jsonable(v) for v in value]
-    return value
+    """Recursively convert report values to JSON-safe types (p/q strings).
+
+    Scalars and Fractions are recognised by their exact type; containers,
+    numpy values and subclasses (a Counter, a Fraction subclass) take an
+    isinstance chain. Each distinct Fraction object is formatted once per
+    call (radial reports share one per sphere).
+    """
+    texts: Dict[int, str] = {}
+
+    def convert(v):
+        t = type(v)
+        if t is str or t is int or t is float or t is bool or v is None:
+            return v
+        if t is Fraction:
+            text = texts.get(id(v))
+            if text is None:
+                text = texts[id(v)] = _fraction_text(v)
+            return text
+        if isinstance(v, dict):
+            return {str(k): convert(x) for k, x in v.items()}
+        if isinstance(v, (list, tuple)):
+            return [convert(x) for x in v]
+        if isinstance(v, Fraction):
+            return _fraction_text(v)
+        if isinstance(v, (np.floating, np.integer)):
+            return v.item()
+        if isinstance(v, np.ndarray):
+            return [convert(x) for x in v.tolist()]
+        return v
+
+    return convert(value)
 
 
 def emit(report: dict) -> None:
@@ -405,8 +429,7 @@ def _run_poisson_norm(cfg: Dict[str, object]) -> dict:
 def _run_c_seq(cfg: Dict[str, object]) -> dict:
     k = int(cfg["k"])
     coeffs = boundary.c_sequence(k, int(cfg["n-max"]))
-    import math as _math
-    log_q = _math.log(2 * k - 1)
+    log_q = math.log(2 * k - 1)
     additive = all(coeffs[i] == (i + 1) * coeffs[0]
                    for i in range(len(coeffs)))
     return {"schema": SCHEMA, "subcommand": "c-seq", "config": cfg, "k": k,
@@ -421,9 +444,17 @@ def _run_span_rank(cfg: Dict[str, object]) -> dict:
     level = int(cfg["level"])
     radius = int(cfg["radius"])
     rank = boundary.span_rank(k, level, radius)
+    # the report prints 2k(2k-1)^(level-1) in full; refuse a count past
+    # int's digit limit for text before computing it
+    limit = sys.get_int_max_str_digits()
+    if limit and (math.log10(2 * k)
+                  + (level - 1) * math.log10(2 * k - 1)) >= limit:
+        raise ResourceLimitError(
+            f"the cylinder count 2k(2k-1)^{level - 1} has more than "
+            f"{limit} digits")
+    cylinders = boundary.cylinder_count(k, level)
     return {"schema": SCHEMA, "subcommand": "span-rank", "config": cfg,
-            "rank": rank, "full": rank == boundary.cylinder_count(k, level),
-            "cylinders": boundary.cylinder_count(k, level)}
+            "rank": rank, "full": rank == cylinders, "cylinders": cylinders}
 
 
 def _run_stationary(cfg: Dict[str, object]) -> dict:
@@ -580,6 +611,9 @@ def run(argv: Optional[List[str]] = None) -> int:
         return 0
     except ResourceLimitError as exc:
         emit_error("resource", str(exc))
+        return 2
+    except MemoryError as exc:       # an allocation past every budget
+        emit_error("resource", str(exc) or "out of memory")
         return 2
     except (DomainError, PreconditionError) as exc:
         emit_error("precondition", str(exc))

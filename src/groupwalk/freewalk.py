@@ -122,9 +122,11 @@ def shannon_entropy(k: int, n: int) -> float:
     total = sum(row)              # (2k)^n paths
     h = 0.0
     for m, c in enumerate(row):
-        if c == 0:
-            continue
         p = c / total
+        if p == 0.0:
+            # c = 0, or p below the least float (from n = 2592 for k = 2):
+            # its term rounds to 0 and log(p) would fail
+            continue
         if m == 0:
             h -= p * math.log(p)
         else:

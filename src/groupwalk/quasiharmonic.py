@@ -102,7 +102,9 @@ def compute_fk(mu: FiniteMeasure, norm_fn: Callable, k: int, r_eval: int,
 
 def phi_from_fk(tables: Sequence[FkTable], n: int) -> PhiTable:
     """Pointwise Cesaro average of f_0..f_{n-1}; phi_n(e) = 0 exactly."""
-    if n < 1 or n > len(tables):
+    if n < 1:
+        raise DomainError("Cesaro length must be >= 1")
+    if n > len(tables):
         raise DomainError("Cesaro length exceeds computed f_k range")
     head = tables[:n]
     values, errors = {}, {}

@@ -318,6 +318,57 @@ def test_span_rank_precondition():
         boundary.span_rank(2, 1, 2)
 
 
+def old_span_rank(k, level, radius):
+    """The span rank on one column per level cylinder (no distinct-column
+    reduction): sigma(s, C_w) for every level-`level` word w."""
+    words = boundary._cylinder_array(k, level)
+    powers = [(2 * k - 1) ** j for j in range(2 * radius + 1)]
+    rows = [[powers[e] for e in
+             (boundary._exponent(s, words) + radius).tolist()]
+            for s in build_ball(FreeGroup(k), radius).norms]
+    return boundary.exact_rank(rows)
+
+
+@pytest.mark.parametrize("k,level,radius",
+                         [(k, level, radius) for k in (2, 3)
+                          for level in range(1, 5)
+                          for radius in range(level + 1)
+                          # k = 3, radius 4 is past the budget
+                          if (k, radius) != (3, 4)] + [(4, 2, 2)])
+def test_span_rank_on_distinct_columns_matches_full_columns(k, level,
+                                                            radius):
+    assert boundary.span_rank(k, level, radius) == old_span_rank(
+        k, level, radius)
+
+
+@pytest.mark.parametrize("k,level,radius", [(2, 5, 5), (26, 3, 3), (8, 2, 2),
+                                            (2, 40, 20)])
+def test_span_rank_budget_refuses_before_building(k, level, radius,
+                                                  monkeypatch):
+    def no_enumeration(*args):
+        raise AssertionError("a refused matrix enumerated cylinders")
+
+    monkeypatch.setattr(boundary, "_cylinder_array", no_enumeration)
+    monkeypatch.setattr(boundary, "build_ball", no_enumeration)
+    with pytest.raises(ResourceLimitError):
+        boundary.span_rank(k, level, radius)
+
+
+def test_span_rank_budget_names_the_matrix():
+    # k = 3, radius 4: the radius-4 ball by the level-4 cylinders
+    with pytest.raises(ResourceLimitError, match="937 x 750"):
+        boundary.span_rank(3, 4, 4)
+
+
+def test_span_rank_errors_keep_their_kind():
+    for args in ((1, 2, 1), (2, 0, 0), (2, -1, -2), (2, 1, -1)):
+        with pytest.raises(DomainError):
+            boundary.span_rank(*args)
+    # ranks past the free groups' alphabet are refused before any array
+    with pytest.raises(DomainError, match="free rank"):
+        boundary.span_rank(200, 1, 0)
+
+
 def test_exact_rank_on_known_matrix():
     rows = [[Fraction(1), Fraction(1)], [Fraction(2), Fraction(2)],
             [Fraction(0), Fraction(1)]]

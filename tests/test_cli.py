@@ -8,16 +8,21 @@ import pickle
 import subprocess
 import sys
 import tempfile
+import time
+from collections import Counter
+from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import groupwalk
-from groupwalk import gspaces, sampler
+from groupwalk import cli, gspaces, sampler
 from groupwalk.cache import CACHE_ENV_VAR, ball_path, cached_ball
-from groupwalk.cli import run
+from groupwalk.cli import jsonable, run
 from groupwalk.drift import drift_exact_partial
+from groupwalk.errors import ResourceLimitError
 from groupwalk.groups import FreeGroup, group_from_id
 from groupwalk.measures import srw
 from groupwalk.wordmetric import (BallTable, ball_to_text, build_ball,
@@ -39,6 +44,74 @@ def test_span_rank_report(capsys):
     assert report["full"] is True
     assert report["schema"] == "groupwalk/1"
     assert report["config"]["level"] == 2
+
+
+def test_span_rank_runaways_fail_fast(capsys):
+    """Matrices past the elimination budget exit 2 with a JSON error naming
+    their size, before any row is built."""
+    for argv, size in ((("--k", "2", "--level", "5", "--radius", "5"),
+                        "485 x 324"),
+                       (("--k", "26", "--level", "3", "--radius", "3"),
+                        "137957 x 135252")):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "span-rank", *argv)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        error = json.loads(err)["error"]
+        assert error["type"] == "resource"
+        assert size in error["message"]
+
+
+def test_span_rank_past_the_enumeration_limit(capsys):
+    # only the level-radius cylinders are enumerated, so level 15 (past the
+    # enumeration limit) is answered
+    code, out, _ = run_cli(capsys, "span-rank", "--k", "2", "--level", "15",
+                           "--radius", "2")
+    assert code == 0
+    report = json.loads(out)
+    assert (report["rank"], report["full"]) == (12, False)
+    assert report["cylinders"] == 4 * 3 ** 14
+
+
+def test_span_rank_cylinder_count_past_the_digit_limit(capsys):
+    """The report prints the level's cylinder count in full: the deepest
+    level whose count int may print is answered, the next is a resource
+    error, and so is a level whose count is too large to compute."""
+    limit = sys.get_int_max_str_digits()
+    level, count, printable = 1, 4, 10 ** limit
+    while count * 3 < printable:        # the next level's count prints
+        level, count = level + 1, count * 3
+    code, out, _ = run_cli(capsys, "span-rank", "--k", "2", "--level",
+                           str(level), "--radius", "1")
+    assert code == 0
+    assert json.loads(out)["cylinders"] == 4 * 3 ** (level - 1)
+    for deep in (level + 1, 10 ** 12):
+        code, out, err = run_cli(capsys, "span-rank", "--k", "2", "--level",
+                                 str(deep), "--radius", "1")
+        assert (code, out) == (2, "")
+        assert f"more than {limit} digits" in json.loads(err)["error"][
+            "message"]
+
+
+def test_memory_error_is_a_resource_error(capsys, monkeypatch):
+    def exhausted(cfg):
+        raise MemoryError()
+
+    monkeypatch.setitem(cli._RUNNERS, "span-rank", exhausted)
+    code, out, err = run_cli(capsys, "span-rank", "--level", "2",
+                             "--radius", "2")
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": {"type": "resource",
+                                         "message": "out of memory"}}
+
+
+@pytest.mark.parametrize("method", ["radial", "convolution"])
+def test_phi_cesaro_length_zero_names_the_bound(capsys, method):
+    code, out, err = run_cli(capsys, "phi", "--group", "free:2", "--n", "0",
+                             "--method", method)
+    assert (code, out) == (1, "")
+    assert json.loads(err)["error"] == {
+        "type": "precondition", "message": "Cesaro length must be >= 1"}
 
 
 def test_drift_exact_report(capsys):
@@ -766,3 +839,55 @@ def test_drift_measure_spec_fuzz(group_spec, n_max, mode):
     _assert_clean_exit(["drift", "--group", group, f"--measure={spec}",
                         "--n-max", str(n_max), "--mode", mode,
                         "--ball-radius", "3"])
+
+
+def old_jsonable(value):
+    """The isinstance chain jsonable used before its exact-type dispatch."""
+    if isinstance(value, Fraction):
+        return f"{value.numerator}/{value.denominator}"
+    if isinstance(value, (np.floating, np.integer)):
+        return value.item()
+    if isinstance(value, np.ndarray):
+        return [old_jsonable(v) for v in value.tolist()]
+    if isinstance(value, dict):
+        return {str(k): old_jsonable(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [old_jsonable(v) for v in value]
+    return value
+
+
+class _Half(Fraction):
+    pass
+
+
+def test_jsonable_matches_the_isinstance_chain():
+    shared = Fraction(-7, 3)
+    report = {
+        "shared": [shared, shared, {"again": (shared, [shared])}],
+        "distinct": [Fraction(1, 3), Fraction(1, 3), Fraction(0),
+                     Fraction(10 ** 40, 3), _Half(1, 2)],
+        "numpy": [np.float64(0.1), np.float32(2.5), np.int64(-3),
+                  np.int8(7), np.uint64(2 ** 63)],
+        "arrays": [np.arange(4), np.array([[0.5, 1.5], [2.0, -1.0]]),
+                   np.zeros(0)],
+        "nested": ((1, (2, (3, ()))), [(), [()]]),
+        1: "int key", 2.5: "float key", (1, 2): "tuple key", None: "none key",
+        "bools": [True, False], "none": None,
+        "counter": Counter({"a": 3, "b": 1}),
+        "floats": [0.0, -0.0, 1e300, float("inf")],
+        "text": "p/q",
+    }
+    assert (json.dumps(jsonable(report), sort_keys=True)
+            == json.dumps(old_jsonable(report), sort_keys=True))
+    # a report of radial phi values shares one Fraction per sphere
+    phi = cli._run_phi(cli.resolve_config("phi", cli._parser().parse_args(
+        ["phi", "--group", "free:3", "--n", "6", "--r-eval", "4"])))
+    assert (json.dumps(jsonable(phi), sort_keys=True)
+            == json.dumps(old_jsonable(phi), sort_keys=True))
+
+
+def test_jsonable_digit_limit_is_a_resource_error():
+    huge = Fraction(10 ** (sys.get_int_max_str_digits() + 1), 3)
+    for value in (huge, [huge, huge], {"x": (huge,)}, _Half(huge)):
+        with pytest.raises(ResourceLimitError, match="digits"):
+            jsonable(value)

@@ -107,6 +107,17 @@ def test_entropy_rate_decreasing_toward_boundary_value():
     assert all(r > limit for r in rates)
 
 
+@pytest.mark.parametrize("k,n", [(2, 2600), (26, 600)])
+def test_entropy_is_finite_where_sphere_masses_underflow(k, n):
+    import math
+    # the smallest sphere mass, (1/2k)^n, is below the least float
+    assert float(Fraction(1, (2 * k) ** n)) == 0.0
+    h = freewalk.shannon_entropy(k, n)
+    assert math.isfinite(h)
+    # h = inf_n H_n / n = ((k-1)/k) log(2k-1)
+    assert (k - 1) / k * math.log(2 * k - 1) < h / n < math.log(2 * k)
+
+
 def test_convolution_and_radial_routes_agree_on_f2_up_to_n10():
     """Exact a_n, the n-step law behind H_n, and phi_n on F_2 by generic
     convolution equal the radial route for n <= 10."""

@@ -290,6 +290,12 @@ def test_radial_tables_match_fraction_route(k, n, r_max):
     assert freewalk.shannon_entropy(k, n) == old_shannon_entropy(k, n)
 
 
+@pytest.mark.parametrize("k", [2, 3, 26])
+def test_entropy_matches_fraction_route_up_to_n100(k):
+    for n in range(0, 101, 10):
+        assert freewalk.shannon_entropy(k, n) == old_shannon_entropy(k, n)
+
+
 # -- the exact checks see a wrong model ------------------------------------------
 
 def test_wrong_mass_formula_breaks_stationarity(monkeypatch):
