@@ -16,30 +16,28 @@ The Radon-Nikodym cocycle of the translation action is
     sigma(g, z) = (2k-1)^(2 p(g, z) - |g|),
 
 where p(g, z) is the length of the common prefix of g's reduced word and z.
-It is constant on any cylinder of level >= |g|, so all computations happen
-on finite cylinder tables; cylinders of sufficient level stand in for the
-conull set on which the cocycle is classically defined. Values are carried
-as integer exponents of (2k-1) wherever additivity matters and only turned
-into logs at the reporting layer.
+It is constant on any cylinder of level >= |g|, so cylinders of sufficient
+level stand in for the conull set on which the cocycle is classically
+defined. Values are carried as integer exponents of (2k-1) wherever
+additivity matters and only turned into logs at the reporting layer.
 
-Representation: one enumerator, ``_cylinder_array``, lists the reduced
-words of a level as the rows of an int8 array in lexicographic order (the
-public ``cylinders`` iterates over its rows). Exponents, translates s^-1 w
-and Poisson-integral heads are whole-array operations on it. Every exact
-check is an integer sum over one common denominator: rows are tallied by
-exponent or translated length with numpy, the few distinct tallies are
-weighed in Python ints, and a ``Fraction`` is only built for a reported
-value or residual. Ranks use fraction-free (Bareiss) elimination on Python
-ints.
+Closed forms read word lengths only: the Poisson semi-norm exponent of g is
+|g|, the integral of its exponent depends on |g| alone, and the c sequence
+sums that integral against the radial law ``freewalk.path_counts``. All else
+enumerates cylinders with ``_cylinder_array`` (the reduced words of a level
+as rows of an int8 array, in lexicographic order): the cocycle histogram,
+the reference the closed forms are tested against; the identity,
+normalization and stationarity checks; Poisson integrals and span ranks.
+Exact checks are integer sums over one common denominator, and a
+``Fraction`` is only built for a reported value or residual; ranks use
+fraction-free (Bareiss) elimination on Python ints.
 
-Everything in this module is exact-rational; only SRW is admitted (for any
-other nearest-neighbor measure the hitting measure is not this simple, and
-requests are rejected loudly).
-
-Validation happens once, at the public entry, which checks each
-caller-supplied word (DomainError); inner loops then use the unchecked
-``FreeGroup._mul`` and array kernels on words valid by construction
-(cylinders, ball elements).
+Everything is exact-rational; only SRW is admitted (for any other
+nearest-neighbor measure the hitting measure is not this simple, and
+requests are rejected loudly). Validation happens once, at the public
+entry, which checks each caller-supplied word (DomainError); inner loops
+then use the unchecked ``FreeGroup._mul`` and array kernels on words valid
+by construction (cylinders, ball elements).
 """
 
 from __future__ import annotations
@@ -51,15 +49,14 @@ from typing import Dict, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
+from . import freewalk
 from .errors import DomainError, OutOfRangeError, PreconditionError, \
     ResourceLimitError
 from .groups import FreeGroup
-from .measures import (MODE_EXACT, FiniteMeasure, adjoint, power_sequence,
-                       srw)
+from .measures import MODE_EXACT, FiniteMeasure, power, srw
 from .wordmetric import build_ball
 
 MAX_ENUMERATION_LEVEL = 14  # 4*3^13 ~ 6.4M cylinders; beyond that, refuse
-MAX_SEMINORM_SCAN_LENGTH = 10
 # rows * columns^2 of a span_rank matrix: on a 2-core x86-64 box Bareiss
 # took 1.6 s at 187 x 150 (k = 3, radius 3) and 4.8 s at 257 x 240
 # (k = 8, radius 2)
@@ -345,15 +342,11 @@ def check_cocycle_normalization(k: int, k_power: int,
         raise OutOfRangeError(
             f"normalization at power {k_power} needs level >= {k_power}",
             required=k_power)
-    group = FreeGroup(k)
-    mu_k = None
-    for _, mun in power_sequence(srw(group), k_power):
-        mu_k = mun
+    mu_k = power(srw(FreeGroup(k)), k_power)
     den = mu_k.den
     words = _cylinder_array(k, k_power)
     multiplicity = (2 * k - 1) ** (level - k_power)
-    # a row's tallies sum to D = (2k)^k_power, which the atom budget of
-    # power_sequence keeps far below 2^63
+    # a row's tallies sum to D = (2k)^k_power < 2^63 (power's atom budget)
     tallies = np.zeros((len(words), 2 * k_power + 1), dtype=np.int64)
     rows = np.arange(len(words))
     for s, a in mu_k.weights.items():
@@ -375,19 +368,9 @@ def check_cocycle_normalization(k: int, k_power: int,
 # -- Poisson semi-norm and the c sequence -------------------------------------
 
 def poisson_seminorm_exponent(k: int, g: Tuple[int, ...]) -> int:
-    """max over deep cylinders of the sigma(g, .) exponent.
-
-    Scans all level-|g| cylinders up to MAX_SEMINORM_SCAN_LENGTH letters
-    (within the cylinder budget); for longer elements the maximizing
-    cylinder is the one extending g itself (any other word shares a shorter
-    prefix), which is used directly.
-    """
+    """max of the sigma(g, .) exponent 2 p - |g|: |g|, where p = |g| (C_g)."""
     _check_rank(k)
-    if not g:
-        return 0
-    if (len(g) <= MAX_SEMINORM_SCAN_LENGTH
-            and cylinder_count(k, len(g)) <= MAX_CYLINDERS):
-        return int(_exponent(g, _cylinder_array(k, len(g))).max())
+    FreeGroup(k).check_element(g)
     return len(g)
 
 
@@ -397,45 +380,46 @@ def poisson_seminorm(k: int, g: Tuple[int, ...]) -> float:
     return poisson_seminorm_exponent(k, g) * math.log(2 * k - 1)
 
 
+def _log_cocycle_numerator(k: int, length: int) -> int:
+    """N_L = 2k q^L int (2 p - L) dm for |g| = L, q = 2k-1 and p the common
+    prefix of g and z: m(p >= i) = 1 / (2k q^(i-1)) for i = 1..L."""
+    q = 2 * k - 1
+    return (2 * q * (q ** length - 1) // (q - 1)
+            - 2 * k * length * q ** length)
+
+
 def integral_log_cocycle(k: int, g: Tuple[int, ...]) -> Fraction:
-    """Exact coefficient c with  int log sigma(g, z) dm(z) = c log(2k-1)."""
+    """Exact c with  int log sigma(g, z) dm(z) = c log(2k-1); it depends on
+    |g| only."""
     _check_rank(k)
-    if not g:
-        return Fraction(0)
-    words = _cylinder_array(k, len(g))
-    return _level_mass(k, len(g)) * int(_exponent(g, words).sum())
+    FreeGroup(k).check_element(g)
+    return Fraction(_log_cocycle_numerator(k, len(g)),
+                    2 * k * (2 * k - 1) ** len(g))
 
 
 def c_sequence(k: int, n_max: int) -> List[Fraction]:
-    """Coefficients q_n with c_n = q_n log(2k-1), for n = 1..n_max.
+    """Coefficients q_n with c_n = q_n log(2k-1), n = 1..n_max: c_n
+    integrates log sigma(s, .) against the n-step law of the adjoint walk,
+    and c_n = n c_1 holds exactly (what tests assert).
 
-    c_n integrates log sigma(s, .) against the n-step law of the adjoint
-    walk; additivity c_n = n c_1 holds exactly at the coefficient level and
-    is what tests assert.
-
-    With mu^{*n}(s) = a_s / D and m(C) = 1 / (2k (2k-1)^(|s|-1)) on the
-    level-|s| cylinders, c_n is sum_s a_s (2k-1)^(L - |s|) E(s) over the
-    common denominator D 2k (2k-1)^(L-1), where E(s) sums the exponents of
-    s over those cylinders and L is the longest atom.
+    The adjoint of SRW is SRW and the integral of s depends on |s| alone:
+    with q = 2k-1 and the path counts c_n[L] of ``freewalk.path_counts``,
+    q_n is the Horner sum of c_n[L] N_L q^(n-L) over (2k)^(n+1) q^n.
     """
     _check_rank(k)
-    group = FreeGroup(k)
+    if n_max < 1:
+        raise DomainError("n_max must be >= 1")
+    freewalk.check_radial_steps(n_max)
     q = 2 * k - 1
-    mu_adj = adjoint(srw(group))
+    numerators = [_log_cocycle_numerator(k, m) for m in range(n_max + 1)]
+    rows = freewalk.path_counts(k, n_max)
+    next(rows)                      # n = 0
     coeffs = []
-    tables: Dict[int, np.ndarray] = {}
-    sums: Dict[Tuple[int, ...], int] = {}
-    for _, mun in power_sequence(mu_adj, n_max):
-        atoms = [(s, a) for s, a in mun.weights.items() if s]
-        top = max((len(s) for s, _ in atoms), default=1)
+    for n, counts in enumerate(rows, start=1):
         acc = 0
-        for s, a in atoms:
-            if s not in sums:
-                if len(s) not in tables:
-                    tables[len(s)] = _cylinder_array(k, len(s))
-                sums[s] = int(_exponent(s, tables[len(s)]).sum())
-            acc += a * q ** (top - len(s)) * sums[s]
-        coeffs.append(Fraction(acc, mun.den * 2 * k * q ** (top - 1)))
+        for c, num in zip(counts, numerators):
+            acc = q * acc + c * num
+        coeffs.append(Fraction(acc, (2 * k) ** (n + 1) * q ** n))
     return coeffs
 
 

@@ -263,6 +263,8 @@ def _write_series(target: str, rows: List[tuple], header: str) -> None:
 # -- subcommand bodies -----------------------------------------------------------
 
 def _run_drift(cfg: Dict[str, object]) -> dict:
+    if min(int(cfg["n-max"]), int(cfg["trajectories"])) < 0:
+        raise DomainError("--n-max and --trajectories must be >= 0 (0 = skip)")
     group = group_from_id(cfg["group"])
     mode = cfg["mode"]
     mu = parse_measure_spec(group, cfg["measure"], mode=mode)
@@ -518,7 +520,8 @@ def _selftest_checks() -> List[dict]:
         and coeffs[0] == Fraction(-1, 2), f"c1 coefficient {coeffs[0]}")
     group2 = FreeGroup(2)
     add("poisson-seminorm = |g| log 3 on ball 5",
-        all(boundary.poisson_seminorm_exponent(2, g) == len(g)
+        all(boundary.poisson_seminorm_exponent(2, g)
+            == boundary.cocycle_histogram(2, g, max(1, len(g)))[-1][0]
             for g in build_ball(group2, 5).norms))
     exponents = {g: boundary.poisson_seminorm_exponent(2, g)
                  for g in build_ball(group2, 3).norms}

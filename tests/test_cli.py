@@ -18,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import groupwalk
-from groupwalk import cli, gspaces, sampler
+from groupwalk import cli, freewalk, gspaces, sampler
 from groupwalk.cache import CACHE_ENV_VAR, ball_path, cached_ball
 from groupwalk.cli import jsonable, run
 from groupwalk.drift import drift_exact_partial
@@ -206,6 +206,17 @@ def test_poisson_norm_and_cseq(capsys):
     assert cs["additive"] is True
 
 
+@pytest.mark.parametrize("k,n_max", [(2, 12), (26, 3)])
+def test_cseq_past_the_convolution_sizes(capsys, k, n_max):
+    """Sizes the atom-by-atom convolution route did not finish in 60 s."""
+    code, out, _ = run_cli(capsys, "c-seq", "--k", str(k),
+                           "--n-max", str(n_max))
+    cs = json.loads(out)
+    assert code == 0 and cs["additive"] is True
+    assert len(cs["coefficients"]) == n_max
+    assert cs["coefficients"][0] == f"{1 - k}/{k}"
+
+
 def test_stationary_and_ergodicity(capsys, tmp_path):
     space = tmp_path / "two.gsp"
     space.write_text("size 5\ngen t (0 1)(2 3 4)\n")
@@ -308,7 +319,14 @@ def test_error_exit_codes(capsys, tmp_path, monkeypatch):
                  ("phi", "--group", "free:2", "--truncation", "1/20",
                   "--n", "4", "--r-eval", "1", "--method", "radial"),
                  # a Cesaro length of 0 on the radial route
-                 ("phi", "--group", "free:2", "--n", "0")):
+                 ("phi", "--group", "free:2", "--n", "0"),
+                 # an empty c sequence
+                 ("c-seq", "--n-max", "0"),
+                 ("c-seq", "--n-max", "-3"),
+                 # negative drift lengths (0 skips a section)
+                 ("drift", "--group", "zd:1", "--n-max", "-1"),
+                 ("drift", "--group", "zd:1", "--n-max", "0",
+                  "--trajectories", "-5", "--steps", "3")):
         code, out, err = run_cli(capsys, *argv)
         assert code == 1
         assert out == ""
@@ -327,6 +345,24 @@ def test_error_exit_codes(capsys, tmp_path, monkeypatch):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, "")
         assert json.loads(err)["error"]["type"] == "resource"
+    # the radial routes refuse a walk past MAX_RADIAL_STEPS before any path
+    # count is built, also with --emit-series
+    over = str(freewalk.MAX_RADIAL_STEPS + 1)
+    for argv in (("phi", "--group", "free:2", "--n", "5000", "--r-eval", "0"),
+                 ("phi", "--group", "free:3", "--n", over, "--r-eval", "1",
+                  "--method", "radial", "--emit-series", "-"),
+                 ("c-seq", "--n-max", "5000"),
+                 ("c-seq", "--k", "26", "--n-max", over)):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        error = json.loads(err)["error"]
+        assert error["type"] == "resource"
+        assert "MAX_RADIAL_STEPS" in error["message"]
+    monkeypatch.setattr(freewalk, "MAX_RADIAL_STEPS", 3)
+    assert run_cli(capsys, "c-seq", "--n-max", "3")[0] == 0
+    assert run_cli(capsys, "phi", "--group", "free:2", "--n", "3")[0] == 0
+    assert run_cli(capsys, "c-seq", "--n-max", "4")[0] == 2
+    assert run_cli(capsys, "phi", "--group", "free:2", "--n", "4")[0] == 2
     # the lamplighter lamp window budget is per trajectory, so it fails
     # alike at any worker count
     monkeypatch.setattr(sampler.os, "cpu_count", lambda: 2)

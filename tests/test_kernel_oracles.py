@@ -6,7 +6,8 @@ recursive cylinder generator, the scalar exponent loop, the cylinder-by-
 cylinder Poisson integral and the harmonicity check that calls it (2k+1)
 times per ball element, Gaussian elimination over ``Fraction`` and the
 ``Fraction`` recursion of the radial norm law (with the f_j, phi_n, a_n and
-H_n built on it). The last tests break the mass formula or the step law on
+H_n built on it), and the c sequence summed atom by atom over the
+convolution powers of the adjoint walk. The last tests break the mass formula or the step law on
 purpose and require the exact checks to see it.
 """
 
@@ -18,7 +19,7 @@ import pytest
 
 from groupwalk import boundary, freewalk
 from groupwalk.groups import FreeGroup
-from groupwalk.measures import finite_measure
+from groupwalk.measures import adjoint, finite_measure, power_sequence, srw
 from groupwalk.wordmetric import build_ball
 
 
@@ -129,6 +130,30 @@ def old_shannon_entropy(k, n):
     return h
 
 
+def old_c_sequence(k, n_max):
+    """The c sequence through the convolution powers of the adjoint walk and
+    a cylinder scan per atom."""
+    boundary._check_rank(k)
+    group = FreeGroup(k)
+    q = 2 * k - 1
+    mu_adj = adjoint(srw(group))
+    coeffs = []
+    tables = {}
+    sums = {}
+    for _, mun in power_sequence(mu_adj, n_max):
+        atoms = [(s, a) for s, a in mun.weights.items() if s]
+        top = max((len(s) for s, _ in atoms), default=1)
+        acc = 0
+        for s, a in atoms:
+            if s not in sums:
+                if len(s) not in tables:
+                    tables[len(s)] = boundary._cylinder_array(k, len(s))
+                sums[s] = int(boundary._exponent(s, tables[len(s)]).sum())
+            acc += a * q ** (top - len(s)) * sums[s]
+        coeffs.append(Fraction(acc, mun.den * 2 * k * q ** (top - 1)))
+    return coeffs
+
+
 # -- cylinders, exponents, translates ----------------------------------------------
 
 @pytest.mark.parametrize("k", [2, 3, 4])
@@ -172,6 +197,25 @@ def test_cocycle_histogram_matches_scalar_tally():
         e = old_exponent(g, w)
         tally[e] = tally.get(e, 0) + 1
     assert boundary.cocycle_histogram(2, g, 5) == sorted(tally.items())
+
+
+# -- boundary integrals in closed form ------------------------------------------
+
+@pytest.mark.parametrize("k,n_max", [(2, 7), (3, 5), (4, 4), (5, 3), (26, 2)])
+def test_c_sequence_matches_convolution_route(k, n_max):
+    coeffs = boundary.c_sequence(k, n_max)
+    assert coeffs == old_c_sequence(k, n_max)
+    assert coeffs[0] == Fraction(1 - k, k)
+
+
+@pytest.mark.parametrize("k,radius", [(2, 6), (3, 4), (4, 3)])
+def test_boundary_integrals_match_cocycle_histogram(k, radius):
+    for g in build_ball(FreeGroup(k), radius).norms:
+        level = max(1, len(g))
+        histogram = boundary.cocycle_histogram(k, g, level)
+        assert boundary.poisson_seminorm_exponent(k, g) == histogram[-1][0]
+        assert boundary.integral_log_cocycle(k, g) == Fraction(
+            sum(e * c for e, c in histogram), boundary.cylinder_count(k, level))
 
 
 # -- Poisson integrals ------------------------------------------------------------
@@ -271,7 +315,7 @@ def test_bareiss_edge_matrices(rows):
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_path_counts_match_fraction_recursion(k):
     old = old_norm_distributions(k, 64)
-    counts = list(freewalk._path_counts(k, 64))
+    counts = list(freewalk.path_counts(k, 64))
     for n, row in enumerate(counts):
         assert all(type(c) is int for c in row)
         assert [Fraction(c, (2 * k) ** n) for c in row] == old[n]
