@@ -407,6 +407,7 @@ def c_sequence(k: int, n_max: int) -> List[Fraction]:
     q_n is the Horner sum of c_n[L] N_L q^(n-L) over (2k)^(n+1) q^n.
     """
     _check_rank(k)
+    FreeGroup(k)                    # the rank cap of the other entries
     if n_max < 1:
         raise DomainError("n_max must be >= 1")
     freewalk.check_radial_steps(n_max)

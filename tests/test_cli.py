@@ -323,6 +323,8 @@ def test_error_exit_codes(capsys, tmp_path, monkeypatch):
                  # an empty c sequence
                  ("c-seq", "--n-max", "0"),
                  ("c-seq", "--n-max", "-3"),
+                 # a free rank past the 26 letters, as in every boundary entry
+                 ("c-seq", "--k", "27"),
                  # negative drift lengths (0 skips a section)
                  ("drift", "--group", "zd:1", "--n-max", "-1"),
                  ("drift", "--group", "zd:1", "--n-max", "0",
