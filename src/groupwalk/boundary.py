@@ -21,16 +21,18 @@ level stand in for the conull set on which the cocycle is classically
 defined. Values are carried as integer exponents of (2k-1) wherever
 additivity matters and only turned into logs at the reporting layer.
 
-Closed forms read word lengths only: the Poisson semi-norm exponent of g is
-|g|, the integral of its exponent depends on |g| alone, and the c sequence
-sums that integral against the radial law ``freewalk.path_counts``. All else
-enumerates cylinders with ``_cylinder_array`` (the reduced words of a level
-as rows of an int8 array, in lexicographic order): the cocycle histogram,
-the reference the closed forms are tested against; the identity,
-normalization and stationarity checks; Poisson integrals and span ranks.
-Exact checks are integer sums over one common denominator, and a
-``Fraction`` is only built for a reported value or residual; ranks use
-fraction-free (Bareiss) elimination on Python ints.
+Closed forms read word lengths and common prefixes only: the Poisson
+semi-norm exponent of g is |g|, the integral of its exponent depends on |g|
+alone, the c sequence sums it against the radial law ``freewalk.path_counts``,
+and m(g^-1 C_u) = m(C_u) W(p) / (2k-1)^|g| with one integer weight per common
+prefix length p of g and u makes Poisson integrals and translated masses
+O(|g|) sums over the prefix sums of f. All else enumerates cylinders with
+``_cylinder_array`` (the reduced words of a level as rows of an int8 array,
+in lexicographic order): the cocycle histogram, the reference the closed
+forms are tested against; the identity, normalization and stationarity
+checks; span ranks. Exact checks are integer sums over one common
+denominator, and a ``Fraction`` is only built for a reported value or
+residual; ranks use fraction-free (Bareiss) elimination on Python ints.
 
 Everything is exact-rational; only SRW is admitted (for any other
 nearest-neighbor measure the hitting measure is not this simple, and
@@ -237,16 +239,16 @@ def cocycle_mass_ratio(k: int, g: Tuple[int, ...],
 
 def translated_cylinder_mass(k: int, g: Tuple[int, ...],
                              w: Tuple[int, ...]) -> Fraction:
-    """m(g^-1 C_w), by deepening w until translation maps cylinders to
-    cylinders (level > |g| suffices)."""
+    """m(g^-1 C_w): the Poisson sum of the indicator of C_w, whose prefix
+    sums are 1 on the prefixes of w (1 for the empty w)."""
+    _check_rank(k)
     group = FreeGroup(k)
+    group.check_element(g)
     group.check_element(w)
-    g_inv = group.inv(g)
-    if len(w) > len(g):
-        return cylinder_mass(k, group._mul(g_inv, w))
-    return sum((cylinder_mass(k, group._mul(g_inv, ext))
-                for ext in cylinders(k, len(g) + 1)
-                if ext[:len(w)] == w), Fraction(0))
+    if not w:
+        return Fraction(1)
+    return _poisson_sum(k, len(w), {w[:i]: 1 for i in range(len(w) + 1)},
+                        1, g)
 
 
 # -- cocycle identities -------------------------------------------------------
@@ -434,11 +436,21 @@ class CylinderFunction:
     values: Dict[Tuple[int, ...], Fraction]
 
     def __post_init__(self):
+        _check_rank(self.k)
+        group = FreeGroup(self.k)
         expected = cylinder_count(self.k, self.level)
         if len(self.values) != expected:
             raise DomainError(
                 f"level-{self.level} function needs values on all "
                 f"{expected} cylinders")
+        for word, value in self.values.items():
+            group.check_element(word)
+            if len(word) != self.level:
+                raise DomainError(f"not a level-{self.level} word: {word!r}")
+            if not isinstance(value, (int, Fraction)):
+                raise DomainError(
+                    f"cylinder function values must be int or Fraction, "
+                    f"got {value!r}")
 
     @classmethod
     def constant(cls, k: int, level: int, value) -> "CylinderFunction":
@@ -447,70 +459,68 @@ class CylinderFunction:
 
     @classmethod
     def indicator(cls, k: int, word: Tuple[int, ...]) -> "CylinderFunction":
+        FreeGroup(k).check_element(word)
         return cls(k, len(word),
                    {w: Fraction(1 if w == word else 0)
                     for w in cylinders(k, len(word))})
 
 
+def _prefix_weights(k: int, n: int, level: int) -> List[int]:
+    """W(p), p = 0..min(n, level): m(g^-1 C_u) = m(C_u) W(p) / q^n for
+    |g| = n, |u| = level, q = 2k-1 and p the common prefix of g and u;
+    sigma(g, .) = q^(2p - n) is constant on C_u unless u is a proper prefix
+    of g, and past such a u each letter of z follows g with chance 1/q."""
+    q = 2 * k - 1
+    weights = [q ** (2 * p) for p in range(min(n, level) + 1)]
+    if level < n:
+        weights[level] = q ** (n + level - 1) * (q + 1) - q ** (2 * level - 1)
+    return weights
+
+
+def _prefix_sums(f: CylinderFunction) -> Tuple[Dict[tuple, int], int]:
+    """S(v), the sum of f over the level cylinders that extend v, for every
+    prefix v of length <= level, as integer numerators over the returned
+    common denominator."""
+    numerators, den = _numerators(list(f.values.values()))
+    sums: Dict[tuple, int] = {}
+    for u, a in zip(f.values, numerators):
+        for i in range(f.level + 1):
+            sums[u[:i]] = sums.get(u[:i], 0) + a
+    return sums, den
+
+
+def _poisson_sum(k: int, level: int, sums: Dict[tuple, int], den: int,
+                 g: Tuple[int, ...]) -> Fraction:
+    """P f(g) = m_level q^-n sum_{i <= min(n, level)} (W(i) - W(i-1))
+    S(g[:i]) / den, W(-1) = 0, n = |g|: u has common prefix >= i with g
+    exactly when it extends g[:i]. Prefixes missing from `sums` count 0."""
+    total = previous = 0
+    for i, weight in enumerate(_prefix_weights(k, len(g), level)):
+        total += (weight - previous) * sums.get(g[:i], 0)
+        previous = weight
+    return Fraction(total, den * 2 * k * (2 * k - 1) ** (len(g) + level - 1))
+
+
 def poisson_integral(f: CylinderFunction, g: Tuple[int, ...]) -> Fraction:
-    """P_m f(g) = int f(g z) dm(z), exact.
-
-    Decomposes the boundary into cylinders of level |g| + level(f); on each,
-    g z lies in a single level(f) cylinder, the head of the reduced product
-    g w. The cylinders are tallied by head and f is weighed once per head.
-    """
+    """P_m f(g) = int f(g z) dm(z) = sum_u f(u) m(g^-1 C_u), exact, in
+    O(|g|) from the prefix sums of f."""
     FreeGroup(f.k).check_element(g)
-    return _poisson_integral(f, g, {})
-
-
-def _poisson_integral(f: CylinderFunction, g: Tuple[int, ...],
-                      tables: Dict[int, np.ndarray]) -> Fraction:
-    """poisson_integral on a valid g; `tables` holds the cylinder arrays
-    built so far, by level, and gains the one this call needs."""
-    k = f.k
-    depth = len(g) + f.level
-    if depth > MAX_ENUMERATION_LEVEL:
-        raise ResourceLimitError(
-            f"Poisson integral would enumerate level-{depth} cylinders")
-    if depth not in tables:
-        tables[depth] = _cylinder_array(k, depth)
-    g_inv = [-x for x in reversed(g)]
-    heads = _translate(g_inv, tables[depth], f.level)
-    # a head's letters as balanced base-(2k+1) digits: one int64 per head
-    codes = heads @ (2 * k + 1) ** np.arange(f.level - 1, -1, -1,
-                                           dtype=np.int64)
-    _, first, counts = np.unique(codes, return_index=True,
-                                 return_counts=True)
-    total = sum((c * f.values[tuple(head)]
-                 for head, c in zip(heads[first].tolist(), counts.tolist())),
-                Fraction(0))
-    return _level_mass(k, depth) * total
+    sums, den = _prefix_sums(f)
+    return _poisson_sum(f.k, f.level, sums, den, g)
 
 
 def check_harmonicity(f: CylinderFunction, radius: int) -> Fraction:
     """max over the radius ball of |sum_s P_m f(gs) mu(s) - P_m f(g)|
-    (mu = SRW; exactly 0: the hitting measure is stationary).
-
-    P_m f is computed once per distinct element of the radius + 1 ball, and
-    each cylinder array once per level."""
-    k = f.k
-    group = FreeGroup(k)
+    (mu = SRW; exactly 0: the hitting measure is stationary), with the
+    prefix sums of f built once for all the Poisson sums."""
+    group = FreeGroup(f.k)
     mu = srw(group)
-    tables: Dict[int, np.ndarray] = {}
-    integrals: Dict[Tuple[int, ...], Fraction] = {}
-
-    def integral(h):
-        if h not in integrals:
-            integrals[h] = _poisson_integral(f, h, tables)
-        return integrals[h]
-
-    steps = mu.atoms.items()
+    sums, den = _prefix_sums(f)
     worst = Fraction(0)
     for g in build_ball(group, radius).norms:
-        lhs = sum(integral(group._mul(g, s)) * w for s, w in steps)
-        res = abs(lhs - integral(g))
-        if res > worst:
-            worst = res
+        lhs = sum(_poisson_sum(f.k, f.level, sums, den, group._mul(g, s)) * w
+                  for s, w in mu.atoms.items())
+        worst = max(worst, abs(lhs - _poisson_sum(f.k, f.level, sums, den, g)))
     return worst
 
 

@@ -290,14 +290,32 @@ def test_boundary_stationarity_exact():
 
 
 def test_cylinder_function_validation():
-    with pytest.raises(DomainError):
-        boundary.CylinderFunction(2, 2, {(1,): Fraction(1)})
+    level_two = {w: Fraction(1) for w in boundary.cylinders(2, 2)}
+    del level_two[(1, 1)]
+    bad = [
+        (2, {(1,): Fraction(1)}),                           # too few
+        (1, {(i,): 1 for i in range(1, 5)}),                # foreign keys
+        (2, {**level_two, (1,): Fraction(1)}),              # wrong level
+        (2, {w: 0.5 for w in boundary.cylinders(2, 2)}),    # float value
+        (2, {w: "1/2" for w in boundary.cylinders(2, 2)}),  # str value
+    ]
+    for level, values in bad:
+        with pytest.raises(DomainError):
+            boundary.CylinderFunction(2, level, values)
+    for word in [(1, -1), (5,), ()]:
+        with pytest.raises(DomainError):
+            boundary.CylinderFunction.indicator(2, word)
+    # int and Fraction values are both accepted
+    f = boundary.CylinderFunction(2, 1, {(1,): 1, (2,): Fraction(1, 2),
+                                         (-1,): 0, (-2,): -3})
+    assert boundary.poisson_integral(f, ()) == Fraction(-3, 8)
 
 
-def test_poisson_integral_resource_guard():
+def test_poisson_integral_deep_element():
+    # the points z with g z outside C_a are exactly C_{g^-1}
     f = boundary.CylinderFunction.indicator(2, (1,))
-    with pytest.raises(ResourceLimitError):
-        boundary.poisson_integral(f, tuple([1, 2] * 7))
+    assert boundary.poisson_integral(f, tuple([1, 2] * 7)) == (
+        1 - Fraction(1, 4 * 3 ** 13))
 
 
 # -- span ranks ----------------------------------------------------------------

@@ -4,13 +4,15 @@ per-word ``Fraction`` code they replaced.
 Each oracle below is a test-local copy of the earlier implementation: the
 recursive cylinder generator, the scalar exponent loop, the cylinder-by-
 cylinder Poisson integral and the harmonicity check that calls it (2k+1)
-times per ball element, Gaussian elimination over ``Fraction`` and the
+times per ball element, the translated cylinder mass summed over the
+deepened cylinders, Gaussian elimination over ``Fraction`` and the
 ``Fraction`` recursion of the radial norm law (with the f_j, phi_n, a_n and
 H_n built on it), and the c sequence summed atom by atom over the
 convolution powers of the adjoint walk. The last tests break the mass formula or the step law on
 purpose and require the exact checks to see it.
 """
 
+import functools
 import math
 import random
 from fractions import Fraction
@@ -245,7 +247,34 @@ def _random_cylinder_function(rng, k, level):
                    for w in old_cylinders(k, level)})
 
 
-HARMONIC_CASES = [(2, 2, 2, 0), (2, 3, 1, 1), (3, 2, 1, 2), (3, 3, 0, 3)]
+def old_translated_cylinder_mass(k, g, w):
+    """m(g^-1 C_w), by deepening w until translation maps cylinders to
+    cylinders (level > |g| suffices); the level's cylinders and masses are
+    cached so that a grid of (g, w) runs in seconds."""
+    group = FreeGroup(k)
+    group.check_element(w)
+    g_inv = group.inv(g)
+    if len(w) > len(g):
+        return _old_level_mass(k, len(group._mul(g_inv, w)))
+    return sum((_old_level_mass(k, len(group._mul(g_inv, ext)))
+                for ext in _old_cylinder_list(k, len(g) + 1)
+                if ext[:len(w)] == w), Fraction(0))
+
+
+@functools.lru_cache(maxsize=None)
+def _old_cylinder_list(k, level):
+    return tuple(old_cylinders(k, level))
+
+
+@functools.lru_cache(maxsize=None)
+def _old_level_mass(k, level):
+    return boundary.cylinder_mass(k, (1,) * level)
+
+
+# |g| >= level + 2 reaches the branch where z follows g for more than one
+# letter past the cylinder
+HARMONIC_CASES = [(2, 2, 2, 0), (2, 3, 1, 1), (3, 2, 1, 2), (3, 3, 0, 3),
+                  (2, 1, 3, 4), (3, 1, 2, 5)]
 
 
 @pytest.mark.parametrize("k,level,radius,seed", HARMONIC_CASES)
@@ -269,6 +298,39 @@ def test_harmonicity_matches_per_call_route(monkeypatch, k, level, radius,
     worst = boundary.check_harmonicity(f, radius)
     assert worst > 0
     assert worst == old_check_harmonicity(f, radius, lopsided)
+
+
+@pytest.mark.parametrize("k,radius", [(2, 4), (3, 3)])
+def test_translated_cylinder_mass_matches_deepened_cylinders(k, radius):
+    ws = [()] + [w for level in (1, 2, 3) for w in old_cylinders(k, level)]
+    for g in build_ball(FreeGroup(k), radius).norms:
+        for w in ws:
+            assert boundary.translated_cylinder_mass(
+                k, g, w) == old_translated_cylinder_mass(k, g, w)
+
+
+def test_translated_cylinder_mass_past_the_deepened_route():
+    # the points z with g z outside C_a are exactly C_{g^-1}
+    assert boundary.translated_cylinder_mass(2, (1, 2) * 20, (1,)) == (
+        1 - Fraction(1, 4 * 3 ** 39))
+
+
+def test_closed_forms_enumerate_no_cylinders(monkeypatch):
+    f = _random_cylinder_function(random.Random(6), 2, 2)
+    ball = build_ball(FreeGroup(2), 3).norms
+    pairs = [(g, w) for g in ball for w in ((), (1,), (1, 2), (-2, 1, 2))]
+    integrals = [old_poisson_integral(f, g) for g in ball]
+    masses = [old_translated_cylinder_mass(2, g, w) for g, w in pairs]
+
+    def no_enumeration(*args):
+        raise AssertionError("a closed form enumerated cylinders")
+
+    for name in ("_cylinder_array", "_translate", "cylinders"):
+        monkeypatch.setattr(boundary, name, no_enumeration)
+    assert [boundary.poisson_integral(f, g) for g in ball] == integrals
+    assert [boundary.translated_cylinder_mass(2, g, w)
+            for g, w in pairs] == masses
+    assert boundary.check_harmonicity(f, 3) == 0
 
 
 # -- Bareiss rank -----------------------------------------------------------------
