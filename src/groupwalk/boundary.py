@@ -26,13 +26,14 @@ semi-norm exponent of g is |g|, the integral of its exponent depends on |g|
 alone, the c sequence sums it against the radial law ``freewalk.path_counts``,
 and m(g^-1 C_u) = m(C_u) W(p) / (2k-1)^|g| with one integer weight per common
 prefix length p of g and u makes Poisson integrals and translated masses
-O(|g|) sums over the prefix sums of f. All else enumerates cylinders with
+O(|g|) sums over the prefix sums of f; span ranks are cylinder counts
+(the proof is in ``span_rank``; Bareiss elimination, ``exact_rank``, is
+the reference the tests hold them to). All else enumerates cylinders with
 ``_cylinder_array`` (the reduced words of a level as rows of an int8 array,
 in lexicographic order): the cocycle histogram, the reference the closed
 forms are tested against; the identity, normalization and stationarity
-checks; span ranks. Exact checks are integer sums over one common
-denominator, and a ``Fraction`` is only built for a reported value or
-residual; ranks use fraction-free (Bareiss) elimination on Python ints.
+checks. Exact checks are integer sums over one common denominator, and a
+``Fraction`` is only built for a reported value or residual.
 
 Everything is exact-rational; only SRW is admitted (for any other
 nearest-neighbor measure the hitting measure is not this simple, and
@@ -45,6 +46,7 @@ by construction (cylinders, ball elements).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterator, List, Sequence, Tuple
@@ -59,15 +61,16 @@ from .measures import MODE_EXACT, FiniteMeasure, power, srw
 from .wordmetric import build_ball
 
 MAX_ENUMERATION_LEVEL = 14  # 4*3^13 ~ 6.4M cylinders; beyond that, refuse
-# rows * columns^2 of a span_rank matrix: on a 2-core x86-64 box Bareiss
-# took 1.6 s at 187 x 150 (k = 3, radius 3) and 4.8 s at 257 x 240
-# (k = 8, radius 2)
-MAX_SPAN_WORK = 5_000_000
 
 
-def _check_rank(k: int) -> None:
+def _check_rank(k: int, *words: Tuple[int, ...]) -> None:
+    """DomainError unless F_k is a free group of rank >= 2 and each word is
+    one of its reduced words."""
     if k < 2:
         raise DomainError("boundary model needs free rank >= 2")
+    group = FreeGroup(k)            # caps the rank
+    for word in words:
+        group.check_element(word)
 
 
 def require_srw(mu: FiniteMeasure, k: int) -> None:
@@ -85,7 +88,7 @@ def _level_mass(k: int, level: int) -> Fraction:
 
 def cylinder_mass(k: int, word: Tuple[int, ...]) -> Fraction:
     """m(C_w) for a nonempty reduced word w."""
-    _check_rank(k)
+    _check_rank(k, word)
     if not word:
         raise DomainError("cylinders are indexed by nonempty reduced words")
     return _level_mass(k, len(word))
@@ -93,6 +96,17 @@ def cylinder_mass(k: int, word: Tuple[int, ...]) -> Fraction:
 
 def cylinder_count(k: int, level: int) -> int:
     return 2 * k * (2 * k - 1) ** (level - 1)
+
+
+def check_count_digits(k: int, level: int) -> None:
+    """Refuse a level whose cylinder count has more digits than int prints
+    (ResourceLimitError), before the count is built."""
+    limit = sys.get_int_max_str_digits()
+    if limit and (math.log10(2 * k)
+                  + (level - 1) * math.log10(2 * k - 1)) >= limit:
+        raise ResourceLimitError(
+            f"the cylinder count 2k(2k-1)^{level - 1} has more than "
+            f"{limit} digits")
 
 
 # at most as many rows as the deepest level F_2 may enumerate
@@ -195,7 +209,7 @@ def _numerators(weights: Sequence[Fraction]) -> Tuple[List[int], int]:
 
 def cocycle_exponent(k: int, g: Tuple[int, ...], w: Tuple[int, ...]) -> int:
     """Exponent e with sigma(g, C_w) = (2k-1)^e; needs level(w) >= |g|."""
-    _check_rank(k)
+    _check_rank(k, g, w)
     if len(w) < len(g):
         raise OutOfRangeError(
             f"sigma({len(g)}-letter element) needs cylinders of level >= "
@@ -211,6 +225,7 @@ def cocycle_histogram(k: int, g: Tuple[int, ...],
                       level: int) -> List[Tuple[int, int]]:
     """(exponent, number of level cylinders) pairs of sigma(g, .), sorted by
     exponent; needs level >= |g|."""
+    _check_rank(k, g)
     words = _cylinder_array(k, level)
     if level < len(g):
         raise OutOfRangeError(
@@ -241,10 +256,7 @@ def translated_cylinder_mass(k: int, g: Tuple[int, ...],
                              w: Tuple[int, ...]) -> Fraction:
     """m(g^-1 C_w): the Poisson sum of the indicator of C_w, whose prefix
     sums are 1 on the prefixes of w (1 for the empty w)."""
-    _check_rank(k)
-    group = FreeGroup(k)
-    group.check_element(g)
-    group.check_element(w)
+    _check_rank(k, g, w)
     if not w:
         return Fraction(1)
     return _poisson_sum(k, len(w), {w[:i]: 1 for i in range(len(w) + 1)},
@@ -371,8 +383,7 @@ def check_cocycle_normalization(k: int, k_power: int,
 
 def poisson_seminorm_exponent(k: int, g: Tuple[int, ...]) -> int:
     """max of the sigma(g, .) exponent 2 p - |g|: |g|, where p = |g| (C_g)."""
-    _check_rank(k)
-    FreeGroup(k).check_element(g)
+    _check_rank(k, g)
     return len(g)
 
 
@@ -393,8 +404,7 @@ def _log_cocycle_numerator(k: int, length: int) -> int:
 def integral_log_cocycle(k: int, g: Tuple[int, ...]) -> Fraction:
     """Exact c with  int log sigma(g, z) dm(z) = c log(2k-1); it depends on
     |g| only."""
-    _check_rank(k)
-    FreeGroup(k).check_element(g)
+    _check_rank(k, g)
     return Fraction(_log_cocycle_numerator(k, len(g)),
                     2 * k * (2 * k - 1) ** len(g))
 
@@ -409,7 +419,6 @@ def c_sequence(k: int, n_max: int) -> List[Fraction]:
     q_n is the Horner sum of c_n[L] N_L q^(n-L) over (2k)^(n+1) q^n.
     """
     _check_rank(k)
-    FreeGroup(k)                    # the rank cap of the other entries
     if n_max < 1:
         raise DomainError("n_max must be >= 1")
     freewalk.check_radial_steps(n_max)
@@ -597,44 +606,36 @@ def exact_rank(rows: List[List[Fraction]]) -> int:
 
 def span_rank(k: int, level: int, radius: int) -> int:
     """Rank of the matrix of sigma(s, .) over level cylinders, s in the
-    radius ball. Full rank 2k(2k-1)^(level-1) certifies finite-scale density
-    of the translated-measure derivatives.
+    radius ball: 1 at radius 0, else the level-radius cylinder count. Full
+    rank (radius = level) certifies finite-scale density of the
+    translated-measure derivatives.
 
-    sigma(s, C_w) for |s| <= radius depends only on w's first radius
-    letters, so each level column repeats a column over the level-radius
-    cylinders (level 1 for radius 0); the matrix is built on those distinct
-    columns, which keeps the rank. Row s is scaled by (2k-1)^radius, so its
-    entries (2k-1)^(e + radius) are integers (|e| <= |s| <= radius); scaling
-    rows keeps the rank.
-
-    Elimination costs about rows * columns^2 big-integer steps; a matrix
-    past MAX_SPAN_WORK is refused (ResourceLimitError) before it is built.
+    sigma(s, C_w) for |s| <= r depends only on w's first r letters, so the
+    rank is at most the level-r cylinder count (at r = 0, one all-ones
+    row). Scaled by q^r (q = 2k-1), the rows of the radius-r sphere are
+    q^(2p(s, w)), p the common prefix, and q^(2p) = sum_{i <= p} d_i with
+    d_0 = 1, d_i = q^(2i) - q^(2i-2) > 0. So this square block is
+    sum_{i <= r} d_i A_i, A_i[s, w] = [s[:i] = w[:i]]: each A_i is block
+    diagonal with all-ones blocks (positive semidefinite) and A_r is the
+    identity, so the block is positive definite (smallest eigenvalue
+    q^(2r-2)(q^2-1)) and the bound is reached.
     """
     _check_rank(k)
     if radius > level:
         raise PreconditionError("span_rank needs radius <= level")
     if level < 1:
         raise DomainError("cylinder level must be >= 1")
-    group = FreeGroup(k)
-    width = max(radius, 1)
-    _check_level(k, width)      # bounds the radius before sizes are summed
-    n_rows = 1 + sum(cylinder_count(k, j) for j in range(1, radius + 1))
-    n_cols = cylinder_count(k, width)
-    if n_rows * n_cols ** 2 > MAX_SPAN_WORK:
-        raise ResourceLimitError(
-            f"refusing a span-rank matrix of {n_rows} x {n_cols} (ball "
-            f"elements x cylinders): rows * columns^2 exceeds "
-            f"{MAX_SPAN_WORK}")
-    ball = build_ball(group, radius).norms
-    words = _cylinder_array(k, width)
-    powers = [(2 * k - 1) ** j for j in range(2 * radius + 1)]
-    rows = [[powers[e] for e in (_exponent(s, words) + radius).tolist()]
-            for s in ball]
-    return exact_rank(rows)
+    if radius < 0:
+        raise DomainError("radius must be >= 0")
+    if radius == 0:
+        return 1
+    check_count_digits(k, radius)
+    return cylinder_count(k, radius)
 
 
 def span_is_full(k: int, level: int, radius: int) -> bool:
-    return span_rank(k, level, radius) == cylinder_count(k, level)
+    span_rank(k, level, radius)     # its checks; the rank is the level's
+    return radius == level          # cylinder count iff radius = level
 
 
 # -- Monte Carlo validation of the hitting measure -----------------------------
@@ -661,6 +662,7 @@ def validate_hitting_measure(k: int, level: int, config) -> HittingMeasureReport
     from .sampler import prefix_counts
 
     group = FreeGroup(k)
+    _check_level(k, level)          # before the sampling run
     mu = srw(group)
     counts = prefix_counts(mu, level, config)
     n = config.trajectories

@@ -446,14 +446,7 @@ def _run_span_rank(cfg: Dict[str, object]) -> dict:
     level = int(cfg["level"])
     radius = int(cfg["radius"])
     rank = boundary.span_rank(k, level, radius)
-    # the report prints 2k(2k-1)^(level-1) in full; refuse a count past
-    # int's digit limit for text before computing it
-    limit = sys.get_int_max_str_digits()
-    if limit and (math.log10(2 * k)
-                  + (level - 1) * math.log10(2 * k - 1)) >= limit:
-        raise ResourceLimitError(
-            f"the cylinder count 2k(2k-1)^{level - 1} has more than "
-            f"{limit} digits")
+    boundary.check_count_digits(k, level)   # the report prints the count
     cylinders = boundary.cylinder_count(k, level)
     return {"schema": SCHEMA, "subcommand": "span-rank", "config": cfg,
             "rank": rank, "full": rank == cylinders, "cylinders": cylinders}

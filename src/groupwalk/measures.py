@@ -332,12 +332,10 @@ def measure_to_text(mu: FiniteMeasure) -> str:
 
 
 def measure_from_text(text: str) -> FiniteMeasure:
+    """Inverse of measure_to_text; DomainError on any malformed text."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("# groupwalk-measure v"):
         raise DomainError("not a measure file")
-    version = int(lines[0].rsplit("v", 1)[1])
-    if version != MEASURE_FORMAT_VERSION:
-        raise DomainError(f"unsupported measure format version {version}")
     header = {}
     idx = 1
     for line in lines[1:]:
@@ -347,15 +345,20 @@ def measure_from_text(text: str) -> FiniteMeasure:
             idx += 1
         else:
             break
-    group = group_from_id(header["group"])
-    mode = header["mode"]
+    try:
+        version = int(lines[0].rsplit("v", 1)[1])
+        group = group_from_id(header["group"])
+        mode, deficit = header["mode"], header["deficit"]
+    except (KeyError, ValueError) as exc:
+        raise DomainError(f"malformed measure file ({exc!r})")
+    if version != MEASURE_FORMAT_VERSION:
+        raise DomainError(f"unsupported measure format version {version}")
     atoms = {}
     for line in lines[idx:]:
         elem_s, _, w_s = line.rpartition(" ")
         atoms[group.parse_element(elem_s)] = _parse_weight(w_s, mode)
     return finite_measure(group, atoms,
-                          deficit=_parse_weight(header["deficit"], mode),
-                          mode=mode)
+                          deficit=_parse_weight(deficit, mode), mode=mode)
 
 
 def parse_measure_spec(group: Group, spec: str,

@@ -11,6 +11,7 @@ acceptance suite.
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -146,6 +147,12 @@ def test_entries_reject_malformed_elements(bad):
         lambda: boundary.translated_cylinder_mass(2, (1,), bad),
         lambda: boundary.cocycle_mass_ratio(2, (1,), bad),
         lambda: check_value_seminorm(F2, {(): 0, bad: 1}),
+        lambda: boundary.cocycle_exponent(2, bad, (1, 1, 1)),
+        lambda: boundary.cocycle_exponent(2, (1,), bad),
+        lambda: boundary.cocycle_value(2, bad, (1, 1, 1)),
+        lambda: boundary.cocycle_value(2, (1,), bad),
+        lambda: boundary.cocycle_histogram(2, bad, 3),
+        lambda: boundary.cylinder_mass(2, bad),
     ]
     for call in calls:
         with pytest.raises(DomainError):
@@ -353,7 +360,8 @@ def old_span_rank(k, level, radius):
                          [(k, level, radius) for k in (2, 3)
                           for level in range(1, 5)
                           for radius in range(level + 1)
-                          # k = 3, radius 4 is past the budget
+                          # k = 3, radius 4: Bareiss on 937 x 750
+                          # reference rows takes minutes
                           if (k, radius) != (3, 4)] + [(4, 2, 2)])
 def test_span_rank_on_distinct_columns_matches_full_columns(k, level,
                                                             radius):
@@ -361,29 +369,53 @@ def test_span_rank_on_distinct_columns_matches_full_columns(k, level,
         k, level, radius)
 
 
-@pytest.mark.parametrize("k,level,radius", [(2, 5, 5), (26, 3, 3), (8, 2, 2),
-                                            (2, 40, 20)])
-def test_span_rank_budget_refuses_before_building(k, level, radius,
-                                                  monkeypatch):
-    def no_enumeration(*args):
-        raise AssertionError("a refused matrix enumerated cylinders")
+@pytest.mark.parametrize("k,level,radius", [
+    (2, 2, 2), (3, 4, 1), (2, 5, 5), (26, 3, 3), (8, 2, 2), (2, 40, 20),
+    (2, 15, 0), (2, 10 ** 12, 1)])
+def test_span_rank_builds_no_matrix(k, level, radius, monkeypatch):
+    def no_matrix(*args):
+        raise AssertionError("the closed-form span rank built a matrix")
 
-    monkeypatch.setattr(boundary, "_cylinder_array", no_enumeration)
-    monkeypatch.setattr(boundary, "build_ball", no_enumeration)
-    with pytest.raises(ResourceLimitError):
-        boundary.span_rank(k, level, radius)
+    for name in ("_cylinder_array", "build_ball", "exact_rank"):
+        monkeypatch.setattr(boundary, name, no_matrix)
+    expected = boundary.cylinder_count(k, radius) if radius else 1
+    assert boundary.span_rank(k, level, radius) == expected
+    assert boundary.span_is_full(k, level, radius) == (radius == level)
 
 
-def test_span_rank_budget_names_the_matrix():
-    # k = 3, radius 4: the radius-4 ball by the level-4 cylinders
-    with pytest.raises(ResourceLimitError, match="937 x 750"):
-        boundary.span_rank(3, 4, 4)
+@pytest.mark.parametrize("k,radius", [(2, r) for r in range(1, 5)]
+                         + [(3, r) for r in range(1, 4)] + [(4, 1), (4, 2)])
+def test_span_rank_sphere_block_is_a_positive_sum(k, radius):
+    """The proof in span_rank, in integers: the sphere rows of the scaled
+    sigma matrix are sum_i d_i A_i, with A_i[s, w] = [s[:i] = w[:i]],
+    d_0 = 1, d_i = q^(2i) - q^(2i-2) > 0, and A_radius the identity; the
+    smallest eigenvalue is q^(2 radius - 2)(q^2 - 1)."""
+    q = 2 * k - 1
+    columns = [tuple(w) for w in boundary.cylinders(k, radius)]
+    sphere = [s for s, n in build_ball(FreeGroup(k), radius).norms.items()
+              if n == radius]
+    assert sorted(sphere) == sorted(columns)        # A_radius = identity
+    d = [1] + [q ** (2 * i) - q ** (2 * i - 2) for i in range(1, radius + 1)]
+    assert all(x > 0 for x in d)
+    # rows in column order, so that the block is symmetric
+    block = [[q ** (boundary.cocycle_exponent(k, s, w) + radius)
+              for w in columns] for s in columns]
+    for s, row in zip(columns, block):
+        for w, scaled in zip(columns, row):
+            assert scaled == sum(d[i] for i in range(radius + 1)
+                                 if s[:i] == w[:i])
+    assert np.linalg.eigvalsh(np.array(block, dtype=float))[0] == \
+        pytest.approx(q ** (2 * radius - 2) * (q * q - 1), rel=1e-9)
 
 
 def test_span_rank_errors_keep_their_kind():
     for args in ((1, 2, 1), (2, 0, 0), (2, -1, -2), (2, 1, -1)):
         with pytest.raises(DomainError):
             boundary.span_rank(*args)
+    # the rank itself is printed: a radius whose count int cannot print is
+    # refused before the count is computed
+    with pytest.raises(ResourceLimitError, match="digits"):
+        boundary.span_rank(2, 10 ** 12, 10 ** 12)
     # ranks past the free groups' alphabet are refused before any array
     with pytest.raises(DomainError, match="free rank"):
         boundary.span_rank(200, 1, 0)
@@ -403,3 +435,19 @@ def test_hitting_measure_mc_small():
         2, 1, SamplerConfig(seed=31, trajectories=4000, steps=60))
     assert report.tv_distance < 0.05
     assert report.undefined <= 4000 * 0.01
+
+
+@pytest.mark.parametrize("k,level,error", [
+    (2, 0, DomainError), (1, 2, DomainError), (2, 15, ResourceLimitError)])
+def test_hitting_measure_checks_level_before_sampling(k, level, error,
+                                                      monkeypatch):
+    from groupwalk import sampler
+
+    def no_sampling(*args):
+        raise AssertionError("sampled before the level was checked")
+
+    monkeypatch.setattr(sampler, "prefix_counts", no_sampling)
+    with pytest.raises(error):
+        boundary.validate_hitting_measure(
+            k, level, sampler.SamplerConfig(seed=1, trajectories=10,
+                                            steps=5))

@@ -47,19 +47,20 @@ def test_span_rank_report(capsys):
 
 
 def test_span_rank_runaways_fail_fast(capsys):
-    """Matrices past the elimination budget exit 2 with a JSON error naming
-    their size, before any row is built."""
-    for argv, size in ((("--k", "2", "--level", "5", "--radius", "5"),
-                        "485 x 324"),
-                       (("--k", "26", "--level", "3", "--radius", "3"),
-                        "137957 x 135252")):
+    """Large spans are answered at once: the rank is the level-radius
+    cylinder count."""
+    for argv, rank, full in (
+            (("--k", "2", "--level", "5", "--radius", "5"), 324, True),
+            (("--k", "26", "--level", "3", "--radius", "3"), 135252, True),
+            (("--k", "8", "--level", "2", "--radius", "2"), 240, True),
+            (("--k", "2", "--level", "40", "--radius", "20"), 4 * 3 ** 19,
+             False)):
         start = time.perf_counter()
         code, out, err = run_cli(capsys, "span-rank", *argv)
         assert time.perf_counter() - start < 1.0
-        assert (code, out) == (2, "")
-        error = json.loads(err)["error"]
-        assert error["type"] == "resource"
-        assert size in error["message"]
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        assert (report["rank"], report["full"]) == (rank, full)
 
 
 def test_span_rank_past_the_enumeration_limit(capsys):

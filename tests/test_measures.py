@@ -221,6 +221,28 @@ def test_serialization_roundtrip_exact_and_float():
     assert dict(measure_from_text(measure_to_text(fl)).atoms) == dict(fl.atoms)
 
 
+@pytest.mark.parametrize("old,new", [
+    ("# groupwalk-measure v1", "# groupwalk-measure vX"),
+    ("# groupwalk-measure v1", "# groupwalk-measure v2"),
+    ("group free:2\n", ""),
+    ("mode exact\n", ""),
+    ("deficit 0/1\n", ""),
+    ("group free:2\n", "group free:x\n"),
+    ("mode exact\n", "mode fuzzy\n"),
+    ("deficit 0/1\n", "deficit zero\n"),
+    ("a 1/4\n", "q 1/4\n"),
+    ("a 1/4\n", "a 1/x\n"),
+    ("a 1/4\n", "a 1/5\n"),
+], ids=["bad-version", "unknown-version", "missing-group", "missing-mode",
+        "missing-deficit", "bad-group", "bad-mode", "bad-deficit",
+        "bad-element", "bad-weight", "bad-mass"])
+def test_measure_from_text_rejects_malformed(old, new):
+    text = measure_to_text(srw(FreeGroup(2)))
+    assert old in text
+    with pytest.raises(DomainError):
+        measure_from_text(text.replace(old, new, 1))
+
+
 def test_parse_measure_spec():
     z = FreeAbelian(1)
     mu = parse_measure_spec(z, "1=2/3; -1=1/3")
