@@ -13,7 +13,8 @@ from groupwalk.wordmetric import norm_evaluator
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--groups", default="zd:1,zd:2,free:2,lamplighter")
+    ap.add_argument("--groups",
+                    default="zd:1,zd:2,free:2,lamplighter,heisenberg")
     ap.add_argument("--n-max", type=int, default=10)
     ap.add_argument("--steps", type=int, default=1000)
     ap.add_argument("--trajectories", type=int, default=500)

@@ -13,7 +13,8 @@ from .measures import (FiniteMeasure, adjoint, convolve, dirac,
                        finite_measure, measure_from_text, measure_to_text,
                        power, power_sequence, srw, total_variation)
 from .wordmetric import (BallTable, build_ball, check_seminorm,
-                         lamplighter_norm, norm_evaluator, word_norm)
+                         heisenberg_norm, lamplighter_norm, norm_evaluator,
+                         word_norm)
 
 __all__ = [
     "DomainError", "GroupwalkError", "NonConvergenceError", "OutOfRangeError",
@@ -23,7 +24,7 @@ __all__ = [
     "FiniteMeasure", "adjoint", "convolve", "dirac", "finite_measure",
     "measure_from_text", "measure_to_text", "power", "power_sequence", "srw",
     "total_variation",
-    "BallTable", "build_ball", "check_seminorm", "lamplighter_norm",
-    "norm_evaluator", "word_norm",
+    "BallTable", "build_ball", "check_seminorm", "heisenberg_norm",
+    "lamplighter_norm", "norm_evaluator", "word_norm",
     "__version__",
 ]

@@ -101,7 +101,7 @@ _OPTIONS: Dict[str, Dict[str, tuple]] = {
         "checkpoints": (str, "", "comma list of checkpoint steps"),
         "seed": (int, 0, "Monte Carlo seed"),
         "workers": (int, 1, "Monte Carlo worker processes"),
-        "ball-radius": (int, 0, "norm ball radius (heisenberg only)"),
+        "ball-radius": (int, 0, "accepted and ignored (closed-form norms)"),
         "emit-series": (str, "", "write (n, a_n/n) CSV here ('-' = stderr)"),
         "cache-dir": (str, "", "accepted and ignored (balls are rebuilt)"),
     },
@@ -269,18 +269,11 @@ def _run_drift(cfg: Dict[str, object]) -> dict:
     mode = cfg["mode"]
     mu = parse_measure_spec(group, cfg["measure"], mode=mode)
     threshold = _parse_threshold(str(cfg["truncation"]), mode)
-    ball_radius = int(cfg["ball-radius"]) or None
-    heisenberg = group.id_string == "heisenberg"
-    if heisenberg and ball_radius is None:
-        raise PreconditionError("heisenberg drift needs --ball-radius")
     report: dict = {"schema": SCHEMA, "subcommand": "drift", "config": cfg}
     series = []
     if int(cfg["n-max"]) >= 1:
-        # the Monte Carlo chunks build their own ball, so only this route
-        # needs one here
-        ball = build_ball(group, ball_radius) if heisenberg else None
-        norm_fn = norm_evaluator(group, ball=ball)
-        exact = drift.drift_exact_partial(mu, norm_fn, int(cfg["n-max"]),
+        exact = drift.drift_exact_partial(mu, norm_evaluator(group),
+                                          int(cfg["n-max"]),
                                           threshold=threshold)
         report["exact"] = {
             "ns": exact.ns,
@@ -305,8 +298,7 @@ def _run_drift(cfg: Dict[str, object]) -> dict:
                                trajectories=int(cfg["trajectories"]),
                                steps=int(cfg["steps"]),
                                workers=int(cfg["workers"]))
-        mc = drift.drift_monte_carlo(mu, config, checkpoints=checkpoints,
-                                     ball_radius=ball_radius)
+        mc = drift.drift_monte_carlo(mu, config, checkpoints=checkpoints)
         report["monte_carlo"] = {
             "checkpoints": mc.checkpoints,
             "means": mc.means,
@@ -367,11 +359,8 @@ def _run_phi(cfg: Dict[str, object]) -> dict:
             a_vals = freewalk.expected_norms(group.k, n)
             series = [(m, float(a_vals[m]) / m) for m in range(1, n + 1)]
     else:
-        ball = None
-        if group.id_string == "heisenberg":
-            ball = build_ball(group, r_eval + n)
-        norm_fn = norm_evaluator(group, ball=ball)
-        tables = quasiharmonic.compute_fk_tables(mu, norm_fn, n - 1, r_eval,
+        tables = quasiharmonic.compute_fk_tables(mu, norm_evaluator(group),
+                                                 n - 1, r_eval,
                                                  threshold=threshold)
         phi = quasiharmonic.phi_from_fk(tables, n)
         if cfg["emit-series"]:

@@ -93,13 +93,11 @@ def drift_exact_partial(mu: FiniteMeasure, norm_fn: Callable, n_max: int,
 
 
 def drift_monte_carlo(mu: FiniteMeasure, config: SamplerConfig,
-                      checkpoints: Optional[Sequence[int]] = None,
-                      ball_radius: Optional[int] = None
+                      checkpoints: Optional[Sequence[int]] = None
                       ) -> MonteCarloDriftReport:
-    """Mean and 95% CI of rho(X_n)/n at each checkpoint (norms via the
-    closed-form evaluator, or a ball of `ball_radius` for heisenberg)."""
-    stats = norm_statistics(mu, config, checkpoints=checkpoints,
-                            ball_radius=ball_radius)
+    """Mean and 95% CI of rho(X_n)/n at each checkpoint (norms by each
+    group's closed form, on the sampler's arrays)."""
+    stats = norm_statistics(mu, config, checkpoints=checkpoints)
     cps = sorted(stats)
     means, cis, sums, sqs = [], [], [], []
     for cp in cps:

@@ -65,8 +65,9 @@ def compute_fk_tables(mu: FiniteMeasure, norm_fn: Callable, k_max: int,
                       r_eval: int, threshold=0) -> List[FkTable]:
     """f_k on the ball of radius r_eval for k = 0..k_max (shared power chain).
 
-    norm_fn must cover the ball shifted by supp mu^{*k}; with the closed-form
-    evaluators this is total, with a ball table it raises OutOfRangeError.
+    norm_fn must cover the ball shifted by supp mu^{*k}: the closed forms of
+    ``norm_evaluator`` are total, and a lookup in a ball table raises
+    OutOfRangeError outside it.
     Exact entries are summed on integer numerators (one Fraction each).
     """
     group = mu.group

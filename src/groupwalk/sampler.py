@@ -22,10 +22,9 @@ words x behind ``substream(seed, i).random(steps)``, whose doubles are
 the atom index ``searchsorted`` gives its double, on integer thresholds
 only, so every aggregate is the same for any block size, segment size and
 worker count. Each numpy pass of the stream and the kernels runs along the
-rows of one step. Norm statistics read the kernels' array norms
-(heisenberg rows by one ``searchsorted`` in the ball's sorted codes,
-``_BallCodes``); endpoint and prefix tallies count each block's positions
-and format each distinct element once.
+rows of one step. Norm statistics read the kernels' array norms, each a
+group's closed-form word norm in numpy; endpoint and prefix tallies count
+each block's positions and format each distinct element once.
 
 With several workers the trajectories are split into chunks: chunk 0 runs
 in the calling process and every other chunk in one child forked for it,
@@ -44,6 +43,7 @@ row gets exactly the words ``PCG64.random_raw`` would give it.
 from __future__ import annotations
 
 import functools
+import math
 import os
 import pickle
 from collections import Counter
@@ -55,7 +55,6 @@ import numpy as np
 from .errors import DomainError, ResourceLimitError
 from .groups import FreeAbelian, FreeGroup, Group, Heisenberg, Lamplighter
 from .measures import FiniteMeasure, power, total_variation
-from .wordmetric import BallTable, ball_miss, build_ball
 
 BLOCK_ROWS = 1024           # trajectories stepped together
 SEGMENT_DRAWS = 1 << 14     # words drawn per block per segment
@@ -373,12 +372,11 @@ def sample_trajectory(group: Group, mu: FiniteMeasure, steps: int,
 # One kernel per group steps a block of trajectories (rows) at once on numpy
 # arrays. ``advance(idx)`` applies a segment of atom indices of shape
 # (steps, rows); ``positions()`` returns the rows' current positions as
-# ordinary group elements (tuples of Python ints), and ``norms(ball)`` their
+# ordinary group elements (tuples of Python ints), and ``norms()`` their
 # word norms as an integer array (int64, or Python ints where int64 could
-# wrap). Only heisenberg, which has no closed form, reads `ball`, a
-# ``_BallCodes``. Every kernel's memory grows
-# with rows x the range the walk has visited (plus one segment), not with
-# steps x the largest move.
+# wrap), by the closed forms of ``wordmetric.norm_evaluator``. Every
+# kernel's memory grows with rows x the range the walk has visited (plus one
+# segment), not with steps x the largest move.
 
 def _int_dtype(bound: int):
     """int64 when every value stays below `bound` in magnitude, else Python
@@ -391,8 +389,7 @@ class _ZdWalk:
 
     def __init__(self, elems, rows: int, steps: int):
         reach = max(steps, 1) * max(abs(c) for g in elems for c in g)
-        # |coordinate| <= reach; the heisenberg z also <= reach * (reach + 1)
-        dtype = _int_dtype(reach * (reach + 1))
+        dtype = _int_dtype(self.bound(reach))
         # (coordinate, atom): ``take`` then gathers a (coordinate, steps,
         # rows) slab, summed over steps along contiguous rows
         self.inc = np.array(elems, dtype=dtype).T.copy()
@@ -401,10 +398,16 @@ class _ZdWalk:
     def advance(self, idx: np.ndarray) -> None:
         self.pos += self.inc.take(idx, axis=1).sum(axis=1).T
 
+    @staticmethod
+    def bound(reach: int) -> int:
+        """A bound on the values formed from coordinates of magnitude <=
+        reach, with room for a norm's sum of coordinates."""
+        return reach * (reach + 1)
+
     def positions(self) -> list:
         return list(map(tuple, self.pos.tolist()))
 
-    def norms(self, ball) -> np.ndarray:
+    def norms(self) -> np.ndarray:
         return np.abs(self.pos).sum(axis=1)
 
 
@@ -418,44 +421,39 @@ class _HeisenbergWalk(_ZdWalk):
         self.pos[:, 2] += (x_prev * dy).sum(axis=0)
         self.pos += inc.sum(axis=1).T
 
-    def norms(self, ball) -> np.ndarray:
-        """No closed form: the rows are looked up in `ball`."""
-        return ball.norms(self.pos)
+    @staticmethod
+    def bound(reach: int) -> int:
+        """|x|, |y| <= reach and |z| <= reach (reach + 1); the norm's
+        reflection z := xy - z stays below 2 reach (reach + 1), so its 4z
+        below 8 reach (reach + 1), which also covers xy, y^2 and the square
+        of the root of 4z."""
+        return 8 * reach * (reach + 1)
 
-
-class _BallCodes:
-    """A heisenberg ball as the sorted int64 codes of its (x, y, z) rows,
-    each coordinate offset by the ball's bound (its largest |coordinate|),
-    and the rows' norms in the same order. A ball within ``build_ball``'s
-    element budget has a bound below 2^12, so the codes cannot wrap."""
-
-    def __init__(self, ball: BallTable):
-        self.ball = ball
-        rows = np.array(list(ball.norms), dtype=np.int64).reshape(-1, 3)
-        self.bound = int(np.abs(rows).max())
-        codes = self._encode(rows)
-        order = np.argsort(codes)
-        self.codes = codes[order]
-        self.values = np.fromiter(ball.norms.values(), dtype=np.int64,
-                                  count=len(rows))[order]
-
-    def _encode(self, rows: np.ndarray) -> np.ndarray:
-        side = 2 * self.bound + 1
-        rows = rows + self.bound
-        return (rows[:, 0] * side + rows[:, 1]) * side + rows[:, 2]
-
-    def norms(self, pos: np.ndarray) -> np.ndarray:
-        """The norms of the rows of `pos` by one ``searchsorted``; a row
-        beyond the bound or missing from the ball raises the OutOfRangeError
-        of ``word_norm``. Python-int rows are bound-checked before the cast
-        to int64."""
-        if (np.abs(pos) <= self.bound).all():
-            codes = self._encode(pos.astype(np.int64))
-            at = np.searchsorted(self.codes, codes)
-            np.minimum(at, len(self.codes) - 1, out=at)
-            if (self.codes[at] == codes).all():
-                return self.values[at]
-        raise ball_miss(self.ball)
+    def norms(self) -> np.ndarray:
+        """``heisenberg_norm`` per row: the same reductions and cases as
+        whole-array selections. ceil(2 sqrt z) is the float root of 4z - 1
+        corrected by one in integers either way (exact for int64 rows
+        below the kernel's bound), or ``math.isqrt`` per Python-int row."""
+        x, y, z = self.pos.T
+        z = np.where(x < 0, -z, z)
+        x = np.abs(x)
+        z = np.where(y < 0, -z, z)
+        y = np.abs(y)
+        xy = x * y
+        z = np.where(2 * z < xy, xy - z, z)
+        x, y = np.minimum(x, y), np.maximum(x, y)
+        # the clamps only touch rows whose case is not selected: thin is
+        # selected only where y >= 1, and wide only where z >= 1
+        square = np.maximum(4 * z - 1, 0)
+        if square.dtype == object:
+            root = np.frompyfunc(math.isqrt, 1, 1)(square)
+        else:
+            root = np.sqrt(square).astype(np.int64)
+            root -= root * root > square
+            root += (root + 1) * (root + 1) <= square
+        thin = 2 * -(-z // np.maximum(y, 1)) + y - x
+        wide = 2 * (root + 1) - x - y
+        return np.where(z <= xy, x + y, np.where(y * y >= z, thin, wide))
 
 
 class _FreeWalk:
@@ -519,7 +517,7 @@ class _FreeWalk:
         words = self.stack[:, :max(lengths, default=0)].tolist()
         return [tuple(w[:n]) for w, n in zip(words, lengths)]
 
-    def norms(self, ball) -> np.ndarray:
+    def norms(self) -> np.ndarray:
         return self._lengths()
 
 
@@ -589,7 +587,7 @@ class _LamplighterWalk:
             k += n
         return out
 
-    def norms(self, ball) -> np.ndarray:
+    def norms(self) -> np.ndarray:
         """``lamplighter_norm`` per row from its first and last lit lamp,
         its lit count and its walker position: with lo and hi the extremes
         of 0, the walker and the lit lamps, the cheaper of its two sweeps
@@ -645,16 +643,12 @@ def _walk_chunk(mu: FiniteMeasure, seed: int, span: Tuple[int, int],
 # -- statistics runners -------------------------------------------------------
 
 def _norm_chunk(mu: FiniteMeasure, seed: int, cps: List[int],
-                ball_radius: Optional[int],
                 span: Tuple[int, int]) -> Dict[int, List[int]]:
     """Integer norm statistics per checkpoint (sorted `cps`) for the
     trajectory indices of `span`."""
-    ball = None
-    if ball_radius is not None:
-        ball = _BallCodes(build_ball(mu.group, ball_radius))
     stats = {cp: [0, 0, 0] for cp in cps}  # count, sum rho, sum rho^2
     for cp, walk in _walk_chunk(mu, seed, span, cps):
-        r = walk.norms(ball)
+        r = walk.norms()
         # sum in Python ints where an int64 sum of squares could wrap
         if r.dtype != object and int(r.max()) ** 2 * len(r) >= 1 << 63:
             r = r.astype(object)
@@ -795,23 +789,17 @@ def _combine_counters(parts):
 
 
 def norm_statistics(mu: FiniteMeasure, config: SamplerConfig,
-                    checkpoints: Optional[Sequence[int]] = None,
-                    ball_radius: Optional[int] = None) -> Dict[int, List[int]]:
+                    checkpoints: Optional[Sequence[int]] = None
+                    ) -> Dict[int, List[int]]:
     """Integer (count, sum, sum of squares) of endpoint norms per checkpoint.
 
     Checkpoints default to [config.steps]; each trajectory is sampled once
-    and measured at every checkpoint along the way. Only heisenberg norms
-    read a ball of `ball_radius`; the other groups ignore it.
+    and measured at every checkpoint along the way.
     """
     cps = sorted(set(checkpoints or [config.steps]))
     if not cps or cps[-1] > config.steps or cps[0] < 1:
         raise DomainError("checkpoints must lie in 1..steps")
-    if not isinstance(mu.group, Heisenberg):
-        ball_radius = None
-    elif ball_radius is None:
-        raise DomainError(
-            "heisenberg norms need a ball table (no closed form)")
-    chunk = functools.partial(_norm_chunk, mu, config.seed, cps, ball_radius)
+    chunk = functools.partial(_norm_chunk, mu, config.seed, cps)
     return _run_chunked(chunk, config, _combine_norm_stats)
 
 

@@ -2,10 +2,10 @@
 
 A BallTable holds every element of word norm <= R together with its exact
 norm. Norm queries outside the table fail loudly (OutOfRangeError) instead
-of estimating: downstream certified bounds need exact norms. For zd, free
-groups and the lamplighter there are closed-form evaluators that agree with
-BFS everywhere both are defined (this agreement is itself under test);
-heisenberg norms are BFS-only.
+of estimating: downstream certified bounds need exact norms. Every group
+has a closed-form evaluator (``norm_evaluator``) that agrees with BFS
+everywhere both are defined; this agreement is itself under test, and the
+semi-norm checks keep reading BFS norms, so they stay independent of it.
 
 Validation happens once, at the edge: ``build_ball`` multiplies valid
 elements with the unchecked ``Group._mul``; ``check_value_seminorm`` checks
@@ -15,7 +15,8 @@ every key through the checked ``Group.inv`` before its unchecked pair loop.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from math import isqrt
+from typing import Callable, Dict
 
 from .errors import DomainError, OutOfRangeError, ResourceLimitError
 from .groups import FreeAbelian, FreeGroup, Group, Heisenberg, Lamplighter
@@ -80,15 +81,9 @@ def word_norm(table: BallTable, g) -> int:
     try:
         return table.norms[g]
     except KeyError:
-        raise ball_miss(table)
-
-
-def ball_miss(table: BallTable) -> OutOfRangeError:
-    """The error of a norm query outside `table`."""
-    return OutOfRangeError(
-        f"element outside ball of radius {table.radius}; rebuild with a "
-        f"larger radius", required=table.radius + 1,
-    )
+        raise OutOfRangeError(
+            f"element outside ball of radius {table.radius}; rebuild with a "
+            f"larger radius", required=table.radius + 1)
 
 
 def free_norm(g) -> int:
@@ -116,25 +111,45 @@ def lamplighter_norm(g) -> int:
     return len(lamps) + min(left_first, right_first)
 
 
-def norm_evaluator(group: Group,
-                   ball: Optional[BallTable] = None) -> Callable:
-    """Total norm function where a closed form exists, else ball-backed.
+def heisenberg_norm(g) -> int:
+    """Closed-form heisenberg word norm, after S. Blachere, "Word distance
+    on the discrete Heisenberg group", Colloq. Math. 95 (2003).
 
-    For Heisenberg a ball table is required; queries outside it raise
-    OutOfRangeError.
+    Each reduction is an automorphism that permutes {a^+-1, b^+-1}, or
+    one composed with g -> g^-1, so it keeps the norm: x < 0 takes
+    (-x, y, -z), then y < 0 takes (x, -y, -z); 2z < xy then takes z to
+    xy - z, and x and y are swapped so that x <= y. Then 0 <= x <= y and
+    2z >= xy, and the norm is x + y while z <= xy, 2 ceil(z / y) + y - x
+    while z <= y^2, and 2 ceil(2 sqrt z) - x - y past that. The tests pin
+    this to BFS on whole balls.
     """
-    if isinstance(group, FreeGroup):
-        return free_norm
-    if isinstance(group, FreeAbelian):
-        return l1_norm
-    if isinstance(group, Lamplighter):
-        return lamplighter_norm
-    if isinstance(group, Heisenberg):
-        if ball is None:
-            raise DomainError(
-                "heisenberg norms need a ball table (no closed form)")
-        return lambda g: word_norm(ball, g)
-    raise DomainError(f"no norm evaluator for {group.id_string}")
+    x, y, z = g
+    if x < 0:
+        x, z = -x, -z
+    if y < 0:
+        y, z = -y, -z
+    if 2 * z < x * y:
+        z = x * y - z
+    if x > y:
+        x, y = y, x
+    if z <= x * y:
+        return x + y
+    if y * y >= z:
+        return 2 * -(-z // y) + y - x
+    # ceil(2 sqrt z) for z >= 1
+    return 2 * (isqrt(4 * z - 1) + 1) - x - y
+
+
+_CLOSED_FORMS = {FreeGroup: free_norm, FreeAbelian: l1_norm,
+                 Lamplighter: lamplighter_norm, Heisenberg: heisenberg_norm}
+
+
+def norm_evaluator(group: Group) -> Callable:
+    """The total closed-form word norm function of `group`."""
+    try:
+        return _CLOSED_FORMS[type(group)]
+    except KeyError:
+        raise DomainError(f"no norm evaluator for {group.id_string}") from None
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ from groupwalk import cli, freewalk, gspaces, sampler
 from groupwalk.cache import CACHE_ENV_VAR, ball_path, cached_ball
 from groupwalk.cli import jsonable, run
 from groupwalk.drift import drift_exact_partial
-from groupwalk.errors import ResourceLimitError
+from groupwalk.errors import OutOfRangeError, ResourceLimitError
 from groupwalk.groups import FreeGroup, group_from_id
 from groupwalk.measures import srw
 from groupwalk.wordmetric import (BallTable, ball_to_text, build_ball,
@@ -380,7 +380,7 @@ def test_error_exit_codes(capsys, tmp_path, monkeypatch):
 
 def _heisenberg_drift(trajectories: int) -> tuple:
     """Trajectory 0 of seed 3 stays in the heisenberg ball of radius 3 for
-    four steps and trajectory 1 leaves it."""
+    four steps and trajectory 1 leaves it; neither needs the ball."""
     return ("drift", "--group", "heisenberg", "--ball-radius", "3",
             "--n-max", "0", "--steps", "4", "--seed", "3",
             "--trajectories", str(trajectories))
@@ -392,15 +392,48 @@ def test_error_in_a_forked_chunk_matches_one_worker(capsys, monkeypatch):
     assert code == 0 and json.loads(out)["monte_carlo"]["trajectories"] == 1
     forks, fork = [], os.fork
     monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
-    # at two workers the inline chunk succeeds and the forked one raises
+    # trajectory 1 leaves the radius-3 ball, and both worker counts agree
+    runs = [run_cli(capsys, *_heisenberg_drift(2), "--workers", w)
+            for w in ("1", "2")]
+    assert len(forks) == 1
+    code, out, _ = runs[0]
+    assert code == 0 and json.loads(out)["monte_carlo"]["trajectories"] == 2
+    assert runs[1] == (0, out.replace('"workers": 1', '"workers": 2'), "")
+    # a chunk holding trajectory 1 raises: at two workers the inline chunk
+    # succeeds and the forked one raises
+    norm_chunk = sampler._norm_chunk
+
+    def chunk(*args):
+        if args[-1][1] > 1:
+            raise OutOfRangeError("trajectory 1 out of range", required=4)
+        return norm_chunk(*args)
+
+    monkeypatch.setattr(sampler, "_norm_chunk", chunk)
+    forks.clear()
     runs = [run_cli(capsys, *_heisenberg_drift(2), "--workers", w)
             for w in ("1", "2")]
     assert len(forks) == 1
     assert runs[0] == runs[1]
     code, out, err = runs[0]
     assert (code, out) == (1, "")
-    assert json.loads(err)["error"]["message"] == (
-        "element outside ball of radius 3; rebuild with a larger radius")
+    assert json.loads(err)["error"]["message"] == "trajectory 1 out of range"
+
+
+def test_heisenberg_drift_ignores_ball_radius(capsys):
+    """--ball-radius is echoed in the config and otherwise ignored: a
+    60-step walk runs past a radius-3 ball, and the report is the same
+    without the flag, with a smaller and with a larger radius."""
+    argv = ("drift", "--group", "heisenberg", "--n-max", "0",
+            "--trajectories", "40", "--steps", "60", "--seed", "2")
+    code, plain, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert json.loads(plain)["config"]["ball-radius"] == 0
+    for radius in ("3", "60"):
+        code, out, _ = run_cli(capsys, *argv, "--ball-radius", radius)
+        assert code == 0
+        assert json.loads(out)["config"]["ball-radius"] == int(radius)
+        assert out.replace(f'"ball-radius": {radius}',
+                           '"ball-radius": 0') == plain
 
 
 @pytest.mark.parametrize("failure", ["silent", "cut short"])
@@ -578,7 +611,7 @@ def test_ball_cache_roundtrip_and_stability(tmp_path):
     pytest.param(("drift", "--group", "heisenberg", "--n-max", "3",
                   "--ball-radius", "4"), 4, id="drift"),
     pytest.param(("phi", "--group", "heisenberg", "--n", "3",
-                  "--r-eval", "1"), 4, id="phi"),     # ball radius n + r-eval
+                  "--r-eval", "1"), 4, id="phi"),
 ])
 def test_heisenberg_cli_ignores_cache_dir(tmp_path, capsys, monkeypatch,
                                           argv, radius):
@@ -624,18 +657,17 @@ def test_heisenberg_monte_carlo_drift_builds_no_cli_ball(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, *mc, "--n-max", "0")
     assert code == 0
     assert "monte_carlo" in json.loads(out)
-    assert radii == []
-    # the exact route builds the ball it reads, once
+    # the exact route reads closed-form norms too
     code, out, _ = run_cli(capsys, *mc, "--n-max", "2")
     assert code == 0
     assert "exact" in json.loads(out)
-    assert radii == [6]
-    # the precondition holds on either route
-    code, _, err = run_cli(capsys, "drift", "--group", "heisenberg",
-                           "--n-max", "0", "--trajectories", "2",
+    assert radii == []
+    # and neither route needs --ball-radius
+    code, out, _ = run_cli(capsys, "drift", "--group", "heisenberg",
+                           "--n-max", "2", "--trajectories", "2",
                            "--steps", "2")
-    assert code == 1
-    assert "--ball-radius" in json.loads(err)["error"]["message"]
+    assert code == 0
+    assert {"exact", "monte_carlo"} <= set(json.loads(out))
 
 
 def test_cli_import_leaves_ball_cache_module_unloaded():

@@ -17,8 +17,8 @@ from groupwalk.sampler import (SamplerConfig, atom_table,
                                empirical_endpoint_distribution,
                                endpoint_counts, norm_statistics,
                                prefix_counts, sample_trajectory, substream)
-from groupwalk.wordmetric import (build_ball, lamplighter_norm,
-                                  norm_evaluator)
+from groupwalk.wordmetric import (BallTable, heisenberg_norm,
+                                  lamplighter_norm, norm_evaluator)
 
 
 def test_zero_steps_gives_empty_trajectory():
@@ -128,25 +128,28 @@ def test_prefix_counts_free_only():
     assert set(counts) <= {"a", "A", "b", "B", "-"}
 
 
-def test_heisenberg_norm_stats_with_ball():
+def test_heisenberg_norm_stats_need_no_ball():
     h = Heisenberg()
     cfg = SamplerConfig(seed=1, trajectories=50, steps=4)
-    stats = norm_statistics(srw(h), cfg, ball_radius=6)
+    stats = norm_statistics(srw(h), cfg)
     assert stats[4][0] == 50
-    with pytest.raises(DomainError, match="need a ball table"):
-        norm_statistics(srw(h), cfg)
+    assert stats == _reference(h, srw(h), cfg, [4], 0)[0]
 
 
-def test_ball_radius_builds_no_ball_off_heisenberg(monkeypatch):
-    """Closed-form norms read no ball: a free:2 ball of radius 40 would go
-    over the element budget after seconds of BFS."""
-    built = []
-    monkeypatch.setattr(sampler, "build_ball",
-                        lambda group, radius: built.append(radius))
-    mu = srw(FreeGroup(2))
-    cfg = SamplerConfig(seed=4, trajectories=30, steps=7)
-    assert norm_statistics(mu, cfg, ball_radius=40) == norm_statistics(mu, cfg)
-    assert built == []
+def test_heisenberg_norm_statistics_build_no_ball(monkeypatch):
+    """Heisenberg norms are closed forms: no ball table is made, and a
+    walk of 300 steps, far past the largest ball BFS can build (radius
+    46), is measured."""
+    def no_ball(*args, **kwargs):
+        raise AssertionError("a ball table was built")
+
+    monkeypatch.setattr(BallTable, "__init__", no_ball)
+    mu = srw(Heisenberg())
+    cfg = SamplerConfig(seed=4, trajectories=30, steps=300)
+    stats = norm_statistics(mu, cfg, checkpoints=[7, 300])
+    assert stats[300][0] == 30
+    monkeypatch.undo()
+    assert stats == _reference(Heisenberg(), mu, cfg, [7, 300], 0)[0]
 
 
 def test_config_validation():
@@ -291,7 +294,7 @@ KERNEL_CASES = {
     "lamplighter-wide": ("lamplighter",
                          "{10000000000000000000}|1=1/2;{}|-1=1/2"),
     "heisenberg": ("heisenberg", "srw"),
-    # steps moving x and y at once; only srw norms fit the radius-n ball
+    # steps moving x and y at once
     "heisenberg-diagonal": ("heisenberg",
                             "1,1,0=1/4;-1,-1,0=1/4;1,-1,2=1/4;-1,1,-1=1/4"),
     "heisenberg-wide": ("heisenberg",
@@ -299,12 +302,10 @@ KERNEL_CASES = {
 }
 
 
-def _reference(group, mu, config, checkpoints, level, ball_radius=None):
+def _reference(group, mu, config, checkpoints, level):
     """norm_statistics, endpoint_counts and prefix_counts rebuilt from
     sample_trajectory, which multiplies with the checked Group.mul."""
-    if checkpoints:
-        ball = None if ball_radius is None else build_ball(group, ball_radius)
-        norm = norm_evaluator(group, ball=ball)
+    norm = norm_evaluator(group)
     stats = {cp: [0, 0, 0] for cp in checkpoints}
     ends, prefixes = Counter(), Counter()
     for i in range(config.trajectories):
@@ -336,14 +337,10 @@ def test_kernels_match_reference_walk(monkeypatch, case, steps, workers):
     mu = parse_measure_spec(group, spec)
     config = SamplerConfig(seed=31, trajectories=30, steps=steps,
                            workers=workers)
-    norms = steps > 0 and (gid != "heisenberg" or spec == "srw")
-    checkpoints = [1, 4, 5, 12, 23] if norms else []
-    ball_radius = steps if gid == "heisenberg" else None
-    stats, ends, prefixes = _reference(group, mu, config, checkpoints, 2,
-                                       ball_radius)
-    if norms:
-        assert norm_statistics(mu, config, checkpoints=checkpoints,
-                               ball_radius=ball_radius) == stats
+    checkpoints = [1, 4, 5, 12, 23] if steps else []
+    stats, ends, prefixes = _reference(group, mu, config, checkpoints, 2)
+    if steps:
+        assert norm_statistics(mu, config, checkpoints=checkpoints) == stats
     got = endpoint_counts(mu, config)
     assert list(got.items()) == list(ends.items())
     if isinstance(group, FreeGroup):
@@ -374,27 +371,15 @@ def test_clustered_kernel_case_runs_deep_lookups():
 
 @pytest.mark.parametrize("case", sorted(KERNEL_CASES))
 def test_kernel_norms_match_norm_evaluator(case):
-    """Array norms against the scalar evaluator; heisenberg rows are looked
-    up by code in the ball and fail as ``word_norm`` does outside it."""
+    """Array norms against the scalar closed forms."""
     gid, spec = KERNEL_CASES[case]
     group = group_from_id(gid)
     mu = parse_measure_spec(group, spec)
-    ball = build_ball(group, 12) if gid == "heisenberg" else None
-    norm = norm_evaluator(group, ball=ball)
-    codes = None if ball is None else sampler._BallCodes(ball)
+    norm = norm_evaluator(group)
     for _, walk in sampler._walk_chunk(mu, 31, (0, 30), [1, 4, 12, 23]):
-        try:
-            expected = [norm(g) for g in walk.positions()]
-        except OutOfRangeError as miss:     # a heisenberg walk left its ball
-            with pytest.raises(OutOfRangeError) as raised:
-                walk.norms(codes)
-            assert str(raised.value) == str(miss)
-            assert raised.value.required == miss.required == 13
-            continue
-        got = walk.norms(codes)
-        assert got.tolist() == expected
-        assert got.dtype == (object if case.endswith("-wide")
-                             and gid != "heisenberg" else np.int64)
+        got = walk.norms()
+        assert got.tolist() == [norm(g) for g in walk.positions()]
+        assert got.dtype == (object if case.endswith("-wide") else np.int64)
 
 
 @pytest.mark.parametrize("far", [0, 10 ** 19])
@@ -412,7 +397,7 @@ def test_lamplighter_norms_on_chosen_rows(far):
             [0, 0, 2, 1, 1, 1],
             [2, 1, 1, 1, 1, 1]]
     walk = sampler._LamplighterWalk(elems, len(rows), 6)
-    assert walk.norms(None).tolist() == [0] * len(rows)
+    assert walk.norms().tolist() == [0] * len(rows)
     for cut in (1, 4):
         walk = sampler._LamplighterWalk(elems, len(rows), 6)
         # indices are (steps, rows)
@@ -421,52 +406,68 @@ def test_lamplighter_norms_on_chosen_rows(far):
         positions = walk.positions()
         assert positions[0] == ((), 6) and positions[4] == ((), 4)
         assert positions[3] == ((far - 1, far + 1), 2)
-        norms = walk.norms(None)
+        norms = walk.norms()
         assert norms.tolist() == list(map(lamplighter_norm, positions))
         assert norms.dtype == (object if far else np.int64)
     # no row has ever toggled a lamp: an empty lamp window
     walk = sampler._LamplighterWalk(elems[:2], 3, 4)
     walk.advance(np.array([[0, 0, 1, 0], [1, 1, 1, 1], [0, 1, 1, 0]]).T)
     assert walk.window.shape[1] == 0
-    assert walk.norms(None).tolist() == [2, 4, 0]
+    assert walk.norms().tolist() == [2, 4, 0]
 
 
-def test_ball_codes_find_every_ball_element_and_nothing_else():
-    ball = build_ball(Heisenberg(), 5)
-    codes = sampler._BallCodes(ball)
-    rows = np.array(list(ball.norms), dtype=np.int64)
-    assert codes.norms(rows).tolist() == list(ball.norms.values())
-    assert codes.norms(rows.astype(object)).tolist() == \
-        list(ball.norms.values())
-    b = codes.bound
-    assert b == max(abs(c) for g in ball.norms for c in g)
-    x, y, z = max(ball.norms, key=lambda g: g[2])
-    assert z == b
-    misses = [(5, 1, 0),            # inside the bound, norm 6
-              (b, b, b),            # past the largest code
-              (-b, -b, -b),         # before the smallest code
-              (b + 1, 0, 0),        # beyond the bound
-              (0, 0, -(b + 1)),
-              # beyond the bound, with the code of the ball's (x, y, b)
-              (x, y + 1, -(b + 1))]
-    for row in misses:
-        assert row not in ball
-        for dtype in (np.int64, object):
-            pos = np.array([(0, 0, 0), row], dtype=dtype)
-            with pytest.raises(OutOfRangeError) as raised:
-                codes.norms(pos)
-            assert str(raised.value) == ("element outside ball of radius "
-                                         "5; rebuild with a larger radius")
-            assert raised.value.required == 6
-    # beyond int64: bound-checked as Python ints before any cast
-    with pytest.raises(OutOfRangeError):
-        codes.norms(np.array([(2 ** 70, 0, 0)], dtype=object))
+def _heisenberg_rows(rows, dtype) -> np.ndarray:
+    """Heisenberg kernel norms of `rows`, set as its positions."""
+    walk = sampler._HeisenbergWalk([(1, 0, 0)], len(rows), 1)
+    walk.pos = np.array(rows, dtype=dtype).reshape(-1, 3)
+    return walk.norms()
 
 
-def test_heisenberg_walk_leaving_its_ball_is_out_of_range():
+def test_heisenberg_array_norms_match_scalar_on_random_rows():
+    """The array form against ``heisenberg_norm``: random int64 rows in
+    every case of the formula, out to the largest reach the kernel keeps
+    in int64, and the same rows as Python ints."""
+    rng = np.random.default_rng(5)
+    edge = math.isqrt(2 ** 59)          # 8 edge (edge + 1) < 2^62
+    while 8 * edge * (edge + 1) >= 2 ** 62:
+        edge -= 1
+    for reach, dtype in ((edge, np.int64), (edge + 1, object)):
+        walk = sampler._HeisenbergWalk([(1, 0, 0)], 1, reach)
+        assert walk.pos.dtype == dtype
+    for reach in (3, 40, 10 ** 4, edge):
+        z_reach = reach * (reach + 1)
+        x, y = rng.integers(-reach, reach + 1, size=(2, 2000))
+        for z in (rng.integers(-z_reach, z_reach + 1, size=2000),
+                  x * y // 2 + rng.integers(-reach, reach + 1, size=2000),
+                  x * rng.integers(-reach, reach + 1, size=2000) // reach):
+            rows = np.stack([x, y, z], axis=1)
+            expected = [heisenberg_norm(g) for g in map(tuple, rows.tolist())]
+            got = _heisenberg_rows(rows, np.int64)
+            assert got.dtype == np.int64 and got.tolist() == expected
+            got = _heisenberg_rows(rows, object)
+            assert got.dtype == object and got.tolist() == expected
+
+
+def test_heisenberg_array_norms_past_2_31_take_python_ints():
+    """A walk whose reach makes 8 reach (reach + 1) pass 2^62 keeps Python
+    ints, so coordinates past 2^31 and z past 2^63 norm exactly."""
+    big = 2 ** 31 + 7
+    walk = sampler._HeisenbergWalk([(1, 0, 0)], 1, big)
+    assert walk.pos.dtype == object
+    rows = [(big, -big, 0), (big, 3, -5 * big), (-big, big, big * big),
+            (0, 0, 2 ** 64 + 1), (2 ** 70, 2 ** 69, -(2 ** 140)),
+            (-3, 2 ** 40, 2 ** 81 + 1), (1, 1, -(2 ** 100))]
+    got = _heisenberg_rows(rows, object)
+    assert got.tolist() == [heisenberg_norm(g) for g in rows]
+
+
+def test_heisenberg_walk_beyond_radius_2_matches_reference():
+    """A ten-step walk leaves the radius-2 ball, which no longer matters:
+    its norms are those of the reference walk."""
     cfg = SamplerConfig(seed=1, trajectories=20, steps=10)
-    with pytest.raises(OutOfRangeError):
-        norm_statistics(srw(Heisenberg()), cfg, ball_radius=2)
+    mu = srw(Heisenberg())
+    assert norm_statistics(mu, cfg) == \
+        _reference(Heisenberg(), mu, cfg, [10], 0)[0]
 
 
 def _count_forks(monkeypatch) -> list:
@@ -515,17 +516,25 @@ def test_forked_chunks_leave_no_child_unreaped(monkeypatch):
     monkeypatch.setattr(sampler.os, "cpu_count", lambda: 2)
     forks = _count_forks(monkeypatch)
     mu = srw(Heisenberg())
-    # trajectory 0 stays in the radius-3 ball for 4 steps, trajectory 1
-    # leaves it: the inline chunk succeeds and the forked one raises
     inside = SamplerConfig(seed=3, trajectories=1, steps=4)
-    assert norm_statistics(mu, inside, ball_radius=3)[4][0] == 1
+    assert norm_statistics(mu, inside)[4][0] == 1
     config = SamplerConfig(seed=3, trajectories=2, steps=4, workers=2)
-    assert norm_statistics(mu, config, ball_radius=4)[4][0] == 2
+    assert norm_statistics(mu, config)[4][0] == 2
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+    # the inline chunk succeeds and the forked one raises
+    norm_chunk = sampler._norm_chunk
+
+    def chunk(*args):
+        if args[-1][0] > 0:
+            raise OutOfRangeError("trajectory 1 failed", required=4)
+        return norm_chunk(*args)
+
+    monkeypatch.setattr(sampler, "_norm_chunk", chunk)
     with pytest.raises(OutOfRangeError) as raised:
-        norm_statistics(mu, config, ball_radius=3)
+        norm_statistics(mu, config)
     assert raised.value.required == 4
+    assert forks
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
     assert len(forks) == 2

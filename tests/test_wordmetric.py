@@ -2,14 +2,15 @@
 
 import pytest
 
+from groupwalk import wordmetric
 from groupwalk.errors import DomainError, OutOfRangeError, ResourceLimitError
 from groupwalk.groups import (FreeAbelian, FreeGroup, Heisenberg, Lamplighter,
                               group_from_id)
 from groupwalk.wordmetric import (ball_from_text, ball_to_text,
                                   build_ball, check_seminorm,
                                   check_value_seminorm, free_norm,
-                                  l1_norm, lamplighter_norm, norm_evaluator,
-                                  word_norm)
+                                  heisenberg_norm, l1_norm, lamplighter_norm,
+                                  norm_evaluator, word_norm)
 
 
 def test_free2_radius1_ball():
@@ -90,6 +91,36 @@ def test_lamplighter_closed_form_equals_bfs_radius_12():
         assert lamplighter_norm(g) == n
 
 
+@pytest.fixture(scope="module")
+def heisenberg_ball_20():
+    return build_ball(Heisenberg(), 20)
+
+
+def test_heisenberg_closed_form_equals_bfs_radius_20(heisenberg_ball_20):
+    table = heisenberg_ball_20
+    assert len(table) == 68_079
+    for g, n in table.norms.items():
+        assert heisenberg_norm(g) == n
+
+
+def test_heisenberg_closed_form_exceeds_20_outside_the_ball(
+        heisenberg_ball_20):
+    """On a box one past the ball's extent in every coordinate, each
+    element the ball leaves out scores more than its radius."""
+    table = heisenberg_ball_20
+    xy = 1 + max(abs(c) for g in table.norms for c in g[:2])
+    zs = 1 + max(abs(g[2]) for g in table.norms)
+    outside = 0
+    for x in range(-xy, xy + 1):
+        for y in range(-xy, xy + 1):
+            for z in range(-zs, zs + 1):
+                if (x, y, z) not in table:
+                    outside += 1
+                    assert heisenberg_norm((x, y, z)) > 20
+    # the box holds the whole ball
+    assert outside == (2 * xy + 1) ** 2 * (2 * zs + 1) - len(table)
+
+
 def test_hash_equality_coherence_on_balls():
     for group in (FreeGroup(2), FreeAbelian(2), Lamplighter()):
         table = build_ball(group, 4)
@@ -112,25 +143,41 @@ def test_seminorm_axioms_on_balls(group, radius):
     assert report == check_value_seminorm(group, table.norms)
 
 
+def test_seminorm_check_reads_bfs_norms_not_closed_forms(monkeypatch):
+    """check_seminorm takes its norms from the BFS table, so it stays an
+    independent check of the closed forms: it needs no evaluator, and
+    both norm tables pass it the same way."""
+    table = build_ball(Heisenberg(), 5)
+    monkeypatch.setattr(wordmetric, "_CLOSED_FORMS", {})
+    with pytest.raises(DomainError):
+        norm_evaluator(Heisenberg())
+    report = check_seminorm(table)
+    assert report.ok
+    closed = {g: heisenberg_norm(g) for g in table.norms}
+    assert check_value_seminorm(Heisenberg(), closed) == report
+
+
 def test_norm_evaluator_dispatch():
     assert norm_evaluator(FreeGroup(2))((1, -2, 1)) == 3
     assert norm_evaluator(FreeAbelian(2))((3, -4)) == 7
     assert norm_evaluator(Lamplighter())(((), 2)) == 2
-    ball = build_ball(Heisenberg(), 3)
-    assert norm_evaluator(Heisenberg(), ball=ball)((1, 0, 0)) == 1
+    # total on heisenberg too: (10, 10, 10) lies outside the radius-3 ball,
+    # where a ball lookup still fails
+    assert norm_evaluator(Heisenberg()) is heisenberg_norm
+    assert norm_evaluator(Heisenberg())((1, 0, 0)) == 1
+    assert norm_evaluator(Heisenberg())((10, 10, 10)) == 20
     with pytest.raises(OutOfRangeError):
-        norm_evaluator(Heisenberg(), ball=ball)((10, 10, 10))
+        word_norm(build_ball(Heisenberg(), 3), (10, 10, 10))
 
 
 def test_heisenberg_commutator_norm():
-    # the commutator word x y x^-1 y^-1 is a geodesic for z: BFS is the
-    # only norm source on this group
+    # the commutator word x y x^-1 y^-1 is a geodesic for z
     h = Heisenberg()
     table = build_ball(h, 4)
     x, y = (1, 0, 0), (0, 1, 0)
     comm = h.mul(h.mul(x, y), h.mul(h.inv(x), h.inv(y)))
     assert comm == (0, 0, 1)
-    assert word_norm(table, comm) == 4
+    assert word_norm(table, comm) == heisenberg_norm(comm) == 4
 
 
 def test_ball_serialization_roundtrip():
