@@ -4,9 +4,15 @@
 Run from the root of a checkout::
 
     python3 scripts/compare_outputs.py --parent HEAD~1 exact:0 identities:7
+    python3 scripts/compare_outputs.py --parent HEAD~1 cli
 
 Each ``WORKLOAD:SEED`` stands for the jobs of one pass of
-``perfbench/workloads.generate(WORKLOAD, SEED, passes=1)``. One subprocess
+``perfbench/workloads.generate(WORKLOAD, SEED, passes=1)``. The fixed spec
+``cli`` stands for CLI commands that no benchmark job runs (see
+``cli_jobs``): ``selftest``, and ``cocycle`` histograms for k = 2, 3, every
+g of the radius-2 ball and the levels max(1, |g|), 5 and the deepest level
+the enumerating histogram answered (14 for k = 2, 9 for k = 3), plus one
+``--cylinder`` case. One subprocess
 per tree (the parent's a ``git archive`` export in a temporary directory)
 imports ``groupwalk`` from that tree's ``src``. It runs every CLI job
 through ``groupwalk.cli.run``, with the jobs' input files in a temporary
@@ -33,6 +39,26 @@ import sys
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+CLI_SPEC = "cli"
+# the deepest cocycle level per rank that 4*3^13 cylinders allow
+DEEPEST_LEVEL = {2: 14, 3: 9}
+
+
+def cli_jobs() -> list:
+    """The fixed ``cli`` spec's argument lists (see the module doc)."""
+    jobs = [["selftest"]]
+    for k, deepest in DEEPEST_LEVEL.items():
+        letters = ([chr(ord("a") + i) for i in range(k)]
+                   + [chr(ord("A") + i) for i in range(k)])
+        ball = ["e"] + letters + [x + y for x in letters for y in letters
+                                  if x != y.swapcase()]
+        for g in ball:
+            length = 0 if g == "e" else len(g)
+            for level in sorted({max(1, length), 5, deepest}):
+                jobs.append(["cocycle", "--k", str(k), "--g", g,
+                             "--level", str(level)])
+    jobs.append(["cocycle", "--k", "3", "--g", "aB", "--cylinder", "aBca"])
+    return jobs
 
 
 def parse_args(argv):
@@ -41,22 +67,22 @@ def parse_args(argv):
                    help="commit to compare the working tree against")
     p.add_argument("--collect", nargs=2, metavar=("TREE", "OUT"),
                    help=argparse.SUPPRESS)
-    p.add_argument("specs", nargs="+", metavar="WORKLOAD:SEED")
+    p.add_argument("specs", nargs="+", metavar="WORKLOAD:SEED|cli")
     args = p.parse_args(argv)
-    try:
-        args.specs = [(w, int(s)) for w, s in
-                      (spec.split(":") for spec in args.specs)]
-    except ValueError:
-        p.error("each run is WORKLOAD:SEED")
+    for spec in args.specs:
+        workload, _, seed = spec.partition(":")
+        if spec != CLI_SPEC and not (workload and seed.isdigit()):
+            p.error("each run is WORKLOAD:SEED or cli")
     if not (args.parent or args.collect):
         p.error("--parent is required")
     return args
 
 
-def run_job(cli, job, work: str, cache: str) -> list:
-    """[exit code, stdout, stderr] of one CLI job, paths normalised."""
+def run_job(cli, args, work: str, cache: str) -> list:
+    """[exit code, stdout, stderr] of one CLI job's arguments, paths
+    normalised."""
     argv = [a.replace("{cache}", cache).replace("{work}", work)
-            for a in job.args]
+            for a in args]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
@@ -83,8 +109,9 @@ def run_library_job(cli, runner, job, ctx) -> list:
 
 def collect(tree: str, specs, out_path: str) -> None:
     """Child process: run the specs' jobs with `tree`'s groupwalk and write
-    {"WORKLOAD:SEED": {"cli": [[job key, code, stdout, stderr], ...],
-    "library": [[job key, code, result, error], ...]}}."""
+    {spec: {"cli": [[job key, code, stdout, stderr], ...],
+    "library": [[job key, code, result, error], ...]}} for each
+    WORKLOAD:SEED or cli spec."""
     src = os.path.join(tree, "src")
     sys.dont_write_bytecode = True      # nothing written under perfbench/
     sys.path[:0] = [src, os.path.join(ROOT, "perfbench")]
@@ -96,14 +123,21 @@ def collect(tree: str, specs, out_path: str) -> None:
         raise SystemExit(f"groupwalk imported from {groupwalk.__file__}")
     results = {}
     with tempfile.TemporaryDirectory() as tmp:
-        for workload, seed in specs:
+        for spec in specs:
+            if spec == CLI_SPEC:
+                results[spec] = {
+                    "cli": [[" ".join(args)] + run_job(cli, args, tmp, tmp)
+                            for args in cli_jobs()],
+                    "library": []}
+                continue
+            workload, seed = spec.split(":")
             work = os.path.join(tmp, f"{workload}-{seed}")
             cache = os.path.join(tmp, f"cache-{workload}-{seed}")
-            jobs = workloads.generate(workload, seed, 1)
+            jobs = workloads.generate(workload, int(seed), 1)
             ctx = runner.Context(cache=cache, work=work)
             ctx.prepare(jobs)
-            results[f"{workload}:{seed}"] = {
-                "cli": [[job.key] + run_job(cli, job, work, cache)
+            results[spec] = {
+                "cli": [[job.key] + run_job(cli, job.args, work, cache)
                         for job in jobs if job.kind == "cli"],
                 "library": [[job.key] + run_library_job(cli, runner, job, ctx)
                             for job in jobs if job.kind != "cli"]}
@@ -121,7 +155,6 @@ def run_tree(tree: str, argv_specs, out_path: str) -> dict:
 
 def main(argv=None) -> int:
     args = parse_args(argv)
-    argv_specs = [f"{w}:{s}" for w, s in args.specs]
     if args.collect:
         collect(args.collect[0], args.specs, args.collect[1])
         return 0
@@ -130,12 +163,12 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         parent_tree = os.path.join(tmp, "parent")
         commit = export(args.parent, parent_tree)
-        parent = run_tree(parent_tree, argv_specs,
+        parent = run_tree(parent_tree, args.specs,
                           os.path.join(tmp, "parent.json"))
-        change = run_tree(ROOT, argv_specs, os.path.join(tmp, "change.json"))
+        change = run_tree(ROOT, args.specs, os.path.join(tmp, "change.json"))
     print(f"parent {commit} against the working tree")
     differing = 0
-    for spec in argv_specs:
+    for spec in args.specs:
         for kind, label, names in (
                 ("cli", "CLI", ("exit", "stdout", "stderr")),
                 ("library", "library", ("exit", "result", "error"))):

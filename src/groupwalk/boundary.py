@@ -28,12 +28,16 @@ and m(g^-1 C_u) = m(C_u) W(p) / (2k-1)^|g| with one integer weight per common
 prefix length p of g and u makes Poisson integrals and translated masses
 O(|g|) sums over the prefix sums of f; span ranks are cylinder counts
 (the proof is in ``span_rank``; Bareiss elimination, ``exact_rank``, is
-the reference the tests hold them to). All else enumerates cylinders with
-``_cylinder_array`` (the reduced words of a level as rows of an int8 array,
-in lexicographic order): the cocycle histogram, the reference the closed
-forms are tested against; the identity, normalization and stationarity
-checks. Exact checks are integer sums over one common denominator, and a
-``Fraction`` is only built for a reported value or residual.
+the reference the tests hold them to). The cocycle histogram counts the
+cylinders on each common prefix with g, and the stationarity check
+tallies the level-2 words, whose tallies every deeper cylinder shares.
+These counted levels are bounded only by ``check_count_digits``. The
+identity and normalization checks and the hitting-measure check enumerate
+cylinders with ``_cylinder_array`` (the reduced words of a level as rows
+of an int8 array, in lexicographic order), which alone is bounded by
+``MAX_ENUMERATION_LEVEL``. Exact checks are integer sums over one common
+denominator, and a ``Fraction`` is only built for a reported value or
+residual.
 
 Everything is exact-rational; only SRW is admitted (for any other
 nearest-neighbor measure the hitting measure is not this simple, and
@@ -95,6 +99,8 @@ def cylinder_mass(k: int, word: Tuple[int, ...]) -> Fraction:
 
 
 def cylinder_count(k: int, level: int) -> int:
+    if level < 1:
+        raise DomainError("cylinder level must be >= 1")
     return 2 * k * (2 * k - 1) ** (level - 1)
 
 
@@ -102,8 +108,9 @@ def check_count_digits(k: int, level: int) -> None:
     """Refuse a level whose cylinder count has more digits than int prints
     (ResourceLimitError), before the count is built."""
     limit = sys.get_int_max_str_digits()
-    if limit and (math.log10(2 * k)
-                  + (level - 1) * math.log10(2 * k - 1)) >= limit:
+    # an int compares with a float exactly, however many digits it has
+    if limit and level - 1 >= ((limit - math.log10(2 * k))
+                               / math.log10(2 * k - 1)):
         raise ResourceLimitError(
             f"the cylinder count 2k(2k-1)^{level - 1} has more than "
             f"{limit} digits")
@@ -115,8 +122,7 @@ MAX_CYLINDERS = cylinder_count(2, MAX_ENUMERATION_LEVEL)
 
 def _check_level(k: int, level: int) -> None:
     _check_rank(k)
-    if level < 1:
-        raise DomainError("cylinder level must be >= 1")
+    # cylinder_count refuses a level below 1
     if level > MAX_ENUMERATION_LEVEL or cylinder_count(k, level) > MAX_CYLINDERS:
         raise ResourceLimitError(
             f"refusing to enumerate 2k(2k-1)^{level - 1} cylinders")
@@ -224,15 +230,28 @@ def cocycle_value(k: int, g: Tuple[int, ...], w: Tuple[int, ...]) -> Fraction:
 def cocycle_histogram(k: int, g: Tuple[int, ...],
                       level: int) -> List[Tuple[int, int]]:
     """(exponent, number of level cylinders) pairs of sigma(g, .), sorted by
-    exponent; needs level >= |g|."""
+    exponent; needs level >= |g|.
+
+    A level-L cylinder C_w has exponent 2p - n, n = |g| and p the common
+    prefix of g and w. With q = 2k-1 and n >= 1, q^L cylinders have p = 0
+    (w[0] != g[0]), (q-1) q^(L-p-1) have 0 < p < n (w[p] is neither g[p]
+    nor the inverse of g[p-1]) and q^(L-n) have p = n.
+    """
     _check_rank(k, g)
-    words = _cylinder_array(k, level)
-    if level < len(g):
+    check_count_digits(k, level)
+    total = cylinder_count(k, level)
+    n = len(g)
+    if level < n:
         raise OutOfRangeError(
-            f"sigma({len(g)}-letter element) needs cylinders of level >= "
-            f"{len(g)}, got {level}", required=len(g))
-    exponents, counts = np.unique(_exponent(g, words), return_counts=True)
-    return list(zip(exponents.tolist(), counts.tolist()))
+            f"sigma({n}-letter element) needs cylinders of level >= "
+            f"{n}, got {level}", required=n)
+    if not g:
+        return [(0, total)]
+    q = 2 * k - 1
+    counts = ([q ** level]
+              + [(q - 1) * q ** (level - p - 1) for p in range(1, n)]
+              + [q ** (level - n)])
+    return [(2 * p - n, c) for p, c in enumerate(counts)]
 
 
 def cocycle_mass_ratio(k: int, g: Tuple[int, ...],
@@ -316,6 +335,7 @@ def check_cocycle_identity(k: int, s: Tuple[int, ...], t: Tuple[int, ...],
     on is unit-tested separately by full enumeration at small levels).
     """
     _check_rank(k)
+    check_count_digits(k, level)
     group = FreeGroup(k)
     if level < max(1, len(s) + len(t)):
         raise OutOfRangeError(
@@ -327,15 +347,19 @@ def check_cocycle_identity(k: int, s: Tuple[int, ...], t: Tuple[int, ...],
 
 def check_cocycle_identity_ball(k: int, radius: int,
                                 level: int) -> IdentityCheck:
-    """Aggregate identity check over every pair s, t in the radius ball."""
-    ball = list(build_ball(FreeGroup(k), radius).norms)
+    """Aggregate identity check over every pair s, t in the radius ball
+    (rank, radius and level are checked before the ball is built)."""
     _check_rank(k)
+    check_count_digits(k, level)
+    if radius < 0:
+        raise DomainError("radius must be >= 0")
     if level < max(1, 2 * radius):
         # the first pair in ball order that is too deep needs level + 1
         need = max(1, level + 1)
         raise OutOfRangeError(
             f"identity check needs level >= max(1, |s|+|t|) = {need}",
             required=need)
+    ball = list(build_ball(FreeGroup(k), radius).norms)
     return _identity_check(k, level, ball, ball)
 
 
@@ -350,6 +374,7 @@ def check_cocycle_normalization(k: int, k_power: int,
     each cylinder is tallied by how much numerator lands on each exponent.
     """
     _check_rank(k)
+    check_count_digits(k, level)
     if k_power < 1:
         raise DomainError("k_power must be >= 1")
     if level < k_power:
@@ -539,22 +564,25 @@ def check_boundary_stationarity(k: int, level: int) -> Fraction:
     Exact internal validation that the cylinder-mass formula really is the
     hitting measure of SRW (it must be the stationary measure of the walk).
     Translates of cylinders of level >= 2 by a generator are cylinders, of
-    length depth - e(s, w); a level-1 cylinder is split into its level-2
-    extensions. Each cylinder is tallied by how much mu lands on each
-    translated length, and the tallies are weighed with the mass formula
-    over one common denominator.
+    length depth - e(s, w), depth = max(level, 2); a level-1 cylinder is
+    split into its level-2 extensions. Each cylinder is tallied by how much
+    mu lands on each translated length, and the tallies are weighed with
+    the mass formula over one common denominator. e(s, w) reads only w's
+    first letter, so a cylinder of level >= 2 has the tallies of its
+    level-2 prefix: only the level-2 words are tallied.
     """
-    group = FreeGroup(k)
-    mu = srw(group)
-    _check_level(k, level)
+    _check_rank(k)
+    check_count_digits(k, level)
+    prefixes = cylinder_count(k, min(level, 2))     # refuses level < 1
+    mu = srw(FreeGroup(k))
     depth = max(level, 2)
-    words = _cylinder_array(k, depth)
+    words = _cylinder_array(k, 2)
     # generators: translated lengths depth - e with e in {-1, 0, 1}
     tallies = np.zeros((len(words), 3), dtype=np.int64)
     rows = np.arange(len(words))
     for s, a in mu.weights.items():
         tallies[rows, 1 - _exponent(s, words)] += a
-    tallies = tallies.reshape(cylinder_count(k, level), -1, 3).sum(axis=1)
+    tallies = tallies.reshape(prefixes, -1, 3).sum(axis=1)
     target = _level_mass(k, level)
     masses = [_level_mass(k, length) for length in (depth - 1, depth,
                                                     depth + 1)]

@@ -9,6 +9,7 @@ acceptance suite.
 """
 
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -134,6 +135,34 @@ def test_identity_check_level_guard():
         boundary.check_cocycle_identity(2, words("ab"), words("ab"), 3)
 
 
+def test_identity_ball_checks_level_before_the_ball(monkeypatch):
+    def no_ball(*args):
+        raise AssertionError("built the ball before checking the level")
+
+    monkeypatch.setattr(boundary, "build_ball", no_ball)
+    with pytest.raises(OutOfRangeError, match=r"\|s\|\+\|t\|\) = 2"):
+        boundary.check_cocycle_identity_ball(2, 11, level=1)
+    with pytest.raises(DomainError, match="free rank >= 2"):
+        boundary.check_cocycle_identity_ball(1, 1, level=2)
+    with pytest.raises(DomainError, match="radius must be >= 0"):
+        boundary.check_cocycle_identity_ball(2, -1, level=2)
+
+
+def test_counted_levels_refuse_unprintable_counts_at_once():
+    # the reported cylinder count is refused before q**level is built
+    deep = 3 * 10 ** 7
+    for call in (
+            lambda: boundary.check_cocycle_normalization(2, 1, deep),
+            lambda: boundary.check_cocycle_identity(2, (1,), (2,), deep),
+            lambda: boundary.check_cocycle_identity_ball(2, 1, deep),
+            lambda: boundary.cocycle_histogram(2, (1,), deep),
+            lambda: boundary.check_boundary_stationarity(2, deep)):
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimitError, match="digits"):
+            call()
+        assert time.perf_counter() - start < 0.5
+
+
 @pytest.mark.parametrize("bad", [(1, -1), (3,)],
                          ids=["unreduced", "outside-alphabet"])
 def test_entries_reject_malformed_elements(bad):
@@ -189,10 +218,12 @@ def test_seminorm_values():
     assert boundary.poisson_seminorm_exponent(2, ()) == 0
     assert boundary.poisson_seminorm(2, ()) == 0
     assert boundary.poisson_seminorm(2, words("a")) == pytest.approx(math.log(3))
-    # the closed form |g| against the largest exponent over the cylinders
-    for g in build_ball(F2, 5).norms:
-        histogram = boundary.cocycle_histogram(2, g, max(1, len(g)))
-        assert boundary.poisson_seminorm_exponent(2, g) == histogram[-1][0]
+    # the closed form |g| against the largest exponent over the level-5
+    # cylinders, enumerated
+    ball = list(build_ball(F2, 5).norms)
+    tops = boundary._exponents(ball, boundary._cylinder_array(2, 5)).max(0)
+    for g, top in zip(ball, tops.tolist()):
+        assert boundary.poisson_seminorm_exponent(2, g) == top
 
 
 def test_seminorm_axioms_via_exponents():
@@ -309,6 +340,12 @@ def test_cylinder_function_validation():
     for level, values in bad:
         with pytest.raises(DomainError):
             boundary.CylinderFunction(2, level, values)
+    # below level 1 there are no cylinders (and no fractional count)
+    for call in (lambda: boundary.cylinder_count(2, 0),
+                 lambda: boundary.cylinder_count(2, -1),
+                 lambda: boundary.CylinderFunction(2, 0, {(): 1})):
+        with pytest.raises(DomainError, match="cylinder level must be >= 1"):
+            call()
     for word in [(1, -1), (5,), ()]:
         with pytest.raises(DomainError):
             boundary.CylinderFunction.indicator(2, word)

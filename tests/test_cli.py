@@ -86,7 +86,7 @@ def test_span_rank_cylinder_count_past_the_digit_limit(capsys):
                            str(level), "--radius", "1")
     assert code == 0
     assert json.loads(out)["cylinders"] == 4 * 3 ** (level - 1)
-    for deep in (level + 1, 10 ** 12):
+    for deep in (level + 1, 10 ** 12, 10 ** 400):
         code, out, err = run_cli(capsys, "span-rank", "--k", "2", "--level",
                                  str(deep), "--radius", "1")
         assert (code, out) == (2, "")
@@ -341,13 +341,22 @@ def test_error_exit_codes(capsys, tmp_path, monkeypatch):
     message = json.loads(err)["error"]["message"]
     assert all(m in message for m in ("auto", "convolution", "radial"))
     # resource errors -> exit 2, also for an exact value too long to print
+    # (a cylinder count past int's digit limit is one)
     zeros = "0" * 600
-    for argv in (("cocycle", "--k", "2", "--g", "a", "--level", "15"),
+    for argv in (("cocycle", "--k", "2", "--g", "a", "--level", "100000"),
+                 ("cocycle", "--k", "2", "--g", "a", "--level", f"1{zeros}"),
                  ("drift", "--group", "zd:1", "--n-max", "8",
                   f"--measure=1=1/1{zeros};-1={'9' * 600}/1{zeros}")):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, "")
         assert json.loads(err)["error"]["type"] == "resource"
+    # the histogram is counted, not enumerated: level 15 is answered
+    code, out, _ = run_cli(capsys, "cocycle", "--k", "2", "--g", "a",
+                           "--level", "15")
+    assert code == 0
+    assert (sum(row["cylinders"]
+                for row in json.loads(out)["exponent_histogram"])
+            == 4 * 3 ** 14)
     # the radial routes refuse a walk past MAX_RADIAL_STEPS before any path
     # count is built, also with --emit-series
     over = str(freewalk.MAX_RADIAL_STEPS + 1)

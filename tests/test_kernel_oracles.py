@@ -2,9 +2,10 @@
 per-word ``Fraction`` code they replaced.
 
 Each oracle below is a test-local copy of the earlier implementation: the
-recursive cylinder generator, the scalar exponent loop, the cylinder-by-
-cylinder Poisson integral and the harmonicity check that calls it (2k+1)
-times per ball element, the translated cylinder mass summed over the
+recursive cylinder generator, the scalar exponent loop and the exponent
+histogram tallied over the cylinders, the cylinder-by-cylinder Poisson
+integral and the harmonicity check that calls it (2k+1) times per ball
+element, the translated cylinder mass summed over the
 deepened cylinders, Gaussian elimination over ``Fraction`` and the
 ``Fraction`` recursion of the radial norm law (with the f_j, phi_n, a_n and
 H_n built on it), and the c sequence summed atom by atom over the
@@ -15,6 +16,7 @@ purpose and require the exact checks to see it.
 import functools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -52,6 +54,11 @@ def old_exponent(g, w):
             break
         p += 1
     return 2 * p - len(g)
+
+
+def old_histogram(g, words):
+    """(exponent, count) pairs of sigma(g, .) tallied over `words`."""
+    return sorted(Counter(old_exponent(g, w) for w in words).items())
 
 
 def old_exact_rank(rows):
@@ -193,12 +200,20 @@ def test_translate_matches_group_product(k, level):
 
 
 def test_cocycle_histogram_matches_scalar_tally():
-    g = (1, -2, 1)
-    tally = {}
-    for w in old_cylinders(2, 5):
-        e = old_exponent(g, w)
-        tally[e] = tally.get(e, 0) + 1
-    assert boundary.cocycle_histogram(2, g, 5) == sorted(tally.items())
+    # the closed form against a tally over every level cylinder: 2,473
+    # (k, g, level) cases, every g of the ball at every level >= |g|
+    cases = 0
+    for k, radius, top in ((2, 4, 8), (3, 3, 5), (4, 3, 4)):
+        ball = build_ball(FreeGroup(k), radius).norms
+        for level in range(1, top + 1):
+            words = list(old_cylinders(k, level))
+            for g in ball:
+                if len(g) > level:
+                    continue
+                assert (boundary.cocycle_histogram(k, g, level)
+                        == old_histogram(g, words)), (k, g, level)
+                cases += 1
+    assert cases == 2473
 
 
 # -- boundary integrals in closed form ------------------------------------------
@@ -211,13 +226,17 @@ def test_c_sequence_matches_convolution_route(k, n_max):
 
 
 @pytest.mark.parametrize("k,radius", [(2, 6), (3, 4), (4, 3)])
-def test_boundary_integrals_match_cocycle_histogram(k, radius):
+def test_boundary_integrals_match_cylinder_enumeration(k, radius):
+    # the closed forms against the exponents of every level-|g| cylinder
+    tables = {}
     for g in build_ball(FreeGroup(k), radius).norms:
         level = max(1, len(g))
-        histogram = boundary.cocycle_histogram(k, g, level)
-        assert boundary.poisson_seminorm_exponent(k, g) == histogram[-1][0]
+        if level not in tables:
+            tables[level] = boundary._cylinder_array(k, level)
+        exponents = boundary._exponent(g, tables[level])
+        assert boundary.poisson_seminorm_exponent(k, g) == exponents.max()
         assert boundary.integral_log_cocycle(k, g) == Fraction(
-            sum(e * c for e, c in histogram), boundary.cylinder_count(k, level))
+            int(exponents.sum()), len(exponents))
 
 
 # -- Poisson integrals ------------------------------------------------------------
@@ -321,6 +340,9 @@ def test_closed_forms_enumerate_no_cylinders(monkeypatch):
     pairs = [(g, w) for g in ball for w in ((), (1,), (1, 2), (-2, 1, 2))]
     integrals = [old_poisson_integral(f, g) for g in ball]
     masses = [old_translated_cylinder_mass(2, g, w) for g, w in pairs]
+    histograms = [old_histogram(g, old_cylinders(2, len(g) + 2))
+                  for g in ball]
+    enumerate_level = boundary._cylinder_array
 
     def no_enumeration(*args):
         raise AssertionError("a closed form enumerated cylinders")
@@ -331,6 +353,20 @@ def test_closed_forms_enumerate_no_cylinders(monkeypatch):
     assert [boundary.translated_cylinder_mass(2, g, w)
             for g, w in pairs] == masses
     assert boundary.check_harmonicity(f, 3) == 0
+    assert [boundary.cocycle_histogram(2, g, len(g) + 2)
+            for g in ball] == histograms
+    # past the enumeration limit, the histogram sums to the cylinder count
+    top = boundary.cocycle_histogram(2, (1, 2, 1, 2), 30)
+    assert sum(c for _, c in top) == boundary.cylinder_count(2, 30)
+
+    def level_two_only(k, level):
+        if level > 2:
+            raise AssertionError(f"stationarity enumerated level {level}")
+        return enumerate_level(k, level)
+
+    monkeypatch.setattr(boundary, "_cylinder_array", level_two_only)
+    for k, level in ((2, 1), (2, 2), (2, 12), (3, 30), (4, 200)):
+        assert boundary.check_boundary_stationarity(k, level) == 0
 
 
 # -- Bareiss rank -----------------------------------------------------------------
