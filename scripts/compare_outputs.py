@@ -9,10 +9,11 @@ Run from the root of a checkout::
 Each ``WORKLOAD:SEED`` stands for the jobs of one pass of
 ``perfbench/workloads.generate(WORKLOAD, SEED, passes=1)``. The fixed spec
 ``cli`` stands for CLI commands that no benchmark job runs (see
-``cli_jobs``): ``selftest``, and ``cocycle`` histograms for k = 2, 3, every
-g of the radius-2 ball and the levels max(1, |g|), 5 and the deepest level
-the enumerating histogram answered (14 for k = 2, 9 for k = 3), plus one
-``--cylinder`` case. One subprocess
+``cli_jobs``): the README's CLI block (``selftest`` among them, and the
+``phi`` series written to stderr), then for k = 2, 3 and every g of the
+radius-2 ball ``poisson-norm`` and the ``cocycle`` histograms at the levels
+max(1, |g|), 5 and the deepest level the enumerating histogram answered (14
+for k = 2, 9 for k = 3), plus one ``--cylinder`` case. One subprocess
 per tree (the parent's a ``git archive`` export in a temporary directory)
 imports ``groupwalk`` from that tree's ``src``. It runs every CLI job
 through ``groupwalk.cli.run``, with the jobs' input files in a temporary
@@ -42,17 +43,32 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CLI_SPEC = "cli"
 # the deepest cocycle level per rank that 4*3^13 cylinders allow
 DEEPEST_LEVEL = {2: 14, 3: 9}
+# the README's CLI block, with the phi series on stderr instead of a file
+README_JOBS = """\
+drift --group free:2 --measure srw --n-max 8 --mode exact
+drift --group zd:2 --trajectories 2000 --steps 2000 --seed 7 --workers 4
+entropy --group free:2 --n-max 8
+phi --group free:2 --n 32 --r-eval 6 --emit-series -
+cocycle --k 2 --g ab --cylinder aba
+poisson-norm --k 2 --g aBa
+c-seq --k 2 --n-max 5
+span-rank --k 2 --level 2 --radius 2
+stationary --space preset:two-orbits
+ergodicity --space preset:cycle:2 --space2 preset:cycle:3
+factor --space preset:cycle:4 --space2 preset:cycle:2
+selftest"""
 
 
 def cli_jobs() -> list:
     """The fixed ``cli`` spec's argument lists (see the module doc)."""
-    jobs = [["selftest"]]
+    jobs = [line.split() for line in README_JOBS.splitlines()]
     for k, deepest in DEEPEST_LEVEL.items():
         letters = ([chr(ord("a") + i) for i in range(k)]
                    + [chr(ord("A") + i) for i in range(k)])
         ball = ["e"] + letters + [x + y for x in letters for y in letters
                                   if x != y.swapcase()]
         for g in ball:
+            jobs.append(["poisson-norm", "--k", str(k), "--g", g])
             length = 0 if g == "e" else len(g)
             for level in sorted({max(1, length), 5, deepest}):
                 jobs.append(["cocycle", "--k", str(k), "--g", g,
@@ -87,7 +103,7 @@ def run_job(cli, args, work: str, cache: str) -> list:
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = cli.run(argv)
-        except SystemExit as exc:           # argparse rejected the argv
+        except SystemExit as exc:           # --help, or an older argparse exit
             code = exc.code
         except Exception as exc:            # a crash is a result too
             code = -1

@@ -8,11 +8,19 @@ precondition error, 2 resource error.
 A config file (plain key=value lines, keys as the long option names without
 the leading dashes) can supply any option; explicit flags win. Unknown keys
 are rejected. Every report embeds its fully resolved config.
+
+This module is the edge: the parser keeps every option as text, and
+`resolve_config` converts each value once, from a flag or the config file,
+with the option's type in `_OPTIONS`. The runners read the typed config.
+A malformed value, an unknown flag and an unknown or missing subcommand are
+DomainErrors like any other bad input: one JSON error line on stderr and
+exit code 1. Only ``--help`` leaves `run` by SystemExit (code 0).
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -184,10 +192,11 @@ def _parse_config_file(path: str) -> Dict[str, str]:
 
 
 def resolve_config(subcommand: str, args: argparse.Namespace) -> Dict[str, object]:
-    """Merge flag values over config-file values over defaults."""
+    """Merge flag values over config-file values over defaults, converting
+    each given text once with its option's type."""
     options = _OPTIONS[subcommand]
     file_values: Dict[str, str] = {}
-    if getattr(args, "config", None):
+    if args.config:
         file_values = _parse_config_file(args.config)
         unknown = set(file_values) - set(options)
         if unknown:
@@ -195,20 +204,22 @@ def resolve_config(subcommand: str, args: argparse.Namespace) -> Dict[str, objec
                 f"unknown config keys for {subcommand}: {sorted(unknown)}")
     resolved: Dict[str, object] = {}
     for name, (typ, default, _help) in options.items():
-        flag_value = getattr(args, name.replace("-", "_"))
-        if flag_value is not None:
-            resolved[name] = flag_value
-        elif name in file_values:
-            try:
-                resolved[name] = typ(file_values[name])
-            except ValueError:
-                raise DomainError(
-                    f"bad value {file_values[name]!r} for config key "
-                    f"{name!r} (want {typ.__name__})") from None
+        text = getattr(args, name.replace("-", "_"))
+        source = f"--{name}"
+        if text is None and name in file_values:
+            text, source = file_values[name], f"config key {name!r}"
+        if text is None:
+            value = default
         else:
-            resolved[name] = default
-        if resolved[name] is None:
+            try:
+                value = typ(text)
+            except ValueError:      # also an int past the digit limit
+                raise DomainError(
+                    f"bad value {text!r} for {source} "
+                    f"(want {typ.__name__})") from None
+        if value is None:
             raise DomainError(f"missing required option --{name}")
+        resolved[name] = value
     return resolved
 
 
@@ -243,7 +254,7 @@ def _parse_space(arg: str) -> gspaces.FiniteGSpace:
             if kind == "cycle":
                 return gspaces.cycle_space(size)
             return gspaces.trivial_space(size)
-        if kind == "two-orbits":
+        if name == "two-orbits":
             return gspaces.two_orbit_space()
         raise DomainError(f"unknown g-space preset {name!r}")
     return gspaces.parse_gspace(_read_text(arg, "g-space file"))
@@ -262,65 +273,49 @@ def _write_series(target: str, rows: List[tuple], header: str) -> None:
 
 # -- subcommand bodies -----------------------------------------------------------
 
-def _run_drift(cfg: Dict[str, object]) -> dict:
-    if min(int(cfg["n-max"]), int(cfg["trajectories"])) < 0:
-        raise DomainError("--n-max and --trajectories must be >= 0 (0 = skip)")
+def _walk_inputs(cfg: Dict[str, object]) -> tuple:
+    """(group, mu, truncation threshold) of drift, entropy and phi, checked
+    in that order."""
     group = group_from_id(cfg["group"])
-    mode = cfg["mode"]
-    mu = parse_measure_spec(group, cfg["measure"], mode=mode)
-    threshold = _parse_threshold(str(cfg["truncation"]), mode)
+    mu = parse_measure_spec(group, cfg["measure"], mode=cfg["mode"])
+    return group, mu, _parse_threshold(cfg["truncation"], cfg["mode"])
+
+
+def _run_drift(cfg: Dict[str, object]) -> dict:
+    if min(cfg["n-max"], cfg["trajectories"]) < 0:
+        raise DomainError("--n-max and --trajectories must be >= 0 (0 = skip)")
+    group, mu, threshold = _walk_inputs(cfg)
     report: dict = {"schema": SCHEMA, "subcommand": "drift", "config": cfg}
     series = []
-    if int(cfg["n-max"]) >= 1:
+    if cfg["n-max"] >= 1:
         exact = drift.drift_exact_partial(mu, norm_evaluator(group),
-                                          int(cfg["n-max"]),
-                                          threshold=threshold)
-        report["exact"] = {
-            "ns": exact.ns,
-            "a_values": exact.a_values,
-            "error_bars": exact.error_bars,
-            "certified_bound": exact.certified_bound,
-            "mode": exact.mode,
-        }
+                                          cfg["n-max"], threshold=threshold)
+        report["exact"] = dataclasses.asdict(exact)
         series = [(n, float(a) / n)
                   for n, a in zip(exact.ns, exact.a_values)]
-    if int(cfg["trajectories"]) >= 1:
+    if cfg["trajectories"] >= 1:
         checkpoints = None
         if cfg["checkpoints"]:
             try:
-                checkpoints = [int(x)
-                               for x in str(cfg["checkpoints"]).split(",")]
+                checkpoints = [int(x) for x in cfg["checkpoints"].split(",")]
             except ValueError:
                 raise DomainError(
                     f"bad --checkpoints {cfg['checkpoints']!r} (want a comma "
                     f"list of steps)") from None
-        config = SamplerConfig(seed=int(cfg["seed"]),
-                               trajectories=int(cfg["trajectories"]),
-                               steps=int(cfg["steps"]),
-                               workers=int(cfg["workers"]))
+        config = SamplerConfig(seed=cfg["seed"],
+                               trajectories=cfg["trajectories"],
+                               steps=cfg["steps"], workers=cfg["workers"])
         mc = drift.drift_monte_carlo(mu, config, checkpoints=checkpoints)
-        report["monte_carlo"] = {
-            "checkpoints": mc.checkpoints,
-            "means": mc.means,
-            "ci_half_widths": mc.ci_half_widths,
-            "trajectories": mc.trajectories,
-            "seed": mc.seed,
-            "norm_sums": mc.norm_sums,
-            "norm_sq_sums": mc.norm_sq_sums,
-        }
-    _write_series(str(cfg["emit-series"]), series, "n,a_n_over_n")
+        report["monte_carlo"] = dataclasses.asdict(mc)
+    _write_series(cfg["emit-series"], series, "n,a_n_over_n")
     return report
 
 
 def _run_entropy(cfg: Dict[str, object]) -> dict:
-    group = group_from_id(cfg["group"])
-    mu = parse_measure_spec(group, cfg["measure"], mode=cfg["mode"])
-    threshold = _parse_threshold(str(cfg["truncation"]), cfg["mode"])
-    rep = drift.entropy_partial(mu, int(cfg["n-max"]), threshold=threshold)
+    _group, mu, threshold = _walk_inputs(cfg)
+    rep = drift.entropy_partial(mu, cfg["n-max"], threshold=threshold)
     return {"schema": SCHEMA, "subcommand": "entropy", "config": cfg,
-            "ns": rep.ns, "h_values": rep.h_values,
-            "rate_estimate": rep.rate_estimate,
-            "error_bars": rep.error_bars}
+            **dataclasses.asdict(rep)}
 
 
 def _run_phi(cfg: Dict[str, object]) -> dict:
@@ -328,16 +323,13 @@ def _run_phi(cfg: Dict[str, object]) -> dict:
     if method not in ("auto", "convolution", "radial"):
         raise DomainError(f"unknown phi method {method!r}: use auto, "
                           f"convolution or radial")
-    group = group_from_id(cfg["group"])
-    mode = cfg["mode"]
-    mu = parse_measure_spec(group, cfg["measure"], mode=mode)
-    threshold = _parse_threshold(str(cfg["truncation"]), mode)
-    n = int(cfg["n"])
-    r_eval = int(cfg["r-eval"])
+    group, mu, threshold = _walk_inputs(cfg)
+    n = cfg["n"]
+    r_eval = cfg["r-eval"]
     if method != "convolution":
         # the radial route computes the exact simple random walk's phi
         is_free_srw = (isinstance(group, FreeGroup)
-                       and mode == MODE_EXACT
+                       and cfg["mode"] == MODE_EXACT
                        and mu.atoms == srw(group).atoms)
         if method == "auto":
             # the radial formulas are untruncated
@@ -379,7 +371,7 @@ def _run_phi(cfg: Dict[str, object]) -> dict:
     entries = sorted(
         (group.format_element(s), v, phi.error_bars[s])
         for s, v in phi.values.items())
-    _write_series(str(cfg["emit-series"]), series, "n,distortion_at_e")
+    _write_series(cfg["emit-series"], series, "n,distortion_at_e")
     return {"schema": SCHEMA, "subcommand": "phi", "config": cfg,
             "n": phi.n, "r_eval": phi.r_eval, "mode": phi.mode,
             "method": method,
@@ -388,14 +380,14 @@ def _run_phi(cfg: Dict[str, object]) -> dict:
 
 
 def _run_cocycle(cfg: Dict[str, object]) -> dict:
-    k = int(cfg["k"])
+    k = cfg["k"]
     group = FreeGroup(k)
-    g = group.parse_element(str(cfg["g"]))
-    level = int(cfg["level"]) or max(1, len(g))
+    g = group.parse_element(cfg["g"])
+    level = cfg["level"] or max(1, len(g))
     report = {"schema": SCHEMA, "subcommand": "cocycle", "config": cfg,
               "k": k, "g": group.format_element(g), "level": level}
     if cfg["cylinder"]:
-        w = group.parse_element(str(cfg["cylinder"]))
+        w = group.parse_element(cfg["cylinder"])
         expo = boundary.cocycle_exponent(k, g, w)
         report["exponent"] = expo
         report["value"] = Fraction(2 * k - 1) ** expo
@@ -407,9 +399,9 @@ def _run_cocycle(cfg: Dict[str, object]) -> dict:
 
 
 def _run_poisson_norm(cfg: Dict[str, object]) -> dict:
-    k = int(cfg["k"])
+    k = cfg["k"]
     group = FreeGroup(k)
-    g = group.parse_element(str(cfg["g"]))
+    g = group.parse_element(cfg["g"])
     expo = boundary.poisson_seminorm_exponent(k, g)
     return {"schema": SCHEMA, "subcommand": "poisson-norm", "config": cfg,
             "k": k, "g": group.format_element(g), "exponent": expo,
@@ -418,8 +410,8 @@ def _run_poisson_norm(cfg: Dict[str, object]) -> dict:
 
 
 def _run_c_seq(cfg: Dict[str, object]) -> dict:
-    k = int(cfg["k"])
-    coeffs = boundary.c_sequence(k, int(cfg["n-max"]))
+    k = cfg["k"]
+    coeffs = boundary.c_sequence(k, cfg["n-max"])
     log_q = math.log(2 * k - 1)
     additive = all(coeffs[i] == (i + 1) * coeffs[0]
                    for i in range(len(coeffs)))
@@ -431,10 +423,8 @@ def _run_c_seq(cfg: Dict[str, object]) -> dict:
 
 
 def _run_span_rank(cfg: Dict[str, object]) -> dict:
-    k = int(cfg["k"])
-    level = int(cfg["level"])
-    radius = int(cfg["radius"])
-    rank = boundary.span_rank(k, level, radius)
+    k, level = cfg["k"], cfg["level"]
+    rank = boundary.span_rank(k, level, cfg["radius"])
     boundary.check_count_digits(k, level)   # the report prints the count
     cylinders = boundary.cylinder_count(k, level)
     return {"schema": SCHEMA, "subcommand": "span-rank", "config": cfg,
@@ -442,7 +432,7 @@ def _run_span_rank(cfg: Dict[str, object]) -> dict:
 
 
 def _run_stationary(cfg: Dict[str, object]) -> dict:
-    space = _parse_space(str(cfg["space"]))
+    space = _parse_space(cfg["space"])
     result = gspaces.solve_stationary(space, cfg["measure"])
     return {"schema": SCHEMA, "subcommand": "stationary", "config": cfg,
             "size": space.size, "nu": list(result.nu),
@@ -452,8 +442,8 @@ def _run_stationary(cfg: Dict[str, object]) -> dict:
 
 def _solved_pair(cfg: Dict[str, object]) -> tuple:
     """(X, nu_X, Y, nu_Y): both spaces, each with its stationary measure."""
-    space_x = _parse_space(str(cfg["space"]))
-    space_y = _parse_space(str(cfg["space2"]))
+    space_x = _parse_space(cfg["space"])
+    space_y = _parse_space(cfg["space2"])
     return (space_x, gspaces.solve_stationary(space_x, cfg["measure"]).nu,
             space_y, gspaces.solve_stationary(space_y, cfg["measure"]).nu)
 
@@ -472,13 +462,7 @@ def _run_factor(cfg: Dict[str, object]) -> dict:
     report = {"schema": SCHEMA, "subcommand": "factor", "config": cfg,
               "found": witness is not None}
     if witness is not None:
-        report.update({
-            "vectors": witness.vectors,
-            "weights": witness.weights,
-            "actions": witness.actions,
-            "gram": witness.gram,
-            "gram_preserved": witness.gram_preserved,
-        })
+        report.update(dataclasses.asdict(witness))
     return report
 
 
@@ -566,8 +550,18 @@ _RUNNERS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are DomainErrors, reported
+    like any other bad input instead of by argparse's own exit."""
+
+    def error(self, message: str):
+        raise DomainError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    """Every option as text (or None when absent); `resolve_config` types
+    it."""
+    parser = _Parser(
         prog="groupwalk",
         description="random walks on groups: exact identities, drift, "
                     "boundary cocycles, finite stationary spaces")
@@ -576,9 +570,9 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", default=None,
                        help="key=value config file (flags win)")
-        for opt, (typ, _default, help_text) in options.items():
+        for opt, (_typ, _default, help_text) in options.items():
             p.add_argument(f"--{opt}", dest=opt.replace("-", "_"),
-                           type=typ, default=None, help=help_text)
+                           default=None, help=help_text)
     return parser
 
 
@@ -588,13 +582,12 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def run(argv: Optional[List[str]] = None) -> int:
-    args = _parser().parse_args(argv)
-    sub = args.subcommand
     try:
-        cfg = resolve_config(sub, args)
-        report = _RUNNERS[sub](cfg)
+        args = _parser().parse_args(argv)
+        cfg = resolve_config(args.subcommand, args)
+        report = _RUNNERS[args.subcommand](cfg)
         emit(report)
-        if sub == "selftest" and not report["all_passed"]:
+        if args.subcommand == "selftest" and not report["all_passed"]:
             return 1
         return 0
     except ResourceLimitError as exc:

@@ -6,7 +6,9 @@ Four groups are supported, each with a fixed symmetric generating set:
                   d-tuples.
 * ``free:k``      free group F_k; generators a_i^{+-1}; elements are reduced
                   words stored as tuples of nonzero ints (letter i as +i,
-                  its inverse as -i).
+                  its inverse as -i). The identity is written ``e`` up to
+                  rank 4 and ``1`` from rank 5, where ``e`` is a letter;
+                  ``1`` parses as the identity on every rank.
 * ``lamplighter`` Z/2 wr Z; generators walk +-1 and "switch the lamp at the
                   walker"; elements are (sorted tuple of ON lamp positions,
                   walker position).
@@ -219,11 +221,11 @@ class FreeGroup(Group):
 
     def format_element(self, g) -> str:
         if not g:
-            return "e"
+            return "e" if self.k <= 4 else "1"   # "e" is the 5th letter
         return "".join([_SYMBOLS[x] for x in g])
 
     def parse_element(self, text: str):
-        if text == "e":
+        if text == "1" or (text == "e" and self.k <= 4):
             return ()
         word = []
         for ch in text:

@@ -329,11 +329,25 @@ def test_error_exit_codes(capsys, tmp_path, monkeypatch):
                  # negative drift lengths (0 skips a section)
                  ("drift", "--group", "zd:1", "--n-max", "-1"),
                  ("drift", "--group", "zd:1", "--n-max", "0",
-                  "--trajectories", "-5", "--steps", "3")):
+                  "--trajectories", "-5", "--steps", "3"),
+                 # a preset takes no suffix it does not read
+                 ("stationary", "--space", "preset:two-orbits:junk"),
+                 # malformed flag values, past int's digit limit too, an
+                 # unknown flag and an unknown or missing subcommand
+                 ("cocycle", "--k", "2", "--g", "a", "--level", "x"),
+                 ("cocycle", "--k", "2", "--g", "a", "--level", "9" * 5000),
+                 ("drift", "--group", "zd:1", "--n-max", "1.5"),
+                 ("drift", "--group", "zd:1", "--bogus", "1"),
+                 ("nosuch",),
+                 ()):
         code, out, err = run_cli(capsys, *argv)
         assert code == 1
         assert out == ""
         assert json.loads(err)["error"]["type"] == "precondition"
+    # a bad flag value is named by its option
+    code, _, err = run_cli(capsys, "drift", "--group", "zd:1",
+                           "--n-max", "1.5")
+    assert "--n-max" in json.loads(err)["error"]["message"]
     # an unknown phi method is a domain error naming the three methods
     code, out, err = run_cli(capsys, "phi", "--group", "free:2", "--method",
                              "foo", "--n", "3")
@@ -540,6 +554,28 @@ def test_config_file_merging(capsys, tmp_path):
     code, _, err = run_cli(capsys, "drift", "--config", str(bad))
     assert code == 1
     assert "unknown config keys" in json.loads(err)["error"]["message"]
+
+
+@pytest.mark.parametrize("argv", [("--help",), ("drift", "--help")])
+def test_help_exits_zero(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        run(list(argv))
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: groupwalk")
+
+
+def test_free5_identity_is_not_the_fifth_letter(capsys):
+    # "e" is the 5th letter from rank 5 on; the identity prints as "1"
+    code, out, _ = run_cli(capsys, "drift", "--group", "free:5",
+                           "--measure=e=1/2;E=1/2", "--n-max", "1")
+    assert code == 0
+    assert json.loads(out)["exact"]["a_values"] == ["1/1"]
+    code, out, _ = run_cli(capsys, "phi", "--group", "free:5", "--n", "2",
+                           "--r-eval", "1")
+    assert code == 0
+    elements = [v["element"] for v in json.loads(out)["values"]]
+    assert len(elements) == len(set(elements)) == 11
+    assert "1" in elements and "e" in elements
 
 
 def test_emit_series(capsys, tmp_path):
@@ -753,14 +789,12 @@ def test_drift_sampler_flags_fuzz(group, flags):
 
 
 def _assert_clean_exit(argv):
-    """Run the CLI: exit code 0, 1 or 2, no traceback, stdout empty or one
-    groupwalk/1 report, and a JSON error with exit code 1."""
+    """Run the CLI: it returns (no SystemExit) exit code 0, 1 or 2, no
+    traceback, stdout empty or one groupwalk/1 report, and a JSON error
+    with exit code 1."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = run(argv)
-        except SystemExit as exc:       # argparse rejects a malformed value
-            code = exc.code
+        code = run(argv)
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
     if out.getvalue():

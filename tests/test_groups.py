@@ -169,12 +169,26 @@ def test_generators_symmetric_without_identity(group):
     assert {group.inv(s) for s in gens} == set(gens)
 
 
-@pytest.mark.parametrize("group", ALL_GROUPS, ids=lambda g: g.id_string)
+@pytest.mark.parametrize("group", ALL_GROUPS + [FreeGroup(5), FreeGroup(26)],
+                         ids=lambda g: g.id_string)
 def test_format_parse_roundtrip(group):
     rng = np.random.default_rng(23)
     for _ in range(200):
         g = random_element(group, rng)
         assert group.parse_element(group.format_element(g)) == g
+
+
+@pytest.mark.parametrize("k", [2, 4, 5, 26])
+def test_free_format_is_one_to_one_on_the_radius_2_ball(k):
+    # from rank 5 on, "e" is the 5th letter and the identity prints as "1"
+    group = FreeGroup(k)
+    ball = list(build_ball(group, 2).norms)
+    texts = [group.format_element(g) for g in ball]
+    assert len(set(texts)) == len(ball)
+    assert [group.parse_element(t) for t in texts] == ball
+    assert group.format_element(()) == ("e" if k <= 4 else "1")
+    assert group.parse_element("1") == ()
+    assert group.parse_element("e") == (() if k <= 4 else (5,))
 
 
 def test_group_from_id():

@@ -105,6 +105,19 @@ def test_free2_one_step_frequencies():
         assert emp.atoms[g] == pytest.approx(0.25, abs=0.01)
 
 
+def test_free5_endpoints_keep_the_identity_and_the_fifth_letter_apart():
+    f5 = FreeGroup(5)
+    config = SamplerConfig(seed=1, trajectories=2000, steps=1)
+    mu = parse_measure_spec(f5, "1=1/2;e=1/2")
+    assert set(mu.atoms) == {(), (5,)}
+    counts = endpoint_counts(mu, config)
+    assert sorted(map(f5.parse_element, counts)) == [(), (5,)]
+    assert sum(counts.values()) == 2000
+    emp, tv = empirical_endpoint_distribution(srw(f5), config)
+    assert set(emp.atoms) == set(f5.generators())
+    assert tv < 0.05
+
+
 @pytest.mark.parametrize("gid", ["zd:1", "free:2"])
 def test_endpoint_law_converges_at_four_steps(gid):
     group = group_from_id(gid)
