@@ -13,7 +13,8 @@ Each ``WORKLOAD:SEED`` stands for the jobs of one pass of
 ``phi`` series written to stderr), then for k = 2, 3 and every g of the
 radius-2 ball ``poisson-norm`` and the ``cocycle`` histograms at the levels
 max(1, |g|), 5 and the deepest level the enumerating histogram answered (14
-for k = 2, 9 for k = 3), plus one ``--cylinder`` case. One subprocess
+for k = 2, 9 for k = 3), plus one ``--cylinder`` case, then ``stationary``
+and ``ergodicity`` under non-uniform g-space word measures. One subprocess
 per tree (the parent's a ``git archive`` export in a temporary directory)
 imports ``groupwalk`` from that tree's ``src``. It runs every CLI job
 through ``groupwalk.cli.run``, with the jobs' input files in a temporary
@@ -57,6 +58,14 @@ stationary --space preset:two-orbits
 ergodicity --space preset:cycle:2 --space2 preset:cycle:3
 factor --space preset:cycle:4 --space2 preset:cycle:2
 selftest"""
+# g-space word measures other than the uniform one the benchmark uses
+GSPACE_JOBS = [
+    ["stationary", "--space", "preset:cycle:5", "--measure",
+     "t=1/3;t^-1=2/3"],
+    ["stationary", "--space", "preset:two-orbits", "--measure", "t t=1"],
+    ["ergodicity", "--space", "preset:cycle:4", "--space2", "preset:cycle:6",
+     "--measure", "t=1/2;t^-1=1/2"],
+]
 
 
 def cli_jobs() -> list:
@@ -74,7 +83,7 @@ def cli_jobs() -> list:
                 jobs.append(["cocycle", "--k", str(k), "--g", g,
                              "--level", str(level)])
     jobs.append(["cocycle", "--k", "3", "--g", "aB", "--cylinder", "aBca"])
-    return jobs
+    return jobs + GSPACE_JOBS
 
 
 def parse_args(argv):

@@ -60,6 +60,14 @@ def _generator(gens: Dict[str, object], token: str) -> Tuple[object, bool]:
     return gens[label], label != token
 
 
+def _check_labels(gens: Dict[str, object]) -> None:
+    """DomainError unless each label is one token not ending in ``^-1``."""
+    for label in gens:
+        if label.split() != [label] or label.endswith("^-1"):
+            raise DomainError(f"bad generator label {label!r} (want one "
+                              f"token not ending in ^-1)")
+
+
 # -- spaces and the text format ------------------------------------------------
 
 @dataclass(frozen=True)
@@ -71,6 +79,7 @@ class FiniteGSpace:
     def __post_init__(self):
         if self.size < 1:
             raise DomainError(f"g-space size must be >= 1, got {self.size}")
+        _check_labels(self.gens)
         for label, perm in self.gens.items():
             if sorted(perm) != list(range(self.size)):
                 raise DomainError(f"generator {label!r} is not a permutation "
@@ -176,6 +185,8 @@ def parse_gspace(text: str) -> FiniteGSpace:
             continue
         key, _, rest = line.partition(" ")
         if key == "size":
+            if size is not None:
+                raise DomainError("duplicate size line")
             try:
                 size = int(rest)
             except ValueError:
@@ -252,30 +263,30 @@ def parse_word_measure(space: FiniteGSpace, spec) -> List[Tuple[Tuple[str, ...],
     """
     if spec == "uniform":
         labels = space.labels()
-        spec = {label: 1.0 / len(labels) for label in labels}
-    if isinstance(spec, str):
-        parsed = {}
-        for part in spec.split(";"):
-            part = part.strip()
-            if not part:
-                continue
+        pairs = [(label, 1.0 / len(labels)) for label in labels]
+    elif isinstance(spec, str):
+        pairs = []
+        for part in filter(None, map(str.strip, spec.split(";"))):
             word_s, sep, w_s = part.partition("=")
             if not sep:
                 raise DomainError(f"bad measure atom {part!r}")
-            parsed[word_s.strip()] = _parse_weight(w_s.strip(), MODE_FLOAT)
-        spec = parsed
-    atoms = []
+            pairs.append((word_s, _parse_weight(w_s.strip(), MODE_FLOAT)))
+    else:
+        pairs = spec.items()
+    atoms = {}
     total = 0.0
-    for word, weight in spec.items():
+    for word, weight in pairs:
         tokens = tuple(word.split()) if isinstance(word, str) else tuple(word)
+        if tokens in atoms:
+            raise DomainError(f"duplicate atom {' '.join(tokens)!r}")
         weight = float(weight)
         if weight <= 0:
             raise DomainError("measure weights must be positive")
-        atoms.append((tokens, space.word_permutation(tokens), weight))
+        atoms[tokens] = (space.word_permutation(tokens), weight)
         total += weight
     if abs(total - 1.0) > LINALG_TOL:
         raise DomainError(f"measure mass {total} != 1")
-    return atoms
+    return [(tokens, *atom) for tokens, atom in atoms.items()]
 
 
 def _transfer(atoms, nu: np.ndarray) -> np.ndarray:
@@ -624,6 +635,7 @@ class OrthogonalRep:
     relators: Tuple[Tuple[str, ...], ...] = ()
 
     def __post_init__(self):
+        _check_labels(self.gens)
         eye = np.eye(self.dim)
         for label, mat in self.gens.items():
             mat = np.asarray(mat, dtype=float)

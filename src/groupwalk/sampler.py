@@ -812,6 +812,8 @@ def prefix_counts(mu: FiniteMeasure, level: int,
                   config: SamplerConfig) -> Counter:
     if not isinstance(mu.group, FreeGroup):
         raise DomainError("prefix statistics are for free groups only")
+    if level < 1:
+        raise DomainError(f"prefix level must be >= 1, got {level}")
     chunk = functools.partial(_prefix_chunk, mu, config.seed, config.steps,
                               level)
     return _run_chunked(chunk, config, _combine_counters)

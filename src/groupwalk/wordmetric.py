@@ -21,7 +21,6 @@ from typing import Callable, Dict
 from .errors import DomainError, OutOfRangeError, ResourceLimitError
 from .groups import FreeAbelian, FreeGroup, Group, Heisenberg, Lamplighter
 
-BALL_FORMAT_VERSION = 1
 DEFAULT_MAX_ELEMENTS = 2_000_000
 
 
@@ -212,51 +211,3 @@ def check_value_seminorm(group: Group, values: Dict[object, float],
         max_symmetry_violation=sym,
         norm_of_identity=values.get(e, 0),
     )
-
-
-def ball_to_text(table: BallTable) -> str:
-    """Stable line-delimited serialization (cache format, versioned)."""
-    group = table.group
-    lines = [
-        f"# groupwalk-ball v{BALL_FORMAT_VERSION}",
-        f"group {group.id_string}",
-        f"radius {table.radius}",
-        f"count {len(table.norms)}",
-    ]
-    body = sorted(
-        (group.format_element(g), n) for g, n in table.norms.items()
-    )
-    lines.extend(f"{s}\t{n}" for s, n in body)
-    return "\n".join(lines) + "\n"
-
-
-def ball_from_text(text: str) -> BallTable:
-    """Inverse of ball_to_text; DomainError on any malformed text."""
-    from .groups import group_from_id
-
-    lines = text.splitlines()
-    if not lines or not lines[0].startswith("# groupwalk-ball v"):
-        raise DomainError("not a ball table file")
-    header = {}
-    idx = 1
-    while idx < len(lines) and " " in lines[idx] and "\t" not in lines[idx]:
-        key, _, val = lines[idx].partition(" ")
-        header[key] = val
-        idx += 1
-    try:
-        version = int(lines[0].rsplit("v", 1)[1])
-        group = group_from_id(header["group"])
-        radius, count = int(header["radius"]), int(header["count"])
-        norms = {}
-        for line in lines[idx:]:
-            if line.strip():
-                elem_s, _, n_s = line.partition("\t")
-                norms[group.parse_element(elem_s)] = int(n_s)
-    except (KeyError, ValueError) as exc:
-        raise DomainError(f"malformed ball table ({exc!r})")
-    if version != BALL_FORMAT_VERSION:
-        raise DomainError(f"unsupported ball format version {version}")
-    if len(norms) != count or not all(0 <= n <= radius
-                                      for n in norms.values()):
-        raise DomainError("ball table count or norms mismatch (corrupt file)")
-    return BallTable(group=group, radius=radius, norms=norms)

@@ -1,4 +1,4 @@
-"""CLI: JSON schemas, exit codes, determinism, config merging, caching."""
+"""CLI: JSON schemas, exit codes, determinism, config merging."""
 
 import contextlib
 import io
@@ -19,14 +19,13 @@ from hypothesis import strategies as st
 
 import groupwalk
 from groupwalk import cli, freewalk, gspaces, sampler
-from groupwalk.cache import CACHE_ENV_VAR, ball_path, cached_ball
+from groupwalk.cache import cached_ball
 from groupwalk.cli import jsonable, run
 from groupwalk.drift import drift_exact_partial
 from groupwalk.errors import OutOfRangeError, ResourceLimitError
 from groupwalk.groups import FreeGroup, group_from_id
 from groupwalk.measures import srw
-from groupwalk.wordmetric import (BallTable, ball_to_text, build_ball,
-                                  norm_evaluator)
+from groupwalk.wordmetric import build_ball, norm_evaluator
 
 
 def run_cli(capsys, *argv):
@@ -263,11 +262,16 @@ def test_error_exit_codes(capsys, tmp_path, monkeypatch):
     code, _, err = run_cli(capsys, "drift", "--measure", "srw")
     assert code == 1
     # malformed group rank, letter, threshold, weight (also a non-finite
-    # float64 one), negative seed, config value, g-space size, cycle point
-    # and g-space measure weight are domain errors, and so is an input file
-    # that is not UTF-8
+    # float64 one), negative seed, config value, g-space size (also a second
+    # one), generator label, cycle point, g-space measure weight and repeated
+    # g-space measure atom are domain errors, and so is an input file that
+    # is not UTF-8
     bad_size = tmp_path / "bad_size.gspace"
     bad_size.write_text("size x\ngen t (0 1)\n")
+    two_sizes = tmp_path / "two_sizes.gspace"
+    two_sizes.write_text("size 3\ngen t (0 1 2)\nsize 4\n")
+    inverse_label = tmp_path / "inverse_label.gspace"
+    inverse_label.write_text("size 3\ngen t (0 1 2)\ngen t^-1 (0 1)\n")
     bad_point = tmp_path / "bad_point.gspace"
     bad_point.write_text("size 2\ngen t (0 x)\n")
     bad_seed = tmp_path / "bad_seed.cfg"
@@ -302,6 +306,8 @@ def test_error_exit_codes(capsys, tmp_path, monkeypatch):
                  ("stationary", "--space", "preset:cycle:0"),
                  ("stationary", "--space", "preset:trivial:-1"),
                  ("stationary", "--space", str(bad_size)),
+                 ("stationary", "--space", str(two_sizes)),
+                 ("stationary", "--space", str(inverse_label)),
                  ("stationary", "--space", str(bad_point)),
                  ("stationary", "--space", "preset:cycle:3",
                   "--measure", "t=1/0"),
@@ -309,6 +315,12 @@ def test_error_exit_codes(capsys, tmp_path, monkeypatch):
                   "--measure", "t=x"),
                  ("stationary", "--space", "preset:cycle:3",
                   "--measure", "t=nan"),
+                 ("stationary", "--space", "preset:cycle:3",
+                  "--measure", "t=1;t=1"),
+                 ("stationary", "--space", "preset:cycle:3",
+                  "--measure", "t=1/2;t=1/2"),
+                 ("ergodicity", "--space", "preset:cycle:3", "--space2",
+                  "preset:cycle:2", "--measure", "t t=1/2;t  t=1/2"),
                  # the radial route is for the exact free-group SRW only
                  ("phi", "--group", "free:2", "--measure=a=1/2;A=1/2",
                   "--method", "radial", "--n", "3"),
@@ -643,15 +655,6 @@ def test_selftest_passes(capsys):
     assert "[PASS]" in err
 
 
-def test_ball_cache_roundtrip_and_stability(tmp_path):
-    group = FreeGroup(2)
-    first = cached_ball(group, 3, cache_dir=str(tmp_path))
-    path = ball_path(str(tmp_path), group, 3)
-    assert os.path.exists(path)
-    again = cached_ball(group, 3, cache_dir=str(tmp_path))
-    assert again.norms == first.norms
-
-
 @pytest.mark.parametrize("argv, radius", [
     pytest.param(("drift", "--group", "heisenberg", "--n-max", "3",
                   "--ball-radius", "4"), 4, id="drift"),
@@ -661,19 +664,14 @@ def test_ball_cache_roundtrip_and_stability(tmp_path):
 def test_heisenberg_cli_ignores_cache_dir(tmp_path, capsys, monkeypatch,
                                           argv, radius):
     """--cache-dir is echoed in the config and otherwise ignored, and
-    $GROUPWALK_CACHE_DIR is not read: the CLI neither writes a ball file
-    nor reads one, even a well-formed file with wrong norms."""
+    $GROUPWALK_CACHE_DIR is not read: the CLI neither writes a file into
+    the directory nor reads one from it."""
     empty = tmp_path / "empty"
     empty.mkdir()
     poisoned = tmp_path / "poisoned"
     poisoned.mkdir()
-    group = group_from_id("heisenberg")
-    table = build_ball(group, radius)
-    fake = BallTable(group=group, radius=radius,
-                     norms={g: min(n + 1, radius)
-                            for g, n in table.norms.items()})
-    (poisoned / os.path.basename(ball_path(str(poisoned), group, radius))
-     ).write_text(ball_to_text(fake), encoding="ascii")
+    (poisoned / f"ball-heisenberg-{radius}.txt").write_text(
+        "not a ball\n", encoding="ascii")
     code, plain, _ = run_cli(capsys, *argv)
     assert code == 0
     for where in (empty, poisoned):
@@ -681,11 +679,22 @@ def test_heisenberg_cli_ignores_cache_dir(tmp_path, capsys, monkeypatch,
         assert code == 0
         assert json.loads(out)["config"]["cache-dir"] == str(where)
         assert out.replace(json.dumps(str(where)), '""') == plain
-        monkeypatch.setenv(CACHE_ENV_VAR, str(where))
+        monkeypatch.setenv("GROUPWALK_CACHE_DIR", str(where))
         assert run_cli(capsys, *argv)[1] == plain
-        monkeypatch.delenv(CACHE_ENV_VAR)
+        monkeypatch.delenv("GROUPWALK_CACHE_DIR")
     assert os.listdir(empty) == []
     assert len(os.listdir(poisoned)) == 1
+
+
+@pytest.mark.parametrize("env", [False, True], ids=["plain", "env-var"])
+def test_cached_ball_is_bfs_and_stores_nothing(tmp_path, monkeypatch, env):
+    if env:
+        monkeypatch.setenv("GROUPWALK_CACHE_DIR", str(tmp_path))
+    group = FreeGroup(2)
+    for cache_dir in (None, str(tmp_path)):
+        assert (cached_ball(group, 3, cache_dir=cache_dir).norms
+                == build_ball(group, 3).norms)
+    assert os.listdir(tmp_path) == []
 
 
 def test_heisenberg_monte_carlo_drift_builds_no_cli_ball(capsys, monkeypatch):
@@ -723,33 +732,6 @@ def test_cli_import_leaves_ball_cache_module_unloaded():
     result = subprocess.run([sys.executable, "-c", probe], env=env,
                             capture_output=True, text=True, check=True)
     assert result.stdout.strip() == "False"
-
-
-@pytest.mark.parametrize("corrupt", [
-    lambda text: "garbage\n",
-    lambda text: text[:len(text) // 2],
-    lambda text: text.replace("free:2", "free:3"),
-    lambda text: text.replace("radius 3", "radius 4"),
-    lambda text: "\u00e9",
-], ids=["corrupt", "truncated", "other-group", "other-radius", "non-ascii"])
-def test_ball_cache_rebuilds_bad_file(tmp_path, corrupt):
-    group = FreeGroup(2)
-    path = ball_path(str(tmp_path), group, 3)
-    good = ball_to_text(build_ball(group, 3))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(corrupt(good))
-    table = cached_ball(group, 3, cache_dir=str(tmp_path))
-    assert table.norms == build_ball(group, 3).norms
-    with open(path, encoding="ascii") as fh:
-        assert fh.read() == good
-    assert os.listdir(tmp_path) == [os.path.basename(path)]
-
-
-def test_cache_env_var(tmp_path, monkeypatch):
-    monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path))
-    group = FreeGroup(2)
-    cached_ball(group, 2)
-    assert os.path.exists(ball_path(str(tmp_path), group, 2))
 
 
 # -- hypothesis: the sampler-facing drift flags ----------------------------------

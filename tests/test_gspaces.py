@@ -215,6 +215,34 @@ def test_generator_tokens_invert_and_reject_unknown_labels():
             rep.matrix(token)
 
 
+@pytest.mark.parametrize("label", ["", "t s", "t\t", " t", "t^-1", "^-1"])
+def test_labels_that_read_as_other_tokens_are_rejected(label):
+    with pytest.raises(DomainError, match="bad generator label"):
+        gspaces.FiniteGSpace(size=3, gens={label: (1, 2, 0)})
+    with pytest.raises(DomainError, match="bad generator label"):
+        gspaces.OrthogonalRep(dim=2, gens={label: np.eye(2)})
+
+
+def test_parse_gspace_rejects_inverse_label_and_second_size():
+    # t^-1 would otherwise act as the inverse of t, not as its own cycles
+    with pytest.raises(DomainError, match="bad generator label 't\\^-1'"):
+        gspaces.parse_gspace("size 3\ngen t (0 1 2)\ngen t^-1 (0 1)\n")
+    with pytest.raises(DomainError, match="duplicate size line"):
+        gspaces.parse_gspace("size 3\ngen t (0 1 2)\nsize 4\n")
+
+
+def test_word_measure_rejects_duplicate_atoms():
+    space = gspaces.cycle_space(3)
+    for spec in ("t=1;t=1", "t=1/2;t=1/2", "t t=1/2; t  t=1/2",
+                 {"t t": 0.5, ("t", "t"): 0.5}):
+        with pytest.raises(DomainError, match="duplicate atom"):
+            gspaces.parse_word_measure(space, spec)
+    atoms = gspaces.parse_word_measure(space, "t=1/3; t^-1 t^-1=2/3")
+    assert [(tokens, weight) for tokens, _, weight in atoms] == [
+        (("t",), 1 / 3), (("t^-1", "t^-1"), 2 / 3)]
+    assert atoms[0][1] == atoms[1][1] == (1, 2, 0)
+
+
 def test_word_permutation_runs_match_token_by_token():
     """Runs of one token are applied as powers; the result must equal the
     composition one token at a time."""

@@ -141,6 +141,13 @@ def test_prefix_counts_free_only():
     assert set(counts) <= {"a", "A", "b", "B", "-"}
 
 
+@pytest.mark.parametrize("level", [0, -2])
+def test_prefix_counts_rejects_levels_below_one(level):
+    with pytest.raises(DomainError, match="prefix level"):
+        prefix_counts(srw(FreeGroup(2)), level,
+                      SamplerConfig(seed=0, trajectories=10, steps=4))
+
+
 def test_heisenberg_norm_stats_need_no_ball():
     h = Heisenberg()
     cfg = SamplerConfig(seed=1, trajectories=50, steps=4)

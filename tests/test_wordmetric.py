@@ -1,4 +1,4 @@
-"""Ball tables, BFS norms, closed forms, semi-norm axioms, serialization."""
+"""Ball tables, BFS norms, closed forms, semi-norm axioms."""
 
 import pytest
 
@@ -6,8 +6,7 @@ from groupwalk import wordmetric
 from groupwalk.errors import DomainError, OutOfRangeError, ResourceLimitError
 from groupwalk.groups import (FreeAbelian, FreeGroup, Heisenberg, Lamplighter,
                               group_from_id)
-from groupwalk.wordmetric import (ball_from_text, ball_to_text,
-                                  build_ball, check_seminorm,
+from groupwalk.wordmetric import (build_ball, check_seminorm,
                                   check_value_seminorm, free_norm,
                                   heisenberg_norm, l1_norm, lamplighter_norm,
                                   norm_evaluator, word_norm)
@@ -180,35 +179,7 @@ def test_heisenberg_commutator_norm():
     assert word_norm(table, comm) == heisenberg_norm(comm) == 4
 
 
-def test_ball_serialization_roundtrip():
-    for group in (FreeGroup(2), FreeAbelian(2), Lamplighter(), Heisenberg()):
-        table = build_ball(group, 3)
-        text = ball_to_text(table)
-        back = ball_from_text(text)
-        assert back.group == table.group
-        assert back.radius == table.radius
-        assert back.norms == table.norms
-        assert ball_to_text(back) == text
-
-
-@pytest.mark.parametrize("old,new", [
-    ("radius 2\n", ""),
-    ("radius 2\n", "radius two\n"),
-    ("\t1\n", "\tone\n"),
-    ("\t1\n", "\t9\n"),
-    ("aB\t", "aQ\t"),
-    ("# groupwalk-ball v1", "# groupwalk-ball vx"),
-], ids=["missing-key", "bad-radius", "bad-norm", "norm-range", "bad-element",
-        "bad-version"])
-def test_ball_from_text_rejects_malformed(old, new):
-    text = ball_to_text(build_ball(FreeGroup(2), 2))
-    assert old in text
-    with pytest.raises(DomainError):
-        ball_from_text(text.replace(old, new, 1))
-
-
 def test_ball_content_independent_of_build():
     a = build_ball(group_from_id("free:2"), 3)
     b = build_ball(group_from_id("free:2"), 3)
     assert a.norms == b.norms
-    assert ball_to_text(a) == ball_to_text(b)
