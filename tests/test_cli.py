@@ -697,6 +697,51 @@ def test_cached_ball_is_bfs_and_stores_nothing(tmp_path, monkeypatch, env):
     assert os.listdir(tmp_path) == []
 
 
+def test_ball_cache_roundtrip_and_stability(tmp_path):
+    group = FreeGroup(2)
+    first = cached_ball(group, 3, cache_dir=str(tmp_path))
+    again = cached_ball(group, 3, cache_dir=str(tmp_path))
+    assert again.norms == first.norms == build_ball(group, 3).norms
+    assert os.listdir(tmp_path) == []
+
+
+def _stale_ball_file(group, radius):
+    """A file in the former ball cache format whose norms are all wrong."""
+    body = sorted((group.format_element(g), min(n + 1, radius))
+                  for g, n in build_ball(group, radius).norms.items())
+    return (f"# groupwalk-ball v1\ngroup {group.id_string}\nradius {radius}\n"
+            f"count {len(body)}\n" + "".join(f"{s}\t{n}\n" for s, n in body))
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda text: "garbage\n",
+    lambda text: text[:len(text) // 2],
+    lambda text: text.replace("free:2", "free:3"),
+    lambda text: text.replace("radius 3", "radius 4"),
+    lambda text: "\u00e9",
+], ids=["corrupt", "truncated", "other-group", "other-radius", "non-ascii"])
+def test_ball_cache_rebuilds_bad_file(tmp_path, corrupt):
+    """Whatever file sits in the directory, even one of the former cache
+    format, cached_ball neither reads it nor rewrites it."""
+    group = FreeGroup(2)
+    path = tmp_path / "ball-free2-3.txt"
+    stale = corrupt(_stale_ball_file(group, 3))
+    path.write_text(stale, encoding="utf-8")
+    table = cached_ball(group, 3, cache_dir=str(tmp_path))
+    assert table.norms == build_ball(group, 3).norms
+    assert path.read_text(encoding="utf-8") == stale
+    assert os.listdir(tmp_path) == [path.name]
+
+
+def test_cache_env_var(tmp_path, monkeypatch):
+    monkeypatch.setenv("GROUPWALK_CACHE_DIR", str(tmp_path))
+    (tmp_path / "ball.txt").write_text(_stale_ball_file(FreeGroup(2), 2),
+                                       encoding="ascii")
+    assert cached_ball(FreeGroup(2), 2).norms == build_ball(FreeGroup(2),
+                                                            2).norms
+    assert os.listdir(tmp_path) == ["ball.txt"]
+
+
 def test_heisenberg_monte_carlo_drift_builds_no_cli_ball(capsys, monkeypatch):
     import groupwalk.cli as cli
     radii = []

@@ -215,7 +215,9 @@ def test_generator_tokens_invert_and_reject_unknown_labels():
             rep.matrix(token)
 
 
-@pytest.mark.parametrize("label", ["", "t s", "t\t", " t", "t^-1", "^-1"])
+@pytest.mark.parametrize("label", ["", "t s", "t\t", " t", "t^-1", "^-1"],
+                         ids=["empty", "inner-space", "trailing-tab",
+                              "leading-space", "inverse", "bare-inverse"])
 def test_labels_that_read_as_other_tokens_are_rejected(label):
     with pytest.raises(DomainError, match="bad generator label"):
         gspaces.FiniteGSpace(size=3, gens={label: (1, 2, 0)})
