@@ -13,12 +13,14 @@ Each ``WORKLOAD:SEED`` stands for the jobs of one pass of
 ``phi`` series written to stderr), then for k = 2, 3 and every g of the
 radius-2 ball ``poisson-norm`` and the ``cocycle`` histograms at the levels
 max(1, |g|), 5 and the deepest level the enumerating histogram answered (14
-for k = 2, 9 for k = 3), plus one ``--cylinder`` case, then ``stationary``
-and ``ergodicity`` under non-uniform g-space word measures. One subprocess
-per tree (the parent's a ``git archive`` export in a temporary directory)
-imports ``groupwalk`` from that tree's ``src``. It runs every CLI job
-through ``groupwalk.cli.run``, with the jobs' input files in a temporary
-work directory, and every library job through ``perfbench/runner.execute``.
+for k = 2, 9 for k = 3), plus one ``--cylinder`` case, then radial ``phi``
+on ``free:1`` at radius 20, on ``free:5`` and past the ball budget, then
+``stationary`` and ``ergodicity`` under non-uniform g-space word
+measures. One subprocess per tree (the parent's a ``git archive`` export
+in a temporary directory) imports ``groupwalk`` from that tree's
+``src``. It runs every CLI job through ``groupwalk.cli.run``, with the
+jobs' input files in a temporary work directory, and every library job
+through ``perfbench/runner.execute``.
 The work and cache directory paths are replaced by ``{work}`` and
 ``{cache}`` in the CLI outputs; then each CLI job's exit code, stdout and
 stderr are compared. A library job's result is compared at full
@@ -58,6 +60,13 @@ stationary --space preset:two-orbits
 ergodicity --space preset:cycle:2 --space2 preset:cycle:3
 factor --space preset:cycle:4 --space2 preset:cycle:2
 selftest"""
+# radial phi where no benchmark job goes: a long free:1 ball, the free:5
+# identity "1", and a radius past the ball's element budget
+RADIAL_JOBS = [
+    ["phi", "--group", "free:1", "--n", "9", "--r-eval", "20"],
+    ["phi", "--group", "free:5", "--n", "4", "--r-eval", "2"],
+    ["phi", "--group", "free:2", "--n", "2", "--r-eval", "13"],
+]
 # g-space word measures other than the uniform one the benchmark uses
 GSPACE_JOBS = [
     ["stationary", "--space", "preset:cycle:5", "--measure",
@@ -83,7 +92,7 @@ def cli_jobs() -> list:
                 jobs.append(["cocycle", "--k", str(k), "--g", g,
                              "--level", str(level)])
     jobs.append(["cocycle", "--k", "3", "--g", "aB", "--cylinder", "aBca"])
-    return jobs + GSPACE_JOBS
+    return jobs + RADIAL_JOBS + GSPACE_JOBS
 
 
 def parse_args(argv):

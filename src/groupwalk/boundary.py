@@ -34,10 +34,10 @@ tallies the level-2 words, whose tallies every deeper cylinder shares.
 These counted levels are bounded only by ``check_count_digits``. The
 identity and normalization checks and the hitting-measure check enumerate
 cylinders with ``_cylinder_array`` (the reduced words of a level as rows
-of an int8 array, in lexicographic order), which alone is bounded by
-``MAX_ENUMERATION_LEVEL``. Exact checks are integer sums over one common
-denominator, and a ``Fraction`` is only built for a reported value or
-residual.
+of an int8 array, in lexicographic order, built by ``word_rows``), which
+alone is bounded by ``MAX_ENUMERATION_LEVEL``; ``format_word_rows`` texts
+such rows. Exact checks are integer sums over one common denominator, and
+a ``Fraction`` is only built for a reported value or residual.
 
 Everything is exact-rational; only SRW is admitted (for any other
 nearest-neighbor measure the hitting measure is not this simple, and
@@ -60,7 +60,7 @@ import numpy as np
 from . import freewalk
 from .errors import DomainError, OutOfRangeError, PreconditionError, \
     ResourceLimitError
-from .groups import FreeGroup
+from .groups import _SYMBOLS, FreeGroup
 from .measures import MODE_EXACT, FiniteMeasure, power, srw
 from .wordmetric import build_ball
 
@@ -128,24 +128,55 @@ def _check_level(k: int, level: int) -> None:
             f"refusing to enumerate 2k(2k-1)^{level - 1} cylinders")
 
 
-def _cylinder_array(k: int, level: int) -> np.ndarray:
-    """All level-`level` reduced words as rows of an (N, level) int8 array,
-    in lexicographic order over the letters 1..k, -1..-k.
+def word_rows(k: int, max_length: int) -> Iterator[np.ndarray]:
+    """The reduced words of F_k of each length 1..max_length, as rows of an
+    (N, length) int8 array in lexicographic order over the letters 1..k,
+    -1..-k (unchecked, unbounded: callers keep their own budget).
 
     Built one letter at a time: every row is repeated once per letter, and
     the rows whose new letter cancels their last one are dropped, so the
     children of a row stay contiguous and in letter order.
     """
-    _check_level(k, level)
     letters = np.array([*range(1, k + 1), *range(-1, -k - 1, -1)],
                        dtype=np.int8)
     words = letters[:, None]
-    for _ in range(level - 1):
-        rows = np.repeat(words, 2 * k, axis=0)
-        new = np.tile(letters, len(words))
-        keep = new != -rows[:, -1]
-        words = np.column_stack((rows[keep], new[keep]))
+    for length in range(1, max_length + 1):
+        if length > 1:
+            rows = np.repeat(words, 2 * k, axis=0)
+            new = np.tile(letters, len(words))
+            keep = new != -rows[:, -1]
+            words = np.column_stack((rows[keep], new[keep]))
+        yield words
+
+
+def _cylinder_array(k: int, level: int) -> np.ndarray:
+    """All level-`level` reduced words as the rows of an (N, level) int8
+    array, in ``word_rows`` order."""
+    _check_level(k, level)
+    for words in word_rows(k, level):
+        pass                        # keep the last level's rows
     return words
+
+
+_CODES = np.array([ord(c) if c else 0 for c in _SYMBOLS], dtype="<u4")
+
+
+def format_word_rows(k: int, rows: np.ndarray) -> List[str]:
+    """``FreeGroup(k).format_element`` of each row of an int8 array of
+    reduced words padded with trailing 0s (unchecked).
+
+    The rows index a table of code points, where a negative letter wraps
+    to its capital as in ``_SYMBOLS``; the codes read as fixed-width text
+    drop their trailing NULs, and empty rows read as the identity.
+    """
+    identity = FreeGroup(k).format_element(())
+    width = rows.shape[1]
+    if not width:
+        return [identity] * len(rows)
+    texts = _CODES[rows].view(f"<U{width}").ravel().tolist()
+    for i in np.flatnonzero(rows[:, 0] == 0).tolist():
+        texts[i] = identity
+    return texts
 
 
 def cylinders(k: int, level: int) -> Iterator[Tuple[int, ...]]:

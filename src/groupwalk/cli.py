@@ -36,7 +36,8 @@ from .errors import (DomainError, GroupwalkError, OutOfRangeError,
 from .groups import FreeGroup, group_from_id
 from .measures import MODE_EXACT, parse_measure_spec, srw
 from .sampler import SamplerConfig
-from .wordmetric import build_ball, check_value_seminorm, norm_evaluator
+from .wordmetric import (DEFAULT_MAX_ELEMENTS, build_ball,
+                         check_value_seminorm, norm_evaluator)
 
 SCHEMA = "groupwalk/1"
 
@@ -346,7 +347,7 @@ def _run_phi(cfg: Dict[str, object]) -> dict:
                 "with --truncation")
     series: List[tuple] = []
     if method == "radial":
-        phi = quasiharmonic.phi_table_free_srw(group.k, n, r_eval)
+        entries = _radial_entries(group, n, r_eval)
         if cfg["emit-series"]:
             a_vals = freewalk.expected_norms(group.k, n)
             series = [(m, float(a_vals[m]) / m) for m in range(1, n + 1)]
@@ -368,15 +369,42 @@ def _run_phi(cfg: Dict[str, object]) -> dict:
                     sums[s] += table.values[s]
                 d_e = sum(sums[s] / m * w for s, w in atoms.items())
                 series.append((m, float(d_e)))
-    entries = sorted(
-        (group.format_element(s), v, phi.error_bars[s])
-        for s, v in phi.values.items())
+        entries = sorted(
+            (group.format_element(s), v, phi.error_bars[s])
+            for s, v in phi.values.items())
     _write_series(cfg["emit-series"], series, "n,distortion_at_e")
     return {"schema": SCHEMA, "subcommand": "phi", "config": cfg,
-            "n": phi.n, "r_eval": phi.r_eval, "mode": phi.mode,
-            "method": method,
+            "n": n, "r_eval": r_eval, "mode": mu.mode, "method": method,
             "values": [{"element": e, "value": v, "error": err}
                        for e, v, err in entries]}
+
+
+def _radial_entries(group: FreeGroup, n: int, r_eval: int) -> List[tuple]:
+    """(text, phi_n, error) for each element of the radius-r_eval ball,
+    sorted: phi_n of the exact simple random walk is constant on spheres.
+
+    Each sphere's reduced words are texted from int8 rows, so no ball is
+    built; the ball's element budget still bounds r_eval, checked before
+    any value is computed.
+    """
+    freewalk.check_cesaro_length(n)
+    if r_eval < 0:
+        raise DomainError("radius must be >= 0")
+    k, size = group.k, 1
+    for r in range(1, r_eval + 1):
+        size += boundary.cylinder_count(k, r)
+        if size > DEFAULT_MAX_ELEMENTS:
+            raise ResourceLimitError(
+                f"ball of {group.id_string} exceeded {DEFAULT_MAX_ELEMENTS} "
+                f"elements; completed radius {r - 1}")
+    radial = freewalk.radial_phi(k, n, r_eval)
+    zero = Fraction(0)
+    entries = [(group.format_element(()), radial[0], zero)]
+    for words, value in zip(boundary.word_rows(k, r_eval), radial[1:]):
+        entries += [(text, value, zero)
+                    for text in boundary.format_word_rows(k, words)]
+    entries.sort()
+    return entries
 
 
 def _run_cocycle(cfg: Dict[str, object]) -> dict:

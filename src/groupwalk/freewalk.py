@@ -51,6 +51,14 @@ def check_radial_steps(n: int) -> None:
                                  f"MAX_RADIAL_STEPS = {MAX_RADIAL_STEPS}")
 
 
+def check_cesaro_length(n: int) -> None:
+    """Refuse a Cesaro length below 1 (DomainError) or past
+    MAX_RADIAL_STEPS (ResourceLimitError)."""
+    if n < 1:
+        raise DomainError("Cesaro length must be >= 1")
+    check_radial_steps(n)
+
+
 def path_counts(k: int, n_max: int) -> Iterator[List[int]]:
     """c_n for n = 0..n_max: c_n[m] counts the (2k)^n paths of length n
     ending at norm m, m = 0..n (unchecked k)."""
@@ -115,10 +123,8 @@ def radial_phi(k: int, n: int, r_max: int) -> List[Fraction]:
     sum_j (2k)^(n-1-j) c_j, accumulated by Horner's rule along the path
     counts.
     """
-    if n < 1:
-        raise DomainError("Cesaro length must be >= 1")
+    check_cesaro_length(n)
     _check_rank(k)
-    check_radial_steps(n)
     weighted: List[int] = []
     for row in path_counts(k, n - 1):
         weighted = [2 * k * b + c for b, c in zip(weighted + [0], row)]

@@ -23,8 +23,10 @@ the atom index ``searchsorted`` gives its double, on integer thresholds
 only, so every aggregate is the same for any block size, segment size and
 worker count. Each numpy pass of the stream and the kernels runs along the
 rows of one step. Norm statistics read the kernels' array norms, each a
-group's closed-form word norm in numpy; endpoint and prefix tallies count
-each block's positions and format each distinct element once.
+group's closed-form word norm in numpy. Free-group tallies text the
+kernel's int8 word rows in one numpy pass (``boundary.format_word_rows``);
+other groups' endpoint tallies count each block's positions and format
+each distinct element once.
 
 With several workers the trajectories are split into chunks: chunk 0 runs
 in the calling process and every other chunk in one child forked for it,
@@ -52,6 +54,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .boundary import format_word_rows
 from .errors import DomainError, ResourceLimitError
 from .groups import FreeAbelian, FreeGroup, Group, Heisenberg, Lamplighter
 from .measures import FiniteMeasure, power, total_variation
@@ -372,9 +375,10 @@ def sample_trajectory(group: Group, mu: FiniteMeasure, steps: int,
 # One kernel per group steps a block of trajectories (rows) at once on numpy
 # arrays. ``advance(idx)`` applies a segment of atom indices of shape
 # (steps, rows); ``positions()`` returns the rows' current positions as
-# ordinary group elements (tuples of Python ints), and ``norms()`` their
-# word norms as an integer array (int64, or Python ints where int64 could
-# wrap), by the closed forms of ``wordmetric.norm_evaluator``. Every
+# ordinary group elements (tuples of Python ints; the tallies read the free
+# kernel's int8 rows instead), and ``norms()`` their word norms as an
+# integer array (int64, or Python ints where int64 could wrap), by the
+# closed forms of ``wordmetric.norm_evaluator``. Every
 # kernel's memory grows with rows x the range the walk has visited (plus one
 # segment), not with steps x the largest move.
 
@@ -516,6 +520,15 @@ class _FreeWalk:
         lengths = self._lengths().tolist()
         words = self.stack[:, :max(lengths, default=0)].tolist()
         return [tuple(w[:n]) for w, n in zip(words, lengths)]
+
+    def words(self) -> np.ndarray:
+        """The rows' reduced words as 0-padded int8 rows: letters past a
+        row's top are stale from pushes a later step cancelled, and read
+        0."""
+        lengths = self._lengths()
+        width = int(lengths.max(initial=0))
+        live = np.arange(width) < lengths[:, None]
+        return np.where(live, self.stack[:, :width], np.int8(0))
 
     def norms(self) -> np.ndarray:
         return self._lengths()
@@ -668,22 +681,30 @@ def _tally(counts: Counter, elements, fmt) -> None:
 
 def _endpoint_chunk(mu: FiniteMeasure, seed: int, steps: int,
                     span: Tuple[int, int]) -> Counter:
+    """Tally the endpoints by their text; a free walk texts its word rows
+    in one pass, other kernels format their distinct positions."""
+    group = mu.group
     counts: Counter = Counter()
     for _, walk in _walk_chunk(mu, seed, span, [steps]):
-        _tally(counts, walk.positions(), mu.group.format_element)
+        if isinstance(walk, _FreeWalk):
+            counts.update(format_word_rows(group.k, walk.words()))
+        else:
+            _tally(counts, walk.positions(), group.format_element)
     return counts
 
 
 def _prefix_chunk(mu: FiniteMeasure, seed: int, steps: int, level: int,
                   span: Tuple[int, int]) -> Counter:
     """Tally the level-l prefix of the endpoint's reduced word ("-" if the
-    endpoint is shorter than l)."""
-    fmt = mu.group.format_element
+    endpoint is shorter than l), texted from the first l columns of the
+    free walk's stack."""
+    k = mu.group.k
     counts: Counter = Counter()
     for _, walk in _walk_chunk(mu, seed, span, [steps]):
-        _tally(counts, (w[:level] if len(w) >= level else None
-                        for w in walk.positions()),
-               lambda w: "-" if w is None else fmt(w))
+        texts = format_word_rows(k, walk.stack[:, :level])
+        for i in np.flatnonzero(walk.norms() < level).tolist():
+            texts[i] = "-"
+        counts.update(texts)
     return counts
 
 

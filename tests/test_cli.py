@@ -18,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import groupwalk
-from groupwalk import cli, freewalk, gspaces, sampler
+from groupwalk import cli, freewalk, gspaces, quasiharmonic, sampler
 from groupwalk.cache import cached_ball
 from groupwalk.cli import jsonable, run
 from groupwalk.drift import drift_exact_partial
@@ -156,6 +156,94 @@ def test_phi_radial_report(capsys):
     values = {row["element"]: row["value"] for row in report["values"]}
     assert values["e"] == "0/1"
     assert "/" in values["a"]
+
+
+def _library_radial_values(k, n, r_eval):
+    """The radial route's values as ``phi_table_free_srw`` gives them on
+    the ball, formatted and sorted as the report lists them."""
+    group = FreeGroup(k)
+    phi = quasiharmonic.phi_table_free_srw(k, n, r_eval)
+    return [{"element": text, "value": jsonable(value),
+             "error": jsonable(error)}
+            for text, value, error in sorted(
+                (group.format_element(s), v, phi.error_bars[s])
+                for s, v in phi.values.items())]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_phi_radial_values_match_the_library_table(capsys, monkeypatch, k):
+    """Spheres texted from word rows list what the ball table lists, and
+    the CLI builds no ball for them."""
+    expected = [_library_radial_values(k, 7, r_eval) for r_eval in range(5)]
+
+    def no_ball(*args):
+        raise AssertionError("radial phi built a ball")
+
+    monkeypatch.setattr(quasiharmonic, "build_ball", no_ball)
+    monkeypatch.setattr(cli, "build_ball", no_ball)
+    for r_eval in range(5):
+        code, out, err = run_cli(capsys, "phi", "--group", f"free:{k}",
+                                 "--n", "7", "--r-eval", str(r_eval))
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        assert report["method"] == "radial"
+        assert report["values"] == expected[r_eval]
+
+
+def test_phi_radial_long_free1_and_free5_identity(capsys):
+    """free:1 answers past the cylinder enumeration limit, and free:5
+    prints its identity as "1"."""
+    code, out, _ = run_cli(capsys, "phi", "--group", "free:1", "--n", "9",
+                           "--r-eval", "20")
+    assert code == 0
+    values = json.loads(out)["values"]
+    assert len(values) == 41
+    assert {"a" * 20, "A" * 20, "e"} <= {v["element"] for v in values}
+    assert values == _library_radial_values(1, 9, 20)
+    code, out, _ = run_cli(capsys, "phi", "--group", "free:5", "--n", "4",
+                           "--r-eval", "2")
+    assert code == 0
+    values = json.loads(out)["values"]
+    assert values == _library_radial_values(5, 4, 2)
+    assert values[0]["element"] == "1" and len(values) == 1 + 10 + 90
+
+
+def test_phi_radial_refuses_an_over_budget_radius_at_once(capsys,
+                                                          monkeypatch):
+    """The ball budget is checked before any value or word is built,
+    after the Cesaro length checks."""
+    budget = ("ball of free:2 exceeded 2000000 elements; completed "
+              "radius 12")
+    for r_eval in ("13", "30000"):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "phi", "--group", "free:2", "--n",
+                                 "2", "--r-eval", r_eval)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"] == {"type": "resource",
+                                            "message": budget}
+    for argv, kind, message in (
+            (("--n", "2", "--r-eval", "-1"), "precondition",
+             "radius must be >= 0"),
+            (("--n", "0", "--r-eval", "13"), "precondition",
+             "Cesaro length must be >= 1"),
+            (("--n", "0", "--r-eval", "-1"), "precondition",
+             "Cesaro length must be >= 1"),
+            (("--n", "1001", "--r-eval", "13"), "resource",
+             "refusing a 1001-step radial walk: past MAX_RADIAL_STEPS = "
+             "1000")):
+        code, out, err = run_cli(capsys, "phi", "--group", "free:2", *argv)
+        assert out == ""
+        assert json.loads(err)["error"] == {"type": kind, "message": message}
+    # a ball of exactly the budget answers; one element more is refused
+    monkeypatch.setattr(cli, "DEFAULT_MAX_ELEMENTS", 41)
+    assert run_cli(capsys, "phi", "--group", "free:1", "--n", "2",
+                   "--r-eval", "20")[0] == 0
+    code, out, err = run_cli(capsys, "phi", "--group", "free:1", "--n", "2",
+                             "--r-eval", "21")
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"]["message"] == (
+        "ball of free:1 exceeded 41 elements; completed radius 20")
 
 
 def test_phi_convolution_report(capsys):

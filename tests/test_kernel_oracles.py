@@ -9,8 +9,10 @@ element, the translated cylinder mass summed over the
 deepened cylinders, Gaussian elimination over ``Fraction`` and the
 ``Fraction`` recursion of the radial norm law (with the f_j, phi_n, a_n and
 H_n built on it), and the c sequence summed atom by atom over the
-convolution powers of the adjoint walk. The last tests break the mass formula or the step law on
-purpose and require the exact checks to see it.
+convolution powers of the adjoint walk. ``FreeGroup.format_element`` is
+the oracle of the texts of int8 word rows. The last tests break the mass
+formula or the step law on purpose and require the exact checks to see
+it.
 """
 
 import functools
@@ -19,6 +21,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from groupwalk import boundary, freewalk
@@ -173,6 +176,39 @@ def test_cylinder_order_matches_recursive_enumerator(k):
         expected = list(old_cylinders(k, level))
         assert [tuple(w) for w in words.tolist()] == expected
         assert list(boundary.cylinders(k, level)) == expected
+
+
+@pytest.mark.parametrize("k", [1, 2, 26])
+def test_word_rows_text_as_format_element(k):
+    """``word_rows`` against the recursive enumerator, and
+    ``format_word_rows`` against ``format_element`` on every reduced word
+    up to length 4, except that k = 26's 6.9M words of length 4 are taken
+    every 101st (a stride that cycles through the letters in every
+    column); then on rows of several lengths padded with 0s, on empty
+    rows, and on arrays with no column or no row."""
+    group = FreeGroup(k)
+    levels = list(boundary.word_rows(k, 4))
+    for length, words in enumerate(levels, start=1):
+        assert words.shape == (boundary.cylinder_count(k, length), length)
+        if k < 26 or length <= 2:
+            assert ([tuple(w) for w in words.tolist()]
+                    == list(old_cylinders(k, length)))
+        if k == 26 and length == 4:
+            words = words[::101]
+        expected = [group.format_element(w)
+                    for w in map(tuple, words.tolist())]
+        assert boundary.format_word_rows(k, words) == expected
+    mixed = [()] + [w for words in levels[:3]
+                    for w in map(tuple, words[::7].tolist())] + [(), ()]
+    padded = np.zeros((len(mixed), 5), dtype=np.int8)
+    for i, w in enumerate(mixed):
+        padded[i, :len(w)] = w
+    assert (boundary.format_word_rows(k, padded)
+            == [group.format_element(w) for w in mixed])
+    identity = group.format_element(())
+    assert (boundary.format_word_rows(k, np.zeros((3, 0), dtype=np.int8))
+            == [identity] * 3)
+    assert boundary.format_word_rows(k, np.zeros((0, 2), dtype=np.int8)) == []
 
 
 @pytest.mark.parametrize("k,level", [(2, 3), (2, 5), (3, 3), (3, 4)])

@@ -383,6 +383,48 @@ def test_kernel_matches_reference_walk_at_default_sizes():
         list(prefixes.items())
 
 
+def _tuple_tallies(mu, seed, steps, level, span):
+    """Endpoint and prefix tallies of a span the way they were taken
+    before the free walk texted its word rows: each block's positions()
+    as tuples, each distinct one formatted once. Also whether some block
+    held stale letters past a row's top."""
+    fmt = mu.group.format_element
+    ends, prefixes, stale = Counter(), Counter(), False
+    for _, walk in sampler._walk_chunk(mu, seed, span, [steps]):
+        positions = walk.positions()
+        for g, n in Counter(positions).items():
+            ends[fmt(g)] += n
+        cut = Counter(w[:level] if len(w) >= level else None
+                      for w in positions)
+        for w, n in cut.items():
+            prefixes["-" if w is None else fmt(w)] += n
+        lengths = walk.norms()
+        past = np.arange(walk.stack.shape[1]) >= lengths[:, None]
+        stale |= bool((walk.stack[past] != 0).any())
+    return ends, prefixes, stale
+
+
+@pytest.mark.parametrize("level", [1, 3, 40])
+@pytest.mark.parametrize("steps", [0, 5, 31])
+@pytest.mark.parametrize("case", ["free:2", "free:3"])
+def test_free_tallies_match_tuple_reference(case, steps, level):
+    """Counters equal the tuple reference, key order included, over more
+    than one block; short walks leave rows shorter than the level (every
+    row, past the stack's width, when no walk can reach it), and
+    cancelling steps leave stale letters on the stack."""
+    gid, spec = KERNEL_CASES[case]
+    mu = parse_measure_spec(group_from_id(gid), spec)
+    span = (0, sampler.BLOCK_ROWS + 77)
+    ends, prefixes, stale = _tuple_tallies(mu, 12, steps, level, span)
+    assert stale == (steps > 0)
+    got = sampler._endpoint_chunk(mu, 12, steps, span)
+    assert list(got.items()) == list(ends.items())
+    got = sampler._prefix_chunk(mu, 12, steps, level, span)
+    assert list(got.items()) == list(prefixes.items())
+    if level > steps * max(map(len, mu.atoms)):
+        assert got == {"-": span[1]}
+
+
 def test_clustered_kernel_case_runs_deep_lookups():
     gid, spec = KERNEL_CASES["zd:1-clustered"]
     _, cdf = atom_table(parse_measure_spec(group_from_id(gid), spec))
