@@ -14,7 +14,8 @@ Each ``WORKLOAD:SEED`` stands for the jobs of one pass of
 radius-2 ball ``poisson-norm`` and the ``cocycle`` histograms at the levels
 max(1, |g|), 5 and the deepest level the enumerating histogram answered (14
 for k = 2, 9 for k = 3), plus one ``--cylinder`` case, then radial ``phi``
-on ``free:1`` at radius 20, on ``free:5`` and past the ball budget, then
+on ``free:1`` at radius 20, on ``free:5``, on ``free:2`` at radius 9 (a
+report of megabytes) and past the ball budget, then
 ``stationary`` and ``ergodicity`` under non-uniform g-space word
 measures. One subprocess per tree (the parent's a ``git archive`` export
 in a temporary directory) imports ``groupwalk`` from that tree's
@@ -24,10 +25,11 @@ through ``perfbench/runner.execute``.
 The work and cache directory paths are replaced by ``{work}`` and
 ``{cache}`` in the CLI outputs; then each CLI job's exit code, stdout and
 stderr are compared. A library job's result is compared at full
-precision, as ``json.dumps(cli.jsonable(...), sort_keys=True)`` of its
-dataclass fields or its counter. Prints the number of differing CLI and
-library jobs per workload and seed, and exits 1 on any difference. Reads
-``perfbench/`` and writes nothing under it.
+precision, as ``json.dumps(..., sort_keys=True)`` of its dataclass fields
+or its counter, with one encoder for both trees (`encode`): Fractions as
+``p/q``, numpy values as lists and numbers. Prints the number of differing
+CLI and library jobs per workload and seed, and exits 1 on any difference.
+Reads ``perfbench/`` and writes nothing under it.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CLI_SPEC = "cli"
@@ -61,10 +64,12 @@ ergodicity --space preset:cycle:2 --space2 preset:cycle:3
 factor --space preset:cycle:4 --space2 preset:cycle:2
 selftest"""
 # radial phi where no benchmark job goes: a long free:1 ball, the free:5
-# identity "1", and a radius past the ball's element budget
+# identity "1", a radius-9 free:2 ball, and a radius past the ball's element
+# budget
 RADIAL_JOBS = [
     ["phi", "--group", "free:1", "--n", "9", "--r-eval", "20"],
     ["phi", "--group", "free:5", "--n", "4", "--r-eval", "2"],
+    ["phi", "--group", "free:2", "--n", "2", "--r-eval", "9"],
     ["phi", "--group", "free:2", "--n", "2", "--r-eval", "13"],
 ]
 # g-space word measures other than the uniform one the benchmark uses
@@ -130,7 +135,17 @@ def run_job(cli, args, work: str, cache: str) -> list:
                      .replace(cache, "{cache}") for text in (out, err)]
 
 
-def run_library_job(cli, runner, job, ctx) -> list:
+def encode(value):
+    """json's `default` for library results: the same in both trees, so
+    that neither tree's own encoder can hide a difference."""
+    if isinstance(value, Fraction):
+        return f"{value.numerator}/{value.denominator}"
+    if type(value).__module__ == "numpy":       # scalars and arrays
+        return value.tolist()
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
+
+
+def run_library_job(runner, job, ctx) -> list:
     """[exit code, the result as sorted JSON, error] of one library job."""
     try:
         result = runner.execute(job, ctx)[1]
@@ -138,7 +153,7 @@ def run_library_job(cli, runner, job, ctx) -> list:
         return [-1, "", f"{type(exc).__name__}: {exc}"]
     if dataclasses.is_dataclass(result):
         result = dataclasses.asdict(result)
-    return [0, json.dumps(cli.jsonable(result), sort_keys=True), ""]
+    return [0, json.dumps(result, sort_keys=True, default=encode), ""]
 
 
 def collect(tree: str, specs, out_path: str) -> None:
@@ -173,7 +188,7 @@ def collect(tree: str, specs, out_path: str) -> None:
             results[spec] = {
                 "cli": [[job.key] + run_job(cli, job.args, work, cache)
                         for job in jobs if job.kind == "cli"],
-                "library": [[job.key] + run_library_job(cli, runner, job, ctx)
+                "library": [[job.key] + run_library_job(runner, job, ctx)
                             for job in jobs if job.kind != "cli"]}
     with open(out_path, "w", encoding="utf-8") as fh:
         json.dump(results, fh)

@@ -720,17 +720,15 @@ def validate_hitting_measure(k: int, level: int, config) -> HittingMeasureReport
     """
     from .sampler import prefix_counts
 
-    group = FreeGroup(k)
     _check_level(k, level)          # before the sampling run
-    mu = srw(group)
-    counts = prefix_counts(mu, level, config)
+    counts = prefix_counts(srw(FreeGroup(k)), level, config)
     n = config.trajectories
     undefined = counts.pop("-", 0)
     freqs = {w_s: c / n for w_s, c in counts.items()}
     mass = float(_level_mass(k, level))
     tv = 0.0
-    for w in cylinders(k, level):
-        tv += abs(freqs.get(group.format_element(w), 0.0) - mass)
+    for text in format_word_rows(k, _cylinder_array(k, level)):
+        tv += abs(freqs.get(text, 0.0) - mass)
     tv = 0.5 * (tv + undefined / n)
     return HittingMeasureReport(level=level, trajectories=n,
                                 steps=config.steps, seed=config.seed,

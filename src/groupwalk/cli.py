@@ -51,42 +51,32 @@ def _fraction_text(value: Fraction) -> str:
             f"{sys.get_int_max_str_digits()} digits") from None
 
 
-def jsonable(value):
-    """Recursively convert report values to JSON-safe types (p/q strings).
+def dumps(value) -> str:
+    """`value` as JSON text with sorted keys, by json's own encoder.
 
-    Scalars and Fractions are recognised by their exact type; containers,
-    numpy values and subclasses (a Counter, a Fraction subclass) take an
-    isinstance chain. Each distinct Fraction object is formatted once per
-    call (radial reports share one per sphere).
+    Fractions (subclasses too) become p/q strings, numpy integer and
+    floating scalars Python numbers, arrays lists; any other type json does
+    not know is a TypeError. Each distinct Fraction object is texted once
+    per call (radial reports share one per sphere).
     """
     texts: Dict[int, str] = {}
 
-    def convert(v):
-        t = type(v)
-        if t is str or t is int or t is float or t is bool or v is None:
-            return v
-        if t is Fraction:
+    def hook(v):
+        if isinstance(v, Fraction):
             text = texts.get(id(v))
             if text is None:
                 text = texts[id(v)] = _fraction_text(v)
             return text
-        if isinstance(v, dict):
-            return {str(k): convert(x) for k, x in v.items()}
-        if isinstance(v, (list, tuple)):
-            return [convert(x) for x in v]
-        if isinstance(v, Fraction):
-            return _fraction_text(v)
-        if isinstance(v, (np.floating, np.integer)):
-            return v.item()
-        if isinstance(v, np.ndarray):
-            return [convert(x) for x in v.tolist()]
-        return v
+        if isinstance(v, (np.floating, np.integer, np.ndarray)):
+            return v.tolist()
+        raise TypeError(f"{type(v).__name__} is not JSON serializable")
 
-    return convert(value)
+    return json.dumps(value, sort_keys=True, default=hook)
 
 
 def emit(report: dict) -> None:
-    sys.stdout.write(json.dumps(jsonable(report), sort_keys=True) + "\n")
+    sys.stdout.write(dumps(report))     # two writes: no copy of a long text
+    sys.stdout.write("\n")
 
 
 def emit_error(kind: str, message: str) -> None:
@@ -286,7 +276,7 @@ def _run_drift(cfg: Dict[str, object]) -> dict:
     if min(cfg["n-max"], cfg["trajectories"]) < 0:
         raise DomainError("--n-max and --trajectories must be >= 0 (0 = skip)")
     group, mu, threshold = _walk_inputs(cfg)
-    report: dict = {"schema": SCHEMA, "subcommand": "drift", "config": cfg}
+    report: dict = {}
     series = []
     if cfg["n-max"] >= 1:
         exact = drift.drift_exact_partial(mu, norm_evaluator(group),
@@ -315,8 +305,7 @@ def _run_drift(cfg: Dict[str, object]) -> dict:
 def _run_entropy(cfg: Dict[str, object]) -> dict:
     _group, mu, threshold = _walk_inputs(cfg)
     rep = drift.entropy_partial(mu, cfg["n-max"], threshold=threshold)
-    return {"schema": SCHEMA, "subcommand": "entropy", "config": cfg,
-            **dataclasses.asdict(rep)}
+    return dataclasses.asdict(rep)
 
 
 def _run_phi(cfg: Dict[str, object]) -> dict:
@@ -373,8 +362,7 @@ def _run_phi(cfg: Dict[str, object]) -> dict:
             (group.format_element(s), v, phi.error_bars[s])
             for s, v in phi.values.items())
     _write_series(cfg["emit-series"], series, "n,distortion_at_e")
-    return {"schema": SCHEMA, "subcommand": "phi", "config": cfg,
-            "n": n, "r_eval": r_eval, "mode": mu.mode, "method": method,
+    return {"n": n, "r_eval": r_eval, "mode": mu.mode, "method": method,
             "values": [{"element": e, "value": v, "error": err}
                        for e, v, err in entries]}
 
@@ -412,8 +400,7 @@ def _run_cocycle(cfg: Dict[str, object]) -> dict:
     group = FreeGroup(k)
     g = group.parse_element(cfg["g"])
     level = cfg["level"] or max(1, len(g))
-    report = {"schema": SCHEMA, "subcommand": "cocycle", "config": cfg,
-              "k": k, "g": group.format_element(g), "level": level}
+    report = {"k": k, "g": group.format_element(g), "level": level}
     if cfg["cylinder"]:
         w = group.parse_element(cfg["cylinder"])
         expo = boundary.cocycle_exponent(k, g, w)
@@ -431,8 +418,7 @@ def _run_poisson_norm(cfg: Dict[str, object]) -> dict:
     group = FreeGroup(k)
     g = group.parse_element(cfg["g"])
     expo = boundary.poisson_seminorm_exponent(k, g)
-    return {"schema": SCHEMA, "subcommand": "poisson-norm", "config": cfg,
-            "k": k, "g": group.format_element(g), "exponent": expo,
+    return {"k": k, "g": group.format_element(g), "exponent": expo,
             "log_factor": f"log({2 * k - 1})",
             "value": boundary.poisson_seminorm(k, g)}
 
@@ -443,8 +429,7 @@ def _run_c_seq(cfg: Dict[str, object]) -> dict:
     log_q = math.log(2 * k - 1)
     additive = all(coeffs[i] == (i + 1) * coeffs[0]
                    for i in range(len(coeffs)))
-    return {"schema": SCHEMA, "subcommand": "c-seq", "config": cfg, "k": k,
-            "coefficients": coeffs,
+    return {"k": k, "coefficients": coeffs,
             "log_factor": f"log({2 * k - 1})",
             "values": [float(c) * log_q for c in coeffs],
             "additive": additive}
@@ -455,15 +440,13 @@ def _run_span_rank(cfg: Dict[str, object]) -> dict:
     rank = boundary.span_rank(k, level, cfg["radius"])
     boundary.check_count_digits(k, level)   # the report prints the count
     cylinders = boundary.cylinder_count(k, level)
-    return {"schema": SCHEMA, "subcommand": "span-rank", "config": cfg,
-            "rank": rank, "full": rank == cylinders, "cylinders": cylinders}
+    return {"rank": rank, "full": rank == cylinders, "cylinders": cylinders}
 
 
 def _run_stationary(cfg: Dict[str, object]) -> dict:
     space = _parse_space(cfg["space"])
     result = gspaces.solve_stationary(space, cfg["measure"])
-    return {"schema": SCHEMA, "subcommand": "stationary", "config": cfg,
-            "size": space.size, "nu": list(result.nu),
+    return {"size": space.size, "nu": list(result.nu),
             "residual": result.residual, "iterations": result.iterations,
             "orbits": result.orbit_decomposition}
 
@@ -478,8 +461,7 @@ def _solved_pair(cfg: Dict[str, object]) -> tuple:
 
 def _run_ergodicity(cfg: Dict[str, object]) -> dict:
     result = gspaces.diagonal_ergodicity(*_solved_pair(cfg))
-    report = {"schema": SCHEMA, "subcommand": "ergodicity", "config": cfg,
-              "ergodic": result.ergodic, "orbit_count": result.orbit_count}
+    report = {"ergodic": result.ergodic, "orbit_count": result.orbit_count}
     if result.witness is not None:
         report["witness"] = result.witness
     return report
@@ -487,8 +469,7 @@ def _run_ergodicity(cfg: Dict[str, object]) -> dict:
 
 def _run_factor(cfg: Dict[str, object]) -> dict:
     witness = gspaces.isometric_factor_witness(*_solved_pair(cfg))
-    report = {"schema": SCHEMA, "subcommand": "factor", "config": cfg,
-              "found": witness is not None}
+    report = {"found": witness is not None}
     if witness is not None:
         report.update(dataclasses.asdict(witness))
     return report
@@ -559,8 +540,7 @@ def _run_selftest(cfg: Dict[str, object]) -> dict:
                          + (f" ({check['detail']})" if check["detail"] else "")
                          + "\n")
     all_passed = all(c["passed"] for c in checks)
-    return {"schema": SCHEMA, "subcommand": "selftest", "config": cfg,
-            "checks": checks, "all_passed": all_passed}
+    return {"checks": checks, "all_passed": all_passed}
 
 
 _RUNNERS = {
@@ -612,10 +592,12 @@ def _parser() -> argparse.ArgumentParser:
 def run(argv: Optional[List[str]] = None) -> int:
     try:
         args = _parser().parse_args(argv)
-        cfg = resolve_config(args.subcommand, args)
-        report = _RUNNERS[args.subcommand](cfg)
+        name = args.subcommand
+        cfg = resolve_config(name, args)
+        report = {"schema": SCHEMA, "subcommand": name, "config": cfg,
+                  **_RUNNERS[name](cfg)}
         emit(report)
-        if args.subcommand == "selftest" and not report["all_passed"]:
+        if name == "selftest" and not report["all_passed"]:
             return 1
         return 0
     except ResourceLimitError as exc:

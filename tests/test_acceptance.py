@@ -18,7 +18,6 @@ radial H_8 of `freewalk`, and tests the radial rate at n = 256 against
 1/2 log 3 with the tolerance 0.05.
 """
 
-import json
 import math
 from fractions import Fraction
 
@@ -26,7 +25,7 @@ import numpy as np
 import pytest
 
 from groupwalk import boundary, drift, freewalk, gspaces, quasiharmonic
-from groupwalk.cli import jsonable
+from groupwalk.cli import dumps
 from groupwalk.groups import FreeGroup, group_from_id
 from groupwalk.measures import (MODE_FLOAT, parse_measure_spec, power,
                                 shannon_entropy, srw)
@@ -372,12 +371,12 @@ def test_5_cylinder_frequencies(hitting_report):
 def test_6_identical_seed_identical_json(mc_free2, hitting_report):
     cfg = SamplerConfig(seed=SEED, trajectories=2000, steps=2000)
     again = drift.drift_monte_carlo(srw(F2, mode=MODE_FLOAT), cfg)
-    json_a = json.dumps(jsonable(mc_free2.__dict__), sort_keys=True)
-    json_b = json.dumps(jsonable(again.__dict__), sort_keys=True)
+    json_a = dumps(mc_free2.__dict__)
+    json_b = dumps(again.__dict__)
     cfg5 = SamplerConfig(seed=SEED + 5, trajectories=100_000, steps=200)
     rerun = boundary.validate_hitting_measure(2, 2, cfg5)
-    json_c = json.dumps(jsonable(hitting_report.__dict__), sort_keys=True)
-    json_d = json.dumps(jsonable(rerun.__dict__), sort_keys=True)
+    json_c = dumps(hitting_report.__dict__)
+    json_d = dumps(rerun.__dict__)
     report("6 identical seed -> identical JSON (criteria 2 and 5)",
            json_a == json_b and json_c == json_d,
            f"{len(json_a)} + {len(json_c)} bytes compared")

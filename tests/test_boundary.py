@@ -474,6 +474,55 @@ def test_hitting_measure_mc_small():
     assert report.undefined <= 4000 * 0.01
 
 
+def _hitting_measure_by_tuples(k, level, config):
+    """validate_hitting_measure as it was: every level cylinder formatted
+    from its tuple, summed in `cylinders` order."""
+    from groupwalk.sampler import prefix_counts
+    counts = prefix_counts(srw(FreeGroup(k)), level, config)
+    n = config.trajectories
+    undefined = counts.pop("-", 0)
+    freqs = {w_s: c / n for w_s, c in counts.items()}
+    mass = float(boundary._level_mass(k, level))
+    tv = 0.0
+    for w in boundary.cylinders(k, level):
+        tv += abs(freqs.get(FreeGroup(k).format_element(w), 0.0) - mass)
+    return boundary.HittingMeasureReport(
+        level=level, trajectories=n, steps=config.steps, seed=config.seed,
+        tv_distance=0.5 * (tv + undefined / n), undefined=undefined,
+        frequencies=freqs)
+
+
+@pytest.mark.parametrize("seed", [3, 8])
+@pytest.mark.parametrize("level", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("k", [2, 3])
+def test_hitting_measure_equals_the_tuple_loop(k, level, seed):
+    """Word rows texted in one pass give the same report, to the last bit
+    of the float sum."""
+    from groupwalk.sampler import SamplerConfig
+    config = SamplerConfig(seed=seed, trajectories=300, steps=12)
+    report = boundary.validate_hitting_measure(k, level, config)
+    assert report == _hitting_measure_by_tuples(k, level, config)
+    assert report.undefined > 0 or level < 3
+
+
+def test_hitting_measure_deep_level_enumerates_no_tuple(monkeypatch):
+    from groupwalk.sampler import SamplerConfig
+
+    def no_tuples(*args):
+        raise AssertionError("formatted the cylinders as tuples")
+
+    monkeypatch.setattr(boundary, "cylinders", no_tuples)
+    report = boundary.validate_hitting_measure(
+        2, 12, SamplerConfig(seed=5, trajectories=10, steps=40))
+    # the TV sum in closed form: each sampled prefix, then the rest at mass
+    mass = float(boundary._level_mass(2, 12))
+    sampled = sum(abs(f - mass) for f in report.frequencies.values())
+    unsampled = boundary.cylinder_count(2, 12) - len(report.frequencies)
+    assert report.tv_distance == pytest.approx(
+        0.5 * (sampled + unsampled * mass + report.undefined / 10),
+        rel=1e-9)
+
+
 @pytest.mark.parametrize("k,level,error", [
     (2, 0, DomainError), (1, 2, DomainError), (2, 15, ResourceLimitError)])
 def test_hitting_measure_checks_level_before_sampling(k, level, error,

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 import groupwalk
 from groupwalk import cli, freewalk, gspaces, quasiharmonic, sampler
 from groupwalk.cache import cached_ball
-from groupwalk.cli import jsonable, run
+from groupwalk.cli import run
 from groupwalk.drift import drift_exact_partial
 from groupwalk.errors import OutOfRangeError, ResourceLimitError
 from groupwalk.groups import FreeGroup, group_from_id
@@ -163,11 +163,11 @@ def _library_radial_values(k, n, r_eval):
     the ball, formatted and sorted as the report lists them."""
     group = FreeGroup(k)
     phi = quasiharmonic.phi_table_free_srw(k, n, r_eval)
-    return [{"element": text, "value": jsonable(value),
-             "error": jsonable(error)}
-            for text, value, error in sorted(
-                (group.format_element(s), v, phi.error_bars[s])
-                for s, v in phi.values.items())]
+    return json.loads(cli.dumps(
+        [{"element": text, "value": value, "error": error}
+         for text, value, error in sorted(
+             (group.format_element(s), v, phi.error_bars[s])
+             for s, v in phi.values.items())]))
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
@@ -1071,7 +1071,8 @@ def test_drift_measure_spec_fuzz(group_spec, n_max, mode):
 
 
 def old_jsonable(value):
-    """The isinstance chain jsonable used before its exact-type dispatch."""
+    """The recursive JSON-safe copy reports were encoded through before
+    `cli.dumps` took json's `default` hook: the reference for its bytes."""
     if isinstance(value, Fraction):
         return f"{value.numerator}/{value.denominator}"
     if isinstance(value, (np.floating, np.integer)):
@@ -1089,7 +1090,66 @@ class _Half(Fraction):
     pass
 
 
-def test_jsonable_matches_the_isinstance_chain():
+# the README's CLI block (the phi series on stderr), then radial and
+# convolution phi, Monte Carlo drift (one trajectory: an infinite CI) and
+# ergodicity with a witness
+_EVERY_SUBCOMMAND = [line.split() for line in """\
+drift --group free:2 --measure srw --n-max 8 --mode exact
+drift --group zd:2 --trajectories 2000 --steps 2000 --seed 7 --workers 4
+entropy --group free:2 --n-max 8
+phi --group free:2 --n 32 --r-eval 6 --emit-series -
+cocycle --k 2 --g ab --cylinder aba
+poisson-norm --k 2 --g aBa
+c-seq --k 2 --n-max 5
+span-rank --k 2 --level 2 --radius 2
+stationary --space preset:two-orbits
+ergodicity --space preset:cycle:2 --space2 preset:cycle:3
+factor --space preset:cycle:4 --space2 preset:cycle:2
+selftest
+phi --group free:3 --n 6 --r-eval 4
+phi --group lamplighter --n 4 --r-eval 2
+drift --group heisenberg --n-max 0 --trajectories 50 --steps 40 --seed 3
+drift --group zd:1 --n-max 0 --trajectories 1 --steps 2 --checkpoints 1,2
+cocycle --k 3 --g aBc
+ergodicity --space preset:cycle:2 --space2 preset:cycle:2""".splitlines()]
+
+
+def _keys_are_text(value) -> bool:
+    if isinstance(value, dict):
+        return all(type(k) is str and _keys_are_text(v)
+                   for k, v in value.items())
+    if isinstance(value, (list, tuple)):
+        return all(map(_keys_are_text, value))
+    return True
+
+
+def test_dumps_matches_the_recursive_copy_on_every_report(capsys,
+                                                         monkeypatch):
+    """Each report `run` hands to `emit`, of every subcommand, encodes to
+    the bytes of the old recursive copy, and keys only strings."""
+    reports = []
+    emit = cli.emit
+
+    def capture(report):
+        reports.append(report)
+        emit(report)
+
+    monkeypatch.setattr(cli, "emit", capture)
+    for argv in _EVERY_SUBCOMMAND:
+        assert run(argv) == 0, argv
+        capsys.readouterr()
+    assert ({r["subcommand"] for r in reports}
+            == set(cli._RUNNERS) and len(reports) == len(_EVERY_SUBCOMMAND))
+    assert [r["method"] for r in reports if r["subcommand"] == "phi"] == [
+        "radial", "radial", "convolution"]
+    assert sum("monte_carlo" in r for r in reports) == 3
+    assert sum("witness" in r for r in reports) == 1
+    for r in reports:
+        assert cli.dumps(r) == json.dumps(old_jsonable(r), sort_keys=True)
+        assert _keys_are_text(r), r["subcommand"]
+
+
+def test_dumps_matches_the_recursive_copy_on_odd_values():
     shared = Fraction(-7, 3)
     report = {
         "shared": [shared, shared, {"again": (shared, [shared])}],
@@ -1100,23 +1160,24 @@ def test_jsonable_matches_the_isinstance_chain():
         "arrays": [np.arange(4), np.array([[0.5, 1.5], [2.0, -1.0]]),
                    np.zeros(0)],
         "nested": ((1, (2, (3, ()))), [(), [()]]),
-        1: "int key", 2.5: "float key", (1, 2): "tuple key", None: "none key",
         "bools": [True, False], "none": None,
         "counter": Counter({"a": 3, "b": 1}),
         "floats": [0.0, -0.0, 1e300, float("inf")],
         "text": "p/q",
     }
-    assert (json.dumps(jsonable(report), sort_keys=True)
-            == json.dumps(old_jsonable(report), sort_keys=True))
-    # a report of radial phi values shares one Fraction per sphere
-    phi = cli._run_phi(cli.resolve_config("phi", cli._parser().parse_args(
-        ["phi", "--group", "free:3", "--n", "6", "--r-eval", "4"])))
-    assert (json.dumps(jsonable(phi), sort_keys=True)
-            == json.dumps(old_jsonable(phi), sort_keys=True))
+    assert cli.dumps(report) == json.dumps(old_jsonable(report),
+                                           sort_keys=True)
 
 
-def test_jsonable_digit_limit_is_a_resource_error():
+@pytest.mark.parametrize("value", [
+    {(1, 2): "tuple key"}, [object()], {"x": {1j}}, np.bool_(True)])
+def test_dumps_refuses_what_json_does_not_know(value):
+    with pytest.raises(TypeError):
+        cli.dumps(value)
+
+
+def test_dumps_digit_limit_is_a_resource_error():
     huge = Fraction(10 ** (sys.get_int_max_str_digits() + 1), 3)
     for value in (huge, [huge, huge], {"x": (huge,)}, _Half(huge)):
         with pytest.raises(ResourceLimitError, match="digits"):
-            jsonable(value)
+            cli.dumps(value)
