@@ -17,7 +17,11 @@ for k = 2, 9 for k = 3), plus one ``--cylinder`` case, then radial ``phi``
 on ``free:1`` at radius 20, on ``free:5``, on ``free:2`` at radius 9 (a
 report of megabytes) and past the ball budget, then
 ``stationary`` and ``ergodicity`` under non-uniform g-space word
-measures. One subprocess per tree (the parent's a ``git archive`` export
+measures, then the exact laws by structure (``wordmetric.law_rule``) at
+sizes the benchmark does not reach: ``zd`` drift and ``phi`` (with its
+series) by coordinate marginals, untruncated and truncated exact free
+``phi`` by prefix masses, and a float64 ``zd`` drift that keeps the joint
+law. One subprocess per tree (the parent's a ``git archive`` export
 in a temporary directory) imports ``groupwalk`` from that tree's
 ``src``. It runs every CLI job through ``groupwalk.cli.run``, with the
 jobs' input files in a temporary work directory, and every library job
@@ -81,6 +85,23 @@ GSPACE_JOBS = [
      "--measure", "t=1/2;t^-1=1/2"],
 ]
 
+# exact laws by structure: zd coordinate marginals, free prefix masses
+# (untruncated and under an exact threshold), and float64, which keeps the
+# joint law
+SKEWED = {"zd:2": "--measure=1,0=1/3;-1,1=1/6;0,-1=1/2",
+          "free:2": "--measure=a=1/3;B=1/6;ab=1/4;A=1/4"}
+LAW_RULE_JOBS = [
+    ["drift", "--group", "zd:3", "--n-max", "25"],
+    ["phi", "--group", "zd:2", SKEWED["zd:2"], "--n", "12", "--r-eval", "3",
+     "--emit-series", "-"],
+    ["phi", "--group", "free:2", SKEWED["free:2"], "--n", "9", "--r-eval",
+     "5"],
+    ["phi", "--group", "free:2", SKEWED["free:2"], "--n", "8", "--r-eval",
+     "4", "--truncation", "1/5000"],
+    ["drift", "--group", "zd:2", SKEWED["zd:2"], "--mode", "float64",
+     "--n-max", "20"],
+]
+
 
 def cli_jobs() -> list:
     """The fixed ``cli`` spec's argument lists (see the module doc)."""
@@ -97,7 +118,7 @@ def cli_jobs() -> list:
                 jobs.append(["cocycle", "--k", str(k), "--g", g,
                              "--level", str(level)])
     jobs.append(["cocycle", "--k", "3", "--g", "aB", "--cylinder", "aBca"])
-    return jobs + RADIAL_JOBS + GSPACE_JOBS
+    return jobs + RADIAL_JOBS + GSPACE_JOBS + LAW_RULE_JOBS
 
 
 def parse_args(argv):

@@ -19,12 +19,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, Iterator, List, Optional, Sequence
 
 from .errors import DomainError, OutOfRangeError
 from .measures import (FiniteMeasure, adjoint, from_numerator, numerators,
                        power_sequence, shannon_entropy)
 from .sampler import SamplerConfig, norm_statistics
+from .wordmetric import law_rule
 
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
 
@@ -61,29 +62,45 @@ def max_generator_norm(mu: FiniteMeasure, norm_fn: Callable) -> int:
     return max(norm_fn(s) for s in mu.support())
 
 
-def drift_exact_partial(mu: FiniteMeasure, norm_fn: Callable, n_max: int,
-                        threshold=0) -> ExactDriftReport:
-    """Exact a_n for n = 1..n_max and the Fekete-certified upper bound.
-
-    Each a_n is the norm average over the retained atoms of mu^{*n}, summed
-    on integer numerators in exact mode; the truncated mass can sit at norm
-    up to n * max-generator-norm, giving the error bar deficit * n * g_max.
-    """
-    if n_max < 1:
-        raise DomainError("n_max must be >= 1")
-    g_max = max_generator_norm(mu, norm_fn)
-    ns, a_values, errors = [], [], []
-    bound = math.inf
+def _norm_sums(mu: FiniteMeasure, norm_fn: Callable, n_max: int,
+               threshold) -> Iterator[tuple]:
+    """(n, numerator of a_n, den, deficit) for n = 1..n_max: the norm
+    average over the retained atoms of mu^{*n}, on integer numerators in
+    exact mode."""
     for n, mun in power_sequence(mu, n_max, threshold=threshold):
         atoms, den = numerators(mun)
         try:
-            a = from_numerator(sum(norm_fn(s) * c for s, c in atoms), den,
-                               mun.mode)
+            total = sum(norm_fn(s) * c for s, c in atoms)
         except OutOfRangeError as exc:
             raise OutOfRangeError(
                 f"support of the {n}-step law escapes the norm table: {exc}",
                 required=getattr(exc, "required", None))
-        err = mun.deficit * n * g_max
+        yield n, total, den, mun.deficit
+
+
+def drift_exact_partial(mu: FiniteMeasure, norm_fn: Callable, n_max: int,
+                        threshold=0) -> ExactDriftReport:
+    """Exact a_n for n = 1..n_max and the Fekete-certified upper bound.
+
+    Each a_n is the norm average over the retained atoms of mu^{*n}; the
+    truncated mass can sit at norm up to n * max-generator-norm, giving the
+    error bar deficit * n * g_max. Under the L1 norm of zd in exact mode
+    without truncation, a_n comes from the coordinate marginals
+    (``wordmetric.law_rule``), with the same values.
+    """
+    if n_max < 1:
+        raise DomainError("n_max must be >= 1")
+    g_max = max_generator_norm(mu, norm_fn)
+    rule = law_rule(mu, norm_fn, threshold)
+    if rule is not None and rule.norm_sums is not None:
+        sums = rule.norm_sums(mu, n_max)
+    else:
+        sums = _norm_sums(mu, norm_fn, n_max, threshold)
+    ns, a_values, errors = [], [], []
+    bound = math.inf
+    for n, total, den, deficit in sums:
+        a = from_numerator(total, den, mu.mode)
+        err = deficit * n * g_max
         ns.append(n)
         a_values.append(a)
         errors.append(err)

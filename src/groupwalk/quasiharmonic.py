@@ -26,14 +26,15 @@ stored in the tables.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Sequence
+from itertools import chain
+from typing import Callable, Dict, Iterable, Iterator, List, Sequence
 
 from .errors import DomainError, OutOfRangeError
 from .groups import FreeGroup, Group
 from . import freewalk
 from .measures import (FiniteMeasure, dirac, from_numerator, numerators,
                        power_sequence)
-from .wordmetric import build_ball
+from .wordmetric import build_ball, law_rule
 
 TOLERANCE_NOTE = ("distortion/defect trend tolerances are empirical; the "
                   "underlying convergence has no stated rate")
@@ -61,6 +62,26 @@ def _eval_points(group: Group, r_eval: int) -> List:
     return list(build_ball(group, r_eval).norms.keys())
 
 
+def _fk_numerators(mu: FiniteMeasure, norm_fn: Callable, points: List,
+                   k_max: int, threshold) -> Iterator[tuple]:
+    """(numerators of f_k at points, den, deficit) for k = 0..k_max: one
+    product and norm per (point, atom) pair of mu^{*k}."""
+    mul = mu.group._mul
+    zero = 0 if mu.mode == "exact" else 0.0
+    start = [(0, dirac(mu.group, mode=mu.mode))]
+    for _, mun in chain(start, power_sequence(mu, k_max,
+                                              threshold=threshold)):
+        atoms, den = numerators(mun)
+        atom_norms = [(t, c, norm_fn(t)) for t, c in atoms]
+        values = []
+        for s in points:
+            acc = zero
+            for t, c, nt in atom_norms:
+                acc += (norm_fn(mul(s, t)) - nt) * c
+            values.append(acc)
+        yield values, den, mun.deficit
+
+
 def compute_fk_tables(mu: FiniteMeasure, norm_fn: Callable, k_max: int,
                       r_eval: int, threshold=0) -> List[FkTable]:
     """f_k on the ball of radius r_eval for k = 0..k_max (shared power chain).
@@ -68,31 +89,25 @@ def compute_fk_tables(mu: FiniteMeasure, norm_fn: Callable, k_max: int,
     norm_fn must cover the ball shifted by supp mu^{*k}: the closed forms of
     ``norm_evaluator`` are total, and a lookup in a ball table raises
     OutOfRangeError outside it.
-    Exact entries are summed on integer numerators (one Fraction each).
+    Exact entries are summed on integer numerators (one Fraction each). In
+    exact mode the closed-form norms of zd (without truncation) and of free
+    groups take their rule (``wordmetric.law_rule``): coordinate marginals
+    and prefix masses give the same values without the pair loop.
     """
-    group = mu.group
-    mul = group._mul
-    points = _eval_points(group, r_eval)
+    points = _eval_points(mu.group, r_eval)
     point_norms = {s: norm_fn(s) for s in points}
+    rule = law_rule(mu, norm_fn, threshold)
+    if rule is not None:
+        rows = rule.fk_numerators(mu, points, k_max, threshold)
+    else:
+        rows = _fk_numerators(mu, norm_fn, points, k_max, threshold)
     tables = []
-    zero = 0 if mu.mode == "exact" else 0.0
-
-    def table_for(mun: FiniteMeasure, k: int) -> FkTable:
-        values, errors = {}, {}
-        atoms, den = numerators(mun)
-        atom_norms = [(t, c, norm_fn(t)) for t, c in atoms]
-        for s in points:
-            acc = zero
-            for t, c, nt in atom_norms:
-                acc += (norm_fn(mul(s, t)) - nt) * c
-            values[s] = from_numerator(acc, den, mu.mode)
-            errors[s] = mun.deficit * point_norms[s]
-        return FkTable(k=k, values=values, error_bars=errors,
-                       r_eval=r_eval, mode=mu.mode)
-
-    tables.append(table_for(dirac(group, mode=mu.mode), 0))
-    for k, mun in power_sequence(mu, k_max, threshold=threshold):
-        tables.append(table_for(mun, k))
+    for k, (nums, den, deficit) in enumerate(rows):
+        values = {s: from_numerator(c, den, mu.mode)
+                  for s, c in zip(points, nums)}
+        errors = {s: deficit * point_norms[s] for s in points}
+        tables.append(FkTable(k=k, values=values, error_bars=errors,
+                              r_eval=r_eval, mode=mu.mode))
     return tables
 
 

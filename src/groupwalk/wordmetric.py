@@ -10,16 +10,28 @@ semi-norm checks keep reading BFS norms, so they stay independent of it.
 Validation happens once, at the edge: ``build_ball`` multiplies valid
 elements with the unchecked ``Group._mul``; ``check_value_seminorm`` checks
 every key through the checked ``Group.inv`` before its unchecked pair loop.
+
+Two closed-form norms also carry a rule for the exact laws built on them
+(``law_rule``): the L1 norm of ``zd`` is a sum over coordinates, so a_n and
+f_k need only the d one-dimensional marginal laws, and on a free group
+|st| - |t| = |s| - 2 (common prefix of s^-1 and t), so f_k needs only the
+prefix masses of mu^{*k}. Every other norm, and float64 mode, keeps the
+generic loops over the atoms of the joint law in ``drift`` and
+``quasiharmonic``.
 """
 
 from __future__ import annotations
 
+import inspect
+from collections import Counter
 from dataclasses import dataclass
-from math import isqrt
-from typing import Callable, Dict
+from itertools import chain
+from math import gcd, isqrt
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional
 
 from .errors import DomainError, OutOfRangeError, ResourceLimitError
 from .groups import FreeAbelian, FreeGroup, Group, Heisenberg, Lamplighter
+from .measures import MODE_EXACT, FiniteMeasure, dirac, power_sequence
 
 DEFAULT_MAX_ELEMENTS = 2_000_000
 
@@ -149,6 +161,144 @@ def norm_evaluator(group: Group) -> Callable:
         return _CLOSED_FORMS[type(group)]
     except KeyError:
         raise DomainError(f"no norm evaluator for {group.id_string}") from None
+
+
+# -- exact laws by the norm's structure ---------------------------------------
+
+_Z1 = FreeAbelian(1)
+
+
+def _coordinate_laws(mu: FiniteMeasure) -> tuple:
+    """(laws, maps): coordinate i of a mu-walk after n steps is a Y_n +
+    n b, where (j, a, b) = maps[i] and Y_n follows laws[j]^{*n}.
+
+    Each coordinate's law is put in a normal form that starts at 0 with
+    coprime gaps, read forwards or backwards, so coordinates whose laws
+    differ by a shift, a scale or a reflection share one power chain (on
+    a 2-atom measure every coordinate does); a constant coordinate rides
+    on any chain with a = 0. The laws are zd:1 measures over mu.den that
+    keep mu's deficit, so their powers share the joint law's denominator
+    and deficit.
+    """
+    index: Dict[tuple, int] = {}
+    maps = []
+    for i in range(mu.group.d):
+        weights: Dict[int, int] = {}
+        for g, c in mu.weights.items():
+            weights[g[i]] = weights.get(g[i], 0) + c
+        lo, hi = min(weights), max(weights)
+        if lo == hi:            # a constant coordinate is 0 Y_n + n lo
+            maps.append((0, 0, lo))
+            continue
+        step = gcd(*(x - lo for x in weights))
+        forward = tuple(sorted(((x - lo) // step, c)
+                               for x, c in weights.items()))
+        backward = tuple(sorted(((hi - x) // step, c)
+                                for x, c in weights.items()))
+        key, a, b = min((forward, step, lo), (backward, -step, hi))
+        maps.append((index.setdefault(key, len(index)), a, b))
+    if not index:               # mu is a point mass: law 0 is one atom
+        index[((0, sum(mu.weights.values())),)] = 0
+    laws = [FiniteMeasure(group=_Z1, weights={(y,): c for y, c in key},
+                          den=mu.den, deficit=mu.deficit, mode=mu.mode)
+            for key in index]
+    return laws, maps
+
+
+def _marginal_norm_sums(mu: FiniteMeasure, n_max: int) -> Iterator[tuple]:
+    """(n, numerator of a_n, den, deficit) for n = 1..n_max under the L1
+    norm: a_n = sum_i E|S_n^(i)|, one power chain per distinct law."""
+    laws, maps = _coordinate_laws(mu)
+    shares = Counter(maps)
+    for steps in zip(*(power_sequence(law, n_max) for law in laws)):
+        n, first = steps[0]
+        total = sum(m * sum(abs(a * y + n * b) * c
+                            for (y,), c in steps[j][1].weights.items())
+                    for (j, a, b), m in shares.items())
+        yield n, total, first.den, first.deficit
+
+
+def _marginal_fk_numerators(mu: FiniteMeasure, points: List, k_max: int,
+                            threshold) -> Iterator[tuple]:
+    """(numerators of f_k at points, den, deficit) for k = 0..k_max under
+    the L1 norm: f_k(s) = sum_i sum_x (|s_i + x| - |x|) mu_i^{*k}(x)."""
+    laws, maps = _coordinate_laws(mu)
+    coords = {x for s in points for x in s}
+    start = [(0, dirac(_Z1, mode=mu.mode))]
+    for k, steps in enumerate(zip(*(chain(start, power_sequence(law, k_max))
+                                    for law in laws))):
+        shifts = {}
+        for j, a, b in set(maps):
+            xs = [(a * y + k * b, c)
+                  for (y,), c in steps[j][1].weights.items()]
+            shifts[j, a, b] = {v: sum((abs(v + x) - abs(x)) * c
+                                      for x, c in xs)
+                               for v in coords}
+        per_coord = [shifts[m] for m in maps]
+        first = steps[0][1]
+        yield ([sum(h[x] for h, x in zip(per_coord, s)) for s in points],
+               first.den, first.deficit)
+
+
+def _prefix_fk_numerators(mu: FiniteMeasure, points: List, k_max: int,
+                          threshold) -> Iterator[tuple]:
+    """(numerators of f_k at points, den, deficit) for k = 0..k_max under
+    the free-group norm: f_k(s) = |s| M - 2 sum_{j <= |s|} P_k(s^-1[:j]),
+    with M the retained numerator mass and P_k(w) that of the atoms of
+    mu^{*k} starting with w. `points` is a ball in BFS order, so every
+    proper prefix of a point comes before it."""
+    depth = max(map(len, points))
+    inverses = [tuple(-x for x in reversed(s)) for s in points]
+    start = [(0, dirac(mu.group, mode=mu.mode))]
+    for _, mun in chain(start, power_sequence(mu, k_max,
+                                              threshold=threshold)):
+        mass: Dict[tuple, int] = {}
+        get = mass.get
+        total = 0
+        for t, c in mun.weights.items():
+            total += c
+            for j in range(1, min(len(t), depth) + 1):
+                w = t[:j]
+                mass[w] = get(w, 0) + c
+        # below[w] = sum_{j <= |w|} P_k(w[:j])
+        below = {(): 0}
+        for w in points:
+            if w:
+                below[w] = below[w[:-1]] + get(w, 0)
+        yield ([len(s) * total - 2 * below[inv]
+                for s, inv in zip(points, inverses)],
+               mun.den, mun.deficit)
+
+
+class LawRule(NamedTuple):
+    """Exact laws computed from a norm's structure (see `law_rule`)."""
+    norm_sums: Optional[Callable]   # (mu, n_max) -> (n, numerator of a_n,
+                                    # den, deficit) for n = 1..n_max
+    fk_numerators: Callable         # (mu, points, k_max, threshold) ->
+                                    # (numerators, den, deficit), k = 0..k_max
+    truncates: bool                 # still exact under a threshold
+
+
+_LAW_RULES = {
+    l1_norm: LawRule(_marginal_norm_sums, _marginal_fk_numerators, False),
+    free_norm: LawRule(None, _prefix_fk_numerators, True),
+}
+
+
+def law_rule(mu: FiniteMeasure, norm_fn: Callable,
+             threshold=0) -> Optional[LawRule]:
+    """The rule for mu's laws under norm_fn, or None for the generic loop.
+
+    A rule applies in exact mode to the closed-form norm of mu's own group,
+    looked up through any ``functools.wraps`` wrappers of it; a rule that
+    cannot truncate needs a zero threshold.
+    """
+    norm = inspect.unwrap(norm_fn)
+    rule = _LAW_RULES.get(norm)
+    if (rule is None or _CLOSED_FORMS.get(type(mu.group)) is not norm
+            or mu.mode != MODE_EXACT or (threshold and not rule.truncates)):
+        return None
+    return rule
 
 
 @dataclass(frozen=True)

@@ -125,6 +125,30 @@ def test_drift_exact_report(capsys):
     assert report["config"]["group"] == "free:2"
 
 
+def test_drift_zd3_to_n_200_by_coordinate_laws(capsys):
+    """Exact drift on zd:3 to n = 200 runs on the coordinate laws (the
+    joint law outgrows the atom budget at n = 143). Oracle: each
+    coordinate of the simple random walk steps -1, 0, +1 with weights
+    1, 4, 1 over 6, so a_200 = 3 E|S_200| from integer path counts."""
+    code, out, _ = run_cli(capsys, "drift", "--group", "zd:3",
+                           "--n-max", "200")
+    assert code == 0
+    exact = json.loads(out)["exact"]
+    counts = {0: 1}
+    for _ in range(200):
+        nxt = {}
+        for x, c in counts.items():
+            for step, w in ((-1, 1), (0, 4), (1, 1)):
+                nxt[x + step] = nxt.get(x + step, 0) + c * w
+        counts = nxt
+    a_200 = Fraction(3 * sum(abs(x) * c for x, c in counts.items()),
+                     6 ** 200)
+    assert exact["ns"][-1] == 200
+    assert exact["a_values"][-1] == f"{a_200.numerator}/{a_200.denominator}"
+    assert exact["error_bars"][-1] == "0/1"
+    assert exact["certified_bound"] < 0.1
+
+
 def test_drift_mc_deterministic_bytes(capsys):
     args = ("drift", "--group", "zd:2", "--measure", "srw", "--n-max", "0",
             "--trajectories", "200", "--steps", "50", "--seed", "9")
