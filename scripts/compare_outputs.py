@@ -21,7 +21,10 @@ measures, then the exact laws by structure (``wordmetric.law_rule``) at
 sizes the benchmark does not reach: ``zd`` drift and ``phi`` (with its
 series) by coordinate marginals, untruncated and truncated exact free
 ``phi`` by prefix masses, and a float64 ``zd`` drift that keeps the joint
-law. One subprocess per tree (the parent's a ``git archive`` export
+law, then free-group simple random walk ``drift`` by the radial law on
+``free:3`` and ``free:4`` and by the joint law under ``--truncation`` and
+in float64, and a radial ``phi`` on ``free:3`` with its series. One
+subprocess per tree (the parent's a ``git archive`` export
 in a temporary directory) imports ``groupwalk`` from that tree's
 ``src``. It runs every CLI job through ``groupwalk.cli.run``, with the
 jobs' input files in a temporary work directory, and every library job
@@ -101,6 +104,17 @@ LAW_RULE_JOBS = [
     ["drift", "--group", "zd:2", SKEWED["zd:2"], "--mode", "float64",
      "--n-max", "20"],
 ]
+# free-group simple random walk drift: by the radial law at ranks 3 and 4,
+# by the joint law under a truncation and in float64, and a radial phi
+# with its series
+RADIAL_DRIFT_JOBS = [
+    ["drift", "--group", "free:3", "--n-max", "7"],
+    ["drift", "--group", "free:4", "--n-max", "5"],
+    ["drift", "--group", "free:2", "--n-max", "9", "--truncation", "1/5000"],
+    ["drift", "--group", "free:2", "--n-max", "9", "--mode", "float64"],
+    ["phi", "--group", "free:3", "--n", "12", "--r-eval", "3",
+     "--emit-series", "-"],
+]
 
 
 def cli_jobs() -> list:
@@ -118,7 +132,8 @@ def cli_jobs() -> list:
                 jobs.append(["cocycle", "--k", str(k), "--g", g,
                              "--level", str(level)])
     jobs.append(["cocycle", "--k", "3", "--g", "aB", "--cylinder", "aBca"])
-    return jobs + RADIAL_JOBS + GSPACE_JOBS + LAW_RULE_JOBS
+    return (jobs + RADIAL_JOBS + GSPACE_JOBS + LAW_RULE_JOBS
+            + RADIAL_DRIFT_JOBS)
 
 
 def parse_args(argv):

@@ -61,7 +61,7 @@ from . import freewalk
 from .errors import DomainError, OutOfRangeError, PreconditionError, \
     ResourceLimitError
 from .groups import _SYMBOLS, FreeGroup
-from .measures import MODE_EXACT, FiniteMeasure, power, srw
+from .measures import FiniteMeasure, power, srw
 from .wordmetric import build_ball
 
 MAX_ENUMERATION_LEVEL = 14  # 4*3^13 ~ 6.4M cylinders; beyond that, refuse
@@ -79,9 +79,7 @@ def _check_rank(k: int, *words: Tuple[int, ...]) -> None:
 
 def require_srw(mu: FiniteMeasure, k: int) -> None:
     """Reject measures other than uniform-on-generators (see module doc)."""
-    group = FreeGroup(k)
-    if (mu.group != group or mu.mode != MODE_EXACT
-            or mu.atoms != srw(group).atoms):
+    if mu.group != FreeGroup(k) or not freewalk.is_srw(mu):
         raise PreconditionError(
             "boundary computations are defined for the exact-mode SRW only")
 

@@ -56,22 +56,17 @@ def dumps(value) -> str:
 
     Fractions (subclasses too) become p/q strings, numpy integer and
     floating scalars Python numbers, arrays lists; any other type json does
-    not know is a TypeError. Each distinct Fraction object is texted once
-    per call (radial reports share one per sphere).
+    not know is a TypeError.
     """
-    texts: Dict[int, str] = {}
+    return json.dumps(value, sort_keys=True, default=_json_default)
 
-    def hook(v):
-        if isinstance(v, Fraction):
-            text = texts.get(id(v))
-            if text is None:
-                text = texts[id(v)] = _fraction_text(v)
-            return text
-        if isinstance(v, (np.floating, np.integer, np.ndarray)):
-            return v.tolist()
-        raise TypeError(f"{type(v).__name__} is not JSON serializable")
 
-    return json.dumps(value, sort_keys=True, default=hook)
+def _json_default(v):
+    if isinstance(v, Fraction):
+        return _fraction_text(v)
+    if isinstance(v, (np.floating, np.integer, np.ndarray)):
+        return v.tolist()
+    raise TypeError(f"{type(v).__name__} is not JSON serializable")
 
 
 def emit(report: dict) -> None:
@@ -318,9 +313,7 @@ def _run_phi(cfg: Dict[str, object]) -> dict:
     r_eval = cfg["r-eval"]
     if method != "convolution":
         # the radial route computes the exact simple random walk's phi
-        is_free_srw = (isinstance(group, FreeGroup)
-                       and cfg["mode"] == MODE_EXACT
-                       and mu.atoms == srw(group).atoms)
+        is_free_srw = freewalk.is_srw(mu)
         if method == "auto":
             # the radial formulas are untruncated
             method = ("radial" if is_free_srw and not threshold
@@ -369,7 +362,9 @@ def _run_phi(cfg: Dict[str, object]) -> dict:
 
 def _radial_entries(group: FreeGroup, n: int, r_eval: int) -> List[tuple]:
     """(text, phi_n, error) for each element of the radius-r_eval ball,
-    sorted: phi_n of the exact simple random walk is constant on spheres.
+    sorted, with phi_n and its zero error as p/q text: phi_n of the exact
+    simple random walk is constant on spheres, so each sphere's value is
+    texted once.
 
     Each sphere's reduced words are texted from int8 rows, so no ball is
     built; the ball's element budget still bounds r_eval, checked before
@@ -385,9 +380,9 @@ def _radial_entries(group: FreeGroup, n: int, r_eval: int) -> List[tuple]:
             raise ResourceLimitError(
                 f"ball of {group.id_string} exceeded {DEFAULT_MAX_ELEMENTS} "
                 f"elements; completed radius {r - 1}")
-    radial = freewalk.radial_phi(k, n, r_eval)
-    zero = Fraction(0)
-    entries = [(group.format_element(()), radial[0], zero)]
+    radial = [_fraction_text(v) for v in freewalk.radial_phi(k, n, r_eval)]
+    zero = radial[0]            # phi_n(e) = 0 = every error bar
+    entries = [(group.format_element(()), zero, zero)]
     for words, value in zip(boundary.word_rows(k, r_eval), radial[1:]):
         entries += [(text, value, zero)
                     for text in boundary.format_word_rows(k, words)]

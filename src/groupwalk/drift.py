@@ -84,14 +84,16 @@ def drift_exact_partial(mu: FiniteMeasure, norm_fn: Callable, n_max: int,
 
     Each a_n is the norm average over the retained atoms of mu^{*n}; the
     truncated mass can sit at norm up to n * max-generator-norm, giving the
-    error bar deficit * n * g_max. Under the L1 norm of zd in exact mode
-    without truncation, a_n comes from the coordinate marginals
-    (``wordmetric.law_rule``), with the same values.
+    error bar deficit * n * g_max. In exact mode without truncation, a_n
+    comes from the coordinate marginals under the L1 norm of zd, and from
+    the radial law for the simple random walk on a free group up to
+    ``freewalk.MAX_RADIAL_STEPS`` (``wordmetric.law_rule``), with the same
+    values.
     """
     if n_max < 1:
         raise DomainError("n_max must be >= 1")
     g_max = max_generator_norm(mu, norm_fn)
-    rule = law_rule(mu, norm_fn, threshold)
+    rule = law_rule(mu, norm_fn, threshold, n_max)
     if rule is not None and rule.norm_sums is not None:
         sums = rule.norm_sums(mu, n_max)
     else:

@@ -22,6 +22,9 @@ c (2k-1) up and c down from m >= 1 and c 2k out of 0. Every exact value is
 an integer sum over one common denominator, a power of 2k times a power of
 2k-1; a ``Fraction`` is only built for a returned value.
 
+``is_srw`` is the one test for that measure; the radial a_n rule of
+``wordmetric.law_rule``, radial ``phi`` and the boundary model share it.
+
 These routines are an alternative route to the same numbers the convolution
 pipeline produces; the two are cross-checked against each other (and against
 brute-force path enumeration) in the test suite.
@@ -34,6 +37,8 @@ from fractions import Fraction
 from typing import Iterator, List
 
 from .errors import DomainError, ResourceLimitError
+from .groups import FreeGroup
+from .measures import MODE_EXACT, FiniteMeasure
 
 # longest walk of radial_phi and boundary.c_sequence: at n = 1000 on a 2-core
 # x86-64 box c_sequence took 0.61 s (k = 2) to 3.3 s (k = 26)
@@ -57,6 +62,19 @@ def check_cesaro_length(n: int) -> None:
     if n < 1:
         raise DomainError("Cesaro length must be >= 1")
     check_radial_steps(n)
+
+
+def is_srw(mu: FiniteMeasure) -> bool:
+    """True iff mu is the exact simple random walk on a free group: the
+    same numerator, den / 2k, on each of the 2k generators, and no
+    deficit. Reads the stored numerators; builds no Fraction."""
+    group = mu.group
+    if (not isinstance(group, FreeGroup) or mu.mode != MODE_EXACT
+            or mu.deficit or len(mu.weights) != 2 * group.k):
+        return False
+    share, rest = divmod(mu.den, 2 * group.k)
+    get = mu.weights.get
+    return not rest and all(get(s) == share for s in group.generators())
 
 
 def path_counts(k: int, n_max: int) -> Iterator[List[int]]:

@@ -15,9 +15,10 @@ Two closed-form norms also carry a rule for the exact laws built on them
 (``law_rule``): the L1 norm of ``zd`` is a sum over coordinates, so a_n and
 f_k need only the d one-dimensional marginal laws, and on a free group
 |st| - |t| = |s| - 2 (common prefix of s^-1 and t), so f_k needs only the
-prefix masses of mu^{*k}. Every other norm, and float64 mode, keeps the
-generic loops over the atoms of the joint law in ``drift`` and
-``quasiharmonic``.
+prefix masses of mu^{*k}, while a_n of the simple random walk needs only
+its radial law (``freewalk.path_counts``). Every other norm, and float64
+mode, keeps the generic loops over the atoms of the joint law in ``drift``
+and ``quasiharmonic``.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from itertools import chain
 from math import gcd, isqrt
 from typing import Callable, Dict, Iterator, List, NamedTuple, Optional
 
+from . import freewalk
 from .errors import DomainError, OutOfRangeError, ResourceLimitError
 from .groups import FreeAbelian, FreeGroup, Group, Heisenberg, Lamplighter
 from .measures import MODE_EXACT, FiniteMeasure, dirac, power_sequence
@@ -270,34 +272,59 @@ def _prefix_fk_numerators(mu: FiniteMeasure, points: List, k_max: int,
                mun.den, mun.deficit)
 
 
+def _radial_norm_sums(mu: FiniteMeasure, n_max: int) -> Iterator[tuple]:
+    """(n, numerator of a_n, (2k)^n, deficit) for n = 1..n_max of the
+    simple random walk on F_k: a_n = sum_m m c_n[m] / (2k)^n over the
+    radial path counts c_n (``freewalk.path_counts``)."""
+    side = 2 * mu.group.k
+    den = 1
+    rows = freewalk.path_counts(mu.group.k, n_max)
+    next(rows)                  # c_0, the walk at e
+    for n, row in enumerate(rows, start=1):
+        den *= side
+        yield n, sum(m * c for m, c in enumerate(row)), den, mu.deficit
+
+
 class LawRule(NamedTuple):
     """Exact laws computed from a norm's structure (see `law_rule`)."""
     norm_sums: Optional[Callable]   # (mu, n_max) -> (n, numerator of a_n,
-                                    # den, deficit) for n = 1..n_max
+                                    # den, deficit) for n = 1..n_max; never
+                                    # truncated
     fk_numerators: Callable         # (mu, points, k_max, threshold) ->
                                     # (numerators, den, deficit), k = 0..k_max
-    truncates: bool                 # still exact under a threshold
+    truncates: bool                 # fk_numerators still exact under a
+                                    # threshold
+    radial: bool = False            # norm_sums is the simple random walk's
+                                    # radial law, up to MAX_RADIAL_STEPS
 
 
 _LAW_RULES = {
     l1_norm: LawRule(_marginal_norm_sums, _marginal_fk_numerators, False),
-    free_norm: LawRule(None, _prefix_fk_numerators, True),
+    free_norm: LawRule(_radial_norm_sums, _prefix_fk_numerators, True,
+                       radial=True),
 }
 
 
-def law_rule(mu: FiniteMeasure, norm_fn: Callable,
-             threshold=0) -> Optional[LawRule]:
+def law_rule(mu: FiniteMeasure, norm_fn: Callable, threshold=0,
+             n_max: int = 0) -> Optional[LawRule]:
     """The rule for mu's laws under norm_fn, or None for the generic loop.
 
     A rule applies in exact mode to the closed-form norm of mu's own group,
     looked up through any ``functools.wraps`` wrappers of it; a rule that
-    cannot truncate needs a zero threshold.
+    cannot truncate needs a zero threshold. Its ``norm_sums`` is None under
+    a threshold, and a radial one also unless mu is the exact simple random
+    walk (``freewalk.is_srw``) and n_max, the longest power asked for, is at
+    most ``freewalk.MAX_RADIAL_STEPS``: the generic loop and its atom budget
+    take those.
     """
     norm = inspect.unwrap(norm_fn)
     rule = _LAW_RULES.get(norm)
     if (rule is None or _CLOSED_FORMS.get(type(mu.group)) is not norm
             or mu.mode != MODE_EXACT or (threshold and not rule.truncates)):
         return None
+    if rule.norm_sums is not None and (threshold or rule.radial and not (
+            n_max <= freewalk.MAX_RADIAL_STEPS and freewalk.is_srw(mu))):
+        return rule._replace(norm_sums=None)
     return rule
 
 

@@ -21,7 +21,7 @@ import groupwalk
 from groupwalk import cli, freewalk, gspaces, quasiharmonic, sampler
 from groupwalk.cache import cached_ball
 from groupwalk.cli import run
-from groupwalk.drift import drift_exact_partial
+from groupwalk.drift import adjoint_drift_equality, drift_exact_partial
 from groupwalk.errors import OutOfRangeError, ResourceLimitError
 from groupwalk.groups import FreeGroup, group_from_id
 from groupwalk.measures import srw
@@ -147,6 +147,34 @@ def test_drift_zd3_to_n_200_by_coordinate_laws(capsys):
     assert exact["a_values"][-1] == f"{a_200.numerator}/{a_200.denominator}"
     assert exact["error_bars"][-1] == "0/1"
     assert exact["certified_bound"] < 0.1
+
+
+def test_drift_free2_to_n_1000_by_the_radial_law(capsys):
+    """Exact drift of the free:2 simple random walk to n = 1000 runs on the
+    radial law (the joint law outgrows the atom budget at n = 13), and
+    every a_n is freewalk's expected norm."""
+    code, out, err = run_cli(capsys, "drift", "--group", "free:2",
+                             "--n-max", "1000")
+    assert (code, err) == (0, "")
+    exact = json.loads(out)["exact"]
+    a = freewalk.expected_norms(2, 1000)
+    assert exact["ns"] == list(range(1, 1001))
+    assert exact["a_values"] == [f"{v.numerator}/{v.denominator}"
+                                 for v in a[1:]]
+    assert set(exact["error_bars"]) == {"0/1"}
+    assert exact["certified_bound"] == min(float(v) / n
+                                           for n, v in enumerate(a) if n)
+    assert 0.5 < exact["certified_bound"] < 0.501
+
+
+def test_adjoint_drift_equality_on_free_srw_by_the_radial_law():
+    """Past the joint law's reach (n = 12 on free:2), both sides of the
+    adjoint equality run on the radial law, and they agree."""
+    group = FreeGroup(2)
+    report = adjoint_drift_equality(srw(group), norm_evaluator(group), 100)
+    assert report.equal and report.max_difference == 0
+    assert report.ns == list(range(1, 101))
+    assert report.a_mu == freewalk.expected_norms(2, 100)[1:]
 
 
 def test_drift_mc_deterministic_bytes(capsys):

@@ -8,8 +8,10 @@ import pytest
 
 from groupwalk import freewalk
 from groupwalk.errors import DomainError
-from groupwalk.groups import FreeGroup
-from groupwalk.measures import power_sequence, srw
+from groupwalk.groups import FreeGroup, group_from_id
+from groupwalk.measures import (MODE_FLOAT, FiniteMeasure, adjoint,
+                                finite_measure, parse_measure_spec,
+                                power_sequence, srw)
 from groupwalk.quasiharmonic import compute_fk_tables, phi_table_free_srw
 from groupwalk.wordmetric import free_norm, norm_evaluator
 
@@ -143,3 +145,31 @@ def test_convolution_and_radial_routes_agree_on_f2_up_to_n10():
     for n in range(1, 11):
         assert (phi_from_fk(tables, n).values
                 == phi_table_free_srw(2, n, 2).values)
+
+
+def test_is_srw_reads_the_numerators():
+    """The one test of "exact simple random walk on a free group", shared
+    by the radial drift rule, radial phi and the boundary model."""
+    for k in (1, 2, 3, 26):
+        mu = srw(FreeGroup(k))
+        assert freewalk.is_srw(mu)
+        assert freewalk.is_srw(adjoint(mu))
+        # the same weights over an unreduced denominator, as a power
+        # chain's first law stores them
+        assert freewalk.is_srw(FiniteMeasure(
+            group=mu.group, weights={s: 3 for s in mu.weights},
+            den=3 * mu.den, deficit=mu.deficit, mode=mu.mode))
+    f2 = FreeGroup(2)
+    mu = srw(f2)
+    for other in (
+            srw(f2, mode=MODE_FLOAT),
+            srw(group_from_id("zd:2")),
+            parse_measure_spec(f2, "a=1/2;A=1/6;b=1/6;B=1/6"),
+            parse_measure_spec(f2, "a=1/5;A=1/5;b=1/5;B=1/5;e=1/5"),
+            parse_measure_spec(f2, "a=1/4;A=1/4;b=1/4;ab=1/4"),
+            finite_measure(f2, dict.fromkeys(f2.generators(),
+                                             Fraction(1, 5)),
+                           deficit=Fraction(1, 5)),
+            FiniteMeasure(group=f2, weights=dict(mu.weights), den=mu.den,
+                          deficit=Fraction(1, 5), mode=mu.mode)):
+        assert not freewalk.is_srw(other)

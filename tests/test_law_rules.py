@@ -1,5 +1,6 @@
 """Exact laws by the norm's structure (``wordmetric.law_rule``): zd
-coordinate marginals for a_n and f_k, free-group prefix masses for f_k.
+coordinate marginals for a_n and f_k, free-group prefix masses for f_k,
+and the radial law for a_n of the free-group simple random walk.
 
 The oracle is the generic loop over (point, atom) pairs of the joint law.
 A norm function that is not the group's closed form takes that loop, so
@@ -13,7 +14,7 @@ from fractions import Fraction
 
 import pytest
 
-from groupwalk import wordmetric
+from groupwalk import freewalk, wordmetric
 from groupwalk.drift import adjoint_drift_equality, drift_exact_partial
 from groupwalk.groups import group_from_id
 from groupwalk.measures import (MODE_FLOAT, finite_measure,
@@ -183,3 +184,55 @@ def test_linf_norm_and_float_mode_take_the_pair_loop(monkeypatch):
     assert all(type(v) is float for v in floats[2].values.values())
     report = drift_exact_partial(mu, l1_norm, 5)
     assert report == drift_exact_partial(mu, _generic(l1_norm), 5)
+
+
+# free:k simple random walk: a_n by the radial law, against the joint law
+# at the largest n each rank's convolution reaches quickly
+@pytest.mark.parametrize("gid,n_max", [("free:1", 14), ("free:2", 10),
+                                       ("free:3", 6), ("free:4", 5)])
+def test_free_srw_drift_by_the_radial_law_equals_the_joint_law(gid, n_max):
+    mu = srw(group_from_id(gid))
+    rule = law_rule(mu, free_norm, 0, n_max)
+    assert rule is not None and rule.norm_sums is not None
+    report = drift_exact_partial(mu, free_norm, n_max)
+    oracle = drift_exact_partial(mu, _generic(free_norm), n_max)
+    assert report == oracle
+    assert report.certified_bound == oracle.certified_bound
+    assert _types(report.a_values) == _types(oracle.a_values)
+    assert _types(report.error_bars) == _types(oracle.error_bars)
+    assert all(err == 0 and type(err) is Fraction
+               for err in report.error_bars)
+
+
+def test_free_drift_off_the_radial_law_takes_the_generic_loop(monkeypatch):
+    """Only the exact, untruncated simple random walk up to
+    MAX_RADIAL_STEPS takes the radial rule; every other free-group drift
+    keeps the generic loop and its atom budget."""
+    calls = []
+    radial = wordmetric._LAW_RULES[free_norm]
+
+    def counted(mu, n_max):
+        calls.append(n_max)
+        return radial.norm_sums(mu, n_max)
+    monkeypatch.setitem(wordmetric._LAW_RULES, free_norm,
+                        radial._replace(norm_sums=counted))
+    monkeypatch.setattr(freewalk, "MAX_RADIAL_STEPS", 3)
+    f2 = group_from_id("free:2")
+    cases = [(srw(f2), 4, 0),                                # past the cap
+             (parse_measure_spec(f2, FREE_MEASURES[1]), 3, 0),
+             (parse_measure_spec(f2, "a=1/2;A=1/6;b=1/6;B=1/6"), 3, 0),
+             (srw(f2, mode=MODE_FLOAT), 3, 0),
+             (srw(f2), 3, Fraction(1, 40))]
+    for mu, n_max, threshold in cases:
+        rule = law_rule(mu, free_norm, threshold, n_max)
+        assert rule is None or rule.norm_sums is None
+        report = drift_exact_partial(mu, free_norm, n_max, threshold)
+        oracle = drift_exact_partial(mu, _generic(free_norm), n_max,
+                                     threshold)
+        assert report == oracle
+        assert _types(report.error_bars) == _types(oracle.error_bars)
+    assert calls == []
+    assert any(err != 0 for err in report.error_bars)   # truncated
+    report = drift_exact_partial(srw(f2), free_norm, 3)
+    assert calls == [3]
+    assert report == drift_exact_partial(srw(f2), _generic(free_norm), 3)

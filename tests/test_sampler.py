@@ -625,3 +625,87 @@ def test_lamp_window_budget_is_per_trajectory():
         assert str(raised.value) == (
             f"lamplighter lamp window of {widest + 2} positions exceeds "
             f"{sampler.MAX_WINDOW_WIDTH} positions per trajectory")
+
+
+def _chi2_sf(x, df):
+    """P(chi^2 with df degrees of freedom >= x): the regularized upper
+    incomplete gamma function Q(df/2, x/2), by its series below x/2 =
+    df/2 + 1 and by Lentz's continued fraction above (Numerical Recipes,
+    section 6.2)."""
+    s, z = df / 2, x / 2
+    if z <= 0:
+        return 1.0
+    front = math.exp(s * math.log(z) - z - math.lgamma(s))
+    if z < s + 1:
+        term = total = 1 / s
+        j = 1
+        while term > 1e-17 * total:
+            term *= z / (s + j)
+            total += term
+            j += 1
+        return 1 - front * total
+    b = z + 1 - s
+    c, d = 1e300, 1 / b
+    h = d
+    for i in range(1, 10_000):
+        a = -i * (i - s)
+        b += 2
+        d = 1 / (a * d + b)
+        c = b + a / c
+        h *= d * c
+        if abs(d * c - 1) < 1e-15:
+            break
+    return front * h
+
+
+def _chi_square_p(counts, law, trajectories):
+    """Pearson's test of endpoint counts (texts -> tallies) against an exact
+    law: cells taken by rising expected count, pooled until each holds at
+    least 5, a short last pool merged into the one before."""
+    group = law.group
+    observed = {group.parse_element(s): c for s, c in counts.items()}
+    assert set(observed) <= set(law.weights), "an endpoint outside the law"
+    cells = sorted((c * trajectories / law.den, observed.get(g, 0))
+                   for g, c in law.weights.items())
+    pools = []
+    expected = seen = 0
+    for e, o in cells:
+        expected, seen = expected + e, seen + o
+        if expected >= 5:
+            pools.append((expected, seen))
+            expected = seen = 0
+    if expected:
+        last_e, last_o = pools.pop()
+        pools.append((last_e + expected, last_o + seen))
+    stat = sum((o - e) ** 2 / e for e, o in pools)
+    return _chi2_sf(stat, len(pools) - 1), len(pools)
+
+
+CHI_SQUARE_FLOOR = 1e-3
+
+
+# (group, measure, steps, the measure's atoms under other weights)
+@pytest.mark.parametrize("gid,spec,steps,wrong", [
+    ("zd:2", "srw", 6, "1,0=3/10;-1,0=1/5;0,1=1/4;0,-1=1/4"),
+    ("zd:2", "1,0=1/3;-1,1=1/6;0,-1=1/2", 5, "1,0=1/4;-1,1=1/4;0,-1=1/2"),
+    ("free:2", "srw", 4, "a=3/10;A=1/5;b=1/4;B=1/4"),
+    ("free:2", "a=1/3;A=1/6;aa=1/4;e=1/4", 5, "a=1/4;A=1/4;aa=1/4;e=1/4")])
+def test_endpoint_counts_chi_square_against_the_exact_law(gid, spec, steps,
+                                                          wrong):
+    """The sampler's endpoint law at a fixed seed against mu^{*n} from the
+    exact engine, at sizes inside the atom budget. The same counts fail
+    against the law of the same atoms under other weights, so the gate
+    can see a biased stream."""
+    group = group_from_id(gid)
+    mu = parse_measure_spec(group, spec)
+    trajectories = 20_000
+    counts = endpoint_counts(mu, SamplerConfig(seed=17,
+                                               trajectories=trajectories,
+                                               steps=steps))
+    assert sum(counts.values()) == trajectories
+    p, cells = _chi_square_p(counts, power(mu, steps), trajectories)
+    assert cells > 10
+    assert p > CHI_SQUARE_FLOOR
+    off, _ = _chi_square_p(counts, power(parse_measure_spec(group, wrong),
+                                         steps), trajectories)
+    assert off < CHI_SQUARE_FLOOR
