@@ -23,7 +23,12 @@ series) by coordinate marginals, untruncated and truncated exact free
 ``phi`` by prefix masses, and a float64 ``zd`` drift that keeps the joint
 law, then free-group simple random walk ``drift`` by the radial law on
 ``free:3`` and ``free:4`` and by the joint law under ``--truncation`` and
-in float64, and a radial ``phi`` on ``free:3`` with its series. One
+in float64, and a radial ``phi`` on ``free:3`` with its series, then
+convolution deficits and sparse coordinate laws: an exact ``zd:2`` drift
+under ``--truncation 1/500`` (the joint law), a ``lamplighter`` entropy
+under ``--truncation 1/100``, whose deficit is nonzero from n = 5, and a
+``zd:1`` drift on ``0=1/3;1=1/3;1000=1/3`` (a coordinate law with a gap
+of 1000). One
 subprocess per tree (the parent's a ``git archive`` export
 in a temporary directory) imports ``groupwalk`` from that tree's
 ``src``. It runs every CLI job through ``groupwalk.cli.run``, with the
@@ -115,6 +120,17 @@ RADIAL_DRIFT_JOBS = [
     ["phi", "--group", "free:3", "--n", "12", "--r-eval", "3",
      "--emit-series", "-"],
 ]
+# convolution deficits and coordinate laws off the benchmark's paths: a
+# truncated exact zd drift by the joint law, a lamplighter entropy whose
+# deficit turns nonzero at n = 5, and a zd:1 coordinate law with a gap of
+# 1000
+DEFICIT_JOBS = [
+    ["drift", "--group", "zd:2", "--truncation", "1/500", "--n-max", "8"],
+    ["entropy", "--group", "lamplighter", "--truncation", "1/100",
+     "--n-max", "6"],
+    ["drift", "--group", "zd:1", "--measure", "0=1/3;1=1/3;1000=1/3",
+     "--n-max", "30"],
+]
 
 
 def cli_jobs() -> list:
@@ -133,7 +149,7 @@ def cli_jobs() -> list:
                              "--level", str(level)])
     jobs.append(["cocycle", "--k", "3", "--g", "aB", "--cylinder", "aBca"])
     return (jobs + RADIAL_JOBS + GSPACE_JOBS + LAW_RULE_JOBS
-            + RADIAL_DRIFT_JOBS)
+            + RADIAL_DRIFT_JOBS + DEFICIT_JOBS)
 
 
 def parse_args(argv):

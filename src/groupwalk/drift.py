@@ -102,11 +102,14 @@ def drift_exact_partial(mu: FiniteMeasure, norm_fn: Callable, n_max: int,
     bound = math.inf
     for n, total, den, deficit in sums:
         a = from_numerator(total, den, mu.mode)
-        err = deficit * n * g_max
+        err, top = deficit, a   # a zero deficit is its own error bar
+        if deficit:
+            err = deficit * n * g_max
+            top = a + err
         ns.append(n)
         a_values.append(a)
         errors.append(err)
-        bound = min(bound, float(a + err) / n)
+        bound = min(bound, float(top) / n)
     return ExactDriftReport(ns=ns, a_values=a_values, error_bars=errors,
                             certified_bound=bound, mode=mu.mode)
 

@@ -192,10 +192,12 @@ def convolve(mu: FiniteMeasure, nu: FiniteMeasure, threshold=0,
             else:
                 kept[s] = c
         out = kept
-    base = mu.deficit + nu.deficit - mu.deficit * nu.deficit
+    deficit = mu.deficit        # kept as it is when no mass is newly lost
+    if nu.deficit or dropped:
+        deficit = (deficit + nu.deficit - deficit * nu.deficit
+                   + from_numerator(dropped, den, mode))
     return FiniteMeasure(group=mu.group, weights=out, den=den,
-                         deficit=base + from_numerator(dropped, den, mode),
-                         mode=mode)
+                         deficit=deficit, mode=mode)
 
 
 def power(mu: FiniteMeasure, n: int, threshold=0,

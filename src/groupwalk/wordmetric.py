@@ -13,12 +13,13 @@ every key through the checked ``Group.inv`` before its unchecked pair loop.
 
 Two closed-form norms also carry a rule for the exact laws built on them
 (``law_rule``): the L1 norm of ``zd`` is a sum over coordinates, so a_n and
-f_k need only the d one-dimensional marginal laws, and on a free group
-|st| - |t| = |s| - 2 (common prefix of s^-1 and t), so f_k needs only the
-prefix masses of mu^{*k}, while a_n of the simple random walk needs only
-its radial law (``freewalk.path_counts``). Every other norm, and float64
-mode, keeps the generic loops over the atoms of the joint law in ``drift``
-and ``quasiharmonic``.
+f_k need only the d one-dimensional marginal laws, which live on a bare
+integer line (elements plain ints, product ``operator.add``), and on a
+free group |st| - |t| = |s| - 2 (common prefix of s^-1 and t), so f_k
+needs only the prefix masses of mu^{*k}, while a_n of the simple random
+walk needs only its radial law (``freewalk.path_counts``). Every other
+norm, and float64 mode, keeps the generic loops over the atoms of the
+joint law in ``drift`` and ``quasiharmonic``.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
 from math import gcd, isqrt
+from operator import add
 from typing import Callable, Dict, Iterator, List, NamedTuple, Optional
 
 from . import freewalk
@@ -167,7 +169,31 @@ def norm_evaluator(group: Group) -> Callable:
 
 # -- exact laws by the norm's structure ---------------------------------------
 
-_Z1 = FreeAbelian(1)
+@dataclass(frozen=True)
+class _IntLine(Group):
+    """Z with bare int elements, the group of the coordinate laws: the
+    product is ``operator.add``, with no Python frame and no tuple, and the
+    id is ``zd:1``, so atom-budget messages read as on FreeAbelian(1)."""
+
+    _mul = staticmethod(add)
+
+    @property
+    def id_string(self) -> str:
+        return "zd:1"
+
+    def identity(self):
+        return 0
+
+    def check_element(self, g) -> None:
+        if not isinstance(g, int):
+            raise DomainError(f"not an integer-line element: {g!r}")
+
+    def canonical(self, g):
+        self.check_element(g)
+        return g
+
+
+_LINE = _IntLine()
 
 
 def _coordinate_laws(mu: FiniteMeasure) -> tuple:
@@ -178,9 +204,9 @@ def _coordinate_laws(mu: FiniteMeasure) -> tuple:
     coprime gaps, read forwards or backwards, so coordinates whose laws
     differ by a shift, a scale or a reflection share one power chain (on
     a 2-atom measure every coordinate does); a constant coordinate rides
-    on any chain with a = 0. The laws are zd:1 measures over mu.den that
-    keep mu's deficit, so their powers share the joint law's denominator
-    and deficit.
+    on any chain with a = 0. The laws are measures on the integer line
+    (``_IntLine``: int elements) over mu.den that keep mu's deficit, so
+    their powers share the joint law's denominator and deficit.
     """
     index: Dict[tuple, int] = {}
     maps = []
@@ -201,8 +227,8 @@ def _coordinate_laws(mu: FiniteMeasure) -> tuple:
         maps.append((index.setdefault(key, len(index)), a, b))
     if not index:               # mu is a point mass: law 0 is one atom
         index[((0, sum(mu.weights.values())),)] = 0
-    laws = [FiniteMeasure(group=_Z1, weights={(y,): c for y, c in key},
-                          den=mu.den, deficit=mu.deficit, mode=mu.mode)
+    laws = [FiniteMeasure(group=_LINE, weights=dict(key), den=mu.den,
+                          deficit=mu.deficit, mode=mu.mode)
             for key in index]
     return laws, maps
 
@@ -215,7 +241,7 @@ def _marginal_norm_sums(mu: FiniteMeasure, n_max: int) -> Iterator[tuple]:
     for steps in zip(*(power_sequence(law, n_max) for law in laws)):
         n, first = steps[0]
         total = sum(m * sum(abs(a * y + n * b) * c
-                            for (y,), c in steps[j][1].weights.items())
+                            for y, c in steps[j][1].weights.items())
                     for (j, a, b), m in shares.items())
         yield n, total, first.den, first.deficit
 
@@ -226,13 +252,13 @@ def _marginal_fk_numerators(mu: FiniteMeasure, points: List, k_max: int,
     the L1 norm: f_k(s) = sum_i sum_x (|s_i + x| - |x|) mu_i^{*k}(x)."""
     laws, maps = _coordinate_laws(mu)
     coords = {x for s in points for x in s}
-    start = [(0, dirac(_Z1, mode=mu.mode))]
+    start = [(0, dirac(_LINE, mode=mu.mode))]
     for k, steps in enumerate(zip(*(chain(start, power_sequence(law, k_max))
                                     for law in laws))):
         shifts = {}
         for j, a, b in set(maps):
             xs = [(a * y + k * b, c)
-                  for (y,), c in steps[j][1].weights.items()]
+                  for y, c in steps[j][1].weights.items()]
             shifts[j, a, b] = {v: sum((abs(v + x) - abs(x)) * c
                                       for x, c in xs)
                                for v in coords}

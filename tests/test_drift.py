@@ -91,6 +91,29 @@ def test_truncation_error_bars_bound_true_value():
         assert a_t <= a <= a_t + err
 
 
+# one measure per route of a_n: zd coordinate marginals, the free-group
+# radial law, and the generic loop (lamplighter, and every route in
+# float64 or under a threshold)
+@pytest.mark.parametrize("gid", ["zd:2", "free:2", "lamplighter"])
+@pytest.mark.parametrize("mode,zero", [("exact", Fraction(0)),
+                                       (MODE_FLOAT, 0.0)])
+def test_error_bars_zero_untruncated_positive_under_truncation(gid, mode,
+                                                              zero):
+    group = group_from_id(gid)
+    mu = srw(group, mode=mode)
+    norm = norm_evaluator(group)
+    for threshold in (0, Fraction(1, 100)):
+        report = drift_exact_partial(mu, norm, 7, threshold=threshold)
+        if threshold:
+            assert report.error_bars[-1] > 0
+        else:
+            assert all(err == zero and type(err) is type(zero)
+                       for err in report.error_bars)
+        assert report.certified_bound == min(
+            float(a + err) / n for n, a, err in
+            zip(report.ns, report.a_values, report.error_bars))
+
+
 def test_norm_table_escape_raises():
     h = group_from_id("heisenberg")
     ball = build_ball(h, 2)

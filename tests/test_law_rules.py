@@ -16,9 +16,10 @@ import pytest
 
 from groupwalk import freewalk, wordmetric
 from groupwalk.drift import adjoint_drift_equality, drift_exact_partial
-from groupwalk.groups import group_from_id
-from groupwalk.measures import (MODE_FLOAT, finite_measure,
-                                parse_measure_spec, srw)
+from groupwalk.errors import ResourceLimitError
+from groupwalk.groups import FreeAbelian, group_from_id
+from groupwalk.measures import (MODE_FLOAT, FiniteMeasure, finite_measure,
+                                parse_measure_spec, power_sequence, srw)
 from groupwalk.quasiharmonic import compute_fk_tables
 from groupwalk.wordmetric import free_norm, l1_norm, law_rule, norm_evaluator
 
@@ -95,10 +96,49 @@ def test_zd_coordinates_share_chains_up_to_shift_scale_and_reflection():
         assert len(laws) == chains
 
 
-def test_zd_marginals_carry_the_measures_deficit():
+def _deficit_measure():
     z2 = group_from_id("zd:2")
-    mu = finite_measure(z2, {(1, 0): Fraction(1, 2), (-1, 2): Fraction(1, 3)},
-                        deficit=Fraction(1, 6))
+    return finite_measure(z2, {(1, 0): Fraction(1, 2),
+                               (-1, 2): Fraction(1, 3)},
+                          deficit=Fraction(1, 6))
+
+
+def test_zd_coordinate_laws_on_ints_match_their_zd1_chains():
+    measures = [parse_measure_spec(group_from_id(gid), spec)
+                for gid, spec in _zd_cases()]
+    for mu in measures + [_deficit_measure()]:
+        laws, _ = wordmetric._coordinate_laws(mu)
+        for law in laws:
+            assert all(type(y) is int for y in law.weights)
+            lifted = FiniteMeasure(
+                group=FreeAbelian(1),
+                weights={(y,): c for y, c in law.weights.items()},
+                den=law.den, deficit=law.deficit, mode=law.mode)
+            for (n, step), (m, twin) in zip(power_sequence(law, 12),
+                                            power_sequence(lifted, 12)):
+                assert n == m
+                assert list(step.weights.items()) == \
+                    [(y, c) for (y,), c in twin.weights.items()]
+                assert step.den == twin.den
+                assert step.deficit == twin.deficit
+                assert type(step.deficit) is type(twin.deficit)
+
+
+@pytest.mark.parametrize("gid,completed", [("zd:1", 4), ("zd:3", 2)])
+def test_zd_marginal_atom_budget_names_zd1(monkeypatch, gid, completed):
+    # srw's coordinate law on zd:1 has 2 atoms, on zd:3 3 atoms, so its
+    # n-th power has n + 1 and 2n + 1
+    monkeypatch.setattr(wordmetric, "power_sequence",
+                        functools.partial(power_sequence, max_atoms=5))
+    mu = srw(group_from_id(gid))
+    with pytest.raises(ResourceLimitError) as info:
+        drift_exact_partial(mu, l1_norm, 10)
+    assert str(info.value) == (f"convolution on zd:1 exceeded 5 atoms; "
+                               f"completed n = {completed}")
+
+
+def test_zd_marginals_carry_the_measures_deficit():
+    mu = _deficit_measure()
     report = drift_exact_partial(mu, l1_norm, 8)
     assert report == drift_exact_partial(mu, _generic(l1_norm), 8)
     assert report.error_bars[0] == Fraction(1, 6) * 1 * 3

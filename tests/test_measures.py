@@ -155,6 +155,52 @@ def test_exact_convolve_mixed_denominators_matches_fraction_loop():
     assert at.atoms[(2, 0)] == Fraction(2, 15)
 
 
+def _deficit_case(mode, a, b):
+    """mu and nu on zd:1 with deficits a and b, in the given mode."""
+    z = FreeAbelian(1)
+    mu = finite_measure(z, {(1,): Fraction(1, 2), (-1,): Fraction(1, 2) - a},
+                        deficit=a)
+    nu = finite_measure(z, {(0,): Fraction(1, 3) - b, (1,): Fraction(2, 3)},
+                        deficit=b)
+    if mode == MODE_FLOAT:
+        mu, nu = (finite_measure(z, {g: float(w) for g, w in m.atoms.items()},
+                                 deficit=float(m.deficit), mode=MODE_FLOAT)
+                  for m in (mu, nu))
+    return mu, nu
+
+
+@pytest.mark.parametrize("mode", ["exact", MODE_FLOAT])
+@pytest.mark.parametrize("a", [Fraction(0), Fraction(1, 4)])
+@pytest.mark.parametrize("b", [Fraction(0), Fraction(1, 6)])
+@pytest.mark.parametrize("threshold", [0, Fraction(1, 5)])
+def test_convolve_deficit_composes_in_every_case(mode, a, b, threshold):
+    mu, nu = _deficit_case(mode, a, b)
+    full = convolve(mu, nu)
+    # the oracle's dropped mass: product atoms below the threshold
+    dropped = sum(Fraction(w) for w in full.atoms.values() if w < threshold)
+    assert (dropped > 0) == bool(threshold)
+    out = convolve(mu, nu, threshold=threshold)
+    expected = 1 - (1 - a) * (1 - b) + dropped
+    if mode == MODE_FLOAT:
+        assert type(out.deficit) is float
+        assert out.deficit == pytest.approx(float(expected), abs=1e-15)
+    else:
+        assert type(out.deficit) is Fraction
+        assert out.deficit == expected
+    if not b and not threshold:
+        assert out.deficit == mu.deficit
+
+
+@pytest.mark.parametrize("mode,zero", [("exact", Fraction(0)),
+                                       (MODE_FLOAT, 0.0)])
+def test_untruncated_chains_keep_the_modes_zero_deficit(mode, zero):
+    f2 = FreeGroup(2)
+    mu = srw(f2, mode=mode)
+    assert mu.deficit == zero and type(mu.deficit) is type(zero)
+    for _, mun in power_sequence(mu, 4):
+        assert mun.deficit == zero and type(mun.deficit) is type(zero)
+
+
 def test_power_sequence_atom_budget():
     f2 = FreeGroup(2)
     mu = srw(f2)
