@@ -15,9 +15,9 @@ radius-2 ball ``poisson-norm`` and the ``cocycle`` histograms at the levels
 max(1, |g|), 5 and the deepest level the enumerating histogram answered (14
 for k = 2, 9 for k = 3), plus one ``--cylinder`` case, then radial ``phi``
 on ``free:1`` at radius 20, on ``free:5``, on ``free:2`` at radius 9 (a
-report of megabytes) and past the ball budget, then
-``stationary`` and ``ergodicity`` under non-uniform g-space word
-measures, then the exact laws by structure (``wordmetric.law_rule``) at
+report of megabytes) and past the ball budget, then ``stationary`` and
+``ergodicity`` under non-uniform g-space word measures, then the exact laws
+by structure (``wordmetric.norm_sums`` and ``wordmetric.fk_numerators``) at
 sizes the benchmark does not reach: ``zd`` drift and ``phi`` (with its
 series) by coordinate marginals, untruncated and truncated exact free
 ``phi`` by prefix masses, and a float64 ``zd`` drift that keeps the joint
@@ -27,13 +27,16 @@ in float64, and a radial ``phi`` on ``free:3`` with its series, then
 convolution deficits and sparse coordinate laws: an exact ``zd:2`` drift
 under ``--truncation 1/500`` (the joint law), a ``lamplighter`` entropy
 under ``--truncation 1/100``, whose deficit is nonzero from n = 5, and a
-``zd:1`` drift on ``0=1/3;1=1/3;1000=1/3`` (a coordinate law with a gap
-of 1000). One
-subprocess per tree (the parent's a ``git archive`` export
-in a temporary directory) imports ``groupwalk`` from that tree's
-``src``. It runs every CLI job through ``groupwalk.cli.run``, with the
-jobs' input files in a temporary work directory, and every library job
-through ``perfbench/runner.execute``.
+``zd:1`` drift on ``0=1/3;1=1/3;1000=1/3`` (a coordinate law with a gap of
+1000), then exact convolution ``phi`` under ``--truncation 1/100``, which
+the benchmark's ``phi`` jobs never use: ``heisenberg`` and ``lamplighter``
+by the joint law with nonzero ``Fraction`` deficits, and a skewed ``zd:2``
+measure, which the truncation sends from the coordinate marginals to the
+joint law. One subprocess per tree (the parent's a ``git archive`` export
+in a temporary directory) imports ``groupwalk`` from that tree's ``src``.
+It runs every CLI job through ``groupwalk.cli.run``, with the jobs' input
+files in a temporary work directory, and every library job through
+``perfbench/runner.execute``.
 The work and cache directory paths are replaced by ``{work}`` and
 ``{cache}`` in the CLI outputs; then each CLI job's exit code, stdout and
 stderr are compared. A library job's result is compared at full
@@ -131,6 +134,17 @@ DEFICIT_JOBS = [
     ["drift", "--group", "zd:1", "--measure", "0=1/3;1=1/3;1000=1/3",
      "--n-max", "30"],
 ]
+# exact convolution phi under a truncation, which no benchmark phi job uses:
+# the joint law with nonzero Fraction deficits, on zd:2 instead of the
+# marginals
+TRUNCATED_PHI_JOBS = [
+    ["phi", "--group", "heisenberg", "--n", "8", "--r-eval", "4",
+     "--truncation", "1/100"],
+    ["phi", "--group", "lamplighter", "--n", "8", "--r-eval", "4",
+     "--truncation", "1/100", "--emit-series", "-"],
+    ["phi", "--group", "zd:2", SKEWED["zd:2"], "--n", "10", "--r-eval", "3",
+     "--truncation", "1/100", "--emit-series", "-"],
+]
 
 
 def cli_jobs() -> list:
@@ -149,7 +163,7 @@ def cli_jobs() -> list:
                              "--level", str(level)])
     jobs.append(["cocycle", "--k", "3", "--g", "aB", "--cylinder", "aBca"])
     return (jobs + RADIAL_JOBS + GSPACE_JOBS + LAW_RULE_JOBS
-            + RADIAL_DRIFT_JOBS + DEFICIT_JOBS)
+            + RADIAL_DRIFT_JOBS + DEFICIT_JOBS + TRUNCATED_PHI_JOBS)
 
 
 def parse_args(argv):

@@ -6,9 +6,10 @@ The drift is the limit of a_n / n where a_n = sum_s rho(s) mu^{*n}(s); the
 sequence (a_n) is subadditive, so every a_n / n is a certified upper bound
 for the limit and min_n a_n / n only improves as n grows. Truncated
 convolutions contribute at most deficit * n * max-generator-norm to a_n,
-which is carried as an explicit error bar. Monte Carlo estimates use the
-normal-approximation 95% confidence interval (sample standard deviation);
-this is fixed, not configurable.
+which is carried as an explicit error bar. The numerators of a_n come
+from ``wordmetric.norm_sums``, the one place where their route is chosen.
+Monte Carlo estimates use the normal-approximation 95% confidence interval
+(sample standard deviation); this is fixed, not configurable.
 
 Nothing here asserts "drift = 0": zero drift is a limit statement invisible
 at finite n, so Liouville examples are tested as decreasing trends plus a
@@ -19,13 +20,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
-from .errors import DomainError, OutOfRangeError
-from .measures import (FiniteMeasure, adjoint, from_numerator, numerators,
-                       power_sequence, shannon_entropy)
+from .errors import DomainError
+from .measures import (FiniteMeasure, adjoint, from_numerator, power_sequence,
+                       shannon_entropy)
 from .sampler import SamplerConfig, norm_statistics
-from .wordmetric import law_rule
+from .wordmetric import norm_sums
 
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
 
@@ -62,45 +63,21 @@ def max_generator_norm(mu: FiniteMeasure, norm_fn: Callable) -> int:
     return max(norm_fn(s) for s in mu.support())
 
 
-def _norm_sums(mu: FiniteMeasure, norm_fn: Callable, n_max: int,
-               threshold) -> Iterator[tuple]:
-    """(n, numerator of a_n, den, deficit) for n = 1..n_max: the norm
-    average over the retained atoms of mu^{*n}, on integer numerators in
-    exact mode."""
-    for n, mun in power_sequence(mu, n_max, threshold=threshold):
-        atoms, den = numerators(mun)
-        try:
-            total = sum(norm_fn(s) * c for s, c in atoms)
-        except OutOfRangeError as exc:
-            raise OutOfRangeError(
-                f"support of the {n}-step law escapes the norm table: {exc}",
-                required=getattr(exc, "required", None))
-        yield n, total, den, mun.deficit
-
-
 def drift_exact_partial(mu: FiniteMeasure, norm_fn: Callable, n_max: int,
                         threshold=0) -> ExactDriftReport:
     """Exact a_n for n = 1..n_max and the Fekete-certified upper bound.
 
     Each a_n is the norm average over the retained atoms of mu^{*n}; the
     truncated mass can sit at norm up to n * max-generator-norm, giving the
-    error bar deficit * n * g_max. In exact mode without truncation, a_n
-    comes from the coordinate marginals under the L1 norm of zd, and from
-    the radial law for the simple random walk on a free group up to
-    ``freewalk.MAX_RADIAL_STEPS`` (``wordmetric.law_rule``), with the same
-    values.
+    error bar deficit * n * g_max. ``wordmetric.norm_sums`` chooses the
+    route to a_n; every route gives the same values.
     """
     if n_max < 1:
         raise DomainError("n_max must be >= 1")
     g_max = max_generator_norm(mu, norm_fn)
-    rule = law_rule(mu, norm_fn, threshold, n_max)
-    if rule is not None and rule.norm_sums is not None:
-        sums = rule.norm_sums(mu, n_max)
-    else:
-        sums = _norm_sums(mu, norm_fn, n_max, threshold)
     ns, a_values, errors = [], [], []
     bound = math.inf
-    for n, total, den, deficit in sums:
+    for n, total, den, deficit in norm_sums(mu, norm_fn, n_max, threshold):
         a = from_numerator(total, den, mu.mode)
         err, top = deficit, a   # a zero deficit is its own error bar
         if deficit:

@@ -22,8 +22,8 @@ c (2k-1) up and c down from m >= 1 and c 2k out of 0. Every exact value is
 an integer sum over one common denominator, a power of 2k times a power of
 2k-1; a ``Fraction`` is only built for a returned value.
 
-``is_srw`` is the one test for that measure; the radial a_n rule of
-``wordmetric.law_rule``, radial ``phi`` and the boundary model share it.
+``is_srw`` is the one test for that measure; the radial a_n route of
+``wordmetric.norm_sums``, radial ``phi`` and the boundary model share it.
 
 These routines are an alternative route to the same numbers the convolution
 pipeline produces; the two are cross-checked against each other (and against

@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, ItemsView, Iterable, Mapping, Optional, Tuple
+from typing import Dict, Iterable, Mapping, Optional, Tuple
 
 from .errors import DomainError, ResourceLimitError
 from .groups import Group, group_from_id
@@ -137,17 +137,6 @@ def _check_compatible(mu: FiniteMeasure, nu: FiniteMeasure) -> None:
             f"{nu.group.id_string}")
     if mu.mode != nu.mode:
         raise DomainError(f"mixed arithmetic modes: {mu.mode} vs {nu.mode}")
-
-
-def numerators(mu: FiniteMeasure) -> Tuple[ItemsView, int]:
-    """((element, numerator) pairs, common denominator D) of mu's atoms:
-    the stored form, read in O(1).
-
-    In exact mode the numerators are ints over D (a common denominator,
-    not necessarily the least one); in float mode they are the float
-    weights over D = 1.
-    """
-    return mu.weights.items(), mu.den
 
 
 def from_numerator(c, den: int, mode: str):

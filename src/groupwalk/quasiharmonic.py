@@ -20,21 +20,20 @@ tolerances for those trends are empirical and flagged as such in reports).
 Per-entry truncation error: dropping mass d from mu^{*k} perturbs f_k(s) by
 at most d * rho(s) (each dropped term is bounded by rho(s)); this is tighter
 than the coarse d * (R_eval + k * max-generator-norm) bound and is the one
-stored in the tables.
+stored in the tables. The numerators of f_k come from
+``wordmetric.fk_numerators``, the one place where their route is chosen.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
-from typing import Callable, Dict, Iterable, Iterator, List, Sequence
+from typing import Callable, Dict, Iterable, List, Sequence
 
 from .errors import DomainError, OutOfRangeError
 from .groups import FreeGroup, Group
 from . import freewalk
-from .measures import (FiniteMeasure, dirac, from_numerator, numerators,
-                       power_sequence)
-from .wordmetric import build_ball, law_rule
+from .measures import FiniteMeasure, from_numerator
+from .wordmetric import build_ball, fk_numerators
 
 TOLERANCE_NOTE = ("distortion/defect trend tolerances are empirical; the "
                   "underlying convergence has no stated rate")
@@ -62,26 +61,6 @@ def _eval_points(group: Group, r_eval: int) -> List:
     return list(build_ball(group, r_eval).norms.keys())
 
 
-def _fk_numerators(mu: FiniteMeasure, norm_fn: Callable, points: List,
-                   k_max: int, threshold) -> Iterator[tuple]:
-    """(numerators of f_k at points, den, deficit) for k = 0..k_max: one
-    product and norm per (point, atom) pair of mu^{*k}."""
-    mul = mu.group._mul
-    zero = 0 if mu.mode == "exact" else 0.0
-    start = [(0, dirac(mu.group, mode=mu.mode))]
-    for _, mun in chain(start, power_sequence(mu, k_max,
-                                              threshold=threshold)):
-        atoms, den = numerators(mun)
-        atom_norms = [(t, c, norm_fn(t)) for t, c in atoms]
-        values = []
-        for s in points:
-            acc = zero
-            for t, c, nt in atom_norms:
-                acc += (norm_fn(mul(s, t)) - nt) * c
-            values.append(acc)
-        yield values, den, mun.deficit
-
-
 def compute_fk_tables(mu: FiniteMeasure, norm_fn: Callable, k_max: int,
                       r_eval: int, threshold=0) -> List[FkTable]:
     """f_k on the ball of radius r_eval for k = 0..k_max (shared power chain).
@@ -89,23 +68,22 @@ def compute_fk_tables(mu: FiniteMeasure, norm_fn: Callable, k_max: int,
     norm_fn must cover the ball shifted by supp mu^{*k}: the closed forms of
     ``norm_evaluator`` are total, and a lookup in a ball table raises
     OutOfRangeError outside it.
-    Exact entries are summed on integer numerators (one Fraction each). In
-    exact mode the closed-form norms of zd (without truncation) and of free
-    groups take their rule (``wordmetric.law_rule``): coordinate marginals
-    and prefix masses give the same values without the pair loop.
+    Exact entries are summed on integer numerators (one Fraction each), by
+    the route ``wordmetric.fk_numerators`` chooses; every route gives the
+    same values. A zero deficit is its own error bar.
     """
     points = _eval_points(mu.group, r_eval)
-    point_norms = {s: norm_fn(s) for s in points}
-    rule = law_rule(mu, norm_fn, threshold)
-    if rule is not None:
-        rows = rule.fk_numerators(mu, points, k_max, threshold)
-    else:
-        rows = _fk_numerators(mu, norm_fn, points, k_max, threshold)
+    point_norms = None
     tables = []
-    for k, (nums, den, deficit) in enumerate(rows):
+    for k, (nums, den, deficit) in enumerate(
+            fk_numerators(mu, norm_fn, points, k_max, threshold)):
         values = {s: from_numerator(c, den, mu.mode)
                   for s, c in zip(points, nums)}
-        errors = {s: deficit * point_norms[s] for s in points}
+        if deficit:
+            point_norms = point_norms or [norm_fn(s) for s in points]
+            errors = {s: deficit * r for s, r in zip(points, point_norms)}
+        else:
+            errors = dict.fromkeys(points, deficit)
         tables.append(FkTable(k=k, values=values, error_bars=errors,
                               r_eval=r_eval, mode=mu.mode))
     return tables

@@ -1,4 +1,5 @@
-"""Word norms from Cayley-graph BFS, ball tables, and semi-norm checks.
+"""Word norms from Cayley-graph BFS, ball tables, semi-norm checks, and
+the exact norm laws a_n and f_k.
 
 A BallTable holds every element of word norm <= R together with its exact
 norm. Norm queries outside the table fail loudly (OutOfRangeError) instead
@@ -11,15 +12,16 @@ Validation happens once, at the edge: ``build_ball`` multiplies valid
 elements with the unchecked ``Group._mul``; ``check_value_seminorm`` checks
 every key through the checked ``Group.inv`` before its unchecked pair loop.
 
-Two closed-form norms also carry a rule for the exact laws built on them
-(``law_rule``): the L1 norm of ``zd`` is a sum over coordinates, so a_n and
-f_k need only the d one-dimensional marginal laws, which live on a bare
-integer line (elements plain ints, product ``operator.add``), and on a
-free group |st| - |t| = |s| - 2 (common prefix of s^-1 and t), so f_k
-needs only the prefix masses of mu^{*k}, while a_n of the simple random
-walk needs only its radial law (``freewalk.path_counts``). Every other
-norm, and float64 mode, keeps the generic loops over the atoms of the
-joint law in ``drift`` and ``quasiharmonic``.
+The exact laws built on these norms have one entry each: ``norm_sums``
+for the numerators of a_n and ``fk_numerators`` for those of f_k, the one
+place where each chooses its route. The L1 norm of ``zd`` is a sum over
+coordinates, so a_n and f_k need only the d one-dimensional marginal
+laws, which live on a bare integer line (elements plain ints, product
+``operator.add``); on a free group |st| - |t| = |s| - 2 (common prefix of
+s^-1 and t), so f_k needs only the prefix masses of mu^{*k}, while a_n of
+the simple random walk needs only its radial law
+(``freewalk.path_counts``). Every other norm, and float64 mode, takes the
+loops over the atoms of the joint law.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 from itertools import chain
 from math import gcd, isqrt
 from operator import add
-from typing import Callable, Dict, Iterator, List, NamedTuple, Optional
+from typing import Callable, Dict, Iterator, List, Optional
 
 from . import freewalk
 from .errors import DomainError, OutOfRangeError, ResourceLimitError
@@ -246,8 +248,8 @@ def _marginal_norm_sums(mu: FiniteMeasure, n_max: int) -> Iterator[tuple]:
         yield n, total, first.den, first.deficit
 
 
-def _marginal_fk_numerators(mu: FiniteMeasure, points: List, k_max: int,
-                            threshold) -> Iterator[tuple]:
+def _marginal_fk_numerators(mu: FiniteMeasure, points: List,
+                            k_max: int) -> Iterator[tuple]:
     """(numerators of f_k at points, den, deficit) for k = 0..k_max under
     the L1 norm: f_k(s) = sum_i sum_x (|s_i + x| - |x|) mu_i^{*k}(x)."""
     laws, maps = _coordinate_laws(mu)
@@ -311,47 +313,79 @@ def _radial_norm_sums(mu: FiniteMeasure, n_max: int) -> Iterator[tuple]:
         yield n, sum(m * c for m, c in enumerate(row)), den, mu.deficit
 
 
-class LawRule(NamedTuple):
-    """Exact laws computed from a norm's structure (see `law_rule`)."""
-    norm_sums: Optional[Callable]   # (mu, n_max) -> (n, numerator of a_n,
-                                    # den, deficit) for n = 1..n_max; never
-                                    # truncated
-    fk_numerators: Callable         # (mu, points, k_max, threshold) ->
-                                    # (numerators, den, deficit), k = 0..k_max
-    truncates: bool                 # fk_numerators still exact under a
-                                    # threshold
-    radial: bool = False            # norm_sums is the simple random walk's
-                                    # radial law, up to MAX_RADIAL_STEPS
+def _joint_norm_sums(mu: FiniteMeasure, norm_fn: Callable, n_max: int,
+                     threshold) -> Iterator[tuple]:
+    """(n, numerator of a_n, den, deficit) for n = 1..n_max: the norm
+    average over the retained atoms of mu^{*n}, on integer numerators in
+    exact mode."""
+    for n, mun in power_sequence(mu, n_max, threshold=threshold):
+        try:
+            total = sum(norm_fn(s) * c for s, c in mun.weights.items())
+        except OutOfRangeError as exc:
+            raise OutOfRangeError(
+                f"support of the {n}-step law escapes the norm table: {exc}",
+                required=getattr(exc, "required", None))
+        yield n, total, mun.den, mun.deficit
 
 
-_LAW_RULES = {
-    l1_norm: LawRule(_marginal_norm_sums, _marginal_fk_numerators, False),
-    free_norm: LawRule(_radial_norm_sums, _prefix_fk_numerators, True,
-                       radial=True),
-}
+def _joint_fk_numerators(mu: FiniteMeasure, norm_fn: Callable, points: List,
+                         k_max: int, threshold) -> Iterator[tuple]:
+    """(numerators of f_k at points, den, deficit) for k = 0..k_max: one
+    product and norm per (point, atom) pair of mu^{*k}."""
+    mul = mu.group._mul
+    zero = 0 if mu.mode == MODE_EXACT else 0.0
+    start = [(0, dirac(mu.group, mode=mu.mode))]
+    for _, mun in chain(start, power_sequence(mu, k_max,
+                                              threshold=threshold)):
+        atom_norms = [(t, c, norm_fn(t)) for t, c in mun.weights.items()]
+        values = []
+        for s in points:
+            acc = zero
+            for t, c, nt in atom_norms:
+                acc += (norm_fn(mul(s, t)) - nt) * c
+            values.append(acc)
+        yield values, mun.den, mun.deficit
 
 
-def law_rule(mu: FiniteMeasure, norm_fn: Callable, threshold=0,
-             n_max: int = 0) -> Optional[LawRule]:
-    """The rule for mu's laws under norm_fn, or None for the generic loop.
-
-    A rule applies in exact mode to the closed-form norm of mu's own group,
-    looked up through any ``functools.wraps`` wrappers of it; a rule that
-    cannot truncate needs a zero threshold. Its ``norm_sums`` is None under
-    a threshold, and a radial one also unless mu is the exact simple random
-    walk (``freewalk.is_srw``) and n_max, the longest power asked for, is at
-    most ``freewalk.MAX_RADIAL_STEPS``: the generic loop and its atom budget
-    take those.
-    """
+def _exact_closed_form(mu: FiniteMeasure,
+                       norm_fn: Callable) -> Optional[Callable]:
+    """The closed-form norm of mu's own group if norm_fn is it, looked up
+    through any ``functools.wraps`` wrappers, and mu is exact; else None."""
     norm = inspect.unwrap(norm_fn)
-    rule = _LAW_RULES.get(norm)
-    if (rule is None or _CLOSED_FORMS.get(type(mu.group)) is not norm
-            or mu.mode != MODE_EXACT or (threshold and not rule.truncates)):
-        return None
-    if rule.norm_sums is not None and (threshold or rule.radial and not (
-            n_max <= freewalk.MAX_RADIAL_STEPS and freewalk.is_srw(mu))):
-        return rule._replace(norm_sums=None)
-    return rule
+    if mu.mode == MODE_EXACT and _CLOSED_FORMS.get(type(mu.group)) is norm:
+        return norm
+    return None
+
+
+def norm_sums(mu: FiniteMeasure, norm_fn: Callable, n_max: int,
+              threshold=0) -> Iterator[tuple]:
+    """(n, numerator of a_n, den, deficit) for n = 1..n_max, a_n the norm
+    average of mu^{*n} truncated at threshold. Untruncated, the exact L1
+    norm of zd takes the coordinate marginals, and the free norm of the
+    exact simple random walk (``freewalk.is_srw``) the radial law up to
+    ``freewalk.MAX_RADIAL_STEPS``; the rest takes the joint law and its
+    atom budget."""
+    norm = None if threshold else _exact_closed_form(mu, norm_fn)
+    if norm is l1_norm:
+        return _marginal_norm_sums(mu, n_max)
+    if (norm is free_norm and n_max <= freewalk.MAX_RADIAL_STEPS
+            and freewalk.is_srw(mu)):
+        return _radial_norm_sums(mu, n_max)
+    return _joint_norm_sums(mu, norm_fn, n_max, threshold)
+
+
+def fk_numerators(mu: FiniteMeasure, norm_fn: Callable, points: List,
+                  k_max: int, threshold=0) -> Iterator[tuple]:
+    """(numerators of f_k at points, den, deficit) for k = 0..k_max, from
+    mu^{*k} truncated at threshold, `points` a ball in BFS order. The exact
+    L1 norm of zd takes the coordinate marginals untruncated, the exact
+    free norm the prefix masses, and the rest the joint law."""
+    norm = _exact_closed_form(mu, norm_fn)
+    if norm is l1_norm and not threshold:
+        return _marginal_fk_numerators(mu, points, k_max)
+    if norm is free_norm:
+        return _prefix_fk_numerators(mu, points, k_max, threshold)
+    return _joint_fk_numerators(mu, norm_fn, points, k_max, threshold)
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,14 @@
-"""Exact laws by the norm's structure (``wordmetric.law_rule``): zd
-coordinate marginals for a_n and f_k, free-group prefix masses for f_k,
-and the radial law for a_n of the free-group simple random walk.
+"""Exact laws by the norm's structure (``wordmetric.norm_sums`` and
+``wordmetric.fk_numerators``): zd coordinate marginals for a_n and f_k,
+free-group prefix masses for f_k, and the radial law for a_n of the
+free-group simple random walk.
 
 The oracle is the generic loop over (point, atom) pairs of the joint law.
 A norm function that is not the group's closed form takes that loop, so
 ``lambda g: l1_norm(g)`` forces it on the same measure. Values and error
 bars must match exactly, types included: an untruncated error bar stays
-``Fraction(0)``.
+``Fraction(0)``. The ``routes`` fixture records which private route
+function each call reached.
 """
 
 import functools
@@ -18,10 +20,12 @@ from groupwalk import freewalk, wordmetric
 from groupwalk.drift import adjoint_drift_equality, drift_exact_partial
 from groupwalk.errors import ResourceLimitError
 from groupwalk.groups import FreeAbelian, group_from_id
-from groupwalk.measures import (MODE_FLOAT, FiniteMeasure, finite_measure,
-                                parse_measure_spec, power_sequence, srw)
+from groupwalk.measures import (MODE_EXACT, MODE_FLOAT, FiniteMeasure, dirac,
+                                finite_measure, parse_measure_spec,
+                                power_sequence, srw)
 from groupwalk.quasiharmonic import compute_fk_tables
-from groupwalk.wordmetric import free_norm, l1_norm, law_rule, norm_evaluator
+from groupwalk.wordmetric import (fk_numerators, free_norm, l1_norm,
+                                  norm_evaluator, norm_sums)
 
 # srw, a skewed 3-atom measure, a 2-atom diagonal measure (every coordinate
 # has the same law), an atom with a zero coordinate, then constant
@@ -37,6 +41,21 @@ ZD_MEASURES = {
              "0,0,-1=1/5;0,0,2=4/5", "1,0,-2=1", "-1,0,-1=2/3;1,1,0=1/3"],
 }
 FREE_MEASURES = ["srw", "a=1/3;A=1/6;aa=1/4;e=1/4"]
+ROUTES = ["_marginal_norm_sums", "_radial_norm_sums", "_joint_norm_sums",
+          "_marginal_fk_numerators", "_prefix_fk_numerators",
+          "_joint_fk_numerators"]
+
+
+@pytest.fixture
+def routes(monkeypatch):
+    """The names of the route functions called so far, in call order."""
+    calls = []
+    for name in ROUTES:
+        def counted(*args, _name=name, _route=getattr(wordmetric, name)):
+            calls.append(_name)
+            return _route(*args)
+        monkeypatch.setattr(wordmetric, name, counted)
+    return calls
 
 
 def _zd_cases():
@@ -64,12 +83,12 @@ def _assert_same_tables(tables, oracle):
 
 
 @pytest.mark.parametrize("gid,spec", _zd_cases())
-def test_zd_drift_by_marginals_equals_the_joint_law(gid, spec):
+def test_zd_drift_by_marginals_equals_the_joint_law(gid, spec, routes):
     group = group_from_id(gid)
     mu = parse_measure_spec(group, spec)
-    assert law_rule(mu, l1_norm) is not None
     report = drift_exact_partial(mu, l1_norm, 12)
     oracle = drift_exact_partial(mu, _generic(l1_norm), 12)
+    assert routes == ["_marginal_norm_sums", "_joint_norm_sums"]
     assert report == oracle
     assert report.certified_bound == oracle.certified_bound
     assert _types(report.a_values) == _types(oracle.a_values)
@@ -79,12 +98,13 @@ def test_zd_drift_by_marginals_equals_the_joint_law(gid, spec):
 
 
 @pytest.mark.parametrize("gid,spec", _zd_cases())
-def test_zd_fk_tables_by_marginals_equal_the_joint_law(gid, spec):
+def test_zd_fk_tables_by_marginals_equal_the_joint_law(gid, spec, routes):
     group = group_from_id(gid)
     mu = parse_measure_spec(group, spec)
     r_eval = 3 if gid != "zd:3" else 2
     _assert_same_tables(compute_fk_tables(mu, l1_norm, 6, r_eval),
                         compute_fk_tables(mu, _generic(l1_norm), 6, r_eval))
+    assert routes == ["_marginal_fk_numerators", "_joint_fk_numerators"]
 
 
 def test_zd_coordinates_share_chains_up_to_shift_scale_and_reflection():
@@ -158,39 +178,89 @@ def test_zd_adjoint_equality_by_marginals():
 @pytest.mark.parametrize("spec", FREE_MEASURES)
 @pytest.mark.parametrize("threshold", [0, Fraction(1, 30)])
 def test_free_fk_tables_by_prefix_masses_equal_the_pair_loop(gid, spec,
-                                                            threshold):
+                                                            threshold,
+                                                            routes):
     group = group_from_id(gid)
     mu = parse_measure_spec(group, spec)
-    assert law_rule(mu, free_norm, threshold) is not None
     k_max, r_eval = (6, 3) if gid != "free:3" else (4, 2)
     tables = compute_fk_tables(mu, free_norm, k_max, r_eval,
                                threshold=threshold)
     oracle = compute_fk_tables(mu, _generic(free_norm), k_max, r_eval,
                                threshold=threshold)
+    assert routes == ["_prefix_fk_numerators", "_joint_fk_numerators"]
     _assert_same_tables(tables, oracle)
     if threshold:
         assert any(err != 0 for err in tables[-1].error_bars.values())
 
 
-def test_rule_lookup_unwraps_and_declines():
+def _route_cases():
+    """(mu, norm_fn, threshold, n_max, a_n route, f_k route)."""
     z2 = group_from_id("zd:2")
     f2 = group_from_id("free:2")
-    mu = srw(z2)
     wrapped = functools.wraps(l1_norm)(lambda g: l1_norm(g))
-    assert law_rule(mu, wrapped) is law_rule(mu, l1_norm) is not None
-    assert law_rule(mu, _generic(l1_norm)) is None
-    # the marginal rule does not truncate; the prefix rule does, but has
-    # no a_n rule
-    assert law_rule(mu, l1_norm, Fraction(1, 100)) is None
-    free_rule = law_rule(srw(f2), free_norm, Fraction(1, 100))
-    assert free_rule is not None and free_rule.norm_sums is None
-    # float64 mode, another group's norm, and groups without a rule
-    assert law_rule(srw(z2, mode=MODE_FLOAT), l1_norm) is None
-    assert law_rule(srw(f2), l1_norm) is None
-    assert law_rule(mu, free_norm) is None
+    cap = freewalk.MAX_RADIAL_STEPS
+    skewed = parse_measure_spec(f2, FREE_MEASURES[1])
+    cases = [
+        # zd with and without truncation; a wrapper of the closed form
+        # takes its route, a bare lambda does not
+        (srw(z2), l1_norm, 0, 8, "marginal", "marginal"),
+        (srw(z2), l1_norm, Fraction(1, 100), 8, "joint", "joint"),
+        (srw(z2), wrapped, 0, 8, "marginal", "marginal"),
+        (srw(z2), _generic(l1_norm), 0, 8, "joint", "joint"),
+        # free with both thresholds; radial a_n only for the exact srw up
+        # to the cap
+        (srw(f2), free_norm, 0, cap, "radial", "prefix"),
+        (srw(f2), free_norm, Fraction(1, 100), 8, "joint", "prefix"),
+        (srw(f2), free_norm, 0, cap + 1, "joint", "prefix"),
+        (skewed, free_norm, 0, 8, "joint", "prefix"),
+        # float64 mode and another group's norm
+        (srw(z2, mode=MODE_FLOAT), l1_norm, 0, 8, "joint", "joint"),
+        (srw(f2, mode=MODE_FLOAT), free_norm, 0, 8, "joint", "joint"),
+        (srw(f2), l1_norm, 0, 8, "joint", "joint"),
+        (srw(z2), free_norm, 0, 8, "joint", "joint"),
+    ]
     for gid in ("lamplighter", "heisenberg"):
         group = group_from_id(gid)
-        assert law_rule(srw(group), norm_evaluator(group)) is None
+        cases.append((srw(group), norm_evaluator(group), 0, 8, "joint",
+                      "joint"))
+    return cases
+
+
+def test_each_entry_chooses_its_route(routes):
+    # the entries return unstarted generators: choosing costs no power
+    for mu, norm_fn, threshold, n_max, a_route, f_route in _route_cases():
+        routes.clear()
+        norm_sums(mu, norm_fn, n_max, threshold)
+        fk_numerators(mu, norm_fn, [mu.group.identity()], 4, threshold)
+        assert routes == [f"_{a_route}_norm_sums",
+                          f"_{f_route}_fk_numerators"], (mu, norm_fn,
+                                                          threshold, n_max)
+
+
+@pytest.mark.parametrize("route,norm_fn,mode", [
+    ("_joint_fk_numerators", _generic(free_norm), MODE_EXACT),
+    ("_joint_fk_numerators", free_norm, MODE_FLOAT),
+    ("_prefix_fk_numerators", free_norm, MODE_EXACT)])
+@pytest.mark.parametrize("threshold", [0, Fraction(1, 30)])
+def test_fk_error_bars_are_the_deficit_times_the_norm(route, norm_fn, mode,
+                                                      threshold, routes):
+    mu = parse_measure_spec(group_from_id("free:2"), FREE_MEASURES[1],
+                            mode=mode)
+    tables = compute_fk_tables(mu, norm_fn, 5, 3, threshold=threshold)
+    assert routes == [route]
+    deficits = [dirac(mu.group, mode=mode).deficit] + [
+        mun.deficit for _, mun in power_sequence(mu, 5, threshold=threshold)]
+    assert any(deficits) == bool(threshold)
+    for table, deficit in zip(tables, deficits):
+        for s, err in table.error_bars.items():
+            if threshold:
+                assert err == deficit * free_norm(s)
+                assert type(err) is type(deficit * free_norm(s))
+            else:       # the zero deficit itself, with its type
+                assert err == deficit == 0
+                assert type(err) is type(deficit)
+                assert type(err) is (Fraction if mode == MODE_EXACT
+                                     else float)
 
 
 def _counting(norm_fn):
@@ -202,40 +272,37 @@ def _counting(norm_fn):
     return counted, calls
 
 
-def test_linf_norm_and_float_mode_take_the_pair_loop(monkeypatch):
+def test_linf_norm_and_float_mode_take_the_pair_loop(routes):
     z2 = group_from_id("zd:2")
     linf, calls = _counting(lambda g: max(map(abs, g)))
     tables = compute_fk_tables(srw(z2), linf, 2, 1)
-    # the 5 point norms, then k = 0, 1, 2: 1, 4 and 9 atoms, each normed
-    # once and once per point
-    assert len(calls) == 5 + 6 * (1 + 4 + 9)
+    # k = 0, 1, 2: 1, 4 and 9 atoms, each normed once and once per each of
+    # the 5 points; a zero deficit needs no point norms
+    assert len(calls) == 6 * (1 + 4 + 9)
     assert tables[1].values[(1, 0)] == 0
     assert tables[2].values[(1, 0)] == Fraction(1, 2)
     assert drift_exact_partial(srw(z2), linf, 2).a_values == [1, 1]
 
-    # float64: the rule is not looked at, and the loop norms every pair
-    def refuse(*args):
-        raise AssertionError("a rule ran in float64 mode")
-    monkeypatch.setitem(wordmetric._LAW_RULES, l1_norm, wordmetric.LawRule(
-        refuse, refuse, False))
+    # float64: only the joint law runs, and the loop norms every pair
     mu = srw(z2, mode=MODE_FLOAT)
     floats = compute_fk_tables(mu, l1_norm, 3, 2)
     assert floats == compute_fk_tables(mu, _generic(l1_norm), 3, 2)
     assert all(type(v) is float for v in floats[2].values.values())
     report = drift_exact_partial(mu, l1_norm, 5)
     assert report == drift_exact_partial(mu, _generic(l1_norm), 5)
+    assert set(routes) == {"_joint_fk_numerators", "_joint_norm_sums"}
 
 
 # free:k simple random walk: a_n by the radial law, against the joint law
 # at the largest n each rank's convolution reaches quickly
 @pytest.mark.parametrize("gid,n_max", [("free:1", 14), ("free:2", 10),
                                        ("free:3", 6), ("free:4", 5)])
-def test_free_srw_drift_by_the_radial_law_equals_the_joint_law(gid, n_max):
+def test_free_srw_drift_by_the_radial_law_equals_the_joint_law(gid, n_max,
+                                                               routes):
     mu = srw(group_from_id(gid))
-    rule = law_rule(mu, free_norm, 0, n_max)
-    assert rule is not None and rule.norm_sums is not None
     report = drift_exact_partial(mu, free_norm, n_max)
     oracle = drift_exact_partial(mu, _generic(free_norm), n_max)
+    assert routes == ["_radial_norm_sums", "_joint_norm_sums"]
     assert report == oracle
     assert report.certified_bound == oracle.certified_bound
     assert _types(report.a_values) == _types(oracle.a_values)
@@ -244,18 +311,11 @@ def test_free_srw_drift_by_the_radial_law_equals_the_joint_law(gid, n_max):
                for err in report.error_bars)
 
 
-def test_free_drift_off_the_radial_law_takes_the_generic_loop(monkeypatch):
+def test_free_drift_off_the_radial_law_takes_the_generic_loop(monkeypatch,
+                                                             routes):
     """Only the exact, untruncated simple random walk up to
-    MAX_RADIAL_STEPS takes the radial rule; every other free-group drift
+    MAX_RADIAL_STEPS takes the radial route; every other free-group drift
     keeps the generic loop and its atom budget."""
-    calls = []
-    radial = wordmetric._LAW_RULES[free_norm]
-
-    def counted(mu, n_max):
-        calls.append(n_max)
-        return radial.norm_sums(mu, n_max)
-    monkeypatch.setitem(wordmetric._LAW_RULES, free_norm,
-                        radial._replace(norm_sums=counted))
     monkeypatch.setattr(freewalk, "MAX_RADIAL_STEPS", 3)
     f2 = group_from_id("free:2")
     cases = [(srw(f2), 4, 0),                                # past the cap
@@ -264,15 +324,14 @@ def test_free_drift_off_the_radial_law_takes_the_generic_loop(monkeypatch):
              (srw(f2, mode=MODE_FLOAT), 3, 0),
              (srw(f2), 3, Fraction(1, 40))]
     for mu, n_max, threshold in cases:
-        rule = law_rule(mu, free_norm, threshold, n_max)
-        assert rule is None or rule.norm_sums is None
         report = drift_exact_partial(mu, free_norm, n_max, threshold)
         oracle = drift_exact_partial(mu, _generic(free_norm), n_max,
                                      threshold)
         assert report == oracle
         assert _types(report.error_bars) == _types(oracle.error_bars)
-    assert calls == []
+    assert routes == ["_joint_norm_sums"] * 2 * len(cases)
     assert any(err != 0 for err in report.error_bars)   # truncated
+    routes.clear()
     report = drift_exact_partial(srw(f2), free_norm, 3)
-    assert calls == [3]
+    assert routes == ["_radial_norm_sums"]
     assert report == drift_exact_partial(srw(f2), _generic(free_norm), 3)
