@@ -32,7 +32,12 @@ under ``--truncation 1/100``, whose deficit is nonzero from n = 5, and a
 the benchmark's ``phi`` jobs never use: ``heisenberg`` and ``lamplighter``
 by the joint law with nonzero ``Fraction`` deficits, and a skewed ``zd:2``
 measure, which the truncation sends from the coordinate marginals to the
-joint law. One subprocess per tree (the parent's a ``git archive`` export
+joint law, then the free-group chains that run on letters moved apart
+(``freewalk._letters_apart``): ``entropy`` on ``BA=5/6;BB=1/6`` exact to
+n = 11 and float64 under ``--truncation 1e-4``, ``drift`` on
+``A=1/4;BA=3/4`` in exact and float64, and an exact convolution ``phi`` on
+``free:3`` under ``--truncation 1/100`` (the prefix route with a
+threshold). One subprocess per tree (the parent's a ``git archive`` export
 in a temporary directory) imports ``groupwalk`` from that tree's ``src``.
 It runs every CLI job through ``groupwalk.cli.run``, with the jobs' input
 files in a temporary work directory, and every library job through
@@ -134,6 +139,23 @@ DEFICIT_JOBS = [
     ["drift", "--group", "zd:1", "--measure", "0=1/3;1=1/3;1000=1/3",
      "--n-max", "30"],
 ]
+# the free-group chains that run on letters moved apart: entropy on a
+# measure whose letters A and B share a hash, exact to n = 11 and float64
+# under a truncation; drift off the simple random walk by the joint law, in
+# exact and float64; and a truncated exact convolution phi on free:3, the
+# prefix route with a threshold
+APART_JOBS = [
+    ["entropy", "--group", "free:2", "--measure=BA=5/6;BB=1/6", "--n-max",
+     "11"],
+    ["entropy", "--group", "free:2", "--measure=BA=5/6;BB=1/6", "--mode",
+     "float64", "--truncation", "1e-4", "--n-max", "14"],
+    ["drift", "--group", "free:2", "--measure=A=1/4;BA=3/4", "--n-max",
+     "11"],
+    ["drift", "--group", "free:2", "--measure=A=1/4;BA=3/4", "--mode",
+     "float64", "--n-max", "11"],
+    ["phi", "--group", "free:3", "--method", "convolution", "--n", "8",
+     "--r-eval", "3", "--truncation", "1/100"],
+]
 # exact convolution phi under a truncation, which no benchmark phi job uses:
 # the joint law with nonzero Fraction deficits, on zd:2 instead of the
 # marginals
@@ -163,7 +185,8 @@ def cli_jobs() -> list:
                              "--level", str(level)])
     jobs.append(["cocycle", "--k", "3", "--g", "aB", "--cylinder", "aBca"])
     return (jobs + RADIAL_JOBS + GSPACE_JOBS + LAW_RULE_JOBS
-            + RADIAL_DRIFT_JOBS + DEFICIT_JOBS + TRUNCATED_PHI_JOBS)
+            + RADIAL_DRIFT_JOBS + DEFICIT_JOBS + TRUNCATED_PHI_JOBS
+            + APART_JOBS)
 
 
 def parse_args(argv):

@@ -56,9 +56,11 @@ def dumps(value) -> str:
 
     Fractions (subclasses too) become p/q strings, numpy integer and
     floating scalars Python numbers, arrays lists; any other type json does
-    not know is a TypeError.
+    not know is a TypeError, and a non-finite float, which strict JSON has
+    no text for, a ValueError.
     """
-    return json.dumps(value, sort_keys=True, default=_json_default)
+    return json.dumps(value, sort_keys=True, default=_json_default,
+                      allow_nan=False)
 
 
 def _json_default(v):
@@ -70,7 +72,13 @@ def _json_default(v):
 
 
 def emit(report: dict) -> None:
-    sys.stdout.write(dumps(report))     # two writes: no copy of a long text
+    """Write the report's JSON line. The text is whole before the first
+    write, so a value that is not JSON leaves stdout empty."""
+    try:
+        text = dumps(report)
+    except ValueError as exc:           # a non-finite float
+        raise GroupwalkError(f"report is not JSON: {exc}") from None
+    sys.stdout.write(text)              # two writes: no copy of a long text
     sys.stdout.write("\n")
 
 

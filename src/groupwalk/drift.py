@@ -22,7 +22,9 @@ import math
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
 
+from . import freewalk
 from .errors import DomainError
+from .groups import FreeGroup
 from .measures import (FiniteMeasure, adjoint, from_numerator, power_sequence,
                        shannon_entropy)
 from .sampler import SamplerConfig, norm_statistics
@@ -44,7 +46,7 @@ class ExactDriftReport:
 class MonteCarloDriftReport:
     checkpoints: List[int]
     means: List[float]              # mean of rho(X_n)/n per checkpoint
-    ci_half_widths: List[float]
+    ci_half_widths: List[Optional[float]]   # None from one trajectory
     trajectories: int
     seed: int
     norm_sums: List[int]            # integer aggregates (reproducibility)
@@ -95,18 +97,18 @@ def drift_monte_carlo(mu: FiniteMeasure, config: SamplerConfig,
                       checkpoints: Optional[Sequence[int]] = None
                       ) -> MonteCarloDriftReport:
     """Mean and 95% CI of rho(X_n)/n at each checkpoint (norms by each
-    group's closed form, on the sampler's arrays)."""
+    group's closed form, on the sampler's arrays); one trajectory has no
+    CI, given as None."""
     stats = norm_statistics(mu, config, checkpoints=checkpoints)
     cps = sorted(stats)
     means, cis, sums, sqs = [], [], [], []
     for cp in cps:
         count, s, s2 = stats[cp]
         mean = s / count / cp
+        ci = None               # no interval from one trajectory
         if count > 1:
             var = (s2 - s * s / count) / (count - 1)
             ci = _Z95 * math.sqrt(max(var, 0.0) / count) / cp
-        else:
-            ci = math.inf
         means.append(mean)
         cis.append(ci)
         sums.append(s)
@@ -152,12 +154,16 @@ def entropy_partial(mu: FiniteMeasure, n_max: int,
     truncation, the entropy of the true law differs from the retained part
     by at most -d log d + d * n * log |supp mu| (d = deficit), reported as a
     crude error bar; the acceptance paths run untruncated where it is 0.
+    On a free group the chain runs with letters moved apart
+    (``freewalk._letters_apart``): the entropy needs only the weights.
     """
     if n_max < 1:
         raise DomainError("n_max must be >= 1")
     ns, hs, errs = [], [], []
     rate = math.inf
     supp = max(len(mu), 2)
+    if isinstance(mu.group, FreeGroup):
+        mu = freewalk._letters_apart(mu)
     for n, mun in power_sequence(mu, n_max, threshold=threshold):
         h = shannon_entropy(mun)
         d = float(mun.deficit)

@@ -25,6 +25,20 @@ an integer sum over one common denominator, a power of 2k times a power of
 ``is_srw`` is the one test for that measure; the radial a_n route of
 ``wordmetric.norm_sums``, radial ``phi`` and the boundary model share it.
 
+``_letters_apart`` serves the exact chains that run on the words
+themselves. In CPython ``hash(-1) == hash(-2)``, so the letters A (-1) and
+B (-2) share a hash, and so does every pair of words that differ only by
+A <-> B: the 256 atoms of mu^{*8} for ``BA=5/6;BB=1/6`` all share one, and
+each dict insert of the convolution probes a chain that long. Moving each
+letter x to x + sign(x) leaves out -1, so every letter hashes apart. The
+map is odd and injective, so ``FreeGroup._mul``'s cancellation test and
+every product, word length, dict insertion order and float sum carry over
+unchanged. The routes that need only weights, lengths or prefix masses
+(``drift.entropy_partial``, the free-norm joint law of
+``wordmetric.norm_sums`` and the prefix route of
+``wordmetric.fk_numerators``) run on the relabelled copy, after the route is
+chosen on the original measure; the public words never change.
+
 These routines are an alternative route to the same numbers the convolution
 pipeline produces; the two are cross-checked against each other (and against
 brute-force path enumeration) in the test suite.
@@ -75,6 +89,20 @@ def is_srw(mu: FiniteMeasure) -> bool:
     share, rest = divmod(mu.den, 2 * group.k)
     get = mu.weights.get
     return not rest and all(get(s) == share for s in group.generators())
+
+
+def _apart(g: tuple) -> tuple:
+    """The word g with each letter x moved to x + sign(x)."""
+    return tuple([x + 1 if x > 0 else x - 1 for x in g])
+
+
+def _letters_apart(mu: FiniteMeasure) -> FiniteMeasure:
+    """mu on a free group with every letter moved by ``_apart``: the same
+    numerators in the same order, on letters whose hashes differ. Its
+    atoms are no longer elements of mu.group; only ``_mul`` may see them."""
+    weights = {_apart(g): c for g, c in mu.weights.items()}
+    return FiniteMeasure(group=mu.group, weights=weights, den=mu.den,
+                         deficit=mu.deficit, mode=mu.mode)
 
 
 def path_counts(k: int, n_max: int) -> Iterator[List[int]]:

@@ -21,7 +21,11 @@ laws, which live on a bare integer line (elements plain ints, product
 s^-1 and t), so f_k needs only the prefix masses of mu^{*k}, while a_n of
 the simple random walk needs only its radial law
 (``freewalk.path_counts``). Every other norm, and float64 mode, takes the
-loops over the atoms of the joint law.
+loops over the atoms of the joint law. Under the free norm, the joint law
+of a_n and the prefix masses of f_k run on a copy of mu whose letters are
+moved apart (``freewalk._letters_apart``): in CPython the letters A and B
+share a hash, and so would whole supports of mu^{*n}. Lengths, prefix
+masses, insertion order and float sums are those of the original words.
 """
 
 from __future__ import annotations
@@ -276,7 +280,11 @@ def _prefix_fk_numerators(mu: FiniteMeasure, points: List, k_max: int,
     the free-group norm: f_k(s) = |s| M - 2 sum_{j <= |s|} P_k(s^-1[:j]),
     with M the retained numerator mass and P_k(w) that of the atoms of
     mu^{*k} starting with w. `points` is a ball in BFS order, so every
-    proper prefix of a point comes before it."""
+    proper prefix of a point comes before it. The chain, the points and
+    their inverses run on letters moved apart (``freewalk._letters_apart``),
+    whose prefixes hash apart too."""
+    mu = freewalk._letters_apart(mu)
+    points = [freewalk._apart(s) for s in points]
     depth = max(map(len, points))
     inverses = [tuple(-x for x in reversed(s)) for s in points]
     start = [(0, dirac(mu.group, mode=mu.mode))]
@@ -363,14 +371,20 @@ def norm_sums(mu: FiniteMeasure, norm_fn: Callable, n_max: int,
     average of mu^{*n} truncated at threshold. Untruncated, the exact L1
     norm of zd takes the coordinate marginals, and the free norm of the
     exact simple random walk (``freewalk.is_srw``) the radial law up to
-    ``freewalk.MAX_RADIAL_STEPS``; the rest takes the joint law and its
-    atom budget."""
+    ``freewalk.MAX_RADIAL_STEPS``; past it free:k with k >= 2 is refused
+    (ResourceLimitError), since its joint law can only end at the atom
+    budget, while free:1 keeps the joint law. The rest takes the joint law
+    and its atom budget, with letters moved apart under the free norm."""
     norm = None if threshold else _exact_closed_form(mu, norm_fn)
     if norm is l1_norm:
         return _marginal_norm_sums(mu, n_max)
-    if (norm is free_norm and n_max <= freewalk.MAX_RADIAL_STEPS
-            and freewalk.is_srw(mu)):
+    if norm is free_norm and freewalk.is_srw(mu) and (
+            mu.group.k > 1 or n_max <= freewalk.MAX_RADIAL_STEPS):
+        freewalk.check_radial_steps(n_max)
         return _radial_norm_sums(mu, n_max)
+    if (isinstance(mu.group, FreeGroup)
+            and inspect.unwrap(norm_fn) is free_norm):
+        mu = freewalk._letters_apart(mu)
     return _joint_norm_sums(mu, norm_fn, n_max, threshold)
 
 

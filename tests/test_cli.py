@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import pickle
 import subprocess
@@ -524,13 +525,17 @@ def test_error_exit_codes(capsys, tmp_path, monkeypatch):
                 for row in json.loads(out)["exponent_histogram"])
             == 4 * 3 ** 14)
     # the radial routes refuse a walk past MAX_RADIAL_STEPS before any path
-    # count is built, also with --emit-series
+    # count is built, also with --emit-series; so does exact srw drift on
+    # free:k, k >= 2, whose joint law could only end at the atom budget
     over = str(freewalk.MAX_RADIAL_STEPS + 1)
     for argv in (("phi", "--group", "free:2", "--n", "5000", "--r-eval", "0"),
                  ("phi", "--group", "free:3", "--n", over, "--r-eval", "1",
                   "--method", "radial", "--emit-series", "-"),
                  ("c-seq", "--n-max", "5000"),
-                 ("c-seq", "--k", "26", "--n-max", over)):
+                 ("c-seq", "--k", "26", "--n-max", over),
+                 ("drift", "--group", "free:2", "--n-max", over),
+                 ("drift", "--group", "free:26", "--n-max", over,
+                  "--emit-series", "-")):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, "")
         error = json.loads(err)["error"]
@@ -541,6 +546,13 @@ def test_error_exit_codes(capsys, tmp_path, monkeypatch):
     assert run_cli(capsys, "phi", "--group", "free:2", "--n", "3")[0] == 0
     assert run_cli(capsys, "c-seq", "--n-max", "4")[0] == 2
     assert run_cli(capsys, "phi", "--group", "free:2", "--n", "4")[0] == 2
+    assert run_cli(capsys, "drift", "--group", "free:2", "--n-max",
+                   "3")[0] == 0
+    assert run_cli(capsys, "drift", "--group", "free:2", "--n-max",
+                   "4")[0] == 2
+    # free:1 keeps its joint law past the cap
+    assert run_cli(capsys, "drift", "--group", "free:1", "--n-max",
+                   "4")[0] == 0
     # the lamplighter lamp window budget is per trajectory, so it fails
     # alike at any worker count
     monkeypatch.setattr(sampler.os, "cpu_count", lambda: 2)
@@ -1214,7 +1226,7 @@ def test_dumps_matches_the_recursive_copy_on_odd_values():
         "nested": ((1, (2, (3, ()))), [(), [()]]),
         "bools": [True, False], "none": None,
         "counter": Counter({"a": 3, "b": 1}),
-        "floats": [0.0, -0.0, 1e300, float("inf")],
+        "floats": [0.0, -0.0, 1e300, 5e-324],
         "text": "p/q",
     }
     assert cli.dumps(report) == json.dumps(old_jsonable(report),
@@ -1226,6 +1238,41 @@ def test_dumps_matches_the_recursive_copy_on_odd_values():
 def test_dumps_refuses_what_json_does_not_know(value):
     with pytest.raises(TypeError):
         cli.dumps(value)
+
+
+@pytest.mark.parametrize("value", [
+    float("inf"), -math.inf, math.nan, [1.0, {"x": math.inf}],
+    np.float64("nan")])
+def test_dumps_refuses_non_finite_floats(value):
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        cli.dumps(value)
+
+
+def _refuse_constant(name):
+    raise AssertionError(f"{name} is not JSON")
+
+
+def test_one_trajectory_drift_is_strict_json(capsys):
+    """One trajectory has no confidence interval: null, not Infinity."""
+    code, out, err = run_cli(capsys, "drift", "--group", "zd:1", "--n-max",
+                             "0", "--trajectories", "1", "--steps", "2")
+    assert (code, err) == (0, "")
+    mc = json.loads(out, parse_constant=_refuse_constant)["monte_carlo"]
+    assert mc["ci_half_widths"] == [None]
+    assert mc["trajectories"] == 1 and len(mc["means"]) == 1
+
+
+def test_a_non_finite_report_value_is_a_json_error(capsys, monkeypatch):
+    """emit renders the whole text first: a value strict JSON cannot hold
+    leaves stdout empty and is one JSON error line on stderr."""
+    monkeypatch.setitem(cli._RUNNERS, "span-rank",
+                        lambda cfg: {"rank": math.nan})
+    code, out, err = run_cli(capsys, "span-rank", "--level", "2",
+                             "--radius", "2")
+    assert (code, out) == (1, "")
+    error = json.loads(err, parse_constant=_refuse_constant)["error"]
+    assert error["type"] == "error"
+    assert "not JSON" in error["message"]
 
 
 def test_dumps_digit_limit_is_a_resource_error():

@@ -17,11 +17,12 @@ from fractions import Fraction
 import pytest
 
 from groupwalk import freewalk, wordmetric
-from groupwalk.drift import adjoint_drift_equality, drift_exact_partial
-from groupwalk.errors import ResourceLimitError
-from groupwalk.groups import FreeAbelian, group_from_id
+from groupwalk.drift import (adjoint_drift_equality, drift_exact_partial,
+                             entropy_partial)
+from groupwalk.errors import DomainError, ResourceLimitError
+from groupwalk.groups import FreeAbelian, FreeGroup, group_from_id
 from groupwalk.measures import (MODE_EXACT, MODE_FLOAT, FiniteMeasure, dirac,
-                                finite_measure, parse_measure_spec,
+                                finite_measure, parse_measure_spec, power,
                                 power_sequence, srw)
 from groupwalk.quasiharmonic import compute_fk_tables
 from groupwalk.wordmetric import (fk_numerators, free_norm, l1_norm,
@@ -208,10 +209,11 @@ def _route_cases():
         (srw(z2), wrapped, 0, 8, "marginal", "marginal"),
         (srw(z2), _generic(l1_norm), 0, 8, "joint", "joint"),
         # free with both thresholds; radial a_n only for the exact srw up
-        # to the cap
+        # to the cap, past which free:1 keeps the joint law (free:2 is
+        # refused, see test_free_srw_drift_past_the_cap_is_refused_at_entry)
         (srw(f2), free_norm, 0, cap, "radial", "prefix"),
         (srw(f2), free_norm, Fraction(1, 100), 8, "joint", "prefix"),
-        (srw(f2), free_norm, 0, cap + 1, "joint", "prefix"),
+        (srw(FreeGroup(1)), free_norm, 0, cap + 1, "joint", "prefix"),
         (skewed, free_norm, 0, 8, "joint", "prefix"),
         # float64 mode and another group's norm
         (srw(z2, mode=MODE_FLOAT), l1_norm, 0, 8, "joint", "joint"),
@@ -315,10 +317,11 @@ def test_free_drift_off_the_radial_law_takes_the_generic_loop(monkeypatch,
                                                              routes):
     """Only the exact, untruncated simple random walk up to
     MAX_RADIAL_STEPS takes the radial route; every other free-group drift
-    keeps the generic loop and its atom budget."""
+    keeps the generic loop and its atom budget, and so does the free:1
+    simple random walk past the cap."""
     monkeypatch.setattr(freewalk, "MAX_RADIAL_STEPS", 3)
     f2 = group_from_id("free:2")
-    cases = [(srw(f2), 4, 0),                                # past the cap
+    cases = [(srw(FreeGroup(1)), 4, 0),                      # past the cap
              (parse_measure_spec(f2, FREE_MEASURES[1]), 3, 0),
              (parse_measure_spec(f2, "a=1/2;A=1/6;b=1/6;B=1/6"), 3, 0),
              (srw(f2, mode=MODE_FLOAT), 3, 0),
@@ -335,3 +338,155 @@ def test_free_drift_off_the_radial_law_takes_the_generic_loop(monkeypatch,
     report = drift_exact_partial(srw(f2), free_norm, 3)
     assert routes == ["_radial_norm_sums"]
     assert report == drift_exact_partial(srw(f2), _generic(free_norm), 3)
+
+
+@pytest.mark.parametrize("k", [2, 3, 26])
+def test_free_srw_drift_past_the_cap_is_refused_at_entry(monkeypatch, k,
+                                                         routes):
+    """Past MAX_RADIAL_STEPS the joint law of srw on free:k, k >= 2, could
+    only end at the atom budget: norm_sums refuses before any power, with
+    the radial routes' message. Truncated or float64 srw, another measure
+    and free:1 keep the joint law."""
+    monkeypatch.setattr(freewalk, "MAX_RADIAL_STEPS", 3)
+    group = FreeGroup(k)
+    with pytest.raises(ResourceLimitError,
+                       match="refusing a 4-step radial walk: past "
+                             "MAX_RADIAL_STEPS = 3"):
+        norm_sums(srw(group), free_norm, 4)
+    with pytest.raises(ResourceLimitError, match="MAX_RADIAL_STEPS"):
+        adjoint_drift_equality(srw(group), free_norm, 4)
+    assert routes == []
+    for mu, threshold in ((srw(group), Fraction(1, 10)),
+                          (srw(group, mode=MODE_FLOAT), 0),
+                          (srw(FreeGroup(1)), 0),
+                          (parse_measure_spec(group, "a=1/2;B=1/2"), 0)):
+        norm_sums(mu, free_norm, 4, threshold)
+    assert routes == ["_joint_norm_sums"] * 4
+
+
+# -- free-group letters moved apart (freewalk._letters_apart) -----------------
+
+# a_n and H_n steps and f_k depth per rank, where the joint law stays small
+APART_STEPS = {"free:1": (10, 6), "free:2": (6, 4), "free:3": (5, 3),
+               "free:4": (4, 3)}
+APART_MEASURES = FREE_MEASURES + ["aa=2/3;A=1/3", "BA=5/6;BB=1/6",
+                                  "A=1/4;BA=3/4", "d=1/2;AB=1/4;b=1/4"]
+
+
+def _apart_measures(group, mode):
+    """The measures of APART_MEASURES whose letters `group` has."""
+    out = []
+    for spec in APART_MEASURES:
+        try:
+            out.append(parse_measure_spec(group, spec, mode=mode))
+        except DomainError:
+            pass
+    return out
+
+
+def _exact_laws(mu, n_max, k_max, threshold):
+    points = list(wordmetric.build_ball(mu.group, 2).norms)
+    return (entropy_partial(mu, n_max, threshold),
+            list(norm_sums(mu, free_norm, n_max, threshold)),
+            list(fk_numerators(mu, free_norm, points, k_max, threshold)))
+
+
+@pytest.mark.parametrize("gid", sorted(APART_STEPS))
+@pytest.mark.parametrize("mode", [MODE_EXACT, MODE_FLOAT])
+@pytest.mark.parametrize("threshold", [0, Fraction(1, 200)])
+def test_moved_letters_give_the_plain_chain(monkeypatch, gid, mode,
+                                            threshold):
+    """entropy_partial, norm_sums and fk_numerators on moved letters equal
+    the same calls with the relabel turned off, bit for bit in float64."""
+    group = group_from_id(gid)
+    n_max, k_max = APART_STEPS[gid]
+    if mode == MODE_FLOAT:
+        threshold = float(threshold)
+    measures = _apart_measures(group, mode)
+    assert len(measures) >= 3
+    deficits = []
+    for mu in measures:
+        moved = _exact_laws(mu, n_max, k_max, threshold)
+        with monkeypatch.context() as plain:
+            plain.setattr(freewalk, "_letters_apart", lambda m: m)
+            plain.setattr(freewalk, "_apart", lambda g: g)
+            oracle = _exact_laws(mu, n_max, k_max, threshold)
+        assert moved == oracle
+        deficits += [row[-1] for row in moved[1]]
+    assert any(deficits) == bool(threshold)
+
+
+def test_moved_letters_hash_apart():
+    """Regression guard, with no timing: in CPython hash(-1) == hash(-2),
+    so every atom of this mu^{*8} shares one hash; moved apart, each has
+    its own, with the same numerators in the same order."""
+    mu = parse_measure_spec(group_from_id("free:2"), "BA=5/6;BB=1/6")
+    plain = power(mu, 8)
+    moved = power(freewalk._letters_apart(mu), 8)
+    assert len(plain) == len(moved) == 256
+    assert len({hash(g) for g in plain.weights}) == 1
+    assert len({hash(g) for g in moved.weights}) == 256
+    assert list(moved.weights.items()) == [
+        (freewalk._apart(g), c) for g, c in plain.weights.items()]
+    assert (moved.den, moved.deficit) == (plain.den, plain.deficit)
+    assert all(-1 not in g and 1 not in g for g in moved.weights)
+
+
+def test_letters_move_apart_after_the_route_is_chosen(monkeypatch, routes):
+    """The route is chosen on the original measure, so the simple random
+    walk keeps the radial route (``freewalk.is_srw`` never sees moved
+    letters); the joint law under the free norm, the prefix route and the
+    free-group entropy chain then run on a moved copy of it."""
+    seen = []
+    relabel = freewalk._letters_apart
+
+    def spy(mu):
+        seen.append(mu)
+        routes.append("apart")
+        return relabel(mu)
+    monkeypatch.setattr(freewalk, "_letters_apart", spy)
+    f1, f2, z2 = FreeGroup(1), FreeGroup(2), group_from_id("zd:2")
+    skewed = parse_measure_spec(f2, FREE_MEASURES[1])
+    wrapped = functools.wraps(free_norm)(lambda g: free_norm(g))
+    cap = freewalk.MAX_RADIAL_STEPS
+    joint = ["apart", "_joint_norm_sums"]
+    cases = [
+        (srw(f2), free_norm, 0, 8, ["_radial_norm_sums"]),
+        (srw(f2), wrapped, 0, 8, ["_radial_norm_sums"]),
+        (srw(f1), free_norm, 0, cap + 1, joint),
+        (srw(f2), free_norm, Fraction(1, 100), 8, joint),
+        (srw(f2, mode=MODE_FLOAT), free_norm, 0, 8, joint),
+        (skewed, free_norm, 0, 8, joint),
+        (skewed, wrapped, Fraction(1, 100), 8, joint),
+        # a norm that is not free_norm, and free_norm off a free group,
+        # see the public words
+        (skewed, _generic(free_norm), 0, 8, ["_joint_norm_sums"]),
+        (srw(z2), free_norm, 0, 8, ["_joint_norm_sums"]),
+        (srw(z2), l1_norm, 0, 8, ["_marginal_norm_sums"]),
+    ]
+    for mu, norm_fn, threshold, n_max, expected in cases:
+        routes.clear()
+        seen.clear()
+        norm_sums(mu, norm_fn, n_max, threshold)
+        assert routes == expected, (mu, norm_fn, threshold)
+        assert all(m is mu for m in seen)
+    # f_k: the prefix route moves mu, and the points, once it starts;
+    # float64 keeps the joint loop on the public words
+    points = list(wordmetric.build_ball(f2, 2).norms)
+    for mu, expected in ((skewed, ["_prefix_fk_numerators", "apart"]),
+                         (srw(f2, mode=MODE_FLOAT),
+                          ["_joint_fk_numerators"])):
+        routes.clear()
+        seen.clear()
+        list(fk_numerators(mu, free_norm, points, 2))
+        assert routes == expected
+        assert all(m is mu for m in seen)
+    # entropy: every free-group measure, in both modes; no other group
+    for mu, expected in ((srw(f2), ["apart"]), (skewed, ["apart"]),
+                         (srw(f2, mode=MODE_FLOAT), ["apart"]),
+                         (srw(z2), [])):
+        routes.clear()
+        seen.clear()
+        entropy_partial(mu, 3)
+        assert routes == expected
+        assert all(m is mu for m in seen)
