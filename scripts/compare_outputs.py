@@ -37,7 +37,12 @@ joint law, then the free-group chains that run on letters moved apart
 n = 11 and float64 under ``--truncation 1e-4``, ``drift`` on
 ``A=1/4;BA=3/4`` in exact and float64, and an exact convolution ``phi`` on
 ``free:3`` under ``--truncation 1/100`` (the prefix route with a
-threshold). One subprocess per tree (the parent's a ``git archive`` export
+threshold), then convolution ``phi`` with ``--emit-series``, whose series
+reads f_k at supp mu alone: exact on ``heisenberg`` and ``lamplighter``
+(the joint law) and on a skewed ``free:2`` measure (prefix masses), each
+untruncated and under ``--truncation 1/100``, and a float64 ``phi`` on
+``free:2`` ``A=1/2;B=1/2``, whose joint law runs on moved letters. One
+subprocess per tree (the parent's a ``git archive`` export
 in a temporary directory) imports ``groupwalk`` from that tree's ``src``.
 It runs every CLI job through ``groupwalk.cli.run``, with the jobs' input
 files in a temporary work directory, and every library job through
@@ -168,6 +173,23 @@ TRUNCATED_PHI_JOBS = [
      "--truncation", "1/100", "--emit-series", "-"],
 ]
 
+# convolution phi with its distortion series, which reads f_k at supp mu
+# alone: exact on the joint law (heisenberg, lamplighter) and on prefix
+# masses (a skewed free:2 measure), each untruncated and truncated; and a
+# float64 free phi, whose joint law runs on letters moved apart
+CESARO_PHI_JOBS = [
+    ["phi", "--group", gid, f"--measure={spec}", "--method", "convolution",
+     "--n", n, "--r-eval", "3", "--emit-series", "-"] + truncation
+    for gid, spec, n in (("heisenberg", "srw", "6"),
+                         ("lamplighter", "srw", "6"),
+                         ("free:2", "a=1/3;B=1/6;ab=1/4;A=1/4", "9"))
+    for truncation in ([], ["--truncation", "1/100"])
+] + [
+    ["phi", "--group", "free:2", "--method", "convolution",
+     "--measure=A=1/2;B=1/2", "--n", "10", "--r-eval", "4", "--mode",
+     "float64"],
+]
+
 
 def cli_jobs() -> list:
     """The fixed ``cli`` spec's argument lists (see the module doc)."""
@@ -186,7 +208,7 @@ def cli_jobs() -> list:
     jobs.append(["cocycle", "--k", "3", "--g", "aB", "--cylinder", "aBca"])
     return (jobs + RADIAL_JOBS + GSPACE_JOBS + LAW_RULE_JOBS
             + RADIAL_DRIFT_JOBS + DEFICIT_JOBS + TRUNCATED_PHI_JOBS
-            + APART_JOBS)
+            + APART_JOBS + CESARO_PHI_JOBS)
 
 
 def parse_args(argv):

@@ -3,10 +3,10 @@ finitely generated groups: word metrics, convolution powers, drift and
 entropy, quasi-harmonic tables, the free-group boundary with its cocycle,
 and finite stationary G-spaces."""
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
-from .errors import (DomainError, GroupwalkError, NonConvergenceError,
-                     OutOfRangeError, PreconditionError, ResourceLimitError)
+from .errors import (DomainError, GroupwalkError, OutOfRangeError,
+                     PreconditionError, ResourceLimitError)
 from .groups import (FreeAbelian, FreeGroup, Group, Heisenberg, Lamplighter,
                      group_from_id)
 from .measures import (FiniteMeasure, adjoint, convolve, dirac,
@@ -17,8 +17,8 @@ from .wordmetric import (BallTable, build_ball, check_seminorm,
                          word_norm)
 
 __all__ = [
-    "DomainError", "GroupwalkError", "NonConvergenceError", "OutOfRangeError",
-    "PreconditionError", "ResourceLimitError",
+    "DomainError", "GroupwalkError", "OutOfRangeError", "PreconditionError",
+    "ResourceLimitError",
     "FreeAbelian", "FreeGroup", "Group", "Heisenberg", "Lamplighter",
     "group_from_id",
     "FiniteMeasure", "adjoint", "convolve", "dirac", "finite_measure",

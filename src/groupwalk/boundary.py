@@ -39,9 +39,9 @@ alone is bounded by ``MAX_ENUMERATION_LEVEL``; ``format_word_rows`` texts
 such rows. Exact checks are integer sums over one common denominator, and
 a ``Fraction`` is only built for a reported value or residual.
 
-Everything is exact-rational; only SRW is admitted (for any other
-nearest-neighbor measure the hitting measure is not this simple, and
-requests are rejected loudly). Validation happens once, at the public
+Everything is exact-rational, and every entry takes the rank k and uses
+the SRW of F_k (for any other nearest-neighbor measure the hitting
+measure is not this simple). Validation happens once, at the public
 entry, which checks each caller-supplied word (DomainError); inner loops
 then use the unchecked ``FreeGroup._mul`` and array kernels on words valid
 by construction (cylinders, ball elements).
@@ -61,7 +61,7 @@ from . import freewalk
 from .errors import DomainError, OutOfRangeError, PreconditionError, \
     ResourceLimitError
 from .groups import _SYMBOLS, FreeGroup
-from .measures import FiniteMeasure, power, srw
+from .measures import power, srw
 from .wordmetric import build_ball
 
 MAX_ENUMERATION_LEVEL = 14  # 4*3^13 ~ 6.4M cylinders; beyond that, refuse
@@ -75,13 +75,6 @@ def _check_rank(k: int, *words: Tuple[int, ...]) -> None:
     group = FreeGroup(k)            # caps the rank
     for word in words:
         group.check_element(word)
-
-
-def require_srw(mu: FiniteMeasure, k: int) -> None:
-    """Reject measures other than uniform-on-generators (see module doc)."""
-    if mu.group != FreeGroup(k) or not freewalk.is_srw(mu):
-        raise PreconditionError(
-            "boundary computations are defined for the exact-mode SRW only")
 
 
 def _level_mass(k: int, level: int) -> Fraction:
@@ -281,23 +274,6 @@ def cocycle_histogram(k: int, g: Tuple[int, ...],
               + [(q - 1) * q ** (level - p - 1) for p in range(1, n)]
               + [q ** (level - n)])
     return [(2 * p - n, c) for p, c in enumerate(counts)]
-
-
-def cocycle_mass_ratio(k: int, g: Tuple[int, ...],
-                       w: Tuple[int, ...]) -> Fraction:
-    """sigma(g, C_w) as the cylinder ratio m(C_{g^-1 w}) / m(C_w).
-
-    The ratio stabilizes once the translated word is nonempty; callers pass
-    a deep enough w. This is the limit definition of the derivative and is
-    the independent route against which the exponent formula is tested.
-    """
-    group = FreeGroup(k)
-    group.check_element(w)
-    translated = group._mul(group.inv(g), w)
-    if not translated:
-        raise OutOfRangeError("cylinder too shallow for the mass ratio",
-                              required=len(g) + 1)
-    return cylinder_mass(k, translated) / cylinder_mass(k, w)
 
 
 def translated_cylinder_mass(k: int, g: Tuple[int, ...],
@@ -688,11 +664,6 @@ def span_rank(k: int, level: int, radius: int) -> int:
         return 1
     check_count_digits(k, radius)
     return cylinder_count(k, radius)
-
-
-def span_is_full(k: int, level: int, radius: int) -> bool:
-    span_rank(k, level, radius)     # its checks; the rank is the level's
-    return radius == level          # cylinder count iff radius = level
 
 
 # -- Monte Carlo validation of the hitting measure -----------------------------

@@ -37,7 +37,7 @@ from .groups import FreeGroup, group_from_id
 from .measures import MODE_EXACT, parse_measure_spec, srw
 from .sampler import SamplerConfig
 from .wordmetric import (DEFAULT_MAX_ELEMENTS, build_ball,
-                         check_value_seminorm, norm_evaluator)
+                         check_value_seminorm, fk_numerators, norm_evaluator)
 
 SCHEMA = "groupwalk/1"
 
@@ -342,23 +342,15 @@ def _run_phi(cfg: Dict[str, object]) -> dict:
             a_vals = freewalk.expected_norms(group.k, n)
             series = [(m, float(a_vals[m]) / m) for m in range(1, n + 1)]
     else:
-        tables = quasiharmonic.compute_fk_tables(mu, norm_evaluator(group),
-                                                 n - 1, r_eval,
-                                                 threshold=threshold)
-        phi = quasiharmonic.phi_from_fk(tables, n)
+        norm_fn = norm_evaluator(group)
+        phi = quasiharmonic.compute_phi(mu, norm_fn, n, r_eval,
+                                        threshold=threshold)
         if cfg["emit-series"]:
-            # running sums of f_k over supp mu, in phi_from_fk's order
-            atoms = mu.atoms
-            sums = {s: 0 for s in atoms}
-            if any(s not in phi.values for s in sums):
+            if any(s not in phi.values for s in mu.weights):
                 raise OutOfRangeError(
                     "the distortion series needs supp mu inside the "
                     "--r-eval ball")
-            for m, table in enumerate(tables[:n], start=1):
-                for s in sums:
-                    sums[s] += table.values[s]
-                d_e = sum(sums[s] / m * w for s, w in atoms.items())
-                series.append((m, float(d_e)))
+            series = _distortion_series(mu, norm_fn, n, threshold)
         entries = sorted(
             (group.format_element(s), v, phi.error_bars[s])
             for s, v in phi.values.items())
@@ -366,6 +358,27 @@ def _run_phi(cfg: Dict[str, object]) -> dict:
     return {"n": n, "r_eval": r_eval, "mode": mu.mode, "method": method,
             "values": [{"element": e, "value": v, "error": err}
                        for e, v, err in entries]}
+
+
+def _distortion_series(mu, norm_fn, n: int, threshold) -> List[tuple]:
+    """(m, d_m(e) as a float) for m = 1..n, d_m(e) = sum_s phi_m(s) mu(s),
+    from running sums of f_k over supp mu alone: in exact mode integer
+    numerators over the k-th law's denominator and one Fraction per m; in
+    float64 f_0..f_{m-1} added in order, as ``phi_from_fk`` does."""
+    weights = list(mu.weights.values())
+    sums, last, series = [0] * len(weights), 1, []
+    rows = fk_numerators(mu, norm_fn, list(mu.weights), n - 1, threshold)
+    for m, (nums, den, _) in enumerate(rows, start=1):
+        if mu.mode == MODE_EXACT:
+            sums = [a * (den // last) + c for a, c in zip(sums, nums)]
+            d_e = Fraction(sum(a * w for a, w in zip(sums, weights)),
+                           den * m * mu.den)
+            last = den
+        else:
+            sums = [a + c for a, c in zip(sums, nums)]
+            d_e = sum(a / m * w for a, w in zip(sums, weights))
+        series.append((m, float(d_e)))
+    return series
 
 
 def _radial_entries(group: FreeGroup, n: int, r_eval: int) -> List[tuple]:

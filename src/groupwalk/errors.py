@@ -32,11 +32,3 @@ class OutOfRangeError(PreconditionError):
 class ResourceLimitError(GroupwalkError):
     """A memory or iteration budget was exceeded."""
 
-
-class NonConvergenceError(PreconditionError):
-    """Iterative solver did not reach the requested residual. Unused since
-    stationary measures are in closed form; kept until a version bump."""
-
-    def __init__(self, message, residual=None):
-        super().__init__(message)
-        self.residual = residual

@@ -34,10 +34,11 @@ letter x to x + sign(x) leaves out -1, so every letter hashes apart. The
 map is odd and injective, so ``FreeGroup._mul``'s cancellation test and
 every product, word length, dict insertion order and float sum carry over
 unchanged. The routes that need only weights, lengths or prefix masses
-(``drift.entropy_partial``, the free-norm joint law of
-``wordmetric.norm_sums`` and the prefix route of
-``wordmetric.fk_numerators``) run on the relabelled copy, after the route is
-chosen on the original measure; the public words never change.
+(``drift.entropy_partial``, the free-norm joint laws of
+``wordmetric.norm_sums`` and ``wordmetric.fk_numerators``, the latter with
+its points moved too, and the prefix route of f_k) run on the relabelled
+copy, after the route is chosen on the original measure; the public words
+never change.
 
 These routines are an alternative route to the same numbers the convolution
 pipeline produces; the two are cross-checked against each other (and against

@@ -21,19 +21,21 @@ Per-entry truncation error: dropping mass d from mu^{*k} perturbs f_k(s) by
 at most d * rho(s) (each dropped term is bounded by rho(s)); this is tighter
 than the coarse d * (R_eval + k * max-generator-norm) bound and is the one
 stored in the tables. The numerators of f_k come from
-``wordmetric.fk_numerators``, the one place where their route is chosen.
+``wordmetric.fk_numerators``. f_k is linear in mu^{*k}, so exact
+``compute_phi`` evaluates the Cesaro law sum_{k<n} mu^{*k} once
+(``wordmetric.phi_numerators``); float64 averages f_0..f_{n-1} in order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Dict, Iterable, List, Sequence
 
 from .errors import DomainError, OutOfRangeError
-from .groups import FreeGroup, Group
-from . import freewalk
-from .measures import FiniteMeasure, from_numerator
-from .wordmetric import build_ball, fk_numerators
+from .groups import Group
+from .measures import MODE_EXACT, FiniteMeasure, from_numerator
+from .wordmetric import build_ball, fk_numerators, phi_numerators
 
 TOLERANCE_NOTE = ("distortion/defect trend tolerances are empirical; the "
                   "underlying convergence has no stated rate")
@@ -89,11 +91,6 @@ def compute_fk_tables(mu: FiniteMeasure, norm_fn: Callable, k_max: int,
     return tables
 
 
-def compute_fk(mu: FiniteMeasure, norm_fn: Callable, k: int, r_eval: int,
-               threshold=0) -> FkTable:
-    return compute_fk_tables(mu, norm_fn, k, r_eval, threshold)[k]
-
-
 def phi_from_fk(tables: Sequence[FkTable], n: int) -> PhiTable:
     """Pointwise Cesaro average of f_0..f_{n-1}; phi_n(e) = 0 exactly."""
     if n < 1:
@@ -111,24 +108,21 @@ def phi_from_fk(tables: Sequence[FkTable], n: int) -> PhiTable:
 
 def compute_phi(mu: FiniteMeasure, norm_fn: Callable, n: int, r_eval: int,
                 threshold=0) -> PhiTable:
-    return phi_from_fk(compute_fk_tables(mu, norm_fn, n - 1, r_eval,
-                                         threshold), n)
-
-
-def phi_table_free_srw(k_rank: int, n: int, r_eval: int) -> PhiTable:
-    """Exact phi_n for SRW on F_k via the radial route (any n).
-
-    Generic convolution is infeasible beyond small n on free groups; the
-    radial birth-death computation gives the same exact rationals (the two
-    routes are cross-checked in tests for small n).
-    """
-    group = FreeGroup(k_rank)
-    radial = freewalk.radial_phi(k_rank, n, r_eval)
-    values = {s: radial[len(s)] for s in _eval_points(group, r_eval)}
-    zero = radial[0] * 0
-    return PhiTable(n=n, values=values,
-                    error_bars={s: zero for s in values},
-                    r_eval=r_eval, mode="exact")
+    """phi_n on the ball of radius r_eval, equal to ``phi_from_fk`` over
+    ``compute_fk_tables`` (key order and types included). Exact mode
+    builds one Fraction per point; float64 averages the tables."""
+    if mu.mode != MODE_EXACT:
+        return phi_from_fk(compute_fk_tables(mu, norm_fn, n - 1, r_eval,
+                                             threshold), n)
+    points = _eval_points(mu.group, r_eval)
+    nums, den, deficit = phi_numerators(mu, norm_fn, points, n, threshold)
+    values = {s: Fraction(c, n * den) for s, c in zip(points, nums)}
+    if deficit:
+        errors = {s: deficit * norm_fn(s) / n for s in points}
+    else:
+        errors = dict.fromkeys(points, deficit / n)
+    return PhiTable(n=n, values=values, error_bars=errors, r_eval=r_eval,
+                    mode=mu.mode)
 
 
 @dataclass(frozen=True)

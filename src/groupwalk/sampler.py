@@ -8,9 +8,10 @@ makes the combined statistics exactly order-independent; floats appear only
 in the final reports.
 
 Increments are drawn by inverse CDF over the measure's atoms sorted by their
-canonical string form, a fixed cross-platform order. ``sample_trajectory``
-is the checked reference walk: it draws ``substream(seed, i).random(steps)``
-and maps each double to an atom with ``searchsorted`` (``draw_indices``).
+canonical string form, a fixed cross-platform order (``atom_table``). The
+reference walk of trajectory i, kept in the tests, draws
+``substream(seed, i).random(steps)`` and maps each double u to the atom
+``searchsorted(cdf, u, side="right")``.
 
 Trajectories are stepped in blocks of up to BLOCK_ROWS rows by one batch
 kernel per group. A block draws the next (steps, rows) segment of its rows'
@@ -56,7 +57,7 @@ import numpy as np
 
 from .boundary import format_word_rows
 from .errors import DomainError, ResourceLimitError
-from .groups import FreeAbelian, FreeGroup, Group, Heisenberg, Lamplighter
+from .groups import FreeAbelian, FreeGroup, Heisenberg, Lamplighter
 from .measures import FiniteMeasure, power, total_variation
 
 BLOCK_ROWS = 1024           # trajectories stepped together
@@ -319,12 +320,6 @@ def atom_table(mu: FiniteMeasure):
     return elems, cdf
 
 
-def draw_indices(rng: np.random.Generator, cdf: np.ndarray,
-                 steps: int) -> np.ndarray:
-    u = rng.random(steps)
-    return np.searchsorted(cdf, u, side="right")
-
-
 class _GuideTable:
     """``searchsorted(cdf, u, side="right")`` for the raw PCG64 words x
     whose doubles are ``u = (x >> 11) * 2^-53``, on integers only: the
@@ -356,18 +351,6 @@ class _GuideTable:
         for _ in range(self.depth):
             idx += x > self.limits.take(idx)
         return idx
-
-
-def sample_trajectory(group: Group, mu: FiniteMeasure, steps: int,
-                      rng: np.random.Generator) -> List:
-    """Positions X_1..X_n of the walk with i.i.d. mu increments (X_0 = e)."""
-    elems, cdf = atom_table(mu)
-    x = group.identity()
-    out = []
-    for i in draw_indices(rng, cdf, steps):
-        x = group.mul(x, elems[int(i)])
-        out.append(x)
-    return out
 
 
 # -- batch walk kernels -------------------------------------------------------
@@ -635,7 +618,7 @@ def _walk_chunk(mu: FiniteMeasure, seed: int, span: Tuple[int, int],
     time; segments end at checkpoints and at the block's draw budget. Each
     row's words come out in sequence, and the guide table maps them to the
     indices ``searchsorted`` gives their doubles, so the row steps exactly
-    as ``sample_trajectory`` does on ``substream(seed, i)``."""
+    as the reference walk does on ``substream(seed, i)``."""
     kernel = _KERNELS[type(mu.group)]
     elems, cdf = atom_table(mu)
     table = _GuideTable(cdf)

@@ -12,20 +12,25 @@ Validation happens once, at the edge: ``build_ball`` multiplies valid
 elements with the unchecked ``Group._mul``; ``check_value_seminorm`` checks
 every key through the checked ``Group.inv`` before its unchecked pair loop.
 
-The exact laws built on these norms have one entry each: ``norm_sums``
-for the numerators of a_n and ``fk_numerators`` for those of f_k, the one
-place where each chooses its route. The L1 norm of ``zd`` is a sum over
-coordinates, so a_n and f_k need only the d one-dimensional marginal
-laws, which live on a bare integer line (elements plain ints, product
-``operator.add``); on a free group |st| - |t| = |s| - 2 (common prefix of
-s^-1 and t), so f_k needs only the prefix masses of mu^{*k}, while a_n of
-the simple random walk needs only its radial law
-(``freewalk.path_counts``). Every other norm, and float64 mode, takes the
-loops over the atoms of the joint law. Under the free norm, the joint law
-of a_n and the prefix masses of f_k run on a copy of mu whose letters are
-moved apart (``freewalk._letters_apart``): in CPython the letters A and B
-share a hash, and so would whole supports of mu^{*n}. Lengths, prefix
-masses, insertion order and float sums are those of the original words.
+The exact laws built on these norms have their entries here:
+``norm_sums`` for the numerators of a_n, and ``fk_numerators`` and
+``phi_numerators`` for those of f_k and of n phi_n. ``norm_sums`` and
+``_fk_route`` are the one place where each law chooses its route. An f_k
+route is a chain of laws and one evaluator of a law at a list of points;
+f_k is linear in the law, so ``fk_numerators`` evaluates each mu^{*k} and
+``phi_numerators`` evaluates their sum G_n = sum_{k<n} mu^{*k} once. The
+L1 norm of ``zd`` is a sum over coordinates, so a_n and f_k need only the
+d one-dimensional marginal laws, which live on a bare integer line
+(elements plain ints, product ``operator.add``); on a free group |st| -
+|t| = |s| - 2 (common prefix of s^-1 and t), so f_k needs only the prefix
+masses of mu^{*k}, while a_n of the simple random walk needs only its
+radial law (``freewalk.path_counts``). Every other norm, and float64 mode,
+takes the loops over the atoms of the joint law. Under the free norm, the
+joint laws of a_n and f_k and the prefix masses of f_k run on a copy of mu
+whose letters are moved apart (``freewalk._letters_apart``): in CPython
+the letters A and B share a hash, and so would whole supports of mu^{*n}.
+Lengths, prefix masses, insertion order and float sums are those of the
+original words.
 """
 
 from __future__ import annotations
@@ -33,7 +38,6 @@ from __future__ import annotations
 import inspect
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
 from math import gcd, isqrt
 from operator import add
 from typing import Callable, Dict, Iterator, List, Optional
@@ -252,60 +256,78 @@ def _marginal_norm_sums(mu: FiniteMeasure, n_max: int) -> Iterator[tuple]:
         yield n, total, first.den, first.deficit
 
 
+def _powers(mu: FiniteMeasure, k_max: int, threshold) -> Iterator[tuple]:
+    """(weights, den, deficit) of mu^{*k}, k = 0..k_max, truncated."""
+    e = dirac(mu.group, mode=mu.mode)
+    yield e.weights, e.den, e.deficit
+    for _, mun in power_sequence(mu, k_max, threshold=threshold):
+        yield mun.weights, mun.den, mun.deficit
+
+
 def _marginal_fk_numerators(mu: FiniteMeasure, points: List,
-                            k_max: int) -> Iterator[tuple]:
-    """(numerators of f_k at points, den, deficit) for k = 0..k_max under
-    the L1 norm: f_k(s) = sum_i sum_x (|s_i + x| - |x|) mu_i^{*k}(x)."""
+                            k_max: int) -> tuple:
+    """(laws, evaluate) under the L1 norm: f_k(s) = sum_i sum_x
+    (|s_i + x| - |x|) P(X_k^(i) = x). The law at k maps (m, x) to the
+    numerator of a Y_k + k b = x, for (j, a, b) the m-th distinct
+    coordinate map and Y_k on laws[j]^{*k}."""
     laws, maps = _coordinate_laws(mu)
+    distinct = list(dict.fromkeys(maps))
+    slot = [distinct.index(m) for m in maps]
     coords = {x for s in points for x in s}
-    start = [(0, dirac(_LINE, mode=mu.mode))]
-    for k, steps in enumerate(zip(*(chain(start, power_sequence(law, k_max))
-                                    for law in laws))):
-        shifts = {}
-        for j, a, b in set(maps):
-            xs = [(a * y + k * b, c)
-                  for y, c in steps[j][1].weights.items()]
-            shifts[j, a, b] = {v: sum((abs(v + x) - abs(x)) * c
-                                      for x, c in xs)
-                               for v in coords}
-        per_coord = [shifts[m] for m in maps]
-        first = steps[0][1]
-        yield ([sum(h[x] for h, x in zip(per_coord, s)) for s in points],
-               first.den, first.deficit)
+
+    def chain_laws():
+        for k, steps in enumerate(zip(*(_powers(law, k_max, 0)
+                                        for law in laws))):
+            law: Dict[tuple, int] = {}
+            for m, (j, a, b) in enumerate(distinct):
+                for y, c in steps[j][0].items():
+                    key = (m, a * y + k * b)
+                    law[key] = law.get(key, 0) + c
+            yield law, steps[0][1], steps[0][2]
+
+    def evaluate(law: Dict[tuple, int]) -> List:
+        xs: List[list] = [[] for _ in distinct]
+        for (m, x), c in law.items():
+            xs[m].append((x, c))
+        shifts = [{v: sum((abs(v + x) - abs(x)) * c for x, c in pairs)
+                   for v in coords} for pairs in xs]
+        per_coord = [shifts[m] for m in slot]
+        return [sum(h[x] for h, x in zip(per_coord, s)) for s in points]
+
+    return chain_laws(), evaluate
 
 
 def _prefix_fk_numerators(mu: FiniteMeasure, points: List, k_max: int,
-                          threshold) -> Iterator[tuple]:
-    """(numerators of f_k at points, den, deficit) for k = 0..k_max under
-    the free-group norm: f_k(s) = |s| M - 2 sum_{j <= |s|} P_k(s^-1[:j]),
-    with M the retained numerator mass and P_k(w) that of the atoms of
-    mu^{*k} starting with w. `points` is a ball in BFS order, so every
-    proper prefix of a point comes before it. The chain, the points and
-    their inverses run on letters moved apart (``freewalk._letters_apart``),
-    whose prefixes hash apart too."""
+                          threshold) -> tuple:
+    """(laws, evaluate) under the free-group norm: f_k(s) = |s| M - 2
+    sum_{j <= |s|} P_k(s^-1[:j]), with M the retained numerator mass and
+    P_k(w) that of the atoms of mu^{*k} starting with w: the law at k maps
+    each prefix w, |w| <= max |s|, to P_k(w), so () to M. The chain and
+    the points' inverses run on letters moved apart
+    (``freewalk._letters_apart``), whose prefixes hash apart too."""
     mu = freewalk._letters_apart(mu)
-    points = [freewalk._apart(s) for s in points]
-    depth = max(map(len, points))
-    inverses = [tuple(-x for x in reversed(s)) for s in points]
-    start = [(0, dirac(mu.group, mode=mu.mode))]
-    for _, mun in chain(start, power_sequence(mu, k_max,
-                                              threshold=threshold)):
-        mass: Dict[tuple, int] = {}
+    inverses = [freewalk._apart(tuple(-x for x in reversed(s)))
+                for s in points]
+    depth = max(map(len, points), default=0)
+
+    def chain_laws():
+        for weights, den, deficit in _powers(mu, k_max, threshold):
+            mass: Dict[tuple, int] = {}
+            get = mass.get
+            for t, c in weights.items():
+                for j in range(min(len(t), depth) + 1):
+                    w = t[:j]
+                    mass[w] = get(w, 0) + c
+            yield mass, den, deficit
+
+    def evaluate(mass: Dict[tuple, int]) -> List:
         get = mass.get
-        total = 0
-        for t, c in mun.weights.items():
-            total += c
-            for j in range(1, min(len(t), depth) + 1):
-                w = t[:j]
-                mass[w] = get(w, 0) + c
-        # below[w] = sum_{j <= |w|} P_k(w[:j])
-        below = {(): 0}
-        for w in points:
-            if w:
-                below[w] = below[w[:-1]] + get(w, 0)
-        yield ([len(s) * total - 2 * below[inv]
-                for s, inv in zip(points, inverses)],
-               mun.den, mun.deficit)
+        total = get((), 0)
+        return [len(w) * total
+                - 2 * sum(get(w[:j], 0) for j in range(1, len(w) + 1))
+                for w in inverses]
+
+    return chain_laws(), evaluate
 
 
 def _radial_norm_sums(mu: FiniteMeasure, n_max: int) -> Iterator[tuple]:
@@ -337,22 +359,27 @@ def _joint_norm_sums(mu: FiniteMeasure, norm_fn: Callable, n_max: int,
 
 
 def _joint_fk_numerators(mu: FiniteMeasure, norm_fn: Callable, points: List,
-                         k_max: int, threshold) -> Iterator[tuple]:
-    """(numerators of f_k at points, den, deficit) for k = 0..k_max: one
-    product and norm per (point, atom) pair of mu^{*k}."""
+                         k_max: int, threshold) -> tuple:
+    """(laws, evaluate) by the joint law: the law at k is mu^{*k} itself,
+    and evaluate takes one product and norm per (point, atom) pair. Under
+    the free norm the chain and the points run on letters moved apart."""
+    if _moves_letters(mu, norm_fn):
+        mu = freewalk._letters_apart(mu)
+        points = [freewalk._apart(s) for s in points]
     mul = mu.group._mul
     zero = 0 if mu.mode == MODE_EXACT else 0.0
-    start = [(0, dirac(mu.group, mode=mu.mode))]
-    for _, mun in chain(start, power_sequence(mu, k_max,
-                                              threshold=threshold)):
-        atom_norms = [(t, c, norm_fn(t)) for t, c in mun.weights.items()]
+
+    def evaluate(weights: Dict) -> List:
+        atom_norms = [(t, c, norm_fn(t)) for t, c in weights.items()]
         values = []
         for s in points:
             acc = zero
             for t, c, nt in atom_norms:
                 acc += (norm_fn(mul(s, t)) - nt) * c
             values.append(acc)
-        yield values, mun.den, mun.deficit
+        return values
+
+    return _powers(mu, k_max, threshold), evaluate
 
 
 def _exact_closed_form(mu: FiniteMeasure,
@@ -363,6 +390,12 @@ def _exact_closed_form(mu: FiniteMeasure,
     if mu.mode == MODE_EXACT and _CLOSED_FORMS.get(type(mu.group)) is norm:
         return norm
     return None
+
+
+def _moves_letters(mu: FiniteMeasure, norm_fn: Callable) -> bool:
+    """Whether the joint law runs on letters moved apart."""
+    return (isinstance(mu.group, FreeGroup)
+            and inspect.unwrap(norm_fn) is free_norm)
 
 
 def norm_sums(mu: FiniteMeasure, norm_fn: Callable, n_max: int,
@@ -382,24 +415,56 @@ def norm_sums(mu: FiniteMeasure, norm_fn: Callable, n_max: int,
             mu.group.k > 1 or n_max <= freewalk.MAX_RADIAL_STEPS):
         freewalk.check_radial_steps(n_max)
         return _radial_norm_sums(mu, n_max)
-    if (isinstance(mu.group, FreeGroup)
-            and inspect.unwrap(norm_fn) is free_norm):
+    if _moves_letters(mu, norm_fn):
         mu = freewalk._letters_apart(mu)
     return _joint_norm_sums(mu, norm_fn, n_max, threshold)
 
 
-def fk_numerators(mu: FiniteMeasure, norm_fn: Callable, points: List,
-                  k_max: int, threshold=0) -> Iterator[tuple]:
-    """(numerators of f_k at points, den, deficit) for k = 0..k_max, from
-    mu^{*k} truncated at threshold, `points` a ball in BFS order. The exact
-    L1 norm of zd takes the coordinate marginals untruncated, the exact
-    free norm the prefix masses, and the rest the joint law."""
+def _fk_route(mu: FiniteMeasure, norm_fn: Callable, points: List,
+              k_max: int, threshold) -> tuple:
+    """(laws, evaluate): ``laws`` yields (numerators, den, deficit) of the
+    route's law of mu^{*k}, k = 0..k_max, truncated at threshold, and
+    ``evaluate`` maps a law's numerators, or a sum of them, to f's at
+    points. The exact L1 norm of zd takes the coordinate marginals
+    untruncated, the exact free norm the prefix masses, the rest the joint
+    law."""
     norm = _exact_closed_form(mu, norm_fn)
     if norm is l1_norm and not threshold:
         return _marginal_fk_numerators(mu, points, k_max)
     if norm is free_norm:
         return _prefix_fk_numerators(mu, points, k_max, threshold)
     return _joint_fk_numerators(mu, norm_fn, points, k_max, threshold)
+
+
+def fk_numerators(mu: FiniteMeasure, norm_fn: Callable, points: List,
+                  k_max: int, threshold=0) -> Iterator[tuple]:
+    """(numerators of f_k at points, den, deficit) for k = 0..k_max, from
+    mu^{*k} truncated at threshold; the route's evaluator runs once per
+    k."""
+    laws, evaluate = _fk_route(mu, norm_fn, points, k_max, threshold)
+    return ((evaluate(law), den, deficit) for law, den, deficit in laws)
+
+
+def phi_numerators(mu: FiniteMeasure, norm_fn: Callable, points: List,
+                   n: int, threshold=0) -> tuple:
+    """(numerators of n phi_n at points, den, deficit), so that phi_n(s) =
+    nums[i] / (n den) with error bar deficit rho(s) / n: f_k is linear in
+    mu^{*k}, so n phi_n is f evaluated once at the Cesaro law G_n =
+    sum_{k<n} mu^{*k}, by the route of ``fk_numerators``. G_n's numerators
+    are sum_k c_k den / den_k over den = mu.den^(n-1), the last law's
+    denominator, and its deficit is the sum of the laws' deficits."""
+    if n < 1:
+        raise DomainError("Cesaro length must be >= 1")
+    laws, evaluate = _fk_route(mu, norm_fn, points, n - 1, threshold)
+    den = mu.den ** (n - 1)
+    total: Dict = {}
+    deficit = 0
+    for law, den_k, deficit_k in laws:
+        scale = den // den_k
+        for w, c in law.items():
+            total[w] = total.get(w, 0) + c * scale
+        deficit += deficit_k
+    return evaluate(total), den, deficit
 
 
 @dataclass(frozen=True)

@@ -25,8 +25,9 @@ from groupwalk.cli import run
 from groupwalk.drift import adjoint_drift_equality, drift_exact_partial
 from groupwalk.errors import OutOfRangeError, ResourceLimitError
 from groupwalk.groups import FreeGroup, group_from_id
-from groupwalk.measures import srw
+from groupwalk.measures import parse_measure_spec, srw
 from groupwalk.wordmetric import build_ball, norm_evaluator
+from references import phi_table_free_srw
 
 
 def run_cli(capsys, *argv):
@@ -215,7 +216,7 @@ def _library_radial_values(k, n, r_eval):
     """The radial route's values as ``phi_table_free_srw`` gives them on
     the ball, formatted and sorted as the report lists them."""
     group = FreeGroup(k)
-    phi = quasiharmonic.phi_table_free_srw(k, n, r_eval)
+    phi = phi_table_free_srw(k, n, r_eval)
     return json.loads(cli.dumps(
         [{"element": text, "value": value, "error": error}
          for text, value, error in sorted(
@@ -782,6 +783,50 @@ def test_phi_emit_series_convolution(capsys, tmp_path):
                              "--emit-series", str(target))
     assert (code, out) == (1, "")
     assert "r-eval" in json.loads(err)["error"]["message"]
+
+
+def _series_from_tables(mu, norm_fn, n, r_eval, threshold):
+    """The distortion series as running sums of the f_k tables, in
+    phi_from_fk's order, texted as ``--emit-series`` writes it."""
+    tables = quasiharmonic.compute_fk_tables(mu, norm_fn, n - 1, r_eval,
+                                             threshold)
+    atoms = mu.atoms
+    sums = dict.fromkeys(atoms, 0)
+    rows = []
+    for m, table in enumerate(tables, start=1):
+        for s in sums:
+            sums[s] += table.values[s]
+        d_e = sum(sums[s] / m * w for s, w in atoms.items())
+        rows.append(f"{m},{float(d_e)}")
+    return "n,distortion_at_e\n" + "\n".join(rows) + "\n"
+
+
+@pytest.mark.parametrize("gid,spec,n,mode", [
+    ("heisenberg", "srw", 6, "exact"),
+    ("lamplighter", "srw", 6, "exact"),
+    ("heisenberg", "1,0,0=1/2;0,-1,0=1/3;1,1,1=1/6", 5, "exact"),
+    ("free:2", "a=1/3;B=1/6;ab=1/4;A=1/4", 9, "exact"),
+    ("free:2", "BA=5/6;BB=1/6", 8, "exact"),
+    ("free:2", "A=1/2;B=1/2", 8, "float64"),
+    ("lamplighter", "srw", 6, "float64"),
+])
+@pytest.mark.parametrize("truncation", ["0", "1/100"])
+def test_phi_series_equals_the_tables_oracle(capsys, gid, spec, n, mode,
+                                             truncation):
+    """--emit-series reads f_k at supp mu alone, on integer running sums in
+    exact mode: the same bytes as running sums of the whole f_k tables, on
+    the joint and the prefix routes, untruncated and truncated."""
+    argv = ["phi", "--group", gid, f"--measure={spec}", "--n", str(n),
+            "--r-eval", "2", "--method", "convolution", "--mode", mode,
+            "--truncation", truncation, "--emit-series", "-"]
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 0
+    group = group_from_id(gid)
+    mu = parse_measure_spec(group, spec, mode=mode)
+    threshold = (Fraction(truncation) if mode == "exact"
+                 else float(Fraction(truncation)))
+    assert err == _series_from_tables(mu, norm_evaluator(group), n, 2,
+                                      threshold)
 
 
 def test_cocycle_level_too_shallow(capsys):

@@ -12,8 +12,9 @@ from groupwalk.groups import FreeGroup, group_from_id
 from groupwalk.measures import (MODE_FLOAT, FiniteMeasure, adjoint,
                                 finite_measure, parse_measure_spec,
                                 power_sequence, srw)
-from groupwalk.quasiharmonic import compute_fk_tables, phi_table_free_srw
+from groupwalk.quasiharmonic import compute_fk_tables
 from groupwalk.wordmetric import free_norm, norm_evaluator
+from references import phi_table_free_srw
 
 
 def brute_norm_distribution(k, n):

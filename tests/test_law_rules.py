@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import pytest
 
-from groupwalk import freewalk, wordmetric
+from groupwalk import freewalk, quasiharmonic, wordmetric
 from groupwalk.drift import (adjoint_drift_equality, drift_exact_partial,
                              entropy_partial)
 from groupwalk.errors import DomainError, ResourceLimitError
@@ -24,9 +24,10 @@ from groupwalk.groups import FreeAbelian, FreeGroup, group_from_id
 from groupwalk.measures import (MODE_EXACT, MODE_FLOAT, FiniteMeasure, dirac,
                                 finite_measure, parse_measure_spec, power,
                                 power_sequence, srw)
-from groupwalk.quasiharmonic import compute_fk_tables
+from groupwalk.quasiharmonic import (compute_fk_tables, compute_phi,
+                                     phi_from_fk)
 from groupwalk.wordmetric import (fk_numerators, free_norm, l1_norm,
-                                  norm_evaluator, norm_sums)
+                                  norm_evaluator, norm_sums, phi_numerators)
 
 # srw, a skewed 3-atom measure, a 2-atom diagonal measure (every coordinate
 # has the same law), an atom with a zero coordinate, then constant
@@ -229,14 +230,19 @@ def _route_cases():
 
 
 def test_each_entry_chooses_its_route(routes):
-    # the entries return unstarted generators: choosing costs no power
+    # norm_sums and fk_numerators return unstarted generators: choosing
+    # costs no power; phi_numerators takes the route of fk_numerators
     for mu, norm_fn, threshold, n_max, a_route, f_route in _route_cases():
         routes.clear()
+        e = mu.group.identity()
         norm_sums(mu, norm_fn, n_max, threshold)
-        fk_numerators(mu, norm_fn, [mu.group.identity()], 4, threshold)
+        fk_numerators(mu, norm_fn, [e], 4, threshold)
+        nums, _, _ = phi_numerators(mu, norm_fn, [e], 3, threshold)
+        assert nums == [0]
         assert routes == [f"_{a_route}_norm_sums",
+                          f"_{f_route}_fk_numerators",
                           f"_{f_route}_fk_numerators"], (mu, norm_fn,
-                                                          threshold, n_max)
+                                                         threshold, n_max)
 
 
 @pytest.mark.parametrize("route,norm_fn,mode", [
@@ -470,12 +476,12 @@ def test_letters_move_apart_after_the_route_is_chosen(monkeypatch, routes):
         norm_sums(mu, norm_fn, n_max, threshold)
         assert routes == expected, (mu, norm_fn, threshold)
         assert all(m is mu for m in seen)
-    # f_k: the prefix route moves mu, and the points, once it starts;
-    # float64 keeps the joint loop on the public words
+    # f_k: the prefix route moves mu and the points; float64 runs the
+    # joint loop on moved letters too
     points = list(wordmetric.build_ball(f2, 2).norms)
     for mu, expected in ((skewed, ["_prefix_fk_numerators", "apart"]),
                          (srw(f2, mode=MODE_FLOAT),
-                          ["_joint_fk_numerators"])):
+                          ["_joint_fk_numerators", "apart"])):
         routes.clear()
         seen.clear()
         list(fk_numerators(mu, free_norm, points, 2))
@@ -490,3 +496,133 @@ def test_letters_move_apart_after_the_route_is_chosen(monkeypatch, routes):
         entropy_partial(mu, 3)
         assert routes == expected
         assert all(m is mu for m in seen)
+
+
+# -- phi_n from the one Cesaro law G_n = sum_{k<n} mu^{*k} --------------------
+
+def _assert_same_phi(phi, oracle):
+    assert phi == oracle
+    assert list(phi.values) == list(oracle.values)
+    assert list(phi.error_bars) == list(oracle.error_bars)
+    assert _types(phi.values.values()) == _types(oracle.values.values())
+    assert _types(phi.error_bars.values()) == \
+        _types(oracle.error_bars.values())
+
+
+def _phi_and_oracle(mu, norm_fn, n, r_eval, threshold=0):
+    """compute_phi and the Cesaro average of the f_k tables."""
+    return (compute_phi(mu, norm_fn, n, r_eval, threshold),
+            phi_from_fk(compute_fk_tables(mu, norm_fn, n - 1, r_eval,
+                                          threshold), n))
+
+
+@pytest.mark.parametrize("gid,spec", _zd_cases())
+def test_phi_by_the_cesaro_law_on_the_marginals(gid, spec, routes):
+    mu = parse_measure_spec(group_from_id(gid), spec)
+    r_eval = 3 if gid != "zd:3" else 2
+    for n in (1, 2, 7):
+        routes.clear()
+        _assert_same_phi(*_phi_and_oracle(mu, l1_norm, n, r_eval))
+        assert routes == ["_marginal_fk_numerators"] * 2
+    phi, oracle = _phi_and_oracle(_deficit_measure(), l1_norm, 6, 3)
+    _assert_same_phi(phi, oracle)
+    assert any(err != 0 for err in phi.error_bars.values())
+
+
+@pytest.mark.parametrize("gid", ["free:2", "free:3"])
+@pytest.mark.parametrize("threshold", [0, Fraction(1, 30)])
+def test_phi_by_the_cesaro_law_on_prefix_masses(gid, threshold, routes):
+    n, r_eval = (7, 3) if gid == "free:2" else (5, 2)
+    measures = _apart_measures(group_from_id(gid), MODE_EXACT)
+    for mu in measures:
+        phi, oracle = _phi_and_oracle(mu, free_norm, n, r_eval, threshold)
+        _assert_same_phi(phi, oracle)
+        if not threshold:
+            assert set(map(type, phi.error_bars.values())) == {Fraction}
+            assert not any(phi.error_bars.values())
+    assert routes == ["_prefix_fk_numerators"] * 2 * len(measures)
+    if threshold:
+        assert any(err != 0 for err in phi.error_bars.values())
+
+
+def _joint_phi_cases():
+    """(mu, norm_fn, n, r_eval, threshold) that take the joint law."""
+    heis, lamp = group_from_id("heisenberg"), group_from_id("lamplighter")
+    z2, f2 = group_from_id("zd:2"), group_from_id("free:2")
+    return [
+        (srw(heis), norm_evaluator(heis), 4, 2, 0),
+        (srw(lamp), norm_evaluator(lamp), 4, 2, 0),
+        (parse_measure_spec(heis, "1,0,0=1/2;0,-1,0=1/3;1,1,1=1/6"),
+         norm_evaluator(heis), 5, 2, 0),
+        # a norm that is not the closed form takes the loop
+        (srw(z2), _generic(l1_norm), 5, 2, 0),
+        (parse_measure_spec(f2, FREE_MEASURES[1]), _generic(free_norm), 5,
+         2, 0),
+        # truncated: nonzero Fraction deficits from some k on
+        (srw(heis), norm_evaluator(heis), 6, 2, Fraction(1, 100)),
+        (srw(lamp), norm_evaluator(lamp), 6, 2, Fraction(1, 100)),
+        (parse_measure_spec(z2, ZD_MEASURES["zd:2"][1]), l1_norm, 6, 2,
+         Fraction(1, 100)),
+    ]
+
+
+def test_phi_by_the_cesaro_law_on_the_joint_law(routes):
+    for mu, norm_fn, n, r_eval, threshold in _joint_phi_cases():
+        routes.clear()
+        phi, oracle = _phi_and_oracle(mu, norm_fn, n, r_eval, threshold)
+        assert routes == ["_joint_fk_numerators"] * 2
+        _assert_same_phi(phi, oracle)
+        assert any(phi.error_bars.values()) == bool(threshold)
+
+
+def test_phi_numerators_are_the_cesaro_sum_of_the_fk_numerators():
+    """n phi_n's numerators over mu.den^(n-1), and the summed deficit."""
+    for mu, norm_fn, n, r_eval, threshold in _joint_phi_cases():
+        points = list(wordmetric.build_ball(mu.group, r_eval).norms)
+        nums, den, deficit = phi_numerators(mu, norm_fn, points, n,
+                                            threshold)
+        rows = list(fk_numerators(mu, norm_fn, points, n - 1, threshold))
+        assert den == mu.den ** (n - 1) == rows[-1][1]
+        assert deficit == sum(row[2] for row in rows)
+        assert nums == [sum(row[0][i] * (den // row[1]) for row in rows)
+                        for i in range(len(points))]
+    with pytest.raises(DomainError, match="Cesaro length must be >= 1"):
+        phi_numerators(srw(group_from_id("zd:1")), l1_norm, [(0,)], 0)
+
+
+@pytest.mark.parametrize("spec", FREE_MEASURES + ["aa=2/3;A=1/3",
+                                                  "BA=5/6;BB=1/6"])
+@pytest.mark.parametrize("threshold", [0, Fraction(1, 30)])
+def test_prefix_route_needs_no_bfs_order(spec, threshold, routes):
+    """The prefix evaluator reads each point's prefix sums directly: at
+    supp mu, which need not hold the prefixes of its words, and at the
+    ball reversed, it gives the values it gives on the ball."""
+    f2 = group_from_id("free:2")
+    mu = parse_measure_spec(f2, spec)
+    ball = list(wordmetric.build_ball(f2, 3).norms)
+    on_ball = list(fk_numerators(mu, free_norm, ball, 5, threshold))
+    phi_ball = phi_numerators(mu, free_norm, ball, 6, threshold)
+    for points in (list(mu.weights), ball[::-1]):
+        where = [ball.index(s) for s in points]
+        rows = list(fk_numerators(mu, free_norm, points, 5, threshold))
+        for (nums, den, deficit), (ball_nums, ball_den, ball_deficit) in zip(
+                rows, on_ball):
+            assert nums == [ball_nums[i] for i in where]
+            assert (den, deficit) == (ball_den, ball_deficit)
+        nums, den, deficit = phi_numerators(mu, free_norm, points, 6,
+                                            threshold)
+        assert nums == [phi_ball[0][i] for i in where]
+        assert (den, deficit) == phi_ball[1:]
+    assert set(routes) == {"_prefix_fk_numerators"}
+
+
+def test_float64_phi_keeps_the_table_average(monkeypatch):
+    """Float64 compute_phi averages the f_k tables in order, so it is
+    phi_from_fk over compute_fk_tables bit for bit, and never reaches
+    phi_numerators."""
+    monkeypatch.setattr(quasiharmonic, "phi_numerators", None)
+    for gid, spec in (("free:2", "A=1/2;B=1/2"), ("zd:2", "srw"),
+                      ("heisenberg", "srw")):
+        group = group_from_id(gid)
+        mu = parse_measure_spec(group, spec, mode=MODE_FLOAT)
+        _assert_same_phi(*_phi_and_oracle(mu, norm_evaluator(group), 6, 2))

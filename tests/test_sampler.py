@@ -16,9 +16,10 @@ from groupwalk.measures import (dirac, parse_measure_spec, power, srw,
 from groupwalk.sampler import (SamplerConfig, atom_table,
                                empirical_endpoint_distribution,
                                endpoint_counts, norm_statistics,
-                               prefix_counts, sample_trajectory, substream)
+                               prefix_counts, substream)
 from groupwalk.wordmetric import (BallTable, heisenberg_norm,
                                   lamplighter_norm, norm_evaluator)
+from references import sample_trajectory
 
 
 def test_zero_steps_gives_empty_trajectory():
