@@ -41,9 +41,14 @@ threshold), then convolution ``phi`` with ``--emit-series``, whose series
 reads f_k at supp mu alone: exact on ``heisenberg`` and ``lamplighter``
 (the joint law) and on a skewed ``free:2`` measure (prefix masses), each
 untruncated and under ``--truncation 1/100``, and a float64 ``phi`` on
-``free:2`` ``A=1/2;B=1/2``, whose joint law runs on moved letters. One
-subprocess per tree (the parent's a ``git archive`` export
-in a temporary directory) imports ``groupwalk`` from that tree's ``src``.
+``free:2`` ``A=1/2;B=1/2``, whose joint law runs on moved letters, then
+radial ``phi --group free:1 --n 2`` at ``--r-eval 1000`` and 1001, either
+side of ``freewalk.MAX_RADIAL_STEPS``, then the a_n/n series that the
+CLI prints for the defaults of two former scripts: ``drift --group zd:2
+--n-max 64 --emit-series -`` and ``phi --group free:2 --n 64 --r-eval 0
+--emit-series -``. One subprocess per tree (the parent's a ``git
+archive`` export in a temporary directory) imports ``groupwalk`` from
+that tree's ``src``.
 It runs every CLI job through ``groupwalk.cli.run``, with the jobs' input
 files in a temporary work directory, and every library job through
 ``perfbench/runner.execute``.
@@ -190,6 +195,16 @@ CESARO_PHI_JOBS = [
      "float64"],
 ]
 
+# radial phi either side of the radius cap, and the a_n/n series of the
+# former drift and phi-convergence scripts at their defaults
+SERIES_JOBS = [
+    ["phi", "--group", "free:1", "--n", "2", "--r-eval", "1000"],
+    ["phi", "--group", "free:1", "--n", "2", "--r-eval", "1001"],
+    ["drift", "--group", "zd:2", "--n-max", "64", "--emit-series", "-"],
+    ["phi", "--group", "free:2", "--n", "64", "--r-eval", "0",
+     "--emit-series", "-"],
+]
+
 
 def cli_jobs() -> list:
     """The fixed ``cli`` spec's argument lists (see the module doc)."""
@@ -208,7 +223,7 @@ def cli_jobs() -> list:
     jobs.append(["cocycle", "--k", "3", "--g", "aB", "--cylinder", "aBca"])
     return (jobs + RADIAL_JOBS + GSPACE_JOBS + LAW_RULE_JOBS
             + RADIAL_DRIFT_JOBS + DEFICIT_JOBS + TRUNCATED_PHI_JOBS
-            + APART_JOBS + CESARO_PHI_JOBS)
+            + APART_JOBS + CESARO_PHI_JOBS + SERIES_JOBS)
 
 
 def parse_args(argv):

@@ -33,22 +33,14 @@ import numpy as np
 from . import boundary, drift, freewalk, gspaces, quasiharmonic
 from .errors import (DomainError, GroupwalkError, OutOfRangeError,
                      PreconditionError, ResourceLimitError)
+from .freewalk import MAX_RADIAL_STEPS    # radial phi's radius cap
 from .groups import FreeGroup, group_from_id
-from .measures import MODE_EXACT, parse_measure_spec, srw
+from .measures import MODE_EXACT, fraction_text, parse_measure_spec, srw
 from .sampler import SamplerConfig
 from .wordmetric import (DEFAULT_MAX_ELEMENTS, build_ball,
                          check_value_seminorm, fk_numerators, norm_evaluator)
 
 SCHEMA = "groupwalk/1"
-
-
-def _fraction_text(value: Fraction) -> str:
-    try:
-        return f"{value.numerator}/{value.denominator}"
-    except ValueError:              # past int's digit limit for text
-        raise ResourceLimitError(
-            f"an exact value has more than "
-            f"{sys.get_int_max_str_digits()} digits") from None
 
 
 def dumps(value) -> str:
@@ -65,7 +57,7 @@ def dumps(value) -> str:
 
 def _json_default(v):
     if isinstance(v, Fraction):
-        return _fraction_text(v)
+        return fraction_text(v)
     if isinstance(v, (np.floating, np.integer, np.ndarray)):
         return v.tolist()
     raise TypeError(f"{type(v).__name__} is not JSON serializable")
@@ -362,20 +354,19 @@ def _run_phi(cfg: Dict[str, object]) -> dict:
 
 def _distortion_series(mu, norm_fn, n: int, threshold) -> List[tuple]:
     """(m, d_m(e) as a float) for m = 1..n, d_m(e) = sum_s phi_m(s) mu(s),
-    from running sums of f_k over supp mu alone: in exact mode integer
-    numerators over the k-th law's denominator and one Fraction per m; in
-    float64 f_0..f_{m-1} added in order, as ``phi_from_fk`` does."""
+    from running sums of f_k over supp mu alone, over the k-th law's
+    denominator (1 in float64, where f_0..f_{m-1} add in order, as
+    ``phi_from_fk`` does); one Fraction per m in exact mode."""
     weights = list(mu.weights.values())
     sums, last, series = [0] * len(weights), 1, []
     rows = fk_numerators(mu, norm_fn, list(mu.weights), n - 1, threshold)
     for m, (nums, den, _) in enumerate(rows, start=1):
+        sums = [a * (den // last) + c for a, c in zip(sums, nums)]
+        last = den
         if mu.mode == MODE_EXACT:
-            sums = [a * (den // last) + c for a, c in zip(sums, nums)]
             d_e = Fraction(sum(a * w for a, w in zip(sums, weights)),
                            den * m * mu.den)
-            last = den
         else:
-            sums = [a + c for a, c in zip(sums, nums)]
             d_e = sum(a / m * w for a, w in zip(sums, weights))
         series.append((m, float(d_e)))
     return series
@@ -388,8 +379,9 @@ def _radial_entries(group: FreeGroup, n: int, r_eval: int) -> List[tuple]:
     texted once.
 
     Each sphere's reduced words are texted from int8 rows, so no ball is
-    built; the ball's element budget still bounds r_eval, checked before
-    any value is computed.
+    built; the ball's element budget and MAX_RADIAL_STEPS (the report
+    grows as r_eval^2 on free:1) bound r_eval, checked before any value
+    is computed.
     """
     freewalk.check_cesaro_length(n)
     if r_eval < 0:
@@ -401,7 +393,11 @@ def _radial_entries(group: FreeGroup, n: int, r_eval: int) -> List[tuple]:
             raise ResourceLimitError(
                 f"ball of {group.id_string} exceeded {DEFAULT_MAX_ELEMENTS} "
                 f"elements; completed radius {r - 1}")
-    radial = [_fraction_text(v) for v in freewalk.radial_phi(k, n, r_eval)]
+        if r > MAX_RADIAL_STEPS:
+            raise ResourceLimitError(
+                f"refusing radial phi at radius {r_eval}: past "
+                f"MAX_RADIAL_STEPS = {MAX_RADIAL_STEPS}")
+    radial = [fraction_text(v) for v in freewalk.radial_phi(k, n, r_eval)]
     zero = radial[0]            # phi_n(e) = 0 = every error bar
     entries = [(group.format_element(()), zero, zero)]
     for words, value in zip(boundary.word_rows(k, r_eval), radial[1:]):

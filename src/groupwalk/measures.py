@@ -20,7 +20,8 @@ convolution then multiplies atoms with the unchecked ``Group._mul`` and
 the stored numerators; the product's denominator is ``mu.den * nu.den``,
 left unreduced. A Fraction is built only where a caller asks for a weight
 (``atoms``, ``from_numerator``). Float weights go through the same loops
-over the denominator 1.
+over the denominator 1. Exact values are texted by ``fraction_text``,
+in measure files and in the CLI's reports alike.
 
 Measures are immutable values. Convolution runs single-threaded with a
 fixed accumulation order, so float-mode results are bit-identical from run
@@ -32,6 +33,7 @@ naming the last completed power.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, Mapping, Optional, Tuple
@@ -278,10 +280,14 @@ def shannon_entropy(mu: FiniteMeasure) -> float:
     return h
 
 
-def _format_weight(w) -> str:
-    if isinstance(w, Fraction):
-        return f"{w.numerator}/{w.denominator}"
-    return repr(w)
+def fraction_text(value: Fraction) -> str:
+    """The p/q text of an exact value, in reports and measure files."""
+    try:
+        return f"{value.numerator}/{value.denominator}"
+    except ValueError:              # past int's digit limit for text
+        raise ResourceLimitError(
+            f"an exact value has more than "
+            f"{sys.get_int_max_str_digits()} digits") from None
 
 
 def _parse_weight(text: str, mode: str):
@@ -308,17 +314,18 @@ def _parse_weight(text: str, mode: str):
 
 def measure_to_text(mu: FiniteMeasure) -> str:
     """Line-delimited serialization: header, then one "element weight" line
-    per atom (weights as p/q in exact mode)."""
+    per atom (weights as ``fraction_text`` in exact mode, repr in float)."""
+    text = fraction_text if mu.mode == MODE_EXACT else repr
     lines = [
         f"# groupwalk-measure v{MEASURE_FORMAT_VERSION}",
         f"group {mu.group.id_string}",
         f"mode {mu.mode}",
-        f"deficit {_format_weight(mu.deficit)}",
+        f"deficit {text(mu.deficit)}",
     ]
     body = sorted(
         (mu.group.format_element(g), w) for g, w in mu.atoms.items()
     )
-    lines.extend(f"{s} {_format_weight(w)}" for s, w in body)
+    lines.extend(f"{s} {text(w)}" for s, w in body)
     return "\n".join(lines) + "\n"
 
 

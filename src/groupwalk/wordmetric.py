@@ -24,7 +24,7 @@ d one-dimensional marginal laws, which live on a bare integer line
 (elements plain ints, product ``operator.add``); on a free group |st| -
 |t| = |s| - 2 (common prefix of s^-1 and t), so f_k needs only the prefix
 masses of mu^{*k}, while a_n of the simple random walk needs only its
-radial law (``freewalk.path_counts``). Every other norm, and float64 mode,
+radial law (``freewalk.expected_norms``). Every other norm, and float64 mode,
 takes the loops over the atoms of the joint law. Under the free norm, the
 joint laws of a_n and f_k and the prefix masses of f_k run on a copy of mu
 whose letters are moved apart (``freewalk._letters_apart``): in CPython
@@ -331,16 +331,11 @@ def _prefix_fk_numerators(mu: FiniteMeasure, points: List, k_max: int,
 
 
 def _radial_norm_sums(mu: FiniteMeasure, n_max: int) -> Iterator[tuple]:
-    """(n, numerator of a_n, (2k)^n, deficit) for n = 1..n_max of the
-    simple random walk on F_k: a_n = sum_m m c_n[m] / (2k)^n over the
-    radial path counts c_n (``freewalk.path_counts``)."""
-    side = 2 * mu.group.k
-    den = 1
-    rows = freewalk.path_counts(mu.group.k, n_max)
-    next(rows)                  # c_0, the walk at e
-    for n, row in enumerate(rows, start=1):
-        den *= side
-        yield n, sum(m * c for m, c in enumerate(row)), den, mu.deficit
+    """(n, numerator of a_n, its denominator, deficit) for n = 1..n_max of
+    the simple random walk on F_k, by ``freewalk.expected_norms``."""
+    a_values = freewalk.expected_norms(mu.group.k, n_max)
+    for n in range(1, n_max + 1):
+        yield n, a_values[n].numerator, a_values[n].denominator, mu.deficit
 
 
 def _joint_norm_sums(mu: FiniteMeasure, norm_fn: Callable, n_max: int,

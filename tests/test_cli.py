@@ -300,6 +300,23 @@ def test_phi_radial_refuses_an_over_budget_radius_at_once(capsys,
         "ball of free:1 exceeded 41 elements; completed radius 20")
 
 
+def test_phi_radial_refuses_a_radius_past_the_step_cap(capsys):
+    """On free:1 the element budget passes every radius below 10^6, so
+    MAX_RADIAL_STEPS bounds the radius, checked in the same loop."""
+    assert run_cli(capsys, "phi", "--group", "free:1", "--n", "2",
+                   "--r-eval", str(freewalk.MAX_RADIAL_STEPS))[0] == 0
+    for r_eval in (freewalk.MAX_RADIAL_STEPS + 1, 10 ** 9):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "phi", "--group", "free:1", "--n",
+                                 "2", "--r-eval", str(r_eval))
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"] == {
+            "type": "resource",
+            "message": f"refusing radial phi at radius {r_eval}: past "
+                       f"MAX_RADIAL_STEPS = {freewalk.MAX_RADIAL_STEPS}"}
+
+
 def test_phi_convolution_report(capsys):
     code, out, _ = run_cli(capsys, "phi", "--group", "zd:1", "--n", "4",
                            "--r-eval", "2", "--method", "convolution")

@@ -267,6 +267,15 @@ def test_serialization_roundtrip_exact_and_float():
     assert dict(measure_from_text(measure_to_text(fl)).atoms) == dict(fl.atoms)
 
 
+def test_measure_to_text_digit_limit_is_a_resource_error():
+    """Weights are texted by the reports' own p/q texter."""
+    z = FreeAbelian(1)
+    tiny = Fraction(1, 10 ** 5000)
+    mu = finite_measure(z, {(1,): tiny, (0,): 1 - tiny})
+    with pytest.raises(ResourceLimitError, match="digits"):
+        measure_to_text(mu)
+
+
 @pytest.mark.parametrize("old,new", [
     ("# groupwalk-measure v1", "# groupwalk-measure vX"),
     ("# groupwalk-measure v1", "# groupwalk-measure v2"),
