@@ -46,7 +46,10 @@ radial ``phi --group free:1 --n 2`` at ``--r-eval 1000`` and 1001, either
 side of ``freewalk.MAX_RADIAL_STEPS``, then the a_n/n series that the
 CLI prints for the defaults of two former scripts: ``drift --group zd:2
 --n-max 64 --emit-series -`` and ``phi --group free:2 --n 64 --r-eval 0
---emit-series -``. One subprocess per tree (the parent's a ``git
+--emit-series -``, then phi rows texted ahead of the encoder where the
+radial band is thin or long, ``free:2`` at ``--n 1000 --r-eval 3`` and
+``free:26`` at ``--n 200 --r-eval 2``, and float64 rows of a convolution
+``phi`` on ``heisenberg``. One subprocess per tree (the parent's a ``git
 archive`` export in a temporary directory) imports ``groupwalk`` from
 that tree's ``src``.
 It runs every CLI job through ``groupwalk.cli.run``, with the jobs' input
@@ -205,6 +208,15 @@ SERIES_JOBS = [
      "--emit-series", "-"],
 ]
 
+# phi rows texted ahead of the encoder: radial bands thin against a long
+# walk and on the widest alphabet, and float64 convolution rows
+ROW_TEXT_JOBS = [
+    ["phi", "--group", "free:2", "--n", "1000", "--r-eval", "3"],
+    ["phi", "--group", "free:26", "--n", "200", "--r-eval", "2"],
+    ["phi", "--group", "heisenberg", "--n", "5", "--r-eval", "4", "--mode",
+     "float64"],
+]
+
 
 def cli_jobs() -> list:
     """The fixed ``cli`` spec's argument lists (see the module doc)."""
@@ -223,7 +235,7 @@ def cli_jobs() -> list:
     jobs.append(["cocycle", "--k", "3", "--g", "aB", "--cylinder", "aBca"])
     return (jobs + RADIAL_JOBS + GSPACE_JOBS + LAW_RULE_JOBS
             + RADIAL_DRIFT_JOBS + DEFICIT_JOBS + TRUNCATED_PHI_JOBS
-            + APART_JOBS + CESARO_PHI_JOBS + SERIES_JOBS)
+            + APART_JOBS + CESARO_PHI_JOBS + SERIES_JOBS + ROW_TEXT_JOBS)
 
 
 def parse_args(argv):

@@ -36,7 +36,8 @@ identity and normalization checks and the hitting-measure check enumerate
 cylinders with ``_cylinder_array`` (the reduced words of a level as rows
 of an int8 array, in lexicographic order, built by ``word_rows``), which
 alone is bounded by ``MAX_ENUMERATION_LEVEL``; ``format_word_rows`` texts
-such rows. Exact checks are integer sums over one common denominator, and
+such rows, and ``sorted_word_texts`` texts a ball's words in text order
+without them. Exact checks are integer sums over one common denominator, and
 a ``Fraction`` is only built for a reported value or residual.
 
 Everything is exact-rational, and every entry takes the rank k and uses
@@ -53,6 +54,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Dict, Iterator, List, Sequence, Tuple
 
 import numpy as np
@@ -168,6 +170,29 @@ def format_word_rows(k: int, rows: np.ndarray) -> List[str]:
     for i in np.flatnonzero(rows[:, 0] == 0).tolist():
         texts[i] = identity
     return texts
+
+
+def sorted_word_texts(k: int, max_length: int) -> List[str]:
+    """``FreeGroup(k).format_element`` of every reduced word of length
+    1..max_length, in text order (unchecked, unbounded: callers keep their
+    own budget).
+
+    Text order is a pre-order walk of the Cayley tree that visits each
+    word's children in the order of their letters' symbols, the capitals
+    first. The suffixes below a word depend only on its last letter and its
+    length, so they are texted once per (letter, length), from the deepest
+    length up, and a word's list is its children's lists joined.
+    """
+    if not max_length:
+        return []
+    letters = sorted([*range(1, k + 1), *range(-1, -k - 1, -1)],
+                     key=_SYMBOLS.__getitem__)
+    below = dict.fromkeys(letters, [""])    # suffixes below a deepest word
+    for _ in range(max_length - 1):
+        grown = {y: [_SYMBOLS[y] + t for t in below[y]] for y in letters}
+        below = {x: [""] + list(chain.from_iterable(
+            grown[y] for y in letters if y != -x)) for x in letters}
+    return [_SYMBOLS[y] + t for y in letters for t in below[y]]
 
 
 def cylinders(k: int, level: int) -> Iterator[Tuple[int, ...]]:

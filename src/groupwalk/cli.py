@@ -20,12 +20,14 @@ exit code 1. Only ``--help`` leaves `run` by SystemExit (code 0).
 from __future__ import annotations
 
 import argparse
+import bisect
 import dataclasses
 import functools
 import json
 import math
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -43,14 +45,35 @@ from .wordmetric import (DEFAULT_MAX_ELEMENTS, build_ball,
 SCHEMA = "groupwalk/1"
 
 
+@dataclasses.dataclass(frozen=True)
+class RowTexts:
+    """The items of a JSON array as JSON texts, which `dumps` writes as
+    they are: rows texted once by their runner, not built as dicts for the
+    encoder to walk."""
+    texts: List[str]
+
+
 def dumps(value) -> str:
     """`value` as JSON text with sorted keys, by json's own encoder.
 
     Fractions (subclasses too) become p/q strings, numpy integer and
     floating scalars Python numbers, arrays lists; any other type json does
     not know is a TypeError, and a non-finite float, which strict JSON has
-    no text for, a ValueError.
+    no text for, a ValueError. `RowTexts` are written as arrays of their
+    texts, at the top or as values of a top-level dict with text keys,
+    whose items are then encoded one by one and joined as json joins them
+    (deeper down, json does not know them).
     """
+    if isinstance(value, RowTexts):
+        return "[" + ", ".join(value.texts) + "]"
+    if isinstance(value, dict) and any(
+            isinstance(v, RowTexts) for v in value.values()):
+        return "{" + ", ".join([f"{_dumps(key)}: {dumps(item)}"
+                                for key, item in sorted(value.items())]) + "}"
+    return _dumps(value)
+
+
+def _dumps(value) -> str:
     return json.dumps(value, sort_keys=True, default=_json_default,
                       allow_nan=False)
 
@@ -63,13 +86,29 @@ def _json_default(v):
     raise TypeError(f"{type(v).__name__} is not JSON serializable")
 
 
+def _strict_text(value) -> str:
+    """`dumps(value)`; a non-finite float is the GroupwalkError of a
+    report that is not JSON."""
+    try:
+        return dumps(value)
+    except ValueError as exc:           # a non-finite float
+        raise GroupwalkError(f"report is not JSON: {exc}") from None
+
+
+def _value_text(value) -> str:
+    """json's text of one row value: a Fraction's p/q string, a finite
+    float's repr, else `_strict_text`."""
+    if isinstance(value, Fraction):
+        return f'"{fraction_text(value)}"'
+    if isinstance(value, float) and math.isfinite(value):
+        return float.__repr__(value)
+    return _strict_text(value)
+
+
 def emit(report: dict) -> None:
     """Write the report's JSON line. The text is whole before the first
     write, so a value that is not JSON leaves stdout empty."""
-    try:
-        text = dumps(report)
-    except ValueError as exc:           # a non-finite float
-        raise GroupwalkError(f"report is not JSON: {exc}") from None
+    text = _strict_text(report)
     sys.stdout.write(text)              # two writes: no copy of a long text
     sys.stdout.write("\n")
 
@@ -329,7 +368,7 @@ def _run_phi(cfg: Dict[str, object]) -> dict:
                 "with --truncation")
     series: List[tuple] = []
     if method == "radial":
-        entries = _radial_entries(group, n, r_eval)
+        rows = _radial_rows(group, n, r_eval)
         if cfg["emit-series"]:
             a_vals = freewalk.expected_norms(group.k, n)
             series = [(m, float(a_vals[m]) / m) for m in range(1, n + 1)]
@@ -343,13 +382,24 @@ def _run_phi(cfg: Dict[str, object]) -> dict:
                     "the distortion series needs supp mu inside the "
                     "--r-eval ball")
             series = _distortion_series(mu, norm_fn, n, threshold)
-        entries = sorted(
-            (group.format_element(s), v, phi.error_bars[s])
-            for s, v in phi.values.items())
     _write_series(cfg["emit-series"], series, "n,distortion_at_e")
+    if method != "radial":
+        # after the series is written, where emit met a bad float before
+        rows = _phi_rows(group, phi)
     return {"n": n, "r_eval": r_eval, "mode": mu.mode, "method": method,
-            "values": [{"element": e, "value": v, "error": err}
-                       for e, v, err in entries]}
+            "values": rows}
+
+
+def _phi_rows(group, phi: quasiharmonic.PhiTable) -> RowTexts:
+    """The report rows of a phi table, in the order of the element texts.
+    A row's error is texted before its value, the order in which json met
+    a non-finite float in a dict row."""
+    texts = {group.format_element(s): s for s in phi.values}
+    return RowTexts([
+        f'{{"element": {encode_basestring_ascii(text)}, "error": '
+        f'{_value_text(phi.error_bars[s])}, "value": '
+        f'{_value_text(phi.values[s])}}}'
+        for text, s in sorted(texts.items())])
 
 
 def _distortion_series(mu, norm_fn, n: int, threshold) -> List[tuple]:
@@ -372,16 +422,16 @@ def _distortion_series(mu, norm_fn, n: int, threshold) -> List[tuple]:
     return series
 
 
-def _radial_entries(group: FreeGroup, n: int, r_eval: int) -> List[tuple]:
-    """(text, phi_n, error) for each element of the radius-r_eval ball,
-    sorted, with phi_n and its zero error as p/q text: phi_n of the exact
-    simple random walk is constant on spheres, so each sphere's value is
-    texted once.
+def _radial_rows(group: FreeGroup, n: int, r_eval: int) -> RowTexts:
+    """The report rows of each element of the radius-r_eval ball, in the
+    order of the element texts, with phi_n and its zero error as p/q text:
+    phi_n of the exact simple random walk is constant on spheres, so each
+    sphere's row tail is texted once and each row once.
 
-    Each sphere's reduced words are texted from int8 rows, so no ball is
-    built; the ball's element budget and MAX_RADIAL_STEPS (the report
-    grows as r_eval^2 on free:1) bound r_eval, checked before any value
-    is computed.
+    The words come texted in text order (``boundary.sorted_word_texts``),
+    so no ball is built and nothing is sorted; the ball's element budget
+    and MAX_RADIAL_STEPS (the report grows as r_eval^2 on free:1) bound
+    r_eval, checked before any value is computed.
     """
     freewalk.check_cesaro_length(n)
     if r_eval < 0:
@@ -398,13 +448,16 @@ def _radial_entries(group: FreeGroup, n: int, r_eval: int) -> List[tuple]:
                 f"refusing radial phi at radius {r_eval}: past "
                 f"MAX_RADIAL_STEPS = {MAX_RADIAL_STEPS}")
     radial = [fraction_text(v) for v in freewalk.radial_phi(k, n, r_eval)]
-    zero = radial[0]            # phi_n(e) = 0 = every error bar
-    entries = [(group.format_element(()), zero, zero)]
-    for words, value in zip(boundary.word_rows(k, r_eval), radial[1:]):
-        entries += [(text, value, zero)
-                    for text in boundary.format_word_rows(k, words)]
-    entries.sort()
-    return entries
+    # phi_n(e) = 0 = every error bar; one symbol a letter, so a word's
+    # text is as long as its norm
+    tails = [f'", "error": "{radial[0]}", "value": "{value}"}}'
+             for value in radial]
+    words = boundary.sorted_word_texts(k, r_eval)
+    rows = ['{"element": "' + w + tails[len(w)] for w in words]
+    identity = group.format_element(())
+    rows.insert(bisect.bisect(words, identity),
+                '{"element": "' + identity + tails[0])
+    return RowTexts(rows)
 
 
 def _run_cocycle(cfg: Dict[str, object]) -> dict:

@@ -20,7 +20,9 @@ The law is carried as integer path counts: c_n[m] is the number of the
 (2k)^n generator paths of length n that end at norm m, and one step sends
 c (2k-1) up and c down from m >= 1 and c 2k out of 0. Every exact value is
 an integer sum over one common denominator, a power of 2k times a power of
-2k-1; a ``Fraction`` is only built for a returned value.
+2k-1; a ``Fraction`` is only built for a returned value. ``radial_phi``
+reads the weighted counts below its radius and their total, a closed
+form, so it carries only the band of each row that can still reach them.
 
 ``is_srw`` is the one test for that measure; the radial a_n route of
 ``wordmetric.norm_sums``, radial ``phi`` and the boundary model share it.
@@ -49,7 +51,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterator, List
+from typing import Iterator, List, Optional
 
 from .errors import DomainError, ResourceLimitError
 from .groups import FreeGroup
@@ -106,16 +108,24 @@ def _letters_apart(mu: FiniteMeasure) -> FiniteMeasure:
                          deficit=mu.deficit, mode=mu.mode)
 
 
-def path_counts(k: int, n_max: int) -> Iterator[List[int]]:
+def path_counts(k: int, n_max: int,
+                stop: Optional[int] = None) -> Iterator[List[int]]:
     """c_n for n = 0..n_max: c_n[m] counts the (2k)^n paths of length n
-    ending at norm m, m = 0..n (unchecked k)."""
+    ending at norm m, m = 0..n (unchecked k).
+
+    With ``stop``, row n keeps only m < stop - n: one step moves the norm
+    by one, so a count past that cannot come back below stop - n_max by
+    step n_max, and every kept count is exact.
+    """
     q = 2 * k - 1
-    row = [1]
+    row = [1][:stop]
     yield row
-    for _ in range(n_max):
-        pad = row + [0, 0]
+    for n in range(1, n_max + 1):
+        pad = row + [0, 0, 0]
         row = [pad[1], 2 * k * pad[0] + pad[2]]
-        row += [q * a + b for a, b in zip(pad[1:-2], pad[3:])]
+        row += [q * a + b for a, b in zip(pad[1:-3], pad[3:])]
+        if stop is not None:
+            del row[max(stop - n, 0):]
         yield row
 
 
@@ -133,11 +143,12 @@ def expected_norms(k: int, n_max: int) -> List[Fraction]:
             for n, row in enumerate(path_counts(k, n_max))]
 
 
-def _radial_values(counts: List[int], den: int, q: int,
+def _radial_values(counts: List[int], total: int, den: int, q: int,
                    r_max: int) -> List[Fraction]:
     """r - 2 sum_{i=1}^{r} T_i q^(r-i) / (den q^(r-1)) for r = 0..r_max,
-    with T_i = sum_{m >= i} counts[m]; r = 0 gives 0."""
-    tail = sum(counts[1:])
+    with T_i = total - sum_{m < i} counts[m]; r = 0 gives 0. Reads
+    counts[m] for m < r_max only (a missing one is 0)."""
+    tail = total - (counts[0] if counts else 0)
     acc = 0
     out = [Fraction(0)]
     for r in range(1, r_max + 1):
@@ -158,7 +169,7 @@ def radial_fk(k: int, steps: int, r_max: int) -> List[List[Fraction]]:
     _check_rank(k)
     q = 2 * k - 1
     rows = path_counts(k, max(steps - 1, 0))
-    return [_radial_values(row, (2 * k) ** (j + 1), q, r_max)
+    return [_radial_values(row, (2 * k) ** j, (2 * k) ** (j + 1), q, r_max)
             for j, row in zip(range(steps), rows)]
 
 
@@ -167,15 +178,21 @@ def radial_phi(k: int, n: int, r_max: int) -> List[Fraction]:
 
     Over the common denominator n (2k)^n (2k-1)^(r-1), the sum of the f_j
     numerators is the f formula applied to the weighted counts
-    sum_j (2k)^(n-1-j) c_j, accumulated by Horner's rule along the path
-    counts.
+    W = sum_j (2k)^(n-1-j) c_j, accumulated by Horner's rule along the path
+    counts. The formula reads W[m] for m < r_max and the total, which is
+    n (2k)^(n-1) since c_j sums to (2k)^j: the sum keeps r_max entries,
+    and each row c_j only its band below r_max + n - 1 - j, the counts
+    that can still reach W[:r_max] (``path_counts`` with ``stop``).
     """
     check_cesaro_length(n)
     _check_rank(k)
-    weighted: List[int] = []
-    for row in path_counts(k, n - 1):
-        weighted = [2 * k * b + c for b, c in zip(weighted + [0], row)]
-    return _radial_values(weighted, n * (2 * k) ** n, 2 * k - 1, r_max)
+    two_k = 2 * k
+    weighted: List[int] = [0] * r_max
+    for row in path_counts(k, n - 1, stop=r_max + n - 1):
+        head = [two_k * b + c for b, c in zip(weighted, row)]
+        weighted = head + [two_k * b for b in weighted[len(head):]]
+    return _radial_values(weighted, n * two_k ** (n - 1), n * two_k ** n,
+                          2 * k - 1, r_max)
 
 
 def shannon_entropy(k: int, n: int) -> float:

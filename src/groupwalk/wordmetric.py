@@ -302,8 +302,10 @@ def _prefix_fk_numerators(mu: FiniteMeasure, points: List, k_max: int,
     """(laws, evaluate) under the free-group norm: f_k(s) = |s| M - 2
     sum_{j <= |s|} P_k(s^-1[:j]), with M the retained numerator mass and
     P_k(w) that of the atoms of mu^{*k} starting with w: the law at k maps
-    each prefix w, |w| <= max |s|, to P_k(w), so () to M. The chain and
-    the points' inverses run on letters moved apart
+    each prefix w, |w| <= max |s|, to P_k(w), so () to M. evaluate fills
+    the prefix sums S(w) = S(w[:-1]) + P_k(w) on demand, so a point whose
+    parent came first (a ball's points do) costs one new sum, in any
+    order. The chain and the points' inverses run on letters moved apart
     (``freewalk._letters_apart``), whose prefixes hash apart too."""
     mu = freewalk._letters_apart(mu)
     inverses = [freewalk._apart(tuple(-x for x in reversed(s)))
@@ -322,10 +324,20 @@ def _prefix_fk_numerators(mu: FiniteMeasure, points: List, k_max: int,
 
     def evaluate(mass: Dict[tuple, int]) -> List:
         get = mass.get
-        total = get((), 0)
-        return [len(w) * total
-                - 2 * sum(get(w[:j], 0) for j in range(1, len(w) + 1))
-                for w in inverses]
+        sums = {(): 0}          # w -> sum_{1 <= j <= |w|} P_k(w[:j])
+
+        def prefix_sum(w: tuple) -> int:
+            missing = []
+            while w not in sums:
+                missing.append(w)
+                w = w[:-1]
+            total = sums[w]
+            for v in reversed(missing):     # S(v) = S(v[:-1]) + P_k(v)
+                total = sums[v] = total + get(v, 0)
+            return total
+
+        mass_e = get((), 0)
+        return [len(w) * mass_e - 2 * prefix_sum(w) for w in inverses]
 
     return chain_laws(), evaluate
 

@@ -3,7 +3,8 @@ small helpers that the tests check the library against.
 
 * ``require_srw``, ``cocycle_mass_ratio`` and ``span_is_full`` for the
   free-group boundary;
-* ``compute_fk`` and ``phi_table_free_srw`` for the quasi-harmonic tables;
+* ``compute_fk`` and ``phi_table_free_srw`` for the quasi-harmonic tables,
+  and ``radial_phi_full_rows``, the oracle of ``freewalk.radial_phi``;
 * ``sample_trajectory``, the checked reference walk of the sampler.
 """
 
@@ -71,6 +72,26 @@ def phi_table_free_srw(k_rank: int, n: int, r_eval: int) -> PhiTable:
     return PhiTable(n=n, values=values,
                     error_bars={s: zero for s in values},
                     r_eval=r_eval, mode="exact")
+
+
+def radial_phi_full_rows(k: int, n: int, r_max: int) -> List[Fraction]:
+    """phi_n of SRW on F_k on spheres 0..r_max by Horner's rule over the
+    full path-count rows: the weighted counts W = sum_j (2k)^(n-1-j) c_j at
+    every norm 0..n-1, then r - 2 sum_{i=1}^{r} T_i q^(r-i) /
+    (n (2k)^n q^(r-1)) with T_i = sum_{m >= i} W[m], accumulated in r."""
+    weighted: List[int] = []
+    for row in freewalk.path_counts(k, n - 1):
+        weighted = [2 * k * b + c for b, c in zip(weighted + [0], row)]
+    den, q = n * (2 * k) ** n, 2 * k - 1
+    tail, acc = sum(weighted[1:]), 0
+    out = [Fraction(0)]
+    for r in range(1, r_max + 1):
+        acc = q * acc + tail
+        scale = den * q ** (r - 1)
+        out.append(Fraction(r * scale - 2 * acc, scale))
+        if r < len(weighted):
+            tail -= weighted[r]
+    return out
 
 
 def sample_trajectory(group: Group, mu: FiniteMeasure, steps: int,

@@ -27,7 +27,7 @@ from groupwalk.errors import OutOfRangeError, ResourceLimitError
 from groupwalk.groups import FreeGroup, group_from_id
 from groupwalk.measures import parse_measure_spec, srw
 from groupwalk.wordmetric import build_ball, norm_evaluator
-from references import phi_table_free_srw
+from references import phi_table_free_srw, radial_phi_full_rows
 
 
 def run_cli(capsys, *argv):
@@ -1198,7 +1198,11 @@ def test_drift_measure_spec_fuzz(group_spec, n_max, mode):
 
 def old_jsonable(value):
     """The recursive JSON-safe copy reports were encoded through before
-    `cli.dumps` took json's `default` hook: the reference for its bytes."""
+    `cli.dumps` took json's `default` hook: the reference for its bytes.
+    Rows texted ahead (`cli.RowTexts`) are read back into the values they
+    stand for."""
+    if isinstance(value, cli.RowTexts):
+        return [json.loads(row) for row in value.texts]
     if isinstance(value, Fraction):
         return f"{value.numerator}/{value.denominator}"
     if isinstance(value, (np.floating, np.integer)):
@@ -1342,3 +1346,122 @@ def test_dumps_digit_limit_is_a_resource_error():
     for value in (huge, [huge, huge], {"x": (huge,)}, _Half(huge)):
         with pytest.raises(ResourceLimitError, match="digits"):
             cli.dumps(value)
+
+
+# -- phi rows texted ahead of the encoder ---------------------------------------
+
+def _old_phi_report(argv, method, rows):
+    """The phi report as `run` built it from dict rows: `rows` are
+    (element text, value, error) triples, Fractions as p/q strings."""
+    args = cli._parser().parse_args(argv)
+    cfg = cli.resolve_config("phi", args)
+
+    def plain(v):
+        return f"{v.numerator}/{v.denominator}" if isinstance(
+            v, Fraction) else v
+
+    return {"schema": cli.SCHEMA, "subcommand": "phi", "config": cfg,
+            "n": cfg["n"], "r_eval": cfg["r-eval"], "mode": cfg["mode"],
+            "method": method,
+            "values": [{"element": e, "value": plain(v), "error": plain(err)}
+                       for e, v, err in sorted(rows)]}
+
+
+def _assert_same_text(out, expected):
+    """out == expected, reported at the first differing offset: pytest's
+    diff of two long reports would take minutes."""
+    if out != expected:
+        at = next((i for i, (a, b) in enumerate(zip(out, expected))
+                   if a != b), min(len(out), len(expected)))
+        pytest.fail(f"texts differ at offset {at}: "
+                    f"{out[max(at - 60, 0):at + 60]!r} against "
+                    f"{expected[max(at - 60, 0):at + 60]!r}")
+
+
+@pytest.mark.parametrize("k,n,r_eval", [
+    (1, 9, 7), (2, 6, 4), (3, 5, 3), (4, 3, 2), (5, 4, 2),
+    (2, 5, 0), (3, 2, 6), (2, 1, 3), (5, 1, 0)])
+def test_radial_phi_rows_are_the_bytes_of_dict_rows(capsys, k, n, r_eval):
+    """Radial rows texted per sphere, in text order, are the bytes json
+    wrote from sorted dict rows (free:5 prints the identity "1", which
+    sorts first), at --r-eval 0, past --n and at --n 1."""
+    argv = ["phi", "--group", f"free:{k}", "--n", str(n),
+            "--r-eval", str(r_eval)]
+    group = FreeGroup(k)
+    radial = radial_phi_full_rows(k, n, r_eval)
+    report = _old_phi_report(argv, "radial", [
+        (group.format_element(s), radial[len(s)], Fraction(0))
+        for s in build_ball(group, r_eval).norms])
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    _assert_same_text(
+        out, json.dumps(report, sort_keys=True, allow_nan=False) + "\n")
+    if k == 5:
+        assert report["values"][0]["element"] == "1"
+
+
+@pytest.mark.parametrize("gid,n,r_eval", [
+    ("zd:2", 5, 3), ("heisenberg", 3, 3), ("lamplighter", 4, 2),
+    ("free:2", 4, 2)])
+@pytest.mark.parametrize("mode", ["exact", "float64"])
+@pytest.mark.parametrize("truncation", ["0", "1/100"])
+def test_convolution_phi_rows_are_the_bytes_of_dict_rows(
+        capsys, gid, n, r_eval, mode, truncation):
+    """Convolution rows, Fractions as p/q and floats as json's float text,
+    are the bytes json wrote from sorted dict rows."""
+    argv = ["phi", "--group", gid, "--n", str(n), "--r-eval", str(r_eval),
+            "--mode", mode, "--method", "convolution",
+            "--truncation", truncation]
+    group = group_from_id(gid)
+    mu = parse_measure_spec(group, "srw", mode=mode)
+    threshold = cli._parse_threshold(truncation, mode)
+    phi = quasiharmonic.compute_phi(mu, norm_evaluator(group), n, r_eval,
+                                    threshold=threshold)
+    report = _old_phi_report(argv, "convolution", [
+        (group.format_element(s), v, phi.error_bars[s])
+        for s, v in phi.values.items()])
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    _assert_same_text(
+        out, json.dumps(report, sort_keys=True, allow_nan=False) + "\n")
+    assert len(report["values"]) == len(build_ball(group, r_eval).norms)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_non_finite_float_rows_are_a_json_error(capsys, monkeypatch, bad):
+    """A float64 row strict JSON cannot hold is the error json raised on
+    dict rows: "report is not JSON", exit 1, stdout empty."""
+    group = group_from_id("zd:1")
+    values = {(0,): 0.0, (1,): bad, (-1,): 0.5}
+    errors = {(0,): 0.0, (1,): 0.0, (-1,): bad}
+    monkeypatch.setattr(
+        quasiharmonic, "compute_phi",
+        lambda *a, **kw: quasiharmonic.PhiTable(
+            n=2, values=values, error_bars=errors, r_eval=1,
+            mode="float64"))
+    argv = ["phi", "--group", "zd:1", "--n", "2", "--r-eval", "1",
+            "--mode", "float64"]
+    report = _old_phi_report(argv, "convolution", [
+        (group.format_element(s), v, errors[s]) for s, v in values.items()])
+    with pytest.raises(ValueError) as old:
+        json.dumps(report, sort_keys=True, allow_nan=False)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert json.loads(err)["error"] == {
+        "type": "error", "message": f"report is not JSON: {old.value}"}
+
+
+def test_row_texts_join_as_an_array_in_key_order():
+    """dumps writes RowTexts texts as they are, alone or among a dict's
+    sorted keys, as json would write the values they stand for; deeper
+    down they are not JSON."""
+    rows = [{"element": "a", "value": "1/2"}, {"element": "b", "value": 0.5}]
+    texts = cli.RowTexts([json.dumps(row, sort_keys=True) for row in rows])
+    assert cli.dumps(texts) == json.dumps(rows)
+    assert cli.dumps(cli.RowTexts([])) == "[]"
+    for value in ({"values": texts, "n": 3, "config": {"z": 1, "a": [1]}},
+                  {"a": cli.RowTexts([]), "b": Fraction(1, 3), "c": texts}):
+        assert cli.dumps(value) == json.dumps(old_jsonable(value),
+                                              sort_keys=True)
+    with pytest.raises(TypeError):
+        cli.dumps({"report": {"values": texts}})

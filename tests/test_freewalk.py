@@ -14,7 +14,7 @@ from groupwalk.measures import (MODE_FLOAT, FiniteMeasure, adjoint,
                                 power_sequence, srw)
 from groupwalk.quasiharmonic import compute_fk_tables
 from groupwalk.wordmetric import free_norm, norm_evaluator
-from references import phi_table_free_srw
+from references import phi_table_free_srw, radial_phi_full_rows
 
 
 def brute_norm_distribution(k, n):
@@ -68,6 +68,28 @@ def test_radial_phi_matches_convolution_route():
     from groupwalk.quasiharmonic import compute_phi
     phi_conv = compute_phi(srw(group), norm_evaluator(group), 5, 3)
     assert phi_radial.values == phi_conv.values
+
+
+@pytest.mark.parametrize("k", range(1, 6))
+def test_banded_radial_phi_matches_the_full_rows(k):
+    """The band that radial_phi keeps gives the values of the Horner sum
+    over every norm, at thin, long and past-the-walk radii."""
+    for n in (1, 2, 3, 40, 151, 1000):
+        radii = (0, 1, 2, 6, n + 3)
+        full = radial_phi_full_rows(k, n, max(radii))
+        for r in radii:
+            same = freewalk.radial_phi(k, n, r) == full[:r + 1]
+            assert same, (n, r)     # no diff of thousand-digit values
+
+
+def test_banded_path_counts_keep_exact_heads():
+    """Row j of path_counts with stop keeps its first stop - j counts of
+    the full row, exact."""
+    full = list(freewalk.path_counts(3, 12))
+    for stop in (0, 1, 5, 12, 20):
+        banded = list(freewalk.path_counts(3, 12, stop=stop))
+        assert banded == [row[:max(stop - j, 0)]
+                          for j, row in enumerate(full)], stop
 
 
 @pytest.mark.parametrize("call", [
