@@ -46,12 +46,16 @@ radial ``phi --group free:1 --n 2`` at ``--r-eval 1000`` and 1001, either
 side of ``freewalk.MAX_RADIAL_STEPS``, then the a_n/n series that the
 CLI prints for the defaults of two former scripts: ``drift --group zd:2
 --n-max 64 --emit-series -`` and ``phi --group free:2 --n 64 --r-eval 0
---emit-series -``, then phi rows texted ahead of the encoder where the
-radial band is thin or long, ``free:2`` at ``--n 1000 --r-eval 3`` and
-``free:26`` at ``--n 200 --r-eval 2``, and float64 rows of a convolution
-``phi`` on ``heisenberg``. One subprocess per tree (the parent's a ``git
-archive`` export in a temporary directory) imports ``groupwalk`` from
-that tree's ``src``.
+--emit-series -``, then convolution ``phi`` series at ``--r-eval 0``,
+where supp mu lies outside the ball: ``heisenberg --n 5`` and the skewed
+``free:2`` measure under ``--truncation 1/100`` at ``--n 6`` (the only jobs
+whose outputs differ from a parent that refused them with exit 1), then
+phi rows texted ahead of the encoder where the radial band is thin or
+long, ``free:2`` at ``--n 1000 --r-eval 3`` and ``free:26`` at ``--n 200
+--r-eval 2``, and float64 rows of a convolution ``phi`` on
+``heisenberg``. One subprocess per tree (the parent's a ``git archive``
+export in a temporary directory) imports ``groupwalk`` from that tree's
+``src``.
 It runs every CLI job through ``groupwalk.cli.run``, with the jobs' input
 files in a temporary work directory, and every library job through
 ``perfbench/runner.execute``.
@@ -198,14 +202,19 @@ CESARO_PHI_JOBS = [
      "float64"],
 ]
 
-# radial phi either side of the radius cap, and the a_n/n series of the
-# former drift and phi-convergence scripts at their defaults
+# radial phi either side of the radius cap, the a_n/n series of the
+# former drift and phi-convergence scripts at their defaults, and
+# convolution phi series with supp mu outside the --r-eval ball
 SERIES_JOBS = [
     ["phi", "--group", "free:1", "--n", "2", "--r-eval", "1000"],
     ["phi", "--group", "free:1", "--n", "2", "--r-eval", "1001"],
     ["drift", "--group", "zd:2", "--n-max", "64", "--emit-series", "-"],
     ["phi", "--group", "free:2", "--n", "64", "--r-eval", "0",
      "--emit-series", "-"],
+    ["phi", "--group", "heisenberg", "--n", "5", "--r-eval", "0",
+     "--emit-series", "-"],
+    ["phi", "--group", "free:2", SKEWED["free:2"], "--truncation", "1/100",
+     "--n", "6", "--r-eval", "0", "--emit-series", "-"],
 ]
 
 # phi rows texted ahead of the encoder: radial bands thin against a long

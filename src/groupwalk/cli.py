@@ -33,8 +33,8 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from . import boundary, drift, freewalk, gspaces, quasiharmonic
-from .errors import (DomainError, GroupwalkError, OutOfRangeError,
-                     PreconditionError, ResourceLimitError)
+from .errors import (DomainError, GroupwalkError, PreconditionError,
+                     ResourceLimitError)
 from .freewalk import MAX_RADIAL_STEPS    # radial phi's radius cap
 from .groups import FreeGroup, group_from_id
 from .measures import MODE_EXACT, fraction_text, parse_measure_spec, srw
@@ -377,10 +377,6 @@ def _run_phi(cfg: Dict[str, object]) -> dict:
         phi = quasiharmonic.compute_phi(mu, norm_fn, n, r_eval,
                                         threshold=threshold)
         if cfg["emit-series"]:
-            if any(s not in phi.values for s in mu.weights):
-                raise OutOfRangeError(
-                    "the distortion series needs supp mu inside the "
-                    "--r-eval ball")
             series = _distortion_series(mu, norm_fn, n, threshold)
     _write_series(cfg["emit-series"], series, "n,distortion_at_e")
     if method != "radial":

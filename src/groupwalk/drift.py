@@ -128,16 +128,15 @@ class AdjointDriftReport:
     equal: bool
 
 
-def adjoint_drift_equality(mu: FiniteMeasure, norm_fn: Callable, n_max: int,
-                           threshold=0) -> AdjointDriftReport:
+def adjoint_drift_equality(mu: FiniteMeasure, norm_fn: Callable,
+                           n_max: int) -> AdjointDriftReport:
     """a_n(mu) vs a_n(mu-check), term by term.
 
     Equality holds exactly because rho(s) = rho(s^-1) and the n-step law of
     the adjoint walk is the inversion pushforward of the n-step law.
     """
-    left = drift_exact_partial(mu, norm_fn, n_max, threshold=threshold)
-    right = drift_exact_partial(adjoint(mu), norm_fn, n_max,
-                                threshold=threshold)
+    left = drift_exact_partial(mu, norm_fn, n_max)
+    right = drift_exact_partial(adjoint(mu), norm_fn, n_max)
     diffs = [abs(a - b) for a, b in zip(left.a_values, right.a_values)]
     max_diff = max(diffs) if diffs else 0
     return AdjointDriftReport(ns=left.ns, a_mu=left.a_values,

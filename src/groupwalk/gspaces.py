@@ -227,15 +227,14 @@ def cycle_space(n: int, label: str = "t") -> FiniteGSpace:
                         relators=((label,) * n,))
 
 
-def trivial_space(n: int, label: str = "t") -> FiniteGSpace:
+def trivial_space(n: int) -> FiniteGSpace:
     _check_points(n)
-    return FiniteGSpace(size=n, gens={label: tuple(range(n))})
+    return FiniteGSpace(size=n, gens={"t": tuple(range(n))})
 
 
-def two_orbit_space(label: str = "t") -> FiniteGSpace:
+def two_orbit_space() -> FiniteGSpace:
     """One generator rotating an orbit of size 2 and an orbit of size 3."""
-    return FiniteGSpace(size=5,
-                        gens={label: parse_cycles("(0 1)(2 3 4)", 5)})
+    return FiniteGSpace(size=5, gens={"t": parse_cycles("(0 1)(2 3 4)", 5)})
 
 
 def product_space(x: FiniteGSpace, y: FiniteGSpace) -> FiniteGSpace:
@@ -599,10 +598,9 @@ def isometric_factor_witness(space_x: FiniteGSpace, nu_x: np.ndarray,
     raw = result.witness
     mass = np.outer(nu_x, nu_y)
     f0 = raw - float((mass * raw).sum())
-    peak = np.abs(f0).max()
-    if peak <= COMPOSED_TOL:
-        return None
-    f = f0 / peak
+    # two live orbits: f0 takes 1 - m and -m for the first one's mass m,
+    # so its peak is at least 1/2
+    f = f0 / np.abs(f0).max()
     fm = factor_map(f, space_x, nu_x, space_y, nu_y)
     vectors = [key for key, _ in fm.pushforward]
     weights = [w for _, w in fm.pushforward]
@@ -659,13 +657,12 @@ class OrthogonalRep:
         return out
 
 
-def rotation_rep(order: int, label: str = "t") -> OrthogonalRep:
+def rotation_rep(order: int) -> OrthogonalRep:
     """Z/order acting on the plane by the 2 pi / order rotation."""
     theta = 2.0 * np.pi / order
     mat = np.array([[np.cos(theta), -np.sin(theta)],
                     [np.sin(theta), np.cos(theta)]])
-    return OrthogonalRep(dim=2, gens={label: mat},
-                         relators=((label,) * order,))
+    return OrthogonalRep(dim=2, gens={"t": mat}, relators=(("t",) * order,))
 
 
 def moment_tensor(atoms: Iterable[Tuple[np.ndarray, float]],

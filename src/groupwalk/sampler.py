@@ -110,10 +110,10 @@ def _uint32_words(n: int) -> List[int]:
     return [(n >> s) & _M32 for s in range(0, max(n.bit_length(), 1), 32)]
 
 
-def _hashmix(value, const: int, mult: int = _MULT_A):
+def _hashmix(value, const: int):
     """SeedSequence's hash of the Python int `value` with the running hash
     constant `const`; returns the hash and the next constant."""
-    new = const * mult & _M32
+    new = const * _MULT_A & _M32
     value = (value ^ const) * new & _M32
     return value ^ value >> 16, new
 
@@ -639,40 +639,34 @@ def _walk_chunk(mu: FiniteMeasure, seed: int, span: Tuple[int, int],
 # -- statistics runners -------------------------------------------------------
 
 def _norm_chunk(mu: FiniteMeasure, seed: int, cps: List[int],
-                span: Tuple[int, int]) -> Dict[int, List[int]]:
+                span: Tuple[int, int]) -> Counter:
     """Integer norm statistics per checkpoint (sorted `cps`) for the
-    trajectory indices of `span`."""
-    stats = {cp: [0, 0, 0] for cp in cps}  # count, sum rho, sum rho^2
+    trajectory indices of `span`: the count, sum of rho and sum of rho^2
+    at checkpoint cp under the keys (cp, 0), (cp, 1) and (cp, 2)."""
+    stats: Counter = Counter()
     for cp, walk in _walk_chunk(mu, seed, span, cps):
         r = walk.norms()
         # sum in Python ints where an int64 sum of squares could wrap
         if r.dtype != object and int(r.max()) ** 2 * len(r) >= 1 << 63:
             r = r.astype(object)
-        acc = stats[cp]
-        acc[0] += len(r)
-        acc[1] += int(r.sum())
-        acc[2] += int((r * r).sum())
+        stats.update({(cp, 0): len(r), (cp, 1): int(r.sum()),
+                      (cp, 2): int((r * r).sum())})
     return stats
-
-
-def _tally(counts: Counter, elements, fmt) -> None:
-    """Count a block's elements by their text, formatting each distinct
-    element once; new keys enter `counts` in first-occurrence order."""
-    for g, n in Counter(elements).items():
-        counts[fmt(g)] += n
 
 
 def _endpoint_chunk(mu: FiniteMeasure, seed: int, steps: int,
                     span: Tuple[int, int]) -> Counter:
     """Tally the endpoints by their text; a free walk texts its word rows
-    in one pass, other kernels format their distinct positions."""
+    in one pass, other kernels format each distinct position of a block
+    once, and new keys enter in first-occurrence order."""
     group = mu.group
     counts: Counter = Counter()
     for _, walk in _walk_chunk(mu, seed, span, [steps]):
         if isinstance(walk, _FreeWalk):
             counts.update(format_word_rows(group.k, walk.words()))
         else:
-            _tally(counts, walk.positions(), group.format_element)
+            for g, n in Counter(walk.positions()).items():
+                counts[group.format_element(g)] += n
     return counts
 
 
@@ -701,17 +695,23 @@ def _chunks(total: int, workers: int):
         start = stop
 
 
-def _run_chunked(chunk, config: SamplerConfig, combine):
-    """Split the trajectories into min(workers, trajectories, CPUs) spans
-    and run ``chunk(span)`` on each. Span 0 runs in this process, each
-    other span in a forked child, which inherits the chunk's arguments;
-    without ``os.fork`` every span runs here, which gives the same output
-    by design."""
+def _run_chunked(chunk, config: SamplerConfig) -> Counter:
+    """Split the trajectories into min(workers, trajectories, CPUs) spans,
+    run ``chunk(span)`` on each and add up the Counters they return, in
+    span order. Span 0 runs in this process, each other span in a forked
+    child, which inherits the chunk's arguments; without ``os.fork`` every
+    span runs here. The counts are integers, so the total is the same at
+    any worker count."""
     workers = min(config.workers, config.trajectories, os.cpu_count() or 1)
     spans = list(_chunks(config.trajectories, workers))
     if len(spans) == 1 or not hasattr(os, "fork"):
-        return combine([chunk(span) for span in spans])
-    return combine(_fork_chunks(chunk, spans))
+        parts = [chunk(span) for span in spans]
+    else:
+        parts = _fork_chunks(chunk, spans)
+    total: Counter = Counter()
+    for part in parts:
+        total.update(part)
+    return total
 
 
 def _fork_chunks(fn, spans: List[Tuple[int, int]]) -> list:
@@ -774,24 +774,6 @@ def _fork_chunk(fn, span: Tuple[int, int], siblings: list):
     return pid, open(read, "rb")
 
 
-def _combine_norm_stats(parts):
-    out: Dict[int, List[int]] = {}
-    for part in parts:
-        for cp, (c, s, s2) in part.items():
-            acc = out.setdefault(cp, [0, 0, 0])
-            acc[0] += c
-            acc[1] += s
-            acc[2] += s2
-    return out
-
-
-def _combine_counters(parts):
-    total: Counter = Counter()
-    for part in parts:
-        total.update(part)
-    return total
-
-
 def norm_statistics(mu: FiniteMeasure, config: SamplerConfig,
                     checkpoints: Optional[Sequence[int]] = None
                     ) -> Dict[int, List[int]]:
@@ -804,12 +786,13 @@ def norm_statistics(mu: FiniteMeasure, config: SamplerConfig,
     if not cps or cps[-1] > config.steps or cps[0] < 1:
         raise DomainError("checkpoints must lie in 1..steps")
     chunk = functools.partial(_norm_chunk, mu, config.seed, cps)
-    return _run_chunked(chunk, config, _combine_norm_stats)
+    stats = _run_chunked(chunk, config)
+    return {cp: [stats[cp, 0], stats[cp, 1], stats[cp, 2]] for cp in cps}
 
 
 def endpoint_counts(mu: FiniteMeasure, config: SamplerConfig) -> Counter:
     chunk = functools.partial(_endpoint_chunk, mu, config.seed, config.steps)
-    return _run_chunked(chunk, config, _combine_counters)
+    return _run_chunked(chunk, config)
 
 
 def prefix_counts(mu: FiniteMeasure, level: int,
@@ -820,13 +803,14 @@ def prefix_counts(mu: FiniteMeasure, level: int,
         raise DomainError(f"prefix level must be >= 1, got {level}")
     chunk = functools.partial(_prefix_chunk, mu, config.seed, config.steps,
                               level)
-    return _run_chunked(chunk, config, _combine_counters)
+    return _run_chunked(chunk, config)
 
 
-def try_power(mu: FiniteMeasure, n: int, atom_budget: int = 200_000,
-              step_budget: int = 64) -> Optional[FiniteMeasure]:
-    """Exact mu^{*n} when affordable, else None (support or step budget)."""
-    if n > step_budget:
+def try_power(mu: FiniteMeasure, n: int,
+              atom_budget: int = 200_000) -> Optional[FiniteMeasure]:
+    """Exact mu^{*n} when affordable, else None: past 64 steps, or when a
+    law's support outgrows `atom_budget` atoms."""
+    if n > 64:
         return None
     try:
         return power(mu, n, max_atoms=atom_budget)
@@ -835,16 +819,16 @@ def try_power(mu: FiniteMeasure, n: int, atom_budget: int = 200_000,
 
 
 def empirical_endpoint_distribution(
-        mu: FiniteMeasure, config: SamplerConfig,
-        exact_atom_budget: int = 200_000) -> Tuple[FiniteMeasure, Optional[float]]:
+        mu: FiniteMeasure, config: SamplerConfig
+) -> Tuple[FiniteMeasure, Optional[float]]:
     """Empirical law of X_n, plus TV distance to the exact mu^{*n} when the
-    exact convolution is affordable (support stays within the atom budget)."""
+    exact convolution is affordable (``try_power``'s budgets)."""
     counts = endpoint_counts(mu, config)
     group = mu.group
     n = config.trajectories
     weights = {group.parse_element(s): c / n for s, c in counts.items()}
     empirical = FiniteMeasure(group=group, weights=weights, den=1,
                               deficit=0.0, mode="float64")
-    exact = try_power(mu, config.steps, exact_atom_budget)
+    exact = try_power(mu, config.steps)
     tv = total_variation(empirical, exact) if exact is not None else None
     return empirical, tv

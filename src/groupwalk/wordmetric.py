@@ -497,15 +497,17 @@ def check_seminorm(table: BallTable) -> SemiNormReport:
     return check_value_seminorm(table.group, table.norms)
 
 
-def check_value_seminorm(group: Group, values: Dict[object, float],
-                         tolerance: float = 0) -> SemiNormReport:
+def check_value_seminorm(group: Group,
+                         values: Dict[object, float]) -> SemiNormReport:
     """Semi-norm axioms for an arbitrary value table keyed by elements.
 
     Used for pulled-back semi-norms (e.g. boundary log-norm exponents);
     values may be ints, Fractions or floats, and comparisons stay in the
-    given type. Violations at most `tolerance` count as zero. Every key is
-    validated by the checked inverse (DomainError on a foreign element);
-    the pair loop then multiplies unchecked.
+    given type. Both violations are exact: the largest excess of a
+    product over the sum of its factors (0 when there is none) and the
+    largest |rho(g^-1) - rho(g)|. Every key is validated by the checked
+    inverse (DomainError on a foreign element); the pair loop then
+    multiplies unchecked.
     """
     e = group.identity()
     sym = 0
@@ -526,8 +528,6 @@ def check_value_seminorm(group: Group, values: Dict[object, float],
             excess = vp - (vg + vh)
             if excess > tri:
                 tri = excess
-    tri = tri if tri > tolerance else 0
-    sym = sym if sym > tolerance else 0
     return SemiNormReport(
         pairs_checked=pairs,
         max_triangle_violation=tri,

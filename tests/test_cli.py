@@ -794,12 +794,41 @@ def test_phi_emit_series_convolution(capsys, tmp_path):
     exact = drift_exact_partial(srw(group), norm_evaluator(group), 6)
     for line, m, a_m in zip(lines[1:], exact.ns, exact.a_values):
         assert line == f"{m},{float(a_m / m)}"
-    # the series reads f_k on supp mu, which must lie in the --r-eval ball
-    code, out, err = run_cli(capsys, "phi", "--group", "zd:1", "--measure",
-                             "3=1/2;-3=1/2", "--n", "3", "--r-eval", "1",
-                             "--emit-series", str(target))
-    assert (code, out) == (1, "")
-    assert "r-eval" in json.loads(err)["error"]["message"]
+    # the series reads f_k at supp mu with the closed-form norm, so supp mu
+    # may leave the --r-eval ball
+    mu = parse_measure_spec(group, "3=1/2;-3=1/2")
+    exact = drift_exact_partial(mu, norm_evaluator(group), 3)
+    telescoped = "n,distortion_at_e\n" + "".join(
+        f"{m},{float(a_m / m)}\n" for m, a_m in zip(exact.ns, exact.a_values))
+    for r_eval in ("1", "4"):
+        code, _, err = run_cli(capsys, "phi", "--group", "zd:1", "--measure",
+                               "3=1/2;-3=1/2", "--n", "3", "--r-eval",
+                               r_eval, "--emit-series", "-")
+        assert (code, err) == (0, telescoped)
+
+
+@pytest.mark.parametrize("gid,spec,n,truncation,radii", [
+    ("heisenberg", "srw", 5, "0", (0, 2)),
+    ("free:2", "a=1/3;B=1/6;ab=1/4;A=1/4", 6, "1/100", (0, 3)),
+])
+def test_phi_series_does_not_depend_on_the_r_eval_ball(capsys, gid, spec, n,
+                                                       truncation, radii):
+    """The distortion series is the same whether or not supp mu lies in
+    the --r-eval ball, and equals the running sums of f_k tables that
+    cover supp mu; the truncated walk keeps nonzero deficits, where the
+    series is not a_m/m."""
+    series = []
+    for r_eval in radii:
+        code, _, err = run_cli(capsys, "phi", "--group", gid,
+                               f"--measure={spec}", "--n", str(n),
+                               "--r-eval", str(r_eval), "--truncation",
+                               truncation, "--emit-series", "-")
+        assert code == 0
+        series.append(err)
+    group = group_from_id(gid)
+    mu = parse_measure_spec(group, spec)
+    assert series[0] == series[1] == _series_from_tables(
+        mu, norm_evaluator(group), n, radii[1], Fraction(truncation))
 
 
 def _series_from_tables(mu, norm_fn, n, r_eval, threshold):

@@ -1,9 +1,12 @@
 """The experiment scripts run end to end against the package."""
 
+import importlib.util
 import json
 import os
 import subprocess
 import sys
+
+from groupwalk import cli
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -21,3 +24,34 @@ def test_boundary_frequencies_script_runs():
     assert set(report) == {"k", "level", "steps", "trajectories", "seed",
                            "tv_distance", "undefined", "frequencies"}
     assert (report["trajectories"], report["steps"]) == (20, 20)
+
+
+def _compare_outputs():
+    spec = importlib.util.spec_from_file_location(
+        "compare_outputs", os.path.join(ROOT, "scripts", "compare_outputs.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_compare_outputs_cli_jobs_parse_and_resolve():
+    """Every job of the ``cli`` spec parses and resolves its config: a job
+    whose flags stopped parsing would exit 1 on both trees alike and
+    compare as equal, proving nothing."""
+    jobs = _compare_outputs().cli_jobs()
+    assert jobs
+    for argv in jobs:
+        args = cli._parser().parse_args(argv)   # SystemExit on a bad flag
+        cli.resolve_config(args.subcommand, args)
+
+
+def test_compare_outputs_readme_jobs_are_the_readme_cli_block():
+    """README_JOBS is the README's CLI block, run with the phi series on
+    stderr instead of a file."""
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        readme = fh.read()
+    block = readme.split("## CLI\n\n```\n", 1)[1].split("```", 1)[0]
+    commands = [line.removeprefix("groupwalk ").replace(
+        "--emit-series phi.csv", "--emit-series -")
+        for line in block.splitlines()]
+    assert _compare_outputs().README_JOBS.splitlines() == commands
