@@ -133,7 +133,8 @@ _OPTIONS: Dict[str, Dict[str, tuple]] = {
         "steps": (int, 0, "Monte Carlo walk length"),
         "checkpoints": (str, "", "comma list of checkpoint steps"),
         "seed": (int, 0, "Monte Carlo seed"),
-        "workers": (int, 1, "Monte Carlo worker processes"),
+        "workers": (int, 1, "at most this many Monte Carlo worker processes, "
+                              "one per 2^21 draws; same output"),
         "ball-radius": (int, 0, "accepted and ignored (closed-form norms)"),
         "emit-series": (str, "", "write (n, a_n/n) CSV here ('-' = stderr)"),
         "cache-dir": (str, "", "accepted and ignored (balls are rebuilt)"),

@@ -29,11 +29,14 @@ kernel's int8 word rows in one numpy pass (``boundary.format_word_rows``);
 other groups' endpoint tallies count each block's positions and format
 each distinct element once.
 
-With several workers the trajectories are split into chunks: chunk 0 runs
-in the calling process and every other chunk in one child forked for it,
+With several workers the trajectories are split into chunks, at most one
+per started FORK_DRAWS draws (trajectories x steps), so that a forked
+child only runs a share large enough to pay for the fork. Chunk 0 runs in
+the calling process and every other chunk in one child forked for it,
 which inherits the measure and pickles its result, or its exception, into
 a pipe. The caller reaps every child on every exit path. Without
-``os.fork`` all chunks run in the caller, with the same output.
+``os.fork`` all chunks run in the caller. The output is the same at any
+chunk count.
 
 ``substream`` is the reference definition of a trajectory's generator. The
 walk runs a block's streams as arrays instead (``_BlockStream``): it runs
@@ -62,6 +65,7 @@ from .measures import FiniteMeasure, power, total_variation
 
 BLOCK_ROWS = 1024           # trajectories stepped together
 SEGMENT_DRAWS = 1 << 14     # words drawn per block per segment
+FORK_DRAWS = 1 << 21        # draws per span that pay for a forked worker
 MAX_WINDOW_WIDTH = 1 << 17  # lamplighter lamp window budget per trajectory
 _PAD_INVERSE = 127          # outside every free alphabet, and not 0
 _TOGGLE = np.uint8(1)
@@ -696,13 +700,16 @@ def _chunks(total: int, workers: int):
 
 
 def _run_chunked(chunk, config: SamplerConfig) -> Counter:
-    """Split the trajectories into min(workers, trajectories, CPUs) spans,
-    run ``chunk(span)`` on each and add up the Counters they return, in
-    span order. Span 0 runs in this process, each other span in a forked
-    child, which inherits the chunk's arguments; without ``os.fork`` every
-    span runs here. The counts are integers, so the total is the same at
-    any worker count."""
-    workers = min(config.workers, config.trajectories, os.cpu_count() or 1)
+    """Split the trajectories into min(workers, trajectories, CPUs,
+    ceil(draws / FORK_DRAWS)) spans, at least one, where draws is
+    trajectories x steps; run ``chunk(span)`` on each and add up the
+    Counters they return, in span order. Span 0 runs in this process, each
+    other span in a forked child, which inherits the chunk's arguments;
+    without ``os.fork`` every span runs here. The counts are integers, so
+    the total is the same at any span count."""
+    draws = config.trajectories * config.steps
+    workers = min(config.workers, config.trajectories, os.cpu_count() or 1,
+                  max(1, -(-draws // FORK_DRAWS)))
     spans = list(_chunks(config.trajectories, workers))
     if len(spans) == 1 or not hasattr(os, "fork"):
         parts = [chunk(span) for span in spans]

@@ -382,6 +382,7 @@ def test_6_identical_seed_identical_json(mc_free2, hitting_report):
            f"{len(json_a)} + {len(json_c)} bytes compared")
 
 
+@pytest.mark.usefixtures("fork_every_span")
 def test_6_worker_count_invariance(mc_z2, lamp_measure):
     cfg = SamplerConfig(seed=SEED + 1, trajectories=2000, steps=2000,
                         workers=3)

@@ -179,6 +179,7 @@ def test_adjoint_drift_equality_on_free_srw_by_the_radial_law():
     assert report.a_mu == freewalk.expected_norms(2, 100)[1:]
 
 
+@pytest.mark.usefixtures("fork_every_span")
 def test_drift_mc_deterministic_bytes(capsys):
     args = ("drift", "--group", "zd:2", "--measure", "srw", "--n-max", "0",
             "--trajectories", "200", "--steps", "50", "--seed", "9")
@@ -412,6 +413,7 @@ def test_factor_subcommand(capsys):
     assert json.loads(out)["found"] is False
 
 
+@pytest.mark.usefixtures("fork_every_span")
 def test_error_exit_codes(capsys, tmp_path, monkeypatch):
     code, out, err = run_cli(capsys, "drift", "--group", "nope:7")
     assert code == 1
@@ -591,6 +593,7 @@ def _heisenberg_drift(trajectories: int) -> tuple:
             "--trajectories", str(trajectories))
 
 
+@pytest.mark.usefixtures("fork_every_span")
 def test_error_in_a_forked_chunk_matches_one_worker(capsys, monkeypatch):
     monkeypatch.setattr(sampler.os, "cpu_count", lambda: 2)
     code, out, _ = run_cli(capsys, *_heisenberg_drift(1))
@@ -624,6 +627,21 @@ def test_error_in_a_forked_chunk_matches_one_worker(capsys, monkeypatch):
     assert json.loads(err)["error"]["message"] == "trajectory 1 out of range"
 
 
+def test_small_drift_at_two_workers_forks_nothing(capsys, monkeypatch):
+    """175,750 draws are below sampler.FORK_DRAWS: --workers 2 runs them
+    in this process, with the --workers 1 report."""
+    monkeypatch.setattr(sampler.os, "cpu_count", lambda: 2)
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    argv = ("drift", "--group", "zd:1", "--n-max", "0", "--trajectories",
+            "950", "--steps", "185")
+    runs = [run_cli(capsys, *argv, "--workers", w) for w in ("1", "2")]
+    assert forks == []
+    code, out, _ = runs[0]
+    assert code == 0 and json.loads(out)["monte_carlo"]["trajectories"] == 950
+    assert runs[1] == (0, out.replace('"workers": 1', '"workers": 2'), "")
+
+
 def test_heisenberg_drift_ignores_ball_radius(capsys):
     """--ball-radius is echoed in the config and otherwise ignored: a
     60-step walk runs past a radius-3 ball, and the report is the same
@@ -641,6 +659,7 @@ def test_heisenberg_drift_ignores_ball_radius(capsys):
                            '"ball-radius": 0') == plain
 
 
+@pytest.mark.usefixtures("fork_every_span")
 @pytest.mark.parametrize("failure", ["silent", "cut short"])
 def test_forked_chunk_without_a_result_is_a_resource_error(capsys,
                                                           monkeypatch,

@@ -180,6 +180,7 @@ def test_mc_checkpoints_monotone_for_liouville_lamplighter():
     assert mc.means[0] > mc.means[1] > mc.means[2]
 
 
+@pytest.mark.usefixtures("fork_every_span")
 def test_mc_integer_aggregates_reproducible():
     z2 = group_from_id("zd:2")
     cfg1 = SamplerConfig(seed=5, trajectories=200, steps=100, workers=1)

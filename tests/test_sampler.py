@@ -52,6 +52,7 @@ def test_atom_order_is_canonical_string_order():
     assert cdf[-1] == 1.0
 
 
+@pytest.mark.usefixtures("fork_every_span")
 def test_norm_statistics_worker_invariance():
     z2 = group_from_id("zd:2")
     mu = srw(z2)
@@ -73,6 +74,7 @@ def test_norm_statistics_repeatable_across_runs():
     assert a == b
 
 
+@pytest.mark.usefixtures("fork_every_span")
 def test_endpoint_counts_worker_invariance():
     f2 = FreeGroup(2)
     cfg1 = SamplerConfig(seed=5, trajectories=200, steps=3, workers=1)
@@ -280,6 +282,7 @@ def test_guide_table_matches_searchsorted(case):
         assert cdf[-2] == 1.0
 
 
+@pytest.mark.usefixtures("fork_every_span")
 def test_walks_with_small_blocks_match_default_blocks(monkeypatch):
     mu = srw(FreeGroup(2))
     runs = {}
@@ -345,6 +348,7 @@ def _reference(group, mu, config, checkpoints, level):
     return stats, ends, prefixes
 
 
+@pytest.mark.usefixtures("fork_every_span")
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("steps", [0, 23])
 @pytest.mark.parametrize("case", sorted(KERNEL_CASES))
@@ -540,6 +544,7 @@ def _count_forks(monkeypatch) -> list:
     return forks
 
 
+@pytest.mark.usefixtures("fork_every_span")
 @pytest.mark.parametrize("cpus, trajectories, expected", [
     (3, 100, [2]), (3, 2, [1]), (None, 100, []), (1, 100, [])])
 def test_worker_count_is_clamped(monkeypatch, cpus, trajectories, expected):
@@ -560,6 +565,32 @@ def test_worker_count_is_clamped(monkeypatch, cpus, trajectories, expected):
     assert sizes == expected
 
 
+def test_a_span_forks_only_past_fork_draws(monkeypatch):
+    """At FORK_DRAWS = 100, 10 x 10 draws run in one span and 101 x 1
+    draws in two, and either report is the one-worker report."""
+    monkeypatch.setattr(sampler.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(sampler, "FORK_DRAWS", 100)
+    forks = _count_forks(monkeypatch)
+    mu = srw(group_from_id("zd:2"))
+    for (trajectories, steps), expected in (((10, 10), 0), ((101, 1), 1)):
+        one, two = (SamplerConfig(seed=4, trajectories=trajectories,
+                                  steps=steps, workers=w) for w in (1, 2))
+        inline = norm_statistics(mu, one)
+        forks.clear()
+        assert norm_statistics(mu, two) == inline
+        assert len(forks) == expected
+
+
+def test_zero_draws_run_in_one_span(monkeypatch):
+    monkeypatch.setattr(sampler.os, "cpu_count", lambda: 2)
+    forks = _count_forks(monkeypatch)
+    config = SamplerConfig(seed=1, trajectories=5, steps=0, workers=2)
+    got = endpoint_counts(srw(group_from_id("zd:2")), config)
+    assert got == Counter({"0,0": 5})
+    assert forks == []
+
+
+@pytest.mark.usefixtures("fork_every_span")
 def test_chunks_run_inline_without_fork(monkeypatch):
     mu = srw(FreeGroup(2))
     monkeypatch.setattr(sampler.os, "cpu_count", lambda: 3)
@@ -573,6 +604,7 @@ def test_chunks_run_inline_without_fork(monkeypatch):
         assert list(got.items()) == list(expected[0].items())
 
 
+@pytest.mark.usefixtures("fork_every_span")
 def test_forked_chunks_leave_no_child_unreaped(monkeypatch):
     """After a fan-out that succeeds and one whose forked chunk raises,
     this process has no child left to wait for."""
