@@ -25,8 +25,8 @@ Closed forms read word lengths and common prefixes only: the Poisson
 semi-norm exponent of g is |g|, the integral of its exponent depends on |g|
 alone, the c sequence sums it against the radial law ``freewalk.path_counts``,
 and m(g^-1 C_u) = m(C_u) W(p) / (2k-1)^|g| with one integer weight per common
-prefix length p of g and u makes Poisson integrals and translated masses
-O(|g|) sums over the prefix sums of f; span ranks are cylinder counts
+prefix length p of g and u makes Poisson integrals O(|g|) sums over the
+prefix sums of f; span ranks are cylinder counts
 (the proof is in ``span_rank``; Bareiss elimination, ``exact_rank``, is
 the reference the tests hold them to). The cocycle histogram counts the
 cylinders on each common prefix with g, and the stationarity check
@@ -81,14 +81,6 @@ def _check_rank(k: int, *words: Tuple[int, ...]) -> None:
 
 def _level_mass(k: int, level: int) -> Fraction:
     return Fraction(1, 2 * k) * Fraction(1, 2 * k - 1) ** (level - 1)
-
-
-def cylinder_mass(k: int, word: Tuple[int, ...]) -> Fraction:
-    """m(C_w) for a nonempty reduced word w."""
-    _check_rank(k, word)
-    if not word:
-        raise DomainError("cylinders are indexed by nonempty reduced words")
-    return _level_mass(k, len(word))
 
 
 def cylinder_count(k: int, level: int) -> int:
@@ -270,10 +262,6 @@ def cocycle_exponent(k: int, g: Tuple[int, ...], w: Tuple[int, ...]) -> int:
     return int(_exponent(g, np.array([w[:len(g)]], dtype=np.int64))[0])
 
 
-def cocycle_value(k: int, g: Tuple[int, ...], w: Tuple[int, ...]) -> Fraction:
-    return Fraction(2 * k - 1) ** cocycle_exponent(k, g, w)
-
-
 def cocycle_histogram(k: int, g: Tuple[int, ...],
                       level: int) -> List[Tuple[int, int]]:
     """(exponent, number of level cylinders) pairs of sigma(g, .), sorted by
@@ -299,17 +287,6 @@ def cocycle_histogram(k: int, g: Tuple[int, ...],
               + [(q - 1) * q ** (level - p - 1) for p in range(1, n)]
               + [q ** (level - n)])
     return [(2 * p - n, c) for p, c in enumerate(counts)]
-
-
-def translated_cylinder_mass(k: int, g: Tuple[int, ...],
-                             w: Tuple[int, ...]) -> Fraction:
-    """m(g^-1 C_w): the Poisson sum of the indicator of C_w, whose prefix
-    sums are 1 on the prefixes of w (1 for the empty w)."""
-    _check_rank(k, g, w)
-    if not w:
-        return Fraction(1)
-    return _poisson_sum(k, len(w), {w[:i]: 1 for i in range(len(w) + 1)},
-                        1, g)
 
 
 # -- cocycle identities -------------------------------------------------------
@@ -352,27 +329,6 @@ def _identity_check(k: int, level: int, ss: Sequence[Tuple[int, ...]],
     return IdentityCheck(
         cylinders_checked=len(ss) * len(ts) * cylinder_count(k, level),
         max_residual=worst, violations=violations)
-
-
-def check_cocycle_identity(k: int, s: Tuple[int, ...], t: Tuple[int, ...],
-                           level: int) -> IdentityCheck:
-    """Residual of sigma(st, C) = sigma(s, C) sigma(t, s^-1 C) over all
-    level-`level` cylinders C.
-
-    The check runs on the cylinders of the effective level |s| + |t| and
-    accounts each for its (2k-1)^(level - effective) extensions; this is an
-    exact evaluation of the full level-`level` check (the constancy it rests
-    on is unit-tested separately by full enumeration at small levels).
-    """
-    _check_rank(k)
-    check_count_digits(k, level)
-    group = FreeGroup(k)
-    if level < max(1, len(s) + len(t)):
-        raise OutOfRangeError(
-            f"identity check needs level >= max(1, |s|+|t|) = "
-            f"{max(1, len(s) + len(t))}", required=max(1, len(s) + len(t)))
-    group.mul(s, t)               # validates s and t
-    return _identity_check(k, level, [s], [t])
 
 
 def check_cocycle_identity_ball(k: int, radius: int,
@@ -456,14 +412,6 @@ def _log_cocycle_numerator(k: int, length: int) -> int:
             - 2 * k * length * q ** length)
 
 
-def integral_log_cocycle(k: int, g: Tuple[int, ...]) -> Fraction:
-    """Exact c with  int log sigma(g, z) dm(z) = c log(2k-1); it depends on
-    |g| only."""
-    _check_rank(k, g)
-    return Fraction(_log_cocycle_numerator(k, len(g)),
-                    2 * k * (2 * k - 1) ** len(g))
-
-
 def c_sequence(k: int, n_max: int) -> List[Fraction]:
     """Coefficients q_n with c_n = q_n log(2k-1), n = 1..n_max: c_n
     integrates log sigma(s, .) against the n-step law of the adjoint walk,
@@ -515,11 +463,6 @@ class CylinderFunction:
                 raise DomainError(
                     f"cylinder function values must be int or Fraction, "
                     f"got {value!r}")
-
-    @classmethod
-    def constant(cls, k: int, level: int, value) -> "CylinderFunction":
-        return cls(k, level, {w: Fraction(value)
-                              for w in cylinders(k, level)})
 
     @classmethod
     def indicator(cls, k: int, word: Tuple[int, ...]) -> "CylinderFunction":

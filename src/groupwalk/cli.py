@@ -160,7 +160,8 @@ _OPTIONS: Dict[str, Dict[str, tuple]] = {
     "cocycle": {
         "k": (int, 2, "free rank"),
         "g": (str, None, "group element, e.g. ab or aB"),
-        "level": (int, 0, "cylinder level (default |g|)"),
+        "level": (int, 0, "cylinder level (default |g|, or |W| of "
+                          "--cylinder W)"),
         "cylinder": (str, "", "specific cylinder prefix word"),
     },
     "poisson-norm": {
@@ -461,14 +462,22 @@ def _run_cocycle(cfg: Dict[str, object]) -> dict:
     k = cfg["k"]
     group = FreeGroup(k)
     g = group.parse_element(cfg["g"])
-    level = cfg["level"] or max(1, len(g))
-    report = {"k": k, "g": group.format_element(g), "level": level}
+    report = {"k": k, "g": group.format_element(g)}
     if cfg["cylinder"]:
+        # the value is sigma on C_W, whose level is |W|
         w = group.parse_element(cfg["cylinder"])
+        if not w:
+            raise DomainError("cylinders are indexed by nonempty reduced "
+                              "words")
+        if cfg["level"] not in (0, len(w)):
+            raise DomainError(f"--level {cfg['level']} is not the level "
+                              f"{len(w)} of the cylinder {cfg['cylinder']}")
         expo = boundary.cocycle_exponent(k, g, w)
+        report["level"] = len(w)
         report["exponent"] = expo
         report["value"] = Fraction(2 * k - 1) ** expo
     else:
+        level = report["level"] = cfg["level"] or max(1, len(g))
         report["exponent_histogram"] = [
             {"exponent": e, "value": Fraction(2 * k - 1) ** e, "cylinders": c}
             for e, c in boundary.cocycle_histogram(k, g, level)]

@@ -9,12 +9,11 @@ generic convolution (the support grows like 3^n) have exact rational radial
 formulas:
 
 * expected norms a_n = E|X_n|,
-* the one-step averages f_j(s) = sum_t (|st| - |t|) mu^{*j}(t), which are
-  radial with
+* the Cesaro averages phi_n of the one-step averages
+  f_j(s) = sum_t (|st| - |t|) mu^{*j}(t), which are radial with
       f_j(r) = r - 2 * sum_{i=1}^{r} P(|X_j| >= i) * (2k-1)^{1-i} / (2k),
   since P(X_j extends a fixed reduced prefix of length i) =
-  P(|X_j| >= i) * (2k-1)^{1-i} / (2k)  (uniformity on spheres),
-* Shannon entropies H(mu^{*n}).
+  P(|X_j| >= i) * (2k-1)^{1-i} / (2k)  (uniformity on spheres).
 
 The law is carried as integer path counts: c_n[m] is the number of the
 (2k)^n generator paths of length n that end at norm m, and one step sends
@@ -49,7 +48,6 @@ brute-force path enumeration) in the test suite.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Iterator, List, Optional
 
@@ -160,19 +158,6 @@ def _radial_values(counts: List[int], total: int, den: int, q: int,
     return out
 
 
-def radial_fk(k: int, steps: int, r_max: int) -> List[List[Fraction]]:
-    """table[j][r] = f_j on the sphere of radius r, for j = 0..steps-1.
-
-    f_j(e) = 0 is included at r = 0. With P(|X_j| >= i) = T_i / (2k)^j,
-    f_j(r) has the common denominator (2k)^(j+1) (2k-1)^(r-1).
-    """
-    _check_rank(k)
-    q = 2 * k - 1
-    rows = path_counts(k, max(steps - 1, 0))
-    return [_radial_values(row, (2 * k) ** j, (2 * k) ** (j + 1), q, r_max)
-            for j, row in zip(range(steps), rows)]
-
-
 def radial_phi(k: int, n: int, r_max: int) -> List[Fraction]:
     """phi_n on spheres 0..r_max: the Cesaro average of f_0..f_{n-1}.
 
@@ -193,24 +178,3 @@ def radial_phi(k: int, n: int, r_max: int) -> List[Fraction]:
         weighted = head + [two_k * b for b in weighted[len(head):]]
     return _radial_values(weighted, n * two_k ** (n - 1), n * two_k ** n,
                           2 * k - 1, r_max)
-
-
-def shannon_entropy(k: int, n: int) -> float:
-    """H(mu^{*n}) in nats, via the exact radial law (uniform on spheres)."""
-    _check_rank(k)
-    for row in path_counts(k, n):
-        pass                      # keep the last row, c_n
-    total = sum(row)              # (2k)^n paths
-    h = 0.0
-    for m, c in enumerate(row):
-        p = c / total
-        if p == 0.0:
-            # c = 0, or p below the least float (from n = 2592 for k = 2):
-            # its term rounds to 0 and log(p) would fail
-            continue
-        if m == 0:
-            h -= p * math.log(p)
-        else:
-            sphere = 2 * k * (2 * k - 1) ** (m - 1)
-            h -= p * (math.log(p) - math.log(sphere))
-    return h

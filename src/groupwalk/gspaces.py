@@ -1,5 +1,5 @@
 """Finite G-spaces: stationary measures, ergodicity of diagonal products,
-factor maps from invariant functions, and moment-tensor invariance.
+and factor maps from invariant functions.
 
 A FiniteGSpace is a finite set acted on by named generators through
 permutations, validated against a supplied relator list (a silent non-action
@@ -9,15 +9,8 @@ to its start's mass spread evenly over each orbit of the group generated by
 supp mu, so stationary measures are given in closed form and are invariant
 under that group: the genuinely non-invariant stationary phenomena live in
 the boundary module. "Essentially constant" here always means constant on
-atoms of positive mass.
-
-The moment-tensor check models measures on the unit ball of a
-finite-dimensional real representation: sigma_k = sum_i w_i v_i^{(x) k}
-is computed as a full tensor, its fixing under the k-fold representation
-is checked generator by generator, and invariance of the measure itself is
-confirmed by direct atom matching. (The classical statement concerns unit
-balls of infinite-dimensional spaces in the weak topology; this module is a
-finite-dimensional model of it, by design.)
+atoms of positive mass. The isometric factor of a non-ergodic diagonal
+product is exhibited by ``isometric_factor_witness``.
 
 Factor maps work on the distinct rows of f, so their memory stays linear
 in |X| |Y|; FactorMapResult.f2, the |X| x |X| eta-gram, is computed on access.
@@ -52,22 +45,6 @@ def _check_points(size: int, what: str = "g-space") -> None:
                                  f"of {MAX_POINTS} points")
 
 
-def _generator(gens: Dict[str, object], token: str) -> Tuple[object, bool]:
-    """(generator, inverted) for a token `label` or `label^-1`."""
-    label = token[:-3] if token.endswith("^-1") else token
-    if label not in gens:
-        raise DomainError(f"unknown generator {label!r}")
-    return gens[label], label != token
-
-
-def _check_labels(gens: Dict[str, object]) -> None:
-    """DomainError unless each label is one token not ending in ``^-1``."""
-    for label in gens:
-        if label.split() != [label] or label.endswith("^-1"):
-            raise DomainError(f"bad generator label {label!r} (want one "
-                              f"token not ending in ^-1)")
-
-
 # -- spaces and the text format ------------------------------------------------
 
 @dataclass(frozen=True)
@@ -79,8 +56,11 @@ class FiniteGSpace:
     def __post_init__(self):
         if self.size < 1:
             raise DomainError(f"g-space size must be >= 1, got {self.size}")
-        _check_labels(self.gens)
         for label, perm in self.gens.items():
+            # one token, and no ^-1, which marks an inverse in words
+            if label.split() != [label] or label.endswith("^-1"):
+                raise DomainError(f"bad generator label {label!r} (want one "
+                                  f"token not ending in ^-1)")
             if sorted(perm) != list(range(self.size)):
                 raise DomainError(f"generator {label!r} is not a permutation "
                                   f"of 0..{self.size - 1}")
@@ -95,8 +75,11 @@ class FiniteGSpace:
 
     def permutation(self, token: str) -> Tuple[int, ...]:
         """Permutation of a generator token, allowing label^-1."""
-        perm, inverted = _generator(self.gens, token)
-        return _power(perm, -1) if inverted else perm
+        label = token[:-3] if token.endswith("^-1") else token
+        if label not in self.gens:
+            raise DomainError(f"unknown generator {label!r}")
+        perm = self.gens[label]
+        return perm if label == token else _power(perm, -1)
 
     def word_permutation(self, tokens: Sequence[str]) -> Tuple[int, ...]:
         """Left action of a word: (s1 s2).x = s1.(s2.x). A run of one
@@ -160,12 +143,6 @@ def parse_cycles(text: str, size: int) -> Tuple[int, ...]:
     return tuple(perm)
 
 
-def format_cycles(perm: Sequence[int]) -> str:
-    parts = ["(" + " ".join(map(str, cycle)) + ")"
-             for cycle in _cycles(perm) if len(cycle) > 1]
-    return "".join(parts) or "()"
-
-
 def parse_gspace(text: str) -> FiniteGSpace:
     """Parse the preset text format::
 
@@ -206,15 +183,6 @@ def parse_gspace(text: str) -> FiniteGSpace:
     if size is None or not gens:
         raise DomainError("g-space file needs a size and at least one gen")
     return FiniteGSpace(size=size, gens=gens, relators=tuple(relators))
-
-
-def format_gspace(space: FiniteGSpace) -> str:
-    lines = [f"size {space.size}"]
-    for label in space.labels():
-        lines.append(f"gen {label} {format_cycles(space.gens[label])}")
-    for rel in space.relators:
-        lines.append("relator " + " ".join(rel))
-    return "\n".join(lines) + "\n"
 
 
 # -- presets -------------------------------------------------------------------
@@ -296,14 +264,6 @@ def _transfer(atoms, nu: np.ndarray) -> np.ndarray:
     return out
 
 
-def _markov_operator(atoms, f: np.ndarray) -> np.ndarray:
-    """(P f)(x) = sum_s mu(s) f(s x)."""
-    out = np.zeros_like(f, dtype=float)
-    for _, perm, w in atoms:
-        out += w * f[np.array(perm)]
-    return out
-
-
 def _orbits(size: int, perms: Iterable[Sequence[int]]) -> List[List[int]]:
     """Orbits on 0..size-1 of the group the permutations generate: the
     components of their moves, each sorted, in order of first points."""
@@ -376,32 +336,6 @@ def is_invariant_measure(space: FiniteGSpace, nu: np.ndarray,
                               map(np.array, space.gens.values())) <= tol
 
 
-# -- stationarity => invariance (finite-scale) ---------------------------------
-
-@dataclass(frozen=True)
-class StatInvReport:
-    harmonic_residual: float
-    identity_residuals: List[float]   # proof identity per k = 1..k_max
-    vanishing: List[float]            # left side per k (should be ~0)
-    invariance_defect: float          # max |f(s x) - f(x)| on positive mass
-    is_invariant: bool
-
-
-def _word_power_measures(atoms, k_max: int) -> List[Dict[Tuple[int, ...], float]]:
-    """Laws of the k-step word composition as measures on permutations."""
-    out = []
-    current = {tuple(range(len(atoms[0][1]))): 1.0}
-    for _ in range(k_max):
-        nxt: Dict[Tuple[int, ...], float] = {}
-        for perm, w in current.items():
-            for _, step, wt in atoms:
-                composed = tuple(perm[p] for p in step)
-                nxt[composed] = nxt.get(composed, 0.0) + w * wt
-        current = nxt
-        out.append(current)
-    return out
-
-
 def _finite(name: str, values) -> np.ndarray:
     """`values` as a float array; NaN or infinite entries are a DomainError,
     since every comparison with a tolerance would pass them."""
@@ -418,45 +352,6 @@ def _invariance_defect(f: np.ndarray, support, moves) -> float:
     for move in moves:
         defect = max(defect, float(np.abs((f[move] - f)[support]).max()))
     return defect
-
-
-def check_statinv(space: FiniteGSpace, nu: np.ndarray, mu_spec, f: np.ndarray,
-                  k_max: int = 4) -> StatInvReport:
-    """Harmonic functions on a stationary space are invariant; checked via
-    the expanding-the-square identity
-
-        sum_s int (f(sx) - f(x))^2 dnu mu^{*k}(s)
-            = 2 ( int f^2 dnu - int f (P^k f) dnu )
-
-    for k <= k_max, followed by the vanishing of the left side and direct
-    per-generator invariance on positive-mass atoms.
-    """
-    f, nu = _finite("f", f), _finite("nu", nu)
-    atoms = parse_word_measure(space, mu_spec)
-    pf = _markov_operator(atoms, f)
-    harmonic_residual = float(np.abs(pf - f).max())
-    if harmonic_residual > COMPOSED_TOL:
-        raise PreconditionError(
-            f"f is not harmonic: residual {harmonic_residual}")
-    identity_residuals = []
-    vanishing = []
-    pkf = f.copy()
-    for k, law in enumerate(_word_power_measures(atoms, k_max), start=1):
-        pkf = _markov_operator(atoms, pkf)   # P^k f, iterated route
-        lhs = 0.0
-        for perm, w in law.items():
-            diff = f[np.array(perm)] - f
-            lhs += w * float(nu @ (diff * diff))
-        rhs = 2.0 * float(nu @ (f * f) - nu @ (f * pkf))
-        identity_residuals.append(abs(lhs - rhs))
-        vanishing.append(abs(lhs))
-    defect = _invariance_defect(f, nu > 0,
-                                map(np.array, space.gens.values()))
-    return StatInvReport(harmonic_residual=harmonic_residual,
-                         identity_residuals=identity_residuals,
-                         vanishing=vanishing,
-                         invariance_defect=defect,
-                         is_invariant=defect <= COMPOSED_TOL)
 
 
 # -- diagonal products ---------------------------------------------------------
@@ -622,134 +517,3 @@ def isometric_factor_witness(space_x: FiniteGSpace, nu_x: np.ndarray,
     preserved = _invariance_defect(gram, slice(None), moves) <= COMPOSED_TOL
     return IsometricWitness(vectors=vectors, weights=weights, actions=actions,
                             gram=gram, gram_preserved=preserved)
-
-
-# -- moment tensors on orthogonal representations -------------------------------
-
-@dataclass(frozen=True)
-class OrthogonalRep:
-    dim: int
-    gens: Dict[str, np.ndarray]
-    relators: Tuple[Tuple[str, ...], ...] = ()
-
-    def __post_init__(self):
-        _check_labels(self.gens)
-        eye = np.eye(self.dim)
-        for label, mat in self.gens.items():
-            mat = np.asarray(mat, dtype=float)
-            if mat.shape != (self.dim, self.dim):
-                raise DomainError(f"generator {label!r} has wrong shape")
-            if np.abs(mat.T @ mat - eye).max() > LINALG_TOL:
-                raise DomainError(f"generator {label!r} is not orthogonal")
-        for rel in self.relators:
-            if np.abs(self.word_matrix(rel) - eye).max() > COMPOSED_TOL:
-                raise DomainError(f"relator {' '.join(rel)} does not hold")
-
-    def matrix(self, token: str) -> np.ndarray:
-        mat, inverted = _generator(self.gens, token)
-        mat = np.asarray(mat, dtype=float)
-        return mat.T if inverted else mat
-
-    def word_matrix(self, tokens: Sequence[str]) -> np.ndarray:
-        out = np.eye(self.dim)
-        for token in tokens:
-            out = out @ self.matrix(token)
-        return out
-
-
-def rotation_rep(order: int) -> OrthogonalRep:
-    """Z/order acting on the plane by the 2 pi / order rotation."""
-    theta = 2.0 * np.pi / order
-    mat = np.array([[np.cos(theta), -np.sin(theta)],
-                    [np.sin(theta), np.cos(theta)]])
-    return OrthogonalRep(dim=2, gens={"t": mat}, relators=(("t",) * order,))
-
-
-def moment_tensor(atoms: Iterable[Tuple[np.ndarray, float]],
-                  k: int) -> np.ndarray:
-    """sigma_k = sum_i w_i v_i^{(x) k}, as a full d^k tensor."""
-    atoms = [(np.asarray(v, dtype=float), float(w)) for v, w in atoms]
-    dim = atoms[0][0].shape[0]
-    out = np.zeros((dim,) * k) if k else np.zeros(())
-    for v, w in atoms:
-        t = np.array(w)
-        for _ in range(k):
-            t = np.multiply.outer(t, v)
-        out = out + t
-    return out
-
-
-def _apply_tensor(mat: np.ndarray, tensor: np.ndarray) -> np.ndarray:
-    """pi(s)^{(x) k} applied to a k-tensor (each axis contracted)."""
-    out = tensor
-    k = tensor.ndim
-    for axis in range(k):
-        out = np.tensordot(mat, out, axes=([1], [axis]))
-        out = np.moveaxis(out, 0, axis)
-    return out
-
-
-@dataclass(frozen=True)
-class MomentReport:
-    stationarity_residual: float
-    tensors: List[np.ndarray]             # sigma_1..sigma_k
-    mixture_residuals: List[float]        # | sum_s mu(s) pi(s)^k sigma - sigma |
-    generator_residuals: List[float]      # max_s | pi(s)^k sigma - sigma |
-    invariance_residual: float            # atom matching per generator
-    invariant: bool
-
-
-def _match_atoms(left: List[Tuple[np.ndarray, float]],
-                 right: List[Tuple[np.ndarray, float]]) -> float:
-    """Max weight discrepancy after merging atoms by rounded coordinates."""
-    def merged(atoms):
-        acc: Dict[Tuple[float, ...], float] = {}
-        for v, w in atoms:
-            key = tuple(np.round(np.asarray(v, dtype=float), 10))
-            acc[key] = acc.get(key, 0.0) + float(w)
-        return acc
-
-    a, b = merged(left), merged(right)
-    keys = set(a) | set(b)
-    return max(abs(a.get(kk, 0.0) - b.get(kk, 0.0)) for kk in keys)
-
-
-def moment_tensor_invariance(rep: OrthogonalRep,
-                             xi: List[Tuple[np.ndarray, float]],
-                             mu: Dict[str, float],
-                             k_max: int = 3) -> MomentReport:
-    """Stationary measures on the unit ball are invariant: verify via moment
-    tensors sigma_k (strict convexity pins each sigma_k under every
-    generator), then confirm invariance of xi itself by atom matching."""
-    xi = [(np.asarray(v, dtype=float), float(w)) for v, w in xi]
-    total = sum(w for _, w in xi)
-    if abs(total - 1.0) > LINALG_TOL:
-        raise DomainError(f"xi mass {total} != 1")
-    for v, _ in xi:
-        if np.linalg.norm(v) > 1 + LINALG_TOL:
-            raise PreconditionError("xi atoms must lie in the unit ball")
-    mats = {label: rep.matrix(label) for label in mu}
-    mixture = []
-    for label, w in mu.items():
-        mixture.extend((mats[label] @ v, w * wx) for v, wx in xi)
-    stationarity = _match_atoms(mixture, xi)
-    if stationarity > COMPOSED_TOL:
-        raise PreconditionError(
-            f"xi is not stationary: atom mismatch {stationarity}")
-    tensors, mix_res, gen_res = [], [], []
-    for k in range(1, k_max + 1):
-        sigma = moment_tensor(xi, k)
-        tensors.append(sigma)
-        mixed = sum(w * _apply_tensor(mats[label], sigma)
-                    for label, w in mu.items())
-        mix_res.append(float(np.abs(mixed - sigma).max()))
-        gen_res.append(max(float(np.abs(_apply_tensor(mats[label], sigma)
-                                        - sigma).max())
-                           for label in mu))
-    inv_res = max(_match_atoms([(mats[label] @ v, w) for v, w in xi], xi)
-                  for label in mu)
-    return MomentReport(stationarity_residual=stationarity, tensors=tensors,
-                        mixture_residuals=mix_res,
-                        generator_residuals=gen_res,
-                        invariance_residual=inv_res,
-                        invariant=inv_res <= COMPOSED_TOL)

@@ -20,8 +20,9 @@ convolution then multiplies atoms with the unchecked ``Group._mul`` and
 the stored numerators; the product's denominator is ``mu.den * nu.den``,
 left unreduced. A Fraction is built only where a caller asks for a weight
 (``atoms``, ``from_numerator``). Float weights go through the same loops
-over the denominator 1. Exact values are texted by ``fraction_text``,
-in measure files and in the CLI's reports alike.
+over the denominator 1. Measures are read from one text form, the CLI's
+spec ``elem=weight;...`` (``parse_measure_spec``), and exact values are
+texted in reports by ``fraction_text``.
 
 Measures are immutable values. Convolution runs single-threaded with a
 fixed accumulation order, so float-mode results are bit-identical from run
@@ -39,11 +40,10 @@ from fractions import Fraction
 from typing import Dict, Iterable, Mapping, Optional, Tuple
 
 from .errors import DomainError, ResourceLimitError
-from .groups import Group, group_from_id
+from .groups import Group
 
 MODE_EXACT = "exact"
 MODE_FLOAT = "float64"
-MEASURE_FORMAT_VERSION = 1
 DEFAULT_MAX_ATOMS = 2_000_000
 
 _MASS_TOL = 1e-12
@@ -67,10 +67,6 @@ class FiniteMeasure:
             den = self.den
             return {g: Fraction(c, den) for g, c in self.weights.items()}
         return dict(self.weights)
-
-    def mass(self):
-        total = sum(self.weights.values())
-        return from_numerator(total, self.den, self.mode)
 
     def support(self):
         return self.weights.keys()
@@ -229,46 +225,6 @@ def adjoint(mu: FiniteMeasure) -> FiniteMeasure:
                          deficit=mu.deficit, mode=mu.mode)
 
 
-def is_symmetric(mu: FiniteMeasure) -> bool:
-    return adjoint(mu).weights == mu.weights
-
-
-def check_support_generates(mu: FiniteMeasure, targets, depth: int) -> bool:
-    """True iff every target appears among products of <= depth support atoms.
-
-    False is inconclusive ("not verified at depth"): the semigroup generated
-    by the support may still reach the targets deeper in.
-    """
-    if depth < 1:
-        raise DomainError("depth must be >= 1")
-    group = mu.group
-    want = {group.canonical(t) for t in targets}
-    layer = set(mu.weights)
-    reached = set(layer)
-    want -= reached
-    for _ in range(depth - 1):
-        if not want:
-            break
-        layer = {group.mul(g, s) for g in layer for s in mu.weights}
-        reached |= layer
-        want -= layer
-    return not want
-
-
-def total_variation(mu: FiniteMeasure, nu: FiniteMeasure) -> float:
-    """TV distance between the retained parts (evaluated in float)."""
-    if mu.group != nu.group:
-        raise DomainError("TV distance needs measures on one group")
-    # c / den is one correctly rounded division, the same double as
-    # float(Fraction(c, den)); a float weight over den = 1 is unchanged
-    left = {g: c / mu.den for g, c in mu.weights.items()}
-    right = {g: c / nu.den for g, c in nu.weights.items()}
-    acc = 0.0
-    for g in set(left) | set(right):
-        acc += abs(left.get(g, 0.0) - right.get(g, 0.0))
-    return 0.5 * acc
-
-
 def shannon_entropy(mu: FiniteMeasure) -> float:
     """Shannon entropy (natural log) of the retained atoms."""
     h = 0.0
@@ -281,7 +237,7 @@ def shannon_entropy(mu: FiniteMeasure) -> float:
 
 
 def fraction_text(value: Fraction) -> str:
-    """The p/q text of an exact value, in reports and measure files."""
+    """The p/q text of an exact value in the CLI's reports."""
     try:
         return f"{value.numerator}/{value.denominator}"
     except ValueError:              # past int's digit limit for text
@@ -310,53 +266,6 @@ def _parse_weight(text: str, mode: str):
     if isinstance(w, float) and not math.isfinite(w):
         raise DomainError(f"non-finite weight {text!r}")
     return w
-
-
-def measure_to_text(mu: FiniteMeasure) -> str:
-    """Line-delimited serialization: header, then one "element weight" line
-    per atom (weights as ``fraction_text`` in exact mode, repr in float)."""
-    text = fraction_text if mu.mode == MODE_EXACT else repr
-    lines = [
-        f"# groupwalk-measure v{MEASURE_FORMAT_VERSION}",
-        f"group {mu.group.id_string}",
-        f"mode {mu.mode}",
-        f"deficit {text(mu.deficit)}",
-    ]
-    body = sorted(
-        (mu.group.format_element(g), w) for g, w in mu.atoms.items()
-    )
-    lines.extend(f"{s} {text(w)}" for s, w in body)
-    return "\n".join(lines) + "\n"
-
-
-def measure_from_text(text: str) -> FiniteMeasure:
-    """Inverse of measure_to_text; DomainError on any malformed text."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("# groupwalk-measure v"):
-        raise DomainError("not a measure file")
-    header = {}
-    idx = 1
-    for line in lines[1:]:
-        key, _, val = line.partition(" ")
-        if key in ("group", "mode", "deficit"):
-            header[key] = val
-            idx += 1
-        else:
-            break
-    try:
-        version = int(lines[0].rsplit("v", 1)[1])
-        group = group_from_id(header["group"])
-        mode, deficit = header["mode"], header["deficit"]
-    except (KeyError, ValueError) as exc:
-        raise DomainError(f"malformed measure file ({exc!r})")
-    if version != MEASURE_FORMAT_VERSION:
-        raise DomainError(f"unsupported measure format version {version}")
-    atoms = {}
-    for line in lines[idx:]:
-        elem_s, _, w_s = line.rpartition(" ")
-        atoms[group.parse_element(elem_s)] = _parse_weight(w_s, mode)
-    return finite_measure(group, atoms,
-                          deficit=_parse_weight(deficit, mode), mode=mode)
 
 
 def parse_measure_spec(group: Group, spec: str,

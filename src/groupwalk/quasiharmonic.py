@@ -4,18 +4,19 @@ averages phi_n, and the identities tying them to the drift.
     f_k(s)   = sum_t (rho(st) - rho(t)) mu^{*k}(t)
     phi_n(s) = (1/n) sum_{k<n} f_k(s)
 
-Key exact identities, all checked here (and exactly zero in untruncated
-rational mode):
+Key exact identities (exactly zero in untruncated rational mode):
 
-* recursion: sum_s f_k(gs) mu(s) = f_{k+1}(g) + sum_s f_k(s) mu(s);
+* recursion: sum_s f_k(gs) mu(s) = f_{k+1}(g) + sum_s f_k(s) mu(s),
+  checked here by ``check_diag_recursion`` (``selftest`` runs it);
 * telescoping: sum_s phi_n(s) mu(s) = a_n / n, the partial drift average;
 * bounds: |f_k(s)| <= rho(s) (triangle inequality), and
   |phi_n(gs) - phi_n(s)| <= rho(g) for all g, s.
 
+The test suite holds the tables to the last two, and to the trend of the
+homomorphism defect, with the reference checks of ``tests/references.py``.
 The distortion d_n(g) = sum_s phi_n(gs) mu(s) - phi_n(g) approaches the
 drift; no subsequence is chosen here: the full sequence phi_n is computed
-on a finite ball and convergence is reported as a diagnostic trend (the
-tolerances for those trends are empirical and flagged as such in reports).
+on a finite ball, and the CLI's ``--emit-series`` prints d_n(e) along n.
 
 Per-entry truncation error: dropping mass d from mu^{*k} perturbs f_k(s) by
 at most d * rho(s) (each dropped term is bounded by rho(s)); this is tighter
@@ -36,10 +37,6 @@ from .errors import DomainError, OutOfRangeError
 from .groups import Group
 from .measures import MODE_EXACT, FiniteMeasure, from_numerator
 from .wordmetric import build_ball, fk_numerators, phi_numerators
-
-TOLERANCE_NOTE = ("distortion/defect trend tolerances are empirical; the "
-                  "underlying convergence has no stated rate")
-
 
 @dataclass(frozen=True)
 class FkTable:
@@ -168,73 +165,3 @@ def check_diag_recursion(mu: FiniteMeasure, fk: FkTable, fk1: FkTable,
     return DiagRecursionReport(k=fk.k, max_residual=worst,
                                error_allowance=allowance,
                                points_checked=count)
-
-
-@dataclass(frozen=True)
-class QuasiHarmonicReport:
-    n: int
-    distortions: Dict[object, object]   # d_n(g) per test point
-    sup_distortion: object
-    mean_identity_residual: object      # |sum_s phi_n(s) mu(s) - a_n / n|
-    tolerance_note: str
-
-
-def check_quasi_harmonicity(mu: FiniteMeasure, phi: PhiTable, a_n,
-                            test_set: Iterable) -> QuasiHarmonicReport:
-    """Distortion table d_n(g) and the exact telescoping identity.
-
-    a_n is the exact partial drift sum at the same n and truncation as phi
-    (from drift_exact_partial); in untruncated rational mode the identity
-    residual is exactly 0.
-    """
-    group = mu.group
-    steps = mu.atoms.items()
-    dist = {}
-    for g in test_set:
-        try:
-            d = sum(phi.values[group.mul(g, s)] * w
-                    for s, w in steps) - phi.values[g]
-        except KeyError as exc:
-            raise OutOfRangeError(f"phi table does not cover {exc}")
-        dist[g] = d
-    mean_phi = sum(phi.values[s] * w for s, w in steps)
-    residual = abs(mean_phi - a_n / phi.n)
-    sup = max((abs(d) for d in dist.values()), default=0)
-    return QuasiHarmonicReport(n=phi.n, distortions=dist, sup_distortion=sup,
-                               mean_identity_residual=residual,
-                               tolerance_note=TOLERANCE_NOTE)
-
-
-def check_lipschitz(phi: PhiTable, group: Group, norm_fn: Callable,
-                    pairs: Iterable) -> object:
-    """max over (g, s) of |phi(gs) - phi(s)| - rho(g); <= 0 means the left
-    Lipschitz bound holds (up to the tables' error bars)."""
-    worst = None
-    for g, s in pairs:
-        gs = group.mul(g, s)
-        if gs not in phi.values or s not in phi.values:
-            raise OutOfRangeError(f"phi table does not cover pair {(g, s)}")
-        excess = (abs(phi.values[gs] - phi.values[s]) - norm_fn(g)
-                  - phi.error_bars[gs] - phi.error_bars[s])
-        if worst is None or excess > worst:
-            worst = excess
-    return worst
-
-
-def homomorphism_defect(phi: PhiTable, group: Group,
-                        pairs: Iterable) -> object:
-    """max over (g, h) of |phi(gh) - phi(g) - phi(h)|.
-
-    Tends to 0 along n for symmetric walks on abelian groups; no smallness
-    holds in general (and none is asserted here).
-    """
-    worst = 0
-    for g, h in pairs:
-        gh = group.mul(g, h)
-        try:
-            defect = abs(phi.values[gh] - phi.values[g] - phi.values[h])
-        except KeyError as exc:
-            raise OutOfRangeError(f"phi table does not cover {exc}")
-        if defect > worst:
-            worst = defect
-    return worst

@@ -61,7 +61,7 @@ import numpy as np
 from .boundary import format_word_rows
 from .errors import DomainError, ResourceLimitError
 from .groups import FreeAbelian, FreeGroup, Heisenberg, Lamplighter
-from .measures import FiniteMeasure, power, total_variation
+from .measures import FiniteMeasure
 
 BLOCK_ROWS = 1024           # trajectories stepped together
 SEGMENT_DRAWS = 1 << 14     # words drawn per block per segment
@@ -811,31 +811,3 @@ def prefix_counts(mu: FiniteMeasure, level: int,
     chunk = functools.partial(_prefix_chunk, mu, config.seed, config.steps,
                               level)
     return _run_chunked(chunk, config)
-
-
-def try_power(mu: FiniteMeasure, n: int,
-              atom_budget: int = 200_000) -> Optional[FiniteMeasure]:
-    """Exact mu^{*n} when affordable, else None: past 64 steps, or when a
-    law's support outgrows `atom_budget` atoms."""
-    if n > 64:
-        return None
-    try:
-        return power(mu, n, max_atoms=atom_budget)
-    except ResourceLimitError:
-        return None
-
-
-def empirical_endpoint_distribution(
-        mu: FiniteMeasure, config: SamplerConfig
-) -> Tuple[FiniteMeasure, Optional[float]]:
-    """Empirical law of X_n, plus TV distance to the exact mu^{*n} when the
-    exact convolution is affordable (``try_power``'s budgets)."""
-    counts = endpoint_counts(mu, config)
-    group = mu.group
-    n = config.trajectories
-    weights = {group.parse_element(s): c / n for s, c in counts.items()}
-    empirical = FiniteMeasure(group=group, weights=weights, den=1,
-                              deficit=0.0, mode="float64")
-    exact = try_power(mu, config.steps)
-    tv = total_variation(empirical, exact) if exact is not None else None
-    return empirical, tv

@@ -2,11 +2,12 @@
 the exact norm laws a_n and f_k.
 
 A BallTable holds every element of word norm <= R together with its exact
-norm. Norm queries outside the table fail loudly (OutOfRangeError) instead
-of estimating: downstream certified bounds need exact norms. Every group
-has a closed-form evaluator (``norm_evaluator``) that agrees with BFS
-everywhere both are defined; this agreement is itself under test, and the
-semi-norm checks keep reading BFS norms, so they stay independent of it.
+norm, found by BFS. Every group has a closed-form evaluator
+(``norm_evaluator``) that agrees with BFS everywhere both are defined; this
+agreement is itself under test, and the semi-norm checks read BFS norms
+(``check_value_seminorm(table.group, table.norms)``), so they stay
+independent of it. A norm function that fails outside its table raises
+OutOfRangeError, which the exact laws pass on with the step they reached.
 
 Validation happens once, at the edge: ``build_ball`` multiplies valid
 elements with the unchecked ``Group._mul``; ``check_value_seminorm`` checks
@@ -56,18 +57,8 @@ class BallTable:
     radius: int
     norms: Dict[object, int]
 
-    def __contains__(self, g) -> bool:
-        return g in self.norms
-
     def __len__(self) -> int:
         return len(self.norms)
-
-    def sphere_sizes(self) -> list:
-        """Number of elements at each exact norm 0..radius."""
-        counts = [0] * (self.radius + 1)
-        for n in self.norms.values():
-            counts[n] += 1
-        return counts
 
 
 def build_ball(group: Group, radius: int,
@@ -99,16 +90,6 @@ def build_ball(group: Group, radius: int,
                         )
         frontier = nxt
     return BallTable(group=group, radius=radius, norms=norms)
-
-
-def word_norm(table: BallTable, g) -> int:
-    """Exact word norm from a ball table; OutOfRangeError beyond its radius."""
-    try:
-        return table.norms[g]
-    except KeyError:
-        raise OutOfRangeError(
-            f"element outside ball of radius {table.radius}; rebuild with a "
-            f"larger radius", required=table.radius + 1)
 
 
 def free_norm(g) -> int:
@@ -486,15 +467,6 @@ class SemiNormReport:
         return (self.max_triangle_violation == 0
                 and self.max_symmetry_violation == 0
                 and self.norm_of_identity == 0)
-
-
-def check_seminorm(table: BallTable) -> SemiNormReport:
-    """Verify rho(e)=0, rho(g)=rho(g^-1) and subadditivity on the ball.
-
-    Subadditivity is checked for every pair whose product stays inside the
-    ball; violations are exact integers and must be zero for word norms.
-    """
-    return check_value_seminorm(table.group, table.norms)
 
 
 def check_value_seminorm(group: Group,

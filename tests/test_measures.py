@@ -1,4 +1,4 @@
-"""Convolution powers, truncation accounting, adjoints, serialization.
+"""Convolution powers, truncation accounting, adjoints, measure specs.
 
 Brute-force oracle: mu^{*n}(s) is accumulated over all |supp|^n increment
 tuples, independently of the convolve implementation.
@@ -14,12 +14,10 @@ from hypothesis import strategies as st
 
 from groupwalk.errors import DomainError, ResourceLimitError
 from groupwalk.groups import FreeAbelian, FreeGroup, group_from_id
-from groupwalk.measures import (MODE_FLOAT, adjoint, check_support_generates,
-                                convolve, dirac, finite_measure,
-                                measure_from_text, measure_to_text,
-                                parse_measure_spec, power, power_sequence,
-                                shannon_entropy, srw, total_variation)
-from groupwalk.sampler import try_power
+from groupwalk.measures import (MODE_FLOAT, adjoint, convolve, dirac,
+                                finite_measure, parse_measure_spec, power,
+                                power_sequence, shannon_entropy, srw)
+from references import total_variation, try_power
 
 
 def brute_force_power(mu, n):
@@ -91,10 +89,8 @@ def test_power_additivity(gid):
 
 
 def test_adjoint_examples():
-    from groupwalk.measures import is_symmetric
     z = FreeAbelian(1)
     assert dict(adjoint(srw(z)).atoms) == dict(srw(z).atoms)
-    assert is_symmetric(srw(z))
     f2 = FreeGroup(2)
     mu = finite_measure(f2, {(1,): Fraction(2, 3), (2,): Fraction(1, 3)})
     adj = adjoint(mu)
@@ -238,66 +234,6 @@ def test_float_mode_mass_and_entropy():
     assert abs(shannon_entropy(srw(z)) - 0.6931471805599453) < 1e-12
 
 
-def test_check_support_generates():
-    z = FreeAbelian(1)
-    mu = srw(z)
-    assert check_support_generates(mu, z.generators(), 1)
-    forward = dirac(z, (1,))
-    assert not check_support_generates(forward, [(-1,)], 10)
-    f2 = FreeGroup(2)
-    # {a, b, (ab)^-1} reaches every standard generator within two factors
-    three = finite_measure(f2, {(1,): Fraction(1, 3), (2,): Fraction(1, 3),
-                                (-2, -1): Fraction(1, 3)})
-    assert check_support_generates(three, f2.generators(), 2)
-    # {a, a^-1 b} abelianizes into a half-space: a^-1 is unreachable, so
-    # the verification must keep answering "not verified" at any depth
-    half = finite_measure(f2, {(1,): Fraction(1, 2),
-                               (-1, 2): Fraction(1, 2)})
-    assert not check_support_generates(half, f2.generators(), 6)
-
-
-def test_serialization_roundtrip_exact_and_float():
-    f2 = FreeGroup(2)
-    mu = power(srw(f2), 2, threshold=Fraction(1, 20))
-    back = measure_from_text(measure_to_text(mu))
-    assert dict(back.atoms) == dict(mu.atoms)
-    assert back.deficit == mu.deficit
-    assert back.mode == mu.mode
-    fl = srw(f2, mode=MODE_FLOAT)
-    assert dict(measure_from_text(measure_to_text(fl)).atoms) == dict(fl.atoms)
-
-
-def test_measure_to_text_digit_limit_is_a_resource_error():
-    """Weights are texted by the reports' own p/q texter."""
-    z = FreeAbelian(1)
-    tiny = Fraction(1, 10 ** 5000)
-    mu = finite_measure(z, {(1,): tiny, (0,): 1 - tiny})
-    with pytest.raises(ResourceLimitError, match="digits"):
-        measure_to_text(mu)
-
-
-@pytest.mark.parametrize("old,new", [
-    ("# groupwalk-measure v1", "# groupwalk-measure vX"),
-    ("# groupwalk-measure v1", "# groupwalk-measure v2"),
-    ("group free:2\n", ""),
-    ("mode exact\n", ""),
-    ("deficit 0/1\n", ""),
-    ("group free:2\n", "group free:x\n"),
-    ("mode exact\n", "mode fuzzy\n"),
-    ("deficit 0/1\n", "deficit zero\n"),
-    ("a 1/4\n", "q 1/4\n"),
-    ("a 1/4\n", "a 1/x\n"),
-    ("a 1/4\n", "a 1/5\n"),
-], ids=["bad-version", "unknown-version", "missing-group", "missing-mode",
-        "missing-deficit", "bad-group", "bad-mode", "bad-deficit",
-        "bad-element", "bad-weight", "bad-mass"])
-def test_measure_from_text_rejects_malformed(old, new):
-    text = measure_to_text(srw(FreeGroup(2)))
-    assert old in text
-    with pytest.raises(DomainError):
-        measure_from_text(text.replace(old, new, 1))
-
-
 def test_parse_measure_spec():
     z = FreeAbelian(1)
     mu = parse_measure_spec(z, "1=2/3; -1=1/3")
@@ -412,7 +348,7 @@ def test_atoms_is_a_fresh_view():
     view[(1, 1, 1)] = Fraction(1, 2)
     assert mu.atoms[FreeGroup(2).identity()] == Fraction(1, 4)
     assert (1, 1, 1) not in mu.atoms
-    assert len(mu) == 13 and mu.mass() == 1
+    assert len(mu) == 13 and sum(mu.atoms.values()) == 1
     float_mu = srw(FreeGroup(2), mode=MODE_FLOAT)
     float_view = float_mu.atoms
     float_view.clear()

@@ -13,12 +13,11 @@ from groupwalk.drift import drift_exact_partial
 from groupwalk.errors import OutOfRangeError
 from groupwalk.groups import FreeGroup, group_from_id
 from groupwalk.measures import dirac, power_sequence, srw
-from groupwalk.quasiharmonic import (check_diag_recursion, check_lipschitz,
-                                     check_quasi_harmonicity,
-                                     compute_fk_tables, compute_phi,
-                                     homomorphism_defect, phi_from_fk)
+from groupwalk.quasiharmonic import (check_diag_recursion, compute_fk_tables,
+                                     compute_phi, phi_from_fk)
 from groupwalk.wordmetric import norm_evaluator
-from references import compute_fk, phi_table_free_srw
+from references import (check_lipschitz, check_quasi_harmonicity, compute_fk,
+                        homomorphism_defect, phi_table_free_srw)
 
 
 def brute_fk_on_z(k, point):

@@ -11,15 +11,13 @@ import pytest
 from groupwalk import sampler
 from groupwalk.errors import DomainError, OutOfRangeError, ResourceLimitError
 from groupwalk.groups import FreeGroup, Heisenberg, group_from_id
-from groupwalk.measures import (dirac, parse_measure_spec, power, srw,
-                                total_variation)
-from groupwalk.sampler import (SamplerConfig, atom_table,
-                               empirical_endpoint_distribution,
-                               endpoint_counts, norm_statistics,
-                               prefix_counts, substream)
+from groupwalk.measures import dirac, parse_measure_spec, power, srw
+from groupwalk.sampler import (SamplerConfig, atom_table, endpoint_counts,
+                               norm_statistics, prefix_counts, substream)
 from groupwalk.wordmetric import (BallTable, heisenberg_norm,
                                   lamplighter_norm, norm_evaluator)
-from references import sample_trajectory
+from references import (empirical_endpoint_distribution, sample_trajectory,
+                        total_variation)
 
 
 def test_zero_steps_gives_empty_trajectory():

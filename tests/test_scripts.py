@@ -1,11 +1,14 @@
-"""The experiment scripts run end to end against the package."""
+"""The experiment scripts run end to end against the package, and the
+project files agree with it."""
 
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 
+import groupwalk
 from groupwalk import cli
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -55,3 +58,29 @@ def test_compare_outputs_readme_jobs_are_the_readme_cli_block():
         "--emit-series phi.csv", "--emit-series -")
         for line in block.splitlines()]
     assert _compare_outputs().README_JOBS.splitlines() == commands
+
+
+def test_unreached_script_lists_what_a_pass_never_enters():
+    """One identities pass runs the boundary checks and no drift job."""
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    result = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "scripts", "unreached.py"),
+         "identities:0"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    *rows, summary = result.stdout.splitlines()
+    listed = {row.split()[1] for row in rows}
+    assert {"_run_drift", "drift_exact_partial", "_fork_chunk"} <= listed
+    assert not {"_run_span_rank", "check_cocycle_identity_ball",
+                "_identity_check", "check_value_seminorm"} & listed
+    assert summary.startswith(f"{len(rows)} of ")
+    assert summary.endswith(" functions unreached by identities:0")
+
+
+def test_package_version_is_the_pyproject_version():
+    """``groupwalk.__version__`` is the version in pyproject.toml, read by
+    a regex: Python 3.10, which the project supports, has no tomllib."""
+    with open(os.path.join(ROOT, "pyproject.toml"), encoding="utf-8") as fh:
+        match = re.search(r'^version = "([^"]+)"$', fh.read(), re.MULTILINE)
+    assert match is not None
+    assert match.group(1) == groupwalk.__version__
