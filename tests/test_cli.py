@@ -354,20 +354,30 @@ def test_cocycle_report(capsys):
                     {"exponent": 1, "value": "3/1", "cylinders": 1}]
 
 
-def test_cocycle_cylinder_reports_the_cylinder_level(capsys):
-    """The value is sigma on C_W, so the level is |W|; a --level other
-    than |W|, and the empty word, are refused."""
-    for argv, level in ((("--g", "ab", "--cylinder", "aba"), 3),
-                        (("--g", "a", "--cylinder", "ab", "--level", "2"), 2),
-                        (("--g", "e", "--cylinder", "aB"), 2)):
-        code, out, _ = run_cli(capsys, "cocycle", "--k", "2", *argv)
-        assert code == 0
-        assert json.loads(out)["level"] == level
-    for argv in (("--g", "a", "--cylinder", "ab", "--level", "7"),
-                 ("--g", "e", "--cylinder", "e")):
-        code, out, err = run_cli(capsys, "cocycle", "--k", "2", *argv)
-        assert (code, out) == (1, "")
-        assert json.loads(err)["error"]["type"] == "precondition"
+@pytest.mark.parametrize("argv,level", [
+    (("--g", "ab", "--cylinder", "aba"), 3),
+    (("--g", "a", "--cylinder", "ab", "--level", "2"), 2),
+    (("--g", "a", "--cylinder", "ab", "--level", "0"), 2),
+    (("--g", "e", "--cylinder", "aB"), 2),
+])
+def test_cocycle_cylinder_reports_the_cylinder_level(capsys, argv, level):
+    """The value is sigma on C_W, so the level is |W|, whatever |g| is."""
+    code, out, _ = run_cli(capsys, "cocycle", "--k", "2", *argv)
+    assert code == 0
+    assert json.loads(out)["level"] == level
+
+
+@pytest.mark.parametrize("argv", [
+    ("--g", "a", "--cylinder", "ab", "--level", "7"),
+    ("--g", "ab", "--cylinder", "aba", "--level", "2"),
+    ("--g", "e", "--cylinder", "e"),
+], ids=["level-above", "level-below", "empty-word"])
+def test_cocycle_cylinder_refuses_other_levels_and_the_empty_word(capsys,
+                                                                  argv):
+    """A nonzero --level other than |W|, and the empty word, are refused."""
+    code, out, err = run_cli(capsys, "cocycle", "--k", "2", *argv)
+    assert (code, out) == (1, "")
+    assert json.loads(err)["error"]["type"] == "precondition"
 
 
 def test_poisson_norm_and_cseq(capsys):

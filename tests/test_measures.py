@@ -245,6 +245,35 @@ def test_parse_measure_spec():
         parse_measure_spec(z, "")
 
 
+@pytest.mark.parametrize("spec,mode,message", [
+    ("1", "exact", r"want elem=weight"),
+    ("q=1", "exact", r"cannot parse zd element 'q'"),
+    ("1=1/2;1=1/2", "exact", r"duplicate atom '1'"),
+    ("1=x", "exact", r"bad weight 'x'"),
+    ("1=1/0", "exact", r"bad weight '1/0'"),
+    ("1=1e-99999999;-1=1", "exact", r"bad weight '1e-99999999'"),
+    ("1=0;-1=1", "exact", r"non-positive weight 0 "),
+    ("1=-1/2;-1=3/2", "exact", r"non-positive weight -1/2 "),
+    ("1=-0.5;-1=1.5", "float64", r"non-positive weight -0\.5 "),
+    ("1=1/2", "exact", r"mass 1/2 != 1"),
+    ("1=1;-1=1/2", "exact", r"mass 3/2 != 1"),
+    ("1=0.5", "float64", r"mass 0\.5 deviates from 1"),
+    ("1=nan;-1=0.5", "float64", r"non-finite weight 'nan'"),
+    ("1=inf;-1=0.5", "float64", r"non-finite weight 'inf'"),
+    ("", "exact", r"empty measure spec"),
+    (" ; ; ", "exact", r"empty measure spec"),
+    ("1=1", "fuzzy", r"unknown arithmetic mode 'fuzzy'"),
+], ids=["no-equals", "bad-element", "duplicate-atom", "bad-weight",
+        "zero-denominator", "huge-exponent", "zero-weight",
+        "negative-weight", "negative-float-weight", "mass-below-one",
+        "mass-above-one", "float-mass-off", "nan-weight", "inf-weight",
+        "empty", "separators-only", "unknown-mode"])
+def test_parse_measure_spec_rejects_malformed(spec, mode, message):
+    """Each malformed CLI measure spec is a DomainError naming its fault."""
+    with pytest.raises(DomainError, match=message):
+        parse_measure_spec(FreeAbelian(1), spec, mode=mode)
+
+
 def test_total_variation():
     z = FreeAbelian(1)
     assert total_variation(srw(z), srw(z)) == 0
