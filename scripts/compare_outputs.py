@@ -53,9 +53,12 @@ whose outputs differ from a parent that refused them with exit 1), then
 phi rows texted ahead of the encoder where the radial band is thin or
 long, ``free:2`` at ``--n 1000 --r-eval 3`` and ``free:26`` at ``--n 200
 --r-eval 2``, and float64 rows of a convolution ``phi`` on
-``heisenberg``. One subprocess per tree (the parent's a ``git archive``
-export in a temporary directory) imports ``groupwalk`` from that tree's
-``src``.
+``heisenberg``, then a ``drift --config`` whose file ``collect`` writes
+into the work directory (``write_config_file``), with one of its keys
+overridden by a flag, and a ``cocycle`` below the level |g|, whose report
+is an OutOfRangeError (exit 1). One subprocess per tree (the parent's a
+``git archive`` export in a temporary directory) imports ``groupwalk``
+from that tree's ``src``.
 It runs every CLI job through ``groupwalk.cli.run``, with the jobs' input
 files in a temporary work directory, and every library job through
 ``perfbench/runner.execute``.
@@ -226,6 +229,21 @@ ROW_TEXT_JOBS = [
      "float64"],
 ]
 
+# the config file that `write_config_file` puts in the work directory, run
+# with its n-max overridden by a flag; and an error report: a cocycle level
+# below |g| is an OutOfRangeError
+CONFIG_TEXT = "# a comment\ngroup=free:2\nmeasure=a=1/2;A=1/2\nn-max=9\n"
+EDGE_JOBS = [
+    ["drift", "--config", "{work}/drift.cfg", "--n-max", "4"],
+    ["cocycle", "--k", "2", "--g", "ab", "--level", "1"],
+]
+
+
+def write_config_file(work: str) -> None:
+    """Write CONFIG_TEXT to drift.cfg in the directory `work`."""
+    with open(os.path.join(work, "drift.cfg"), "w", encoding="utf-8") as fh:
+        fh.write(CONFIG_TEXT)
+
 
 def cli_jobs() -> list:
     """The fixed ``cli`` spec's argument lists (see the module doc)."""
@@ -244,7 +262,8 @@ def cli_jobs() -> list:
     jobs.append(["cocycle", "--k", "3", "--g", "aB", "--cylinder", "aBca"])
     return (jobs + RADIAL_JOBS + GSPACE_JOBS + LAW_RULE_JOBS
             + RADIAL_DRIFT_JOBS + DEFICIT_JOBS + TRUNCATED_PHI_JOBS
-            + APART_JOBS + CESARO_PHI_JOBS + SERIES_JOBS + ROW_TEXT_JOBS)
+            + APART_JOBS + CESARO_PHI_JOBS + SERIES_JOBS + ROW_TEXT_JOBS
+            + EDGE_JOBS)
 
 
 def parse_args(argv):
@@ -321,6 +340,7 @@ def collect(tree: str, specs, out_path: str) -> None:
     with tempfile.TemporaryDirectory() as tmp:
         for spec in specs:
             if spec == CLI_SPEC:
+                write_config_file(tmp)
                 results[spec] = {
                     "cli": [[" ".join(args)] + run_job(cli, args, tmp, tmp)
                             for args in cli_jobs()],

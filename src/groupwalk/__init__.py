@@ -3,7 +3,7 @@ finitely generated groups: word metrics, convolution powers, drift and
 entropy, quasi-harmonic tables, the free-group boundary with its cocycle,
 and finite stationary G-spaces."""
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"
 
 from .errors import (DomainError, GroupwalkError, OutOfRangeError,
                      PreconditionError, ResourceLimitError)

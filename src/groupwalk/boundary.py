@@ -521,12 +521,12 @@ def check_harmonicity(f: CylinderFunction, radius: int) -> Fraction:
     (mu = SRW; exactly 0: the hitting measure is stationary), with the
     prefix sums of f built once for all the Poisson sums."""
     group = FreeGroup(f.k)
-    mu = srw(group)
+    atoms = srw(group).atoms
     sums, den = _prefix_sums(f)
     worst = Fraction(0)
     for g in build_ball(group, radius).norms:
         lhs = sum(_poisson_sum(f.k, f.level, sums, den, group._mul(g, s)) * w
-                  for s, w in mu.atoms.items())
+                  for s, w in atoms.items())
         worst = max(worst, abs(lhs - _poisson_sum(f.k, f.level, sums, den, g)))
     return worst
 

@@ -251,8 +251,8 @@ def resolve_config(subcommand: str, args: argparse.Namespace) -> Dict[str, objec
 
 
 def _parse_threshold(text: str, mode: str):
-    """--truncation as a Fraction (p/q or integer) or a float; a nonzero
-    float is rejected in exact mode."""
+    """--truncation as a Fraction (p/q or integer) or a float; a negative
+    value, and a nonzero float in exact mode, are rejected."""
     text = text.strip()
     try:
         if "/" in text:
@@ -264,6 +264,8 @@ def _parse_threshold(text: str, mode: str):
             threshold = Fraction(int(text))
     except (ValueError, ZeroDivisionError):
         raise DomainError(f"bad truncation threshold {text!r}")
+    if threshold < 0:
+        raise DomainError(f"negative truncation threshold {text!r}")
     if mode == MODE_EXACT and isinstance(threshold, float) and threshold:
         raise DomainError("float truncation threshold in exact mode")
     return threshold

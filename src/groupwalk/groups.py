@@ -18,8 +18,10 @@ Four groups are supported, each with a fixed symmetric generating set:
 
 Elements are plain immutable tuples, so equality and hashing are structural.
 All operations go through the owning Group object. Validation happens once,
-at the edge: ``parse_element``, ``canonical`` and ``check_element`` raise
-DomainError on a malformed element or one of a different group, and the
+at the edge, and elements enter by one of two ways: ``parse_element`` reads
+the text form and ``check_element`` accepts a tuple already in canonical
+form. Both raise DomainError on a malformed element or one of a different
+group; nothing rebuilds a canonical form from a non-canonical tuple. The
 public ``mul``/``inv`` check their operands before computing. ``_mul`` is
 the unchecked product for inner loops whose operands were validated already
 (atoms of a FiniteMeasure, ball elements, generators). A failure message
@@ -79,10 +81,6 @@ class Group:
         """Raise DomainError unless g is a canonical element of this group."""
         raise NotImplementedError
 
-    def canonical(self, g):
-        """Rebuild the canonical form of g (idempotent on valid elements)."""
-        raise NotImplementedError
-
     def format_element(self, g) -> str:
         raise NotImplementedError
 
@@ -111,10 +109,6 @@ class FreeAbelian(Group):
         if not (isinstance(g, tuple) and len(g) == self.d
                 and all(isinstance(x, int) for x in g)):
             raise DomainError(f"not a zd:{self.d} element: {g!r}")
-
-    def canonical(self, g):
-        self.check_element(g)
-        return tuple(g)
 
     def mul(self, g, h):
         self.check_element(g)
@@ -188,13 +182,6 @@ class FreeGroup(Group):
                 raise DomainError(f"word {g!r} is not reduced")
             prev = x
 
-    def canonical(self, g):
-        for x in g:
-            if not (isinstance(x, int) and x != 0 and abs(x) <= self.k):
-                raise DomainError(
-                    f"letter {x!r} outside free:{self.k} alphabet")
-        return reduce_word(g)
-
     def mul(self, g, h):
         self.check_element(g)
         self.check_element(h)
@@ -261,12 +248,6 @@ class Lamplighter(Group):
                         for i in range(len(g[0]) - 1))):
             raise DomainError(f"not a lamplighter element: {g!r}")
 
-    def canonical(self, g):
-        lamps, pos = g
-        if not isinstance(pos, int):
-            raise DomainError(f"bad walker position {pos!r}")
-        return (tuple(sorted(set(lamps))), pos)
-
     def mul(self, g, h):
         self.check_element(g)
         self.check_element(h)
@@ -327,10 +308,6 @@ class Heisenberg(Group):
         if not (isinstance(g, tuple) and len(g) == 3
                 and all(isinstance(x, int) for x in g)):
             raise DomainError(f"not a heisenberg element: {g!r}")
-
-    def canonical(self, g):
-        self.check_element(g)
-        return tuple(g)
 
     def mul(self, g, h):
         self.check_element(g)

@@ -222,31 +222,28 @@ def product_space(x: FiniteGSpace, y: FiniteGSpace) -> FiniteGSpace:
 
 # -- measures on generators ----------------------------------------------------
 
-def parse_word_measure(space: FiniteGSpace, spec) -> List[Tuple[Tuple[str, ...], Tuple[int, ...], float]]:
-    """Measure atoms over generator words.
-
-    spec: "uniform", or dict {word-or-label: weight}, or a CLI string
-    "a=1/2; a b^-1=1/2". Returns (tokens, permutation, weight) triples.
-    """
+def parse_word_measure(space: FiniteGSpace, spec: str) -> List[Tuple[Tuple[str, ...], Tuple[int, ...], float]]:
+    """Measure atoms over generator words from the CLI's text spec:
+    "uniform", or "a=1/2; a b^-1=1/2" (the empty word is written "=w").
+    Returns (tokens, permutation, weight) triples."""
+    if not isinstance(spec, str):
+        raise DomainError(f"word measure spec {spec!r} is not text")
     if spec == "uniform":
         labels = space.labels()
         pairs = [(label, 1.0 / len(labels)) for label in labels]
-    elif isinstance(spec, str):
+    else:
         pairs = []
         for part in filter(None, map(str.strip, spec.split(";"))):
             word_s, sep, w_s = part.partition("=")
             if not sep:
                 raise DomainError(f"bad measure atom {part!r}")
             pairs.append((word_s, _parse_weight(w_s.strip(), MODE_FLOAT)))
-    else:
-        pairs = spec.items()
     atoms = {}
     total = 0.0
     for word, weight in pairs:
-        tokens = tuple(word.split()) if isinstance(word, str) else tuple(word)
+        tokens = tuple(word.split())
         if tokens in atoms:
             raise DomainError(f"duplicate atom {' '.join(tokens)!r}")
-        weight = float(weight)
         if weight <= 0:
             raise DomainError("measure weights must be positive")
         atoms[tokens] = (space.word_permutation(tokens), weight)
@@ -304,7 +301,7 @@ class StationaryResult:
     orbit_decomposition: List[List[int]]  # orbits of <supp mu>
 
 
-def solve_stationary(space: FiniteGSpace, mu_spec="uniform",
+def solve_stationary(space: FiniteGSpace, mu_spec: str = "uniform",
                      start: Optional[np.ndarray] = None) -> StationaryResult:
     """Limit of the lazy walk's law from `start` (default uniform): the
     start's mass on each orbit of <supp mu> spread evenly over it, or kept
@@ -361,7 +358,6 @@ class ErgodicityResult:
     ergodic: bool
     orbit_count: int
     witness: Optional[np.ndarray]   # invariant non-constant function on X x Y
-    product: FiniteGSpace
 
 
 def diagonal_ergodicity(space_x: FiniteGSpace, nu_x: np.ndarray,
@@ -382,12 +378,12 @@ def diagonal_ergodicity(space_x: FiniteGSpace, nu_x: np.ndarray,
     live_orbits = _live_orbits(prod, mass)
     if len(live_orbits) <= 1:
         return ErgodicityResult(ergodic=True, orbit_count=len(live_orbits),
-                                witness=None, product=prod)
+                                witness=None)
     flat = np.zeros(prod.size)
     flat[live_orbits[0]] = 1.0
     witness = flat.reshape(space_x.size, space_y.size)
     return ErgodicityResult(ergodic=False, orbit_count=len(live_orbits),
-                            witness=witness, product=prod)
+                            witness=witness)
 
 
 # -- factor maps from invariant functions --------------------------------------

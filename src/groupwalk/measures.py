@@ -15,7 +15,8 @@ in exact mode), never a stored cache, so loops read ``weights`` or bind
 the view once.
 
 Validation happens once, at the edge: ``finite_measure`` (and the parsers
-built on it) checks every atom and puts the weights over their lcm, and
+built on it) checks every atom, takes weights as numbers only (rationals in
+exact mode, finite reals in float64) and puts them over their lcm, and
 convolution then multiplies atoms with the unchecked ``Group._mul`` and
 the stored numerators; the product's denominator is ``mu.den * nu.den``,
 left unreduced. A Fraction is built only where a caller asks for a weight
@@ -34,6 +35,7 @@ naming the last completed power.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -76,10 +78,14 @@ class FiniteMeasure:
 
 
 def _coerce_weight(w, mode: str):
+    """A number as the mode's weight: a Rational in exact mode, a finite
+    Real in float64 (text goes through ``parse_measure_spec``)."""
     if mode == MODE_EXACT:
-        if isinstance(w, float):
-            raise DomainError("float weight in exact mode")
+        if not isinstance(w, numbers.Rational):
+            raise DomainError(f"weight {w!r} is not rational in exact mode")
         return Fraction(w)
+    if not (isinstance(w, numbers.Real) and math.isfinite(w)):
+        raise DomainError(f"weight {w!r} is not a finite real number")
     return float(w)
 
 
@@ -113,11 +119,9 @@ def finite_measure(group: Group, atoms: Mapping, deficit=0,
                          mode=mode)
 
 
-def dirac(group: Group, g=None, mode: str = MODE_EXACT) -> FiniteMeasure:
-    if g is None:
-        g = group.identity()
-    one = Fraction(1) if mode == MODE_EXACT else 1.0
-    return finite_measure(group, {group.canonical(g): one}, mode=mode)
+def dirac(group: Group, mode: str = MODE_EXACT) -> FiniteMeasure:
+    """The point mass at the identity."""
+    return finite_measure(group, {group.identity(): 1}, mode=mode)
 
 
 def srw(group: Group, mode: str = MODE_EXACT) -> FiniteMeasure:

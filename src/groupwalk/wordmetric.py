@@ -179,10 +179,6 @@ class _IntLine(Group):
         if not isinstance(g, int):
             raise DomainError(f"not an integer-line element: {g!r}")
 
-    def canonical(self, g):
-        self.check_element(g)
-        return g
-
 
 _LINE = _IntLine()
 

@@ -763,6 +763,24 @@ def test_float_truncation_rejected_in_exact_mode(capsys, argv):
     assert json.loads(out)["config"]["truncation"] == "0.05"
 
 
+@pytest.mark.parametrize("truncation,mode", [
+    ("-1", "exact"), ("-1/100", "exact"), ("-0.01", "float64"),
+])
+@pytest.mark.parametrize("argv", [
+    ("drift", "--group", "free:2", "--n-max", "3"),
+    ("entropy", "--group", "free:2", "--n-max", "3"),
+    ("phi", "--group", "free:2", "--n", "3", "--r-eval", "1"),
+], ids=lambda argv: argv[0])
+def test_negative_truncation_rejected(capsys, argv, truncation, mode):
+    """A threshold below 0 drops nothing but would switch off every rule
+    that branches on a nonzero threshold; it is refused at the edge."""
+    code, out, err = run_cli(capsys, *argv, f"--truncation={truncation}",
+                             "--mode", mode)
+    assert (code, out) == (1, "")
+    assert json.loads(err)["error"]["message"] == (
+        f"negative truncation threshold {truncation!r}")
+
+
 def test_config_file_merging(capsys, tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("group=free:2\nn-max=3\n")

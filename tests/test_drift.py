@@ -17,7 +17,7 @@ from groupwalk.drift import (adjoint_drift_equality, drift_exact_partial,
                              drift_monte_carlo, entropy_partial)
 from groupwalk.errors import OutOfRangeError
 from groupwalk.groups import FreeGroup, group_from_id
-from groupwalk.measures import (MODE_FLOAT, dirac, finite_measure,
+from groupwalk.measures import (MODE_FLOAT, finite_measure,
                                 parse_measure_spec, srw)
 from groupwalk.sampler import SamplerConfig
 from groupwalk.wordmetric import build_ball, norm_evaluator
@@ -52,7 +52,8 @@ def test_z_srw_first_partials():
 
 def test_deterministic_walk_has_unit_drift():
     z = group_from_id("zd:1")
-    report = drift_exact_partial(dirac(z, (1,)), norm_evaluator(z), 6)
+    report = drift_exact_partial(finite_measure(z, {(1,): 1}),
+                                 norm_evaluator(z), 6)
     assert report.a_values == [Fraction(n) for n in range(1, 7)]
     assert report.certified_bound == 1.0
 
@@ -197,7 +198,7 @@ def test_entropy_examples():
     z = group_from_id("zd:1")
     rep = entropy_partial(srw(z), 3)
     assert rep.h_values[0] == pytest.approx(math.log(2))
-    det = entropy_partial(dirac(z, (1,)), 4)
+    det = entropy_partial(finite_measure(z, {(1,): 1}), 4)
     assert det.h_values == [0.0, 0.0, 0.0, 0.0]
     f2 = FreeGroup(2)
     rep2 = entropy_partial(srw(f2), 5)

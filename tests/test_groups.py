@@ -155,14 +155,6 @@ def test_associativity_identity_inverse(group):
 
 
 @pytest.mark.parametrize("group", ALL_GROUPS, ids=lambda g: g.id_string)
-def test_canonical_idempotent(group):
-    rng = np.random.default_rng(7)
-    for _ in range(200):
-        g = random_element(group, rng)
-        assert group.canonical(g) == g
-
-
-@pytest.mark.parametrize("group", ALL_GROUPS, ids=lambda g: g.id_string)
 def test_generators_symmetric_without_identity(group):
     gens = group.generators()
     assert group.identity() not in gens

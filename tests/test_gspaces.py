@@ -235,13 +235,25 @@ def test_parse_gspace_rejects_inverse_label_and_second_size():
 def test_word_measure_rejects_duplicate_atoms():
     space = gspaces.cycle_space(3)
     for spec in ("t=1;t=1", "t=1/2;t=1/2", "t t=1/2; t  t=1/2",
-                 {"t t": 0.5, ("t", "t"): 0.5}):
+                 "=1/2; =1/2"):
         with pytest.raises(DomainError, match="duplicate atom"):
             gspaces.parse_word_measure(space, spec)
     atoms = gspaces.parse_word_measure(space, "t=1/3; t^-1 t^-1=2/3")
     assert [(tokens, weight) for tokens, _, weight in atoms] == [
         (("t",), 1 / 3), (("t^-1", "t^-1"), 2 / 3)]
     assert atoms[0][1] == atoms[1][1] == (1, 2, 0)
+
+
+@pytest.mark.parametrize("spec", [
+    {"t": 1.0}, {"t": float("nan")}, [("t", 1.0)], None,
+], ids=["dict", "dict-nan", "list", "none"])
+def test_word_measure_spec_must_be_text(spec):
+    """Word measures enter through their text spec alone."""
+    space = gspaces.cycle_space(3)
+    with pytest.raises(DomainError, match="is not text"):
+        gspaces.parse_word_measure(space, spec)
+    with pytest.raises(DomainError, match="is not text"):
+        gspaces.solve_stationary(space, spec)
 
 
 def test_word_permutation_runs_match_token_by_token():
@@ -344,7 +356,7 @@ def test_closed_form_matches_lazy_iteration():
             word = " ".join(rng.choice(tokens, int(rng.integers(0, 4))))
             spec[word] = spec.get(word, 0.0) + float(rng.uniform(0.1, 1))
         total = sum(spec.values())
-        spec = {word: w / total for word, w in spec.items()}
+        spec = ";".join(f"{word}={w / total!r}" for word, w in spec.items())
         start = rng.random(n) * (rng.random(n) < 0.7) + 1e-3
         start /= start.sum()
         result = gspaces.solve_stationary(space, spec, start=start)

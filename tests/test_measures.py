@@ -5,6 +5,7 @@ tuples, independently of the convolve implementation.
 """
 
 import math
+from decimal import Decimal
 from fractions import Fraction
 from itertools import product as iproduct
 
@@ -274,10 +275,38 @@ def test_parse_measure_spec_rejects_malformed(spec, mode, message):
         parse_measure_spec(FreeAbelian(1), spec, mode=mode)
 
 
+@pytest.mark.parametrize("atoms,deficit,mode,message", [
+    ({(1,): float("nan")}, 0, "float64", r"weight nan is not a finite real"),
+    ({(1,): float("inf"), (-1,): 0.5}, 0, "float64",
+     r"weight inf is not a finite real"),
+    ({(1,): 1.0}, float("nan"), "float64", r"weight nan is not a finite"),
+    ({(1,): "nan"}, 0, "exact", r"weight 'nan' is not rational"),
+    ({(1,): "1/2", (-1,): "1/2"}, 0, "exact", r"weight '1/2' is not rational"),
+    ({(1,): "1/2", (-1,): "1/2"}, 0, "float64",
+     r"weight '1/2' is not a finite real"),
+    ({(1,): Decimal("0.5"), (-1,): Decimal("0.5")}, 0, "exact",
+     r"weight Decimal\('0\.5'\) is not rational"),
+    ({(1,): 0.5, (-1,): 0.5}, 0, "exact", r"weight 0\.5 is not rational"),
+], ids=["nan", "inf", "nan-deficit", "text-nan", "text-exact",
+        "text-float64", "decimal", "float-in-exact"])
+def test_finite_measure_takes_numbers_only(atoms, deficit, mode, message):
+    """Weights enter finite_measure as numbers: rationals in exact mode,
+    finite reals in float64; text goes through parse_measure_spec."""
+    with pytest.raises(DomainError, match=message):
+        finite_measure(FreeAbelian(1), atoms, deficit=deficit, mode=mode)
+
+
+def test_finite_measure_takes_rationals_in_float64():
+    z = FreeAbelian(1)
+    mu = finite_measure(z, {(1,): Fraction(1, 2), (-1,): Fraction(1, 2)},
+                        mode=MODE_FLOAT)
+    assert mu.atoms == srw(z, mode=MODE_FLOAT).atoms
+
+
 def test_total_variation():
     z = FreeAbelian(1)
     assert total_variation(srw(z), srw(z)) == 0
-    d = dirac(z, (1,))
+    d = finite_measure(z, {(1,): 1})
     assert total_variation(srw(z), d) == pytest.approx(0.5)
 
 

@@ -12,7 +12,7 @@ import pytest
 from groupwalk.drift import drift_exact_partial
 from groupwalk.errors import OutOfRangeError
 from groupwalk.groups import FreeGroup, group_from_id
-from groupwalk.measures import dirac, power_sequence, srw
+from groupwalk.measures import finite_measure, power_sequence, srw
 from groupwalk.quasiharmonic import (check_diag_recursion, compute_fk_tables,
                                      compute_phi, phi_from_fk)
 from groupwalk.wordmetric import norm_evaluator
@@ -87,7 +87,7 @@ def test_phi_basics():
 
 def test_deterministic_walk_phi_linear():
     z = group_from_id("zd:1")
-    mu = dirac(z, (1,))
+    mu = finite_measure(z, {(1,): 1})
     phi = compute_phi(mu, norm_evaluator(z), 6, 3)
     assert phi.values[(1,)] == 1
     report = check_quasi_harmonicity(
@@ -163,7 +163,7 @@ def test_homomorphism_defect_decreases_on_z():
     assert defects[0] >= defects[1] >= defects[2]
     assert defects[2] <= 0.2
     # deterministic one-way walk: zero defect on the non-negative orbit
-    det = compute_phi(dirac(z, (1,)), norm_evaluator(z), 8, 3)
+    det = compute_phi(finite_measure(z, {(1,): 1}), norm_evaluator(z), 8, 3)
     assert homomorphism_defect(det, z, [((1,), (1,)), ((1,), (2,))]) == 0
 
 

@@ -11,7 +11,8 @@ import pytest
 from groupwalk import sampler
 from groupwalk.errors import DomainError, OutOfRangeError, ResourceLimitError
 from groupwalk.groups import FreeGroup, Heisenberg, group_from_id
-from groupwalk.measures import dirac, parse_measure_spec, power, srw
+from groupwalk.measures import (finite_measure, parse_measure_spec, power,
+                                srw)
 from groupwalk.sampler import (SamplerConfig, atom_table, endpoint_counts,
                                norm_statistics, prefix_counts, substream)
 from groupwalk.wordmetric import (BallTable, heisenberg_norm,
@@ -27,7 +28,7 @@ def test_zero_steps_gives_empty_trajectory():
 
 def test_deterministic_walk():
     z = group_from_id("zd:1")
-    mu = dirac(z, (1,))
+    mu = finite_measure(z, {(1,): 1})
     traj = sample_trajectory(z, mu, 3, substream(0, 0))
     assert traj == [(1,), (2,), (3,)]
 
@@ -93,7 +94,8 @@ def test_empirical_endpoint_tv_small():
 def test_empirical_point_mass_for_deterministic_walk():
     z = group_from_id("zd:1")
     emp, tv = empirical_endpoint_distribution(
-        dirac(z, (1,)), SamplerConfig(seed=0, trajectories=500, steps=5))
+        finite_measure(z, {(1,): 1}),
+        SamplerConfig(seed=0, trajectories=500, steps=5))
     assert dict(emp.atoms) == {(5,): 1.0}
     assert tv == 0
 

@@ -37,15 +37,25 @@ def _compare_outputs():
     return module
 
 
-def test_compare_outputs_cli_jobs_parse_and_resolve():
-    """Every job of the ``cli`` spec parses and resolves its config: a job
-    whose flags stopped parsing would exit 1 on both trees alike and
-    compare as equal, proving nothing."""
-    jobs = _compare_outputs().cli_jobs()
+def test_compare_outputs_cli_jobs_parse_and_resolve(tmp_path):
+    """Every job of the ``cli`` spec parses and resolves its config, its
+    config files written as ``collect`` writes them: a job whose flags
+    stopped parsing would exit 1 on both trees alike and compare as equal,
+    proving nothing."""
+    module = _compare_outputs()
+    module.write_config_file(str(tmp_path))
+    jobs = module.cli_jobs()
     assert jobs
+    configured = []
     for argv in jobs:
+        argv = [a.replace("{work}", str(tmp_path)) for a in argv]
         args = cli._parser().parse_args(argv)   # SystemExit on a bad flag
-        cli.resolve_config(args.subcommand, args)
+        cfg = cli.resolve_config(args.subcommand, args)
+        if args.config:
+            configured.append(cfg)
+    # the file's keys are read, and a flag wins over one of them
+    assert [(c["group"], c["measure"], c["n-max"]) for c in configured] == [
+        ("free:2", "a=1/2;A=1/2", 4)]
 
 
 def test_compare_outputs_readme_jobs_are_the_readme_cli_block():

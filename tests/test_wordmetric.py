@@ -130,7 +130,7 @@ def test_hash_equality_coherence_on_balls():
         assert len(set(elems)) == len(elems)
         assert len({hash(g) for g in elems}) <= len(elems)  # no crash
         for g in elems:
-            assert group.canonical(g) == g
+            group.check_element(g)
 
 
 @pytest.mark.parametrize("group,radius", [
