@@ -56,9 +56,12 @@ long, ``free:2`` at ``--n 1000 --r-eval 3`` and ``free:26`` at ``--n 200
 ``heisenberg``, then a ``drift --config`` whose file ``collect`` writes
 into the work directory (``write_config_file``), with one of its keys
 overridden by a flag, and a ``cocycle`` below the level |g|, whose report
-is an OutOfRangeError (exit 1). One subprocess per tree (the parent's a
-``git archive`` export in a temporary directory) imports ``groupwalk``
-from that tree's ``src``.
+is an OutOfRangeError (exit 1), then ``entropy`` on the int images of
+``drift._entropy_image``: exact ``zd:3`` on a mixed-sign measure, float64
+``zd:2`` under ``--truncation 1e-3``, float64 ``lamplighter`` with lamps
+on both sides of 0, and an exact ``zd:2`` measure with an atom at e.
+One subprocess per tree (the parent's a ``git archive`` export in a
+temporary directory) imports ``groupwalk`` from that tree's ``src``.
 It runs every CLI job through ``groupwalk.cli.run``, with the jobs' input
 files in a temporary work directory, and every library job through
 ``perfbench/runner.execute``.
@@ -238,6 +241,20 @@ EDGE_JOBS = [
     ["cocycle", "--k", "2", "--g", "ab", "--level", "1"],
 ]
 
+# entropy on the int images: packed ints on zd (exact, float64 truncated,
+# an atom at e) and lamp bitmasks on the lamplighter in float64
+IMAGE_JOBS = [
+    ["entropy", "--group", "zd:3",
+     "--measure=1,-2,0=2/5;-1,1,3=2/5;0,0,-1=1/5", "--n-max", "8"],
+    ["entropy", "--group", "zd:2", SKEWED["zd:2"], "--mode", "float64",
+     "--truncation", "1e-3", "--n-max", "16"],
+    ["entropy", "--group", "lamplighter",
+     "--measure={-1,2}|-1=1/3;{0}|2=1/6;e=1/2", "--mode", "float64",
+     "--n-max", "9"],
+    ["entropy", "--group", "zd:2", "--measure=0,0=1/4;-2,3=1/4;1,-1=1/2",
+     "--n-max", "14"],
+]
+
 
 def write_config_file(work: str) -> None:
     """Write CONFIG_TEXT to drift.cfg in the directory `work`."""
@@ -263,7 +280,7 @@ def cli_jobs() -> list:
     return (jobs + RADIAL_JOBS + GSPACE_JOBS + LAW_RULE_JOBS
             + RADIAL_DRIFT_JOBS + DEFICIT_JOBS + TRUNCATED_PHI_JOBS
             + APART_JOBS + CESARO_PHI_JOBS + SERIES_JOBS + ROW_TEXT_JOBS
-            + EDGE_JOBS)
+            + EDGE_JOBS + IMAGE_JOBS)
 
 
 def parse_args(argv):

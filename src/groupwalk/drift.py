@@ -8,6 +8,9 @@ for the limit and min_n a_n / n only improves as n grows. Truncated
 convolutions contribute at most deficit * n * max-generator-norm to a_n,
 which is carried as an explicit error bar. The numerators of a_n come
 from ``wordmetric.norm_sums``, the one place where their route is chosen.
+The entropy H_n needs only the weights of mu^{*n}, so its chain runs on
+an injective homomorphic image of the group (``_entropy_image``): ints on
+``zd``, lamp bitmasks on the lamplighter, moved letters on free groups.
 Monte Carlo estimates use the normal-approximation 95% confidence interval
 (sample standard deviation); this is fixed, not configurable.
 
@@ -24,11 +27,11 @@ from typing import Callable, List, Optional, Sequence
 
 from . import freewalk
 from .errors import DomainError
-from .groups import FreeGroup
+from .groups import FreeAbelian, FreeGroup, Group, Lamplighter
 from .measures import (FiniteMeasure, adjoint, from_numerator, power_sequence,
                        shannon_entropy)
 from .sampler import SamplerConfig, norm_statistics
-from .wordmetric import norm_sums
+from .wordmetric import _IntLine, norm_sums
 
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
 
@@ -145,6 +148,88 @@ def adjoint_drift_equality(mu: FiniteMeasure, norm_fn: Callable,
                               equal=(max_diff == 0))
 
 
+@dataclass(frozen=True)
+class _LampBits(Group):
+    """The lamplighter with each lamp set packed into an int: an element
+    is (mask, position), lamp u at bit u + off, with the offset chosen by
+    ``_lamp_bits``. Only the entropy chain sees it."""
+
+    @property
+    def id_string(self) -> str:
+        return "lamplighter"
+
+    def identity(self):
+        return (0, 0)
+
+    def check_element(self, g) -> None:
+        if not (isinstance(g, tuple) and len(g) == 2
+                and isinstance(g[0], int) and g[0] >= 0
+                and isinstance(g[1], int)):
+            raise DomainError(f"not a lamp-bitmask element: {g!r}")
+
+    def _mul(self, g, h):
+        (lamps_g, p), (lamps_h, q) = g, h
+        # a right shift drops no lamp: every reachable lamp sits at bit >= 0
+        # (see _lamp_bits)
+        return (lamps_g ^ (lamps_h << p if p >= 0 else lamps_h >> -p), p + q)
+
+
+def _packed_zd(mu: FiniteMeasure, n_max: int) -> FiniteMeasure:
+    """mu on zd:d with each element packed into one int, sum_i x_i B^i.
+
+    With M = max(1, max |x_i| over the atoms), every coordinate of an
+    element the walk reaches by n_max steps has |x_i| <= n_max M < B / 2
+    for B = 2 n_max M + 1, and signed digits below B / 2 are unique: the
+    map is injective on that box and a homomorphism into (Z, +)."""
+    m = max(1, max((abs(x) for g in mu.weights for x in g), default=0))
+    base = 2 * n_max * m + 1
+    weights = {}
+    for g, c in mu.weights.items():
+        packed = 0
+        for x in reversed(g):
+            packed = packed * base + x
+        weights[packed] = c
+    return FiniteMeasure(group=_IntLine(mu.group.id_string),
+                         weights=weights, den=mu.den, deficit=mu.deficit,
+                         mode=mu.mode)
+
+
+def _lamp_bits(mu: FiniteMeasure, n_max: int) -> FiniteMeasure:
+    """mu on the lamplighter with each lamp set as a bitmask, lamp u at bit
+    u + off, off = n_max M, M = max |position| and |lamp| over the atoms.
+
+    The chain multiplies mu^{*(n-1)} by an atom of mu, whose lamps u
+    (|u| <= M) move to u + p with |p| <= (n - 1) M, so every lamp the
+    walk lights by n_max steps sits at bit u + p + off >= 0: no right
+    shift of ``_LampBits._mul`` drops a lamp, and the map is injective."""
+    m = max((abs(x) for lamps, p in mu.weights for x in (p, *lamps)),
+            default=0)
+    off = n_max * m
+    weights = {(sum(1 << (u + off) for u in lamps), p): c
+               for (lamps, p), c in mu.weights.items()}
+    return FiniteMeasure(group=_LampBits(), weights=weights, den=mu.den,
+                         deficit=mu.deficit, mode=mu.mode)
+
+
+def _entropy_image(mu: FiniteMeasure, n_max: int) -> FiniteMeasure:
+    """The measure whose chain ``entropy_partial`` runs: mu carried to an
+    injective homomorphic image of its group on the elements the walk
+    reaches by n_max steps. Products, dict insertion order, threshold drops
+    and so the weights of every power are those of mu's own chain; only
+    the elements are cheaper. Free groups move their letters apart
+    (``freewalk._letters_apart``), ``zd`` packs into one int, the
+    lamplighter's lamps become a bitmask, and heisenberg keeps its
+    tuples."""
+    group = mu.group
+    if isinstance(group, FreeGroup):
+        return freewalk._letters_apart(mu)
+    if isinstance(group, FreeAbelian):
+        return _packed_zd(mu, n_max)
+    if isinstance(group, Lamplighter):
+        return _lamp_bits(mu, n_max)
+    return mu
+
+
 def entropy_partial(mu: FiniteMeasure, n_max: int,
                     threshold=0) -> EntropyReport:
     """Shannon entropies H_n = H(mu^{*n}) and the rate estimate inf H_n/n.
@@ -153,16 +238,15 @@ def entropy_partial(mu: FiniteMeasure, n_max: int,
     truncation, the entropy of the true law differs from the retained part
     by at most -d log d + d * n * log |supp mu| (d = deficit), reported as a
     crude error bar; the acceptance paths run untruncated where it is 0.
-    On a free group the chain runs with letters moved apart
-    (``freewalk._letters_apart``): the entropy needs only the weights.
+    The entropy needs only the weights, so the chain runs on the image of
+    mu that ``_entropy_image`` chooses, with the same weights at each n.
     """
     if n_max < 1:
         raise DomainError("n_max must be >= 1")
     ns, hs, errs = [], [], []
     rate = math.inf
     supp = max(len(mu), 2)
-    if isinstance(mu.group, FreeGroup):
-        mu = freewalk._letters_apart(mu)
+    mu = _entropy_image(mu, n_max)
     for n, mun in power_sequence(mu, n_max, threshold=threshold):
         h = shannon_entropy(mun)
         d = float(mun.deficit)

@@ -162,15 +162,19 @@ def norm_evaluator(group: Group) -> Callable:
 
 @dataclass(frozen=True)
 class _IntLine(Group):
-    """Z with bare int elements, the group of the coordinate laws: the
-    product is ``operator.add``, with no Python frame and no tuple, and the
-    id is ``zd:1``, so atom-budget messages read as on FreeAbelian(1)."""
+    """Z with bare int elements, the group of the coordinate laws and of
+    the packed ``zd`` entropy chain: the product is ``operator.add``, with
+    no Python frame and no tuple. Its id is the group it stands for,
+    ``zd:1`` unless told otherwise, so atom-budget messages read as on
+    that group."""
+
+    name: str = "zd:1"
 
     _mul = staticmethod(add)
 
     @property
     def id_string(self) -> str:
-        return "zd:1"
+        return self.name
 
     def identity(self):
         return 0

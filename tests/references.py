@@ -12,6 +12,9 @@ guards a program path:
 * ``radial_fk``, ``radial_phi_full_rows`` and ``shannon_entropy`` are the
   radial oracles of ``freewalk.radial_phi`` (radial ``phi``) and of
   exact ``entropy`` on free groups (the 2d check);
+* ``entropy_on_elements`` is ``entropy``'s report from the chain on the
+  group's own elements, the oracle of the images that
+  ``drift.entropy_partial`` runs on;
 * ``compute_fk`` and ``phi_table_free_srw`` build quasi-harmonic tables,
   and ``check_quasi_harmonicity``, ``check_lipschitz`` and
   ``homomorphism_defect`` check the ``compute_phi`` tables of ``phi``
@@ -33,10 +36,13 @@ from typing import Callable, Dict, Iterable, List, Optional, Tuple
 import numpy as np
 
 from groupwalk import boundary, freewalk, gspaces
+from groupwalk.drift import EntropyReport
 from groupwalk.errors import (DomainError, OutOfRangeError,
                               PreconditionError, ResourceLimitError)
 from groupwalk.groups import FreeGroup, Group
-from groupwalk.measures import FiniteMeasure, power
+from groupwalk.measures import (DEFAULT_MAX_ATOMS, FiniteMeasure, power,
+                                power_sequence)
+from groupwalk.measures import shannon_entropy as measure_entropy
 from groupwalk.quasiharmonic import FkTable, PhiTable, compute_fk_tables
 from groupwalk.sampler import SamplerConfig, atom_table, endpoint_counts
 from groupwalk.wordmetric import BallTable, build_ball
@@ -189,6 +195,26 @@ def shannon_entropy(k: int, n: int) -> float:
             sphere = 2 * k * (2 * k - 1) ** (m - 1)
             h -= p * (math.log(p) - math.log(sphere))
     return h
+
+
+def entropy_on_elements(mu: FiniteMeasure, n_max: int, threshold=0,
+                        max_atoms: int = DEFAULT_MAX_ATOMS) -> EntropyReport:
+    """``entropy_partial``'s report, with the power chain run on mu's own
+    elements (no image) under the atom budget `max_atoms`."""
+    ns, hs, errs = [], [], []
+    rate = math.inf
+    supp = max(len(mu), 2)
+    for n, mun in power_sequence(mu, n_max, threshold=threshold,
+                                 max_atoms=max_atoms):
+        h = measure_entropy(mun)
+        d = float(mun.deficit)
+        ns.append(n)
+        hs.append(h)
+        errs.append((-d * math.log(d) + d * n * math.log(supp)) if d > 0
+                    else 0.0)
+        rate = min(rate, h / n)
+    return EntropyReport(ns=ns, h_values=hs, rate_estimate=rate,
+                         error_bars=errs)
 
 
 @dataclass(frozen=True)

@@ -781,6 +781,26 @@ def test_negative_truncation_rejected(capsys, argv, truncation, mode):
         f"negative truncation threshold {truncation!r}")
 
 
+def test_measure_with_a_leading_minus_needs_the_equals_form(capsys):
+    """argparse reads a spaced value that starts with '-' as a flag; the
+    '--measure=' form hands it to the parser."""
+    spec = "-1=1/2;1=1/2"
+    code, out, err = run_cli(capsys, "entropy", "--group", "zd:1",
+                             "--measure", spec, "--n-max", "2")
+    assert (code, out) == (1, "")
+    assert json.loads(err)["error"] == {
+        "message": "groupwalk entropy: argument --measure: expected one "
+                   "argument",
+        "type": "precondition"}
+    code, out, _ = run_cli(capsys, "entropy", "--group", "zd:1",
+                           f"--measure={spec}", "--n-max", "2")
+    report = json.loads(out)
+    assert code == 0
+    assert report["config"]["measure"] == spec
+    assert report["h_values"] == pytest.approx([math.log(2),
+                                                1.5 * math.log(2)])
+
+
 def test_config_file_merging(capsys, tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("group=free:2\nn-max=3\n")

@@ -1,7 +1,9 @@
 """Exact laws by the norm's structure (``wordmetric.norm_sums`` and
 ``wordmetric.fk_numerators``): zd coordinate marginals for a_n and f_k,
 free-group prefix masses for f_k, and the radial law for a_n of the
-free-group simple random walk.
+free-group simple random walk; and the images of the group that the
+entropy chain runs on (``drift._entropy_image``), whose oracle is the
+chain on the group's own elements.
 
 The oracle is the generic loop over (point, atom) pairs of the joint law.
 A norm function that is not the group's closed form takes that loop, so
@@ -16,7 +18,7 @@ from fractions import Fraction
 
 import pytest
 
-from groupwalk import freewalk, quasiharmonic, wordmetric
+from groupwalk import drift, freewalk, quasiharmonic, wordmetric
 from groupwalk.drift import (adjoint_drift_equality, drift_exact_partial,
                              entropy_partial)
 from groupwalk.errors import DomainError, ResourceLimitError
@@ -28,6 +30,7 @@ from groupwalk.quasiharmonic import (compute_fk_tables, compute_phi,
                                      phi_from_fk)
 from groupwalk.wordmetric import (fk_numerators, free_norm, l1_norm,
                                   norm_evaluator, norm_sums, phi_numerators)
+from references import entropy_on_elements
 
 # srw, a skewed 3-atom measure, a 2-atom diagonal measure (every coordinate
 # has the same law), an atom with a zero coordinate, then constant
@@ -496,6 +499,112 @@ def test_letters_move_apart_after_the_route_is_chosen(monkeypatch, routes):
         entropy_partial(mu, 3)
         assert routes == expected
         assert all(m is mu for m in seen)
+
+
+# -- entropy on int images (drift._entropy_image) -----------------------------
+
+# H_n steps per group, and measures with negative coordinates and lamps on
+# both sides of 0; the second and third of each have an atom at e
+IMAGE_MEASURES = {
+    "zd:1": (12, ["srw", "2=1/3;-1=1/6;0=1/2", "e=1/4;-3=1/4;5=1/2"]),
+    "zd:2": (7, ["srw", "1,0=1/3;-1,1=1/6;0,0=1/2",
+                 "0,0=1/4;-2,3=1/4;1,-1=1/2"]),
+    "zd:3": (5, ["srw", "0,0,0=1/5;1,-2,0=2/5;-1,1,3=2/5",
+                 "e=1/3;-1,0,-2=1/3;2,1,-1=1/3"]),
+    "lamplighter": (7, ["srw", "{-1,2}|-1=1/3;{0}|2=1/6;e=1/2",
+                        "e=1/4;{-2}|-2=1/2;{1,3}|1=1/4"]),
+}
+
+
+@pytest.mark.parametrize("gid", sorted(IMAGE_MEASURES))
+@pytest.mark.parametrize("mode", [MODE_EXACT, MODE_FLOAT])
+@pytest.mark.parametrize("threshold", [0, Fraction(1, 100)])
+def test_entropy_images_give_the_tuple_chain(gid, mode, threshold):
+    """entropy_partial on packed ints (zd) and lamp bitmasks (lamplighter)
+    equals the chain on the tuples, bit for bit in float64."""
+    group = group_from_id(gid)
+    n_max, specs = IMAGE_MEASURES[gid]
+    if mode == MODE_FLOAT:
+        threshold = float(threshold)
+    deficits = []
+    for spec in specs:
+        mu = parse_measure_spec(group, spec, mode=mode)
+        report = entropy_partial(mu, n_max, threshold)
+        assert report == entropy_on_elements(mu, n_max, threshold)
+        deficits += report.error_bars
+    assert any(deficits) == bool(threshold)
+
+
+@pytest.mark.parametrize("n_max", [1, 4])
+def test_entropy_of_the_point_mass_on_zd2(n_max):
+    """The point mass at e has M = 0, which the floor M >= 1 lifts to B =
+    2 n_max + 1, the base that packs a measure with M = 1."""
+    mu = dirac(group_from_id("zd:2"))
+    report = entropy_partial(mu, n_max)
+    assert report == entropy_on_elements(mu, n_max)
+    assert report.h_values == [0.0] * n_max
+    image = drift._entropy_image(parse_measure_spec(
+        group_from_id("zd:2"), "0,0=1/2;1,0=1/4;0,1=1/4"), n_max)
+    assert list(image.weights) == [0, 1, 2 * n_max + 1]
+
+
+def test_lamp_bitmasks_reach_bit_0_and_drop_no_lamp():
+    """A walk that steps left and lights the lamp behind it on every step
+    puts a lamp at -n_max M, bit 0 of the image; right shifts as deep as
+    (n_max - 1) M keep every lamp."""
+    n_max = 9
+    group = group_from_id("lamplighter")
+    mu = parse_measure_spec(group, "{-2}|-2=1/2;{1,2}|1=1/4;e=1/4")
+    image = drift._entropy_image(mu, n_max)
+    off = 2 * n_max
+    assert list(image.weights) == [(1 << (off - 2), -2),
+                                   (0b11 << (off + 1), 1), (0, 0)]
+    last = power(image, n_max)
+    # lamps -2, -4, ..., -2 n_max at bits off - 2, ..., 2, 0
+    assert (sum(1 << (2 * i) for i in range(n_max)), -off) in last.weights
+    plain = power(mu, n_max)
+    assert sorted(last.weights.values()) == sorted(plain.weights.values())
+    for threshold in (0, Fraction(1, 1000)):
+        assert entropy_partial(mu, n_max, threshold) == \
+            entropy_on_elements(mu, n_max, threshold)
+
+
+def test_each_group_has_its_entropy_image():
+    """One dispatch: moved letters on free groups, one int per element on
+    zd (its line named after the group), lamp bitmasks on the
+    lamplighter, and heisenberg's own tuples."""
+    z3, lamp = group_from_id("zd:3"), group_from_id("lamplighter")
+    image = drift._entropy_image(srw(z3), 2)
+    assert image.group.id_string == "zd:3"
+    assert list(image.weights) == [1, -1, 5, -5, 25, -25]
+    assert drift._entropy_image(srw(lamp), 3).weights == {
+        (0, 1): 1, (0, -1): 1, (8, 0): 1}
+    heis = srw(group_from_id("heisenberg"))
+    assert drift._entropy_image(heis, 3) is heis
+    f2 = srw(FreeGroup(2))
+    assert drift._entropy_image(f2, 3).weights == \
+        freewalk._letters_apart(f2).weights
+
+
+@pytest.mark.parametrize("gid,max_atoms,completed", [
+    ("zd:3", 30, 2), ("zd:3", 100, 4), ("lamplighter", 10, 2),
+    ("lamplighter", 60, 5),
+])
+def test_entropy_atom_budget_reads_as_on_tuples(monkeypatch, gid,
+                                                max_atoms, completed):
+    """The image chains name the group, not the image, in the budget
+    message, at the same completed n as the chain on the tuples."""
+    monkeypatch.setattr(drift, "power_sequence",
+                        functools.partial(power_sequence,
+                                          max_atoms=max_atoms))
+    mu = srw(group_from_id(gid))
+    with pytest.raises(ResourceLimitError) as image:
+        entropy_partial(mu, 8)
+    with pytest.raises(ResourceLimitError) as tuples:
+        entropy_on_elements(mu, 8, max_atoms=max_atoms)
+    assert str(image.value) == str(tuples.value) == (
+        f"convolution on {gid} exceeded {max_atoms} atoms; "
+        f"completed n = {completed}")
 
 
 # -- phi_n from the one Cesaro law G_n = sum_{k<n} mu^{*k} --------------------
