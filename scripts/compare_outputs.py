@@ -59,7 +59,13 @@ overridden by a flag, and a ``cocycle`` below the level |g|, whose report
 is an OutOfRangeError (exit 1), then ``entropy`` on the int images of
 ``drift._entropy_image``: exact ``zd:3`` on a mixed-sign measure, float64
 ``zd:2`` under ``--truncation 1e-3``, float64 ``lamplighter`` with lamps
-on both sides of 0, and an exact ``zd:2`` measure with an atom at e.
+on both sides of 0, and an exact ``zd:2`` measure with an atom at e, then
+exact free-norm ``drift`` on (length, tail) states
+(``wordmetric._tail_norm_sums``) at sizes the parent still finishes within
+its atom budget: a cancelling ``free:2`` measure at ``--n-max 10``, a
+``free:3`` measure with an atom at e and a 3-letter atom, ``free:1``
+``aaa=1/2;A=1/2`` with its series, and the ``free:1`` simple random walk
+past ``freewalk.MAX_RADIAL_STEPS``.
 One subprocess per tree (the parent's a ``git archive`` export in a
 temporary directory) imports ``groupwalk`` from that tree's ``src``.
 It runs every CLI job through ``groupwalk.cli.run``, with the jobs' input
@@ -255,6 +261,20 @@ IMAGE_JOBS = [
      "--n-max", "14"],
 ]
 
+# exact free-norm drift on (length, tail) states, each within the atom
+# budget of a parent that runs the joint law: a measure with cancellation,
+# a 3-letter atom beside an atom at e, a 3-letter atom on free:1 with its
+# series, and the free:1 simple random walk one step past the radial cap
+TAIL_JOBS = [
+    ["drift", "--group", "free:2", "--measure=Ab=2/9;Ba=1/9;aB=5/9;bb=1/9",
+     "--n-max", "10"],
+    ["drift", "--group", "free:3", "--measure=e=1/6;abC=1/3;cB=1/4;A=1/4",
+     "--n-max", "11"],
+    ["drift", "--group", "free:1", "--measure=aaa=1/2;A=1/2", "--n-max",
+     "12", "--emit-series", "-"],
+    ["drift", "--group", "free:1", "--n-max", "1001"],
+]
+
 
 def write_config_file(work: str) -> None:
     """Write CONFIG_TEXT to drift.cfg in the directory `work`."""
@@ -280,7 +300,7 @@ def cli_jobs() -> list:
     return (jobs + RADIAL_JOBS + GSPACE_JOBS + LAW_RULE_JOBS
             + RADIAL_DRIFT_JOBS + DEFICIT_JOBS + TRUNCATED_PHI_JOBS
             + APART_JOBS + CESARO_PHI_JOBS + SERIES_JOBS + ROW_TEXT_JOBS
-            + EDGE_JOBS + IMAGE_JOBS)
+            + EDGE_JOBS + IMAGE_JOBS + TAIL_JOBS)
 
 
 def parse_args(argv):

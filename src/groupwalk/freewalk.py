@@ -35,13 +35,15 @@ letter x to x + sign(x) leaves out -1, so every letter hashes apart. The
 map is odd and injective, so ``FreeGroup._mul``'s cancellation test and
 every product, word length, dict insertion order and float sum carry over
 unchanged. The routes that need only weights, lengths or prefix masses
-(the free-norm joint laws of ``wordmetric.norm_sums`` and
-``wordmetric.fk_numerators``, the latter with its points moved too, and
-the prefix route of f_k) run on the relabelled copy, after the route is
-chosen on the original measure; the public words never change. The
-entropy chain needs only weights, and this copy is the free-group image
-among those that ``drift._entropy_image`` chooses (``zd`` packs each
-element into one int and the lamplighter its lamps into a bitmask).
+(the free-norm tail states and joint law of ``wordmetric.norm_sums``, the
+free-norm joint law of ``wordmetric.fk_numerators``, with its points
+moved too, and the prefix route of f_k) run on the relabelled copy, after
+the route is chosen on the original measure; the public words never
+change. The tail states are (length, tail) pairs of the private group
+``_FreeTails``, whose tails are moved words. The entropy chain needs
+only weights, and this copy is the free-group image among those that
+``drift._entropy_image`` chooses (``zd`` packs each element into one int
+and the lamplighter its lamps into a bitmask).
 
 These routines are an alternative route to the same numbers the convolution
 pipeline produces; the two are cross-checked against each other (and against
@@ -50,11 +52,12 @@ brute-force path enumeration) in the test suite.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, List, Optional
 
 from .errors import DomainError, ResourceLimitError
-from .groups import FreeGroup
+from .groups import FreeGroup, Group
 from .measures import MODE_EXACT, FiniteMeasure
 
 # longest walk of radial_phi and boundary.c_sequence: at n = 1000 on a 2-core
@@ -106,6 +109,45 @@ def _letters_apart(mu: FiniteMeasure) -> FiniteMeasure:
     weights = {_apart(g): c for g, c in mu.weights.items()}
     return FiniteMeasure(group=mu.group, weights=weights, den=mu.den,
                          deficit=mu.deficit, mode=mu.mode)
+
+
+@dataclass(frozen=True)
+class _FreeTails(Group):
+    """A free group's words as (length, tail): the word's length and its
+    last ``window`` letters (all of them if fewer), on letters moved apart
+    (``_apart``), so that tails hash apart. The product multiplies a tail
+    by a whole word on the right, and keeps the last ``window`` letters of
+    the result; its length is exact whenever the right factor cancels no
+    more letters than the tail holds. Only the tail chain of
+    ``wordmetric.norm_sums`` sees it, one window per step. Its id is the
+    free group's, so atom-budget messages read as on that group."""
+
+    name: str
+    window: int
+
+    @property
+    def id_string(self) -> str:
+        return self.name
+
+    def identity(self):
+        return (0, ())
+
+    def check_element(self, g) -> None:
+        if not (isinstance(g, tuple) and len(g) == 2
+                and isinstance(g[0], int) and isinstance(g[1], tuple)
+                and len(g[1]) <= g[0]):
+            raise DomainError(f"not a free-tail element: {g!r}")
+
+    def _mul(self, g, h):
+        (m, t), (n, s) = g, h
+        i = len(t)
+        j = 0
+        while i > 0 and j < n and t[i - 1] == -s[j]:
+            i -= 1
+            j += 1
+        w = t[:i] + s[j:]
+        cut = len(w) - self.window
+        return (m + n - 2 * j, w[cut:] if cut > 0 else w)
 
 
 def path_counts(k: int, n_max: int,

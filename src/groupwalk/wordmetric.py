@@ -25,20 +25,25 @@ d one-dimensional marginal laws, which live on a bare integer line
 (elements plain ints, product ``operator.add``); on a free group |st| -
 |t| = |s| - 2 (common prefix of s^-1 and t), so f_k needs only the prefix
 masses of mu^{*k}, while a_n of the simple random walk needs only its
-radial law (``freewalk.expected_norms``). Every other norm, and float64 mode,
-takes the loops over the atoms of the joint law. Under the free norm, the
-joint laws of a_n and f_k and the prefix masses of f_k run on a copy of mu
-whose letters are moved apart (``freewalk._letters_apart``): in CPython
-the letters A and B share a hash, and so would whole supports of mu^{*n}.
-Lengths, prefix masses, insertion order and float sums are those of the
-original words.
+radial law (``freewalk.expected_norms``). a_n of any other exact
+free-group measure needs only the length of each word of mu^{*n}, and the
+steps after step n read no deeper into a word than the letters they can
+cancel: the tail route lumps the law after n steps into (length, last
+L (n_max - n) letters) states, L the longest atom, in the one convolution
+engine (``_tail_norm_sums``). Every other norm, float64 mode and
+truncated a_n take the loops over the atoms of the joint law. Under the free
+norm, the tail states, the joint laws of a_n and f_k and the prefix masses
+of f_k run on a copy of mu whose letters are moved apart
+(``freewalk._letters_apart``): in CPython the letters A and B share a
+hash, and so would whole supports of mu^{*n}. Lengths, prefix masses,
+insertion order and float sums are those of the original words.
 """
 
 from __future__ import annotations
 
 import inspect
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import gcd, isqrt
 from operator import add
 from typing import Callable, Dict, Iterator, List, Optional
@@ -46,7 +51,8 @@ from typing import Callable, Dict, Iterator, List, Optional
 from . import freewalk
 from .errors import DomainError, OutOfRangeError, ResourceLimitError
 from .groups import FreeAbelian, FreeGroup, Group, Heisenberg, Lamplighter
-from .measures import MODE_EXACT, FiniteMeasure, dirac, power_sequence
+from .measures import (DEFAULT_MAX_ATOMS, MODE_EXACT, FiniteMeasure,
+                       convolve, dirac, power_sequence)
 
 DEFAULT_MAX_ELEMENTS = 2_000_000
 
@@ -331,6 +337,33 @@ def _radial_norm_sums(mu: FiniteMeasure, n_max: int) -> Iterator[tuple]:
         yield n, a_values[n].numerator, a_values[n].denominator, mu.deficit
 
 
+def _tail_norm_sums(mu: FiniteMeasure, n_max: int) -> Iterator[tuple]:
+    """(n, numerator of a_n, den, deficit) for n = 1..n_max under the free
+    norm, exact and untruncated, from a lumped law: after n steps each
+    word is kept as its length and its last L (n_max - n) letters
+    (``freewalk._FreeTails``), L the longest atom of mu. Each later step
+    cancels at most L letters, so words that agree on both have the same
+    lengths at every later step, and their weights add. Each step is one
+    ``convolve`` with the atom budget, whose numerators, den and deficit
+    are those of the joint law. mu comes with its letters moved apart
+    (``freewalk._letters_apart``)."""
+    name = mu.group.id_string
+    atoms = {(len(s), s): c for s, c in mu.weights.items()}
+    reach = max(map(len, mu.weights), default=0)
+    law = dirac(freewalk._FreeTails(name, reach * n_max))
+    for n in range(1, n_max + 1):
+        tails = freewalk._FreeTails(name, reach * (n_max - n))
+        step = FiniteMeasure(group=tails, weights=atoms, den=mu.den,
+                             deficit=mu.deficit, mode=mu.mode)
+        try:
+            law = convolve(replace(law, group=tails), step,
+                           max_atoms=DEFAULT_MAX_ATOMS)
+        except ResourceLimitError as exc:
+            raise ResourceLimitError(f"{exc}; completed n = {n - 1}") from None
+        total = sum(m * c for (m, _), c in law.weights.items())
+        yield n, total, law.den, law.deficit
+
+
 def _joint_norm_sums(mu: FiniteMeasure, norm_fn: Callable, n_max: int,
                      threshold) -> Iterator[tuple]:
     """(n, numerator of a_n, den, deficit) for n = 1..n_max: the norm
@@ -393,16 +426,21 @@ def norm_sums(mu: FiniteMeasure, norm_fn: Callable, n_max: int,
     norm of zd takes the coordinate marginals, and the free norm of the
     exact simple random walk (``freewalk.is_srw``) the radial law up to
     ``freewalk.MAX_RADIAL_STEPS``; past it free:k with k >= 2 is refused
-    (ResourceLimitError), since its joint law can only end at the atom
-    budget, while free:1 keeps the joint law. The rest takes the joint law
-    and its atom budget, with letters moved apart under the free norm."""
+    (ResourceLimitError), since its states can only end at the atom
+    budget. Every other exact untruncated measure under the free norm,
+    free:1's simple random walk past the cap among them, takes the
+    (length, tail) states (``_tail_norm_sums``). The rest takes the joint
+    law. The tail states and the joint law keep the atom budget, and run
+    on letters moved apart under the free norm."""
     norm = None if threshold else _exact_closed_form(mu, norm_fn)
     if norm is l1_norm:
         return _marginal_norm_sums(mu, n_max)
-    if norm is free_norm and freewalk.is_srw(mu) and (
-            mu.group.k > 1 or n_max <= freewalk.MAX_RADIAL_STEPS):
-        freewalk.check_radial_steps(n_max)
-        return _radial_norm_sums(mu, n_max)
+    if norm is free_norm:
+        if freewalk.is_srw(mu) and (
+                mu.group.k > 1 or n_max <= freewalk.MAX_RADIAL_STEPS):
+            freewalk.check_radial_steps(n_max)
+            return _radial_norm_sums(mu, n_max)
+        return _tail_norm_sums(freewalk._letters_apart(mu), n_max)
     if _moves_letters(mu, norm_fn):
         mu = freewalk._letters_apart(mu)
     return _joint_norm_sums(mu, norm_fn, n_max, threshold)

@@ -136,6 +136,13 @@ def test_adjoint_equality_free_nonsymmetric():
     mu = finite_measure(f2, {(1,): Fraction(1, 2), (1, 2): Fraction(1, 2)})
     report = adjoint_drift_equality(mu, norm_evaluator(f2), 3)
     assert report.equal
+    # letters cancel, at a depth where the joint law would stop at the atom
+    # budget after n = 11
+    mu = parse_measure_spec(f2, "Ab=2/9;Ba=1/9;aB=5/9;bb=1/9")
+    report = adjoint_drift_equality(mu, norm_evaluator(f2), 14)
+    assert report.ns == list(range(1, 15))
+    assert report.equal and report.max_difference == 0
+    assert report.a_mu[1] < 2 * report.a_mu[0]     # a cancelling step
 
 
 def test_adjoint_equality_symmetric_trivial():

@@ -1,7 +1,8 @@
 """Exact laws by the norm's structure (``wordmetric.norm_sums`` and
 ``wordmetric.fk_numerators``): zd coordinate marginals for a_n and f_k,
-free-group prefix masses for f_k, and the radial law for a_n of the
-free-group simple random walk; and the images of the group that the
+free-group prefix masses for f_k, the radial law for a_n of the
+free-group simple random walk and (length, tail) states for a_n of every
+other exact free-group measure; and the images of the group that the
 entropy chain runs on (``drift._entropy_image``), whose oracle is the
 chain on the group's own elements.
 
@@ -17,15 +18,19 @@ import functools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from groupwalk import drift, freewalk, quasiharmonic, wordmetric
 from groupwalk.drift import (adjoint_drift_equality, drift_exact_partial,
                              entropy_partial)
 from groupwalk.errors import DomainError, ResourceLimitError
-from groupwalk.groups import FreeAbelian, FreeGroup, group_from_id
-from groupwalk.measures import (MODE_EXACT, MODE_FLOAT, FiniteMeasure, dirac,
-                                finite_measure, parse_measure_spec, power,
-                                power_sequence, srw)
+from groupwalk.groups import (FreeAbelian, FreeGroup, group_from_id,
+                              reduce_word)
+from groupwalk.measures import (MODE_EXACT, MODE_FLOAT, FiniteMeasure,
+                                adjoint, convolve, dirac, finite_measure,
+                                parse_measure_spec, power, power_sequence,
+                                srw)
 from groupwalk.quasiharmonic import (compute_fk_tables, compute_phi,
                                      phi_from_fk)
 from groupwalk.wordmetric import (fk_numerators, free_norm, l1_norm,
@@ -46,9 +51,9 @@ ZD_MEASURES = {
              "0,0,-1=1/5;0,0,2=4/5", "1,0,-2=1", "-1,0,-1=2/3;1,1,0=1/3"],
 }
 FREE_MEASURES = ["srw", "a=1/3;A=1/6;aa=1/4;e=1/4"]
-ROUTES = ["_marginal_norm_sums", "_radial_norm_sums", "_joint_norm_sums",
-          "_marginal_fk_numerators", "_prefix_fk_numerators",
-          "_joint_fk_numerators"]
+ROUTES = ["_marginal_norm_sums", "_radial_norm_sums", "_tail_norm_sums",
+          "_joint_norm_sums", "_marginal_fk_numerators",
+          "_prefix_fk_numerators", "_joint_fk_numerators"]
 
 
 @pytest.fixture
@@ -213,12 +218,13 @@ def _route_cases():
         (srw(z2), wrapped, 0, 8, "marginal", "marginal"),
         (srw(z2), _generic(l1_norm), 0, 8, "joint", "joint"),
         # free with both thresholds; radial a_n only for the exact srw up
-        # to the cap, past which free:1 keeps the joint law (free:2 is
-        # refused, see test_free_srw_drift_past_the_cap_is_refused_at_entry)
+        # to the cap, past which free:1 takes the tail states (free:2 is
+        # refused, see test_free_srw_drift_past_the_cap_is_refused_at_entry),
+        # as does every other exact untruncated measure
         (srw(f2), free_norm, 0, cap, "radial", "prefix"),
         (srw(f2), free_norm, Fraction(1, 100), 8, "joint", "prefix"),
-        (srw(FreeGroup(1)), free_norm, 0, cap + 1, "joint", "prefix"),
-        (skewed, free_norm, 0, 8, "joint", "prefix"),
+        (srw(FreeGroup(1)), free_norm, 0, cap + 1, "tail", "prefix"),
+        (skewed, free_norm, 0, 8, "tail", "prefix"),
         # float64 mode and another group's norm
         (srw(z2, mode=MODE_FLOAT), l1_norm, 0, 8, "joint", "joint"),
         (srw(f2, mode=MODE_FLOAT), free_norm, 0, 8, "joint", "joint"),
@@ -325,9 +331,10 @@ def test_free_srw_drift_by_the_radial_law_equals_the_joint_law(gid, n_max,
 def test_free_drift_off_the_radial_law_takes_the_generic_loop(monkeypatch,
                                                              routes):
     """Only the exact, untruncated simple random walk up to
-    MAX_RADIAL_STEPS takes the radial route; every other free-group drift
-    keeps the generic loop and its atom budget, and so does the free:1
-    simple random walk past the cap."""
+    MAX_RADIAL_STEPS takes the radial route. Every other exact untruncated
+    free-group drift, the free:1 simple random walk past the cap among
+    them, takes the tail states; float64 and truncated drift keep the
+    generic loop and its atom budget."""
     monkeypatch.setattr(freewalk, "MAX_RADIAL_STEPS", 3)
     f2 = group_from_id("free:2")
     cases = [(srw(FreeGroup(1)), 4, 0),                      # past the cap
@@ -341,7 +348,8 @@ def test_free_drift_off_the_radial_law_takes_the_generic_loop(monkeypatch,
                                      threshold)
         assert report == oracle
         assert _types(report.error_bars) == _types(oracle.error_bars)
-    assert routes == ["_joint_norm_sums"] * 2 * len(cases)
+    assert routes == (["_tail_norm_sums", "_joint_norm_sums"] * 3
+                      + ["_joint_norm_sums"] * 4)
     assert any(err != 0 for err in report.error_bars)   # truncated
     routes.clear()
     report = drift_exact_partial(srw(f2), free_norm, 3)
@@ -352,10 +360,10 @@ def test_free_drift_off_the_radial_law_takes_the_generic_loop(monkeypatch,
 @pytest.mark.parametrize("k", [2, 3, 26])
 def test_free_srw_drift_past_the_cap_is_refused_at_entry(monkeypatch, k,
                                                          routes):
-    """Past MAX_RADIAL_STEPS the joint law of srw on free:k, k >= 2, could
-    only end at the atom budget: norm_sums refuses before any power, with
-    the radial routes' message. Truncated or float64 srw, another measure
-    and free:1 keep the joint law."""
+    """Past MAX_RADIAL_STEPS the law of srw on free:k, k >= 2, could only
+    end at the atom budget: norm_sums refuses before any power, with
+    the radial routes' message. Truncated or float64 srw keep the joint
+    law; another exact measure and free:1 take the tail states."""
     monkeypatch.setattr(freewalk, "MAX_RADIAL_STEPS", 3)
     group = FreeGroup(k)
     with pytest.raises(ResourceLimitError,
@@ -370,7 +378,7 @@ def test_free_srw_drift_past_the_cap_is_refused_at_entry(monkeypatch, k,
                           (srw(FreeGroup(1)), 0),
                           (parse_measure_spec(group, "a=1/2;B=1/2"), 0)):
         norm_sums(mu, free_norm, 4, threshold)
-    assert routes == ["_joint_norm_sums"] * 4
+    assert routes == ["_joint_norm_sums"] * 2 + ["_tail_norm_sums"] * 2
 
 
 # -- free-group letters moved apart (freewalk._letters_apart) -----------------
@@ -444,8 +452,9 @@ def test_moved_letters_hash_apart():
 def test_letters_move_apart_after_the_route_is_chosen(monkeypatch, routes):
     """The route is chosen on the original measure, so the simple random
     walk keeps the radial route (``freewalk.is_srw`` never sees moved
-    letters); the joint law under the free norm, the prefix route and the
-    free-group entropy chain then run on a moved copy of it."""
+    letters); the tail states and the joint law under the free norm, the
+    prefix route and the free-group entropy chain then run on a moved copy
+    of it."""
     seen = []
     relabel = freewalk._letters_apart
 
@@ -459,13 +468,15 @@ def test_letters_move_apart_after_the_route_is_chosen(monkeypatch, routes):
     wrapped = functools.wraps(free_norm)(lambda g: free_norm(g))
     cap = freewalk.MAX_RADIAL_STEPS
     joint = ["apart", "_joint_norm_sums"]
+    tail = ["apart", "_tail_norm_sums"]
     cases = [
         (srw(f2), free_norm, 0, 8, ["_radial_norm_sums"]),
         (srw(f2), wrapped, 0, 8, ["_radial_norm_sums"]),
-        (srw(f1), free_norm, 0, cap + 1, joint),
+        (srw(f1), free_norm, 0, cap + 1, tail),
         (srw(f2), free_norm, Fraction(1, 100), 8, joint),
         (srw(f2, mode=MODE_FLOAT), free_norm, 0, 8, joint),
-        (skewed, free_norm, 0, 8, joint),
+        (skewed, free_norm, 0, 8, tail),
+        (skewed, wrapped, 0, 8, tail),
         (skewed, wrapped, Fraction(1, 100), 8, joint),
         # a norm that is not free_norm, and free_norm off a free group,
         # see the public words
@@ -499,6 +510,132 @@ def test_letters_move_apart_after_the_route_is_chosen(monkeypatch, routes):
         entropy_partial(mu, 3)
         assert routes == expected
         assert all(m is mu for m in seen)
+
+
+# -- free-norm a_n on (length, tail) states (wordmetric._tail_norm_sums) ------
+
+# skewed, with cancellation; the joint law stops at the atom budget after
+# n = 11 on it
+CANCELLING = "Ab=2/9;Ba=1/9;aB=5/9;bb=1/9"
+# 3-letter atoms, atoms at e, the point mass at e (window 0), cancellation
+TAIL_MEASURES = ["aaa=1/2;A=1/2", "e=1/4;abA=1/4;B=1/2", "e=1", CANCELLING]
+
+
+def _tail_measures(group):
+    """APART_MEASURES and TAIL_MEASURES on `group`, then a measure with a
+    nonzero deficit."""
+    out = []
+    for spec in APART_MEASURES + TAIL_MEASURES:
+        try:
+            out.append(parse_measure_spec(group, spec))
+        except DomainError:
+            pass
+    out.append(FiniteMeasure(group=group, weights={(1,): 3, (-1, -1): 2},
+                             den=6, deficit=Fraction(1, 6), mode=MODE_EXACT))
+    return out
+
+
+@pytest.mark.parametrize("gid", sorted(APART_STEPS))
+def test_free_drift_by_tail_states_equals_the_joint_law(gid, routes):
+    """a_n of mu and of its adjoint by (length, tail) states, against the
+    generic loop over the joint law: equal reports, value and error-bar
+    types included. Only the simple random walk takes the radial law."""
+    n_max = APART_STEPS[gid][0]
+    measures = _tail_measures(group_from_id(gid))
+    assert len(measures) >= 6
+    for nu in measures + [adjoint(mu) for mu in measures]:
+        routes.clear()
+        report = drift_exact_partial(nu, free_norm, n_max)
+        oracle = drift_exact_partial(nu, _generic(free_norm), n_max)
+        route = "_radial" if freewalk.is_srw(nu) else "_tail"
+        assert routes == [f"{route}_norm_sums", "_joint_norm_sums"]
+        assert report == oracle
+        assert report.certified_bound == oracle.certified_bound
+        assert _types(report.a_values) == _types(oracle.a_values)
+        assert _types(report.error_bars) == _types(oracle.error_bars)
+    assert report.error_bars[0] == Fraction(1, 6) * 1 * 2   # the deficit
+    # no atom at all: every step keeps the whole mass as deficit
+    empty = finite_measure(group_from_id(gid), {}, deficit=1)
+    rows = list(norm_sums(empty, free_norm, n_max))
+    assert rows == list(norm_sums(empty, _generic(free_norm), n_max))
+
+
+def _free_word(k, letters):
+    """The reduced word of `letters` (signed 1..3), each folded into the
+    first k letters."""
+    return reduce_word([(1 if x > 0 else -1) * ((abs(x) - 1) % k + 1)
+                        for x in letters])
+
+
+_LETTERS = st.sampled_from([1, 2, 3, -1, -2, -3])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 3),
+       st.lists(st.tuples(st.lists(_LETTERS, max_size=3), st.integers(1, 9)),
+                min_size=1, max_size=6),
+       st.integers(0, 2), st.integers(1, 6))
+def test_tail_states_equal_the_joint_law_on_random_measures(k, atoms, lost,
+                                                            n_max):
+    """Random exact measures on free:1..free:3 with 1-6 atoms of length
+    0-3, some with a deficit: every (n, numerator, den, deficit) of the
+    tail states is the joint law's, and mu and its adjoint agree. The
+    simple random walk takes the radial law, whose numerators are reduced,
+    so only its report is compared."""
+    group = FreeGroup(k)
+    total = sum(c for _, c in atoms) + lost
+    weights = {}
+    for letters, c in atoms:
+        g = _free_word(k, letters)
+        weights[g] = weights.get(g, 0) + Fraction(c, total)
+    mu = finite_measure(group, weights, deficit=Fraction(lost, total))
+    report = drift_exact_partial(mu, free_norm, n_max)
+    assert report == drift_exact_partial(mu, _generic(free_norm), n_max)
+    assert _types(report.error_bars) == [Fraction] * n_max
+    if not freewalk.is_srw(mu):
+        rows = list(norm_sums(mu, free_norm, n_max))
+        assert rows == list(norm_sums(mu, _generic(free_norm), n_max))
+        assert rows == list(norm_sums(adjoint(mu), free_norm, n_max))
+
+
+def test_tail_atom_budget_names_the_group(monkeypatch):
+    """The tail states keep the atom budget and its message. At n_max = 14
+    the first steps' windows hold whole words, so the route stops where
+    the joint law does; at n_max = 10 its largest law has 1041 states, and
+    it finishes where the joint law stops."""
+    monkeypatch.setattr(wordmetric, "DEFAULT_MAX_ATOMS", 2000)
+    monkeypatch.setattr(wordmetric, "power_sequence",
+                        functools.partial(power_sequence, max_atoms=2000))
+    mu = parse_measure_spec(group_from_id("free:2"), CANCELLING)
+    for norm_fn in (free_norm, _generic(free_norm)):
+        with pytest.raises(ResourceLimitError) as info:
+            drift_exact_partial(mu, norm_fn, 14)
+        assert str(info.value) == ("convolution on free:2 exceeded 2000 "
+                                   "atoms; completed n = 5")
+    assert drift_exact_partial(mu, free_norm, 10).ns == list(range(1, 11))
+    with pytest.raises(ResourceLimitError, match="completed n = 5$"):
+        drift_exact_partial(mu, _generic(free_norm), 10)
+
+
+def test_tail_states_are_fewer_than_the_joint_support(monkeypatch):
+    """Regression guard, with no timing: at n_max = 10 the tail laws of
+    CANCELLING equal the joint laws in size while the windows hold whole
+    words (n <= 5), are smaller from there on, and at n = 10 (window 0)
+    keep only the lengths."""
+    sizes = []
+
+    def spy(*args, **kwargs):
+        law = convolve(*args, **kwargs)
+        sizes.append(len(law))
+        return law
+    monkeypatch.setattr(wordmetric, "convolve", spy)
+    mu = parse_measure_spec(group_from_id("free:2"), CANCELLING)
+    list(norm_sums(mu, free_norm, 10))
+    joint = [len(law) for _, law in
+             power_sequence(freewalk._letters_apart(mu), 10)]
+    assert sizes[:5] == joint[:5]
+    assert all(t < j for t, j in zip(sizes[5:], joint[5:]))
+    assert sizes[-1] <= 21 < joint[-1]
 
 
 # -- entropy on int images (drift._entropy_image) -----------------------------
